@@ -2,12 +2,15 @@
 
 Layout: magic `ECSH`, u32 version, u32 tensor count, then per tensor:
 u16 name length, UTF-8 name, u8 rank, u32 per-dim extents, raw
-little-endian float32 data.  A JSON sidecar carries the config.
+little-endian float32 data.  A JSON sidecar carries the config.  Both
+files are written to a temporary name and renamed into place, so a crash
+never leaves a partial file under the final name.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from collections import OrderedDict
 
@@ -19,23 +22,42 @@ MAGIC = b"ECSH"
 VERSION = 1
 
 
+def _write_atomic(path, mode, write):
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, mode) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_json(path, obj, **dump_kwargs):
+    """Write obj as JSON atomically."""
+    _write_atomic(path, "w", lambda fh: json.dump(obj, fh, **dump_kwargs))
+
+
 def save_tensors(path, named):
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(named)))
-        for name, arr in named.items():
-            data = np.ascontiguousarray(np.asarray(arr, dtype="<f4"))
-            nb = name.encode("utf-8")
-            if len(nb) > 0xFFFF:
-                raise ConfigError(f"tensor name too long: {name!r}")
-            if data.ndim > 0xFF:
-                raise ConfigError("tensor rank exceeds format limit")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", data.ndim))
-            for dim in data.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(data.tobytes())
+    _write_atomic(path, "wb", lambda fh: _write_tensors(fh, named))
+
+
+def _write_tensors(fh, named):
+    fh.write(MAGIC)
+    fh.write(struct.pack("<II", VERSION, len(named)))
+    for name, arr in named.items():
+        data = np.ascontiguousarray(np.asarray(arr, dtype="<f4"))
+        nb = name.encode("utf-8")
+        if len(nb) > 0xFFFF:
+            raise ConfigError(f"tensor name too long: {name!r}")
+        if data.ndim > 0xFF:
+            raise ConfigError("tensor rank exceeds format limit")
+        fh.write(struct.pack("<H", len(nb)))
+        fh.write(nb)
+        fh.write(struct.pack("<B", data.ndim))
+        for dim in data.shape:
+            fh.write(struct.pack("<I", dim))
+        fh.write(data.tobytes())
 
 
 def load_tensors(path):
@@ -68,8 +90,7 @@ def save_checkpoint(path, params, config):
         (name, p.data if hasattr(p, "data") else p) for name, p in params.items()
     )
     save_tensors(path, named)
-    with open(sidecar_path(path), "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
+    write_json(sidecar_path(path), config, indent=2, sort_keys=True)
 
 
 def load_checkpoint(path):

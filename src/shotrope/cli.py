@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import analysis, engine, model as M, rope, synthetic as S
-from .checkpoint import load_checkpoint, save_checkpoint
-from .tensor import ConfigError, NumericError, ShapeError
+from .checkpoint import load_checkpoint, save_checkpoint, write_json
+from .tensor import NUMERICS_VERSION, ConfigError, NumericError, ShapeError
 
 EXIT_OK = 0
 EXIT_TEST_FAILURE = 1
@@ -67,6 +67,7 @@ def run_config_dict(model_cfg, train_cfg, world):
         "model": model_cfg.to_dict(),
         "train": train_cfg.to_dict(),
         "world": world.config(),
+        "numerics_version": NUMERICS_VERSION,
     }
 
 
@@ -189,8 +190,7 @@ def cmd_sample(args):
     summary["n_samples"] = len(metrics)
     summary["seed"] = args.seed
     summary["samples"] = metrics
-    with open(os.path.join(args.out, "metrics.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
+    write_json(os.path.join(args.out, "metrics.json"), summary, indent=2)
     print(json.dumps({k: summary[k] for k in ("identity_consistency", "scene_adherence", "cut_accuracy")}))
     return EXIT_OK
 

@@ -226,10 +226,8 @@ def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None):
         h = T.add(T.matmul(h, params[f"block{b}/ffn/w2"]), params[f"block{b}/ffn/b2"])
         x = T.add(x, h)
         if collect is not None:
-            collect.self_probs.extend(pr for pr in sa_probs if pr is not None)
-            collect.cross_probs.extend(
-                (pr, context.shot_index) for pr in ca_probs if pr is not None
-            )
+            collect.self_probs.extend(sa_probs)
+            collect.cross_probs.extend((pr, context.shot_index) for pr in ca_probs)
 
     out = T.matmul(T.layernorm(x), params["head/w"])
     return T.add(out, params["head/b"])

@@ -1,6 +1,7 @@
 """Vanilla 1D and 3D rotary position embeddings.
 
-Pure numpy functions over immutable angle bases.  Positions may be
+Pure numpy functions over immutable angle bases.  A basis compares and
+hashes by its defining fields (dim, base, strict), so it can key caches.  Positions may be
 non-integer (fractional phase shifts are used by the parameter sweeps).
 Dtype of the input vector is preserved, so callers can evaluate in
 float64 when they need tighter tolerances.
@@ -24,7 +25,7 @@ class RotaryBasis:
 
     dim: int
     base: float = 10000.0
-    angles: np.ndarray = field(default=None, repr=False)
+    angles: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim % 2 != 0 or self.dim < 2:
@@ -49,10 +50,10 @@ class RotaryBasis3D:
     dim: int
     base: float = 10000.0
     strict: bool = True
-    angles: np.ndarray = field(default=None, repr=False)
+    angles: np.ndarray = field(default=None, repr=False, compare=False)
     # per feature-pair: axis index 0=t 1=h 2=w, -1 = unrotated
-    pair_axis: np.ndarray = field(default=None, repr=False)
-    pair_angle: np.ndarray = field(default=None, repr=False)
+    pair_axis: np.ndarray = field(default=None, repr=False, compare=False)
+    pair_angle: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim % 2 != 0:

@@ -60,27 +60,20 @@ class ShotLayout:
 
     def token_shot_index(self):
         """Shot index of every token, in token order."""
-        out = np.empty(self.total_tokens, dtype=np.int64)
-        for s, (a, b) in enumerate(self.token_spans()):
-            out[a:b] = s
-        return out
+        counts = np.asarray(self.frame_counts, dtype=np.int64) * self.tokens_per_frame
+        return np.repeat(np.arange(self.shot_count, dtype=np.int64), counts)
 
     def token_positions(self, j=0.0):
-        """(t_eff, h, w) arrays per token; t_eff includes the phase jump."""
-        t = np.empty(self.total_tokens, dtype=np.float64)
-        h = np.empty(self.total_tokens, dtype=np.float64)
-        w = np.empty(self.total_tokens, dtype=np.float64)
-        idx = 0
-        for s, n in enumerate(self.frame_counts):
-            off = self.time_offsets[s]
-            for tl in range(n):
-                te = off + tl + s * j
-                for hh in range(self.height):
-                    for ww in range(self.width):
-                        t[idx] = te
-                        h[idx] = hh
-                        w[idx] = ww
-                        idx += 1
+        """(t_eff, h, w) arrays per token; t_eff includes the phase jump.
+
+        Tokens run frame by frame, each frame row-major over the grid; a
+        frame's t_eff is its global frame index plus j per crossed boundary.
+        """
+        shot = np.repeat(np.arange(self.shot_count), self.frame_counts)
+        frame_t = np.arange(shot.size) + shot * j
+        t = np.repeat(frame_t.astype(np.float64), self.tokens_per_frame)
+        h = np.tile(np.repeat(np.arange(self.height, dtype=np.float64), self.width), shot.size)
+        w = np.tile(np.arange(self.width, dtype=np.float64), shot.size * self.height)
         return t, h, w
 
 

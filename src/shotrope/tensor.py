@@ -1,13 +1,24 @@
 """Dense float32 tensors with reverse-mode autodiff on an explicit tape.
 
-Shapes are explicit everywhere: the only implicit broadcast allowed is
-adding a 1-D bias row to every row of a 2-D tensor.  Forward math is
-plain numpy, so two runs over identical inputs are bit-identical.
+Shapes are explicit everywhere.  Two implicit broadcasts are allowed:
+adding a 1-D bias row to every row of a 2-D tensor, and rotating a
+head-batched [heads, n, dh] tensor by one constant [n, dh] rotary table
+shared by every head (`rope_pairs`).  Attention runs all heads at once:
+`split_heads` turns [n, d] into [heads, n, d/heads], the row ops
+(`transpose`, `softmax_rows`, `slice_rows`, `concat_rows`) act on the
+last two axes, `batched_matmul` multiplies head by head, and
+`merge_heads` restores [n, d].  Forward math is plain numpy, so two runs
+over identical inputs are bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Bumped by every change that alters the bits a forward or backward
+# produces, so trained artefacts cached under an older value are not
+# reused.  1: gelu cube as x**3; 2: as x*x*x.
+NUMERICS_VERSION = 2
 
 
 class ShapeError(ValueError):
@@ -111,7 +122,7 @@ def _as_tensor(x):
 
 
 def _make(out_data, inputs, backward_fn):
-    out = Tensor(out_data, dtype=out_data.dtype)
+    out = Tensor(out_data)  # every op's output is a fresh float array: no copy
     if _ACTIVE_TAPE is not None and any(
         i.requires_grad for i in inputs if isinstance(i, Tensor)
     ):
@@ -190,50 +201,81 @@ def scale(a, c):
     return _make(out_data, (a,), bw)
 
 
-def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+def _swap_last(a):
+    return np.swapaxes(a, -1, -2)
+
+
+def _matmul(a, b):
     out_data = a.data @ b.data
 
     def bw(out):
         def run():
             g = out.grad
-            return g @ b.data.T, a.data.T @ g
+            return g @ _swap_last(b.data), _swap_last(a.data) @ g
         return run
 
     return _make(out_data, (a, b), bw)
 
 
+def matmul(a, b):
+    """2-D product [m, k] @ [k, n].
+
+    Kept 2-D: the benchmark's tracer reads its operands' shapes as
+    [m, k] and [k, n] to count flops.  Batched products use
+    `batched_matmul`.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    return _matmul(a, b)
+
+
+def batched_matmul(a, b):
+    """Product over the last two axes, batched over equal leading axes:
+    [..., m, k] @ [..., k, n].  Each batch entry is computed exactly as
+    `matmul` computes it on its own."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if (
+        a.data.ndim < 2
+        or a.data.ndim != b.data.ndim
+        or a.shape[:-2] != b.shape[:-2]
+        or a.shape[-1] != b.shape[-2]
+    ):
+        raise ShapeError(f"batched_matmul: incompatible shapes {a.shape} and {b.shape}")
+    return _matmul(a, b)
+
+
 def transpose(a):
+    """Swap the last two axes into a contiguous copy."""
     a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError("transpose expects a 2-D tensor")
-    out_data = a.data.T.copy()
+    if a.data.ndim < 2:
+        raise ShapeError("transpose expects a tensor of at least 2 dims")
+    out_data = np.ascontiguousarray(_swap_last(a.data))
 
     def bw(out):
         def run():
-            return (out.grad.T.copy(),)
+            return (np.ascontiguousarray(_swap_last(out.grad)),)
         return run
 
     return _make(out_data, (a,), bw)
 
 
 def softmax_rows(x):
+    """Softmax over the last axis."""
     x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError("softmax_rows expects a 2-D tensor")
+    if x.data.ndim < 2:
+        raise ShapeError("softmax_rows expects a tensor of at least 2 dims")
     if not np.isfinite(x.data).all():
         raise NumericError("softmax_rows: non-finite input")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def bw(out):
         def run():
             g = out.grad
             y = out.data
-            dot = (g * y).sum(axis=1, keepdims=True)
+            dot = (g * y).sum(axis=-1, keepdims=True)
             return (y * (g - dot),)
         return run
 
@@ -268,7 +310,8 @@ def gelu(x):
     x = _as_tensor(x)
     c = x.data.dtype.type(np.sqrt(2.0 / np.pi))
     k = x.data.dtype.type(0.044715)
-    inner = c * (x.data + k * x.data ** 3)
+    # x*x*x, not x**3: a float32 power call is about 200x slower
+    inner = c * (x.data + k * (x.data * x.data * x.data))
     t = np.tanh(inner)
     out_data = (0.5 * x.data * (1.0 + t)).astype(x.data.dtype)
 
@@ -308,65 +351,76 @@ def tmean(x):
 
 
 def concat_rows(tensors):
+    """Concatenate along axis -2; all other axes must agree."""
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat_rows of empty list")
-    cols = tensors[0].shape[1]
-    if any(t.data.ndim != 2 or t.shape[1] != cols for t in tensors):
+    shape = tensors[0].shape
+    if any(
+        t.data.ndim != len(shape) or len(shape) < 2
+        or t.shape[:-2] != shape[:-2] or t.shape[-1] != shape[-1]
+        for t in tensors
+    ):
         raise ShapeError("concat_rows: column mismatch")
-    out_data = np.concatenate([t.data for t in tensors], axis=0)
-    splits = np.cumsum([t.shape[0] for t in tensors])[:-1]
+    out_data = np.concatenate([t.data for t in tensors], axis=-2)
+    splits = np.cumsum([t.shape[-2] for t in tensors])[:-1]
 
     def bw(out):
         def run():
-            return tuple(np.split(out.grad, splits, axis=0))
+            return tuple(np.split(out.grad, splits, axis=-2))
         return run
 
     return _make(out_data, tuple(tensors), bw)
 
 
 def slice_rows(x, lo, hi):
+    """Rows lo:hi along axis -2."""
     x = _as_tensor(x)
-    out_data = x.data[lo:hi].copy()
+    if x.data.ndim < 2:
+        raise ShapeError("slice_rows expects a tensor of at least 2 dims")
+    out_data = x.data[..., lo:hi, :].copy()
 
     def bw(out):
         def run():
             g = np.zeros_like(x.data)
-            g[lo:hi] = out.grad
+            g[..., lo:hi, :] = out.grad
             return (g,)
         return run
 
     return _make(out_data, (x,), bw)
 
 
-def slice_cols(x, lo, hi):
+def split_heads(x, heads):
+    """[n, heads*dh] -> contiguous [heads, n, dh]; head i holds columns
+    i*dh:(i+1)*dh."""
     x = _as_tensor(x)
-    out_data = x.data[:, lo:hi].copy()
+    if x.data.ndim != 2 or x.shape[1] % heads != 0:
+        raise ShapeError(f"split_heads: cannot split {x.shape} into {heads} heads")
+    n, d = x.shape
+    out_data = x.data.reshape(n, heads, d // heads).transpose(1, 0, 2).copy()
 
     def bw(out):
         def run():
-            g = np.zeros_like(x.data)
-            g[:, lo:hi] = out.grad
-            return (g,)
+            return (out.grad.transpose(1, 0, 2).reshape(n, d),)
         return run
 
     return _make(out_data, (x,), bw)
 
 
-def concat_cols(tensors):
-    tensors = [_as_tensor(t) for t in tensors]
-    rows = tensors[0].shape[0]
-    if any(t.data.ndim != 2 or t.shape[0] != rows for t in tensors):
-        raise ShapeError("concat_cols: row mismatch")
-    out_data = np.concatenate([t.data for t in tensors], axis=1)
-    splits = np.cumsum([t.shape[1] for t in tensors])[:-1]
+def merge_heads(x):
+    """[heads, n, dh] -> [n, heads*dh], the inverse of split_heads."""
+    x = _as_tensor(x)
+    if x.data.ndim != 3:
+        raise ShapeError("merge_heads expects a [heads, n, dh] tensor")
+    heads, n, dh = x.shape
+    out_data = x.data.transpose(1, 0, 2).copy().reshape(n, heads * dh)
 
     def bw(out):
         def run():
-            return tuple(np.split(out.grad, splits, axis=1))
+            return (np.ascontiguousarray(out.grad.reshape(n, heads, dh).transpose(1, 0, 2)),)
         return run
 
-    return _make(out_data, tuple(tensors), bw)
+    return _make(out_data, (x,), bw)
 
 
 def gather_rows(table, indices):
@@ -388,13 +442,14 @@ def gather_rows(table, indices):
 def rope_pairs(x, cos, sin):
     """Rotate consecutive feature pairs of each row by fixed angles.
 
-    cos/sin are constant arrays shaped like x with per-pair duplicated
-    entries; out = x*cos + swap(x)*sin where swap maps (a, b) -> (-b, a).
+    cos/sin are constant [n, dh] arrays with per-pair duplicated entries,
+    shaped like the last two axes of x and shared by any leading (head)
+    axes; out = x*cos + swap(x)*sin where swap maps (a, b) -> (-b, a).
     """
     x = _as_tensor(x)
     cos = np.asarray(cos, dtype=x.data.dtype)
     sin = np.asarray(sin, dtype=x.data.dtype)
-    if cos.shape != x.shape or sin.shape != x.shape:
+    if cos.ndim != 2 or cos.shape != x.shape[-2:] or sin.shape != cos.shape:
         raise ShapeError("rope_pairs: angle table shape mismatch")
     if x.shape[-1] % 2 != 0:
         raise ShapeError("rope_pairs: last dim must be even")

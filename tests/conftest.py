@@ -2,9 +2,11 @@
 
 Training the ablation variants dominates the suite's runtime, so trained
 parameters and their evaluation metrics are cached on disk keyed by a
-hash of every input that determines them.  Delete the cache directory
-(tests/.cache by default, override with SHOTROPE_TEST_CACHE) to force
-retraining.
+hash of every input that determines them, including
+`shotrope.NUMERICS_VERSION`, so a change to the numerics retrains rather
+than reusing weights the code would no longer produce.  Cache files are
+written atomically.  Delete the cache directory (tests/.cache by
+default, override with SHOTROPE_TEST_CACHE) to force retraining.
 """
 
 import hashlib
@@ -13,10 +15,12 @@ import os
 
 import pytest
 
+from shotrope import NUMERICS_VERSION
 from shotrope import checkpoint as C
 from shotrope import engine as E
 from shotrope import model as M
 from shotrope import synthetic as S
+from shotrope.cli import run_config_dict
 from shotrope.tensor import Tensor
 
 WORLD_SEED = 1
@@ -43,10 +47,7 @@ def _cache_dir():
 
 
 def _run_key(model_cfg, train_cfg, world):
-    blob = json.dumps(
-        {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(), "world": world.config()},
-        sort_keys=True,
-    )
+    blob = json.dumps(run_config_dict(model_cfg, train_cfg, world), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -57,11 +58,7 @@ def _train_cached(model_cfg, train_cfg, world):
         tensors, _ = C.load_checkpoint(path)
         return {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}
     params, _ = E.train(model_cfg, train_cfg, world)
-    C.save_checkpoint(
-        path,
-        params,
-        {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(), "world": world.config()},
-    )
+    C.save_checkpoint(path, params, run_config_dict(model_cfg, train_cfg, world))
     return params
 
 
@@ -77,8 +74,7 @@ def _evaluate_cached(params, model_cfg, train_cfg, world):
     metrics = E.evaluate(
         params, model_cfg, world, n_samples=EVAL_SAMPLES, seed=EVAL_SEED, steps=EVAL_STEPS
     )
-    with open(path, "w") as fh:
-        json.dump(metrics, fh, indent=2)
+    C.write_json(path, metrics, indent=2)
     return metrics
 
 
@@ -107,6 +103,7 @@ def _identity_finetune_key(model_cfg, base_cfg, ft_cfg, world):
                 "world": world.config(),
             },
             "ft": ft_cfg.to_dict(),
+            "numerics_version": NUMERICS_VERSION,
         },
         sort_keys=True,
     )
@@ -134,6 +131,7 @@ def identity_finetuned(trained_variants, oracle_world):
             "base_train": base_cfg.to_dict(),
             "finetune": ft_cfg.to_dict(),
             "world": oracle_world.config(),
+            "numerics_version": NUMERICS_VERSION,
         },
     )
     return params, model_cfg
@@ -162,8 +160,7 @@ def identity_model_metrics(identity_finetuned, oracle_world):
         steps=EVAL_STEPS,
         use_identity=True,
     )
-    with open(path, "w") as fh:
-        json.dump(metrics, fh, indent=2)
+    C.write_json(path, metrics, indent=2)
     return metrics
 
 

@@ -279,7 +279,8 @@ def test_c09_identity_consistency(identity_model_metrics):
 
 def test_c10_cross_attention_diagonal_dominance(trained_variants, oracle_world):
     """Trained full model's shot-block cross-attention matrix is diagonally
-    dominant in every row; the vanilla-trained model is not.
+    dominant in every row, by a wide margin; the vanilla-trained model
+    spreads each row evenly over the three shot blocks.
 
     Heatmaps are taken at tau = 5/6, the midpoint of the shifted sampling
     schedule (u = 0.5 under shift 5).  At lower noise the ground-truth
@@ -287,23 +288,32 @@ def test_c10_cross_attention_diagonal_dominance(trained_variants, oracle_world):
     content-match captions weakly; at the noise level the sampler
     actually operates at, vanilla allocates attention uniformly
     (~1/3 per shot block) while the shot rotation keeps the full model's
-    diagonal near 0.9."""
+    diagonal near 0.9.  Vanilla's row margins (diagonal minus the best
+    off-diagonal entry) sit within a few thousandths of zero, on either
+    side, so the vanilla clause bounds every entry's distance from 1/3
+    rather than the sign of a margin."""
     batch = S.make_batch(
         oracle_world, 4, shot_count_range=(3, 3), shot_len_range=(2, 4), seed=42
     )
     tau_mid = 5.0 / 6.0
 
-    def dominant(matrix):
+    def margins(matrix):
         m = np.asarray(matrix)
-        return all(
-            m[i, i] > max(m[i, j] for j in range(m.shape[0]) if j != i)
+        return [
+            m[i, i] - max(m[i, j] for j in range(m.shape[0]) if j != i)
             for i in range(m.shape[0])
-        )
+        ]
+
+    def dominant(matrix):
+        return all(margin > 0 for margin in margins(matrix))
 
     full_params, full_cfg = trained_variants["full"]
     _, full_cross = analysis.attention_heatmaps(full_params, full_cfg, batch, tau=tau_mid)
     assert dominant(full_cross), f"full cross-attention blocks:\n{full_cross}"
+    assert min(margins(full_cross)) >= 0.3, f"full cross-attention blocks:\n{full_cross}"
 
     van_params, van_cfg = trained_variants["vanilla"]
     _, van_cross = analysis.attention_heatmaps(van_params, van_cfg, batch, tau=tau_mid)
-    assert not dominant(van_cross), f"vanilla cross-attention blocks:\n{van_cross}"
+    assert np.all(np.abs(van_cross - 1.0 / 3.0) <= 0.03), (
+        f"vanilla cross-attention blocks:\n{van_cross}"
+    )

@@ -203,3 +203,23 @@ class TestMonteCarloDecay:
             logit = np.real(h @ np.exp(1j * 6.0 * ds * basis.angles))
             means.append(np.abs(logit).mean())
         assert np.all(np.diff(means) <= 0)
+
+
+def test_heatmaps_under_reference_attention_are_finite_and_isolate_shot0():
+    from shotrope import model as M
+    from shotrope import synthetic as S
+
+    world = S.SyntheticWorld(seed=2, d_token=32, d_id=8, v_scene=4, v_mot=2, height=2, width=2)
+    cfg = M.DenoiserConfig(
+        d_model=24, blocks=2, heads=2, ffn_mult=2, d_token=32, d_id=8, v_scene=4, v_mot=2,
+        variant="full+refattn",
+    )
+    params = M.init_params(cfg, seed=0)
+    batch = S.make_batch(world, 2, shot_count_range=(3, 3), shot_len_range=(1, 2), seed=3)
+    self_mat, cross_mat = analysis.attention_heatmaps(params, cfg, batch, tau=0.5)
+    assert self_mat.shape == cross_mat.shape == (3, 3)
+    assert np.isfinite(self_mat).all() and np.isfinite(cross_mat).all()
+    for mat in (self_mat, cross_mat):
+        assert abs(mat[0, 0] - 1.0) <= 1e-6
+        assert not mat[0, 1:].any()
+        assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-6)

@@ -260,3 +260,168 @@ class TestCrossAttention:
 def test_context_tokens_length_mismatch():
     with pytest.raises(ShapeError):
         ContextTokens(Tensor(np.zeros((3, 4), dtype=np.float32)), np.array([0, 1]))
+
+
+# -- head-batched kernels against a per-head reference ----------------------
+
+def _per_head_reference(x_q, x_kv, weights, heads, qtabs, ktabs, nq0=None, nk0=None):
+    """Attention built head by head from numpy column slices, rope_pairs and
+    scaled_dot_attention; with nq0/nk0 shot-0 rows see only shot-0 keys."""
+    import shotrope.tensor as T
+
+    q = T.matmul(x_q, weights.wq).data
+    k = T.matmul(x_kv, weights.wk).data
+    v = T.matmul(x_kv, weights.wv).data
+    dh = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        qh = T.rope_pairs(Tensor(q[:, cols].copy()), *qtabs)
+        kh = T.rope_pairs(Tensor(k[:, cols].copy()), *ktabs)
+        vh = Tensor(v[:, cols].copy())
+        if nq0 is None:
+            outs.append(scaled_dot_attention(qh, kh, vh).data)
+            continue
+        top = scaled_dot_attention(
+            Tensor(qh.data[:nq0].copy()), Tensor(kh.data[:nk0].copy()),
+            Tensor(vh.data[:nk0].copy()),
+        ).data
+        rest = scaled_dot_attention(Tensor(qh.data[nq0:].copy()), kh, vh).data
+        outs.append(np.concatenate([top, rest], axis=0))
+    return T.matmul(Tensor(np.concatenate(outs, axis=1)), weights.wo).data
+
+
+def _pair_tables(cos, sin):
+    return (np.repeat(cos, 2, axis=1).astype(np.float32),
+            np.repeat(sin, 2, axis=1).astype(np.float32))
+
+
+@pytest.mark.parametrize("heads", [2, 4])
+@pytest.mark.parametrize("use_ref", [False, True])
+def test_self_attention_equals_per_head_reference(heads, use_ref):
+    rng = np.random.default_rng(20 + heads)
+    layout = ShotLayout((2, 1, 3), 2, 2)
+    d = 24 * heads // 2
+    basis = rope.make_basis_3d(d // heads, strict=False)
+    params = ShotRopeParams(j=4.0)
+    w = _rand_weights(rng, d)
+    tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
+    tabs = _pair_tables(*rope.phase_tables_3d(basis, *layout.token_positions(j=params.j)))
+    n0 = layout.token_spans()[0][1] if use_ref else None
+    expect = _per_head_reference(tokens, tokens, w, heads, tabs, tabs, n0, n0)
+    got = multishot_self_attention(tokens, layout, params, basis, w, heads=heads, use_ref=use_ref)
+    assert np.array_equal(got.data, expect)
+
+
+@pytest.mark.parametrize("heads", [2, 4])
+@pytest.mark.parametrize("use_ref", [False, True])
+def test_cross_attention_equals_per_head_reference(heads, use_ref):
+    rng = np.random.default_rng(30 + heads)
+    layout = ShotLayout((2, 1, 3), 2, 2)
+    d = 24 * heads // 2
+    basis = rope.make_basis_1d(d // heads)
+    params = ShotRopeParams(k=6.0)
+    w = _rand_weights(rng, d)
+    shots = np.array([0, 0, 0, 1, 1, 2, 2])
+    ctx = ContextTokens(Tensor(rng.standard_normal((7, d)).astype(np.float32)), shots)
+    tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
+    qtabs = _pair_tables(*rope.phase_tables_1d(basis, layout.token_shot_index() * params.k))
+    ktabs = _pair_tables(*rope.phase_tables_1d(basis, shots * params.k))
+    nq0 = layout.token_spans()[0][1] if use_ref else None
+    expect = _per_head_reference(tokens, ctx.embeddings, w, heads, qtabs, ktabs, nq0, 3)
+    got = multishot_cross_attention(
+        tokens, ctx, layout, params, basis, w, heads=heads, use_ref=use_ref
+    )
+    assert np.array_equal(got.data, expect)
+
+
+@pytest.mark.parametrize("use_ref", [False, True])
+def test_probs_out_gives_one_full_matrix_per_head(use_ref):
+    rng = np.random.default_rng(40)
+    layout = ShotLayout((2, 2), 2, 2)
+    n, n0 = layout.total_tokens, layout.token_spans()[0][1]
+    w = _rand_weights(rng, 24)
+    tokens = Tensor(rng.standard_normal((n, 24)).astype(np.float32))
+    sink = []
+    multishot_self_attention(
+        tokens, layout, ShotRopeParams(), rope.make_basis_3d(12), w, heads=2,
+        use_ref=use_ref, probs_out=sink,
+    )
+    assert len(sink) == 2
+    for probs in sink:
+        assert probs.shape == (n, n)
+        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+        if use_ref:
+            assert not probs[:n0, n0:].any()
+
+
+def _spy_rope_pairs(monkeypatch):
+    import shotrope.tensor as T
+
+    calls = []
+    real = T.rope_pairs
+
+    def spy(x, cos, sin):
+        out = real(x, cos, sin)
+        calls.append((x.data.copy(), out.data.copy()))
+        return out
+
+    monkeypatch.setattr(T, "rope_pairs", spy)
+    return calls
+
+
+def test_self_attention_rotations_are_tcrope(monkeypatch):
+    """Every per-token, per-head Q/K rotation of the kernel equals the scalar
+    TcRoPE oracle at that token's (shot, local frame, h, w)."""
+    from shotrope.shots import tcrope
+
+    rng = np.random.default_rng(41)
+    layout = ShotLayout((2, 1, 3), 2, 3)
+    heads, d = 2, 64
+    basis = rope.make_basis_3d(32, strict=False)  # the model's head basis
+    params = ShotRopeParams(j=4.0)
+    tokens = Tensor(rng.standard_normal((layout.total_tokens, d)), dtype=np.float64)
+    w = AttentionWeights(
+        *(Tensor(rng.standard_normal((d, d)) * 0.1, dtype=np.float64) for _ in range(4))
+    )
+    calls = _spy_rope_pairs(monkeypatch)
+    multishot_self_attention(tokens, layout, params, basis, w, heads=heads)
+    assert len(calls) == 2  # Q and K, all heads at once
+    coords = [
+        (s, tl, hh, ww)
+        for s, n in enumerate(layout.frame_counts)
+        for tl in range(n)
+        for hh in range(layout.height)
+        for ww in range(layout.width)
+    ]
+    for x, out in calls:
+        for h in range(heads):
+            for i, (s, tl, hh, ww) in enumerate(coords):
+                oracle = tcrope(x[h, i], tl, hh, ww, s, layout, params, basis)
+                assert np.array_equal(out[h, i], oracle)
+
+
+def test_cross_attention_rotations_are_tarope(monkeypatch):
+    """Queries rotate by their token's shot index and keys by their
+    caption's, exactly as the scalar TaRoPE oracle does."""
+    from shotrope.shots import tarope
+
+    rng = np.random.default_rng(42)
+    layout = ShotLayout((2, 1, 2), 1, 2)
+    heads, d = 2, 24
+    basis = rope.make_basis_1d(12)
+    params = ShotRopeParams(k=6.0)
+    shots = np.array([0, 0, 1, 2, 2])
+    ctx = ContextTokens(Tensor(rng.standard_normal((5, d)), dtype=np.float64), shots)
+    tokens = Tensor(rng.standard_normal((layout.total_tokens, d)), dtype=np.float64)
+    w = AttentionWeights(
+        *(Tensor(rng.standard_normal((d, d)) * 0.1, dtype=np.float64) for _ in range(4))
+    )
+    calls = _spy_rope_pairs(monkeypatch)
+    multishot_cross_attention(tokens, ctx, layout, params, basis, w, heads=heads)
+    assert len(calls) == 2
+    for (x, out), row_shots in zip(calls, (layout.token_shot_index(), shots)):
+        for h in range(heads):
+            for i, s in enumerate(row_shots):
+                oracle = tarope(x[h, i], int(s), params, basis)
+                assert np.array_equal(out[h, i], oracle)

@@ -82,3 +82,12 @@ class TestCheckpoint:
         C.save_checkpoint(path, {"w": np.zeros(1, dtype=np.float32)}, {"k": 1})
         side = json.loads(open(C.sidecar_path(path)).read())
         assert side == {"k": 1}
+
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "ckpt.ecsh"
+        C.save_tensors(path, {"w": np.ones(2, dtype=np.float32)})
+        before = path.read_bytes()
+        with pytest.raises(ConfigError):
+            C.save_tensors(path, {"w": np.zeros(2, dtype=np.float32), "x" * 70000: np.zeros(1)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.ecsh"]

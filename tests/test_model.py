@@ -181,6 +181,26 @@ class TestForward:
         probs, shot_idx = coll.cross_probs[0]
         assert probs.shape == (n, len(shot_idx))
 
+    def test_collector_gathers_full_matrices_in_ref_mode(self, small_world):
+        cfg = M.DenoiserConfig(**{**SMALL, "blocks": 2, "variant": "full+refattn"})
+        sample = self._sample(small_world)
+        params = M.init_params(cfg, seed=0)
+        coll = M.AttentionCollector()
+        M.denoiser_forward(
+            sample.tokens, 0.5, sample.captions, sample.layout, cfg, params, collect=coll
+        )
+        assert len(coll.self_probs) == cfg.blocks * cfg.heads
+        assert len(coll.cross_probs) == cfg.blocks * cfg.heads
+        n = sample.layout.total_tokens
+        n0 = sample.layout.token_spans()[0][1]
+        for probs in coll.self_probs:
+            assert probs.shape == (n, n)
+            assert not probs[:n0, n0:].any()
+            assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+        for probs, shot_idx in coll.cross_probs:
+            assert probs.shape == (n, len(shot_idx))
+            assert not probs[:n0, shot_idx != 0].any()
+
     def test_gradients_flow_after_head_is_nonzero(self, small_cfg, small_world):
         sample = self._sample(small_world)
         params = M.init_params(small_cfg, seed=0)

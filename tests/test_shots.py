@@ -39,6 +39,28 @@ class TestShotLayout:
         # global frame index plus 4 extra per crossed boundary
         assert t.tolist() == [0.0, 1.0, 6.0, 7.0, 12.0, 13.0]
 
+    @pytest.mark.parametrize("j", [0.0, 4.0, 2.5])
+    def test_token_positions_unequal_shots_match_loop(self, j):
+        layout = ShotLayout((1, 3, 2), 2, 3)
+        expect = [], [], []
+        for s, n in enumerate(layout.frame_counts):
+            for tl in range(n):
+                for hh in range(layout.height):
+                    for ww in range(layout.width):
+                        expect[0].append(layout.time_offsets[s] + tl + s * j)
+                        expect[1].append(hh)
+                        expect[2].append(ww)
+        for got, want in zip(layout.token_positions(j=j), expect):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, np.asarray(want, dtype=np.float64))
+
+    def test_token_shot_index_unequal_shots_match_loop(self):
+        layout = ShotLayout((1, 3, 2), 2, 3)
+        expect = [s for s, n in enumerate(layout.frame_counts) for _ in range(n * 6)]
+        got = layout.token_shot_index()
+        assert got.dtype == np.int64
+        assert got.tolist() == expect
+
     def test_rejects_empty_shot(self):
         with pytest.raises(ValueError):
             ShotLayout((2, 0), 2, 2)

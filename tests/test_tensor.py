@@ -149,3 +149,142 @@ def test_concat_slice_roundtrip_gradients():
         tape.backward(T.tsum(sliced))
     assert np.array_equal(a.grad, np.array([[0, 0, 0], [1, 1, 1]], dtype=np.float32))
     assert np.array_equal(b.grad, np.ones((1, 3), dtype=np.float32))
+
+
+def _tanh_gelu_f64(x):
+    x = np.asarray(x, dtype=np.float64)
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+
+
+def test_gelu_matches_float64_oracle():
+    x = np.linspace(-6.0, 6.0, 241).astype(np.float32)[None, :]
+    got = T.gelu(Tensor(x)).data
+    assert got.dtype == np.float32
+    assert np.max(np.abs(got - _tanh_gelu_f64(x))) <= 2e-6
+
+
+def test_gelu_float64_is_the_tanh_formula():
+    x = np.random.default_rng(8).standard_normal((3, 5)) * 3.0
+    got = T.gelu(Tensor(x, dtype=np.float64)).data
+    assert np.max(np.abs(got - _tanh_gelu_f64(x))) <= 1e-14
+
+
+def test_backward_gelu():
+    x = Tensor(np.random.default_rng(9).standard_normal((3, 4)) * 2.0, dtype=np.float64)
+    assert grad_check(lambda t: T.tsum(T.mul(T.gelu(t), t)), x, h=1e-5) <= 1e-6
+
+
+# -- head-batched ops on [heads, n, dh] tensors ------------------------------
+
+def _f64(rng, shape):
+    return Tensor(rng.standard_normal(shape), dtype=np.float64)
+
+
+def test_batched_matmul_equals_matmul_head_by_head():
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((3, 5, 8)).astype(np.float32)
+    b = rng.standard_normal((3, 8, 6)).astype(np.float32)
+    got = T.batched_matmul(Tensor(a), Tensor(b)).data
+    for h in range(3):
+        assert np.array_equal(got[h], T.matmul(Tensor(a[h]), Tensor(b[h])).data)
+
+
+def test_batched_matmul_shape_errors():
+    with pytest.raises(ShapeError):
+        T.batched_matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+    with pytest.raises(ShapeError):
+        T.batched_matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))))
+    with pytest.raises(ShapeError):
+        T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4, 5))))
+
+
+def test_backward_batched_matmul():
+    rng = np.random.default_rng(11)
+    a, b = _f64(rng, (2, 5, 4)), _f64(rng, (2, 4, 3))
+    probe = _f64(rng, (2, 5, 3))
+    left = grad_check(lambda t: T.tsum(T.mul(T.batched_matmul(t, b), probe)), a, h=1e-5)
+    right = grad_check(lambda t: T.tsum(T.mul(T.batched_matmul(a, t), probe)), b, h=1e-5)
+    assert max(left, right) <= 1e-6
+
+
+def test_transpose_swaps_last_two_axes_contiguously():
+    x = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+    out = T.transpose(Tensor(x)).data
+    assert out.flags.c_contiguous
+    assert np.array_equal(out, x.transpose(0, 2, 1))
+
+
+def test_backward_transpose_and_softmax_3d():
+    rng = np.random.default_rng(12)
+    probe = _f64(rng, (2, 4, 3))
+    x = _f64(rng, (2, 3, 4))
+    err = grad_check(lambda t: T.tsum(T.mul(T.softmax_rows(T.transpose(t)), probe)), x, h=1e-5)
+    assert err <= 1e-5
+
+
+def test_softmax_3d_is_rowwise_2d():
+    x = np.random.default_rng(13).standard_normal((3, 4, 5)).astype(np.float32)
+    got = T.softmax_rows(Tensor(x)).data
+    for h in range(3):
+        assert np.array_equal(got[h], T.softmax_rows(Tensor(x[h])).data)
+
+
+def test_rope_pairs_broadcasts_table_over_heads():
+    rng = np.random.default_rng(14)
+    cos = np.repeat(np.cos(rng.uniform(0, 3, (5, 3))), 2, axis=1).astype(np.float32)
+    sin = np.repeat(np.sin(rng.uniform(0, 3, (5, 3))), 2, axis=1).astype(np.float32)
+    x = rng.standard_normal((4, 5, 6)).astype(np.float32)
+    got = T.rope_pairs(Tensor(x), cos, sin).data
+    for h in range(4):
+        assert np.array_equal(got[h], T.rope_pairs(Tensor(x[h]), cos, sin).data)
+    with pytest.raises(ShapeError):
+        T.rope_pairs(Tensor(x), cos[:4], sin[:4])
+
+
+def test_backward_rope_pairs_3d():
+    rng = np.random.default_rng(15)
+    cosf = np.repeat(np.cos(rng.uniform(0, 3, (3, 2))), 2, axis=1)
+    sinf = np.repeat(np.sin(rng.uniform(0, 3, (3, 2))), 2, axis=1)
+    x = _f64(rng, (2, 3, 4))
+    err = grad_check(lambda t: T.tsum(T.mul(T.rope_pairs(t, cosf, sinf), t)), x, h=1e-5)
+    assert err <= 1e-5
+
+
+def test_backward_slice_and_concat_rows_3d():
+    rng = np.random.default_rng(16)
+    other = _f64(rng, (2, 2, 3))
+    probe = _f64(rng, (2, 5, 3))
+
+    def f(t):
+        cat = T.concat_rows([T.slice_rows(t, 1, 4), other])
+        return T.tsum(T.mul(T.mul(cat, cat), probe))
+
+    x = _f64(rng, (2, 4, 3))
+    assert grad_check(f, x, h=1e-5) <= 1e-6
+    assert np.array_equal(T.slice_rows(x, 1, 3).data, x.data[:, 1:3])
+
+
+def test_split_merge_heads_roundtrip_and_gradients():
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((5, 12)).astype(np.float32)
+    split = T.split_heads(Tensor(x), 3).data
+    assert split.shape == (3, 5, 4) and split.flags.c_contiguous
+    for h in range(3):
+        assert np.array_equal(split[h], x[:, 4 * h:4 * (h + 1)])
+    assert np.array_equal(T.merge_heads(T.split_heads(Tensor(x), 3)).data, x)
+    probe = _f64(rng, (3, 5, 4))
+    xt = _f64(rng, (5, 12))
+    assert grad_check(lambda t: T.tsum(T.mul(T.split_heads(t, 3), probe)), xt, h=1e-5) <= 1e-6
+    probe2 = _f64(rng, (5, 12))
+    yt = _f64(rng, (3, 5, 4))
+    assert grad_check(lambda t: T.tsum(T.mul(T.merge_heads(t), probe2)), yt, h=1e-5) <= 1e-6
+    with pytest.raises(ShapeError):
+        T.split_heads(Tensor(x), 5)
+
+
+def test_op_outputs_do_not_alias_inputs():
+    x = Tensor(np.ones((1, 2, 4), dtype=np.float32))
+    for out in (T.merge_heads(x), T.transpose(x), T.slice_rows(x, 0, 2)):
+        assert not np.shares_memory(out.data, x.data)
+    y = Tensor(np.ones((3, 4), dtype=np.float32))
+    assert not np.shares_memory(T.split_heads(y, 1).data, y.data)

@@ -4,8 +4,9 @@ Self-attention modulates Q/K with the boundary-shifted 3D rotary
 embedding; cross-attention aligns visual queries with per-shot caption
 keys via the 1D shot-index rotation.  Nothing is ever masked in the
 plain multi-shot mode: inter-shot interaction is suppressed by rotary
-distance only.  The reference mode computes two attention blocks so
-shot-0 rows depend on shot-0 inputs alone.
+distance only.  The reference mode computes separate attention blocks so
+shot-0 rows depend on shot-0 inputs alone; it also runs a PackedLayout,
+several layouts sharing shot 0 in one field, with one block per layout.
 
 All heads run at once on [heads, n, d_head] tensors.  The rotary tables
 of a layout depend only on the layout, the rotary scales and the basis,
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rope, tensor as T
+from .shots import PackedLayout
 from .tensor import ConfigError, ShapeError, Tensor
 
 
@@ -47,9 +49,20 @@ def _duplicated(tables, dtype):
     return tuple(out)
 
 
+def _packed(layout, per_layout):
+    """A packed layout's tables, packed from the tables of its layouts."""
+    out = tuple(layout.pack(tabs) for tabs in zip(*per_layout))
+    for tab in out:
+        tab.flags.writeable = False
+    return out
+
+
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _token_tables(basis3d, layout, j, dtype):
     """TcRoPE tables of every token of a layout."""
+    if isinstance(layout, PackedLayout):
+        per_layout = [_token_tables(basis3d, lay, j, dtype) for lay in layout.layouts]
+        return _packed(layout, per_layout)
     t, h, w = layout.token_positions(j=j)
     return _duplicated(rope.phase_tables_3d(basis3d, t, h, w), dtype)
 
@@ -57,6 +70,9 @@ def _token_tables(basis3d, layout, j, dtype):
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _token_shot_tables(basis1d, layout, k, dtype):
     """TaRoPE tables of every token of a layout, by its shot index."""
+    if isinstance(layout, PackedLayout):
+        per_layout = [_token_shot_tables(basis1d, lay, k, dtype) for lay in layout.layouts]
+        return _packed(layout, per_layout)
     return _duplicated(rope.phase_tables_1d(basis1d, layout.token_shot_index() * k), dtype)
 
 
@@ -89,50 +105,76 @@ def scaled_dot_attention(Q, K, V, probs_out=None):
     return T.batched_matmul(probs, V)
 
 
-def _ref_attention_split(Q, K, V, nq0, nk0, probs_out=None):
-    """Rows :nq0 attend to keys :nk0 only; later rows attend to all keys.
+def _ref_attention_split(Q, K, V, q_ends, k_ends, probs_out=None):
+    """Reference attention over segments of query and key rows.
+
+    q_ends/k_ends are the row ends of shot 0 and of each later segment,
+    one entry per segment in both.  Shot-0 rows attend to shot-0 keys
+    only; segment i attends to the shot-0 keys followed by its own keys,
+    so each segment runs the products it would run on its own.  With one
+    later segment every row after shot 0 attends to all keys.
 
     probs_out receives each head's full [nq, nk] probability matrix, with
-    zeros where shot-0 rows may not look.
+    zeros where a row may not look.
     """
+    if len(q_ends) != len(k_ends):
+        raise ConfigError("reference attention: query and key segments differ in number")
     nq, nk = Q.shape[-2], K.shape[-2]
-    p0 = [] if probs_out is not None else None
-    p_rest = [] if probs_out is not None else None
-    out = scaled_dot_attention(
-        T.slice_rows(Q, 0, nq0), T.slice_rows(K, 0, nk0), T.slice_rows(V, 0, nk0),
-        probs_out=p0,
-    )
-    if nq0 < nq:
-        out_rest = scaled_dot_attention(T.slice_rows(Q, nq0, nq), K, V, probs_out=p_rest)
-        out = T.concat_rows([out, out_rest])
+    nq0, nk0 = q_ends[0], k_ends[0]
+    K0, V0 = T.slice_rows(K, 0, nk0), T.slice_rows(V, 0, nk0)
+    probs = [] if probs_out is not None else None
+    outs = [scaled_dot_attention(T.slice_rows(Q, 0, nq0), K0, V0, probs_out=probs)]
+    blocks = [(0, nq0, nk0, nk0)]
+    for q_lo, q_hi, k_lo, k_hi in zip(q_ends[:-1], q_ends[1:], k_ends[:-1], k_ends[1:]):
+        if q_lo == q_hi:
+            continue
+        if k_lo != nk0:
+            keys = T.concat_rows([K0, T.slice_rows(K, k_lo, k_hi)])
+            values = T.concat_rows([V0, T.slice_rows(V, k_lo, k_hi)])
+        elif k_hi == nk:
+            keys, values = K, V
+        else:
+            keys, values = T.slice_rows(K, 0, k_hi), T.slice_rows(V, 0, k_hi)
+        queries = T.slice_rows(Q, q_lo, q_hi)
+        outs.append(scaled_dot_attention(queries, keys, values, probs_out=probs))
+        blocks.append((q_lo, q_hi, k_lo, k_hi))
     if probs_out is not None:
-        full = np.zeros((len(p0), nq, nk), dtype=p0[0].dtype)
-        full[:, :nq0, :nk0] = p0
-        if p_rest:
-            full[:, nq0:] = p_rest
+        heads = len(probs) // len(blocks)
+        full = np.zeros((heads, nq, nk), dtype=probs[0].dtype)
+        for b, (q_lo, q_hi, k_lo, k_hi) in enumerate(blocks):
+            full[:, q_lo:q_hi][..., np.r_[0:nk0, k_lo:k_hi]] = probs[b * heads : (b + 1) * heads]
         probs_out.extend(full)
-    return out
+    return T.concat_rows(outs) if len(outs) > 1 else outs[0]
 
 
 def ref_attention(Q, K, V, layout, probs_out=None):
-    """Shot-0 rows attend only to shot-0 keys; later rows attend to all."""
+    """Shot-0 rows attend only to shot-0 keys; each later segment of the
+    layout (its later shots, or one packed layout's) to shot 0 and itself."""
     if Q.shape[-2] != layout.total_tokens or K.shape[-2] != layout.total_tokens:
         raise ShapeError("ref_attention: token count does not match layout")
-    n0 = layout.token_spans()[0][1]
-    return _ref_attention_split(Q, K, V, n0, n0, probs_out=probs_out)
+    ends = layout.segment_ends
+    return _ref_attention_split(Q, K, V, ends, ends, probs_out=probs_out)
 
 
 @dataclass
 class ContextTokens:
-    """Embedded caption tokens plus the shot index of every token row."""
+    """Embedded caption tokens plus the shot index of every token row.
+
+    segment_ends are the row ends of the reference-attention segments, as
+    in ShotLayout.segment_ends: by default the shot-0 rows, then the rest.
+    """
 
     embeddings: Tensor
     shot_index: np.ndarray
+    segment_ends: tuple = None
 
     def __post_init__(self):
         self.shot_index = np.asarray(self.shot_index, dtype=np.int64)
         if self.embeddings.shape[0] != self.shot_index.shape[0]:
             raise ShapeError("ContextTokens: shot index length mismatch")
+        if self.segment_ends is None:
+            n = self.shot_index.shape[0]
+            self.segment_ends = (int(np.sum(self.shot_index == 0)), n)
 
 
 def _heads(x, w, heads):
@@ -191,8 +233,11 @@ def multishot_cross_attention(
     dh = d_model // heads
     if basis1d.dim != dh:
         raise ShapeError(f"basis dim {basis1d.dim} != head dim {dh}")
-    if use_ref and not np.all(np.diff(context.shot_index) >= 0):
-        raise ConfigError("reference mode requires captions sorted by shot")
+    nk0 = context.segment_ends[0]
+    if use_ref and not (
+        np.all(context.shot_index[:nk0] == 0) and np.all(context.shot_index[nk0:] != 0)
+    ):
+        raise ConfigError("reference mode requires the shot-0 captions first")
 
     qcos, qsin = _token_shot_tables(basis1d, layout, params.k, tokens.dtype)
     kcos, ksin = _caption_shot_tables(
@@ -202,9 +247,9 @@ def multishot_cross_attention(
     k = T.rope_pairs(_heads(context.embeddings, weights.wk, heads), kcos, ksin)
     v = _heads(context.embeddings, weights.wv, heads)
     if use_ref:
-        nq0 = layout.token_spans()[0][1]
-        nk0 = int(np.sum(context.shot_index == 0))
-        out = _ref_attention_split(q, k, v, nq0, nk0, probs_out=probs_out)
+        out = _ref_attention_split(
+            q, k, v, layout.segment_ends, context.segment_ends, probs_out=probs_out
+        )
     else:
         out = scaled_dot_attention(q, k, v, probs_out=probs_out)
     return T.matmul(T.merge_heads(out), weights.wo)

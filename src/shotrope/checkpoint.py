@@ -60,24 +60,34 @@ def _write_tensors(fh, named):
         fh.write(data.tobytes())
 
 
+def _read(fh, n, path):
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise ConfigError(f"{path}: truncated tensor file")
+    return raw
+
+
 def load_tensors(path):
+    """Read a tensor file; a malformed file raises ConfigError."""
     out = OrderedDict()
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ConfigError(f"{path}: not an ECSH tensor file")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = struct.unpack("<II", _read(fh, 8, path))
         if version != VERSION:
             raise ConfigError(f"{path}: unsupported version {version}")
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<B", fh.read(1))
-            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
-            n = int(np.prod(dims)) if dims else 1
-            raw = fh.read(4 * n)
-            if len(raw) != 4 * n:
-                raise ConfigError(f"{path}: truncated tensor data for {name!r}")
+        for i in range(count):
+            (nlen,) = struct.unpack("<H", _read(fh, 2, path))
+            try:
+                name = _read(fh, nlen, path).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: tensor {i} has an invalid name") from exc
+            (rank,) = struct.unpack("<B", _read(fh, 1, path))
+            dims = struct.unpack(f"<{rank}I", _read(fh, 4 * rank, path))
+            raw = _read(fh, 4 * int(np.prod(dims, dtype=np.int64)), path)
             out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        if fh.read(1):
+            raise ConfigError(f"{path}: trailing bytes after {count} tensors")
     return out
 
 
@@ -94,7 +104,14 @@ def save_checkpoint(path, params, config):
 
 
 def load_checkpoint(path):
+    """Tensors and sidecar config; a missing or malformed file raises ConfigError."""
     tensors = load_tensors(path)
-    with open(sidecar_path(path)) as fh:
-        config = json.load(fh)
+    sidecar = sidecar_path(path)
+    try:
+        with open(sidecar) as fh:
+            config = json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"checkpoint sidecar not found: {sidecar}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"checkpoint sidecar {sidecar} is not valid JSON: {exc}") from exc
     return tensors, config

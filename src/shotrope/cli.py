@@ -44,13 +44,7 @@ def load_run_config(path):
         raise ConfigError("train.seed must be explicit")
     model_cfg = M.DenoiserConfig.from_dict(raw["model"])
     train_cfg = engine.TrainConfig.from_dict(raw["train"])
-    world_keys = {
-        "seed", "n_ids", "d_id", "v_scene", "v_mot", "d_token", "sigma", "height", "width",
-    }
-    unknown = set(raw["world"]) - world_keys
-    if unknown:
-        raise ConfigError(f"unknown world config keys: {sorted(unknown)}")
-    world = S.SyntheticWorld(**raw["world"])
+    world = S.SyntheticWorld.from_config(raw["world"])
     return model_cfg, train_cfg, world
 
 
@@ -128,9 +122,17 @@ def _load_model(ckpt_path):
     tensors, config = load_checkpoint(ckpt_path)
     from .tensor import Tensor
 
-    params = {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}
+    sections = ("model", "world")
+    if not (isinstance(config, dict) and all(isinstance(config.get(s), dict) for s in sections)):
+        raise ConfigError(f"checkpoint sidecar of {ckpt_path} needs 'model' and 'world' sections")
     model_cfg = M.DenoiserConfig.from_dict(config["model"])
-    world = S.SyntheticWorld(**config["world"])
+    world = S.SyntheticWorld.from_config(config["world"])
+    census = M.params_census(tensors)
+    expected = M.params_census(M.init_params(model_cfg, 0))
+    wrong = sorted(n for n in set(census) | set(expected) if census.get(n) != expected.get(n))
+    if wrong:
+        raise ConfigError(f"checkpoint {ckpt_path}: tensors {wrong} do not match its model config")
+    params = {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}
     return params, model_cfg, world, config
 
 

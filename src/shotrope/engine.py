@@ -8,7 +8,7 @@ import numpy as np
 
 from . import model as M
 from . import synthetic as S
-from .shots import ShotLayout
+from .shots import PackedLayout, ShotLayout
 from .tensor import ConfigError, GradTape, NumericError, ShapeError, Tensor
 
 
@@ -82,11 +82,11 @@ def shift_timesteps(n_steps, shift):
         raise ConfigError("n_steps must be >= 1")
     if shift < 1:
         raise ConfigError("shift must be >= 1")
-    u = np.linspace(1.0, 0.0, n_steps + 1)
-    return shift * u / (1.0 + (shift - 1.0) * u)
+    return shift_map(np.linspace(1.0, 0.0, n_steps + 1), shift)
 
 
 def shift_map(u, shift):
+    """Shifted time of uniform time u: biased towards high noise for shift > 1."""
     return shift * u / (1.0 + (shift - 1.0) * u)
 
 
@@ -194,18 +194,10 @@ def train(model_cfg, train_cfg, world, params=None, log_hook=None):
 
 def _attach_training_identity(captions, sample, world, params, train_cfg, rng):
     if rng.uniform() < train_cfg.id_dropout:
-        id_rows = np.zeros(params["id_proj/w"].data.shape[1], dtype=np.float32)
-        entries = [
-            S.CaptionEntry(e.shot, e.scene_id, e.motion_id, id_vector=id_rows, dropped=e.dropped)
-            for e in captions.entries
-        ]
-        return S.CaptionBundle(entries)
-    id_row = _id_embedding_tensor(params, world.ids[sample.id_index])
-    entries = [
-        S.CaptionEntry(e.shot, e.scene_id, e.motion_id, id_vector=id_row, dropped=e.dropped)
-        for e in captions.entries
-    ]
-    return S.CaptionBundle(entries)
+        id_row = np.zeros(params["id_proj/w"].data.shape[1], dtype=np.float32)
+    else:
+        id_row = _id_embedding_tensor(params, world.ids[sample.id_index])
+    return captions.replace_entries(lambda e: {"id_vector": id_row})
 
 
 def condition_identity(captions, id_embedding):
@@ -213,17 +205,7 @@ def condition_identity(captions, id_embedding):
     id_embedding = np.asarray(id_embedding, dtype=np.float32)
     if id_embedding.ndim != 1:
         raise ShapeError("identity embedding must be a vector")
-    entries = [
-        S.CaptionEntry(
-            shot=e.shot,
-            scene_id=e.scene_id,
-            motion_id=e.motion_id,
-            id_vector=id_embedding,
-            dropped=e.dropped,
-        )
-        for e in captions.entries
-    ]
-    return S.CaptionBundle(entries)
+    return captions.replace_entries(lambda e: {"id_vector": id_embedding})
 
 
 def identity_embedding(params, world, id_index):
@@ -233,11 +215,23 @@ def identity_embedding(params, world, id_index):
 
 
 def null_captions(captions):
-    entries = [
-        S.CaptionEntry(e.shot, e.scene_id, e.motion_id, id_vector=None, dropped=True)
-        for e in captions.entries
-    ]
-    return S.CaptionBundle(entries)
+    return captions.replace_entries(lambda e: {"id_vector": None, "dropped": True})
+
+
+def _integrate(params, cfg, z, layout, captions, uncond, steps, shift, guidance):
+    """Euler integration of the guided velocity field from z at tau = 1."""
+    taus = shift_timesteps(steps, shift)
+    for i in range(steps):
+        tau = float(taus[i])
+        v_c = M.denoiser_forward(z, tau, captions, layout, cfg, params).data
+        if guidance == 1.0:
+            v = v_c
+        else:
+            v_u = M.denoiser_forward(z, tau, uncond, layout, cfg, params).data
+            v = cfg_velocity(v_c, v_u, guidance)
+        dtau = float(taus[i + 1] - taus[i])
+        z = (z + np.float32(dtau) * v.astype(np.float32)).astype(np.float32)
+    return z
 
 
 def sample(
@@ -265,18 +259,7 @@ def sample(
         z = np.asarray(init_noise, dtype=np.float32).copy()
         if z.shape != (layout.total_tokens, world.d_token):
             raise ShapeError("init noise shape does not match spec layout")
-    taus = shift_timesteps(steps, shift)
-    for i in range(steps):
-        tau = float(taus[i])
-        v_c = M.denoiser_forward(z, tau, captions, layout, cfg, params).data
-        if guidance == 1.0:
-            v = v_c
-        else:
-            v_u = M.denoiser_forward(z, tau, uncond, layout, cfg, params).data
-            v = cfg_velocity(v_c, v_u, guidance)
-        dtau = float(taus[i + 1] - taus[i])
-        z = (z + np.float32(dtau) * v.astype(np.float32)).astype(np.float32)
-    return z
+    return _integrate(params, cfg, z, layout, captions, uncond, steps, shift, guidance)
 
 
 def sample_infinite(
@@ -292,30 +275,41 @@ def sample_infinite(
     guidance=5.0,
     id_embedding=None,
 ):
-    """Fixed-reference generation: shot 0 is constant across attempts."""
+    """Fixed-reference generation: shot 0 is constant across attempts.
+
+    Each attempt samples [ref_prompt] + its extra shots, exactly as
+    `sample` would from the same noise.  All attempts are integrated
+    together, one step at a time, in one PackedLayout field that holds
+    shot 0 once; an attempt that adds no shot returns that shot 0.
+    """
     if not cfg.use_ref:
         raise ConfigError("sample_infinite requires the full+refattn variant")
     ref_noise = np.asarray(ref_noise, dtype=np.float32)
     n0 = ref_prompt.frames * world.height * world.width
     if ref_noise.shape != (n0, world.d_token):
         raise ShapeError("reference noise shape does not match reference prompt")
-    outputs = []
-    for attempt, extra in enumerate(new_specs):
-        spec = [ref_prompt] + list(extra)
-        layout = build_layout(spec, world)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt,)))
-        rest = rng.standard_normal(
-            (layout.total_tokens - n0, world.d_token)
-        ).astype(np.float32)
-        noise = np.concatenate([ref_noise, rest], axis=0)
-        outputs.append(
-            sample(
-                params, cfg, world, spec,
-                steps=steps, shift=shift, guidance=guidance, init_noise=noise,
-                id_embedding=id_embedding,
-            )
+    specs = [[ref_prompt] + list(extra) for extra in new_specs]
+    if not specs:
+        return []
+    live = [a for a, spec in enumerate(specs) if len(spec) > 1] or [0]
+    packed = PackedLayout(tuple(build_layout(specs[a], world) for a in live))
+    noise = [ref_noise]
+    captions = []
+    for a, layout in zip(live, packed.layouts):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(a,)))
+        noise.append(
+            rng.standard_normal((layout.total_tokens - n0, world.d_token)).astype(np.float32)
         )
-    return outputs
+        bundle = build_captions(specs[a])
+        if id_embedding is not None:
+            bundle = condition_identity(bundle, id_embedding)
+        captions.append(bundle)
+    z = _integrate(
+        params, cfg, np.concatenate(noise, axis=0), packed, tuple(captions),
+        tuple(null_captions(c) for c in captions), steps, shift, guidance,
+    )
+    fields = dict(zip(live, packed.unpack(z)))
+    return [fields[a] if a in fields else z[:n0].copy() for a in range(len(specs))]
 
 
 def metrics_on_field(tokens, spec, layout, world):

@@ -21,7 +21,7 @@ from .attention import (
     multishot_cross_attention,
     multishot_self_attention,
 )
-from .shots import ShotRopeParams
+from .shots import PackedLayout, ShotRopeParams
 from .tensor import ConfigError, NumericError, ShapeError, Tensor
 
 VARIANTS = ("vanilla", "tcrope", "full", "full+refattn")
@@ -151,40 +151,57 @@ def _bases(cfg):
 
 
 def caption_context(captions, cfg, params, sort_by_shot=False):
-    """Embed a caption bundle into context token rows with shot indices."""
-    entries = captions.by_shot() if sort_by_shot else list(captions.entries)
+    """Embed a caption bundle into context token rows with shot indices.
+
+    A tuple of bundles, one per layout of a PackedLayout, is embedded by
+    shot as [shot 0 | bundle 1's later shots | ...], shot 0 from the
+    first bundle, and the context records where each segment ends.
+    """
+    if isinstance(captions, tuple):
+        groups = [captions[0].by_shot()[:1]] + [c.by_shot()[1:] for c in captions]
+    else:
+        groups = [captions.by_shot() if sort_by_shot else list(captions.entries)]
     rows = []
     shot_idx = []
-    for e in entries:
-        if e.dropped:
-            rows.append(params["caption/null"])
-            shot_idx.append(e.shot)
-            continue
-        if e.id_vector is not None:
-            if isinstance(e.id_vector, Tensor):
-                idrow = e.id_vector
-            else:
-                vec = np.asarray(e.id_vector, dtype=np.float32)
-                if vec.shape != (cfg.d_model,):
-                    raise ShapeError(
-                        f"identity embedding dim {vec.shape} != caption dim {cfg.d_model}"
-                    )
-                if np.any(vec):
-                    idrow = Tensor(vec[None, :])
+    ends = []
+    for group in groups:
+        for e in group:
+            if e.dropped:
+                rows.append(params["caption/null"])
+                shot_idx.append(e.shot)
+                continue
+            if e.id_vector is not None:
+                if isinstance(e.id_vector, Tensor):
+                    idrow = e.id_vector
                 else:
-                    idrow = params["caption/null_id"]
-            rows.append(idrow)
-            shot_idx.append(e.shot)
-        if not 0 <= e.scene_id < cfg.v_scene or not 0 <= e.motion_id < cfg.v_mot:
-            raise ConfigError(f"caption ids out of vocabulary: {e}")
-        rows.append(T.gather_rows(params["caption/scene"], [e.scene_id]))
-        rows.append(T.gather_rows(params["caption/motion"], [e.motion_id]))
-        shot_idx.extend([e.shot, e.shot])
-    return ContextTokens(T.concat_rows(rows), np.asarray(shot_idx))
+                    vec = np.asarray(e.id_vector, dtype=np.float32)
+                    if vec.shape != (cfg.d_model,):
+                        raise ShapeError(
+                            f"identity embedding dim {vec.shape} != caption dim {cfg.d_model}"
+                        )
+                    if np.any(vec):
+                        idrow = Tensor(vec[None, :])
+                    else:
+                        idrow = params["caption/null_id"]
+                rows.append(idrow)
+                shot_idx.append(e.shot)
+            if not 0 <= e.scene_id < cfg.v_scene or not 0 <= e.motion_id < cfg.v_mot:
+                raise ConfigError(f"caption ids out of vocabulary: {e}")
+            rows.append(T.gather_rows(params["caption/scene"], [e.scene_id]))
+            rows.append(T.gather_rows(params["caption/motion"], [e.motion_id]))
+            shot_idx.extend([e.shot, e.shot])
+        ends.append(len(shot_idx))
+    segment_ends = tuple(ends) if len(groups) > 1 else None
+    return ContextTokens(T.concat_rows(rows), np.asarray(shot_idx), segment_ends)
 
 
 def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None):
-    """Predicted velocity field for one sample."""
+    """Predicted velocity field for one sample.
+
+    Under full+refattn, layout may be a PackedLayout with a tuple of
+    caption bundles, one per layout: the field then holds every layout's
+    sample, packed as the layout describes.
+    """
     z = z_tau if isinstance(z_tau, Tensor) else Tensor(np.asarray(z_tau, dtype=np.float32))
     if z.shape != (layout.total_tokens, cfg.d_token):
         raise ShapeError(
@@ -192,10 +209,19 @@ def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None):
         )
     if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"tau must lie in [0, 1], got {tau}")
-    if captions.shot_count != layout.shot_count:
-        raise ConfigError(
-            f"caption bundle has {captions.shot_count} entries, layout {layout.shot_count} shots"
-        )
+    if isinstance(layout, PackedLayout):
+        if not cfg.use_ref:
+            raise ConfigError("a packed layout requires the full+refattn variant")
+        bundles, layouts = captions, layout.layouts
+        if not isinstance(bundles, tuple) or len(bundles) != len(layouts):
+            raise ConfigError("a packed layout needs a tuple of caption bundles, one per layout")
+    else:
+        bundles, layouts = (captions,), (layout,)
+    for bundle, lay in zip(bundles, layouts):
+        if bundle.shot_count != lay.shot_count:
+            raise ConfigError(
+                f"caption bundle has {bundle.shot_count} entries, layout {lay.shot_count} shots"
+            )
     basis3d, basis1d = _bases(cfg)
     sp = ShotRopeParams(j=cfg.j_eff, k=cfg.k_eff)
     context = caption_context(captions, cfg, params, sort_by_shot=cfg.use_ref)
@@ -254,18 +280,6 @@ def make_noisy(z, eps, tau):
 
 def apply_caption_dropout(captions, p, rng):
     """Independently null out each shot's caption with probability p."""
-    from .synthetic import CaptionBundle, CaptionEntry
-
     if not 0.0 <= p <= 1.0:
         raise ConfigError("dropout probability must lie in [0, 1]")
-    entries = [
-        CaptionEntry(
-            shot=e.shot,
-            scene_id=e.scene_id,
-            motion_id=e.motion_id,
-            id_vector=e.id_vector,
-            dropped=e.dropped or bool(rng.uniform() < p),
-        )
-        for e in captions.entries
-    ]
-    return CaptionBundle(entries)
+    return captions.replace_entries(lambda e: {"dropped": e.dropped or bool(rng.uniform() < p)})

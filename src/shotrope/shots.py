@@ -7,6 +7,7 @@ shot index times k, suppressing mismatched shot-caption attention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,65 @@ class ShotLayout:
         h = np.tile(np.repeat(np.arange(self.height, dtype=np.float64), self.width), shot.size)
         w = np.tile(np.arange(self.width, dtype=np.float64), shot.size * self.height)
         return t, h, w
+
+    @property
+    def segment_ends(self):
+        """Row ends of the reference-attention segments: shot 0, later shots."""
+        return (self.token_spans()[0][1], self.total_tokens)
+
+
+@dataclass(frozen=True)
+class PackedLayout:
+    """Layouts that share shot 0, run as one field.
+
+    Rows are packed as [shot 0 | layout 1's later shots | ... | layout A's
+    later shots].  Under reference attention shot 0 depends on shot-0
+    inputs alone and each layout's later shots on shot 0 and themselves,
+    so the packed field holds shot 0 once and every layout's later shots
+    unchanged.
+    """
+
+    layouts: tuple
+
+    def __post_init__(self):
+        layouts = tuple(self.layouts)
+        object.__setattr__(self, "layouts", layouts)
+        if not layouts:
+            raise ValueError("a packed layout needs at least one layout")
+        first = layouts[0]
+        if any(
+            (lay.frame_counts[0], lay.height, lay.width)
+            != (first.frame_counts[0], first.height, first.width)
+            for lay in layouts
+        ):
+            raise ShapeError("packed layouts must share shot 0 and the spatial grid")
+
+    @property
+    def shot_count(self):
+        return max(lay.shot_count for lay in self.layouts)
+
+    @functools.cached_property
+    def segment_ends(self):
+        """Row ends of shot 0 and of each layout's later shots."""
+        n0 = self.layouts[0].token_spans()[0][1]
+        return tuple(np.cumsum([n0] + [lay.total_tokens - n0 for lay in self.layouts]).tolist())
+
+    @property
+    def total_tokens(self):
+        return self.segment_ends[-1]
+
+    def pack(self, per_layout):
+        """Per-layout row arrays -> packed rows, shot 0 from the first."""
+        n0 = self.segment_ends[0]
+        return np.concatenate([per_layout[0][:n0]] + [a[n0:] for a in per_layout])
+
+    def unpack(self, packed):
+        """Packed rows -> one [shot 0 | later shots] array per layout."""
+        ends = self.segment_ends
+        return [
+            np.concatenate([packed[: ends[0]], packed[lo:hi]])
+            for lo, hi in zip(ends[:-1], ends[1:])
+        ]
 
 
 @dataclass(frozen=True)

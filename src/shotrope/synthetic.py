@@ -9,7 +9,7 @@ clean tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -48,6 +48,10 @@ class CaptionBundle:
     def by_shot(self):
         return sorted(self.entries, key=lambda e: e.shot)
 
+    def replace_entries(self, change):
+        """A new bundle of dataclasses.replace(e, **change(e)), entry by entry in order."""
+        return CaptionBundle([replace(e, **change(e)) for e in self.entries])
+
 
 @dataclass
 class Sample:
@@ -60,6 +64,9 @@ class Sample:
 
 
 class SyntheticWorld:
+    # the constructor's arguments, which config() records
+    CONFIG_KEYS = ("seed", "n_ids", "d_id", "v_scene", "v_mot", "d_token", "sigma", "height", "width")
+
     def __init__(
         self,
         seed,
@@ -100,20 +107,15 @@ class SyntheticWorld:
         self.render_pinv = np.linalg.pinv(m)  # float64
 
     def config(self):
-        return {
-            "seed": self.seed,
-            "n_ids": self.n_ids,
-            "d_id": self.d_id,
-            "v_scene": self.v_scene,
-            "v_mot": self.v_mot,
-            "d_token": self.d_token,
-            "sigma": self.sigma,
-            "height": self.height,
-            "width": self.width,
-        }
+        return {key: getattr(self, key) for key in self.CONFIG_KEYS}
 
     @classmethod
     def from_config(cls, cfg):
+        unknown = set(cfg) - set(cls.CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown world config keys: {sorted(unknown)}")
+        if "seed" not in cfg:
+            raise ConfigError("world config needs a seed")
         return cls(**cfg)
 
     def fourier_features(self, t, h, w):

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from shotrope import rope
+from shotrope import tensor as T
 from shotrope.attention import (
     AttentionWeights,
     ContextTokens,
+    _ref_attention_split,
+    _token_shot_tables,
+    _token_tables,
     multishot_cross_attention,
     multishot_self_attention,
     ref_attention,
     scaled_dot_attention,
 )
-from shotrope.shots import ShotLayout, ShotRopeParams
+from shotrope.shots import PackedLayout, ShotLayout, ShotRopeParams
 from shotrope.tensor import ConfigError, ShapeError, Tensor
 
 
@@ -425,3 +429,75 @@ def test_cross_attention_rotations_are_tarope(monkeypatch):
             for i, s in enumerate(row_shots):
                 oracle = tarope(x[h, i], int(s), params, basis)
                 assert np.array_equal(out[h, i], oracle)
+
+
+def _two_part_split(Q, K, V, nq0, nk0, probs_out=None):
+    """The reference split as two blocks: rows :nq0 over keys :nk0, later
+    rows over all keys; the one-segment case of _ref_attention_split."""
+    nq, nk = Q.shape[-2], K.shape[-2]
+    p0, p_rest = [], []
+    out = scaled_dot_attention(
+        T.slice_rows(Q, 0, nq0), T.slice_rows(K, 0, nk0), T.slice_rows(V, 0, nk0), probs_out=p0
+    )
+    if nq0 < nq:
+        rest = scaled_dot_attention(T.slice_rows(Q, nq0, nq), K, V, probs_out=p_rest)
+        out = T.concat_rows([out, rest])
+    if probs_out is not None:
+        full = np.zeros((len(p0), nq, nk), dtype=p0[0].dtype)
+        full[:, :nq0, :nk0] = p0
+        if p_rest:
+            full[:, nq0:] = p_rest
+        probs_out.extend(full)
+    return out
+
+
+@pytest.mark.parametrize("nq0, nq, nk0, nk", [(8, 20, 3, 7), (8, 8, 3, 3), (4, 12, 4, 12)])
+def test_one_segment_split_equals_two_part_split(nq0, nq, nk0, nk):
+    rng = np.random.default_rng(50)
+    Q, K, V = (
+        Tensor(rng.standard_normal((2, n, 6)).astype(np.float32)) for n in (nq, nk, nk)
+    )
+    want_probs, got_probs = [], []
+    want = _two_part_split(Q, K, V, nq0, nk0, probs_out=want_probs)
+    got = _ref_attention_split(Q, K, V, (nq0, nq), (nk0, nk), probs_out=got_probs)
+    assert np.array_equal(got.data, want.data)
+    assert len(got_probs) == len(want_probs) == 2
+    for g, w in zip(got_probs, want_probs):
+        assert np.array_equal(g, w)
+
+
+def test_packed_segments_equal_each_layout_alone():
+    """Segment i of a packed split equals the later rows of layout i run
+    alone over [shot-0 keys | its keys]; shot-0 rows equal every layout's."""
+    rng = np.random.default_rng(51)
+    packed = PackedLayout(
+        (ShotLayout((2, 1), 2, 2), ShotLayout((2, 3, 1), 2, 2), ShotLayout((2, 2), 2, 2))
+    )
+    n = packed.total_tokens
+    Q, K, V = (Tensor(rng.standard_normal((2, n, 6)).astype(np.float32)) for _ in range(3))
+    probs = []
+    got = ref_attention(Q, K, V, packed, probs_out=probs).data
+    ends = packed.segment_ends
+    assert ends == (8, 12, 28, 36)
+    for layout, rows in zip(packed.layouts, packed.unpack(np.arange(n))):
+        alone_probs = []
+        parts = [Tensor(np.ascontiguousarray(X.data[:, rows])) for X in (Q, K, V)]
+        alone = ref_attention(*parts, layout, probs_out=alone_probs).data
+        assert np.array_equal(got[:, rows], alone)
+        for p, a in zip(probs, alone_probs):
+            assert np.array_equal(p[np.ix_(rows, rows)], a)
+            # a row puts no weight on another layout's later shots
+            assert not p[np.ix_(rows, np.setdiff1d(np.arange(n), rows))].any()
+
+
+def test_packed_tables_are_each_layouts_tables():
+    basis3d = rope.make_basis_3d(8, strict=False)
+    basis1d = rope.make_basis_1d(8)
+    packed = PackedLayout((ShotLayout((2, 1), 2, 2), ShotLayout((2, 3), 2, 2)))
+    for tables, basis in ((_token_tables, basis3d), (_token_shot_tables, basis1d)):
+        got = tables(basis, packed, 4.0, np.float32)
+        per_layout = [tables(basis, lay, 4.0, np.float32) for lay in packed.layouts]
+        for g, tabs in zip(got, zip(*per_layout)):
+            for lay_tab, lay_rows in zip(tabs, packed.unpack(np.arange(packed.total_tokens))):
+                assert np.array_equal(g[lay_rows], lay_tab)
+            assert not g.flags.writeable

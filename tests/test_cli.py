@@ -1,10 +1,13 @@
 import csv
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
 
 from shotrope import cli
+from shotrope.checkpoint import load_tensors, save_tensors
 from shotrope.engine import ShotPrompt
 from shotrope.tensor import ConfigError
 
@@ -229,6 +232,89 @@ class TestSampleCommand:
         assert rc == cli.EXIT_OK
         assert (sdir / "sample0000.ecsh").exists()
         assert (sdir / "sample0001.ecsh").exists()
+
+
+def _drop_tensor(path):
+    tensors = load_tensors(path)
+    del tensors["head/b"]
+    save_tensors(path, tensors)
+
+
+def _reshape_tensor(path):
+    tensors = load_tensors(path)
+    tensors["head/w"] = tensors["head/w"][:-1]
+    save_tensors(path, tensors)
+
+
+def _truncate_header(path):
+    with open(path, "r+b") as fh:
+        fh.truncate(10)
+
+
+def _append_bytes(path):
+    with open(path, "ab") as fh:
+        fh.write(b"\0\0\0\0")
+
+
+def _edit_sidecar(edit):
+    def run(path):
+        sidecar = path + ".json"
+        with open(sidecar) as fh:
+            config = json.load(fh)
+        edit(config)
+        with open(sidecar, "w") as fh:
+            json.dump(config, fh)
+    return run
+
+
+def _remove_sidecar(path):
+    os.remove(path + ".json")
+
+
+def _garble_sidecar(path):
+    with open(path + ".json", "w") as fh:
+        fh.write("{not json")
+
+
+class TestMalformedCheckpoint:
+    """Every malformed checkpoint is a usage error (exit 2), not a traceback."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("ckpt")
+        config = out / "run.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+        return out / "checkpoint.ecsh"
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _drop_tensor,
+            _reshape_tensor,
+            _truncate_header,
+            _append_bytes,
+            _remove_sidecar,
+            _garble_sidecar,
+            _edit_sidecar(lambda c: c.pop("world")),
+            _edit_sidecar(lambda c: c["world"].update(colour=1)),
+        ],
+        ids=[
+            "missing-tensor", "wrong-shape", "truncated-header", "trailing-bytes",
+            "missing-sidecar", "malformed-sidecar", "no-world-section", "unknown-world-key",
+        ],
+    )
+    def test_sample_exits_with_usage_error(self, tmp_path, trained, corrupt, capsys):
+        path = str(tmp_path / "checkpoint.ecsh")
+        shutil.copy(trained, path)
+        shutil.copy(str(trained) + ".json", path + ".json")
+        assert cli.main(["sample", "--ckpt", path, "--shots", "n=2,scene=0", "--steps", "1",
+                         "--out", str(tmp_path / "s")]) == cli.EXIT_OK
+        corrupt(path)
+        rc = cli.main(["sample", "--ckpt", path, "--shots", "n=2,scene=0", "--steps", "1",
+                       "--out", str(tmp_path / "s")])
+        assert rc == cli.EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCurveCommand:

@@ -4,6 +4,7 @@ import pytest
 from shotrope import engine as E
 from shotrope import model as M
 from shotrope import synthetic as S
+from shotrope.shots import PackedLayout
 from shotrope.tensor import ConfigError, ShapeError, Tensor
 
 
@@ -360,3 +361,135 @@ class TestConditionedIdentityMatch:
         assert np.mean(cosines) >= 0.85, f"mean cosine {np.mean(cosines):.4f}"
         for field in fields[1:]:
             assert np.array_equal(field[:n0], fields[0][:n0])
+
+
+class TestPackedContinuation:
+    """sample_infinite integrates every attempt in one packed field; each
+    attempt must equal a one-attempt `sample` of [ref] + its shots."""
+
+    REF = E.ShotPrompt(frames=2, scene=0, motion=1)
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        cfg = M.DenoiserConfig(variant="full+refattn", **SMALL)
+        params = M.init_params(cfg, seed=4)
+        # the head is zero at init; give the field a non-zero velocity
+        rng = np.random.default_rng(5)
+        params["head/w"].data[...] = rng.standard_normal(params["head/w"].shape).astype(np.float32)
+        return params, cfg
+
+    def _ref_noise(self, world):
+        n0 = self.REF.frames * world.height * world.width
+        return np.random.default_rng(6).standard_normal((n0, world.d_token)).astype(np.float32)
+
+    def _attempt_noise(self, world, ref_noise, seed, attempt, extra):
+        layout = E.build_layout([self.REF] + extra, world)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt,)))
+        rest = rng.standard_normal((layout.total_tokens - len(ref_noise), world.d_token))
+        return np.concatenate([ref_noise, rest.astype(np.float32)])
+
+    def _run(self, model, world, attempts, **kw):
+        params, cfg = model
+        kw = {"seed": 8, "steps": 3, **kw}
+        ref_noise = self._ref_noise(world)
+        return E.sample_infinite(params, cfg, world, self.REF, ref_noise, attempts, **kw)
+
+    @pytest.mark.parametrize(
+        "attempts",
+        [
+            [[E.ShotPrompt(2, 1)]],
+            [[E.ShotPrompt(2, 1), E.ShotPrompt(3, 2)], [E.ShotPrompt(1, 3), E.ShotPrompt(2, 1, 1)]],
+            [[E.ShotPrompt(3, 2)], [E.ShotPrompt(2, 1), E.ShotPrompt(2, 3)], [E.ShotPrompt(1, 1)]],
+        ],
+        ids=["one-attempt", "two-added-shots", "mixed-lengths"],
+    )
+    @pytest.mark.parametrize("id_embedding", [False, True], ids=["plain", "identity"])
+    def test_each_attempt_equals_its_own_sample(self, model, small_world, attempts, id_embedding):
+        params, cfg = model
+        emb = None
+        if id_embedding:
+            emb = np.random.default_rng(9).standard_normal(cfg.d_model).astype(np.float32)
+        fields = self._run(model, small_world, attempts, id_embedding=emb)
+        ref_noise = self._ref_noise(small_world)
+        assert len(fields) == len(attempts)
+        for a, (field, extra) in enumerate(zip(fields, attempts)):
+            want = E.sample(
+                params, cfg, small_world, [self.REF] + extra, steps=3,
+                init_noise=self._attempt_noise(small_world, ref_noise, 8, a, extra),
+                id_embedding=emb,
+            )
+            assert np.array_equal(field, want), f"attempt {a}"
+
+    def test_attempts_do_not_see_each_other(self, model, small_world):
+        first = [E.ShotPrompt(2, 1)]
+        base = self._run(model, small_world, [first, [E.ShotPrompt(2, 2)]])
+        for other in ([E.ShotPrompt(2, 3, 1)], [E.ShotPrompt(3, 2)], None):
+            attempts = [first] if other is None else [first, other]
+            fields = self._run(model, small_world, attempts)
+            assert np.array_equal(fields[0], base[0])
+            if other is not None:
+                assert not np.array_equal(fields[1][8:], base[1][8:])
+
+    def test_attempt_without_new_shots_returns_shot_zero(self, model, small_world):
+        params, cfg = model
+        extra = [E.ShotPrompt(2, 1)]
+        fields = self._run(model, small_world, [[], extra, []])
+        n0 = self.REF.frames * small_world.height * small_world.width
+        # attempt 1 still draws its noise as attempt 1
+        noise = self._attempt_noise(small_world, self._ref_noise(small_world), 8, 1, extra)
+        want = E.sample(params, cfg, small_world, [self.REF] + extra, steps=3, init_noise=noise)
+        assert np.array_equal(fields[1], want)
+        assert fields[0].shape == fields[2].shape == (n0, small_world.d_token)
+        assert np.array_equal(fields[0], fields[1][:n0])
+        assert np.array_equal(fields[2], fields[1][:n0])
+        alone = self._run(model, small_world, [[], []])
+        assert np.array_equal(alone[0], alone[1])
+
+    def test_no_attempts(self, model, small_world):
+        assert self._run(model, small_world, []) == []
+
+    def test_unit_guidance(self, model, small_world):
+        params, cfg = model
+        extra = [E.ShotPrompt(2, 1)]
+        (field,) = self._run(model, small_world, [extra], guidance=1.0)
+        noise = self._attempt_noise(small_world, self._ref_noise(small_world), 8, 0, extra)
+        want = E.sample(
+            params, cfg, small_world, [self.REF] + extra, steps=3, guidance=1.0, init_noise=noise
+        )
+        assert np.array_equal(field, want)
+
+    @pytest.mark.parametrize("guidance, per_step", [(5.0, 2), (1.0, 1)])
+    def test_two_forwards_a_step_whatever_the_attempt_count(
+        self, model, small_world, monkeypatch, guidance, per_step
+    ):
+        calls = []
+        forward = M.denoiser_forward
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(M, "denoiser_forward", counted)
+        attempts = [[E.ShotPrompt(2, 1)], [E.ShotPrompt(3, 2)], [], [E.ShotPrompt(1, 3)]]
+        self._run(model, small_world, attempts, steps=4, guidance=guidance)
+        assert len(calls) == 4 * per_step
+        assert all(isinstance(layout, PackedLayout) for layout in calls)
+
+    def test_packed_forward_needs_reference_variant_and_a_bundle_per_layout(
+        self, model, small_world
+    ):
+        params, cfg = model
+        specs = [[self.REF, E.ShotPrompt(2, 1)], [self.REF, E.ShotPrompt(1, 2)]]
+        packed = PackedLayout(tuple(E.build_layout(s, small_world) for s in specs))
+        captions = tuple(E.build_captions(s) for s in specs)
+        z = np.zeros((packed.total_tokens, small_world.d_token), dtype=np.float32)
+        assert M.denoiser_forward(z, 0.5, captions, packed, cfg, params).shape == z.shape
+        plain = M.DenoiserConfig(variant="full", **SMALL)
+        with pytest.raises(ConfigError):
+            M.denoiser_forward(z, 0.5, captions, packed, plain, params)
+        with pytest.raises(ConfigError):
+            M.denoiser_forward(z, 0.5, captions[:1], packed, cfg, params)
+        with pytest.raises(ConfigError):
+            M.denoiser_forward(z, 0.5, captions[0], packed, cfg, params)
+        with pytest.raises(ShapeError):
+            PackedLayout((packed.layouts[0], E.build_layout([E.ShotPrompt(3, 0)], small_world)))

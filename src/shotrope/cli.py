@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, engine, model as M, rope, synthetic as S
+from . import analysis, engine, model as M, rope, synthetic as S, tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint, write_json
 from .tensor import NUMERICS_VERSION, ConfigError, NumericError, ShapeError
 
@@ -38,13 +38,11 @@ def load_run_config(path):
     for section in ("model", "train", "world"):
         if section not in raw:
             raise ConfigError(f"config missing section {section!r}")
-    if "seed" not in raw["world"]:
-        raise ConfigError("world.seed must be explicit")
-    if "seed" not in raw["train"]:
-        raise ConfigError("train.seed must be explicit")
     model_cfg = M.DenoiserConfig.from_dict(raw["model"])
     train_cfg = engine.TrainConfig.from_dict(raw["train"])
-    world = S.SyntheticWorld.from_config(raw["world"])
+    if "seed" not in raw["train"]:
+        raise ConfigError("train.seed must be explicit")
+    world = S.SyntheticWorld.from_config(raw["world"])  # requires world.seed
     return model_cfg, train_cfg, world
 
 
@@ -155,7 +153,8 @@ def cmd_sample(args):
                 raise ConfigError(
                     "--ref-attn requires every --shots group to share the first segment"
                 )
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0,)))
+        # the root sequence: attempt a's added shots draw from spawn key (a,)
+        rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         n0 = ref.frames * world.height * world.width
         ref_noise = rng.standard_normal((n0, world.d_token)).astype(np.float32)
         fields = engine.sample_infinite(
@@ -185,15 +184,12 @@ def cmd_sample(args):
         rec = engine.metrics_on_field(tokens, spec, layout, world)
         rec["file"] = os.path.basename(path)
         metrics.append(rec)
-    summary = {
-        key: float(np.mean([m[key] for m in metrics]))
-        for key in ("identity_consistency", "scene_adherence", "cut_accuracy")
-    }
+    summary = engine.mean_metrics(metrics)
     summary["n_samples"] = len(metrics)
     summary["seed"] = args.seed
     summary["samples"] = metrics
     write_json(os.path.join(args.out, "metrics.json"), summary, indent=2)
-    print(json.dumps({k: summary[k] for k in ("identity_consistency", "scene_adherence", "cut_accuracy")}))
+    print(json.dumps({k: summary[k] for k in engine.METRIC_KEYS}))
     return EXIT_OK
 
 
@@ -216,7 +212,7 @@ def _ablate_run(task):
     model_dict, train_dict, world_cfg, eval_cfg = task
     model_cfg = M.DenoiserConfig.from_dict(model_dict)
     train_cfg = engine.TrainConfig.from_dict(train_dict)
-    world = S.SyntheticWorld(**world_cfg)
+    world = S.SyntheticWorld.from_config(world_cfg)
     params, _ = engine.train(model_cfg, train_cfg, world)
     metrics = engine.evaluate(params, model_cfg, world, **eval_cfg)
     return metrics
@@ -253,18 +249,12 @@ def cmd_ablate(args):
     out_csv = os.path.join(args.out, "ablation.csv")
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["variant", "j", "k", "default", "identity_consistency", "scene_adherence", "cut_accuracy"]
-        )
+        writer.writerow(["variant", "j", "k", "default", *engine.METRIC_KEYS])
         for (name, j, k, d), metrics in zip(runs, results):
             is_default = d["variant"] == "full" and j == 4.0 and k == 6.0
             writer.writerow(
-                [
-                    name, j, k, "yes" if is_default else "no",
-                    repr(metrics["identity_consistency"]),
-                    repr(metrics["scene_adherence"]),
-                    repr(metrics["cut_accuracy"]),
-                ]
+                [name, j, k, "yes" if is_default else "no"]
+                + [repr(metrics[key]) for key in engine.METRIC_KEYS]
             )
     for (name, _, _, _), metrics in zip(runs, results):
         print(
@@ -279,11 +269,11 @@ def cmd_selftest(args):
     from . import selftest
 
     if args.sabotage:
-        rope._SABOTAGE = args.sabotage
+        T._SABOTAGE = args.sabotage
     try:
         report = selftest.run_all()
     finally:
-        rope._SABOTAGE = None
+        T._SABOTAGE = None
     ok = True
     for name, passed, detail in report:
         status = "PASS" if passed else "FAIL"

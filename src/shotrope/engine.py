@@ -9,7 +9,7 @@ import numpy as np
 from . import model as M
 from . import synthetic as S
 from .shots import PackedLayout, ShotLayout
-from .tensor import ConfigError, GradTape, NumericError, ShapeError, Tensor
+from .tensor import ConfigError, GradTape, NumericError, ShapeError, Tensor, config_from_dict
 
 
 @dataclass
@@ -45,11 +45,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
+        return config_from_dict(cls, "train", d)
 
 
 @dataclass
@@ -210,8 +206,7 @@ def condition_identity(captions, id_embedding):
 
 def identity_embedding(params, world, id_index):
     """Project a pool identity into the caption embedding space."""
-    row = world.ids[id_index].astype(np.float32)[None, :]
-    return (row @ params["id_proj/w"].data + params["id_proj/b"].data)[0]
+    return _id_embedding_tensor(params, world.ids[id_index]).data[0]
 
 
 def null_captions(captions):
@@ -312,6 +307,10 @@ def sample_infinite(
     return [fields[a] if a in fields else z[:n0].copy() for a in range(len(specs))]
 
 
+# the oracle metrics of metrics_on_field, in the order reports list them
+METRIC_KEYS = ("identity_consistency", "scene_adherence", "cut_accuracy")
+
+
 def metrics_on_field(tokens, spec, layout, world):
     """The three synthetic-oracle metrics for one generated field."""
     ids = S.decode_identity(tokens, world, layout)
@@ -330,7 +329,12 @@ def metrics_on_field(tokens, spec, layout, world):
     boundaries = set(np.cumsum(layout.frame_counts)[:-1].tolist())
     changes = set((np.nonzero(np.diff(frame_scenes))[0] + 1).tolist())
     cut = float(changes == boundaries)
-    return {"identity_consistency": identity, "scene_adherence": adherence, "cut_accuracy": cut}
+    return dict(zip(METRIC_KEYS, (identity, adherence, cut)))
+
+
+def mean_metrics(records):
+    """The mean of each oracle metric over metrics_on_field records."""
+    return {key: float(np.mean([r[key] for r in records])) for key in METRIC_KEYS}
 
 
 def eval_specs(world, n_samples, seed, shot_count=3, frame_range=(2, 4)):
@@ -389,10 +393,7 @@ def evaluate(
         if use_identity:
             mean_id = S.decode_identity(tokens, world, layout).mean(axis=0)
             matches.append(int(np.argmax(world.ids @ mean_id)) == id_index)
-    out = {
-        key: float(np.mean([r[key] for r in records]))
-        for key in ("identity_consistency", "scene_adherence", "cut_accuracy")
-    }
+    out = mean_metrics(records)
     if use_identity:
         # fraction of samples whose decoded identity's nearest pool
         # neighbour is the conditioned identity

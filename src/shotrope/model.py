@@ -9,6 +9,7 @@ census is identical across variants.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 
@@ -22,7 +23,7 @@ from .attention import (
     multishot_self_attention,
 )
 from .shots import PackedLayout, ShotRopeParams
-from .tensor import ConfigError, NumericError, ShapeError, Tensor
+from .tensor import ConfigError, NumericError, ShapeError, Tensor, config_from_dict
 
 VARIANTS = ("vanilla", "tcrope", "full", "full+refattn")
 
@@ -72,11 +73,7 @@ class DenoiserConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
+        return config_from_dict(cls, "model", d)
 
 
 def _trunc_normal(rng, shape, std=0.02):
@@ -137,17 +134,12 @@ class AttentionCollector:
         self.cross_probs = []  # (probs, key shot index)
 
 
-_BASIS_CACHE = {}
-
-
-def _bases(cfg):
-    key = (cfg.head_dim, cfg.rope_base)
-    if key not in _BASIS_CACHE:
-        _BASIS_CACHE[key] = (
-            rope.make_basis_3d(cfg.head_dim, base=cfg.rope_base, strict=False),
-            rope.make_basis_1d(cfg.head_dim, base=cfg.rope_base),
-        )
-    return _BASIS_CACHE[key]
+@functools.lru_cache(maxsize=None)
+def _bases(head_dim, base):
+    return (
+        rope.make_basis_3d(head_dim, base=base, strict=False),
+        rope.make_basis_1d(head_dim, base=base),
+    )
 
 
 def caption_context(captions, cfg, params, sort_by_shot=False):
@@ -222,7 +214,7 @@ def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None):
             raise ConfigError(
                 f"caption bundle has {bundle.shot_count} entries, layout {lay.shot_count} shots"
             )
-    basis3d, basis1d = _bases(cfg)
+    basis3d, basis1d = _bases(cfg.head_dim, cfg.rope_base)
     sp = ShotRopeParams(j=cfg.j_eff, k=cfg.k_eff)
     context = caption_context(captions, cfg, params, sort_by_shot=cfg.use_ref)
 

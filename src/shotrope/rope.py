@@ -1,5 +1,7 @@
 """Vanilla 1D and 3D rotary position embeddings.
 
+This module holds the angle bases and phase tables; `rope_1d` and
+`rope_3d` rotate with `tensor.rotate_pairs`, the kernel the model runs.
 Pure numpy functions over immutable angle bases.  A basis compares and
 hashes by its defining fields (dim, base, strict), so it can key caches.  Positions may be
 non-integer (fractional phase shifts are used by the parameter sweeps).
@@ -13,10 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ShapeError
-
-# test-only fault injection hook for the selftest negative control
-_SABOTAGE = None
+from .tensor import ShapeError, rotate_pairs
 
 
 @dataclass(frozen=True)
@@ -84,16 +83,6 @@ def make_basis_3d(d, base=10000.0, strict=True):
     return RotaryBasis3D(dim=d, base=base, strict=strict)
 
 
-def _apply_pairs(v, cos, sin):
-    out = np.empty_like(v)
-    a = v[..., 0::2]
-    b = v[..., 1::2]
-    sign = -1.0 if _SABOTAGE == "rope-sign" else 1.0
-    out[..., 0::2] = a * cos - sign * b * sin
-    out[..., 1::2] = sign * a * sin + b * cos
-    return out
-
-
 def phase_tables_1d(basis, positions):
     """cos/sin per (position, pair), float64."""
     pos = np.atleast_1d(np.asarray(positions, dtype=np.float64))
@@ -105,10 +94,8 @@ def rope_1d(v, m, basis):
     v = np.asarray(v)
     if v.shape[-1] != basis.dim:
         raise ShapeError(f"rope_1d: vector dim {v.shape[-1]} != basis dim {basis.dim}")
-    ang = float(m) * basis.angles
-    cos = np.cos(ang).astype(v.dtype)
-    sin = np.sin(ang).astype(v.dtype)
-    return _apply_pairs(v, cos, sin)
+    ang = np.repeat(float(m) * basis.angles, 2)
+    return rotate_pairs(v, np.cos(ang).astype(v.dtype), np.sin(ang).astype(v.dtype))
 
 
 def phase_tables_3d(basis, t, h, w):
@@ -129,6 +116,6 @@ def rope_3d(v, t, h, w, basis):
     if v.shape[-1] != basis.dim:
         raise ShapeError(f"rope_3d: vector dim {v.shape[-1]} != basis dim {basis.dim}")
     cos, sin = phase_tables_3d(basis, t, h, w)
-    cos = cos[0].astype(v.dtype)
-    sin = sin[0].astype(v.dtype)
-    return _apply_pairs(v, cos, sin)
+    return rotate_pairs(
+        v, np.repeat(cos[0], 2).astype(v.dtype), np.repeat(sin[0], 2).astype(v.dtype)
+    )

@@ -14,9 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .checkpoint import load_tensors, save_tensors
 from .shots import ShotLayout
-from .tensor import ConfigError, NumericError
+from .tensor import ConfigError, NumericError, check_config
 
 FOURIER_DIM = 6
 
@@ -64,8 +63,11 @@ class Sample:
 
 
 class SyntheticWorld:
-    # the constructor's arguments, which config() records
-    CONFIG_KEYS = ("seed", "n_ids", "d_id", "v_scene", "v_mot", "d_token", "sigma", "height", "width")
+    # the constructor's arguments and their types, which config() records
+    CONFIG_TYPES = {
+        "seed": int, "n_ids": int, "d_id": int, "v_scene": int, "v_mot": int,
+        "d_token": int, "sigma": float, "height": int, "width": int,
+    }
 
     def __init__(
         self,
@@ -107,13 +109,11 @@ class SyntheticWorld:
         self.render_pinv = np.linalg.pinv(m)  # float64
 
     def config(self):
-        return {key: getattr(self, key) for key in self.CONFIG_KEYS}
+        return {key: getattr(self, key) for key in self.CONFIG_TYPES}
 
     @classmethod
     def from_config(cls, cfg):
-        unknown = set(cfg) - set(cls.CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown world config keys: {sorted(unknown)}")
+        check_config("world", cfg, cls.CONFIG_TYPES)
         if "seed" not in cfg:
             raise ConfigError("world config needs a seed")
         return cls(**cfg)
@@ -164,13 +164,18 @@ def decode_factors(tokens, world):
     return np.asarray(tokens, dtype=np.float64) @ world.render_pinv.T
 
 
-def decode_identity(tokens, world, layout):
-    """Per-shot identity estimates, averaged over each shot's tokens."""
+def _shot_means(tokens, world, layout, lo, hi):
+    """Decoded factor columns lo:hi averaged over each shot's tokens, [S, hi - lo]."""
     factors = decode_factors(tokens, world)
     shot_of = layout.token_shot_index()
     return np.stack(
-        [factors[shot_of == s, : world.d_id].mean(axis=0) for s in range(layout.shot_count)]
+        [factors[shot_of == s, lo:hi].mean(axis=0) for s in range(layout.shot_count)]
     )
+
+
+def decode_identity(tokens, world, layout):
+    """Per-shot identity estimates, averaged over each shot's tokens."""
+    return _shot_means(tokens, world, layout, 0, world.d_id)
 
 
 def _nearest(vecs, vocab):
@@ -181,16 +186,8 @@ def _nearest(vecs, vocab):
 
 def decode_scene(tokens, world, layout):
     """Nearest-vocabulary scene id per shot."""
-    factors = decode_factors(tokens, world)
-    shot_of = layout.token_shot_index()
     o = world.d_id
-    means = np.stack(
-        [
-            factors[shot_of == s, o : o + world.v_scene].mean(axis=0)
-            for s in range(layout.shot_count)
-        ]
-    )
-    return _nearest(means, world.scene_vecs)
+    return _nearest(_shot_means(tokens, world, layout, o, o + world.v_scene), world.scene_vecs)
 
 
 def decode_scene_frames(tokens, world, layout):
@@ -203,16 +200,8 @@ def decode_scene_frames(tokens, world, layout):
 
 
 def decode_motion(tokens, world, layout):
-    factors = decode_factors(tokens, world)
-    shot_of = layout.token_shot_index()
     o = world.d_id + world.v_scene
-    means = np.stack(
-        [
-            factors[shot_of == s, o : o + world.v_mot].mean(axis=0)
-            for s in range(layout.shot_count)
-        ]
-    )
-    return _nearest(means, world.motion_vecs)
+    return _nearest(_shot_means(tokens, world, layout, o, o + world.v_mot), world.motion_vecs)
 
 
 def sample_shot_count(rng, lo, hi):
@@ -254,32 +243,3 @@ def make_batch(world, batch_size, shot_count_range=(1, 4), shot_len_range=(2, 6)
             )
         )
     return out
-
-
-def dump_split(path, samples, manifest_path=None, world=None, seed=None):
-    """Record-oriented binary dump plus a JSON manifest."""
-    import json
-
-    named = {}
-    meta = []
-    for i, sample in enumerate(samples):
-        named[f"sample{i:05d}/tokens"] = sample.tokens
-        meta.append(
-            {
-                "frame_counts": list(sample.layout.frame_counts),
-                "id_index": sample.id_index,
-                "scene_ids": list(sample.scene_ids),
-                "motion_ids": list(sample.motion_ids),
-            }
-        )
-    save_tensors(path, named)
-    if manifest_path is not None:
-        manifest = {"samples": meta, "seed": seed}
-        if world is not None:
-            manifest["world"] = world.config()
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, indent=2)
-
-
-def load_split(path):
-    return load_tensors(path)

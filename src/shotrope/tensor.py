@@ -13,6 +13,8 @@ over identical inputs are bit-identical.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 # Bumped by every change that alters the bits a forward or backward
@@ -31,6 +33,43 @@ class NumericError(FloatingPointError):
 
 class ConfigError(ValueError):
     pass
+
+
+# what a field of each type accepts: JSON has one number type and no tuples
+_ACCEPTED = {float: (int, float), tuple: (list, tuple)}
+
+
+def _has_type(value, want):
+    if isinstance(value, bool) != (want is bool):
+        return False
+    if not isinstance(value, _ACCEPTED.get(want, want)):
+        return False
+    return want is not tuple or all(_has_type(v, int) for v in value)
+
+
+def check_config(what, d, types):
+    """Return d after checking it against types, which maps each key to its type.
+
+    Raises ConfigError on a key types lacks or a value of another type.
+    An int passes for a float, and a list for a tuple; tuple fields hold ints.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} config must be a mapping, got {type(d).__name__}")
+    unknown = set(d) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {what} config keys: {sorted(unknown)}")
+    for key, value in d.items():
+        if not _has_type(value, types[key]):
+            raise ConfigError(
+                f"{what} config {key!r} must be {types[key].__name__}, got {value!r}"
+            )
+    return d
+
+
+def config_from_dict(cls, what, d):
+    """cls(**d) for a config dataclass, each field typed like its default."""
+    types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    return cls(**check_config(what, d, types))
 
 
 _ACTIVE_TAPE = None
@@ -444,7 +483,7 @@ def rope_pairs(x, cos, sin):
 
     cos/sin are constant [n, dh] arrays with per-pair duplicated entries,
     shaped like the last two axes of x and shared by any leading (head)
-    axes; out = x*cos + swap(x)*sin where swap maps (a, b) -> (-b, a).
+    axes; the forward is `rotate_pairs`.
     """
     x = _as_tensor(x)
     cos = np.asarray(cos, dtype=x.data.dtype)
@@ -453,15 +492,31 @@ def rope_pairs(x, cos, sin):
         raise ShapeError("rope_pairs: angle table shape mismatch")
     if x.shape[-1] % 2 != 0:
         raise ShapeError("rope_pairs: last dim must be even")
-    out_data = x.data * cos + _pair_swap(x.data) * sin
+    out_data = rotate_pairs(x.data, cos, sin)
 
     def bw(out):
         def run():
             g = out.grad
-            return (g * cos + _pair_swap_t(g * sin),)
+            return (g * cos - _pair_swap(g * sin),)
         return run
 
     return _make(out_data, (x,), bw)
+
+
+# test-only fault injection hook for the selftest negative control
+_SABOTAGE = None
+
+
+def rotate_pairs(a, cos, sin):
+    """The pair rotation: a*cos + swap(a)*sin, swap mapping (a0, a1) -> (-a1, a0).
+
+    cos/sin hold each pair's entry twice and broadcast against a.  The
+    rotary oracles (`rope.rope_1d`, `rope.rope_3d`) and the model's
+    `rope_pairs` all rotate with this numpy kernel.
+    """
+    if _SABOTAGE == "rope-sign":
+        return a * cos - _pair_swap(a) * sin
+    return a * cos + _pair_swap(a) * sin
 
 
 def _pair_swap(a):
@@ -469,14 +524,6 @@ def _pair_swap(a):
     out = np.empty_like(a)
     out[..., 0::2] = -a[..., 1::2]
     out[..., 1::2] = a[..., 0::2]
-    return out
-
-
-def _pair_swap_t(a):
-    # transpose of _pair_swap: (a0, a1) -> (a1, -a0)
-    out = np.empty_like(a)
-    out[..., 0::2] = a[..., 1::2]
-    out[..., 1::2] = -a[..., 0::2]
     return out
 
 

@@ -46,9 +46,14 @@ def _cache_dir():
     return path
 
 
-def _run_key(model_cfg, train_cfg, world):
-    blob = json.dumps(run_config_dict(model_cfg, train_cfg, world), sort_keys=True)
+def _hash_key(config):
+    """16 hex digits of the SHA-256 of config as sorted-key JSON."""
+    blob = json.dumps(config, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _run_key(model_cfg, train_cfg, world):
+    return _hash_key(run_config_dict(model_cfg, train_cfg, world))
 
 
 def _train_cached(model_cfg, train_cfg, world):
@@ -95,7 +100,7 @@ def trained_variants(oracle_world):
 
 
 def _identity_finetune_key(model_cfg, base_cfg, ft_cfg, world):
-    blob = json.dumps(
+    return _hash_key(
         {
             "base": {
                 "model": model_cfg.to_dict(),
@@ -104,10 +109,8 @@ def _identity_finetune_key(model_cfg, base_cfg, ft_cfg, world):
             },
             "ft": ft_cfg.to_dict(),
             "numerics_version": NUMERICS_VERSION,
-        },
-        sort_keys=True,
+        }
     )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @pytest.fixture(scope="session")

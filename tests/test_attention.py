@@ -431,6 +431,39 @@ def test_cross_attention_rotations_are_tarope(monkeypatch):
                 assert np.array_equal(out[h, i], oracle)
 
 
+def test_rope_sign_fault_reaches_oracles_and_model(monkeypatch):
+    """The selftest's rope-sign fault sits in the one rotation kernel, so it
+    changes the scalar oracle and both attention kernels alike."""
+    from shotrope.shots import tarope
+
+    rng = np.random.default_rng(43)
+    layout = ShotLayout((2, 1), 2, 2)
+    d = 24
+    basis3d, basis1d = rope.make_basis_3d(12, strict=False), rope.make_basis_1d(12)
+    params = ShotRopeParams(j=4.0, k=6.0)
+    w = _rand_weights(rng, d)
+    tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
+    ctx = ContextTokens(
+        Tensor(rng.standard_normal((4, d)).astype(np.float32)), np.array([0, 0, 1, 1])
+    )
+    v = rng.standard_normal(12)
+
+    def run():
+        return (
+            tarope(v, 1, params, basis1d),
+            multishot_self_attention(tokens, layout, params, basis3d, w, heads=2).data,
+            multishot_cross_attention(tokens, ctx, layout, params, basis1d, w, heads=2).data,
+        )
+
+    clean = run()
+    monkeypatch.setattr(T, "_SABOTAGE", "rope-sign")
+    for got, expect in zip(run(), clean):
+        assert not np.array_equal(got, expect)
+    monkeypatch.setattr(T, "_SABOTAGE", None)
+    for got, expect in zip(run(), clean):
+        assert np.array_equal(got, expect)
+
+
 def _two_part_split(Q, K, V, nq0, nk0, probs_out=None):
     """The reference split as two blocks: rows :nq0 over keys :nk0, later
     rows over all keys; the one-segment case of _ref_attention_split."""

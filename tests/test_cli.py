@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from shotrope import cli
+from shotrope import cli, engine
 from shotrope.checkpoint import load_tensors, save_tensors
 from shotrope.engine import ShotPrompt
 from shotrope.tensor import ConfigError
@@ -98,6 +98,42 @@ class TestRunConfig:
         path.write_text(json.dumps(cfg))
         with pytest.raises(ConfigError):
             cli.load_run_config(str(path))
+
+
+def _with(section, key, value):
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    cfg[section][key] = value
+    return cfg
+
+
+class TestConfigTypes:
+    """A run config value of the wrong type is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("model", "heads", "4"),
+            ("world", "height", "x"),
+            ("train", "shot_len_range", [2, "a"]),
+            ("train", "pmt2v", 1),
+        ],
+        ids=["model-heads-str", "world-height-str", "train-range-item-str", "train-flag-int"],
+    )
+    def test_train_exits_with_usage_error(self, tmp_path, section, key, value, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(_with(section, key, value)))
+        rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{key!r}" in capsys.readouterr().err
+
+    def test_int_loads_into_float_field_unchanged(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(_with("model", "j", 4)))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        sidecar = json.loads((out / "checkpoint.ecsh.json").read_text())
+        assert sidecar["model"]["j"] == 4
+        assert sidecar["train"]["shot_len_range"] == [2, 2]
 
 
 class TestExitCodes:
@@ -208,6 +244,37 @@ class TestSampleCommand:
             ]
         )
         assert rc == cli.EXIT_CONFIG
+
+    def test_ref_mode_later_shots_do_not_copy_reference_noise(
+        self, tmp_path, config_path, monkeypatch
+    ):
+        """No attempt's added shots start from the reference shot's noise."""
+        out = tmp_path / "refrun"
+        rc = cli.main(
+            ["train", "--config", config_path, "--out", str(out), "--variant", "full+refattn"]
+        )
+        assert rc == cli.EXIT_OK
+        starts = []
+        real = engine._integrate
+
+        def spy(params, cfg, z, *rest):
+            starts.append(z.copy())
+            return real(params, cfg, z, *rest)
+
+        monkeypatch.setattr(engine, "_integrate", spy)
+        rc = cli.main(
+            [
+                "sample", "--ckpt", str(out / "checkpoint.ecsh"),
+                "--shots", "n=2,scene=0;n=2,scene=1",
+                "--shots", "n=2,scene=0;n=3,scene=2",
+                "--ref-attn", "--steps", "1", "--out", str(tmp_path / "s"),
+            ]
+        )
+        assert rc == cli.EXIT_OK
+        (z,) = starts
+        n0 = 2 * SMALL_CONFIG["world"]["height"] * SMALL_CONFIG["world"]["width"]
+        reference = {row.tobytes() for row in z[:n0]}
+        assert not any(row.tobytes() in reference for row in z[n0:])
 
     def test_ref_mode_generates_each_group(self, tmp_path, config_path):
         out = tmp_path / "refrun"

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from shotrope import rope
-from shotrope.tensor import ShapeError
+from shotrope import tensor as T
+from shotrope.tensor import ShapeError, Tensor
 
 
 class TestBasis1D:
@@ -150,3 +151,33 @@ class TestRope3D:
     def test_wrong_dim_rejected(self):
         with pytest.raises(ShapeError):
             rope.rope_3d(np.zeros(10), 0, 0, 0, rope.make_basis_3d(12))
+
+
+class TestOneKernel:
+    """The scalar oracles and the model's rope_pairs rotate with one kernel."""
+
+    @staticmethod
+    def _model_rotation(v, cos, sin):
+        cos, sin = (np.repeat(tab, 2, axis=1) for tab in (cos, sin))
+        return T.rope_pairs(Tensor(v[None, :]), cos, sin).data[0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rope_1d_equals_rope_pairs(self, dtype):
+        rng = np.random.default_rng(8)
+        basis = rope.make_basis_1d(32)
+        for _ in range(100):
+            v = rng.standard_normal(32).astype(dtype)
+            m = rng.uniform(-64, 64)
+            expect = self._model_rotation(v, *rope.phase_tables_1d(basis, m))
+            assert np.array_equal(rope.rope_1d(v, m, basis), expect)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim,strict", [(24, True), (32, False)])
+    def test_rope_3d_equals_rope_pairs(self, dtype, dim, strict):
+        rng = np.random.default_rng(9)
+        basis = rope.make_basis_3d(dim, strict=strict)  # 32: an unrotated tail
+        for _ in range(100):
+            v = rng.standard_normal(dim).astype(dtype)
+            t, h, w = rng.uniform(-16, 16, 3)
+            expect = self._model_rotation(v, *rope.phase_tables_3d(basis, t, h, w))
+            assert np.array_equal(rope.rope_3d(v, t, h, w, basis), expect)

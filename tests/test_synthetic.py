@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -154,19 +153,3 @@ class TestBatchSampling:
             for e in sample.captions.by_shot():
                 assert e.scene_id == sample.scene_ids[e.shot]
                 assert e.motion_id == sample.motion_ids[e.shot]
-
-
-class TestSplitDump:
-    def test_roundtrip_bit_exact(self, world, tmp_path):
-        samples = S.make_batch(world, 3, seed=5)
-        path = tmp_path / "split.ecsh"
-        manifest = tmp_path / "split.json"
-        S.dump_split(path, samples, manifest_path=manifest, world=world, seed=5)
-        loaded = S.load_split(path)
-        assert len(loaded) == 3
-        for i, sample in enumerate(samples):
-            assert np.array_equal(loaded[f"sample{i:05d}/tokens"], sample.tokens)
-        meta = json.loads(manifest.read_text())
-        assert meta["seed"] == 5
-        assert meta["world"]["seed"] == world.seed
-        assert meta["samples"][0]["frame_counts"] == list(samples[0].layout.frame_counts)

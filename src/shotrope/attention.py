@@ -5,8 +5,9 @@ embedding; cross-attention aligns visual queries with per-shot caption
 keys via the 1D shot-index rotation.  Nothing is ever masked in the
 plain multi-shot mode: inter-shot interaction is suppressed by rotary
 distance only.  The reference mode computes separate attention blocks so
-shot-0 rows depend on shot-0 inputs alone; it also runs a PackedLayout,
-several layouts sharing shot 0 in one field, with one block per layout.
+shot-0 rows depend on shot-0 inputs alone.  There is one packing path: a
+lone layout is the packing of itself, and a layout and its caption context
+give the row ends of their segments, [shot 0 | each layout's later shots].
 
 All heads run at once on [heads, n, d_head] tensors.  The rotary tables
 of a layout depend only on the layout, the rotary scales and the basis,
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rope, tensor as T
-from .shots import PackedLayout
 from .tensor import ConfigError, ShapeError, Tensor
 
 
@@ -49,20 +49,9 @@ def _duplicated(tables, dtype):
     return tuple(out)
 
 
-def _packed(layout, per_layout):
-    """A packed layout's tables, packed from the tables of its layouts."""
-    out = tuple(layout.pack(tabs) for tabs in zip(*per_layout))
-    for tab in out:
-        tab.flags.writeable = False
-    return out
-
-
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _token_tables(basis3d, layout, j, dtype):
     """TcRoPE tables of every token of a layout."""
-    if isinstance(layout, PackedLayout):
-        per_layout = [_token_tables(basis3d, lay, j, dtype) for lay in layout.layouts]
-        return _packed(layout, per_layout)
     t, h, w = layout.token_positions(j=j)
     return _duplicated(rope.phase_tables_3d(basis3d, t, h, w), dtype)
 
@@ -70,9 +59,6 @@ def _token_tables(basis3d, layout, j, dtype):
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _token_shot_tables(basis1d, layout, k, dtype):
     """TaRoPE tables of every token of a layout, by its shot index."""
-    if isinstance(layout, PackedLayout):
-        per_layout = [_token_shot_tables(basis1d, lay, k, dtype) for lay in layout.layouts]
-        return _packed(layout, per_layout)
     return _duplicated(rope.phase_tables_1d(basis1d, layout.token_shot_index() * k), dtype)
 
 
@@ -128,13 +114,8 @@ def _ref_attention_split(Q, K, V, q_ends, k_ends, probs_out=None):
     for q_lo, q_hi, k_lo, k_hi in zip(q_ends[:-1], q_ends[1:], k_ends[:-1], k_ends[1:]):
         if q_lo == q_hi:
             continue
-        if k_lo != nk0:
-            keys = T.concat_rows([K0, T.slice_rows(K, k_lo, k_hi)])
-            values = T.concat_rows([V0, T.slice_rows(V, k_lo, k_hi)])
-        elif k_hi == nk:
-            keys, values = K, V
-        else:
-            keys, values = T.slice_rows(K, 0, k_hi), T.slice_rows(V, 0, k_hi)
+        keys = T.concat_rows([K0, T.slice_rows(K, k_lo, k_hi)])
+        values = T.concat_rows([V0, T.slice_rows(V, k_lo, k_hi)])
         queries = T.slice_rows(Q, q_lo, q_hi)
         outs.append(scaled_dot_attention(queries, keys, values, probs_out=probs))
         blocks.append((q_lo, q_hi, k_lo, k_hi))
@@ -160,21 +141,19 @@ def ref_attention(Q, K, V, layout, probs_out=None):
 class ContextTokens:
     """Embedded caption tokens plus the shot index of every token row.
 
-    segment_ends are the row ends of the reference-attention segments, as
-    in ShotLayout.segment_ends: by default the shot-0 rows, then the rest.
+    segment_ends are the row ends of the caption segments, one for each of
+    the layout's segment_ends: [shot 0 | each packed layout's later shots].
     """
 
     embeddings: Tensor
     shot_index: np.ndarray
-    segment_ends: tuple = None
+    segment_ends: tuple
 
     def __post_init__(self):
         self.shot_index = np.asarray(self.shot_index, dtype=np.int64)
-        if self.embeddings.shape[0] != self.shot_index.shape[0]:
-            raise ShapeError("ContextTokens: shot index length mismatch")
-        if self.segment_ends is None:
-            n = self.shot_index.shape[0]
-            self.segment_ends = (int(np.sum(self.shot_index == 0)), n)
+        n = self.embeddings.shape[0]
+        if self.shot_index.shape[0] != n or self.segment_ends[-1] != n:
+            raise ShapeError("ContextTokens: shot index or segment ends do not match the rows")
 
 
 def _heads(x, w, heads):

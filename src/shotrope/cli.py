@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis, engine, model as M, rope, synthetic as S, tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint, write_json
-from .tensor import NUMERICS_VERSION, ConfigError, NumericError, ShapeError
+from .tensor import NUMERICS_VERSION, ConfigError, NumericError, ShapeError, check_config
 
 EXIT_OK = 0
 EXIT_TEST_FAILURE = 1
@@ -32,9 +32,7 @@ def load_run_config(path):
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    unknown = set(raw) - {"model", "train", "world"}
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    check_config("run", raw, dict.fromkeys(("model", "train", "world"), dict))
     for section in ("model", "train", "world"):
         if section not in raw:
             raise ConfigError(f"config missing section {section!r}")

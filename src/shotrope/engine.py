@@ -30,12 +30,16 @@ class TrainConfig:
     id_dropout: float = 0.1
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1 or self.lr <= 0:
-            raise ConfigError("steps, batch size and learning rate must be positive")
-        if self.train_timesteps < 1 or self.train_shift < 1:
-            raise ConfigError("train timesteps must be >= 1 and shift >= 1")
+        if self.steps < 1 or self.batch_size < 1 or self.lr <= 0 or self.seed < 0:
+            raise ConfigError("steps, batch size and learning rate must be positive, seed >= 0")
+        betas_ok = 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1
+        if self.train_timesteps < 1 or self.train_shift < 1 or not betas_ok:
+            raise ConfigError("train timesteps must be >= 1, shift >= 1, and betas in [0, 1)")
         self.shot_count_range = tuple(self.shot_count_range)
         self.shot_len_range = tuple(self.shot_len_range)
+        for lo_hi in (self.shot_count_range, self.shot_len_range):
+            if len(lo_hi) != 2 or not 1 <= lo_hi[0] <= lo_hi[1]:
+                raise ConfigError(f"shot ranges must be [lo, hi], 1 <= lo <= hi: {list(lo_hi)}")
 
     def to_dict(self):
         d = asdict(self)

@@ -22,7 +22,7 @@ from .attention import (
     multishot_cross_attention,
     multishot_self_attention,
 )
-from .shots import PackedLayout, ShotRopeParams
+from .shots import ShotRopeParams
 from .tensor import ConfigError, NumericError, ShapeError, Tensor, config_from_dict
 
 VARIANTS = ("vanilla", "tcrope", "full", "full+refattn")
@@ -47,6 +47,11 @@ class DenoiserConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        sizes = (self.d_model, self.blocks, self.heads, self.ffn_mult, self.d_token, self.d_id)
+        if min(*sizes, self.v_scene, self.v_mot) < 1 or min(self.j, self.k) < 0:
+            raise ConfigError("model sizes must be >= 1, and j and k >= 0")
+        if self.rope_base <= 1 or not 0 <= self.caption_dropout <= 1:
+            raise ConfigError("model rope_base must exceed 1 and caption_dropout lie in [0, 1]")
         if self.d_model % self.heads != 0:
             raise ConfigError("d_model must be divisible by heads")
         if (self.d_model // self.heads) % 2 != 0:
@@ -142,17 +147,14 @@ def _bases(head_dim, base):
     )
 
 
-def caption_context(captions, cfg, params, sort_by_shot=False):
-    """Embed a caption bundle into context token rows with shot indices.
+def caption_context(bundles, cfg, params):
+    """Embed caption bundles into context token rows with shot indices.
 
-    A tuple of bundles, one per layout of a PackedLayout, is embedded by
-    shot as [shot 0 | bundle 1's later shots | ...], shot 0 from the
-    first bundle, and the context records where each segment ends.
+    bundles holds one bundle per packed layout, and rows are grouped by shot
+    as [shot 0 | bundle 1's later shots | ...], shot 0 from the first
+    bundle; the context records where each segment ends.
     """
-    if isinstance(captions, tuple):
-        groups = [captions[0].by_shot()[:1]] + [c.by_shot()[1:] for c in captions]
-    else:
-        groups = [captions.by_shot() if sort_by_shot else list(captions.entries)]
+    groups = [bundles[0].by_shot()[:1]] + [c.by_shot()[1:] for c in bundles]
     rows = []
     shot_idx = []
     ends = []
@@ -183,16 +185,15 @@ def caption_context(captions, cfg, params, sort_by_shot=False):
             rows.append(T.gather_rows(params["caption/motion"], [e.motion_id]))
             shot_idx.extend([e.shot, e.shot])
         ends.append(len(shot_idx))
-    segment_ends = tuple(ends) if len(groups) > 1 else None
-    return ContextTokens(T.concat_rows(rows), np.asarray(shot_idx), segment_ends)
+    return ContextTokens(T.concat_rows(rows), np.asarray(shot_idx), tuple(ends))
 
 
 def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None):
     """Predicted velocity field for one sample.
 
-    Under full+refattn, layout may be a PackedLayout with a tuple of
-    caption bundles, one per layout: the field then holds every layout's
-    sample, packed as the layout describes.
+    layout packs layouts that share shot 0 (a lone ShotLayout packs itself)
+    and captions holds one bundle per layout, or is the one bundle; the
+    field holds every layout's sample.  Several layouts need full+refattn.
     """
     z = z_tau if isinstance(z_tau, Tensor) else Tensor(np.asarray(z_tau, dtype=np.float32))
     if z.shape != (layout.total_tokens, cfg.d_token):
@@ -201,22 +202,19 @@ def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None):
         )
     if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"tau must lie in [0, 1], got {tau}")
-    if isinstance(layout, PackedLayout):
-        if not cfg.use_ref:
-            raise ConfigError("a packed layout requires the full+refattn variant")
-        bundles, layouts = captions, layout.layouts
-        if not isinstance(bundles, tuple) or len(bundles) != len(layouts):
-            raise ConfigError("a packed layout needs a tuple of caption bundles, one per layout")
-    else:
-        bundles, layouts = (captions,), (layout,)
-    for bundle, lay in zip(bundles, layouts):
+    bundles = captions if isinstance(captions, tuple) else (captions,)
+    if len(layout.layouts) > 1 and not cfg.use_ref:
+        raise ConfigError("a packing of several layouts requires the full+refattn variant")
+    if len(bundles) != len(layout.layouts):
+        raise ConfigError("a packed layout needs a tuple of caption bundles, one per layout")
+    for bundle, lay in zip(bundles, layout.layouts):
         if bundle.shot_count != lay.shot_count:
             raise ConfigError(
                 f"caption bundle has {bundle.shot_count} entries, layout {lay.shot_count} shots"
             )
     basis3d, basis1d = _bases(cfg.head_dim, cfg.rope_base)
     sp = ShotRopeParams(j=cfg.j_eff, k=cfg.k_eff)
-    context = caption_context(captions, cfg, params, sort_by_shot=cfg.use_ref)
+    context = caption_context(bundles, cfg, params)
 
     temb = T.matmul(Tensor(timestep_features(tau, cfg.d_model)), params["time_proj/w"])
     temb = T.add(temb, params["time_proj/b"])

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rope
-from .tensor import ShapeError
+from .tensor import ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
 class ShotLayout:
-    """Token geometry of a multi-shot latent field."""
+    """Token geometry of a multi-shot latent field.  A lone layout is the
+    packing of itself: its `layouts` are (self,)."""
 
     frame_counts: tuple  # latent frames per shot
     height: int
@@ -28,9 +29,13 @@ class ShotLayout:
         fc = tuple(int(n) for n in self.frame_counts)
         object.__setattr__(self, "frame_counts", fc)
         if len(fc) < 1 or any(n < 1 for n in fc):
-            raise ValueError("all shots need at least one latent frame")
+            raise ConfigError("all shots need at least one latent frame")
         if self.height < 1 or self.width < 1:
-            raise ValueError("spatial grid must be positive")
+            raise ConfigError("spatial grid must be positive")
+
+    @property
+    def layouts(self):
+        return (self,)
 
     @property
     def shot_count(self):
@@ -91,7 +96,7 @@ class PackedLayout:
     later shots].  Under reference attention shot 0 depends on shot-0
     inputs alone and each layout's later shots on shot 0 and themselves,
     so the packed field holds shot 0 once and every layout's later shots
-    unchanged.
+    unchanged.  Its per-row arrays are its layouts' arrays, packed.
     """
 
     layouts: tuple
@@ -123,6 +128,14 @@ class PackedLayout:
     def total_tokens(self):
         return self.segment_ends[-1]
 
+    def token_shot_index(self):
+        """Shot index of every packed row."""
+        return self.pack([lay.token_shot_index() for lay in self.layouts])
+
+    def token_positions(self, j=0.0):
+        """(t_eff, h, w) of every packed row, as in its own layout."""
+        return tuple(map(self.pack, zip(*(lay.token_positions(j=j) for lay in self.layouts))))
+
     def pack(self, per_layout):
         """Per-layout row arrays -> packed rows, shot 0 from the first."""
         n0 = self.segment_ends[0]
@@ -146,7 +159,7 @@ class ShotRopeParams:
 
     def __post_init__(self):
         if self.j < 0 or self.k < 0:
-            raise ValueError("j and k must be non-negative")
+            raise ConfigError("j and k must be non-negative")
 
 
 def effective_time_index(layout, s, t_local, j):

@@ -90,6 +90,8 @@ class SyntheticWorld:
         self.sigma = float(sigma)
         self.height = height
         self.width = width
+        if self.seed < 0 or min(n_ids, d_id, v_scene, v_mot, height, width) < 1:
+            raise ConfigError("world seed must be >= 0 and its sizes and grid >= 1")
         rng = np.random.default_rng(self.seed)
         ids = rng.standard_normal((n_ids, d_id))
         self.ids = (ids / np.linalg.norm(ids, axis=1, keepdims=True)).astype(np.float32)
@@ -102,6 +104,8 @@ class SyntheticWorld:
         )
         d_factor = d_id + v_scene + v_mot + FOURIER_DIM
         self.d_factor = d_factor
+        if d_token < d_factor:
+            raise ConfigError(f"world d_token must be >= d_id + v_scene + v_mot + {FOURIER_DIM}")
         m = rng.standard_normal((d_token, d_factor)) / np.sqrt(d_factor)
         if np.linalg.matrix_rank(m) < d_factor:
             raise NumericError("render map is rank deficient")  # pragma: no cover

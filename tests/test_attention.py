@@ -182,6 +182,7 @@ class TestCrossAttention:
         ctx = ContextTokens(
             Tensor(rng.standard_normal((n_ctx, d)).astype(np.float32)),
             np.repeat(np.arange(layout.shot_count), rows_per_shot),
+            (rows_per_shot, n_ctx),
         )
         tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
         return tokens, ctx, _rand_weights(rng, d)
@@ -200,7 +201,7 @@ class TestCrossAttention:
         layout = ShotLayout((2, 2), 2, 2)
         tokens, _, w = self._setup(rng, layout)
         bad_ctx = ContextTokens(
-            Tensor(rng.standard_normal((2, 24)).astype(np.float32)), np.array([0, 0])
+            Tensor(rng.standard_normal((2, 24)).astype(np.float32)), np.array([0, 0]), (2, 2)
         )
         with pytest.raises(ConfigError):
             multishot_cross_attention(
@@ -216,7 +217,7 @@ class TestCrossAttention:
         params = ShotRopeParams(j=0.0, k=0.0)
         basis = rope.make_basis_1d(12)
         a = multishot_cross_attention(tokens, ctx, layout, params, basis, w, heads=2).data
-        flipped = ContextTokens(ctx.embeddings, ctx.shot_index[::-1].copy())
+        flipped = ContextTokens(ctx.embeddings, ctx.shot_index[::-1].copy(), ctx.segment_ends)
         b = multishot_cross_attention(tokens, flipped, layout, params, basis, w, heads=2).data
         assert np.array_equal(a, b)
 
@@ -227,15 +228,31 @@ class TestCrossAttention:
         params = ShotRopeParams(j=0.0, k=6.0)
         basis = rope.make_basis_1d(12)
         a = multishot_cross_attention(tokens, ctx, layout, params, basis, w, heads=2).data
-        flipped = ContextTokens(ctx.embeddings, ctx.shot_index[::-1].copy())
+        flipped = ContextTokens(ctx.embeddings, ctx.shot_index[::-1].copy(), ctx.segment_ends)
         b = multishot_cross_attention(tokens, flipped, layout, params, basis, w, heads=2).data
         assert not np.array_equal(a, b)
+
+    def test_context_row_order_is_irrelevant(self):
+        # each key rotates by its own caption's shot index, so permuting the
+        # context rows only permutes the columns each softmax sums over
+        rng = np.random.default_rng(16)
+        layout = ShotLayout((2, 1, 2), 2, 2)
+        tokens, ctx, w = self._setup(rng, layout, rows_per_shot=2)
+        params, basis = ShotRopeParams(), rope.make_basis_1d(12)
+        base = multishot_cross_attention(tokens, ctx, layout, params, basis, w, heads=2).data
+        perm = rng.permutation(ctx.shot_index.size)
+        assert not np.array_equal(ctx.shot_index[perm], ctx.shot_index)
+        permuted = ContextTokens(
+            Tensor(ctx.embeddings.data[perm]), ctx.shot_index[perm], ctx.segment_ends
+        )
+        out = multishot_cross_attention(tokens, permuted, layout, params, basis, w, heads=2).data
+        assert np.max(np.abs(out - base)) <= 1e-5
 
     def test_ref_mode_requires_sorted_context(self):
         rng = np.random.default_rng(14)
         layout = ShotLayout((2, 2), 2, 2)
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=1)
-        unsorted = ContextTokens(ctx.embeddings, np.array([1, 0]))
+        unsorted = ContextTokens(ctx.embeddings, np.array([1, 0]), ctx.segment_ends)
         with pytest.raises(ConfigError):
             multishot_cross_attention(
                 tokens, unsorted, layout, ShotRopeParams(), rope.make_basis_1d(12), w,
@@ -254,7 +271,7 @@ class TestCrossAttention:
         ).data
         emb = ctx.embeddings.data.copy()
         emb[2:] += 9.0  # later-shot caption rows only
-        ctx2 = ContextTokens(Tensor(emb), ctx.shot_index)
+        ctx2 = ContextTokens(Tensor(emb), ctx.shot_index, ctx.segment_ends)
         out = multishot_cross_attention(
             tokens, ctx2, layout, params, basis, w, heads=2, use_ref=True
         ).data
@@ -263,7 +280,9 @@ class TestCrossAttention:
 
 def test_context_tokens_length_mismatch():
     with pytest.raises(ShapeError):
-        ContextTokens(Tensor(np.zeros((3, 4), dtype=np.float32)), np.array([0, 1]))
+        ContextTokens(Tensor(np.zeros((3, 4), dtype=np.float32)), np.array([0, 1]), (1, 3))
+    with pytest.raises(ShapeError):
+        ContextTokens(Tensor(np.zeros((3, 4), dtype=np.float32)), np.array([0, 1, 1]), (1, 2))
 
 
 # -- head-batched kernels against a per-head reference ----------------------
@@ -327,7 +346,7 @@ def test_cross_attention_equals_per_head_reference(heads, use_ref):
     params = ShotRopeParams(k=6.0)
     w = _rand_weights(rng, d)
     shots = np.array([0, 0, 0, 1, 1, 2, 2])
-    ctx = ContextTokens(Tensor(rng.standard_normal((7, d)).astype(np.float32)), shots)
+    ctx = ContextTokens(Tensor(rng.standard_normal((7, d)).astype(np.float32)), shots, (3, 7))
     tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
     qtabs = _pair_tables(*rope.phase_tables_1d(basis, layout.token_shot_index() * params.k))
     ktabs = _pair_tables(*rope.phase_tables_1d(basis, shots * params.k))
@@ -416,7 +435,7 @@ def test_cross_attention_rotations_are_tarope(monkeypatch):
     basis = rope.make_basis_1d(12)
     params = ShotRopeParams(k=6.0)
     shots = np.array([0, 0, 1, 2, 2])
-    ctx = ContextTokens(Tensor(rng.standard_normal((5, d)), dtype=np.float64), shots)
+    ctx = ContextTokens(Tensor(rng.standard_normal((5, d)), dtype=np.float64), shots, (2, 5))
     tokens = Tensor(rng.standard_normal((layout.total_tokens, d)), dtype=np.float64)
     w = AttentionWeights(
         *(Tensor(rng.standard_normal((d, d)) * 0.1, dtype=np.float64) for _ in range(4))
@@ -444,7 +463,7 @@ def test_rope_sign_fault_reaches_oracles_and_model(monkeypatch):
     w = _rand_weights(rng, d)
     tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
     ctx = ContextTokens(
-        Tensor(rng.standard_normal((4, d)).astype(np.float32)), np.array([0, 0, 1, 1])
+        Tensor(rng.standard_normal((4, d)).astype(np.float32)), np.array([0, 0, 1, 1]), (2, 4)
     )
     v = rng.standard_normal(12)
 

@@ -5,8 +5,9 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from shotrope import cli, engine
+from shotrope import cli, engine, model as M, synthetic as S
 from shotrope.checkpoint import load_tensors, save_tensors
 from shotrope.engine import ShotPrompt
 from shotrope.tensor import ConfigError
@@ -134,6 +135,107 @@ class TestConfigTypes:
         sidecar = json.loads((out / "checkpoint.ecsh.json").read_text())
         assert sidecar["model"]["j"] == 4
         assert sidecar["train"]["shot_len_range"] == [2, 2]
+
+
+class TestConfigRanges:
+    """A run config value of the right type but out of range is a usage
+    error, raised when the config is built, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("model", "heads", 0),
+            ("model", "j", -1),
+            ("model", "d_model", -8),
+            ("model", "caption_dropout", 1.5),
+            ("train", "shot_len_range", [0, 2]),
+            ("train", "shot_len_range", [1, 2, 3]),
+            ("train", "beta1", 1.0),
+            ("world", "height", 0),
+        ],
+        ids=[
+            "model-heads-0", "model-j-neg", "model-d_model-neg", "model-dropout-above-1",
+            "train-range-lo-0", "train-range-3-items", "train-beta1-1", "world-height-0",
+        ],
+    )
+    def test_train_exits_with_usage_error(self, tmp_path, section, key, value, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(_with(section, key, value)))
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--config", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text("5")
+        rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == cli.EXIT_CONFIG
+        assert "mapping" in capsys.readouterr().err
+
+
+# every key each section accepts, so that a mutation can reach each one
+_FIELDS = [
+    (section, key)
+    for section, keys in (
+        ("model", M.DenoiserConfig().to_dict()),
+        ("train", engine.TrainConfig().to_dict()),
+        ("world", S.SyntheticWorld.CONFIG_TYPES),
+    )
+    for key in sorted(keys)
+]
+# out-of-range numbers, wrongly typed values and malformed ranges; none is
+# large, so that a config that still trains stays tiny
+_BAD_VALUES = [
+    0, -1, -8, 0.0, -0.5, 1.0, 1.5, 2.5, "4", None, True, [0, 2], [1, 2, 3], [3, 1], [], {},
+]
+_NON_OBJECTS = [5, "x", None, [], [{}]]
+_MUTATION = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_FIELDS), st.sampled_from(_BAD_VALUES)),
+    st.tuples(st.sampled_from(["drop", "extra"]), st.sampled_from(_FIELDS), st.none()),
+    st.tuples(st.just("section"), st.sampled_from(_FIELDS), st.sampled_from(_NON_OBJECTS)),
+    st.tuples(
+        st.sampled_from(["drop-section", "extra-section"]), st.sampled_from(_FIELDS), st.none()
+    ),
+    st.tuples(st.just("top"), st.none(), st.sampled_from(_NON_OBJECTS)),
+)
+
+
+def _mutated(mutations):
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    cfg["train"]["steps"] = 1
+    for kind, field, value in mutations:
+        if kind == "top":
+            return value
+        section, key = field
+        if kind == "section":
+            cfg[section] = value
+        elif kind == "drop-section":
+            cfg.pop(section, None)
+        elif kind == "extra-section":
+            cfg["extra"] = {}
+        elif isinstance(cfg.get(section), dict):
+            if kind == "drop":
+                cfg[section].pop(key, None)
+            elif kind == "extra":
+                cfg[section]["mystery"] = 1
+            else:
+                cfg[section][key] = value
+    return cfg
+
+
+@settings(
+    derandomize=True, max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_run_config_trains_or_exits_2(tmp_path, mutations):
+    """Whatever is wrong with a run config, `train` exits 0 or 2 and never raises."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_mutated(mutations)))
+    rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG)
 
 
 class TestExitCodes:

@@ -3,7 +3,7 @@ import pytest
 
 from shotrope import model as M
 from shotrope import synthetic as S
-from shotrope.shots import ShotLayout
+from shotrope.shots import PackedLayout, ShotLayout
 from shotrope.tensor import ConfigError, GradTape, ShapeError, Tensor
 
 
@@ -145,6 +145,35 @@ class TestForward:
         ).data
         assert np.max(np.abs(out - base)) <= 1e-5
 
+    @pytest.mark.parametrize("shots", [1, 3])
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_lone_layout_is_the_packing_of_itself(self, small_world, variant, shots):
+        """A ShotLayout with its bundle runs exactly as a packing of that one
+        layout with a tuple of that one bundle, probabilities included."""
+        cfg = M.DenoiserConfig(variant=variant, **SMALL)
+        sample = S.make_batch(
+            small_world, 1, shot_count_range=(shots, shots), shot_len_range=(1, 3), seed=5
+        )[0]
+        params = M.init_params(cfg, seed=0)
+        params["head/w"].data[:] = np.random.default_rng(1).standard_normal((24, 32)) * 0.01
+        captions = M.apply_caption_dropout(sample.captions, 0.5, np.random.default_rng(2))
+        runs = []
+        for layout, bundles in (
+            (sample.layout, captions),
+            (PackedLayout((sample.layout,)), (captions,)),
+        ):
+            collect = M.AttentionCollector()
+            out = M.denoiser_forward(sample.tokens, 0.5, bundles, layout, cfg, params, collect)
+            runs.append((out.data, collect))
+        (lone, lone_probs), (packed, packed_probs) = runs
+        assert np.array_equal(lone, packed) and np.any(lone)
+        assert len(lone_probs.self_probs) == len(packed_probs.self_probs) == 2
+        for a, b in zip(lone_probs.self_probs, packed_probs.self_probs):
+            assert np.array_equal(a, b)
+        assert len(lone_probs.cross_probs) == len(packed_probs.cross_probs) == 2
+        for (a, a_shots), (b, b_shots) in zip(lone_probs.cross_probs, packed_probs.cross_probs):
+            assert np.array_equal(a, b) and np.array_equal(a_shots, b_shots)
+
     def test_bad_tau(self, small_cfg, small_world):
         sample = self._sample(small_world)
         params = M.init_params(small_cfg, seed=0)
@@ -222,7 +251,7 @@ class TestCaptionContext:
         captions = S.CaptionBundle(
             [S.CaptionEntry(shot=s, scene_id=s % 4, motion_id=0) for s in range(3)]
         )
-        ctx = M.caption_context(captions, small_cfg, params)
+        ctx = M.caption_context((captions,), small_cfg, params)
         assert ctx.embeddings.shape == (6, small_cfg.d_model)
         assert ctx.shot_index.tolist() == [0, 0, 1, 1, 2, 2]
 
@@ -232,7 +261,7 @@ class TestCaptionContext:
         captions = S.CaptionBundle(
             [S.CaptionEntry(shot=0, scene_id=0, motion_id=0, id_vector=vec)]
         )
-        ctx = M.caption_context(captions, small_cfg, params)
+        ctx = M.caption_context((captions,), small_cfg, params)
         assert ctx.embeddings.shape == (3, small_cfg.d_model)
         assert np.array_equal(ctx.embeddings.data[0], vec)
 
@@ -242,7 +271,7 @@ class TestCaptionContext:
         captions = S.CaptionBundle(
             [S.CaptionEntry(shot=0, scene_id=0, motion_id=0, id_vector=vec)]
         )
-        ctx = M.caption_context(captions, small_cfg, params)
+        ctx = M.caption_context((captions,), small_cfg, params)
         assert np.array_equal(ctx.embeddings.data[0], params["caption/null_id"].data[0])
 
     def test_dropped_caption_becomes_single_null_row(self, small_cfg):
@@ -250,7 +279,7 @@ class TestCaptionContext:
         captions = S.CaptionBundle(
             [S.CaptionEntry(shot=0, scene_id=0, motion_id=0, dropped=True)]
         )
-        ctx = M.caption_context(captions, small_cfg, params)
+        ctx = M.caption_context((captions,), small_cfg, params)
         assert ctx.embeddings.shape == (1, small_cfg.d_model)
         assert np.array_equal(ctx.embeddings.data, params["caption/null"].data)
 
@@ -258,7 +287,7 @@ class TestCaptionContext:
         params = M.init_params(small_cfg, seed=0)
         captions = S.CaptionBundle([S.CaptionEntry(shot=0, scene_id=99, motion_id=0)])
         with pytest.raises(ConfigError):
-            M.caption_context(captions, small_cfg, params)
+            M.caption_context((captions,), small_cfg, params)
 
 
 class TestLossAndNoise:

@@ -2,12 +2,14 @@
 
 Self-attention modulates Q/K with the boundary-shifted 3D rotary
 embedding; cross-attention aligns visual queries with per-shot caption
-keys via the 1D shot-index rotation.  Nothing is ever masked in the
-plain multi-shot mode: inter-shot interaction is suppressed by rotary
-distance only.  The reference mode computes separate attention blocks so
-shot-0 rows depend on shot-0 inputs alone.  There is one packing path: a
-lone layout is the packing of itself, and a layout and its caption context
-give the row ends of their segments, [shot 0 | each layout's later shots].
+keys via the 1D shot-index rotation.  Both run one body, and one segment
+kernel decides which keys a row sees.  The plain multi-shot mode is its
+one-segment case: nothing is masked, and inter-shot interaction is
+suppressed by rotary distance only.  The reference mode splits the rows
+into segments so shot-0 rows depend on shot-0 inputs alone.  There is one
+packing path: a lone layout is the packing of itself, and a layout and its
+caption context give the row ends of their segments, [shot 0 | each
+layout's later shots].
 
 All heads run at once on [heads, n, d_head] tensors.  The rotary tables
 of a layout depend only on the layout, the rotary scales and the basis,
@@ -91,21 +93,26 @@ def scaled_dot_attention(Q, K, V, probs_out=None):
     return T.batched_matmul(probs, V)
 
 
-def _ref_attention_split(Q, K, V, q_ends, k_ends, probs_out=None):
-    """Reference attention over segments of query and key rows.
+def segment_attention(Q, K, V, q_ends, k_ends, probs_out=None):
+    """Attention over segments of query and key rows.
 
-    q_ends/k_ends are the row ends of shot 0 and of each later segment,
-    one entry per segment in both.  Shot-0 rows attend to shot-0 keys
-    only; segment i attends to the shot-0 keys followed by its own keys,
-    so each segment runs the products it would run on its own.  With one
-    later segment every row after shot 0 attends to all keys.
+    q_ends/k_ends are the row ends of segment 0 and of each later segment,
+    one entry per segment in both, ending at the row counts.  Segment-0
+    rows attend to segment-0 keys only; segment i attends to the segment-0
+    keys followed by its own keys, so each segment runs the products it
+    would run on its own.  One segment is plain attention: every row over
+    every key.  An empty later segment is skipped.
 
     probs_out receives each head's full [nq, nk] probability matrix, with
     zeros where a row may not look.
     """
     if len(q_ends) != len(k_ends):
-        raise ConfigError("reference attention: query and key segments differ in number")
+        raise ConfigError("segment attention: query and key segments differ in number")
     nq, nk = Q.shape[-2], K.shape[-2]
+    if q_ends[-1] != nq or k_ends[-1] != nk:
+        raise ShapeError("segment attention: segment ends do not match the row counts")
+    if len(q_ends) == 1:
+        return scaled_dot_attention(Q, K, V, probs_out=probs_out)
     nq0, nk0 = q_ends[0], k_ends[0]
     K0, V0 = T.slice_rows(K, 0, nk0), T.slice_rows(V, 0, nk0)
     probs = [] if probs_out is not None else None
@@ -128,15 +135,6 @@ def _ref_attention_split(Q, K, V, q_ends, k_ends, probs_out=None):
     return T.concat_rows(outs) if len(outs) > 1 else outs[0]
 
 
-def ref_attention(Q, K, V, layout, probs_out=None):
-    """Shot-0 rows attend only to shot-0 keys; each later segment of the
-    layout (its later shots, or one packed layout's) to shot 0 and itself."""
-    if Q.shape[-2] != layout.total_tokens or K.shape[-2] != layout.total_tokens:
-        raise ShapeError("ref_attention: token count does not match layout")
-    ends = layout.segment_ends
-    return _ref_attention_split(Q, K, V, ends, ends, probs_out=probs_out)
-
-
 @dataclass
 class ContextTokens:
     """Embedded caption tokens plus the shot index of every token row.
@@ -156,32 +154,30 @@ class ContextTokens:
             raise ShapeError("ContextTokens: shot index or segment ends do not match the rows")
 
 
-def _heads(x, w, heads):
-    return T.split_heads(T.matmul(x, w), heads)
+def _attention(x, x_kv, weights, heads, basis, q_tables, k_tables, q_ends, k_ends, probs_out):
+    """Project, rotate Q/K by their tables, attend over segments, merge heads."""
+    if x.shape[0] != q_ends[-1]:
+        raise ShapeError(f"token count {x.shape[0]} != layout tokens {q_ends[-1]}")
+    dh = x.shape[1] // heads
+    if basis.dim != dh:
+        raise ShapeError(f"basis dim {basis.dim} != head dim {dh}")
+    q = T.rope_pairs(T.split_heads(T.matmul(x, weights.wq), heads), *q_tables)
+    k = T.rope_pairs(T.split_heads(T.matmul(x_kv, weights.wk), heads), *k_tables)
+    v = T.split_heads(T.matmul(x_kv, weights.wv), heads)
+    out = segment_attention(q, k, v, q_ends, k_ends, probs_out=probs_out)
+    return T.matmul(T.merge_heads(out), weights.wo)
 
 
 def multishot_self_attention(
     tokens, layout, params, basis3d, weights, heads=4, use_ref=False, probs_out=None
 ):
-    """Full unmasked attention across all shots with TcRoPE-indexed Q/K."""
-    if tokens.shape[0] != layout.total_tokens:
-        raise ShapeError(
-            f"token count {tokens.shape[0]} != layout tokens {layout.total_tokens}"
-        )
-    d_model = tokens.shape[1]
-    dh = d_model // heads
-    if basis3d.dim != dh:
-        raise ShapeError(f"basis dim {basis3d.dim} != head dim {dh}")
-    cos, sin = _token_tables(basis3d, layout, params.j, tokens.dtype)
-
-    q = T.rope_pairs(_heads(tokens, weights.wq, heads), cos, sin)
-    k = T.rope_pairs(_heads(tokens, weights.wk, heads), cos, sin)
-    v = _heads(tokens, weights.wv, heads)
-    if use_ref:
-        out = ref_attention(q, k, v, layout, probs_out=probs_out)
-    else:
-        out = scaled_dot_attention(q, k, v, probs_out=probs_out)
-    return T.matmul(T.merge_heads(out), weights.wo)
+    """Full unmasked attention across all shots with TcRoPE-indexed Q/K;
+    with use_ref, over the layout's reference segments."""
+    tables = _token_tables(basis3d, layout, params.j, tokens.dtype)
+    ends = layout.segment_ends if use_ref else (layout.total_tokens,)
+    return _attention(
+        tokens, tokens, weights, heads, basis3d, tables, tables, ends, ends, probs_out
+    )
 
 
 def multishot_cross_attention(
@@ -198,37 +194,27 @@ def multishot_cross_attention(
     """Visual queries over concatenated per-shot caption tokens.
 
     Queries rotate by their token's shot index times k; keys by their
-    caption's shot index times k.  Values are left unrotated.
+    caption's shot index times k.  Values are left unrotated.  With
+    use_ref, the layout's segments attend over the context's.
     """
-    if tokens.shape[0] != layout.total_tokens:
-        raise ShapeError("cross attention: token count does not match layout")
     shots_present = set(int(s) for s in context.shot_index)
     if shots_present != set(range(layout.shot_count)):
         raise ConfigError(
             f"caption bundle covers shots {sorted(shots_present)}, "
             f"layout has {layout.shot_count} shots"
         )
-    d_model = tokens.shape[1]
-    dh = d_model // heads
-    if basis1d.dim != dh:
-        raise ShapeError(f"basis dim {basis1d.dim} != head dim {dh}")
-    nk0 = context.segment_ends[0]
-    if use_ref and not (
+    q_ends = layout.segment_ends if use_ref else (layout.total_tokens,)
+    k_ends = context.segment_ends if use_ref else (len(context.shot_index),)
+    nk0 = k_ends[0]
+    if len(k_ends) > 1 and not (
         np.all(context.shot_index[:nk0] == 0) and np.all(context.shot_index[nk0:] != 0)
     ):
         raise ConfigError("reference mode requires the shot-0 captions first")
-
-    qcos, qsin = _token_shot_tables(basis1d, layout, params.k, tokens.dtype)
-    kcos, ksin = _caption_shot_tables(
+    q_tables = _token_shot_tables(basis1d, layout, params.k, tokens.dtype)
+    k_tables = _caption_shot_tables(
         basis1d, tuple(context.shot_index.tolist()), params.k, tokens.dtype
     )
-    q = T.rope_pairs(_heads(tokens, weights.wq, heads), qcos, qsin)
-    k = T.rope_pairs(_heads(context.embeddings, weights.wk, heads), kcos, ksin)
-    v = _heads(context.embeddings, weights.wv, heads)
-    if use_ref:
-        out = _ref_attention_split(
-            q, k, v, layout.segment_ends, context.segment_ends, probs_out=probs_out
-        )
-    else:
-        out = scaled_dot_attention(q, k, v, probs_out=probs_out)
-    return T.matmul(T.merge_heads(out), weights.wo)
+    return _attention(
+        tokens, context.embeddings, weights, heads, basis1d, q_tables, k_tables, q_ends, k_ends,
+        probs_out,
+    )

@@ -10,6 +10,7 @@ never leaves a partial file under the final name.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from collections import OrderedDict
@@ -61,10 +62,10 @@ def _write_tensors(fh, named):
 
 
 def _read(fh, n, path):
-    raw = fh.read(n)
-    if len(raw) != n:
+    """The next n bytes; a file with fewer left is truncated, however large n is."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ConfigError(f"{path}: truncated tensor file")
-    return raw
+    return fh.read(n)
 
 
 def load_tensors(path):
@@ -84,7 +85,7 @@ def load_tensors(path):
                 raise ConfigError(f"{path}: tensor {i} has an invalid name") from exc
             (rank,) = struct.unpack("<B", _read(fh, 1, path))
             dims = struct.unpack(f"<{rank}I", _read(fh, 4 * rank, path))
-            raw = _read(fh, 4 * int(np.prod(dims, dtype=np.int64)), path)
+            raw = _read(fh, 4 * math.prod(dims), path)
             out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
         if fh.read(1):
             raise ConfigError(f"{path}: trailing bytes after {count} tensors")
@@ -112,6 +113,6 @@ def load_checkpoint(path):
             config = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"checkpoint sidecar not found: {sidecar}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or not UTF-8
         raise ConfigError(f"checkpoint sidecar {sidecar} is not valid JSON: {exc}") from exc
     return tensors, config

@@ -9,14 +9,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import analysis, engine, model as M, rope, synthetic as S, tensor as T
-from .checkpoint import load_checkpoint, save_checkpoint, write_json
-from .tensor import NUMERICS_VERSION, ConfigError, NumericError, ShapeError, check_config
+from .checkpoint import load_checkpoint, save_checkpoint, save_tensors, write_json
+from .tensor import NUMERICS_VERSION, ConfigError, NumericError, ShapeError, Tensor, check_config
 
 EXIT_OK = 0
 EXIT_TEST_FAILURE = 1
@@ -30,7 +31,7 @@ def load_run_config(path):
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or not UTF-8
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     check_config("run", raw, dict.fromkeys(("model", "train", "world"), dict))
     for section in ("model", "train", "world"):
@@ -41,7 +42,16 @@ def load_run_config(path):
     if "seed" not in raw["train"]:
         raise ConfigError("train.seed must be explicit")
     world = S.SyntheticWorld.from_config(raw["world"])  # requires world.seed
+    _check_model_fits_world(model_cfg, world)
     return model_cfg, train_cfg, world
+
+
+def _check_model_fits_world(model_cfg, world):
+    """The model reads the world's tokens and identities and embeds every caption id."""
+    if (model_cfg.d_token, model_cfg.d_id) != (world.d_token, world.d_id):
+        raise ConfigError("model d_token and d_id must equal the world's")
+    if model_cfg.v_scene < world.v_scene or model_cfg.v_mot < world.v_mot:
+        raise ConfigError("model v_scene and v_mot must be at least the world's")
 
 
 def write_loss_csv(path, log):
@@ -116,23 +126,31 @@ def _load_model(ckpt_path):
     if not os.path.exists(ckpt_path):
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     tensors, config = load_checkpoint(ckpt_path)
-    from .tensor import Tensor
-
     sections = ("model", "world")
     if not (isinstance(config, dict) and all(isinstance(config.get(s), dict) for s in sections)):
         raise ConfigError(f"checkpoint sidecar of {ckpt_path} needs 'model' and 'world' sections")
     model_cfg = M.DenoiserConfig.from_dict(config["model"])
     world = S.SyntheticWorld.from_config(config["world"])
+    _check_model_fits_world(model_cfg, world)
     census = M.params_census(tensors)
     expected = M.params_census(M.init_params(model_cfg, 0))
     wrong = sorted(n for n in set(census) | set(expected) if census.get(n) != expected.get(n))
     if wrong:
         raise ConfigError(f"checkpoint {ckpt_path}: tensors {wrong} do not match its model config")
+    if not all(np.isfinite(arr).all() for arr in tensors.values()):
+        raise ConfigError(f"checkpoint {ckpt_path}: tensors hold non-finite values")
     params = {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}
     return params, model_cfg, world, config
 
 
+def _require_finite(**flags):
+    for flag, value in flags.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"--{flag} must be finite, got {value}")
+
+
 def cmd_sample(args):
+    _require_finite(guidance=args.guidance, shift=args.shift)
     params, model_cfg, world, _ = _load_model(args.ckpt)
     specs = [parse_shot_spec(s) for s in args.shots]
     os.makedirs(args.out, exist_ok=True)
@@ -172,8 +190,6 @@ def cmd_sample(args):
             )
         ]
 
-    from .checkpoint import save_tensors
-
     metrics = []
     for i, (tokens, spec) in enumerate(zip(fields, specs)):
         path = os.path.join(args.out, f"sample{i:04d}.ecsh")
@@ -194,6 +210,9 @@ def cmd_sample(args):
 def cmd_curve(args):
     if args.dim % 2 != 0:
         raise ConfigError(f"--dim must be even, got {args.dim}")
+    _require_finite(step=args.step, xmax=args.xmax, k=args.k)
+    if args.step <= 0:
+        raise ConfigError(f"--step must be positive, got {args.step}")
     xs = np.arange(0.0, args.xmax + 1e-9, args.step)
     curve = analysis.delta_curve(args.dim, xs)
     analysis.write_curve_csv(curve, args.out)

@@ -279,7 +279,8 @@ def sample_infinite(
     Each attempt samples [ref_prompt] + its extra shots, exactly as
     `sample` would from the same noise.  All attempts are integrated
     together, one step at a time, in one PackedLayout field that holds
-    shot 0 once; an attempt that adds no shot returns that shot 0.
+    shot 0 once; an attempt that adds no shot is an empty segment of it
+    and returns that shot 0.
     """
     if not cfg.use_ref:
         raise ConfigError("sample_infinite requires the full+refattn variant")
@@ -290,16 +291,15 @@ def sample_infinite(
     specs = [[ref_prompt] + list(extra) for extra in new_specs]
     if not specs:
         return []
-    live = [a for a, spec in enumerate(specs) if len(spec) > 1] or [0]
-    packed = PackedLayout(tuple(build_layout(specs[a], world) for a in live))
+    packed = PackedLayout(tuple(build_layout(spec, world) for spec in specs))
     noise = [ref_noise]
     captions = []
-    for a, layout in zip(live, packed.layouts):
+    for a, (spec, layout) in enumerate(zip(specs, packed.layouts)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(a,)))
         noise.append(
             rng.standard_normal((layout.total_tokens - n0, world.d_token)).astype(np.float32)
         )
-        bundle = build_captions(specs[a])
+        bundle = build_captions(spec)
         if id_embedding is not None:
             bundle = condition_identity(bundle, id_embedding)
         captions.append(bundle)
@@ -307,8 +307,7 @@ def sample_infinite(
         params, cfg, np.concatenate(noise, axis=0), packed, tuple(captions),
         tuple(null_captions(c) for c in captions), steps, shift, guidance,
     )
-    fields = dict(zip(live, packed.unpack(z)))
-    return [fields[a] if a in fields else z[:n0].copy() for a in range(len(specs))]
+    return packed.unpack(z)
 
 
 # the oracle metrics of metrics_on_field, in the order reports list them

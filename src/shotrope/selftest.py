@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import analysis, rope, tensor as T
-from .attention import ref_attention
+from .attention import segment_attention
 from .model import DenoiserConfig, denoiser_forward, init_params, rf_loss
 from .shots import ShotLayout, ShotRopeParams
 from .synthetic import SyntheticWorld, make_batch
@@ -84,7 +84,8 @@ def _suite_refattn_isolation():
     q = rng.standard_normal((n, 16)).astype(np.float32)
     k = rng.standard_normal((n, 16)).astype(np.float32)
     v = rng.standard_normal((n, 16)).astype(np.float32)
-    base = ref_attention(Tensor(q), Tensor(k), Tensor(v), layout).data
+    ends = layout.segment_ends
+    base = segment_attention(Tensor(q), Tensor(k), Tensor(v), ends, ends).data
     n0 = layout.token_spans()[0][1]
     for _ in range(20):
         q2, k2, v2 = q.copy(), k.copy(), v.copy()
@@ -93,7 +94,7 @@ def _suite_refattn_isolation():
         q2[row, col] += 3.0
         k2[row, col] -= 2.0
         v2[row, col] += 1.0
-        out = ref_attention(Tensor(q2), Tensor(k2), Tensor(v2), layout).data
+        out = segment_attention(Tensor(q2), Tensor(k2), Tensor(v2), ends, ends).data
         if not np.array_equal(out[:n0], base[:n0]):
             return False, "shot-0 rows changed under late-shot perturbation"
     return True, ""

@@ -76,7 +76,11 @@ _ACTIVE_TAPE = None
 
 
 class GradTape:
-    """Ordered record of primitive ops; backward replays it in reverse."""
+    """Ordered record of primitive ops; backward replays it in reverse.
+
+    Each op records backward_fn(g), which maps the gradient g of its output
+    to one gradient per input.
+    """
 
     def __init__(self):
         self._nodes = []
@@ -105,10 +109,8 @@ class GradTape:
         for out, inputs, backward_fn in reversed(self._nodes):
             if out.grad is None:
                 continue
-            grads = backward_fn()
+            grads = backward_fn(out.grad)
             for inp, g in zip(inputs, grads):
-                if g is None or not isinstance(inp, Tensor):
-                    continue
                 if inp.grad is None:
                     inp.grad = np.asarray(g, dtype=inp.data.dtype).copy()
                 else:
@@ -166,7 +168,7 @@ def _make(out_data, inputs, backward_fn):
         i.requires_grad for i in inputs if isinstance(i, Tensor)
     ):
         out.requires_grad = True
-        _ACTIVE_TAPE.record(out, inputs, backward_fn(out))
+        _ACTIVE_TAPE.record(out, inputs, backward_fn)
     return out
 
 
@@ -182,17 +184,14 @@ def add(a, b):
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     out_data = a.data + b.data
 
-    def bw(out):
-        def run():
-            g = out.grad
-            if b.data.shape == g.shape:
-                gb = g
-            elif b.data.ndim == 1:
-                gb = g.sum(axis=0)
-            else:
-                gb = g.sum(axis=0, keepdims=True)
-            return g, gb
-        return run
+    def bw(g):
+        if b.data.shape == g.shape:
+            gb = g
+        elif b.data.ndim == 1:
+            gb = g.sum(axis=0)
+        else:
+            gb = g.sum(axis=0, keepdims=True)
+        return g, gb
 
     return _make(out_data, (a, b), bw)
 
@@ -203,10 +202,8 @@ def sub(a, b):
         raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
     out_data = a.data - b.data
 
-    def bw(out):
-        def run():
-            return out.grad, -out.grad
-        return run
+    def bw(g):
+        return g, -g
 
     return _make(out_data, (a, b), bw)
 
@@ -219,10 +216,8 @@ def mul(a, b):
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     out_data = a.data * b.data
 
-    def bw(out):
-        def run():
-            return out.grad * b.data, out.grad * a.data
-        return run
+    def bw(g):
+        return g * b.data, g * a.data
 
     return _make(out_data, (a, b), bw)
 
@@ -232,10 +227,8 @@ def scale(a, c):
     c = float(c)
     out_data = a.data * a.data.dtype.type(c)
 
-    def bw(out):
-        def run():
-            return (out.grad * a.data.dtype.type(c),)
-        return run
+    def bw(g):
+        return (g * a.data.dtype.type(c),)
 
     return _make(out_data, (a,), bw)
 
@@ -247,11 +240,8 @@ def _swap_last(a):
 def _matmul(a, b):
     out_data = a.data @ b.data
 
-    def bw(out):
-        def run():
-            g = out.grad
-            return g @ _swap_last(b.data), _swap_last(a.data) @ g
-        return run
+    def bw(g):
+        return g @ _swap_last(b.data), _swap_last(a.data) @ g
 
     return _make(out_data, (a, b), bw)
 
@@ -291,10 +281,8 @@ def transpose(a):
         raise ShapeError("transpose expects a tensor of at least 2 dims")
     out_data = np.ascontiguousarray(_swap_last(a.data))
 
-    def bw(out):
-        def run():
-            return (np.ascontiguousarray(_swap_last(out.grad)),)
-        return run
+    def bw(g):
+        return (np.ascontiguousarray(_swap_last(g)),)
 
     return _make(out_data, (a,), bw)
 
@@ -310,13 +298,9 @@ def softmax_rows(x):
     e = np.exp(shifted)
     out_data = e / e.sum(axis=-1, keepdims=True)
 
-    def bw(out):
-        def run():
-            g = out.grad
-            y = out.data
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            return (y * (g - dot),)
-        return run
+    def bw(g):
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
+        return (out_data * (g - dot),)
 
     return _make(out_data, (x,), bw)
 
@@ -332,14 +316,10 @@ def layernorm(x, eps=1e-5):
     xhat = centered * inv
     out_data = xhat.astype(x.data.dtype)
 
-    def bw(out):
-        def run():
-            g = out.grad
-            n = x.shape[1]
-            gmean = g.mean(axis=1, keepdims=True)
-            gx = (g * xhat).mean(axis=1, keepdims=True)
-            return (inv * (g - gmean - xhat * gx),)
-        return run
+    def bw(g):
+        gmean = g.mean(axis=1, keepdims=True)
+        gx = (g * xhat).mean(axis=1, keepdims=True)
+        return (inv * (g - gmean - xhat * gx),)
 
     return _make(out_data, (x,), bw)
 
@@ -354,13 +334,11 @@ def gelu(x):
     t = np.tanh(inner)
     out_data = (0.5 * x.data * (1.0 + t)).astype(x.data.dtype)
 
-    def bw(out):
-        def run():
-            sech2 = 1.0 - t * t
-            dinner = c * (1.0 + 3.0 * k * x.data ** 2)
-            d = 0.5 * (1.0 + t) + 0.5 * x.data * sech2 * dinner
-            return (out.grad * d.astype(x.data.dtype),)
-        return run
+    def bw(g):
+        sech2 = 1.0 - t * t
+        dinner = c * (1.0 + 3.0 * k * x.data ** 2)
+        d = 0.5 * (1.0 + t) + 0.5 * x.data * sech2 * dinner
+        return (g * d.astype(x.data.dtype),)
 
     return _make(out_data, (x,), bw)
 
@@ -369,10 +347,8 @@ def tsum(x):
     x = _as_tensor(x)
     out_data = np.asarray(x.data.sum(), dtype=x.data.dtype)
 
-    def bw(out):
-        def run():
-            return (np.full_like(x.data, out.grad),)
-        return run
+    def bw(g):
+        return (np.full_like(x.data, g),)
 
     return _make(out_data, (x,), bw)
 
@@ -381,10 +357,8 @@ def tmean(x):
     x = _as_tensor(x)
     out_data = np.asarray(x.data.mean(), dtype=x.data.dtype)
 
-    def bw(out):
-        def run():
-            return (np.full_like(x.data, out.grad / x.data.size),)
-        return run
+    def bw(g):
+        return (np.full_like(x.data, g / x.data.size),)
 
     return _make(out_data, (x,), bw)
 
@@ -404,10 +378,8 @@ def concat_rows(tensors):
     out_data = np.concatenate([t.data for t in tensors], axis=-2)
     splits = np.cumsum([t.shape[-2] for t in tensors])[:-1]
 
-    def bw(out):
-        def run():
-            return tuple(np.split(out.grad, splits, axis=-2))
-        return run
+    def bw(g):
+        return tuple(np.split(g, splits, axis=-2))
 
     return _make(out_data, tuple(tensors), bw)
 
@@ -419,12 +391,10 @@ def slice_rows(x, lo, hi):
         raise ShapeError("slice_rows expects a tensor of at least 2 dims")
     out_data = x.data[..., lo:hi, :].copy()
 
-    def bw(out):
-        def run():
-            g = np.zeros_like(x.data)
-            g[..., lo:hi, :] = out.grad
-            return (g,)
-        return run
+    def bw(g):
+        gx = np.zeros_like(x.data)
+        gx[..., lo:hi, :] = g
+        return (gx,)
 
     return _make(out_data, (x,), bw)
 
@@ -438,10 +408,8 @@ def split_heads(x, heads):
     n, d = x.shape
     out_data = x.data.reshape(n, heads, d // heads).transpose(1, 0, 2).copy()
 
-    def bw(out):
-        def run():
-            return (out.grad.transpose(1, 0, 2).reshape(n, d),)
-        return run
+    def bw(g):
+        return (g.transpose(1, 0, 2).reshape(n, d),)
 
     return _make(out_data, (x,), bw)
 
@@ -454,10 +422,8 @@ def merge_heads(x):
     heads, n, dh = x.shape
     out_data = x.data.transpose(1, 0, 2).copy().reshape(n, heads * dh)
 
-    def bw(out):
-        def run():
-            return (np.ascontiguousarray(out.grad.reshape(n, heads, dh).transpose(1, 0, 2)),)
-        return run
+    def bw(g):
+        return (np.ascontiguousarray(g.reshape(n, heads, dh).transpose(1, 0, 2)),)
 
     return _make(out_data, (x,), bw)
 
@@ -468,12 +434,10 @@ def gather_rows(table, indices):
     idx = np.asarray(indices, dtype=np.int64)
     out_data = table.data[idx].copy()
 
-    def bw(out):
-        def run():
-            g = np.zeros_like(table.data)
-            np.add.at(g, idx, out.grad)
-            return (g,)
-        return run
+    def bw(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, idx, g)
+        return (gt,)
 
     return _make(out_data, (table,), bw)
 
@@ -494,11 +458,8 @@ def rope_pairs(x, cos, sin):
         raise ShapeError("rope_pairs: last dim must be even")
     out_data = rotate_pairs(x.data, cos, sin)
 
-    def bw(out):
-        def run():
-            g = out.grad
-            return (g * cos - _pair_swap(g * sin),)
-        return run
+    def bw(g):
+        return (g * cos - _pair_swap(g * sin),)
 
     return _make(out_data, (x,), bw)
 

@@ -118,7 +118,7 @@ def test_c04_bound_curve_monotone_within_ripple():
 def test_c05_reference_isolation_bit_exact():
     """Shot-0 outputs are bit-identical under arbitrary perturbation of
     later shots and across fixed-reference sampling attempts."""
-    from shotrope.attention import ref_attention
+    from shotrope.attention import segment_attention
     from shotrope.shots import ShotLayout
 
     rng = np.random.default_rng(105)
@@ -128,14 +128,15 @@ def test_c05_reference_isolation_bit_exact():
     q = rng.standard_normal((n, 16)).astype(np.float32)
     k = rng.standard_normal((n, 16)).astype(np.float32)
     v = rng.standard_normal((n, 16)).astype(np.float32)
-    base = ref_attention(Tensor(q), Tensor(k), Tensor(v), layout).data
+    ends = layout.segment_ends
+    base = segment_attention(Tensor(q), Tensor(k), Tensor(v), ends, ends).data
     for _ in range(50):
         q2, k2, v2 = q.copy(), k.copy(), v.copy()
         rows = rng.integers(n0, n, size=4)
         q2[rows] += rng.standard_normal((4, 16)).astype(np.float32) * 10
         k2[rows] -= rng.standard_normal((4, 16)).astype(np.float32) * 10
         v2[rows] *= -3.0
-        out = ref_attention(Tensor(q2), Tensor(k2), Tensor(v2), layout).data
+        out = segment_attention(Tensor(q2), Tensor(k2), Tensor(v2), ends, ends).data
         assert np.array_equal(out[:n0], base[:n0])
 
     world = S.SyntheticWorld(seed=2, d_token=32, d_id=8, v_scene=4, v_mot=2, height=2, width=2)

@@ -6,13 +6,12 @@ from shotrope import tensor as T
 from shotrope.attention import (
     AttentionWeights,
     ContextTokens,
-    _ref_attention_split,
     _token_shot_tables,
     _token_tables,
     multishot_cross_attention,
     multishot_self_attention,
-    ref_attention,
     scaled_dot_attention,
+    segment_attention,
 )
 from shotrope.shots import PackedLayout, ShotLayout, ShotRopeParams
 from shotrope.tensor import ConfigError, ShapeError, Tensor
@@ -64,7 +63,7 @@ class TestRefAttention:
         q = Tensor(rng.standard_normal((n, 8)).astype(np.float32))
         k = Tensor(rng.standard_normal((n, 8)).astype(np.float32))
         v = Tensor(rng.standard_normal((n, 8)).astype(np.float32))
-        out = ref_attention(q, k, v, layout).data
+        out = segment_attention(q, k, v, layout.segment_ends, layout.segment_ends).data
         import shotrope.tensor as T
 
         restricted = scaled_dot_attention(
@@ -81,7 +80,7 @@ class TestRefAttention:
         v = Tensor(rng.standard_normal((n, 4)).astype(np.float32))
         n0 = layout.token_spans()[0][1]
         full = scaled_dot_attention(q, k, v).data
-        out = ref_attention(q, k, v, layout).data
+        out = segment_attention(q, k, v, layout.segment_ends, layout.segment_ends).data
         assert np.array_equal(out[n0:], full[n0:])
 
     def test_shot0_bit_identical_under_late_perturbation(self):
@@ -92,19 +91,20 @@ class TestRefAttention:
         q = rng.standard_normal((n, 8)).astype(np.float32)
         k = rng.standard_normal((n, 8)).astype(np.float32)
         v = rng.standard_normal((n, 8)).astype(np.float32)
-        base = ref_attention(Tensor(q), Tensor(k), Tensor(v), layout).data
+        ends = layout.segment_ends
+        base = segment_attention(Tensor(q), Tensor(k), Tensor(v), ends, ends).data
         q2, k2, v2 = q.copy(), k.copy(), v.copy()
         q2[n0:] += 5.0
         k2[n0:] -= 3.0
         v2[n0:] *= -2.0
-        out = ref_attention(Tensor(q2), Tensor(k2), Tensor(v2), layout).data
+        out = segment_attention(Tensor(q2), Tensor(k2), Tensor(v2), ends, ends).data
         assert np.array_equal(out[:n0], base[:n0])
 
     def test_token_count_mismatch(self):
         layout = ShotLayout((2, 2), 2, 2)
         bad = Tensor(np.zeros((3, 4), dtype=np.float32))
         with pytest.raises(ShapeError):
-            ref_attention(bad, bad, bad, layout)
+            segment_attention(bad, bad, bad, layout.segment_ends, layout.segment_ends)
 
 
 class TestSelfAttention:
@@ -485,7 +485,7 @@ def test_rope_sign_fault_reaches_oracles_and_model(monkeypatch):
 
 def _two_part_split(Q, K, V, nq0, nk0, probs_out=None):
     """The reference split as two blocks: rows :nq0 over keys :nk0, later
-    rows over all keys; the one-segment case of _ref_attention_split."""
+    rows over all keys; segment_attention with one later segment."""
     nq, nk = Q.shape[-2], K.shape[-2]
     p0, p_rest = [], []
     out = scaled_dot_attention(
@@ -511,7 +511,7 @@ def test_one_segment_split_equals_two_part_split(nq0, nq, nk0, nk):
     )
     want_probs, got_probs = [], []
     want = _two_part_split(Q, K, V, nq0, nk0, probs_out=want_probs)
-    got = _ref_attention_split(Q, K, V, (nq0, nq), (nk0, nk), probs_out=got_probs)
+    got = segment_attention(Q, K, V, (nq0, nq), (nk0, nk), probs_out=got_probs)
     assert np.array_equal(got.data, want.data)
     assert len(got_probs) == len(want_probs) == 2
     for g, w in zip(got_probs, want_probs):
@@ -528,13 +528,14 @@ def test_packed_segments_equal_each_layout_alone():
     n = packed.total_tokens
     Q, K, V = (Tensor(rng.standard_normal((2, n, 6)).astype(np.float32)) for _ in range(3))
     probs = []
-    got = ref_attention(Q, K, V, packed, probs_out=probs).data
     ends = packed.segment_ends
+    got = segment_attention(Q, K, V, ends, ends, probs_out=probs).data
     assert ends == (8, 12, 28, 36)
     for layout, rows in zip(packed.layouts, packed.unpack(np.arange(n))):
         alone_probs = []
         parts = [Tensor(np.ascontiguousarray(X.data[:, rows])) for X in (Q, K, V)]
-        alone = ref_attention(*parts, layout, probs_out=alone_probs).data
+        lay_ends = layout.segment_ends
+        alone = segment_attention(*parts, lay_ends, lay_ends, probs_out=alone_probs).data
         assert np.array_equal(got[:, rows], alone)
         for p, a in zip(probs, alone_probs):
             assert np.array_equal(p[np.ix_(rows, rows)], a)
@@ -553,3 +554,48 @@ def test_packed_tables_are_each_layouts_tables():
             for lay_tab, lay_rows in zip(tabs, packed.unpack(np.arange(packed.total_tokens))):
                 assert np.array_equal(g[lay_rows], lay_tab)
             assert not g.flags.writeable
+
+
+def test_one_segment_is_plain_attention():
+    """With one segment every row sees every key: the whole Q/K/V go to
+    scaled_dot_attention, with no extra tape nodes."""
+    rng = np.random.default_rng(52)
+    Q, K, V = (
+        Tensor(rng.standard_normal((2, n, 6)).astype(np.float32), requires_grad=True)
+        for n in (9, 5, 5)
+    )
+    results = []
+    for attend in (
+        lambda probs: scaled_dot_attention(Q, K, V, probs_out=probs),
+        lambda probs: segment_attention(Q, K, V, (9,), (5,), probs_out=probs),
+    ):
+        probs = []
+        with T.GradTape() as tape:
+            out = attend(probs)
+        results.append((out.data, probs, len(tape._nodes)))
+    (want, want_probs, want_nodes), (got, got_probs, got_nodes) = results
+    assert np.array_equal(got, want)
+    assert got_nodes == want_nodes
+    assert len(got_probs) == len(want_probs) == 2
+    for g, w in zip(got_probs, want_probs):
+        assert np.array_equal(g, w)
+
+
+def test_empty_later_segment_is_skipped():
+    rng = np.random.default_rng(53)
+    Q, K, V = (Tensor(rng.standard_normal((2, 12, 6)).astype(np.float32)) for _ in range(3))
+    want_probs, got_probs = [], []
+    want = segment_attention(Q, K, V, (4, 12), (4, 12), probs_out=want_probs).data
+    got = segment_attention(Q, K, V, (4, 4, 12, 12), (4, 4, 12, 12), probs_out=got_probs).data
+    assert np.array_equal(got, want)
+    for g, w in zip(got_probs, want_probs):
+        assert np.array_equal(g, w)
+
+
+def test_segment_ends_must_end_at_row_counts():
+    x = Tensor(np.zeros((2, 6, 4), dtype=np.float32))
+    for q_ends, k_ends in (((5,), (6,)), ((6,), (7,)), ((2, 5), (2, 6))):
+        with pytest.raises(ShapeError):
+            segment_attention(x, x, x, q_ends, k_ends)
+    with pytest.raises(ConfigError):
+        segment_attention(x, x, x, (2, 6), (6,))

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -73,6 +74,12 @@ class TestRunConfig:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
+        with pytest.raises(ConfigError):
+            cli.load_run_config(str(path))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\x80" + json.dumps(SMALL_CONFIG).encode())
         with pytest.raises(ConfigError):
             cli.load_run_config(str(path))
 
@@ -165,6 +172,20 @@ class TestConfigRanges:
         rc = cli.main(["train", "--config", str(path), "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value", [("d_token", 16), ("d_id", 4), ("v_scene", 2), ("v_mot", 1)]
+    )
+    def test_model_must_fit_the_world(self, tmp_path, key, value, capsys):
+        """The model reads the world's tokens and identity vectors and embeds
+        every scene and motion id the world can caption."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(_with("model", key, value)))
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--config", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_top_level_must_be_an_object(self, tmp_path, capsys):
@@ -436,6 +457,26 @@ def _edit_sidecar(edit):
     return run
 
 
+def _declare_extents(dims):
+    """Replace the tensor file by one whose header declares dims over 16 bytes."""
+    def run(path):
+        header = b"ECSH" + struct.pack("<IIH", 1, 1, 1) + b"x" + struct.pack("<B", len(dims))
+        with open(path, "wb") as fh:
+            fh.write(header + struct.pack(f"<{len(dims)}I", *dims) + b"\0" * 16)
+    return run
+
+
+def _non_finite_weight(path):
+    tensors = load_tensors(path)
+    tensors["block0/sa/wq"][0, 0] = np.nan
+    save_tensors(path, tensors)
+
+
+def _sidecar_not_utf8(path):
+    with open(path + ".json", "r+b") as fh:
+        fh.write(b"\x80")
+
+
 def _remove_sidecar(path):
     os.remove(path + ".json")
 
@@ -467,10 +508,18 @@ class TestMalformedCheckpoint:
             _garble_sidecar,
             _edit_sidecar(lambda c: c.pop("world")),
             _edit_sidecar(lambda c: c["world"].update(colour=1)),
+            _declare_extents((100000, 100000, 100)),
+            _declare_extents((2**31, 2**31, 4)),
+            _edit_sidecar(lambda c: c["world"].update(d_token=16)),
+            _edit_sidecar(lambda c: c["world"].update(v_scene=9)),
+            _non_finite_weight,
+            _sidecar_not_utf8,
         ],
         ids=[
             "missing-tensor", "wrong-shape", "truncated-header", "trailing-bytes",
             "missing-sidecar", "malformed-sidecar", "no-world-section", "unknown-world-key",
+            "huge-extents", "int64-overflowing-extents", "world-d_token", "world-v_scene",
+            "non-finite-weight", "sidecar-not-utf8",
         ],
     )
     def test_sample_exits_with_usage_error(self, tmp_path, trained, corrupt, capsys):
@@ -502,6 +551,134 @@ class TestCurveCommand:
     def test_odd_dim_rejected(self, tmp_path, capsys):
         rc = cli.main(["curve", "--dim", "5", "--out", str(tmp_path / "c.csv")])
         assert rc == cli.EXIT_CONFIG
+
+
+class TestNumericFlags:
+    """A numeric flag that is not finite, or a non-positive --step, is a
+    usage error at command entry: nothing is written."""
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("step", "0"), ("step", "-0.5"), ("step", "nan"), ("xmax", "inf"), ("xmax", "nan"),
+         ("k", "nan"), ("k", "-inf")],
+    )
+    def test_curve(self, tmp_path, flag, value, capsys):
+        out = tmp_path / "c.csv"
+        rc = cli.main(["curve", "--dim", "4", f"--{flag}={value}", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"--{flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value", [("guidance", "nan"), ("guidance", "inf"), ("shift", "nan"), ("shift", "inf")]
+    )
+    def test_sample(self, tmp_path, refattn_ckpt, flag, value, capsys):
+        out = tmp_path / "s"
+        rc = cli.main(["sample", "--ckpt", refattn_ckpt, "--shots", "n=2,scene=0",
+                       "--steps", "1", f"--{flag}={value}", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"--{flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def refattn_ckpt(tmp_path_factory):
+    """A small full+refattn checkpoint, for the commands that only read it."""
+    out = tmp_path_factory.mktemp("refattn")
+    config = out / "run.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    args = ["train", "--config", str(config), "--out", str(out), "--variant", "full+refattn"]
+    assert cli.main(args) == cli.EXIT_OK
+    return str(out / "checkpoint.ecsh")
+
+
+# shot spec strings, well- and ill-formed: segments from the grammar with
+# small values, or from its pieces; every frame count is at most 8, so that
+# a spec that samples stays tiny
+_SPEC_PART = st.one_of(
+    st.tuples(
+        st.sampled_from(["n", "scene", "motion", "", "x", " n"]),
+        st.sampled_from(["=", "", "=="]),
+        st.sampled_from(["-1", "0", "2", "8", "", "x", " 2", "+1", "1.5", "1e2"]),
+    ).map("".join),
+    st.sampled_from(["", " ", ";", "=", ","]),
+)
+_WELL_FORMED = st.builds(
+    "n={},scene={}{}".format, st.integers(1, 3), st.integers(0, 7),
+    st.sampled_from(["", ",motion=1", ",motion=3"]),
+)
+_SEGMENT = st.one_of(
+    _WELL_FORMED, _WELL_FORMED, st.lists(_SPEC_PART, min_size=1, max_size=4).map(",".join)
+)
+
+
+@st.composite
+def _shot_groups(draw):
+    """One to three --shots strings; a later one mostly starts with the
+    first one's first segment, as --ref-attn requires."""
+    first = draw(st.lists(_SEGMENT, min_size=1, max_size=3))
+    groups = [first]
+    for _ in range(draw(st.integers(0, 2))):
+        shared = draw(st.booleans()) or draw(st.booleans())
+        head = first[:1] if shared else [draw(_SEGMENT)]
+        groups.append(head + draw(st.lists(_SEGMENT, max_size=2)))
+    return [";".join(g) for g in groups]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(groups=_shot_groups(), flip_ref_attn=st.booleans())
+def test_shot_specs_sample_or_exit_2(refattn_ckpt, tmp_path_factory, groups, flip_ref_attn):
+    """Whatever the --shots strings, `sample` exits 0 or 2 and never raises."""
+    ref_attn = (len(groups) > 1) != flip_ref_attn
+    argv = ["sample", "--ckpt", refattn_ckpt, "--steps", "1"]
+    for spec in groups:
+        argv += ["--shots", spec]
+    out = tmp_path_factory.mktemp("specs")
+    rc = cli.main(argv + ["--ref-attn"] * ref_attn + ["--out", str(out)])
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG)
+
+
+def _data_bytes(path):
+    """Offsets of the float data bytes of a well-formed tensor file."""
+    raw = path.read_bytes()
+    pos, data = 12, set()
+    for _ in range(struct.unpack("<I", raw[8:12])[0]):
+        (nlen,) = struct.unpack("<H", raw[pos : pos + 2])
+        pos += 2 + nlen
+        rank = raw[pos]
+        dims = struct.unpack(f"<{rank}I", raw[pos + 1 : pos + 1 + 4 * rank])
+        pos += 1 + 4 * rank
+        size = 4 * int(np.prod(dims))
+        data.update(range(pos, pos + size))
+        pos += size
+    return data
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_samples_or_exits_2(refattn_ckpt, tmp_path_factory, data):
+    """Byte replacements in a checkpoint's tensor file or sidecar: `sample`
+    exits 0 or 2 and never raises.  Exit 3, numeric divergence, is the
+    contract only when float data changed: finite weights can be large
+    enough to overflow the forward."""
+    work = tmp_path_factory.mktemp("mutated")
+    files = {"tensors": work / "checkpoint.ecsh", "sidecar": work / "checkpoint.ecsh.json"}
+    shutil.copy(refattn_ckpt, files["tensors"])
+    shutil.copy(refattn_ckpt + ".json", files["sidecar"])
+    blobs = {name: bytearray(path.read_bytes()) for name, path in files.items()}
+    in_data = _data_bytes(files["tensors"])
+    touched_data = False
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        name = data.draw(st.sampled_from(sorted(files)), label="file")
+        i = data.draw(st.integers(0, len(blobs[name]) - 1), label="offset")
+        blobs[name][i] = data.draw(st.integers(0, 255), label="byte")
+        touched_data |= name == "tensors" and i in in_data
+    for name, path in files.items():
+        path.write_bytes(blobs[name])
+    rc = cli.main(["sample", "--ckpt", str(files["tensors"]), "--shots", "n=2,scene=0;n=1,scene=1",
+                   "--steps", "1", "--out", str(work / "s")])
+    allowed = (cli.EXIT_OK, cli.EXIT_CONFIG) + ((cli.EXIT_NUMERIC,) if touched_data else ())
+    assert rc in allowed
 
 
 class TestAblateCommand:

@@ -24,6 +24,9 @@ EXIT_TEST_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# most grid points `curve` evaluates; each costs one Python-level partial sum
+CURVE_MAX_POINTS = 100_000
+
 
 def load_run_config(path):
     if not os.path.exists(path):
@@ -213,7 +216,13 @@ def cmd_curve(args):
     _require_finite(step=args.step, xmax=args.xmax, k=args.k)
     if args.step <= 0:
         raise ConfigError(f"--step must be positive, got {args.step}")
-    xs = np.arange(0.0, args.xmax + 1e-9, args.step)
+    stop = args.xmax + 1e-9
+    if stop / args.step > CURVE_MAX_POINTS:
+        raise ConfigError(
+            f"--xmax {args.xmax:g} at --step {args.step:g} is more than "
+            f"{CURVE_MAX_POINTS} grid points"
+        )
+    xs = np.arange(0.0, stop, args.step)
     curve = analysis.delta_curve(args.dim, xs)
     analysis.write_curve_csv(curve, args.out)
     basis = rope.make_basis_1d(args.dim)

@@ -108,6 +108,11 @@ class AdamW:
         self.t = 0
 
     def step(self, params):
+        """Update every parameter that has a gradient, in place.
+
+        The step consumes p.grad: it uses the array as scratch and sets
+        p.grad to None.
+        """
         c = self.cfg
         self.t += 1
         b1c = 1.0 - c.beta1 ** self.t
@@ -116,17 +121,24 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
+            p.grad = None
             m = self.m[name]
             v = self.v[name]
             m *= c.beta1
             m += (1.0 - c.beta1) * g
+            g *= g
+            g *= 1.0 - c.beta2
             v *= c.beta2
-            v += (1.0 - c.beta2) * (g * g)
-            update = (m / b1c) / (np.sqrt(v / b2c) + c.adam_eps)
-            p.data -= np.float32(c.lr) * (update + c.weight_decay * p.data).astype(
-                np.float32
-            )
-            p.grad = None
+            v += g
+            # update = (m / b1c) / (sqrt(v / b2c) + eps) + wd * p, times lr
+            update = m / b1c
+            denom = v / b2c
+            np.sqrt(denom, out=denom)
+            denom += c.adam_eps
+            update /= denom
+            update += c.weight_decay * p.data
+            update *= c.lr
+            p.data -= update
 
 
 def _step_rng(seed, step):

@@ -14,6 +14,7 @@ over identical inputs are bit-identical.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -50,7 +51,8 @@ def _has_type(value, want):
 def check_config(what, d, types):
     """Return d after checking it against types, which maps each key to its type.
 
-    Raises ConfigError on a key types lacks or a value of another type.
+    Raises ConfigError on a key types lacks, a value of another type, or a
+    float that is NaN or infinite (JSON's `NaN` and `Infinity` literals).
     An int passes for a float, and a list for a tuple; tuple fields hold ints.
     """
     if not isinstance(d, dict):
@@ -63,6 +65,8 @@ def check_config(what, d, types):
             raise ConfigError(
                 f"{what} config {key!r} must be {types[key].__name__}, got {value!r}"
             )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{what} config {key!r} must be finite, got {value!r}")
     return d
 
 
@@ -79,7 +83,13 @@ class GradTape:
     """Ordered record of primitive ops; backward replays it in reverse.
 
     Each op records backward_fn(g), which maps the gradient g of its output
-    to one gradient per input.
+    to one gradient per input, or None for an input that needs none.  Each
+    gradient has one owner.  backward takes g from its output (an output's
+    .grad is None afterwards, so only leaves keep .grad) and hands each
+    returned array to its input without a copy.  Returned arrays are fresh
+    or views of g.  Distinct arrays must not overlap; one array returned
+    twice (`add`) is copied for its second owner.  An input with
+    requires_grad False receives no .grad.
     """
 
     def __init__(self):
@@ -107,14 +117,21 @@ class GradTape:
             raise NumericError("non-finite loss")
         loss.grad = np.ones((), dtype=loss.data.dtype)
         for out, inputs, backward_fn in reversed(self._nodes):
-            if out.grad is None:
+            g_out = out.grad
+            if g_out is None:
                 continue
-            grads = backward_fn(out.grad)
-            for inp, g in zip(inputs, grads):
-                if inp.grad is None:
-                    inp.grad = np.asarray(g, dtype=inp.data.dtype).copy()
-                else:
+            out.grad = None
+            handed = []
+            for inp, g in zip(inputs, backward_fn(g_out)):
+                if g is None or not inp.requires_grad:
+                    continue
+                if inp.grad is not None:
                     inp.grad += g
+                elif any(g is h for h in handed):
+                    inp.grad = np.array(g, dtype=inp.data.dtype)
+                else:
+                    inp.grad = np.asarray(g, dtype=inp.data.dtype)
+                    handed.append(g)
 
 
 class Tensor:
@@ -241,7 +258,9 @@ def _matmul(a, b):
     out_data = a.data @ b.data
 
     def bw(g):
-        return g @ _swap_last(b.data), _swap_last(a.data) @ g
+        ga = g @ _swap_last(b.data) if a.requires_grad else None
+        gb = _swap_last(a.data) @ g if b.requires_grad else None
+        return ga, gb
 
     return _make(out_data, (a, b), bw)
 

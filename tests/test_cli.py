@@ -159,10 +159,14 @@ class TestConfigRanges:
             ("train", "shot_len_range", [1, 2, 3]),
             ("train", "beta1", 1.0),
             ("world", "height", 0),
+            ("model", "j", float("nan")),
+            ("world", "sigma", float("nan")),
+            ("model", "rope_base", float("inf")),
         ],
         ids=[
             "model-heads-0", "model-j-neg", "model-d_model-neg", "model-dropout-above-1",
             "train-range-lo-0", "train-range-3-items", "train-beta1-1", "world-height-0",
+            "model-j-nan", "world-sigma-nan", "model-rope_base-inf",
         ],
     )
     def test_train_exits_with_usage_error(self, tmp_path, section, key, value, capsys):
@@ -210,6 +214,7 @@ _FIELDS = [
 # large, so that a config that still trains stays tiny
 _BAD_VALUES = [
     0, -1, -8, 0.0, -0.5, 1.0, 1.5, 2.5, "4", None, True, [0, 2], [1, 2, 3], [3, 1], [], {},
+    float("nan"), float("inf"), float("-inf"),
 ]
 _NON_OBJECTS = [5, "x", None, [], [{}]]
 _MUTATION = st.one_of(
@@ -551,6 +556,16 @@ class TestCurveCommand:
     def test_odd_dim_rejected(self, tmp_path, capsys):
         rc = cli.main(["curve", "--dim", "5", "--out", str(tmp_path / "c.csv")])
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("xmax,step", [("1e7", "1e-3"), ("1e300", "1e-300")])
+    def test_grid_too_large_rejected(self, tmp_path, xmax, step, capsys):
+        """The grid is counted before it is built: a grid that would not
+        fit in memory is a usage error, and nothing is written."""
+        out = tmp_path / "c.csv"
+        rc = cli.main(["curve", "--dim", "4", "--xmax", xmax, "--step", step, "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert str(cli.CURVE_MAX_POINTS) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNumericFlags:

@@ -101,6 +101,39 @@ class TestAdamW:
         assert p["w"].grad is None
 
 
+    def test_in_place_step_equals_the_plain_expression(self):
+        """Three steps with weight decay give the same bits as AdamW written
+        as one numpy expression per moment and per update."""
+        cfg = E.TrainConfig(steps=1, lr=3e-3, weight_decay=0.05)
+        rng = np.random.default_rng(30)
+        shapes = {"w": (5, 7), "b": (7,), "e": (3, 2, 4), "s": (1, 1)}
+        start = {n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()}
+        p = {n: Tensor(a.copy(), requires_grad=True) for n, a in start.items()}
+        want = {n: a.copy() for n, a in start.items()}
+        m = {n: np.zeros_like(a) for n, a in start.items()}
+        v = {n: np.zeros_like(a) for n, a in start.items()}
+        opt = E.AdamW(p, cfg)
+        for t in range(1, 4):
+            grads = {n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()}
+            for n in p:
+                p[n].grad = grads[n].copy()
+            opt.step(p)
+            b1c = 1.0 - cfg.beta1**t
+            b2c = 1.0 - cfg.beta2**t
+            for n, g in grads.items():
+                m[n] *= cfg.beta1
+                m[n] += (1.0 - cfg.beta1) * g
+                v[n] *= cfg.beta2
+                v[n] += (1.0 - cfg.beta2) * (g * g)
+                update = (m[n] / b1c) / (np.sqrt(v[n] / b2c) + cfg.adam_eps)
+                want[n] -= np.float32(cfg.lr) * (update + cfg.weight_decay * want[n]).astype(
+                    np.float32
+                )
+                assert np.array_equal(p[n].data, want[n]), (t, n)
+                assert np.array_equal(opt.m[n], m[n]) and np.array_equal(opt.v[n], v[n])
+                assert p[n].grad is None
+
+
 class TestPromptHelpers:
     def test_build_layout_and_captions(self, small_world):
         spec = [E.ShotPrompt(frames=2, scene=1), E.ShotPrompt(frames=3, scene=0, motion=1)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shotrope import tensor as T
+from shotrope import engine as E, model as M, synthetic as S, tensor as T
 from shotrope.tensor import GradTape, NumericError, ShapeError, Tensor, grad_check
 
 
@@ -288,3 +288,147 @@ def test_op_outputs_do_not_alias_inputs():
         assert not np.shares_memory(out.data, x.data)
     y = Tensor(np.ones((3, 4), dtype=np.float32))
     assert not np.shares_memory(T.split_heads(y, 1).data, y.data)
+
+
+
+# -- gradient ownership: one owner per gradient, only leaves keep .grad ------
+
+def _reference_backward(tape, loss):
+    """The backward the tape ran before gradients had one owner: every
+    first gradient is copied and no gradient is released.  A None gradient
+    (an input that needs none) is skipped."""
+    loss.grad = np.ones((), dtype=loss.data.dtype)
+    for out, inputs, backward_fn in reversed(tape._nodes):
+        if out.grad is None:
+            continue
+        for inp, g in zip(inputs, backward_fn(out.grad)):
+            if g is None:
+                continue
+            if inp.grad is None:
+                inp.grad = np.asarray(g, dtype=inp.data.dtype).copy()
+            else:
+                inp.grad += g
+
+
+def _leaves(rng, *shapes):
+    return [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True) for s in shapes]
+
+
+def _graph_add(rng):
+    a, b = _leaves(rng, (3, 4), (3, 4))
+    return T.tsum(T.add(a, b)), [a, b]
+
+
+def _graph_sub(rng):
+    a, b = _leaves(rng, (3, 4), (3, 4))
+    return T.tsum(T.mul(T.sub(a, b), T.sub(b, a))), [a, b]
+
+
+def _graph_concat_slice(rng):
+    a, b, c = _leaves(rng, (2, 2, 3), (2, 3, 3), (2, 1, 3))
+    cat = T.concat_rows([a, b, c])
+    return T.tsum(T.mul(T.slice_rows(cat, 1, 5), T.slice_rows(cat, 2, 6))), [a, b, c]
+
+
+def _graph_square(rng):
+    a, b = _leaves(rng, (3, 4), (3, 4))
+    t = T.add(a, b)
+    return T.tsum(T.mul(t, t)), [a, b]
+
+
+def _graph_heads(rng):
+    a, b = _leaves(rng, (5, 8), (5, 8))
+    probe = Tensor(rng.standard_normal((5, 8)).astype(np.float32))
+    split = T.split_heads(T.add(a, b), 2)
+    merged = T.merge_heads(T.add(split, split))
+    return T.tsum(T.mul(T.add(merged, a), probe)), [a, b]
+
+
+_GRAPHS = [_graph_add, _graph_sub, _graph_concat_slice, _graph_square, _graph_heads]
+
+
+@pytest.mark.parametrize("graph", _GRAPHS, ids=lambda f: f.__name__[len("_graph_"):])
+def test_backward_hands_each_gradient_to_one_owner(graph):
+    """No two leaves' gradients share memory, no op output keeps a
+    gradient, and the leaves' gradients equal the copying backward's."""
+    with GradTape() as tape:
+        loss, leaves = graph(np.random.default_rng(20))
+        tape.backward(loss)
+    for i, a in enumerate(leaves):
+        assert a.grad is not None and a.grad.shape == a.shape
+        for b in leaves[i + 1:]:
+            assert not np.shares_memory(a.grad, b.grad)
+    assert all(out.grad is None for out, _, _ in tape._nodes)
+    with GradTape() as ref_tape:
+        ref_loss, ref_leaves = graph(np.random.default_rng(20))
+        _reference_backward(ref_tape, ref_loss)
+    for leaf, ref in zip(leaves, ref_leaves):
+        assert np.array_equal(leaf.grad, ref.grad)
+
+
+def test_input_without_grad_gets_none():
+    """A constant input receives no gradient, and matmul does not compute one."""
+    rng = np.random.default_rng(22)
+    z = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
+    w, b, c = _leaves(rng, (4, 2), (2,), (3, 4))
+    with GradTape() as tape:
+        h = T.add(T.matmul(z, w), b)
+        loss = T.add(T.tsum(T.mul(h, h)), T.tsum(T.mul(z, c)))
+        tape.backward(loss)
+    assert z.grad is None
+    assert all(leaf.grad is not None for leaf in (w, b, c))
+    product = next(fn for _, inputs, fn in tape._nodes if inputs == (z, w))
+    gz, gw = product(np.ones((3, 2), dtype=np.float32))
+    assert gz is None and gw.shape == (4, 2)
+
+
+_SMALL_WORLD = dict(seed=2, d_token=32, d_id=8, v_scene=4, v_mot=2, height=2, width=2)
+_SMALL_MODEL = dict(d_model=24, blocks=1, heads=2, ffn_mult=2, d_token=32, d_id=8)
+
+
+def _train_two_steps(variant, pmt2v):
+    cfg = M.DenoiserConfig(variant=variant, **_SMALL_MODEL)
+    tcfg = E.TrainConfig(steps=2, batch_size=2, seed=4, pmt2v=pmt2v, id_dropout=0.0)
+    params, _ = E.train(cfg, tcfg, S.SyntheticWorld(**_SMALL_WORLD))
+    return params
+
+
+@pytest.mark.parametrize("pmt2v", [False, True], ids=["plain", "pmt2v"])
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_train_gradients_equal_copying_backward(variant, pmt2v, monkeypatch):
+    """On a small denoiser, the gradients engine.train accumulates over two
+    samples and hands to AdamW are the copying backward's, bit for bit."""
+    seen = []
+    step = E.AdamW.step
+
+    def recording_step(self, params):
+        seen.append({n: p.grad.copy() for n, p in params.items() if p.grad is not None})
+        step(self, params)
+
+    monkeypatch.setattr(E.AdamW, "step", recording_step)
+    got_params = _train_two_steps(variant, pmt2v)
+    got = seen[:]
+    seen.clear()
+    monkeypatch.setattr(T.GradTape, "backward", _reference_backward)
+    want_params = _train_two_steps(variant, pmt2v)
+    assert len(got) == len(seen) == 2
+    for got_step, want_step in zip(got, seen):
+        assert got_step.keys() == want_step.keys()
+        for name in want_step:
+            assert np.array_equal(got_step[name], want_step[name]), name
+    for name in want_params:
+        assert np.array_equal(got_params[name].data, want_params[name].data), name
+
+
+def test_denoiser_latent_gets_no_gradient():
+    world = S.SyntheticWorld(**_SMALL_WORLD)
+    cfg = M.DenoiserConfig(**_SMALL_MODEL)
+    params = M.init_params(cfg, seed=0)
+    sample = S.make_batch(world, 1, shot_count_range=(2, 2), shot_len_range=(2, 2), seed=5)[0]
+    z = Tensor(sample.tokens)
+    with GradTape() as tape:
+        pred = M.denoiser_forward(z, 0.5, sample.captions, sample.layout, cfg, params)
+        tape.backward(T.tmean(T.mul(pred, pred)))
+    assert z.grad is None
+    assert params["in_proj/w"].grad is not None and params["time_proj/w"].grad is not None
+    assert all(out.grad is None for out, _, _ in tape._nodes)

@@ -132,14 +132,3 @@ def write_curve_csv(curve, path):
         writer.writerow(["x", "f", "delta"])
         for x, f, d in zip(curve.xs, curve.f, curve.delta):
             writer.writerow([repr(float(x)), repr(float(f)), repr(float(d))])
-
-
-def write_heatmap_csv(matrix, path):
-    matrix = np.asarray(matrix)
-    n = matrix.shape[0]
-    labels = [f"shot_{i}" for i in range(n)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + labels)
-        for i in range(n):
-            writer.writerow([labels[i]] + [repr(float(v)) for v in matrix[i]])

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -26,6 +27,11 @@ EXIT_NUMERIC = 3
 
 # most grid points `curve` evaluates; each costs one Python-level partial sum
 CURVE_MAX_POINTS = 100_000
+# largest `curve --dim`; each grid point sums dim/2 complex terms
+CURVE_MAX_DIM = 4096
+# most tokens in one `sample --shots` group; peak memory grows with its square:
+# one default-model shot peaks at 331 MB with 2,048 tokens and 1.1 GB with 4,096
+SAMPLE_MAX_TOKENS = 4096
 
 
 def load_run_config(path):
@@ -40,21 +46,31 @@ def load_run_config(path):
     for section in ("model", "train", "world"):
         if section not in raw:
             raise ConfigError(f"config missing section {section!r}")
-    model_cfg = M.DenoiserConfig.from_dict(raw["model"])
+    model_cfg, world = _model_and_world(raw)
     train_cfg = engine.TrainConfig.from_dict(raw["train"])
     if "seed" not in raw["train"]:
         raise ConfigError("train.seed must be explicit")
-    world = S.SyntheticWorld.from_config(raw["world"])  # requires world.seed
-    _check_model_fits_world(model_cfg, world)
     return model_cfg, train_cfg, world
 
 
-def _check_model_fits_world(model_cfg, world):
-    """The model reads the world's tokens and identities and embeds every caption id."""
+def _model_and_world(config):
+    """A run config's or sidecar's model and world; the model reads the world's tokens,
+    identities and caption ids."""
+    model_cfg = M.DenoiserConfig.from_dict(config["model"])
+    world = S.SyntheticWorld.from_config(config["world"])  # requires world.seed
     if (model_cfg.d_token, model_cfg.d_id) != (world.d_token, world.d_id):
         raise ConfigError("model d_token and d_id must equal the world's")
     if model_cfg.v_scene < world.v_scene or model_cfg.v_mot < world.v_mot:
         raise ConfigError("model v_scene and v_mot must be at least the world's")
+    return model_cfg, world
+
+
+def _make_dir(path):
+    """Make the output directory path; one that cannot be made is a usage error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
 
 
 def write_loss_csv(path, log):
@@ -77,14 +93,10 @@ def run_config_dict(model_cfg, train_cfg, world):
 def cmd_train(args):
     model_cfg, train_cfg, world = load_run_config(args.config)
     if args.variant is not None:
-        d = model_cfg.to_dict()
-        d["variant"] = args.variant
-        model_cfg = M.DenoiserConfig.from_dict(d)
+        model_cfg = dataclasses.replace(model_cfg, variant=args.variant)
     if args.seed is not None:
-        d = train_cfg.to_dict()
-        d["seed"] = args.seed
-        train_cfg = engine.TrainConfig.from_dict(d)
-    os.makedirs(args.out, exist_ok=True)
+        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
+    _make_dir(args.out)
     params, log = engine.train(model_cfg, train_cfg, world)
     ckpt_path = os.path.join(args.out, "checkpoint.ecsh")
     save_checkpoint(ckpt_path, params, run_config_dict(model_cfg, train_cfg, world))
@@ -132,9 +144,7 @@ def _load_model(ckpt_path):
     sections = ("model", "world")
     if not (isinstance(config, dict) and all(isinstance(config.get(s), dict) for s in sections)):
         raise ConfigError(f"checkpoint sidecar of {ckpt_path} needs 'model' and 'world' sections")
-    model_cfg = M.DenoiserConfig.from_dict(config["model"])
-    world = S.SyntheticWorld.from_config(config["world"])
-    _check_model_fits_world(model_cfg, world)
+    model_cfg, world = _model_and_world(config)
     census = M.params_census(tensors)
     expected = M.params_census(M.init_params(model_cfg, 0))
     wrong = sorted(n for n in set(census) | set(expected) if census.get(n) != expected.get(n))
@@ -143,7 +153,7 @@ def _load_model(ckpt_path):
     if not all(np.isfinite(arr).all() for arr in tensors.values()):
         raise ConfigError(f"checkpoint {ckpt_path}: tensors hold non-finite values")
     params = {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}
-    return params, model_cfg, world, config
+    return params, model_cfg, world
 
 
 def _require_finite(**flags):
@@ -152,26 +162,35 @@ def _require_finite(**flags):
             raise ConfigError(f"--{flag} must be finite, got {value}")
 
 
+def _require_count(**flags):
+    for flag, value in flags.items():
+        if value < 1:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+
+
 def cmd_sample(args):
     _require_finite(guidance=args.guidance, shift=args.shift)
-    params, model_cfg, world, _ = _load_model(args.ckpt)
+    _require_count(steps=args.steps)
+    params, model_cfg, world = _load_model(args.ckpt)
     specs = [parse_shot_spec(s) for s in args.shots]
-    os.makedirs(args.out, exist_ok=True)
+    for spec in specs:
+        tokens = sum(p.frames for p in spec) * world.height * world.width
+        if tokens > SAMPLE_MAX_TOKENS:
+            raise ConfigError(f"a --shots group of {tokens} tokens exceeds {SAMPLE_MAX_TOKENS}")
     id_embedding = None
     if args.id is not None:
         if not 0 <= args.id < world.n_ids:
             raise ConfigError(f"--id {args.id} outside identity pool")
         id_embedding = engine.identity_embedding(params, world, args.id)
+    if args.ref_attn:
+        if any(spec[0] != specs[0][0] for spec in specs):
+            raise ConfigError("--ref-attn requires every --shots group to share the first segment")
+    elif len(specs) != 1:
+        raise ConfigError("multiple --shots groups require --ref-attn")
+    _make_dir(args.out)
 
     if args.ref_attn:
-        if any(len(spec) < 1 for spec in specs):
-            raise ConfigError("each --shots group needs at least one segment")
         ref = specs[0][0]
-        for spec in specs[1:]:
-            if spec[0] != ref:
-                raise ConfigError(
-                    "--ref-attn requires every --shots group to share the first segment"
-                )
         # the root sequence: attempt a's added shots draw from spawn key (a,)
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         n0 = ref.frames * world.height * world.width
@@ -183,8 +202,6 @@ def cmd_sample(args):
             id_embedding=id_embedding,
         )
     else:
-        if len(specs) != 1:
-            raise ConfigError("multiple --shots groups require --ref-attn")
         fields = [
             engine.sample(
                 params, model_cfg, world, specs[0],
@@ -211,8 +228,8 @@ def cmd_sample(args):
 
 
 def cmd_curve(args):
-    if args.dim % 2 != 0:
-        raise ConfigError(f"--dim must be even, got {args.dim}")
+    if args.dim % 2 != 0 or not 2 <= args.dim <= CURVE_MAX_DIM:
+        raise ConfigError(f"--dim must be even and in [2, {CURVE_MAX_DIM}], got {args.dim}")
     _require_finite(step=args.step, xmax=args.xmax, k=args.k)
     if args.step <= 0:
         raise ConfigError(f"--step must be positive, got {args.step}")
@@ -222,6 +239,9 @@ def cmd_curve(args):
             f"--xmax {args.xmax:g} at --step {args.step:g} is more than "
             f"{CURVE_MAX_POINTS} grid points"
         )
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} is a directory")
+    _make_dir(os.path.dirname(args.out) or os.curdir)
     xs = np.arange(0.0, stop, args.step)
     curve = analysis.delta_curve(args.dim, xs)
     analysis.write_curve_csv(curve, args.out)
@@ -245,8 +265,9 @@ def _ablate_run(task):
 
 
 def cmd_ablate(args):
+    _require_count(eval_samples=args.eval_samples, eval_steps=args.eval_steps)
     model_cfg, train_cfg, world = load_run_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
+    _make_dir(args.out)
     runs = []
     base = model_cfg.to_dict()
     for variant in ("vanilla", "tcrope", "full"):

@@ -206,7 +206,7 @@ def train(model_cfg, train_cfg, world, params=None, log_hook=None):
 
 def _attach_training_identity(captions, sample, world, params, train_cfg, rng):
     if rng.uniform() < train_cfg.id_dropout:
-        id_row = np.zeros(params["id_proj/w"].data.shape[1], dtype=np.float32)
+        id_row = params["caption/null_id"]
     else:
         id_row = _id_embedding_tensor(params, world.ids[sample.id_index])
     return captions.replace_entries(lambda e: {"id_vector": id_row})
@@ -217,7 +217,8 @@ def condition_identity(captions, id_embedding):
     id_embedding = np.asarray(id_embedding, dtype=np.float32)
     if id_embedding.ndim != 1:
         raise ShapeError("identity embedding must be a vector")
-    return captions.replace_entries(lambda e: {"id_vector": id_embedding})
+    id_row = Tensor(id_embedding[None, :])
+    return captions.replace_entries(lambda e: {"id_vector": id_row})
 
 
 def identity_embedding(params, world, id_index):

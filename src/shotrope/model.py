@@ -142,7 +142,7 @@ class AttentionCollector:
 @functools.lru_cache(maxsize=None)
 def _bases(head_dim, base):
     return (
-        rope.make_basis_3d(head_dim, base=base, strict=False),
+        rope.make_basis_3d(head_dim, base=base),
         rope.make_basis_1d(head_dim, base=base),
     )
 
@@ -165,19 +165,11 @@ def caption_context(bundles, cfg, params):
                 shot_idx.append(e.shot)
                 continue
             if e.id_vector is not None:
-                if isinstance(e.id_vector, Tensor):
-                    idrow = e.id_vector
-                else:
-                    vec = np.asarray(e.id_vector, dtype=np.float32)
-                    if vec.shape != (cfg.d_model,):
-                        raise ShapeError(
-                            f"identity embedding dim {vec.shape} != caption dim {cfg.d_model}"
-                        )
-                    if np.any(vec):
-                        idrow = Tensor(vec[None, :])
-                    else:
-                        idrow = params["caption/null_id"]
-                rows.append(idrow)
+                if e.id_vector.shape != (1, cfg.d_model):
+                    raise ShapeError(
+                        f"identity row shape {e.id_vector.shape} != (1, {cfg.d_model})"
+                    )
+                rows.append(e.id_vector)
                 shot_idx.append(e.shot)
             if not 0 <= e.scene_id < cfg.v_scene or not 0 <= e.motion_id < cfg.v_mot:
                 raise ConfigError(f"caption ids out of vocabulary: {e}")

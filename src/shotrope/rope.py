@@ -3,7 +3,7 @@
 This module holds the angle bases and phase tables; `rope_1d` and
 `rope_3d` rotate with `tensor.rotate_pairs`, the kernel the model runs.
 Pure numpy functions over immutable angle bases.  A basis compares and
-hashes by its defining fields (dim, base, strict), so it can key caches.  Positions may be
+hashes by its defining fields (dim, base), so it can key caches.  Positions may be
 non-integer (fractional phase shifts are used by the parameter sweeps).
 Dtype of the input vector is preserved, so callers can evaluate in
 float64 when they need tighter tolerances.
@@ -41,14 +41,12 @@ class RotaryBasis:
 class RotaryBasis3D:
     """Angles shared cyclically over (t, h, w) 2x2 blocks.
 
-    d must be a multiple of 6 unless strict=False, in which case the
-    trailing d - 6*(d//6) dims are left unrotated (remainder rule used
-    by the attention kernels, whose head dim is 32).
+    The trailing d - 6*(d//6) dims are left unrotated (the model's head
+    dim is 32, so its last pair is).
     """
 
     dim: int
     base: float = 10000.0
-    strict: bool = True
     angles: np.ndarray = field(default=None, repr=False, compare=False)
     # per feature-pair: axis index 0=t 1=h 2=w, -1 = unrotated
     pair_axis: np.ndarray = field(default=None, repr=False, compare=False)
@@ -57,8 +55,6 @@ class RotaryBasis3D:
     def __post_init__(self):
         if self.dim % 2 != 0:
             raise ShapeError(f"RotaryBasis3D dim must be even, got {self.dim}")
-        if self.strict and self.dim % 6 != 0:
-            raise ShapeError(f"RotaryBasis3D dim must be a multiple of 6, got {self.dim}")
         n_triples = self.dim // 6
         i = np.arange(n_triples, dtype=np.float64)
         angles = self.base ** (-2.0 * i / self.dim)
@@ -79,8 +75,8 @@ def make_basis_1d(d, base=10000.0):
     return RotaryBasis(dim=d, base=base)
 
 
-def make_basis_3d(d, base=10000.0, strict=True):
-    return RotaryBasis3D(dim=d, base=base, strict=strict)
+def make_basis_3d(d, base=10000.0):
+    return RotaryBasis3D(dim=d, base=base)
 
 
 def phase_tables_1d(basis, positions):

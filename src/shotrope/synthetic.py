@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .shots import ShotLayout
-from .tensor import ConfigError, NumericError, check_config
+from .tensor import ConfigError, NumericError, Tensor, check_config
 
 FOURIER_DIM = 6
 
@@ -25,7 +25,7 @@ class CaptionEntry:
     shot: int
     scene_id: int
     motion_id: int
-    id_vector: Optional[np.ndarray] = None  # model-dim conditioning slot
+    id_vector: Optional[Tensor] = None  # [1, d_model] identity row
     dropped: bool = False
 
 

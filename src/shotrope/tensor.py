@@ -87,8 +87,7 @@ class GradTape:
     gradient has one owner.  backward takes g from its output (an output's
     .grad is None afterwards, so only leaves keep .grad) and hands each
     returned array to its input without a copy.  Returned arrays are fresh
-    or views of g.  Distinct arrays must not overlap; one array returned
-    twice (`add`) is copied for its second owner.  An input with
+    or views of g, and no two of them overlap.  An input with
     requires_grad False receives no .grad.
     """
 
@@ -121,17 +120,13 @@ class GradTape:
             if g_out is None:
                 continue
             out.grad = None
-            handed = []
             for inp, g in zip(inputs, backward_fn(g_out)):
                 if g is None or not inp.requires_grad:
                     continue
-                if inp.grad is not None:
-                    inp.grad += g
-                elif any(g is h for h in handed):
-                    inp.grad = np.array(g, dtype=inp.data.dtype)
-                else:
+                if inp.grad is None:
                     inp.grad = np.asarray(g, dtype=inp.data.dtype)
-                    handed.append(g)
+                else:
+                    inp.grad += g
 
 
 class Tensor:
@@ -181,9 +176,7 @@ def _as_tensor(x):
 
 def _make(out_data, inputs, backward_fn):
     out = Tensor(out_data)  # every op's output is a fresh float array: no copy
-    if _ACTIVE_TAPE is not None and any(
-        i.requires_grad for i in inputs if isinstance(i, Tensor)
-    ):
+    if _ACTIVE_TAPE is not None and any(i.requires_grad for i in inputs):
         out.requires_grad = True
         _ACTIVE_TAPE.record(out, inputs, backward_fn)
     return out
@@ -203,7 +196,7 @@ def add(a, b):
 
     def bw(g):
         if b.data.shape == g.shape:
-            gb = g
+            gb = g.copy() if a.requires_grad else g  # g itself goes to a
         elif b.data.ndim == 1:
             gb = g.sum(axis=0)
         else:

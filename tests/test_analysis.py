@@ -177,15 +177,6 @@ class TestCsvWriters:
         assert np.array_equal(xs, curve.xs)
         assert np.array_equal(deltas, curve.delta)
 
-    def test_heatmap_labels(self, tmp_path):
-        path = tmp_path / "heat.csv"
-        analysis.write_heatmap_csv(np.eye(3), path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["", "shot_0", "shot_1", "shot_2"]
-        assert rows[1][0] == "shot_0"
-        assert float(rows[2][2]) == 1.0
-
 
 class TestMonteCarloDecay:
     def test_mean_logit_magnitude_decays_with_shot_distance(self):

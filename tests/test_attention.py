@@ -325,7 +325,7 @@ def test_self_attention_equals_per_head_reference(heads, use_ref):
     rng = np.random.default_rng(20 + heads)
     layout = ShotLayout((2, 1, 3), 2, 2)
     d = 24 * heads // 2
-    basis = rope.make_basis_3d(d // heads, strict=False)
+    basis = rope.make_basis_3d(d // heads)
     params = ShotRopeParams(j=4.0)
     w = _rand_weights(rng, d)
     tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
@@ -401,7 +401,7 @@ def test_self_attention_rotations_are_tcrope(monkeypatch):
     rng = np.random.default_rng(41)
     layout = ShotLayout((2, 1, 3), 2, 3)
     heads, d = 2, 64
-    basis = rope.make_basis_3d(32, strict=False)  # the model's head basis
+    basis = rope.make_basis_3d(32)  # the model's head basis
     params = ShotRopeParams(j=4.0)
     tokens = Tensor(rng.standard_normal((layout.total_tokens, d)), dtype=np.float64)
     w = AttentionWeights(
@@ -458,7 +458,7 @@ def test_rope_sign_fault_reaches_oracles_and_model(monkeypatch):
     rng = np.random.default_rng(43)
     layout = ShotLayout((2, 1), 2, 2)
     d = 24
-    basis3d, basis1d = rope.make_basis_3d(12, strict=False), rope.make_basis_1d(12)
+    basis3d, basis1d = rope.make_basis_3d(12), rope.make_basis_1d(12)
     params = ShotRopeParams(j=4.0, k=6.0)
     w = _rand_weights(rng, d)
     tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
@@ -544,7 +544,7 @@ def test_packed_segments_equal_each_layout_alone():
 
 
 def test_packed_tables_are_each_layouts_tables():
-    basis3d = rope.make_basis_3d(8, strict=False)
+    basis3d = rope.make_basis_3d(8)
     basis1d = rope.make_basis_1d(8)
     packed = PackedLayout((ShotLayout((2, 1), 2, 2), ShotLayout((2, 3), 2, 2)))
     for tables, basis in ((_token_tables, basis3d), (_token_shot_tables, basis1d)):

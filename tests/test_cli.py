@@ -596,6 +596,87 @@ class TestNumericFlags:
         assert not out.exists()
 
 
+class TestEntryChecks:
+    """A count flag below 1, a size above its bound, or an --out that cannot
+    be made is a usage error at command entry: nothing is written or trained."""
+
+    def test_sample_steps_below_one(self, tmp_path, refattn_ckpt, capsys):
+        out = tmp_path / "s"
+        rc = cli.main(["sample", "--ckpt", refattn_ckpt, "--shots", "n=2,scene=0",
+                       "--steps", "0", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "--steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["eval-samples", "eval-steps"])
+    def test_ablate_counts_below_one(self, tmp_path, config_path, flag, monkeypatch, capsys):
+        monkeypatch.setenv("SHOTROPE_THREADS", "1")
+        monkeypatch.setattr(cli.engine, "train", _must_not_run)
+        out = tmp_path / "ablate"
+        rc = cli.main(["ablate", "--config", config_path, "--out", str(out), f"--{flag}", "0"])
+        assert rc == cli.EXIT_CONFIG
+        assert f"--{flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "groups,ref_attn",
+        [(["n=2,scene=0", "n=2,scene=1"], False), (["n=2,scene=0", "n=2,scene=1;n=2,scene=0"], True)],
+        ids=["groups-without-ref-attn", "ref-attn-first-segments-differ"],
+    )
+    def test_sample_group_misuse(self, tmp_path, refattn_ckpt, groups, ref_attn, capsys):
+        out = tmp_path / "s"
+        shots = [arg for g in groups for arg in ("--shots", g)]
+        rc = cli.main(["sample", "--ckpt", refattn_ckpt, *shots, "--steps", "1", "--out", str(out)]
+                      + ["--ref-attn"] * ref_attn)
+        assert rc == cli.EXIT_CONFIG
+        assert "--ref-attn" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_curve_dim_above_bound(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        rc = cli.main(["curve", "--dim", "1000000000000", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert str(cli.CURVE_MAX_DIM) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shots", ["n=100000,scene=0", "n=2,scene=0;n=100000,scene=1"])
+    def test_sample_group_tokens_above_bound(self, tmp_path, refattn_ckpt, shots, capsys):
+        out = tmp_path / "s"
+        rc = cli.main(["sample", "--ckpt", refattn_ckpt, "--shots", shots,
+                       "--steps", "1", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert str(cli.SAMPLE_MAX_TOKENS) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "sample", "curve", "ablate"])
+    def test_out_under_a_regular_file(self, tmp_path, config_path, refattn_ckpt, command,
+                                      monkeypatch, capsys):
+        monkeypatch.setattr(cli.analysis, "delta_curve", _must_not_run)
+        monkeypatch.setattr(cli.engine, "train", _must_not_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "out")
+        args = {
+            "train": ["train", "--config", config_path],
+            "sample": ["sample", "--ckpt", refattn_ckpt, "--shots", "n=2,scene=0", "--steps", "1"],
+            "curve": ["curve", "--dim", "4"],
+            "ablate": ["ablate", "--config", config_path],
+        }[command]
+        rc = cli.main(args + ["--out", out + (".csv" if command == "curve" else "")])
+        assert rc == cli.EXIT_CONFIG
+        assert "cannot make output directory" in capsys.readouterr().err
+
+    def test_curve_out_is_a_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.analysis, "delta_curve", _must_not_run)
+        rc = cli.main(["curve", "--dim", "4", "--out", str(tmp_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert "is a directory" in capsys.readouterr().err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran past the command-entry checks")
+
+
 @pytest.fixture(scope="module")
 def refattn_ckpt(tmp_path_factory):
     """A small full+refattn checkpoint, for the commands that only read it."""

@@ -156,7 +156,7 @@ class TestPromptHelpers:
         captions = E.build_captions([E.ShotPrompt(frames=2, scene=1)])
         vec = np.ones(24, dtype=np.float32)
         out = E.condition_identity(captions, vec)
-        assert np.array_equal(out.entries[0].id_vector, vec)
+        assert np.array_equal(out.entries[0].id_vector.data, vec[None, :])
 
     def test_condition_identity_rejects_matrix(self):
         captions = E.build_captions([E.ShotPrompt(frames=2, scene=1)])

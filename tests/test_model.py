@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shotrope import engine as E
 from shotrope import model as M
 from shotrope import synthetic as S
 from shotrope.shots import PackedLayout, ShotLayout
@@ -259,20 +260,32 @@ class TestCaptionContext:
         params = M.init_params(small_cfg, seed=0)
         vec = np.ones(small_cfg.d_model, dtype=np.float32)
         captions = S.CaptionBundle(
-            [S.CaptionEntry(shot=0, scene_id=0, motion_id=0, id_vector=vec)]
+            [S.CaptionEntry(shot=0, scene_id=0, motion_id=0, id_vector=Tensor(vec[None, :]))]
         )
         ctx = M.caption_context((captions,), small_cfg, params)
         assert ctx.embeddings.shape == (3, small_cfg.d_model)
         assert np.array_equal(ctx.embeddings.data[0], vec)
 
-    def test_zero_identity_vector_uses_learned_null(self, small_cfg):
+    def test_dropped_training_identity_is_learned_null(self, small_cfg):
+        """Training's identity dropout conditions on the learned null identity itself."""
         params = M.init_params(small_cfg, seed=0)
-        vec = np.zeros(small_cfg.d_model, dtype=np.float32)
-        captions = S.CaptionBundle(
-            [S.CaptionEntry(shot=0, scene_id=0, motion_id=0, id_vector=vec)]
+        captions = S.CaptionBundle([S.CaptionEntry(shot=0, scene_id=0, motion_id=0)])
+        dropped = E._attach_training_identity(
+            captions, None, None, params, E.TrainConfig(id_dropout=1.0), np.random.default_rng(0)
         )
-        ctx = M.caption_context((captions,), small_cfg, params)
+        assert dropped.entries[0].id_vector is params["caption/null_id"]
+        ctx = M.caption_context((dropped,), small_cfg, params)
         assert np.array_equal(ctx.embeddings.data[0], params["caption/null_id"].data[0])
+
+    @pytest.mark.parametrize("shape", [(1, 23), (1, 25), (2, 24), (24,)])
+    def test_identity_row_of_wrong_shape(self, small_cfg, shape):
+        params = M.init_params(small_cfg, seed=0)
+        row = Tensor(np.ones(shape, dtype=np.float32))
+        captions = S.CaptionBundle(
+            [S.CaptionEntry(shot=0, scene_id=0, motion_id=0, id_vector=row)]
+        )
+        with pytest.raises(ShapeError):
+            M.caption_context((captions,), small_cfg, params)
 
     def test_dropped_caption_becomes_single_null_row(self, small_cfg):
         params = M.init_params(small_cfg, seed=0)

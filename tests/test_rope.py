@@ -85,12 +85,9 @@ class TestRope1D:
 
 
 class TestBasis3D:
-    def test_requires_multiple_of_six_when_strict(self):
-        with pytest.raises(ShapeError):
-            rope.make_basis_3d(32)
-
     def test_relaxed_mode_leaves_remainder_unrotated(self):
-        basis = rope.make_basis_3d(32, strict=False)
+        """A dim that is not a multiple of 6 leaves its trailing pairs unrotated."""
+        basis = rope.make_basis_3d(32)
         assert basis.angles.shape == (5,)
         assert np.sum(basis.pair_axis == -1) == 1  # one unrotated pair
         v = np.zeros(32)
@@ -172,10 +169,11 @@ class TestOneKernel:
             assert np.array_equal(rope.rope_1d(v, m, basis), expect)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("dim,strict", [(24, True), (32, False)])
-    def test_rope_3d_equals_rope_pairs(self, dtype, dim, strict):
+    @pytest.mark.parametrize("dim,multiple_of_six", [(24, True), (32, False)])
+    def test_rope_3d_equals_rope_pairs(self, dtype, dim, multiple_of_six):
         rng = np.random.default_rng(9)
-        basis = rope.make_basis_3d(dim, strict=strict)  # 32: an unrotated tail
+        basis = rope.make_basis_3d(dim)
+        assert np.all(basis.pair_axis >= 0) == multiple_of_six  # 32: an unrotated tail
         for _ in range(100):
             v = rng.standard_normal(dim).astype(dtype)
             t, h, w = rng.uniform(-16, 16, 3)

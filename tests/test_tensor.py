@@ -344,7 +344,15 @@ def _graph_heads(rng):
     return T.tsum(T.mul(T.add(merged, a), probe)), [a, b]
 
 
-_GRAPHS = [_graph_add, _graph_sub, _graph_concat_slice, _graph_square, _graph_heads]
+def _graph_self_add(rng):
+    (a,) = _leaves(rng, (3, 4))
+    probe = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
+    return T.tsum(T.mul(T.add(a, a), probe)), [a]
+
+
+_GRAPHS = [
+    _graph_add, _graph_sub, _graph_concat_slice, _graph_square, _graph_heads, _graph_self_add,
+]
 
 
 @pytest.mark.parametrize("graph", _GRAPHS, ids=lambda f: f.__name__[len("_graph_"):])

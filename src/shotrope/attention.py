@@ -77,20 +77,10 @@ def scaled_dot_attention(Q, K, V, probs_out=None):
     Works on [n, d_head] tensors or on [heads, n, d_head] ones, head by
     head; probs_out receives one [nq, nk] probability array per head.
     """
-    if (
-        Q.shape[-1] != K.shape[-1]
-        or K.shape[-2] != V.shape[-2]
-        or not Q.shape[:-2] == K.shape[:-2] == V.shape[:-2]
-    ):
-        raise ShapeError(
-            f"scaled_dot_attention: incompatible shapes {Q.shape} {K.shape} {V.shape}"
-        )
-    inv = 1.0 / np.sqrt(Q.shape[-1])
-    logits = T.scale(T.batched_matmul(Q, T.transpose(K)), inv)
-    probs = T.softmax_rows(logits)
+    out, probs = T.attention_core(Q, K, V, 1.0 / np.sqrt(Q.shape[-1]))
     if probs_out is not None:
-        probs_out.extend(probs.data.reshape(-1, *probs.shape[-2:]))
-    return T.batched_matmul(probs, V)
+        probs_out.extend(probs.reshape(-1, *probs.shape[-2:]))
+    return out
 
 
 def segment_attention(Q, K, V, q_ends, k_ends, probs_out=None):

@@ -173,16 +173,21 @@ def cmd_sample(args):
     _require_count(steps=args.steps)
     params, model_cfg, world = _load_model(args.ckpt)
     specs = [parse_shot_spec(s) for s in args.shots]
+    v_scene, v_mot = model_cfg.v_scene, model_cfg.v_mot
     for spec in specs:
         tokens = sum(p.frames for p in spec) * world.height * world.width
         if tokens > SAMPLE_MAX_TOKENS:
             raise ConfigError(f"a --shots group of {tokens} tokens exceeds {SAMPLE_MAX_TOKENS}")
+        if not all(0 <= p.scene < v_scene and 0 <= p.motion < v_mot for p in spec):
+            raise ConfigError(f"--shots ids outside the model's {v_scene} scenes, {v_mot} motions")
     id_embedding = None
     if args.id is not None:
         if not 0 <= args.id < world.n_ids:
             raise ConfigError(f"--id {args.id} outside identity pool")
         id_embedding = engine.identity_embedding(params, world, args.id)
     if args.ref_attn:
+        if not model_cfg.use_ref:
+            raise ConfigError(f"--ref-attn needs a full+refattn model, got {model_cfg.variant}")
         if any(spec[0] != specs[0][0] for spec in specs):
             raise ConfigError("--ref-attn requires every --shots group to share the first segment")
     elif len(specs) != 1:

@@ -4,9 +4,9 @@ Shapes are explicit everywhere.  Two implicit broadcasts are allowed:
 adding a 1-D bias row to every row of a 2-D tensor, and rotating a
 head-batched [heads, n, dh] tensor by one constant [n, dh] rotary table
 shared by every head (`rope_pairs`).  Attention runs all heads at once:
-`split_heads` turns [n, d] into [heads, n, d/heads], the row ops
-(`transpose`, `softmax_rows`, `slice_rows`, `concat_rows`) act on the
-last two axes, `batched_matmul` multiplies head by head, and
+`split_heads` turns [n, d] into [heads, n, d/heads], the row ops act on
+the last two axes, `attention_core` runs softmax(c q k^T) v head by head
+as one tape node that keeps only the probabilities, and
 `merge_heads` restores [n, d].  Forward math is plain numpy, so two runs
 over identical inputs are bit-identical.
 """
@@ -299,6 +299,20 @@ def transpose(a):
     return _make(out_data, (a,), bw)
 
 
+def _softmax_forward(x, out=None):
+    """Softmax over the last axis of the finite array x, into out (may be x) or a new array."""
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _softmax_backward(p, g):
+    """Gradient of a softmax's input from its output p and that output's gradient g."""
+    dot = (g * p).sum(axis=-1, keepdims=True)
+    return p * (g - dot)
+
+
 def softmax_rows(x):
     """Softmax over the last axis."""
     x = _as_tensor(x)
@@ -306,15 +320,41 @@ def softmax_rows(x):
         raise ShapeError("softmax_rows expects a tensor of at least 2 dims")
     if not np.isfinite(x.data).all():
         raise NumericError("softmax_rows: non-finite input")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = _softmax_forward(x.data)
 
     def bw(g):
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        return (out_data * (g - dot),)
+        return (_softmax_backward(out_data, g),)
 
     return _make(out_data, (x,), bw)
+
+
+def attention_core(q, k, v, c):
+    """softmax(c * q k^T) v over the last two axes as one tape node: the output and
+    the probability array p, bit for bit those of transpose, batched_matmul, scale,
+    softmax_rows and batched_matmul.  The backward keeps only p and k^T."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.data.ndim < 2 or not (q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
+                               and q.shape[-1] == k.shape[-1] and k.shape[-2] == v.shape[-2]):
+        raise ShapeError(f"attention_core: incompatible shapes {q.shape} {k.shape} {v.shape}")
+    kt = np.ascontiguousarray(_swap_last(k.data))
+    p = q.data @ kt
+    c = p.dtype.type(float(c))
+    p *= c
+    if not np.isfinite(p).all():
+        raise NumericError("attention_core: non-finite logits")
+    _softmax_forward(p, out=p)
+    out_data = p @ v.data
+
+    def bw(g):
+        gv = _swap_last(p) @ g if v.requires_grad else None
+        if not (q.requires_grad or k.requires_grad):
+            return None, None, gv
+        gs = _softmax_backward(p, g @ _swap_last(v.data)) * c
+        gq = gs @ _swap_last(kt) if q.requires_grad else None
+        gk = np.ascontiguousarray(_swap_last(_swap_last(q.data) @ gs)) if k.requires_grad else None
+        return gq, gk, gv
+
+    return _make(out_data, (q, k, v), bw), p
 
 
 def layernorm(x, eps=1e-5):
@@ -326,7 +366,7 @@ def layernorm(x, eps=1e-5):
     var = (centered * centered).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
     xhat = centered * inv
-    out_data = xhat.astype(x.data.dtype)
+    out_data = xhat.astype(x.data.dtype, copy=False)
 
     def bw(g):
         gmean = g.mean(axis=1, keepdims=True)
@@ -341,10 +381,15 @@ def gelu(x):
     x = _as_tensor(x)
     c = x.data.dtype.type(np.sqrt(2.0 / np.pi))
     k = x.data.dtype.type(0.044715)
-    # x*x*x, not x**3: a float32 power call is about 200x slower
-    inner = c * (x.data + k * (x.data * x.data * x.data))
-    t = np.tanh(inner)
-    out_data = (0.5 * x.data * (1.0 + t)).astype(x.data.dtype)
+    # c * (x + k * (x*x*x)) in place; x*x*x, not x**3: a float32 power call is about 200x slower
+    t = x.data * x.data
+    t *= x.data
+    t *= k
+    t += x.data
+    t *= c
+    np.tanh(t, out=t)
+    out_data = 0.5 * x.data
+    out_data *= 1.0 + t
 
     def bw(g):
         sech2 = 1.0 - t * t

@@ -632,6 +632,23 @@ class TestEntryChecks:
         assert "--ref-attn" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sample_ref_attn_on_another_variant(self, tmp_path, full_ckpt, capsys):
+        out = tmp_path / "s"
+        rc = cli.main(["sample", "--ckpt", full_ckpt, "--shots", "n=2,scene=0;n=2,scene=1",
+                       "--steps", "1", "--ref-attn", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "full+refattn" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shots", ["n=2,scene=8", "n=2,scene=0;n=2,scene=1,motion=-1"])
+    def test_sample_ids_outside_vocabulary(self, tmp_path, refattn_ckpt, shots, capsys):
+        out = tmp_path / "s"
+        rc = cli.main(["sample", "--ckpt", refattn_ckpt, "--shots", shots,
+                       "--steps", "1", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "--shots ids outside the model's 8 scenes, 4 motions" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_curve_dim_above_bound(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         rc = cli.main(["curve", "--dim", "1000000000000", "--out", str(out)])
@@ -677,15 +694,25 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("ran past the command-entry checks")
 
 
+def _small_ckpt(tmp_path_factory, variant):
+    out = tmp_path_factory.mktemp(variant.replace("+", "_"))
+    config = out / "run.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    args = ["train", "--config", str(config), "--out", str(out), "--variant", variant]
+    assert cli.main(args) == cli.EXIT_OK
+    return str(out / "checkpoint.ecsh")
+
+
 @pytest.fixture(scope="module")
 def refattn_ckpt(tmp_path_factory):
     """A small full+refattn checkpoint, for the commands that only read it."""
-    out = tmp_path_factory.mktemp("refattn")
-    config = out / "run.json"
-    config.write_text(json.dumps(SMALL_CONFIG))
-    args = ["train", "--config", str(config), "--out", str(out), "--variant", "full+refattn"]
-    assert cli.main(args) == cli.EXIT_OK
-    return str(out / "checkpoint.ecsh")
+    return _small_ckpt(tmp_path_factory, "full+refattn")
+
+
+@pytest.fixture(scope="module")
+def full_ckpt(tmp_path_factory):
+    """A small full checkpoint, for the commands that only read it."""
+    return _small_ckpt(tmp_path_factory, "full")
 
 
 # shot spec strings, well- and ill-formed: segments from the grammar with

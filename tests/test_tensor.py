@@ -290,6 +290,127 @@ def test_op_outputs_do_not_alias_inputs():
     assert not np.shares_memory(T.split_heads(y, 1).data, y.data)
 
 
+# -- attention core: one tape node that keeps only the probabilities ---------
+
+def _attention_chain(q, k, v, c):
+    """The five-node chain attention_core replaces; returns (out, probs)."""
+    probs = T.softmax_rows(T.scale(T.batched_matmul(q, T.transpose(k)), c))
+    return T.batched_matmul(probs, v), probs.data
+
+
+def _qkv(dtype, lead, needs_grad=(True, True, True)):
+    """Fresh Q [.., 5, 6], K [.., 7, 6] and V [.., 7, 4] from a fixed seed."""
+    rng = np.random.default_rng(30)
+    return [
+        Tensor(rng.standard_normal((*lead, n, d)).astype(dtype), requires_grad=grad)
+        for (n, d), grad in zip(((5, 6), (7, 6), (7, 4)), needs_grad)
+    ]
+
+
+def _attend_and_backward(attend, dtype, lead, needs_grad=(True, True, True)):
+    """Run attend on fresh Q/K/V under a tape and backward through a probe;
+    returns the output, the probabilities, the tape nodes attend recorded
+    and the inputs."""
+    q, k, v = _qkv(dtype, lead, needs_grad)
+    probe = Tensor(np.random.default_rng(31).standard_normal((*lead, 5, 4)).astype(dtype))
+    with GradTape() as tape:
+        out, probs = attend(q, k, v, 0.4)
+        nodes = len(tape._nodes)
+        tape.backward(T.tsum(T.mul(out, probe)))
+    return out.data, probs, nodes, (q, k, v)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "heads"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_attention_core_equals_the_chain(dtype, lead):
+    """Output, probabilities and Q/K/V gradients are the five-node chain's,
+    bit for bit, from one tape node instead of five."""
+    got, got_p, got_nodes, got_in = _attend_and_backward(T.attention_core, dtype, lead)
+    want, want_p, want_nodes, want_in = _attend_and_backward(_attention_chain, dtype, lead)
+    assert (got_nodes, want_nodes) == (1, 5)
+    assert got.dtype == got_p.dtype == dtype
+    assert np.array_equal(got, want) and np.array_equal(got_p, want_p)
+    for g, w in zip(got_in, want_in):
+        assert np.array_equal(g.grad, w.grad)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
+def test_attention_core_gradients_match_finite_differences(which):
+    inputs = _qkv(np.float64, (2,), needs_grad=(False, False, False))
+    probe = _f64(np.random.default_rng(32), (2, 5, 4))
+
+    def f(t):
+        args = list(inputs)
+        args[which] = t
+        return T.tsum(T.mul(T.attention_core(*args, 0.4)[0], probe))
+
+    assert grad_check(f, inputs[which], h=1e-5) <= 1e-6
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
+def test_attention_core_input_without_grad_gets_none(which):
+    """A constant input gets no .grad and its product is not computed; the
+    other gradients are still the chain's."""
+    needs = tuple(i != which for i in range(3))
+    _, _, _, got_in = _attend_and_backward(T.attention_core, np.float32, (2,), needs)
+    _, _, _, want_in = _attend_and_backward(_attention_chain, np.float32, (2,), needs)
+    for i, (g, w) in enumerate(zip(got_in, want_in)):
+        assert (g.grad is None) == (i == which)
+        if i != which:
+            assert np.array_equal(g.grad, w.grad)
+    q, k, v = _qkv(np.float32, (2,), needs)
+    with GradTape() as tape:
+        T.attention_core(q, k, v, 0.4)
+    (_, _, backward_fn), = tape._nodes
+    grads = backward_fn(np.ones((2, 5, 4), dtype=np.float32))
+    assert [g is None for g in grads] == [i == which for i in range(3)]
+
+
+def test_attention_core_rejects_nonfinite_logits_and_bad_shapes():
+    q, k, v = _qkv(np.float32, ())
+    q.data[2, 3] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        T.attention_core(q, k, v, 0.4)
+    with pytest.raises(ShapeError):
+        T.attention_core(k, q, v, 0.4)
+
+
+def _tape_arrays(tape):
+    """Every array the tape keeps alive: node outputs, inputs and what the
+    backward closures hold, each counted once."""
+    found = {}
+
+    def add(obj):
+        arr = obj.data if isinstance(obj, Tensor) else obj
+        if isinstance(arr, np.ndarray):
+            base = arr if arr.base is None else arr.base
+            found[id(base)] = base
+
+    for out, inputs, backward_fn in tape._nodes:
+        for obj in (out, *inputs, *(c.cell_contents for c in backward_fn.__closure__ or ())):
+            add(obj)
+    return list(found.values())
+
+
+def test_denoiser_tape_keeps_one_score_array_per_attention():
+    """After one forward, the tape holds one [heads, nq, nk] array for each
+    self- and cross-attention call: the probabilities, not the logits."""
+    world = S.SyntheticWorld(**_SMALL_WORLD)
+    cfg = M.DenoiserConfig(**_SMALL_MODEL)
+    params = M.init_params(cfg, seed=0)
+    sample = S.make_batch(world, 1, shot_count_range=(2, 2), shot_len_range=(2, 2), seed=5)[0]
+    n, dh = sample.layout.total_tokens, cfg.d_model // cfg.heads
+    nc = len(M.caption_context((sample.captions,), cfg, params).shot_index)
+    assert dh not in (n, nc)
+    with GradTape() as tape:
+        M.denoiser_forward(Tensor(sample.tokens), 0.5, sample.captions, sample.layout, cfg, params)
+    scores = [
+        a for a in _tape_arrays(tape)
+        if a.ndim == 3 and a.shape[:2] == (cfg.heads, n) and a.shape[2] != dh
+    ]
+    assert sorted(a.shape[2] for a in scores) == sorted([n, nc] * cfg.blocks)
+
+
 
 # -- gradient ownership: one owner per gradient, only leaves keep .grad ------
 

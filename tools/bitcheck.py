@@ -15,7 +15,11 @@ The digest covers, hashed in this order:
 - a 50-step `engine.sample` of `full` and `full+refattn` on full.ecsh;
 - a 50-step `engine.sample_infinite` with an identity on full_idft.ecsh,
   one of whose attempts adds no shot;
-- a 50-step identity-conditioned `engine.sample` on full_idft.ecsh.
+- a 50-step identity-conditioned `engine.sample` on full_idft.ecsh;
+- the float64 tape gradient of one batch of 2 on the default model, the
+  path of the benchmark's gradient check: every parameter's gradient;
+- the self- and cross-attention probabilities an `AttentionCollector`
+  gathers from one forward of every variant on full.ecsh's weights.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import os
 
 import numpy as np
 
-from shotrope import checkpoint as C, engine as E, model as M, synthetic as S
+from shotrope import checkpoint as C, engine as E, model as M, synthetic as S, tensor as T
 from shotrope.tensor import Tensor
 
 WEIGHTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "weights")
@@ -52,6 +56,44 @@ def _load(weights, name, variant=None):
         model["variant"] = variant
     params = {n: Tensor(a, requires_grad=True) for n, a in tensors.items()}
     return params, M.DenoiserConfig.from_dict(model), S.SyntheticWorld.from_config(config["world"])
+
+
+def _gradient(h, world):
+    """float64 tape gradient of the mean rf_loss of one batch of 2."""
+    cfg = M.DenoiserConfig()
+    params = {
+        n: Tensor(p.data.astype(np.float64), requires_grad=True)
+        for n, p in M.init_params(cfg, 16).items()
+    }
+    rng = np.random.default_rng(17)
+    with T.GradTape() as tape:
+        losses = []
+        for sample in S.make_batch(world, 2, seed=18):
+            tau = float(rng.uniform(0.05, 0.95))
+            eps = rng.standard_normal(sample.tokens.shape)
+            z_tau = Tensor((1.0 - tau) * sample.tokens.astype(np.float64) + tau * eps, dtype=np.float64)
+            pred = M.denoiser_forward(z_tau, tau, sample.captions, sample.layout, cfg, params)
+            losses.append(M.rf_loss(pred, sample.tokens, eps))
+        tape.backward(T.scale(T.add(*losses), 0.5))
+    for name in sorted(params):
+        if params[name].grad is not None:
+            _update(h, f"grad/{name}", params[name].grad)
+
+
+def _attention_probs(h, weights):
+    """Probabilities gathered from one forward of every variant."""
+    for variant in M.VARIANTS:
+        params, cfg, w = _load(weights, "full.ecsh", variant)
+        sample = S.make_batch(w, 1, shot_count_range=(3, 3), seed=19)[0]
+        eps = np.random.default_rng(20).standard_normal(sample.tokens.shape)
+        z_tau = (0.5 * sample.tokens + 0.5 * eps).astype(np.float32)
+        collector = M.AttentionCollector()
+        M.denoiser_forward(z_tau, 0.5, sample.captions, sample.layout, cfg, params, collect=collector)
+        for i, probs in enumerate(collector.self_probs):
+            _update(h, f"probs/{variant}/self/{i}", probs)
+        for i, (probs, shots) in enumerate(collector.cross_probs):
+            _update(h, f"probs/{variant}/cross/{i}", probs)
+            _update(h, f"probs/{variant}/cross/{i}/shots", shots)
 
 
 def digest(weights):
@@ -87,6 +129,9 @@ def digest(weights):
     params, cfg, w = _load(weights, "full_idft.ecsh")
     spec = [E.ShotPrompt(2, 5), E.ShotPrompt(3, 6, 1)]
     _update(h, "sample/identity", E.sample(params, cfg, w, spec, seed=15, id_embedding=emb))
+
+    _gradient(h, world)
+    _attention_probs(h, weights)
     return h.hexdigest()
 
 

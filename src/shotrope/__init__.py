@@ -3,10 +3,9 @@ transformer, plus the numerical analysis tooling around them."""
 
 from .shots import ShotLayout, ShotRopeParams, effective_time_index, tarope, tcrope
 from .rope import RotaryBasis, RotaryBasis3D, make_basis_1d, make_basis_3d, rope_1d, rope_3d
-from .tensor import NUMERICS_VERSION, ConfigError, GradTape, NumericError, ShapeError, Tensor
+from .tensor import ConfigError, GradTape, NumericError, ShapeError, Tensor
 
 __all__ = [
-    "NUMERICS_VERSION",
     "ConfigError",
     "GradTape",
     "NumericError",

@@ -107,9 +107,8 @@ def attention_heatmaps(params, cfg, batch, tau=0.5, noise_seed=0):
     rng = np.random.default_rng(noise_seed)
     for sample in batch:
         layout = sample.layout
-        z = sample.tokens
-        eps = rng.standard_normal(z.shape).astype(np.float32)
-        z_tau = ((1.0 - tau) * z + tau * eps).astype(np.float32)
+        eps = rng.standard_normal(sample.tokens.shape).astype(np.float32)
+        z_tau = model_mod.make_noisy(sample.tokens, eps, tau)
         collector = model_mod.AttentionCollector()
         model_mod.denoiser_forward(
             z_tau, tau, sample.captions, layout, cfg, params, collect=collector

@@ -85,37 +85,33 @@ def _trunc_normal(rng, shape, std=0.02):
     return np.clip(rng.standard_normal(shape) * std, -2 * std, 2 * std).astype(np.float32)
 
 
-def init_params(cfg, seed):
-    """Weight tensors; the variant never changes the census."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    d, dt = cfg.d_model, cfg.d_token
-    p = OrderedDict()
-
-    def param(name, arr):
-        p[name] = Tensor(arr, requires_grad=True)
-
-    param("in_proj/w", _trunc_normal(rng, (dt, d)))
-    param("in_proj/b", np.zeros(d, dtype=np.float32))
-    param("time_proj/w", _trunc_normal(rng, (d, d)))
-    param("time_proj/b", np.zeros(d, dtype=np.float32))
-    param("caption/scene", _trunc_normal(rng, (cfg.v_scene, d)))
-    param("caption/motion", _trunc_normal(rng, (cfg.v_mot, d)))
-    param("caption/null", _trunc_normal(rng, (1, d)))
-    param("caption/null_id", _trunc_normal(rng, (1, d)))
-    param("id_proj/w", _trunc_normal(rng, (cfg.d_id, d)))
-    param("id_proj/b", np.zeros(d, dtype=np.float32))
+def param_shapes(cfg):
+    """(name, shape) of every weight tensor, in init_params' draw order;
+    the variant never changes it."""
+    d, dt, hidden = cfg.d_model, cfg.d_token, cfg.d_model * cfg.ffn_mult
+    yield from (("in_proj/w", (dt, d)), ("in_proj/b", (d,)))
+    yield from (("time_proj/w", (d, d)), ("time_proj/b", (d,)))
+    yield from (("caption/scene", (cfg.v_scene, d)), ("caption/motion", (cfg.v_mot, d)))
+    yield from (("caption/null", (1, d)), ("caption/null_id", (1, d)))
+    yield from (("id_proj/w", (cfg.d_id, d)), ("id_proj/b", (d,)))
     for b in range(cfg.blocks):
         for attn in ("sa", "ca"):
             for w in ("wq", "wk", "wv", "wo"):
-                param(f"block{b}/{attn}/{w}", _trunc_normal(rng, (d, d)))
-        hidden = d * cfg.ffn_mult
-        param(f"block{b}/ffn/w1", _trunc_normal(rng, (d, hidden)))
-        param(f"block{b}/ffn/b1", np.zeros(hidden, dtype=np.float32))
-        param(f"block{b}/ffn/w2", _trunc_normal(rng, (hidden, d)))
-        param(f"block{b}/ffn/b2", np.zeros(d, dtype=np.float32))
-    # zero output head keeps the velocity field null at init
-    param("head/w", np.zeros((d, dt), dtype=np.float32))
-    param("head/b", np.zeros(dt, dtype=np.float32))
+                yield f"block{b}/{attn}/{w}", (d, d)
+        yield from ((f"block{b}/ffn/w1", (d, hidden)), (f"block{b}/ffn/b1", (hidden,)))
+        yield from ((f"block{b}/ffn/w2", (hidden, d)), (f"block{b}/ffn/b2", (d,)))
+    yield from (("head/w", (d, dt)), ("head/b", (dt,)))
+
+
+def init_params(cfg, seed):
+    """Weight tensors: biases and the output head start at zero (a zero head
+    keeps the velocity field null at init), the rest truncated normal."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    p = OrderedDict()
+    for name, shape in param_shapes(cfg):
+        zero = name.startswith("head/") or name.rsplit("/", 1)[1] in ("b", "b1", "b2")
+        arr = np.zeros(shape, dtype=np.float32) if zero else _trunc_normal(rng, shape)
+        p[name] = Tensor(arr, requires_grad=True)
     return p
 
 

@@ -18,10 +18,8 @@ import math
 
 import numpy as np
 
-# Bumped by every change that alters the bits a forward or backward
-# produces, so trained artefacts cached under an older value are not
-# reused.  1: gelu cube as x**3; 2: as x*x*x.
-NUMERICS_VERSION = 2
+# the cubic coefficient of the tanh-approximated GELU
+GELU_K = 0.044715
 
 
 class ShapeError(ValueError):
@@ -380,7 +378,7 @@ def gelu(x):
     """tanh-approximated GELU."""
     x = _as_tensor(x)
     c = x.data.dtype.type(np.sqrt(2.0 / np.pi))
-    k = x.data.dtype.type(0.044715)
+    k = x.data.dtype.type(GELU_K)
     # c * (x + k * (x*x*x)) in place; x*x*x, not x**3: a float32 power call is about 200x slower
     t = x.data * x.data
     t *= x.data

@@ -2,20 +2,25 @@
 
 Training the ablation variants dominates the suite's runtime, so trained
 parameters and their evaluation metrics are cached on disk keyed by a
-hash of every input that determines them, including
-`shotrope.NUMERICS_VERSION`, so a change to the numerics retrains rather
-than reusing weights the code would no longer produce.  Cache files are
-written atomically.  Delete the cache directory (tests/.cache by
-default, override with SHOTROPE_TEST_CACHE) to force retraining.
+hash of every input that determines them: the run's configuration and
+the numerics fingerprint of `tools/bitcheck.py`.  The fingerprint hashes
+what under a second of training, tape backward, attention and sampling
+computes, so code that computes other bits in those runs, through a
+change to the numerics or a BLAS that picks other kernels, looks up
+other keys and retrains rather than reusing weights and metrics it would
+no longer produce.  It is computed once per session, when the first key
+is needed.  Cache files are written atomically.  Delete the cache
+directory (tests/.cache by default, override with SHOTROPE_TEST_CACHE)
+to force retraining.
 """
 
+import functools
 import hashlib
 import json
 import os
 
 import pytest
 
-from shotrope import NUMERICS_VERSION
 from shotrope import checkpoint as C
 from shotrope import engine as E
 from shotrope import model as M
@@ -38,6 +43,33 @@ ABLATION_VARIANTS = ("vanilla", "tcrope", "full")
 ID_FT_STEPS = 2000
 ID_FT_SEED = 11
 
+BITCHECK_PY = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bitcheck.py")
+
+
+@functools.cache
+def _bitcheck():
+    """The namespace of tools/bitcheck.py, read without importing it, so
+    that nothing is written under tools/."""
+    namespace = {"__name__": "bitcheck", "__file__": BITCHECK_PY}
+    with open(BITCHECK_PY) as fh:
+        exec(compile(fh.read(), BITCHECK_PY, "exec"), namespace)
+    return namespace
+
+
+@functools.cache
+def _fingerprint():
+    return _bitcheck()["fingerprint"]()
+
+
+@pytest.fixture(scope="session")
+def bitcheck():
+    return _bitcheck()
+
+
+@pytest.fixture(scope="session")
+def numerics_fingerprint():
+    return _fingerprint()
+
 
 def _cache_dir():
     default = os.path.join(os.path.dirname(__file__), ".cache")
@@ -53,7 +85,8 @@ def _hash_key(config):
 
 
 def _run_key(model_cfg, train_cfg, world):
-    return _hash_key(run_config_dict(model_cfg, train_cfg, world))
+    config = run_config_dict(model_cfg, train_cfg, world)
+    return _hash_key({**config, "fingerprint": _fingerprint()})
 
 
 def _train_cached(model_cfg, train_cfg, world):
@@ -108,7 +141,7 @@ def _identity_finetune_key(model_cfg, base_cfg, ft_cfg, world):
                 "world": world.config(),
             },
             "ft": ft_cfg.to_dict(),
-            "numerics_version": NUMERICS_VERSION,
+            "fingerprint": _fingerprint(),
         }
     )
 
@@ -134,7 +167,6 @@ def identity_finetuned(trained_variants, oracle_world):
             "base_train": base_cfg.to_dict(),
             "finetune": ft_cfg.to_dict(),
             "world": oracle_world.config(),
-            "numerics_version": NUMERICS_VERSION,
         },
     )
     return params, model_cfg

@@ -306,6 +306,7 @@ class TestTrainCommand:
         assert rc == cli.EXIT_OK
         sidecar = json.loads((out / "checkpoint.ecsh.json").read_text())
         assert sidecar["model"]["variant"] == "vanilla"
+        assert sorted(sidecar) == ["model", "train", "world"]  # no numerics version
 
 
 class TestSampleCommand:
@@ -332,6 +333,20 @@ class TestSampleCommand:
             assert key in metrics
         printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert set(printed) == {"identity_consistency", "scene_adherence", "cut_accuracy"}
+
+    def test_sidecar_with_a_numerics_version_loads(self, tmp_path, ckpt):
+        """Sidecars written while a numerics version was recorded still sample."""
+        sidecar = ckpt + ".json"
+        with open(sidecar) as fh:
+            config = json.load(fh)
+        config["numerics_version"] = 2
+        with open(sidecar, "w") as fh:
+            json.dump(config, fh)
+        out = tmp_path / "samples"
+        rc = cli.main(["sample", "--ckpt", ckpt, "--shots", "n=2,scene=1", "--steps", "1",
+                       "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        assert (out / "sample0000.ecsh").exists()
 
     def test_identity_flag_out_of_pool(self, tmp_path, ckpt):
         rc = cli.main(
@@ -519,12 +534,13 @@ class TestMalformedCheckpoint:
             _edit_sidecar(lambda c: c["world"].update(v_scene=9)),
             _non_finite_weight,
             _sidecar_not_utf8,
+            _edit_sidecar(lambda c: c["model"].update(d_model=2**30)),
         ],
         ids=[
             "missing-tensor", "wrong-shape", "truncated-header", "trailing-bytes",
             "missing-sidecar", "malformed-sidecar", "no-world-section", "unknown-world-key",
             "huge-extents", "int64-overflowing-extents", "world-d_token", "world-v_scene",
-            "non-finite-weight", "sidecar-not-utf8",
+            "non-finite-weight", "sidecar-not-utf8", "huge-d_model",
         ],
     )
     def test_sample_exits_with_usage_error(self, tmp_path, trained, corrupt, capsys):
@@ -538,6 +554,33 @@ class TestMalformedCheckpoint:
                        "--out", str(tmp_path / "s")])
         assert rc == cli.EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    def test_huge_blocks_reads_the_shape_table_no_further_than_the_file(
+        self, tmp_path, trained, monkeypatch, capsys
+    ):
+        """A sidecar that declares 2**30 blocks is refused after one more
+        table entry than the file holds tensors, not after 2**30 blocks."""
+        path = str(tmp_path / "checkpoint.ecsh")
+        shutil.copy(trained, path)
+        shutil.copy(str(trained) + ".json", path + ".json")
+        _edit_sidecar(lambda c: c["model"].update(blocks=2**30))(path)
+        n_tensors = len(load_tensors(path))
+        shapes = M.param_shapes
+        read = []
+
+        def counted(cfg):
+            for entry in shapes(cfg):
+                read.append(entry)
+                if len(read) > 10 * n_tensors:
+                    raise AssertionError("read the shape table past the file's tensors")
+                yield entry
+
+        monkeypatch.setattr(M, "param_shapes", counted)
+        rc = cli.main(["sample", "--ckpt", path, "--shots", "n=2,scene=0", "--steps", "1",
+                       "--out", str(tmp_path / "s")])
+        assert rc == cli.EXIT_CONFIG
+        assert "do not match its model config" in capsys.readouterr().err
+        assert len(read) == n_tensors + 1
 
 
 class TestCurveCommand:
@@ -640,13 +683,18 @@ class TestEntryChecks:
         assert "full+refattn" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("shots", ["n=2,scene=8", "n=2,scene=0;n=2,scene=1,motion=-1"])
+    @pytest.mark.parametrize(
+        "shots",
+        ["n=2,scene=8", "n=2,scene=0;n=2,scene=1,motion=-1", "n=2,scene=6;n=2,scene=1,motion=3"],
+    )
     def test_sample_ids_outside_vocabulary(self, tmp_path, refattn_ckpt, shots, capsys):
+        """The world's vocabulary (4 scenes, 2 motions) bounds the ids, not the
+        model's (8 and 4): training never drew the model's spare rows."""
         out = tmp_path / "s"
         rc = cli.main(["sample", "--ckpt", refattn_ckpt, "--shots", shots,
                        "--steps", "1", "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
-        assert "--shots ids outside the model's 8 scenes, 4 motions" in capsys.readouterr().err
+        assert "--shots ids outside the world's 4 scenes, 2 motions" in capsys.readouterr().err
         assert not out.exists()
 
     def test_curve_dim_above_bound(self, tmp_path, capsys):

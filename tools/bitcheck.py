@@ -1,5 +1,29 @@
 """Print one SHA-256 over outputs that must not change bit for bit.
 
+`fingerprint()` hashes what under a second of the program computes: the
+numerics of training, of the tape, of attention and of sampling.  `tests/conftest.py`
+folds it into the keys of the trained checkpoints and metrics it caches,
+so those are reused only by code that computes the same bits.  It covers,
+hashed in this order:
+
+- for every variant, 3 `engine.train` steps, plain and pmt2v (half the
+  identities dropped, so that both the null-identity row and a projected
+  identity are drawn), of a 32-dim, 2-block model: parameters and loss
+  log; then the self- and cross-attention probabilities (and key shot
+  indices) an `AttentionCollector` gathers from one forward on the plain
+  run's weights, and a 3-step guided `engine.sample` of an evaluation
+  prompt conditioned on an identity, on the pmt2v run's weights;
+- the float64 tape gradient of one batch of 2 on the default model, the
+  path of the benchmark's gradient check: every parameter's gradient.
+
+It reads no file.  The digest this script prints adds to those updates
+50-step samples from the fixed weights in perfbench/weights:
+
+- an `engine.sample` of `full` and `full+refattn` on full.ecsh;
+- an `engine.sample_infinite` with an identity on full_idft.ecsh, one of
+  whose attempts adds no shot;
+- an identity-conditioned `engine.sample` on full_idft.ecsh.
+
 A change that claims to keep the numerics prints the same digest as its
 parent.  Run it once against each tree's sources and compare:
 
@@ -7,19 +31,6 @@ parent.  Run it once against each tree's sources and compare:
     PYTHONPATH=/path/to/parent/src OPENBLAS_NUM_THREADS=1 python tools/bitcheck.py
 
 shotrope is imported from PYTHONPATH; the fixed weights are only read.
-The digest covers, hashed in this order:
-
-- 15 `engine.train` steps of every variant, plain and pmt2v (half the
-  identities dropped), on a 32-dim, 2-block model: parameters and loss log;
-- 4 pmt2v steps of the default model;
-- a 50-step `engine.sample` of `full` and `full+refattn` on full.ecsh;
-- a 50-step `engine.sample_infinite` with an identity on full_idft.ecsh,
-  one of whose attempts adds no shot;
-- a 50-step identity-conditioned `engine.sample` on full_idft.ecsh;
-- the float64 tape gradient of one batch of 2 on the default model, the
-  path of the benchmark's gradient check: every parameter's gradient;
-- the self- and cross-attention probabilities an `AttentionCollector`
-  gathers from one forward of every variant on full.ecsh's weights.
 """
 
 from __future__ import annotations
@@ -34,6 +45,8 @@ from shotrope import checkpoint as C, engine as E, model as M, synthetic as S, t
 from shotrope.tensor import Tensor
 
 WEIGHTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "weights")
+# the small trainings; with this seed each pmt2v run draws both identity rows
+FINGERPRINT_TRAIN = {"steps": 3, "seed": 3, "id_dropout": 0.5}
 
 
 def _update(h, name, arr):
@@ -47,6 +60,7 @@ def _train(h, tag, model_cfg, train_cfg, world):
     for name in sorted(params):
         _update(h, f"{tag}/{name}", params[name].data)
     _update(h, f"{tag}/loss", np.asarray(log, dtype=np.float64))
+    return params
 
 
 def _load(weights, name, variant=None):
@@ -80,35 +94,49 @@ def _gradient(h, world):
             _update(h, f"grad/{name}", params[name].grad)
 
 
-def _attention_probs(h, weights):
-    """Probabilities gathered from one forward of every variant."""
+def _attention_probs(h, tag, cfg, params, world):
+    """Probabilities gathered from one forward of 3 shots."""
+    sample = S.make_batch(world, 1, shot_count_range=(3, 3), seed=19)[0]
+    eps = np.random.default_rng(20).standard_normal(sample.tokens.shape)
+    collector = M.AttentionCollector()
+    M.denoiser_forward(
+        M.make_noisy(sample.tokens, eps, 0.5), 0.5, sample.captions, sample.layout, cfg, params,
+        collect=collector,
+    )
+    for i, probs in enumerate(collector.self_probs):
+        _update(h, f"{tag}/self/{i}", probs)
+    for i, (probs, shots) in enumerate(collector.cross_probs):
+        _update(h, f"{tag}/cross/{i}", probs)
+        _update(h, f"{tag}/cross/{i}/shots", shots)
+
+
+def _fingerprint_updates(h):
+    world = S.SyntheticWorld(seed=1)
     for variant in M.VARIANTS:
-        params, cfg, w = _load(weights, "full.ecsh", variant)
-        sample = S.make_batch(w, 1, shot_count_range=(3, 3), seed=19)[0]
-        eps = np.random.default_rng(20).standard_normal(sample.tokens.shape)
-        z_tau = (0.5 * sample.tokens + 0.5 * eps).astype(np.float32)
-        collector = M.AttentionCollector()
-        M.denoiser_forward(z_tau, 0.5, sample.captions, sample.layout, cfg, params, collect=collector)
-        for i, probs in enumerate(collector.self_probs):
-            _update(h, f"probs/{variant}/self/{i}", probs)
-        for i, (probs, shots) in enumerate(collector.cross_probs):
-            _update(h, f"probs/{variant}/cross/{i}", probs)
-            _update(h, f"probs/{variant}/cross/{i}/shots", shots)
+        cfg = M.DenoiserConfig(d_model=32, blocks=2, variant=variant)
+        plain, pmt2v = (
+            _train(h, f"small/{variant}/{p}", cfg, E.TrainConfig(**FINGERPRINT_TRAIN, pmt2v=p), world)
+            for p in (False, True)
+        )
+        _attention_probs(h, f"probs/{variant}", cfg, plain, world)
+        emb = E.identity_embedding(pmt2v, world, 0)
+        spec = E.eval_specs(world, 1, seed=21)[0]
+        field = E.sample(pmt2v, cfg, world, spec, steps=3, seed=22, id_embedding=emb)
+        _update(h, f"small/{variant}/sample", field)
+    _gradient(h, world)
+
+
+def fingerprint():
+    """SHA-256 of the training, tape, attention and sampling numerics; reads no file."""
+    h = hashlib.sha256()
+    _fingerprint_updates(h)
+    return h.hexdigest()
 
 
 def digest(weights):
+    """The fingerprint's updates, then 50-step samples from the fixed weights."""
     h = hashlib.sha256()
-    world = S.SyntheticWorld(seed=1)
-    for variant in M.VARIANTS:
-        for pmt2v in (False, True):
-            _train(
-                h, f"small/{variant}/{pmt2v}",
-                M.DenoiserConfig(d_model=32, blocks=2, variant=variant),
-                E.TrainConfig(steps=15, seed=3, pmt2v=pmt2v, id_dropout=0.5),
-                world,
-            )
-    _train(h, "default/pmt2v", M.DenoiserConfig(),
-           E.TrainConfig(steps=4, seed=5, pmt2v=True, id_dropout=0.5), world)
+    _fingerprint_updates(h)
 
     for variant in ("full", "full+refattn"):
         params, cfg, w = _load(weights, "full.ecsh", variant)
@@ -129,9 +157,6 @@ def digest(weights):
     params, cfg, w = _load(weights, "full_idft.ecsh")
     spec = [E.ShotPrompt(2, 5), E.ShotPrompt(3, 6, 1)]
     _update(h, "sample/identity", E.sample(params, cfg, w, spec, seed=15, id_embedding=emb))
-
-    _gradient(h, world)
-    _attention_probs(h, weights)
     return h.hexdigest()
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -33,6 +34,10 @@ CURVE_MAX_DIM = 4096
 # most tokens in one `sample --shots` group; peak memory grows with its square:
 # one default-model shot peaks at 331 MB with 2,048 tokens and 1.1 GB with 4,096
 SAMPLE_MAX_TOKENS = 4096
+# largest world.n_ids: a world draws its whole identity pool when it is built,
+# n_ids x d_id float64 values; 65,536 identities of d_id 16 take 8 MB
+WORLD_MAX_IDS = 65536
+_WORLD_DEFAULTS = {k: p.default for k, p in inspect.signature(S.SyntheticWorld).parameters.items()}
 
 
 def load_run_config(path):
@@ -47,23 +52,25 @@ def load_run_config(path):
     for section in ("model", "train", "world"):
         if section not in raw:
             raise ConfigError(f"config missing section {section!r}")
-    model_cfg, world = _model_and_world(raw)
+    model_cfg = M.DenoiserConfig.from_dict(raw["model"])
+    world = _world_for(model_cfg, raw["world"])
     train_cfg = engine.TrainConfig.from_dict(raw["train"])
     if "seed" not in raw["train"]:
         raise ConfigError("train.seed must be explicit")
     return model_cfg, train_cfg, world
 
 
-def _model_and_world(config):
-    """A run config's or sidecar's model and world; the model reads the world's tokens,
-    identities and caption ids."""
-    model_cfg = M.DenoiserConfig.from_dict(config["model"])
-    world = S.SyntheticWorld.from_config(config["world"])  # requires world.seed
-    if (model_cfg.d_token, model_cfg.d_id) != (world.d_token, world.d_id):
+def _world_for(model_cfg, raw):
+    """The world of a run config's or sidecar's world section raw, built only once
+    its sizes pass: the model reads the world's tokens, identities and caption ids."""
+    size = {**_WORLD_DEFAULTS, **check_config("world", raw, S.SyntheticWorld.CONFIG_TYPES)}
+    if (model_cfg.d_token, model_cfg.d_id) != (size["d_token"], size["d_id"]):
         raise ConfigError("model d_token and d_id must equal the world's")
-    if model_cfg.v_scene < world.v_scene or model_cfg.v_mot < world.v_mot:
+    if model_cfg.v_scene < size["v_scene"] or model_cfg.v_mot < size["v_mot"]:
         raise ConfigError("model v_scene and v_mot must be at least the world's")
-    return model_cfg, world
+    if size["n_ids"] > WORLD_MAX_IDS:
+        raise ConfigError(f"world n_ids {size['n_ids']} exceeds {WORLD_MAX_IDS}")
+    return S.SyntheticWorld.from_config(raw)  # requires world.seed
 
 
 def _make_dir(path):
@@ -142,7 +149,8 @@ def _load_model(ckpt_path):
     sections = ("model", "world")
     if not (isinstance(config, dict) and all(isinstance(config.get(s), dict) for s in sections)):
         raise ConfigError(f"checkpoint sidecar of {ckpt_path} needs 'model' and 'world' sections")
-    model_cfg, world = _model_and_world(config)
+    # the census bounds the model's sizes by the file's, and the model bounds the world's
+    model_cfg = M.DenoiserConfig.from_dict(config["model"])
     census = M.params_census(tensors)
     # one entry more than the file holds is enough to tell a longer table
     expected = dict(itertools.islice(M.param_shapes(model_cfg), len(census) + 1))
@@ -151,6 +159,7 @@ def _load_model(ckpt_path):
         raise ConfigError(f"checkpoint {ckpt_path}: tensors {wrong} do not match its model config")
     if not all(np.isfinite(arr).all() for arr in tensors.values()):
         raise ConfigError(f"checkpoint {ckpt_path}: tensors hold non-finite values")
+    world = _world_for(model_cfg, config["world"])
     params = {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}
     return params, model_cfg, world
 

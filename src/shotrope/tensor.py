@@ -6,9 +6,11 @@ head-batched [heads, n, dh] tensor by one constant [n, dh] rotary table
 shared by every head (`rope_pairs`).  Attention runs all heads at once:
 `split_heads` turns [n, d] into [heads, n, d/heads], the row ops act on
 the last two axes, `attention_core` runs softmax(c q k^T) v head by head
-as one tape node that keeps only the probabilities, and
-`merge_heads` restores [n, d].  Forward math is plain numpy, so two runs
-over identical inputs are bit-identical.
+as one tape node, and `merge_heads` restores [n, d].  The tape keeps
+gradient routing, not data: gradient slots and backward closures over only
+the arrays each formula reads, so an op output is freed once the forward
+lets go of it, and `GradTape.backward` drops each node as it runs it.
+Forward math is plain numpy, so two runs over identical inputs are bit-identical.
 """
 
 from __future__ import annotations
@@ -78,15 +80,15 @@ _ACTIVE_TAPE = None
 
 
 class GradTape:
-    """Ordered record of primitive ops; backward replays it in reverse.
+    """Ordered record of primitive ops; backward replays it once, in reverse.
 
-    Each op records backward_fn(g), which maps the gradient g of its output
-    to one gradient per input, or None for an input that needs none.  Each
-    gradient has one owner.  backward takes g from its output (an output's
-    .grad is None afterwards, so only leaves keep .grad) and hands each
-    returned array to its input without a copy.  Returned arrays are fresh
-    or views of g, and no two of them overlap.  An input with
-    requires_grad False receives no .grad.
+    Each op records (output slot, input slots, backward_fn).  A Tensor's slot
+    holds its grad, requires_grad and dtype, so the tape keeps no Tensor
+    alive.  backward_fn(g) maps the gradient g of the output to one gradient
+    per input, or None for an input that needs none.  backward pops each node
+    as it runs it and takes g from the output's slot, so only leaves keep
+    .grad.  Each gradient has one owner: it goes to its input without a copy,
+    and no two returned arrays overlap.  Inputs with requires_grad False get none.
     """
 
     def __init__(self):
@@ -105,15 +107,18 @@ class GradTape:
         return False
 
     def record(self, out, inputs, backward_fn):
-        self._nodes.append((out, inputs, backward_fn))
+        self._nodes.append((out._slot, tuple(i._slot for i in inputs), backward_fn))
 
     def backward(self, loss):
+        if not self._nodes:
+            raise RuntimeError("backward on an empty tape: nothing recorded, or already replayed")
         if loss.data.ndim != 0:
             raise ShapeError("backward requires a scalar loss")
         if not np.isfinite(loss.data):
             raise NumericError("non-finite loss")
         loss.grad = np.ones((), dtype=loss.data.dtype)
-        for out, inputs, backward_fn in reversed(self._nodes):
+        while self._nodes:
+            out, inputs, backward_fn = self._nodes.pop()
             g_out = out.grad
             if g_out is None:
                 continue
@@ -122,13 +127,22 @@ class GradTape:
                 if g is None or not inp.requires_grad:
                     continue
                 if inp.grad is None:
-                    inp.grad = np.asarray(g, dtype=inp.data.dtype)
+                    inp.grad = np.asarray(g, dtype=inp.dtype)
                 else:
                     inp.grad += g
 
 
+class _Slot:
+    """What the tape keeps of a Tensor: its gradient, whether it takes one, its dtype."""
+
+    __slots__ = ("grad", "requires_grad", "dtype")
+
+    def __init__(self, requires_grad, dtype):
+        self.grad, self.requires_grad, self.dtype = None, requires_grad, dtype
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "_slot")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -137,8 +151,12 @@ class Tensor:
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
-        self.grad = None
-        self.requires_grad = requires_grad
+        self._slot = _Slot(requires_grad, arr.dtype)
+
+    grad = property(lambda t: t._slot.grad, lambda t, g: setattr(t._slot, "grad", g))
+    requires_grad = property(
+        lambda t: t._slot.requires_grad, lambda t, flag: setattr(t._slot, "requires_grad", flag)
+    )
 
     @property
     def shape(self):
@@ -191,11 +209,12 @@ def add(a, b):
     else:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     out_data = a.data + b.data
+    b_shape, a_grad = b.shape, a.requires_grad
 
     def bw(g):
-        if b.data.shape == g.shape:
-            gb = g.copy() if a.requires_grad else g  # g itself goes to a
-        elif b.data.ndim == 1:
+        if b_shape == g.shape:
+            gb = g.copy() if a_grad else g  # g itself goes to a
+        elif len(b_shape) == 1:
             gb = g.sum(axis=0)
         else:
             gb = g.sum(axis=0, keepdims=True)
@@ -222,21 +241,22 @@ def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    out_data = a.data * b.data
+    ad, bd = a.data, b.data
+    out_data = ad * bd
 
     def bw(g):
-        return g * b.data, g * a.data
+        return g * bd, g * ad
 
     return _make(out_data, (a, b), bw)
 
 
 def scale(a, c):
     a = _as_tensor(a)
-    c = float(c)
-    out_data = a.data * a.data.dtype.type(c)
+    c = a.data.dtype.type(float(c))
+    out_data = a.data * c
 
     def bw(g):
-        return (g * a.data.dtype.type(c),)
+        return (g * c,)
 
     return _make(out_data, (a,), bw)
 
@@ -246,11 +266,12 @@ def _swap_last(a):
 
 
 def _matmul(a, b):
-    out_data = a.data @ b.data
+    ad, bd, a_grad, b_grad = a.data, b.data, a.requires_grad, b.requires_grad
+    out_data = ad @ bd
 
     def bw(g):
-        ga = g @ _swap_last(b.data) if a.requires_grad else None
-        gb = _swap_last(a.data) @ g if b.requires_grad else None
+        ga = g @ _swap_last(bd) if a_grad else None
+        gb = _swap_last(ad) @ g if b_grad else None
         return ga, gb
 
     return _make(out_data, (a, b), bw)
@@ -329,7 +350,8 @@ def softmax_rows(x):
 def attention_core(q, k, v, c):
     """softmax(c * q k^T) v over the last two axes as one tape node: the output and
     the probability array p, bit for bit those of transpose, batched_matmul, scale,
-    softmax_rows and batched_matmul.  The backward keeps only p and k^T."""
+    softmax_rows and batched_matmul.  The backward keeps p, k^T and the arrays of
+    q and v, not k."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.data.ndim < 2 or not (q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
                                and q.shape[-1] == k.shape[-1] and k.shape[-2] == v.shape[-2]):
@@ -341,15 +363,17 @@ def attention_core(q, k, v, c):
     if not np.isfinite(p).all():
         raise NumericError("attention_core: non-finite logits")
     _softmax_forward(p, out=p)
-    out_data = p @ v.data
+    qd, vd = q.data, v.data
+    q_grad, k_grad, v_grad = q.requires_grad, k.requires_grad, v.requires_grad
+    out_data = p @ vd
 
     def bw(g):
-        gv = _swap_last(p) @ g if v.requires_grad else None
-        if not (q.requires_grad or k.requires_grad):
+        gv = _swap_last(p) @ g if v_grad else None
+        if not (q_grad or k_grad):
             return None, None, gv
-        gs = _softmax_backward(p, g @ _swap_last(v.data)) * c
-        gq = gs @ _swap_last(kt) if q.requires_grad else None
-        gk = np.ascontiguousarray(_swap_last(_swap_last(q.data) @ gs)) if k.requires_grad else None
+        gs = _softmax_backward(p, g @ _swap_last(vd)) * c
+        gq = gs @ _swap_last(kt) if q_grad else None
+        gk = np.ascontiguousarray(_swap_last(_swap_last(qd) @ gs)) if k_grad else None
         return gq, gk, gv
 
     return _make(out_data, (q, k, v), bw), p
@@ -377,23 +401,24 @@ def layernorm(x, eps=1e-5):
 def gelu(x):
     """tanh-approximated GELU."""
     x = _as_tensor(x)
-    c = x.data.dtype.type(np.sqrt(2.0 / np.pi))
-    k = x.data.dtype.type(GELU_K)
+    xd = x.data
+    c = xd.dtype.type(np.sqrt(2.0 / np.pi))
+    k = xd.dtype.type(GELU_K)
     # c * (x + k * (x*x*x)) in place; x*x*x, not x**3: a float32 power call is about 200x slower
-    t = x.data * x.data
-    t *= x.data
+    t = xd * xd
+    t *= xd
     t *= k
-    t += x.data
+    t += xd
     t *= c
     np.tanh(t, out=t)
-    out_data = 0.5 * x.data
+    out_data = 0.5 * xd
     out_data *= 1.0 + t
 
     def bw(g):
         sech2 = 1.0 - t * t
-        dinner = c * (1.0 + 3.0 * k * x.data ** 2)
-        d = 0.5 * (1.0 + t) + 0.5 * x.data * sech2 * dinner
-        return (g * d.astype(x.data.dtype),)
+        dinner = c * (1.0 + 3.0 * k * xd ** 2)
+        d = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * dinner
+        return (g * d.astype(xd.dtype),)
 
     return _make(out_data, (x,), bw)
 
@@ -401,9 +426,10 @@ def gelu(x):
 def tsum(x):
     x = _as_tensor(x)
     out_data = np.asarray(x.data.sum(), dtype=x.data.dtype)
+    shape, dtype = x.shape, x.dtype
 
     def bw(g):
-        return (np.full_like(x.data, g),)
+        return (np.full(shape, g, dtype=dtype),)
 
     return _make(out_data, (x,), bw)
 
@@ -411,9 +437,10 @@ def tsum(x):
 def tmean(x):
     x = _as_tensor(x)
     out_data = np.asarray(x.data.mean(), dtype=x.data.dtype)
+    shape, dtype, size = x.shape, x.dtype, x.data.size
 
     def bw(g):
-        return (np.full_like(x.data, g / x.data.size),)
+        return (np.full(shape, g / size, dtype=dtype),)
 
     return _make(out_data, (x,), bw)
 
@@ -445,9 +472,10 @@ def slice_rows(x, lo, hi):
     if x.data.ndim < 2:
         raise ShapeError("slice_rows expects a tensor of at least 2 dims")
     out_data = x.data[..., lo:hi, :].copy()
+    shape, dtype = x.shape, x.dtype
 
     def bw(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype=dtype)
         gx[..., lo:hi, :] = g
         return (gx,)
 
@@ -488,9 +516,10 @@ def gather_rows(table, indices):
     table = _as_tensor(table)
     idx = np.asarray(indices, dtype=np.int64)
     out_data = table.data[idx].copy()
+    shape, dtype = table.shape, table.dtype
 
     def bw(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape, dtype=dtype)
         np.add.at(gt, idx, g)
         return (gt,)
 

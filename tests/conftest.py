@@ -8,8 +8,12 @@ what under a second of training, tape backward, attention and sampling
 computes, so code that computes other bits in those runs, through a
 change to the numerics or a BLAS that picks other kernels, looks up
 other keys and retrains rather than reusing weights and metrics it would
-no longer produce.  It is computed once per session, when the first key
-is needed.  Cache files are written atomically.  Delete the cache
+no longer produce.  The metrics keys also fold in the scoring fingerprint,
+which hashes the evaluation prompts and the metric code on fixed fields,
+so a change to the scoring alone rescores the cached checkpoints rather
+than serving metrics the code would no longer compute.  Each fingerprint
+is computed once per session, when the first key needs it.  Cache files
+are written atomically.  Delete the cache
 directory (tests/.cache by default, override with SHOTROPE_TEST_CACHE)
 to force retraining.
 """
@@ -61,6 +65,11 @@ def _fingerprint():
     return _bitcheck()["fingerprint"]()
 
 
+@functools.cache
+def _scoring_fingerprint():
+    return _bitcheck()["scoring_fingerprint"]()
+
+
 @pytest.fixture(scope="session")
 def bitcheck():
     return _bitcheck()
@@ -84,9 +93,9 @@ def _hash_key(config):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _run_key(model_cfg, train_cfg, world):
+def _run_key(model_cfg, train_cfg, world, **extra):
     config = run_config_dict(model_cfg, train_cfg, world)
-    return _hash_key({**config, "fingerprint": _fingerprint()})
+    return _hash_key({**config, "fingerprint": _fingerprint(), **extra})
 
 
 def _train_cached(model_cfg, train_cfg, world):
@@ -101,7 +110,7 @@ def _train_cached(model_cfg, train_cfg, world):
 
 
 def _evaluate_cached(params, model_cfg, train_cfg, world):
-    key = _run_key(model_cfg, train_cfg, world)
+    key = _run_key(model_cfg, train_cfg, world, scoring=_scoring_fingerprint())
     path = os.path.join(
         _cache_dir(),
         f"metrics_{model_cfg.variant}_{key}_{EVAL_SAMPLES}_{EVAL_SEED}_{EVAL_STEPS}.json",
@@ -132,7 +141,7 @@ def trained_variants(oracle_world):
     return out
 
 
-def _identity_finetune_key(model_cfg, base_cfg, ft_cfg, world):
+def _identity_finetune_key(model_cfg, base_cfg, ft_cfg, world, **extra):
     return _hash_key(
         {
             "base": {
@@ -142,6 +151,7 @@ def _identity_finetune_key(model_cfg, base_cfg, ft_cfg, world):
             },
             "ft": ft_cfg.to_dict(),
             "fingerprint": _fingerprint(),
+            **extra,
         }
     )
 
@@ -178,7 +188,9 @@ def identity_model_metrics(identity_finetuned, oracle_world):
     params, model_cfg = identity_finetuned
     base_cfg = E.TrainConfig(steps=TRAIN_STEPS, seed=TRAIN_SEED)
     ft_cfg = E.TrainConfig(steps=ID_FT_STEPS, seed=ID_FT_SEED, pmt2v=True)
-    key = _identity_finetune_key(model_cfg, base_cfg, ft_cfg, oracle_world)
+    key = _identity_finetune_key(
+        model_cfg, base_cfg, ft_cfg, oracle_world, scoring=_scoring_fingerprint()
+    )
     path = os.path.join(
         _cache_dir(),
         f"metrics_full_idft_{key}_{EVAL_SAMPLES}_{EVAL_SEED}_{EVAL_STEPS}.json",

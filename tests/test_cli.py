@@ -506,6 +506,17 @@ def _garble_sidecar(path):
         fh.write("{not json")
 
 
+class _BoundedWorld(S.SyntheticWorld):
+    """A world that fails the test rather than allocate a size no sidecar of a
+    loadable checkpoint can declare, so that a size checked too late cannot
+    take the machine's memory."""
+
+    def __init__(self, **cfg):
+        if max(cfg.get("n_ids", 0), cfg.get("d_token", 0)) > 2**20:
+            raise AssertionError(f"built a world of {cfg}")
+        super().__init__(**cfg)
+
+
 class TestMalformedCheckpoint:
     """Every malformed checkpoint is a usage error (exit 2), not a traceback."""
 
@@ -535,15 +546,19 @@ class TestMalformedCheckpoint:
             _non_finite_weight,
             _sidecar_not_utf8,
             _edit_sidecar(lambda c: c["model"].update(d_model=2**30)),
+            _edit_sidecar(lambda c: c["world"].update(n_ids=2**30)),
+            _edit_sidecar(lambda c: c["world"].update(d_token=2**30)),
         ],
         ids=[
             "missing-tensor", "wrong-shape", "truncated-header", "trailing-bytes",
             "missing-sidecar", "malformed-sidecar", "no-world-section", "unknown-world-key",
             "huge-extents", "int64-overflowing-extents", "world-d_token", "world-v_scene",
-            "non-finite-weight", "sidecar-not-utf8", "huge-d_model",
+            "non-finite-weight", "sidecar-not-utf8", "huge-d_model", "huge-n_ids",
+            "huge-world-d_token",
         ],
     )
-    def test_sample_exits_with_usage_error(self, tmp_path, trained, corrupt, capsys):
+    def test_sample_exits_with_usage_error(self, tmp_path, trained, corrupt, monkeypatch, capsys):
+        monkeypatch.setattr(S, "SyntheticWorld", _BoundedWorld)
         path = str(tmp_path / "checkpoint.ecsh")
         shutil.copy(trained, path)
         shutil.copy(str(trained) + ".json", path + ".json")

@@ -1,7 +1,10 @@
 """The numerics fingerprint that keys the trained-checkpoint and metrics
-cache: it must move with any change to the bits training computes."""
+cache: it must move with any change to the bits training computes.  The
+scoring fingerprint, folded into the metrics keys only, must move with any
+change to the evaluation prompts or the metric code."""
 
 import numpy as np
+import pytest
 
 from shotrope import engine as E, model as M, synthetic as S, tensor as T
 
@@ -27,3 +30,35 @@ def test_fingerprint_pmt2v_runs_draw_both_identity_rows(bitcheck, monkeypatch):
     train_cfg = E.TrainConfig(**bitcheck["FINGERPRINT_TRAIN"], pmt2v=True)
     E.train(M.DenoiserConfig(d_model=32, blocks=2), train_cfg, S.SyntheticWorld(seed=1))
     assert True in drawn and False in drawn
+
+
+def _median_metrics(records):
+    return {key: float(np.median([r[key] for r in records])) for key in E.METRIC_KEYS}
+
+
+def _rounded_identity(metrics_on_field):
+    def score(*args):
+        out = metrics_on_field(*args)
+        return {**out, "identity_consistency": round(out["identity_consistency"], 2)}
+    return score
+
+
+def _shifted_specs(eval_specs):
+    return lambda world, n_samples, seed, *args: eval_specs(world, n_samples, seed + 1, *args)
+
+
+@pytest.mark.parametrize(
+    "name,mutate",
+    [
+        ("mean_metrics", lambda f: _median_metrics),
+        ("metrics_on_field", _rounded_identity),
+        ("eval_specs", _shifted_specs),
+    ],
+    ids=["median-of-records", "rounded-identity", "shifted-prompt-seed"],
+)
+def test_a_scoring_change_moves_the_scoring_fingerprint(bitcheck, monkeypatch, name, mutate):
+    """The cached metrics are keyed on the scoring code, not only on the
+    numerics that produce the fields it scores."""
+    before = bitcheck["scoring_fingerprint"]()
+    monkeypatch.setattr(E, name, mutate(getattr(E, name)))
+    assert bitcheck["scoring_fingerprint"]() != before

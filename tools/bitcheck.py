@@ -24,6 +24,13 @@ It reads no file.  The digest this script prints adds to those updates
   whose attempts adds no shot;
 - an identity-conditioned `engine.sample` on full_idft.ecsh.
 
+`scoring_fingerprint()` hashes the scoring code on its own: the prompts of
+`engine.eval_specs` on a fixed world and seed, and what `metrics_on_field`
+and `mean_metrics` make of fixed fields, clean renders under ever more
+noise.  It reads no file either.  `tests/conftest.py` folds it into the
+keys of the cached metrics only, so a change to the scoring alone rescores
+the cached checkpoints without retraining them.  The digest leaves it out.
+
 A change that claims to keep the numerics prints the same digest as its
 parent.  Run it once against each tree's sources and compare:
 
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -131,6 +139,28 @@ def fingerprint():
     h = hashlib.sha256()
     _fingerprint_updates(h)
     return h.hexdigest()
+
+
+def scoring_fingerprint():
+    """SHA-256 of evaluation prompts and of metrics scored on fixed fields."""
+    world = S.SyntheticWorld(seed=1)
+    rng = np.random.default_rng(23)
+    specs = E.eval_specs(world, 8, seed=24)
+    records = []
+    for i, spec in enumerate(specs):
+        layout = E.build_layout(spec, world)
+        clean = S.render_sample(
+            world, i, [p.scene for p in spec], [p.motion for p in spec], layout, noise_seed=25 + i
+        )
+        # noise of std i: every metric takes more than one value over the records
+        field = clean + i * rng.standard_normal(clean.shape)
+        records.append(E.metrics_on_field(field.astype(np.float32), spec, layout, world))
+    scored = {
+        "specs": [[(p.frames, p.scene, p.motion) for p in spec] for spec in specs],
+        "records": records,
+        "mean": E.mean_metrics(records),
+    }
+    return hashlib.sha256(json.dumps(scored, sort_keys=True).encode()).hexdigest()
 
 
 def digest(weights):

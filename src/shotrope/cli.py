@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import inspect
 import itertools
 import json
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -37,7 +37,6 @@ SAMPLE_MAX_TOKENS = 4096
 # largest world.n_ids: a world draws its whole identity pool when it is built,
 # n_ids x d_id float64 values; 65,536 identities of d_id 16 take 8 MB
 WORLD_MAX_IDS = 65536
-_WORLD_DEFAULTS = {k: p.default for k, p in inspect.signature(S.SyntheticWorld).parameters.items()}
 
 
 def load_run_config(path):
@@ -63,7 +62,8 @@ def load_run_config(path):
 def _world_for(model_cfg, raw):
     """The world of a run config's or sidecar's world section raw, built only once
     its sizes pass: the model reads the world's tokens, identities and caption ids."""
-    size = {**_WORLD_DEFAULTS, **check_config("world", raw, S.SyntheticWorld.CONFIG_TYPES)}
+    check_config("world", raw, typing.get_type_hints(S.SyntheticWorld))
+    size = {f.name: raw.get(f.name, f.default) for f in dataclasses.fields(S.SyntheticWorld)}
     if (model_cfg.d_token, model_cfg.d_id) != (size["d_token"], size["d_id"]):
         raise ConfigError("model d_token and d_id must equal the world's")
     if model_cfg.v_scene < size["v_scene"] or model_cfg.v_mot < size["v_mot"]:
@@ -128,6 +128,8 @@ def parse_shot_spec(text):
             key = key.strip()
             if key not in ("n", "scene", "motion"):
                 raise ConfigError(f"malformed shot segment: {segment!r}")
+            if key in fields:
+                raise ConfigError(f"repeated key {key!r} in shot segment: {segment!r}")
             try:
                 fields[key] = int(value)
             except ValueError:
@@ -268,34 +270,25 @@ def cmd_curve(args):
 
 
 def _ablate_run(task):
-    model_dict, train_dict, world_cfg, eval_cfg = task
-    model_cfg = M.DenoiserConfig.from_dict(model_dict)
-    train_cfg = engine.TrainConfig.from_dict(train_dict)
-    world = S.SyntheticWorld.from_config(world_cfg)
+    model_cfg, train_cfg, world, eval_cfg = task
     params, _ = engine.train(model_cfg, train_cfg, world)
-    metrics = engine.evaluate(params, model_cfg, world, **eval_cfg)
-    return metrics
+    return engine.evaluate(params, model_cfg, world, **eval_cfg)
 
 
 def cmd_ablate(args):
     _require_count(eval_samples=args.eval_samples, eval_steps=args.eval_steps)
     model_cfg, train_cfg, world = load_run_config(args.config)
     _make_dir(args.out)
-    runs = []
-    base = model_cfg.to_dict()
-    for variant in ("vanilla", "tcrope", "full"):
-        d = dict(base)
-        d["variant"] = variant
-        runs.append((variant, d["j"], d["k"], d))
+    runs = [(v, dataclasses.replace(model_cfg, variant=v)) for v in ("vanilla", "tcrope", "full")]
     if args.grid:
-        for j in (2.0, 4.0, 6.0):
-            for k in (2.0, 6.0, 12.0):
-                d = dict(base)
-                d.update(variant="full", j=j, k=k)
-                runs.append((f"full[j={j:g},k={k:g}]", j, k, d))
+        runs += [
+            (f"full[j={j:g},k={k:g}]", dataclasses.replace(model_cfg, variant="full", j=j, k=k))
+            for j in (2.0, 4.0, 6.0)
+            for k in (2.0, 6.0, 12.0)
+        ]
 
     eval_cfg = {"n_samples": args.eval_samples, "seed": train_cfg.seed, "steps": args.eval_steps}
-    tasks = [(d, train_cfg.to_dict(), world.config(), eval_cfg) for _, _, _, d in runs]
+    tasks = [(cfg, train_cfg, world, eval_cfg) for _, cfg in runs]
     workers = int(os.environ.get("SHOTROPE_THREADS", os.cpu_count() or 1))
     workers = max(1, min(workers, len(tasks)))
     if workers > 1:
@@ -310,13 +303,13 @@ def cmd_ablate(args):
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "j", "k", "default", *engine.METRIC_KEYS])
-        for (name, j, k, d), metrics in zip(runs, results):
-            is_default = d["variant"] == "full" and j == 4.0 and k == 6.0
+        for (name, cfg), metrics in zip(runs, results):
+            is_default = cfg.variant == "full" and cfg.j == 4.0 and cfg.k == 6.0
             writer.writerow(
-                [name, j, k, "yes" if is_default else "no"]
+                [name, cfg.j, cfg.k, "yes" if is_default else "no"]
                 + [repr(metrics[key]) for key in engine.METRIC_KEYS]
             )
-    for (name, _, _, _), metrics in zip(runs, results):
+    for (name, _), metrics in zip(runs, results):
         print(
             f"{name}: scene_adherence={metrics['scene_adherence']:.3f} "
             f"identity={metrics['identity_consistency']:.3f} cut={metrics['cut_accuracy']:.3f}"

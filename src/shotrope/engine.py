@@ -42,10 +42,7 @@ class TrainConfig:
                 raise ConfigError(f"shot ranges must be [lo, hi], 1 <= lo <= hi: {list(lo_hi)}")
 
     def to_dict(self):
-        d = asdict(self)
-        d["shot_count_range"] = list(self.shot_count_range)
-        d["shot_len_range"] = list(self.shot_len_range)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -353,6 +350,13 @@ def mean_metrics(records):
     return {key: float(np.mean([r[key] for r in records])) for key in METRIC_KEYS}
 
 
+def identity_match(tokens, world, layout, id_index):
+    """Whether the nearest pool identity to the field's decoded identity,
+    averaged over its shots, is id_index."""
+    mean_id = S.decode_identity(tokens, world, layout).mean(axis=0)
+    return int(np.argmax(world.ids @ mean_id)) == id_index
+
+
 def eval_specs(world, n_samples, seed, shot_count=3, frame_range=(2, 4)):
     """Fixed evaluation prompts: distinct scenes across shots."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(10**6,)))
@@ -407,12 +411,9 @@ def evaluate(
         )
         records.append(metrics_on_field(tokens, spec, layout, world))
         if use_identity:
-            mean_id = S.decode_identity(tokens, world, layout).mean(axis=0)
-            matches.append(int(np.argmax(world.ids @ mean_id)) == id_index)
+            matches.append(identity_match(tokens, world, layout, id_index))
     out = mean_metrics(records)
     if use_identity:
-        # fraction of samples whose decoded identity's nearest pool
-        # neighbour is the conditioned identity
         out["identity_match"] = float(np.mean(matches))
     out["n_samples"] = n_samples
     out["seed"] = seed

@@ -9,13 +9,13 @@ clean tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .shots import ShotLayout
-from .tensor import ConfigError, NumericError, Tensor, check_config
+from .tensor import ConfigError, NumericError, Tensor, config_from_dict
 
 FOURIER_DIM = 6
 
@@ -62,65 +62,47 @@ class Sample:
     motion_ids: tuple
 
 
+@dataclass(eq=False)
 class SyntheticWorld:
-    # the constructor's arguments and their types, which config() records
-    CONFIG_TYPES = {
-        "seed": int, "n_ids": int, "d_id": int, "v_scene": int, "v_mot": int,
-        "d_token": int, "sigma": float, "height": int, "width": int,
-    }
+    seed: int
+    n_ids: int = 256
+    d_id: int = 16
+    v_scene: int = 8
+    v_mot: int = 4
+    d_token: int = 128
+    sigma: float = 0.05
+    height: int = 4
+    width: int = 4
 
-    def __init__(
-        self,
-        seed,
-        n_ids=256,
-        d_id=16,
-        v_scene=8,
-        v_mot=4,
-        d_token=128,
-        sigma=0.05,
-        height=4,
-        width=4,
-    ):
-        self.seed = int(seed)
-        self.n_ids = n_ids
-        self.d_id = d_id
-        self.v_scene = v_scene
-        self.v_mot = v_mot
-        self.d_token = d_token
-        self.sigma = float(sigma)
-        self.height = height
-        self.width = width
-        if self.seed < 0 or min(n_ids, d_id, v_scene, v_mot, height, width) < 1:
+    def __post_init__(self):
+        self.seed = int(self.seed)
+        self.sigma = float(self.sigma)
+        sizes = (self.n_ids, self.d_id, self.v_scene, self.v_mot, self.height, self.width)
+        if self.seed < 0 or min(sizes) < 1:
             raise ConfigError("world seed must be >= 0 and its sizes and grid >= 1")
         rng = np.random.default_rng(self.seed)
-        ids = rng.standard_normal((n_ids, d_id))
+        ids = rng.standard_normal((self.n_ids, self.d_id))
         self.ids = (ids / np.linalg.norm(ids, axis=1, keepdims=True)).astype(np.float32)
         # orthonormal vocabularies keep nearest-neighbour decoding crisp
-        self.scene_vecs = np.linalg.qr(rng.standard_normal((v_scene, v_scene)))[0].astype(
-            np.float32
+        self.scene_vecs, self.motion_vecs = (
+            np.linalg.qr(rng.standard_normal((v, v)))[0].astype(np.float32)
+            for v in (self.v_scene, self.v_mot)
         )
-        self.motion_vecs = np.linalg.qr(rng.standard_normal((v_mot, v_mot)))[0].astype(
-            np.float32
-        )
-        d_factor = d_id + v_scene + v_mot + FOURIER_DIM
-        self.d_factor = d_factor
-        if d_token < d_factor:
+        self.d_factor = self.d_id + self.v_scene + self.v_mot + FOURIER_DIM
+        if self.d_token < self.d_factor:
             raise ConfigError(f"world d_token must be >= d_id + v_scene + v_mot + {FOURIER_DIM}")
-        m = rng.standard_normal((d_token, d_factor)) / np.sqrt(d_factor)
-        if np.linalg.matrix_rank(m) < d_factor:
+        m = rng.standard_normal((self.d_token, self.d_factor)) / np.sqrt(self.d_factor)
+        if np.linalg.matrix_rank(m) < self.d_factor:
             raise NumericError("render map is rank deficient")  # pragma: no cover
         self.render_map = m.astype(np.float32)
         self.render_pinv = np.linalg.pinv(m)  # float64
 
     def config(self):
-        return {key: getattr(self, key) for key in self.CONFIG_TYPES}
+        return asdict(self)
 
     @classmethod
     def from_config(cls, cfg):
-        check_config("world", cfg, cls.CONFIG_TYPES)
-        if "seed" not in cfg:
-            raise ConfigError("world config needs a seed")
-        return cls(**cfg)
+        return config_from_dict(cls, "world", cfg)
 
     def fourier_features(self, t, h, w):
         t = np.asarray(t, dtype=np.float64)

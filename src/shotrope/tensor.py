@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 
 import numpy as np
 
@@ -49,7 +50,7 @@ def _has_type(value, want):
 
 
 def check_config(what, d, types):
-    """Return d after checking it against types, which maps each key to its type.
+    """Check the mapping d against types, which maps each key to its type.
 
     Raises ConfigError on a key types lacks, a value of another type, or a
     float that is NaN or infinite (JSON's `NaN` and `Infinity` literals).
@@ -67,13 +68,16 @@ def check_config(what, d, types):
             )
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{what} config {key!r} must be finite, got {value!r}")
-    return d
 
 
 def config_from_dict(cls, what, d):
-    """cls(**d) for a config dataclass, each field typed like its default."""
-    types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
-    return cls(**check_config(what, d, types))
+    """cls(**d) for a config dataclass, each field typed by its annotation;
+    a field without a default must be in d."""
+    check_config(what, d, typing.get_type_hints(cls))
+    required = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING]
+    if not set(required) <= set(d):
+        raise ConfigError(f"{what} config needs {required}")
+    return cls(**d)
 
 
 _ACTIVE_TAPE = None

@@ -47,6 +47,9 @@ ABLATION_VARIANTS = ("vanilla", "tcrope", "full")
 ID_FT_STEPS = 2000
 ID_FT_SEED = 11
 
+_BASE_TRAIN = E.TrainConfig(steps=TRAIN_STEPS, seed=TRAIN_SEED)
+_ID_FT_TRAIN = E.TrainConfig(steps=ID_FT_STEPS, seed=ID_FT_SEED, pmt2v=True)
+
 BITCHECK_PY = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bitcheck.py")
 
 
@@ -93,36 +96,51 @@ def _hash_key(config):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _run_key(model_cfg, train_cfg, world, **extra):
-    config = run_config_dict(model_cfg, train_cfg, world)
+def _run_key(model_cfg, world, **extra):
+    config = run_config_dict(model_cfg, _BASE_TRAIN, world)
     return _hash_key({**config, "fingerprint": _fingerprint(), **extra})
 
 
-def _train_cached(model_cfg, train_cfg, world):
-    key = _run_key(model_cfg, train_cfg, world)
-    path = os.path.join(_cache_dir(), f"ckpt_{model_cfg.variant}_{key}.ecsh")
+def _metrics_path(stem, key):
+    return os.path.join(
+        _cache_dir(), f"metrics_{stem}_{key}_{EVAL_SAMPLES}_{EVAL_SEED}_{EVAL_STEPS}.json"
+    )
+
+
+def _load_or_train(path, train, sidecar):
+    """The parameters cached at path, else train()'s, saved there with sidecar."""
     if os.path.exists(path) and os.path.exists(C.sidecar_path(path)):
         tensors, _ = C.load_checkpoint(path)
         return {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}
-    params, _ = E.train(model_cfg, train_cfg, world)
-    C.save_checkpoint(path, params, run_config_dict(model_cfg, train_cfg, world))
+    params, _ = train()
+    C.save_checkpoint(path, params, sidecar)
     return params
 
 
-def _evaluate_cached(params, model_cfg, train_cfg, world):
-    key = _run_key(model_cfg, train_cfg, world, scoring=_scoring_fingerprint())
-    path = os.path.join(
-        _cache_dir(),
-        f"metrics_{model_cfg.variant}_{key}_{EVAL_SAMPLES}_{EVAL_SEED}_{EVAL_STEPS}.json",
-    )
+def _load_or_evaluate(path, params, model_cfg, world, **kwargs):
+    """The metrics cached at path, else E.evaluate's on the fixed prompt set, saved there."""
     if os.path.exists(path):
         with open(path) as fh:
             return json.load(fh)
     metrics = E.evaluate(
-        params, model_cfg, world, n_samples=EVAL_SAMPLES, seed=EVAL_SEED, steps=EVAL_STEPS
+        params, model_cfg, world, n_samples=EVAL_SAMPLES, seed=EVAL_SEED, steps=EVAL_STEPS,
+        **kwargs,
     )
     C.write_json(path, metrics, indent=2)
     return metrics
+
+
+def _train_cached(model_cfg, world):
+    return _load_or_train(
+        os.path.join(_cache_dir(), f"ckpt_{model_cfg.variant}_{_run_key(model_cfg, world)}.ecsh"),
+        lambda: E.train(model_cfg, _BASE_TRAIN, world),
+        run_config_dict(model_cfg, _BASE_TRAIN, world),
+    )
+
+
+def _evaluate_cached(params, model_cfg, world):
+    key = _run_key(model_cfg, world, scoring=_scoring_fingerprint())
+    return _load_or_evaluate(_metrics_path(model_cfg.variant, key), params, model_cfg, world)
 
 
 @pytest.fixture(scope="session")
@@ -136,20 +154,15 @@ def trained_variants(oracle_world):
     out = {}
     for variant in ABLATION_VARIANTS:
         model_cfg = M.DenoiserConfig(variant=variant)
-        train_cfg = E.TrainConfig(steps=TRAIN_STEPS, seed=TRAIN_SEED)
-        out[variant] = (_train_cached(model_cfg, train_cfg, oracle_world), model_cfg)
+        out[variant] = (_train_cached(model_cfg, oracle_world), model_cfg)
     return out
 
 
-def _identity_finetune_key(model_cfg, base_cfg, ft_cfg, world, **extra):
+def _identity_finetune_key(model_cfg, world, **extra):
     return _hash_key(
         {
-            "base": {
-                "model": model_cfg.to_dict(),
-                "train": base_cfg.to_dict(),
-                "world": world.config(),
-            },
-            "ft": ft_cfg.to_dict(),
+            "base": run_config_dict(model_cfg, _BASE_TRAIN, world),
+            "ft": _ID_FT_TRAIN.to_dict(),
             "fingerprint": _fingerprint(),
             **extra,
         }
@@ -160,62 +173,35 @@ def _identity_finetune_key(model_cfg, base_cfg, ft_cfg, world, **extra):
 def identity_finetuned(trained_variants, oracle_world):
     """(params, model config) of the full model after the identity fine-tune."""
     base_params, model_cfg = trained_variants["full"]
-    base_cfg = E.TrainConfig(steps=TRAIN_STEPS, seed=TRAIN_SEED)
-    ft_cfg = E.TrainConfig(steps=ID_FT_STEPS, seed=ID_FT_SEED, pmt2v=True)
-    key = _identity_finetune_key(model_cfg, base_cfg, ft_cfg, oracle_world)
+    key = _identity_finetune_key(model_cfg, oracle_world)
+
+    def finetune():
+        params = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in base_params.items()}
+        return E.train(model_cfg, _ID_FT_TRAIN, oracle_world, params=params)
+
+    sidecar = {
+        "model": model_cfg.to_dict(),
+        "base_train": _BASE_TRAIN.to_dict(),
+        "finetune": _ID_FT_TRAIN.to_dict(),
+        "world": oracle_world.config(),
+    }
     path = os.path.join(_cache_dir(), f"ckpt_full_idft_{key}.ecsh")
-    if os.path.exists(path) and os.path.exists(C.sidecar_path(path)):
-        tensors, _ = C.load_checkpoint(path)
-        return {n: Tensor(a, requires_grad=True) for n, a in tensors.items()}, model_cfg
-    params = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in base_params.items()}
-    params, _ = E.train(model_cfg, ft_cfg, oracle_world, params=params)
-    C.save_checkpoint(
-        path,
-        params,
-        {
-            "model": model_cfg.to_dict(),
-            "base_train": base_cfg.to_dict(),
-            "finetune": ft_cfg.to_dict(),
-            "world": oracle_world.config(),
-        },
-    )
-    return params, model_cfg
+    return _load_or_train(path, finetune, sidecar), model_cfg
 
 
 @pytest.fixture(scope="session")
 def identity_model_metrics(identity_finetuned, oracle_world):
     """Identity-conditioned metrics of the fine-tuned full model."""
     params, model_cfg = identity_finetuned
-    base_cfg = E.TrainConfig(steps=TRAIN_STEPS, seed=TRAIN_SEED)
-    ft_cfg = E.TrainConfig(steps=ID_FT_STEPS, seed=ID_FT_SEED, pmt2v=True)
-    key = _identity_finetune_key(
-        model_cfg, base_cfg, ft_cfg, oracle_world, scoring=_scoring_fingerprint()
-    )
-    path = os.path.join(
-        _cache_dir(),
-        f"metrics_full_idft_{key}_{EVAL_SAMPLES}_{EVAL_SEED}_{EVAL_STEPS}.json",
-    )
-    if os.path.exists(path):
-        with open(path) as fh:
-            return json.load(fh)
-    metrics = E.evaluate(
-        params,
-        model_cfg,
-        oracle_world,
-        n_samples=EVAL_SAMPLES,
-        seed=EVAL_SEED,
-        steps=EVAL_STEPS,
-        use_identity=True,
-    )
-    C.write_json(path, metrics, indent=2)
-    return metrics
+    key = _identity_finetune_key(model_cfg, oracle_world, scoring=_scoring_fingerprint())
+    path = _metrics_path("full_idft", key)
+    return _load_or_evaluate(path, params, model_cfg, oracle_world, use_identity=True)
 
 
 @pytest.fixture(scope="session")
 def variant_metrics(trained_variants, oracle_world):
     """variant -> evaluation metrics over the fixed seeded prompt set."""
-    out = {}
-    for variant, (params, model_cfg) in trained_variants.items():
-        train_cfg = E.TrainConfig(steps=TRAIN_STEPS, seed=TRAIN_SEED)
-        out[variant] = _evaluate_cached(params, model_cfg, train_cfg, oracle_world)
-    return out
+    return {
+        variant: _evaluate_cached(params, model_cfg, oracle_world)
+        for variant, (params, model_cfg) in trained_variants.items()
+    }

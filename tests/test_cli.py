@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -53,7 +54,10 @@ class TestShotSpecGrammar:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "n=4", "scene=3", "n=0,scene=1", "n=two,scene=1", "n=4,scene=1,extra=2", "n=4,scene=1;;"],
+        [
+            "", "n=4", "scene=3", "n=0,scene=1", "n=two,scene=1", "n=4,scene=1,extra=2",
+            "n=4,scene=1;;", "n=2,n=5,scene=1", "scene=1,scene=3", "n=2,scene=1,scene=3",
+        ],
     )
     def test_malformed_specs_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -206,7 +210,7 @@ _FIELDS = [
     for section, keys in (
         ("model", M.DenoiserConfig().to_dict()),
         ("train", engine.TrainConfig().to_dict()),
-        ("world", S.SyntheticWorld.CONFIG_TYPES),
+        ("world", [f.name for f in dataclasses.fields(S.SyntheticWorld)]),
     )
     for key in sorted(keys)
 ]

@@ -47,14 +47,20 @@ def _shifted_specs(eval_specs):
     return lambda world, n_samples, seed, *args: eval_specs(world, n_samples, seed + 1, *args)
 
 
+def _farthest_identity(tokens, world, layout, id_index):
+    mean_id = S.decode_identity(tokens, world, layout).mean(axis=0)
+    return int(np.argmin(world.ids @ mean_id)) == id_index
+
+
 @pytest.mark.parametrize(
     "name,mutate",
     [
         ("mean_metrics", lambda f: _median_metrics),
         ("metrics_on_field", _rounded_identity),
         ("eval_specs", _shifted_specs),
+        ("identity_match", lambda f: _farthest_identity),
     ],
-    ids=["median-of-records", "rounded-identity", "shifted-prompt-seed"],
+    ids=["median-of-records", "rounded-identity", "shifted-prompt-seed", "argmin-identity-match"],
 )
 def test_a_scoring_change_moves_the_scoring_fingerprint(bitcheck, monkeypatch, name, mutate):
     """The cached metrics are keyed on the scoring code, not only on the

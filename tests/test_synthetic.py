@@ -1,4 +1,6 @@
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,24 @@ class TestWorldConstruction:
         clone = S.SyntheticWorld.from_config(world.config())
         assert np.array_equal(clone.render_map, world.render_map)
         assert np.array_equal(clone.ids, world.ids)
+
+    def test_config_needs_a_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            S.SyntheticWorld.from_config({"n_ids": 8})
+
+    def test_config_types_each_key_by_its_annotation(self):
+        with pytest.raises(ConfigError, match="sigma"):
+            S.SyntheticWorld.from_config({"seed": 1, "sigma": "0.1"})
+        with pytest.raises(ConfigError, match="n_ids"):
+            S.SyntheticWorld.from_config({"seed": 1, "n_ids": 8.0})
+        assert S.SyntheticWorld.from_config({"seed": 1, "sigma": 0}).sigma == 0.0
+
+    def test_pickle_roundtrip(self, world):
+        """`ablate` hands the world to its worker processes by pickle."""
+        clone = pickle.loads(pickle.dumps(world))
+        assert clone.config() == world.config()
+        for name in ("ids", "scene_vecs", "motion_vecs", "render_map", "render_pinv"):
+            assert np.array_equal(getattr(clone, name), getattr(world, name))
 
     def test_same_seed_same_world(self):
         a = S.SyntheticWorld(seed=5)

@@ -25,11 +25,12 @@ It reads no file.  The digest this script prints adds to those updates
 - an identity-conditioned `engine.sample` on full_idft.ecsh.
 
 `scoring_fingerprint()` hashes the scoring code on its own: the prompts of
-`engine.eval_specs` on a fixed world and seed, and what `metrics_on_field`
-and `mean_metrics` make of fixed fields, clean renders under ever more
-noise.  It reads no file either.  `tests/conftest.py` folds it into the
-keys of the cached metrics only, so a change to the scoring alone rescores
-the cached checkpoints without retraining them.  The digest leaves it out.
+`engine.eval_specs` on a fixed world and seed, and what `metrics_on_field`,
+`mean_metrics` and `identity_match` make of fixed fields, clean renders
+under ever more noise.  It reads no file either.  `tests/conftest.py`
+folds it into the keys of the cached metrics only, so a change to the
+scoring alone rescores the cached checkpoints without retraining them.
+The digest leaves it out.
 
 A change that claims to keep the numerics prints the same digest as its
 parent.  Run it once against each tree's sources and compare:
@@ -146,19 +147,21 @@ def scoring_fingerprint():
     world = S.SyntheticWorld(seed=1)
     rng = np.random.default_rng(23)
     specs = E.eval_specs(world, 8, seed=24)
-    records = []
+    records, matches = [], []
     for i, spec in enumerate(specs):
         layout = E.build_layout(spec, world)
         clean = S.render_sample(
             world, i, [p.scene for p in spec], [p.motion for p in spec], layout, noise_seed=25 + i
         )
         # noise of std i: every metric takes more than one value over the records
-        field = clean + i * rng.standard_normal(clean.shape)
-        records.append(E.metrics_on_field(field.astype(np.float32), spec, layout, world))
+        field = (clean + i * rng.standard_normal(clean.shape)).astype(np.float32)
+        records.append(E.metrics_on_field(field, spec, layout, world))
+        matches.append(E.identity_match(field, world, layout, i))
     scored = {
         "specs": [[(p.frames, p.scene, p.motion) for p in spec] for spec in specs],
         "records": records,
         "mean": E.mean_metrics(records),
+        "identity_match": matches,
     }
     return hashlib.sha256(json.dumps(scored, sort_keys=True).encode()).hexdigest()
 

@@ -18,7 +18,7 @@ import typing
 
 import numpy as np
 
-from . import analysis, engine, model as M, rope, synthetic as S, tensor as T
+from . import analysis, engine, model as M, rope, synthetic as S
 from .checkpoint import load_checkpoint, save_checkpoint, save_tensors, write_json
 from .tensor import ConfigError, NumericError, ShapeError, Tensor, check_config
 
@@ -321,14 +321,8 @@ def cmd_ablate(args):
 def cmd_selftest(args):
     from . import selftest
 
-    if args.sabotage:
-        T._SABOTAGE = args.sabotage
-    try:
-        report = selftest.run_all()
-    finally:
-        T._SABOTAGE = None
     ok = True
-    for name, passed, detail in report:
+    for name, passed, detail in selftest.run_all():
         status = "PASS" if passed else "FAIL"
         line = f"{status} {name}"
         if detail and not passed:
@@ -378,7 +372,6 @@ def build_parser():
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("selftest", help="run the property suites")
-    p.add_argument("--sabotage", choices=["rope-sign"], help="test-only fault injection")
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -8,6 +8,7 @@ import numpy as np
 
 from . import model as M
 from . import synthetic as S
+from . import tensor as T
 from .shots import PackedLayout, ShotLayout
 from .tensor import ConfigError, GradTape, NumericError, ShapeError, Tensor, config_from_dict
 
@@ -144,7 +145,7 @@ def _step_rng(seed, step):
 
 def _id_embedding_tensor(params, id_vec):
     row = Tensor(np.asarray(id_vec, dtype=np.float32)[None, :])
-    return (row @ params["id_proj/w"]) + params["id_proj/b"]
+    return T.add(T.matmul(row, params["id_proj/w"]), params["id_proj/b"])
 
 
 def train(model_cfg, train_cfg, world, params=None, log_hook=None):
@@ -184,8 +185,8 @@ def train(model_cfg, train_cfg, world, params=None, log_hook=None):
                 losses.append(M.rf_loss(pred, sample.tokens, eps))
             total = losses[0]
             for extra in losses[1:]:
-                total = total + extra
-            total = total * (1.0 / len(losses))
+                total = T.add(total, extra)
+            total = T.scale(total, 1.0 / len(losses))
             loss_val = float(total.data)
             if not np.isfinite(loss_val):
                 raise NumericError(f"training diverged at step {step}: loss={loss_val}")

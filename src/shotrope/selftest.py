@@ -6,10 +6,10 @@ import numpy as np
 
 from . import analysis, rope, tensor as T
 from .attention import segment_attention
-from .model import DenoiserConfig, denoiser_forward, init_params, rf_loss
+from .model import DenoiserConfig, denoiser_forward, init_params
 from .shots import ShotLayout, ShotRopeParams
 from .synthetic import SyntheticWorld, make_batch
-from .tensor import GradTape, Tensor, grad_check
+from .tensor import Tensor, grad_check
 
 
 def _suite_rope_algebra():

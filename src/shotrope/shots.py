@@ -8,7 +8,7 @@ shot index times k, suppressing mismatched shot-caption attention.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,9 +1,12 @@
 """Dense float32 tensors with reverse-mode autodiff on an explicit tape.
 
-Shapes are explicit everywhere.  Two implicit broadcasts are allowed:
-adding a 1-D bias row to every row of a 2-D tensor, and rotating a
-head-batched [heads, n, dh] tensor by one constant [n, dh] rotary table
-shared by every head (`rope_pairs`).  Attention runs all heads at once:
+Each op is one function that takes Tensors (plus plain numbers and constant
+arrays where its signature says so) and returns a fresh Tensor; Tensor has
+no operator spellings.  Shapes are explicit everywhere.  Two implicit
+broadcasts are allowed: adding a 1-D bias row to every row of a 2-D
+tensor, and rotating a head-batched [heads, n, dh] tensor by one constant
+[n, dh] rotary table shared by every head (`rope_pairs`).  Attention runs
+all heads at once:
 `split_heads` turns [n, d] into [heads, n, d/heads], the row ops act on
 the last two axes, `attention_core` runs softmax(c q k^T) v head by head
 as one tape node, and `merge_heads` restores [n, d].  The tape keeps
@@ -173,26 +176,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _make(out_data, inputs, backward_fn):
     out = Tensor(out_data)  # every op's output is a fresh float array: no copy
@@ -203,7 +186,6 @@ def _make(out_data, inputs, backward_fn):
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape == b.shape:
         pass
     elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
@@ -228,7 +210,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
     out_data = a.data - b.data
@@ -240,9 +221,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    if np.isscalar(b):
-        return scale(a, b)
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
@@ -255,7 +233,6 @@ def mul(a, b):
 
 
 def scale(a, c):
-    a = _as_tensor(a)
     c = a.data.dtype.type(float(c))
     out_data = a.data * c
 
@@ -269,49 +246,28 @@ def _swap_last(a):
     return np.swapaxes(a, -1, -2)
 
 
-def _matmul(a, b):
+def matmul(a, b):
+    """2-D product [m, k] @ [k, n].
+
+    Kept 2-D: the benchmark's tracer reads its operands' shapes as
+    [m, k] and [k, n] to count flops.  Attention's batched products run
+    inside `attention_core`.
+    """
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     ad, bd, a_grad, b_grad = a.data, b.data, a.requires_grad, b.requires_grad
     out_data = ad @ bd
 
     def bw(g):
-        ga = g @ _swap_last(bd) if a_grad else None
-        gb = _swap_last(ad) @ g if b_grad else None
+        ga = g @ bd.T if a_grad else None
+        gb = ad.T @ g if b_grad else None
         return ga, gb
 
     return _make(out_data, (a, b), bw)
 
 
-def matmul(a, b):
-    """2-D product [m, k] @ [k, n].
-
-    Kept 2-D: the benchmark's tracer reads its operands' shapes as
-    [m, k] and [k, n] to count flops.  Batched products use
-    `batched_matmul`.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return _matmul(a, b)
-
-
-def batched_matmul(a, b):
-    """Product over the last two axes, batched over equal leading axes:
-    [..., m, k] @ [..., k, n].  Each batch entry is computed exactly as
-    `matmul` computes it on its own."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if (
-        a.data.ndim < 2
-        or a.data.ndim != b.data.ndim
-        or a.shape[:-2] != b.shape[:-2]
-        or a.shape[-1] != b.shape[-2]
-    ):
-        raise ShapeError(f"batched_matmul: incompatible shapes {a.shape} and {b.shape}")
-    return _matmul(a, b)
-
-
 def transpose(a):
     """Swap the last two axes into a contiguous copy."""
-    a = _as_tensor(a)
     if a.data.ndim < 2:
         raise ShapeError("transpose expects a tensor of at least 2 dims")
     out_data = np.ascontiguousarray(_swap_last(a.data))
@@ -338,7 +294,6 @@ def _softmax_backward(p, g):
 
 def softmax_rows(x):
     """Softmax over the last axis."""
-    x = _as_tensor(x)
     if x.data.ndim < 2:
         raise ShapeError("softmax_rows expects a tensor of at least 2 dims")
     if not np.isfinite(x.data).all():
@@ -352,11 +307,10 @@ def softmax_rows(x):
 
 
 def attention_core(q, k, v, c):
-    """softmax(c * q k^T) v over the last two axes as one tape node: the output and
-    the probability array p, bit for bit those of transpose, batched_matmul, scale,
-    softmax_rows and batched_matmul.  The backward keeps p, k^T and the arrays of
-    q and v, not k."""
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    """softmax(c * q k^T) v over the last two axes as one tape node; returns the
+    output and the probability array p.  Both equal, bit for bit, the chain
+    q @ transpose(k), scale, softmax_rows, @ v with numpy's batched matmul.
+    The backward keeps p, k^T and the arrays of q and v, not k."""
     if q.data.ndim < 2 or not (q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
                                and q.shape[-1] == k.shape[-1] and k.shape[-2] == v.shape[-2]):
         raise ShapeError(f"attention_core: incompatible shapes {q.shape} {k.shape} {v.shape}")
@@ -384,7 +338,6 @@ def attention_core(q, k, v, c):
 
 
 def layernorm(x, eps=1e-5):
-    x = _as_tensor(x)
     if x.data.ndim != 2 or x.shape[1] < 1:
         raise ShapeError("layernorm expects a 2-D tensor with last dim >= 1")
     mu = x.data.mean(axis=1, keepdims=True)
@@ -404,7 +357,6 @@ def layernorm(x, eps=1e-5):
 
 def gelu(x):
     """tanh-approximated GELU."""
-    x = _as_tensor(x)
     xd = x.data
     c = xd.dtype.type(np.sqrt(2.0 / np.pi))
     k = xd.dtype.type(GELU_K)
@@ -428,7 +380,6 @@ def gelu(x):
 
 
 def tsum(x):
-    x = _as_tensor(x)
     out_data = np.asarray(x.data.sum(), dtype=x.data.dtype)
     shape, dtype = x.shape, x.dtype
 
@@ -439,7 +390,6 @@ def tsum(x):
 
 
 def tmean(x):
-    x = _as_tensor(x)
     out_data = np.asarray(x.data.mean(), dtype=x.data.dtype)
     shape, dtype, size = x.shape, x.dtype, x.data.size
 
@@ -451,7 +401,7 @@ def tmean(x):
 
 def concat_rows(tensors):
     """Concatenate along axis -2; all other axes must agree."""
-    tensors = [_as_tensor(t) for t in tensors]
+    tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat_rows of empty list")
     shape = tensors[0].shape
@@ -472,7 +422,6 @@ def concat_rows(tensors):
 
 def slice_rows(x, lo, hi):
     """Rows lo:hi along axis -2."""
-    x = _as_tensor(x)
     if x.data.ndim < 2:
         raise ShapeError("slice_rows expects a tensor of at least 2 dims")
     out_data = x.data[..., lo:hi, :].copy()
@@ -489,7 +438,6 @@ def slice_rows(x, lo, hi):
 def split_heads(x, heads):
     """[n, heads*dh] -> contiguous [heads, n, dh]; head i holds columns
     i*dh:(i+1)*dh."""
-    x = _as_tensor(x)
     if x.data.ndim != 2 or x.shape[1] % heads != 0:
         raise ShapeError(f"split_heads: cannot split {x.shape} into {heads} heads")
     n, d = x.shape
@@ -503,7 +451,6 @@ def split_heads(x, heads):
 
 def merge_heads(x):
     """[heads, n, dh] -> [n, heads*dh], the inverse of split_heads."""
-    x = _as_tensor(x)
     if x.data.ndim != 3:
         raise ShapeError("merge_heads expects a [heads, n, dh] tensor")
     heads, n, dh = x.shape
@@ -517,7 +464,6 @@ def merge_heads(x):
 
 def gather_rows(table, indices):
     """Embedding lookup; backward scatter-adds into the table."""
-    table = _as_tensor(table)
     idx = np.asarray(indices, dtype=np.int64)
     out_data = table.data[idx].copy()
     shape, dtype = table.shape, table.dtype
@@ -537,7 +483,6 @@ def rope_pairs(x, cos, sin):
     shaped like the last two axes of x and shared by any leading (head)
     axes; the forward is `rotate_pairs`.
     """
-    x = _as_tensor(x)
     cos = np.asarray(cos, dtype=x.data.dtype)
     sin = np.asarray(sin, dtype=x.data.dtype)
     if cos.ndim != 2 or cos.shape != x.shape[-2:] or sin.shape != cos.shape:
@@ -552,10 +497,6 @@ def rope_pairs(x, cos, sin):
     return _make(out_data, (x,), bw)
 
 
-# test-only fault injection hook for the selftest negative control
-_SABOTAGE = None
-
-
 def rotate_pairs(a, cos, sin):
     """The pair rotation: a*cos + swap(a)*sin, swap mapping (a0, a1) -> (-a1, a0).
 
@@ -563,8 +504,6 @@ def rotate_pairs(a, cos, sin):
     rotary oracles (`rope.rope_1d`, `rope.rope_3d`) and the model's
     `rope_pairs` all rotate with this numpy kernel.
     """
-    if _SABOTAGE == "rope-sign":
-        return a * cos - _pair_swap(a) * sin
     return a * cos + _pair_swap(a) * sin
 
 

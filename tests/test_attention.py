@@ -451,8 +451,8 @@ def test_cross_attention_rotations_are_tarope(monkeypatch):
 
 
 def test_rope_sign_fault_reaches_oracles_and_model(monkeypatch):
-    """The selftest's rope-sign fault sits in the one rotation kernel, so it
-    changes the scalar oracle and both attention kernels alike."""
+    """A sign fault in the one pair swap the rotation kernel uses, a*cos -
+    swap(a)*sin, changes the scalar oracle and both attention kernels alike."""
     from shotrope.shots import tarope
 
     rng = np.random.default_rng(43)
@@ -475,10 +475,11 @@ def test_rope_sign_fault_reaches_oracles_and_model(monkeypatch):
         )
 
     clean = run()
-    monkeypatch.setattr(T, "_SABOTAGE", "rope-sign")
+    swap = T._pair_swap
+    monkeypatch.setattr(T, "_pair_swap", lambda a: -swap(a))
     for got, expect in zip(run(), clean):
         assert not np.array_equal(got, expect)
-    monkeypatch.setattr(T, "_SABOTAGE", None)
+    monkeypatch.undo()
     for got, expect in zip(run(), clean):
         assert np.array_equal(got, expect)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from shotrope import cli, engine, model as M, synthetic as S
+from shotrope import cli, engine, model as M, synthetic as S, tensor as T
 from shotrope.checkpoint import load_tensors, save_tensors
 from shotrope.engine import ShotPrompt
 from shotrope.tensor import ConfigError
@@ -312,6 +312,26 @@ class TestTrainCommand:
         assert sidecar["model"]["variant"] == "vanilla"
         assert sorted(sidecar) == ["model", "train", "world"]  # no numerics version
 
+    def test_seed_override_recorded_in_sidecar(self, tmp_path, config_path):
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--config", config_path, "--out", str(out), "--seed", "5"])
+        assert rc == cli.EXIT_OK
+        sidecar = json.loads((out / "checkpoint.ecsh.json").read_text())
+        assert sidecar["train"]["seed"] == 5
+
+    def test_divergence_is_numeric_error_and_saves_nothing(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["train"]["lr"] = 1e30
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            rc = cli.main(["train", "--config", str(config), "--out", str(out)])
+        assert rc == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numeric error:")
+        assert not (out / "checkpoint.ecsh").exists()
+        assert not (out / "loss.csv").exists()
+
 
 class TestSampleCommand:
     @pytest.fixture()
@@ -351,6 +371,25 @@ class TestSampleCommand:
                        "--out", str(out)])
         assert rc == cli.EXIT_OK
         assert (out / "sample0000.ecsh").exists()
+
+    def test_missing_checkpoint_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "samples"
+        rc = cli.main(["sample", "--ckpt", str(tmp_path / "nope.ecsh"),
+                       "--shots", "n=2,scene=0", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "checkpoint not found" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_identity_flag_conditions_on_that_identity(self, tmp_path, full_ckpt):
+        out = tmp_path / "s"
+        rc = cli.main(["sample", "--ckpt", full_ckpt, "--shots", "n=2,scene=0;n=2,scene=1",
+                       "--id", "0", "--steps", "2", "--seed", "4", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        params, model_cfg, world = cli._load_model(full_ckpt)
+        spec = [ShotPrompt(2, 0), ShotPrompt(2, 1)]
+        emb = engine.identity_embedding(params, world, 0)
+        want = engine.sample(params, model_cfg, world, spec, steps=2, seed=4, id_embedding=emb)
+        assert np.array_equal(load_tensors(str(out / "sample0000.ecsh"))["tokens"], want)
 
     def test_identity_flag_out_of_pool(self, tmp_path, ckpt):
         rc = cli.main(
@@ -899,13 +938,12 @@ class TestSelftestCommand:
         assert "FAIL" not in out
         assert out.count("PASS") == 6
 
-    def test_sabotage_is_caught(self, capsys):
-        rc = cli.main(["selftest", "--sabotage", "rope-sign"])
+    def test_sabotage_is_caught(self, capsys, monkeypatch):
+        """Negative control: a sign fault in the pair swap, so that the rotation
+        kernel computes a*cos - swap(a)*sin, fails the selftest."""
+        swap = T._pair_swap
+        monkeypatch.setattr(T, "_pair_swap", lambda a: -swap(a))
+        rc = cli.main(["selftest"])
         out = capsys.readouterr().out
         assert rc == cli.EXIT_TEST_FAILURE
         assert "FAIL rope_algebra" in out
-
-    def test_sabotage_flag_resets(self, capsys):
-        cli.main(["selftest", "--sabotage", "rope-sign"])
-        capsys.readouterr()
-        assert cli.main(["selftest"]) == cli.EXIT_OK

@@ -1,7 +1,7 @@
 """The numerics fingerprint that keys the trained-checkpoint and metrics
 cache: it must move with any change to the bits training computes.  The
 scoring fingerprint, folded into the metrics keys only, must move with any
-change to the evaluation prompts or the metric code."""
+change to the evaluation prompts, the metric code or `engine.evaluate`."""
 
 import numpy as np
 import pytest
@@ -52,6 +52,14 @@ def _farthest_identity(tokens, world, layout, id_index):
     return int(np.argmin(world.ids @ mean_id)) == id_index
 
 
+def _shifted_sample_seeds(evaluate):
+    return lambda *args, seed=0, **kwargs: evaluate(*args, seed=seed + 1, **kwargs)
+
+
+def _next_identity(identity_embedding):
+    return lambda params, world, i: identity_embedding(params, world, (i + 1) % world.n_ids)
+
+
 @pytest.mark.parametrize(
     "name,mutate",
     [
@@ -59,8 +67,13 @@ def _farthest_identity(tokens, world, layout, id_index):
         ("metrics_on_field", _rounded_identity),
         ("eval_specs", _shifted_specs),
         ("identity_match", lambda f: _farthest_identity),
+        ("evaluate", _shifted_sample_seeds),
+        ("identity_embedding", _next_identity),
     ],
-    ids=["median-of-records", "rounded-identity", "shifted-prompt-seed", "argmin-identity-match"],
+    ids=[
+        "median-of-records", "rounded-identity", "shifted-prompt-seed", "argmin-identity-match",
+        "shifted-evaluate-seed", "next-identity-embedding",
+    ],
 )
 def test_a_scoring_change_moves_the_scoring_fingerprint(bitcheck, monkeypatch, name, mutate):
     """The cached metrics are keyed on the scoring code, not only on the

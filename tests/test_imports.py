@@ -1,0 +1,54 @@
+"""Every top-level import of a shotrope module is used: read by name in the
+module's own code, or re-exported through its `__all__`."""
+
+import ast
+import glob
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "shotrope")
+
+
+def _bound_names(node):
+    """The names an import statement binds: `import a.b` binds a."""
+    for alias in node.names:
+        yield alias.asname or alias.name.split(".")[0]
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(source):
+    """The names source's top-level imports bind that nothing reads."""
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    imports = [
+        node for node in tree.body
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+    ]
+    return sorted(name for node in imports for name in _bound_names(node) if name not in read)
+
+
+def test_the_check_sees_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nfrom . import a, b as B\n__all__ = ['a']\n"
+        "def f(x: B):\n    return x\n"
+    )
+    assert unused_imports(source) == ["os"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(SRC, "*.py"))), ids=os.path.basename
+)
+def test_every_top_level_import_is_used(path):
+    with open(path) as fh:
+        assert unused_imports(fh.read()) == []

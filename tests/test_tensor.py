@@ -39,6 +39,8 @@ def test_matmul_against_scalar_loop_oracle():
 def test_matmul_shape_error():
     with pytest.raises(ShapeError):
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    with pytest.raises(ShapeError):
+        T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4, 5))))
 
 
 def test_softmax_uniform_row():
@@ -183,33 +185,6 @@ def _f64(rng, shape):
     return Tensor(rng.standard_normal(shape), dtype=np.float64)
 
 
-def test_batched_matmul_equals_matmul_head_by_head():
-    rng = np.random.default_rng(10)
-    a = rng.standard_normal((3, 5, 8)).astype(np.float32)
-    b = rng.standard_normal((3, 8, 6)).astype(np.float32)
-    got = T.batched_matmul(Tensor(a), Tensor(b)).data
-    for h in range(3):
-        assert np.array_equal(got[h], T.matmul(Tensor(a[h]), Tensor(b[h])).data)
-
-
-def test_batched_matmul_shape_errors():
-    with pytest.raises(ShapeError):
-        T.batched_matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
-    with pytest.raises(ShapeError):
-        T.batched_matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))))
-    with pytest.raises(ShapeError):
-        T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4, 5))))
-
-
-def test_backward_batched_matmul():
-    rng = np.random.default_rng(11)
-    a, b = _f64(rng, (2, 5, 4)), _f64(rng, (2, 4, 3))
-    probe = _f64(rng, (2, 5, 3))
-    left = grad_check(lambda t: T.tsum(T.mul(T.batched_matmul(t, b), probe)), a, h=1e-5)
-    right = grad_check(lambda t: T.tsum(T.mul(T.batched_matmul(a, t), probe)), b, h=1e-5)
-    assert max(left, right) <= 1e-6
-
-
 def test_transpose_swaps_last_two_axes_contiguously():
     x = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
     out = T.transpose(Tensor(x)).data
@@ -295,10 +270,20 @@ def test_op_outputs_do_not_alias_inputs():
 
 # -- attention core: one tape node that keeps only the probabilities ---------
 
+def _batched_product(a, b):
+    """numpy's product over the last two axes, [..., m, k] @ [..., k, n], as one tape node."""
+    ad, bd = a.data, b.data
+
+    def bw(g):
+        return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
+
+    return T._make(ad @ bd, (a, b), bw)
+
+
 def _attention_chain(q, k, v, c):
     """The five-node chain attention_core replaces; returns (out, probs)."""
-    probs = T.softmax_rows(T.scale(T.batched_matmul(q, T.transpose(k)), c))
-    return T.batched_matmul(probs, v), probs.data
+    probs = T.softmax_rows(T.scale(_batched_product(q, T.transpose(k)), c))
+    return _batched_product(probs, v), probs.data
 
 
 def _qkv(dtype, lead, needs_grad=(True, True, True)):

@@ -27,7 +27,11 @@ It reads no file.  The digest this script prints adds to those updates
 `scoring_fingerprint()` hashes the scoring code on its own: the prompts of
 `engine.eval_specs` on a fixed world and seed, and what `metrics_on_field`,
 `mean_metrics` and `identity_match` make of fixed fields, clean renders
-under ever more noise.  It reads no file either.  `tests/conftest.py`
+under ever more noise.  It also hashes what `engine.evaluate` returns, with
+and without an identity, for a 32-dim, 2-block model whose head is a seeded
+normal rather than zero, so that captions and identity reach the sampled
+field: the seeds, identity draws and arguments evaluate hands to sampling
+count as scoring too.  It reads no file either.  `tests/conftest.py`
 folds it into the keys of the cached metrics only, so a change to the
 scoring alone rescores the cached checkpoints without retraining them.
 The digest leaves it out.
@@ -162,8 +166,22 @@ def scoring_fingerprint():
         "records": records,
         "mean": E.mean_metrics(records),
         "identity_match": matches,
+        "evaluate": _evaluated(world),
     }
     return hashlib.sha256(json.dumps(scored, sort_keys=True).encode()).hexdigest()
+
+
+def _evaluated(world):
+    """engine.evaluate without and with an identity on a small model with a
+    seeded normal head: init_params zeroes the head, which nulls the field."""
+    cfg = M.DenoiserConfig(d_model=32, blocks=2)
+    params = M.init_params(cfg, 26)
+    head = params["head/w"]
+    head.data = np.random.default_rng(27).standard_normal(head.shape).astype(np.float32)
+    return [
+        E.evaluate(params, cfg, world, n_samples=3, seed=28, steps=2, use_identity=use_identity)
+        for use_identity in (False, True)
+    ]
 
 
 def digest(weights):

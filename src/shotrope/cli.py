@@ -74,11 +74,18 @@ def _world_for(model_cfg, raw):
 
 
 def _make_dir(path):
-    """Make the output directory path; one that cannot be made is a usage error."""
+    """Make the output directory path; one that cannot be made is a usage error.
+    Returns the directories it made, deepest first."""
+    made = []
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
+    return made
 
 
 def write_loss_csv(path, log):
@@ -103,8 +110,13 @@ def cmd_train(args):
         model_cfg = dataclasses.replace(model_cfg, variant=args.variant)
     if args.seed is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
-    _make_dir(args.out)
-    params, log = engine.train(model_cfg, train_cfg, world)
+    made = _make_dir(args.out)
+    try:
+        params, log = engine.train(model_cfg, train_cfg, world)
+    except NumericError:
+        for path in made:  # a diverged run leaves no directory it made behind
+            os.rmdir(path)
+        raise
     ckpt_path = os.path.join(args.out, "checkpoint.ecsh")
     save_checkpoint(ckpt_path, params, run_config_dict(model_cfg, train_cfg, world))
     write_loss_csv(os.path.join(args.out, "loss.csv"), log)

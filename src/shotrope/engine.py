@@ -143,11 +143,6 @@ def _step_rng(seed, step):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(step,)))
 
 
-def _id_embedding_tensor(params, id_vec):
-    row = Tensor(np.asarray(id_vec, dtype=np.float32)[None, :])
-    return T.add(T.matmul(row, params["id_proj/w"]), params["id_proj/b"])
-
-
 def train(model_cfg, train_cfg, world, params=None, log_hook=None):
     """Run the rectified-flow training loop; returns (params, loss_log)."""
     if params is None:
@@ -176,9 +171,11 @@ def train(model_cfg, train_cfg, world, params=None, log_hook=None):
                     sample.captions, model_cfg.caption_dropout, rng
                 )
                 if train_cfg.pmt2v:
-                    captions = _attach_training_identity(
-                        captions, sample, world, params, train_cfg, rng
-                    )
+                    if rng.uniform() < train_cfg.id_dropout:
+                        id_row = params["caption/null_id"]
+                    else:
+                        id_row = identity_embedding(params, world, sample.id_index)
+                    captions = condition_identity(captions, id_row)
                 pred = M.denoiser_forward(
                     z_tau, tau, captions, sample.layout, model_cfg, params
                 )
@@ -202,46 +199,43 @@ def train(model_cfg, train_cfg, world, params=None, log_hook=None):
     return params, log
 
 
-def _attach_training_identity(captions, sample, world, params, train_cfg, rng):
-    if rng.uniform() < train_cfg.id_dropout:
-        id_row = params["caption/null_id"]
-    else:
-        id_row = _id_embedding_tensor(params, world.ids[sample.id_index])
-    return captions.replace_entries(lambda e: {"id_vector": id_row})
-
-
-def condition_identity(captions, id_embedding):
-    """Prepend an identity token to every shot's caption sequence."""
-    id_embedding = np.asarray(id_embedding, dtype=np.float32)
-    if id_embedding.ndim != 1:
-        raise ShapeError("identity embedding must be a vector")
-    id_row = Tensor(id_embedding[None, :])
-    return captions.replace_entries(lambda e: {"id_vector": id_row})
-
-
 def identity_embedding(params, world, id_index):
-    """Project a pool identity into the caption embedding space."""
-    return _id_embedding_tensor(params, world.ids[id_index]).data[0]
+    """The [1, d_model] caption row of pool identity id_index: its vector
+    projected into the caption embedding space, on the tape when one is open."""
+    row = Tensor(world.ids[id_index][None, :])
+    return T.add(T.matmul(row, params["id_proj/w"]), params["id_proj/b"])
+
+
+def condition_identity(captions, id_row):
+    """Prepend the [1, d_model] identity row Tensor id_row to every shot's
+    caption sequence; caption_context checks its shape."""
+    return captions.replace_entries(lambda e: {"id_vector": id_row})
 
 
 def null_captions(captions):
     return captions.replace_entries(lambda e: {"id_vector": None, "dropped": True})
 
 
-def _integrate(params, cfg, z, layout, captions, uncond, steps, shift, guidance):
-    """Euler integration of the guided velocity field from z at tau = 1."""
+def _sample_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embedding):
+    """Euler integration of the guided velocity field from z at tau = 1, the
+    specs run as one field packed from their layouts; one field per spec."""
+    packed = PackedLayout(tuple(build_layout(spec, world) for spec in specs))
+    captions = tuple(build_captions(spec) for spec in specs)
+    if id_embedding is not None:
+        captions = tuple(condition_identity(c, id_embedding) for c in captions)
+    uncond = tuple(null_captions(c) for c in captions)
     taus = shift_timesteps(steps, shift)
     for i in range(steps):
         tau = float(taus[i])
-        v_c = M.denoiser_forward(z, tau, captions, layout, cfg, params).data
+        v_c = M.denoiser_forward(z, tau, captions, packed, cfg, params).data
         if guidance == 1.0:
             v = v_c
         else:
-            v_u = M.denoiser_forward(z, tau, uncond, layout, cfg, params).data
+            v_u = M.denoiser_forward(z, tau, uncond, packed, cfg, params).data
             v = cfg_velocity(v_c, v_u, guidance)
         dtau = float(taus[i + 1] - taus[i])
         z = (z + np.float32(dtau) * v.astype(np.float32)).astype(np.float32)
-    return z
+    return packed.unpack(z)
 
 
 def sample(
@@ -257,19 +251,15 @@ def sample(
     id_embedding=None,
 ):
     """Euler integration of the guided velocity field from pure noise."""
-    layout = build_layout(spec, world)
-    captions = build_captions(spec)
-    if id_embedding is not None:
-        captions = condition_identity(captions, id_embedding)
-    uncond = null_captions(captions)
+    n_tokens = build_layout(spec, world).total_tokens
     if init_noise is None:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        z = rng.standard_normal((layout.total_tokens, world.d_token)).astype(np.float32)
+        z = rng.standard_normal((n_tokens, world.d_token)).astype(np.float32)
     else:
         z = np.asarray(init_noise, dtype=np.float32).copy()
-        if z.shape != (layout.total_tokens, world.d_token):
+        if z.shape != (n_tokens, world.d_token):
             raise ShapeError("init noise shape does not match spec layout")
-    return _integrate(params, cfg, z, layout, captions, uncond, steps, shift, guidance)
+    return _sample_fields(params, cfg, world, [spec], z, steps, shift, guidance, id_embedding)[0]
 
 
 def sample_infinite(
@@ -302,23 +292,13 @@ def sample_infinite(
     specs = [[ref_prompt] + list(extra) for extra in new_specs]
     if not specs:
         return []
-    packed = PackedLayout(tuple(build_layout(spec, world) for spec in specs))
     noise = [ref_noise]
-    captions = []
-    for a, (spec, layout) in enumerate(zip(specs, packed.layouts)):
+    for a, spec in enumerate(specs):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(a,)))
-        noise.append(
-            rng.standard_normal((layout.total_tokens - n0, world.d_token)).astype(np.float32)
-        )
-        bundle = build_captions(spec)
-        if id_embedding is not None:
-            bundle = condition_identity(bundle, id_embedding)
-        captions.append(bundle)
-    z = _integrate(
-        params, cfg, np.concatenate(noise, axis=0), packed, tuple(captions),
-        tuple(null_captions(c) for c in captions), steps, shift, guidance,
-    )
-    return packed.unpack(z)
+        n_new = build_layout(spec, world).total_tokens - n0
+        noise.append(rng.standard_normal((n_new, world.d_token)).astype(np.float32))
+    z = np.concatenate(noise, axis=0)
+    return _sample_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embedding)
 
 
 # the oracle metrics of metrics_on_field, in the order reports list them
@@ -375,40 +355,25 @@ def eval_specs(world, n_samples, seed, shot_count=3, frame_range=(2, 4)):
     return specs
 
 
-def evaluate(
-    params,
-    cfg,
-    world,
-    n_samples=32,
-    seed=0,
-    steps=50,
-    shift=5.0,
-    guidance=5.0,
-    shot_count=3,
-    frame_range=(2, 4),
-    use_identity=False,
-):
+def evaluate(params, cfg, world, n_samples=32, seed=0, steps=50, use_identity=False):
     """Oracle metrics over a fixed seeded prompt set.
 
     With use_identity=True each prompt is additionally conditioned on a
     seeded identity drawn from the world's pool (requires a model trained
     with identity conditioning).
     """
-    specs = eval_specs(world, n_samples, seed, shot_count, frame_range)
+    specs = eval_specs(world, n_samples, seed)
     id_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(10**6 + 1,)))
     records = []
     matches = []
     for i, spec in enumerate(specs):
-        id_emb = None
-        id_index = None
+        id_emb = id_index = None
         if use_identity:
             id_index = int(id_rng.integers(world.n_ids))
             id_emb = identity_embedding(params, world, id_index)
         layout = build_layout(spec, world)
         tokens = sample(
-            params, cfg, world, spec,
-            steps=steps, shift=shift, guidance=guidance, seed=seed + 7919 * (i + 1),
-            id_embedding=id_emb,
+            params, cfg, world, spec, steps=steps, seed=seed + 7919 * (i + 1), id_embedding=id_emb
         )
         records.append(metrics_on_field(tokens, spec, layout, world))
         if use_identity:

@@ -161,10 +161,9 @@ def caption_context(bundles, cfg, params):
                 shot_idx.append(e.shot)
                 continue
             if e.id_vector is not None:
-                if e.id_vector.shape != (1, cfg.d_model):
-                    raise ShapeError(
-                        f"identity row shape {e.id_vector.shape} != (1, {cfg.d_model})"
-                    )
+                if not isinstance(e.id_vector, Tensor) or e.id_vector.shape != (1, cfg.d_model):
+                    got = f"{type(e.id_vector).__name__} {getattr(e.id_vector, 'shape', '')}"
+                    raise ShapeError(f"identity row must be a (1, {cfg.d_model}) Tensor, not {got}")
                 rows.append(e.id_vector)
                 shot_idx.append(e.shot)
             if not 0 <= e.scene_id < cfg.v_scene or not 0 <= e.motion_id < cfg.v_mot:

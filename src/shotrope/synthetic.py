@@ -58,8 +58,6 @@ class Sample:
     captions: CaptionBundle
     layout: ShotLayout
     id_index: int
-    scene_ids: tuple
-    motion_ids: tuple
 
 
 @dataclass(eq=False)
@@ -218,14 +216,5 @@ def make_batch(world, batch_size, shot_count_range=(1, 4), shot_len_range=(2, 6)
         captions = CaptionBundle(
             [CaptionEntry(shot=i, scene_id=scene_ids[i], motion_id=motion_ids[i]) for i in range(s)]
         )
-        out.append(
-            Sample(
-                tokens=tokens,
-                captions=captions,
-                layout=layout,
-                id_index=id_index,
-                scene_ids=scene_ids,
-                motion_ids=motion_ids,
-            )
-        )
+        out.append(Sample(tokens=tokens, captions=captions, layout=layout, id_index=id_index))
     return out

@@ -324,13 +324,24 @@ class TestTrainCommand:
         cfg["train"]["lr"] = 1e30
         config = tmp_path / "run.json"
         config.write_text(json.dumps(cfg))
-        out = tmp_path / "run"
+        out = tmp_path / "new" / "run"
         with np.errstate(all="ignore"):
             rc = cli.main(["train", "--config", str(config), "--out", str(out)])
         assert rc == cli.EXIT_NUMERIC
         assert capsys.readouterr().err.startswith("numeric error:")
         assert not (out / "checkpoint.ecsh").exists()
         assert not (out / "loss.csv").exists()
+        # every directory the run made is removed again
+        assert not (tmp_path / "new").exists()
+        # a pre-existing --out is left as it was
+        out.mkdir(parents=True)
+        (out / "keep.txt").write_text("kept")
+        with np.errstate(all="ignore"):
+            rc = cli.main(["train", "--config", str(config), "--out", str(out)])
+        assert rc == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numeric error:")
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "kept"
 
 
 class TestSampleCommand:
@@ -441,13 +452,13 @@ class TestSampleCommand:
         )
         assert rc == cli.EXIT_OK
         starts = []
-        real = engine._integrate
+        real = engine.M.denoiser_forward
 
-        def spy(params, cfg, z, *rest):
-            starts.append(z.copy())
-            return real(params, cfg, z, *rest)
+        def spy(z, *rest, **kwargs):
+            starts.append(np.array(z, copy=True))
+            return real(z, *rest, **kwargs)
 
-        monkeypatch.setattr(engine, "_integrate", spy)
+        monkeypatch.setattr(engine.M, "denoiser_forward", spy)
         rc = cli.main(
             [
                 "sample", "--ckpt", str(out / "checkpoint.ecsh"),
@@ -457,7 +468,9 @@ class TestSampleCommand:
             ]
         )
         assert rc == cli.EXIT_OK
-        (z,) = starts
+        # one step: both guidance branches start from the one packed noise field
+        z = starts[0]
+        assert len(starts) == 2 and np.array_equal(starts[1], z)
         n0 = 2 * SMALL_CONFIG["world"]["height"] * SMALL_CONFIG["world"]["width"]
         reference = {row.tobytes() for row in z[:n0]}
         assert not any(row.tobytes() in reference for row in z[n0:])

@@ -152,16 +152,20 @@ class TestPromptHelpers:
         nulled = E.null_captions(captions)
         assert all(e.dropped for e in nulled.entries)
 
-    def test_condition_identity_attaches_vector(self):
-        captions = E.build_captions([E.ShotPrompt(frames=2, scene=1)])
-        vec = np.ones(24, dtype=np.float32)
-        out = E.condition_identity(captions, vec)
-        assert np.array_equal(out.entries[0].id_vector.data, vec[None, :])
+    def test_condition_identity_attaches_the_row_unchanged(self):
+        captions = E.build_captions([E.ShotPrompt(frames=2, scene=1), E.ShotPrompt(2, 0)])
+        row = Tensor(np.ones((1, 24), dtype=np.float32))
+        out = E.condition_identity(captions, row)
+        assert all(e.id_vector is row for e in out.entries)
 
-    def test_condition_identity_rejects_matrix(self):
-        captions = E.build_captions([E.ShotPrompt(frames=2, scene=1)])
-        with pytest.raises(ShapeError):
-            E.condition_identity(captions, np.ones((2, 2)))
+    def test_sample_rejects_an_identity_that_is_not_one_row(self, small_world):
+        cfg = M.DenoiserConfig(**SMALL)
+        params = M.init_params(cfg, seed=0)
+        spec = [E.ShotPrompt(frames=2, scene=1)]
+        rows = (Tensor(np.ones(24)), Tensor(np.ones((2, 24))), np.ones((1, 24), np.float32))
+        for row in rows:
+            with pytest.raises(ShapeError):
+                E.sample(params, cfg, small_world, spec, steps=1, id_embedding=row)
 
 
 class TestTraining:
@@ -344,8 +348,9 @@ class TestIdentityEmbedding:
         params = M.init_params(cfg, seed=0)
         emb = E.identity_embedding(params, small_world, 3)
         expect = small_world.ids[3] @ params["id_proj/w"].data + params["id_proj/b"].data
-        assert np.allclose(emb, expect, atol=1e-6)
-        assert emb.shape == (cfg.d_model,)
+        assert isinstance(emb, Tensor)
+        assert np.allclose(emb.data, expect[None, :], atol=1e-6)
+        assert emb.shape == (1, cfg.d_model)
 
 
 class TestConditionedIdentityMatch:
@@ -441,7 +446,8 @@ class TestPackedContinuation:
         params, cfg = model
         emb = None
         if id_embedding:
-            emb = np.random.default_rng(9).standard_normal(cfg.d_model).astype(np.float32)
+            rng = np.random.default_rng(9)
+            emb = Tensor(rng.standard_normal((1, cfg.d_model)).astype(np.float32))
         fields = self._run(model, small_world, attempts, id_embedding=emb)
         ref_noise = self._ref_noise(small_world)
         assert len(fields) == len(attempts)

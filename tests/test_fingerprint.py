@@ -18,17 +18,18 @@ def test_one_ulp_in_gelu_changes_the_fingerprint(bitcheck, numerics_fingerprint,
 
 
 def test_fingerprint_pmt2v_runs_draw_both_identity_rows(bitcheck, monkeypatch):
-    drawn = []
-    attach = E._attach_training_identity
-
-    def spy(captions, sample, world, params, train_cfg, rng):
-        out = attach(captions, sample, world, params, train_cfg, rng)
-        drawn.append(out.entries[0].id_vector is params["caption/null_id"])
-        return out
-
-    monkeypatch.setattr(E, "_attach_training_identity", spy)
+    cfg = M.DenoiserConfig(d_model=32, blocks=2)
     train_cfg = E.TrainConfig(**bitcheck["FINGERPRINT_TRAIN"], pmt2v=True)
-    E.train(M.DenoiserConfig(d_model=32, blocks=2), train_cfg, S.SyntheticWorld(seed=1))
+    params = M.init_params(cfg, train_cfg.seed)  # what train builds when given none
+    drawn = []
+    attach = E.condition_identity
+
+    def spy(captions, id_row):
+        drawn.append(id_row is params["caption/null_id"])
+        return attach(captions, id_row)
+
+    monkeypatch.setattr(E, "condition_identity", spy)
+    E.train(cfg, train_cfg, S.SyntheticWorld(seed=1), params=params)
     assert True in drawn and False in drawn
 
 

@@ -266,21 +266,38 @@ class TestCaptionContext:
         assert ctx.embeddings.shape == (3, small_cfg.d_model)
         assert np.array_equal(ctx.embeddings.data[0], vec)
 
-    def test_dropped_training_identity_is_learned_null(self, small_cfg):
+    def test_dropped_training_identity_is_learned_null(self, small_world, monkeypatch):
         """Training's identity dropout conditions on the learned null identity itself."""
-        params = M.init_params(small_cfg, seed=0)
-        captions = S.CaptionBundle([S.CaptionEntry(shot=0, scene_id=0, motion_id=0)])
-        dropped = E._attach_training_identity(
-            captions, None, None, params, E.TrainConfig(id_dropout=1.0), np.random.default_rng(0)
-        )
-        assert dropped.entries[0].id_vector is params["caption/null_id"]
-        ctx = M.caption_context((dropped,), small_cfg, params)
-        assert np.array_equal(ctx.embeddings.data[0], params["caption/null_id"].data[0])
+        cfg = M.DenoiserConfig(**SMALL, d_id=small_world.d_id, caption_dropout=0.0)
+        params = M.init_params(cfg, seed=0)
+        null_row = params["caption/null_id"].data[0].copy()  # the step updates it in place
+        seen = []
+        real = M.caption_context
 
-    @pytest.mark.parametrize("shape", [(1, 23), (1, 25), (2, 24), (24,)])
+        def spy(bundles, *rest):
+            ctx = real(bundles, *rest)
+            seen.append((bundles, ctx))
+            return ctx
+
+        monkeypatch.setattr(M, "caption_context", spy)
+        train_cfg = E.TrainConfig(steps=1, batch_size=2, seed=1, pmt2v=True, id_dropout=1.0)
+        E.train(cfg, train_cfg, small_world, params=params)
+        assert len(seen) == 2
+        for bundles, ctx in seen:
+            rows = [e.id_vector for bundle in bundles for e in bundle.entries]
+            assert all(row is params["caption/null_id"] for row in rows)
+            assert np.array_equal(ctx.embeddings.data[0], null_row)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 23), (1, 25), (2, 24), (24,), pytest.param(None, id="raw-array")]
+    )
     def test_identity_row_of_wrong_shape(self, small_cfg, shape):
+        """A row must be a [1, d_model] Tensor; None stands for a raw array of that shape."""
         params = M.init_params(small_cfg, seed=0)
-        row = Tensor(np.ones(shape, dtype=np.float32))
+        if shape is None:
+            row = np.ones((1, small_cfg.d_model), dtype=np.float32)
+        else:
+            row = Tensor(np.ones(shape, dtype=np.float32))
         captions = S.CaptionBundle(
             [S.CaptionEntry(shot=0, scene_id=0, motion_id=0, id_vector=row)]
         )

@@ -170,6 +170,9 @@ class TestBatchSampling:
 
     def test_captions_match_sample_fields(self, world):
         for sample in S.make_batch(world, 8, seed=3):
-            for e in sample.captions.by_shot():
-                assert e.scene_id == sample.scene_ids[e.shot]
-                assert e.motion_id == sample.motion_ids[e.shot]
+            captions = sample.captions.by_shot()
+            assert [e.shot for e in captions] == list(range(sample.layout.shot_count))
+            scenes = S.decode_scene(sample.tokens, world, sample.layout)
+            motions = S.decode_motion(sample.tokens, world, sample.layout)
+            assert [e.scene_id for e in captions] == scenes.tolist()
+            assert [e.motion_id for e in captions] == motions.tolist()

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 test failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -88,6 +89,19 @@ def _make_dir(path):
     return made
 
 
+@contextlib.contextmanager
+def _run_dir(path):
+    """Make the output directory path of a run, as _make_dir does; a run that
+    diverges inside the block leaves no directory it made behind."""
+    made = _make_dir(path)
+    try:
+        yield
+    except NumericError:
+        for head in made:
+            os.rmdir(head)
+        raise
+
+
 def write_loss_csv(path, log):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -110,13 +124,8 @@ def cmd_train(args):
         model_cfg = dataclasses.replace(model_cfg, variant=args.variant)
     if args.seed is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
-    made = _make_dir(args.out)
-    try:
+    with _run_dir(args.out):
         params, log = engine.train(model_cfg, train_cfg, world)
-    except NumericError:
-        for path in made:  # a diverged run leaves no directory it made behind
-            os.rmdir(path)
-        raise
     ckpt_path = os.path.join(args.out, "checkpoint.ecsh")
     save_checkpoint(ckpt_path, params, run_config_dict(model_cfg, train_cfg, world))
     write_loss_csv(os.path.join(args.out, "loss.csv"), log)
@@ -281,6 +290,13 @@ def cmd_curve(args):
     return EXIT_OK
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _ablate_run(task):
     model_cfg, train_cfg, world, eval_cfg = task
     params, _ = engine.train(model_cfg, train_cfg, world)
@@ -290,7 +306,6 @@ def _ablate_run(task):
 def cmd_ablate(args):
     _require_count(eval_samples=args.eval_samples, eval_steps=args.eval_steps)
     model_cfg, train_cfg, world = load_run_config(args.config)
-    _make_dir(args.out)
     runs = [(v, dataclasses.replace(model_cfg, variant=v)) for v in ("vanilla", "tcrope", "full")]
     if args.grid:
         runs += [
@@ -301,15 +316,15 @@ def cmd_ablate(args):
 
     eval_cfg = {"n_samples": args.eval_samples, "seed": train_cfg.seed, "steps": args.eval_steps}
     tasks = [(cfg, train_cfg, world, eval_cfg) for _, cfg in runs]
-    workers = int(os.environ.get("SHOTROPE_THREADS", os.cpu_count() or 1))
-    workers = max(1, min(workers, len(tasks)))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    workers = min(_usable_cpus(), len(tasks))
+    with _run_dir(args.out):
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ablate_run, tasks))
-    else:
-        results = [_ablate_run(t) for t in tasks]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_ablate_run, tasks))
+        else:
+            results = [_ablate_run(t) for t in tasks]
 
     out_csv = os.path.join(args.out, "ablation.csv")
     with open(out_csv, "w", newline="") as fh:

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import model as M
 from . import synthetic as S
 from . import tensor as T
-from .shots import PackedLayout, ShotLayout
+from .shots import PackedLayout
+from .synthetic import ShotPrompt, build_captions, build_layout
 from .tensor import ConfigError, GradTape, NumericError, ShapeError, Tensor, config_from_dict
 
 
@@ -48,30 +49,6 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d):
         return config_from_dict(cls, "train", d)
-
-
-@dataclass
-class ShotPrompt:
-    frames: int
-    scene: int
-    motion: int = 0
-
-    def __post_init__(self):
-        if self.frames < 1:
-            raise ConfigError(f"frame counts must be >= 1, got {self.frames}")
-
-
-def build_layout(spec, world):
-    return ShotLayout(tuple(p.frames for p in spec), world.height, world.width)
-
-
-def build_captions(spec):
-    return S.CaptionBundle(
-        [
-            S.CaptionEntry(shot=i, scene_id=p.scene, motion_id=p.motion)
-            for i, p in enumerate(spec)
-        ]
-    )
 
 
 def shift_timesteps(n_steps, shift):
@@ -207,13 +184,13 @@ def identity_embedding(params, world, id_index):
 
 
 def condition_identity(captions, id_row):
-    """Prepend the [1, d_model] identity row Tensor id_row to every shot's
-    caption sequence; caption_context checks its shape."""
-    return captions.replace_entries(lambda e: {"id_vector": id_row})
+    """The bundle whose every kept caption starts with id_row, a [1, d_model]
+    identity row Tensor; caption_context checks its shape."""
+    return replace(captions, id_row=id_row)
 
 
 def null_captions(captions):
-    return captions.replace_entries(lambda e: {"id_vector": None, "dropped": True})
+    return replace(captions, dropped=frozenset(range(captions.shot_count)), id_row=None)
 
 
 def _sample_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embedding):

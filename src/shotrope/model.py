@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -150,27 +150,25 @@ def caption_context(bundles, cfg, params):
     as [shot 0 | bundle 1's later shots | ...], shot 0 from the first
     bundle; the context records where each segment ends.
     """
-    groups = [bundles[0].by_shot()[:1]] + [c.by_shot()[1:] for c in bundles]
-    rows = []
-    shot_idx = []
-    ends = []
-    for group in groups:
-        for e in group:
-            if e.dropped:
-                rows.append(params["caption/null"])
-                shot_idx.append(e.shot)
-                continue
-            if e.id_vector is not None:
-                if not isinstance(e.id_vector, Tensor) or e.id_vector.shape != (1, cfg.d_model):
-                    got = f"{type(e.id_vector).__name__} {getattr(e.id_vector, 'shape', '')}"
-                    raise ShapeError(f"identity row must be a (1, {cfg.d_model}) Tensor, not {got}")
-                rows.append(e.id_vector)
-                shot_idx.append(e.shot)
-            if not 0 <= e.scene_id < cfg.v_scene or not 0 <= e.motion_id < cfg.v_mot:
-                raise ConfigError(f"caption ids out of vocabulary: {e}")
-            rows.append(T.gather_rows(params["caption/scene"], [e.scene_id]))
-            rows.append(T.gather_rows(params["caption/motion"], [e.motion_id]))
-            shot_idx.extend([e.shot, e.shot])
+    groups = [(bundles[0], range(1))] + [(c, range(1, c.shot_count)) for c in bundles]
+    rows, shot_idx, ends = [], [], []
+    for bundle, shots in groups:
+        id_rows = [] if bundle.id_row is None else [bundle.id_row]
+        for row in id_rows:
+            if not isinstance(row, Tensor) or row.shape != (1, cfg.d_model):
+                got = f"{type(row).__name__} {getattr(row, 'shape', '')}"
+                raise ShapeError(f"identity row must be a (1, {cfg.d_model}) Tensor, not {got}")
+        for s in shots:
+            p = bundle.shots[s]
+            if s in bundle.dropped:
+                shot_rows = [params["caption/null"]]
+            elif not 0 <= p.scene < cfg.v_scene or not 0 <= p.motion < cfg.v_mot:
+                raise ConfigError(f"caption ids out of vocabulary: {p}")
+            else:
+                scene = T.gather_rows(params["caption/scene"], [p.scene])
+                shot_rows = id_rows + [scene, T.gather_rows(params["caption/motion"], [p.motion])]
+            rows += shot_rows
+            shot_idx += [s] * len(shot_rows)
         ends.append(len(shot_idx))
     return ContextTokens(T.concat_rows(rows), np.asarray(shot_idx), tuple(ends))
 
@@ -197,7 +195,7 @@ def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None):
     for bundle, lay in zip(bundles, layout.layouts):
         if bundle.shot_count != lay.shot_count:
             raise ConfigError(
-                f"caption bundle has {bundle.shot_count} entries, layout {lay.shot_count} shots"
+                f"caption bundle has {bundle.shot_count} shots, layout {lay.shot_count}"
             )
     basis3d, basis1d = _bases(cfg.head_dim, cfg.rope_base)
     sp = ShotRopeParams(j=cfg.j_eff, k=cfg.k_eff)
@@ -256,7 +254,10 @@ def make_noisy(z, eps, tau):
 
 
 def apply_caption_dropout(captions, p, rng):
-    """Independently null out each shot's caption with probability p."""
+    """Independently null out each shot's caption with probability p, one
+    uniform per shot in order; a shot already dropped stays so and draws none."""
     if not 0.0 <= p <= 1.0:
         raise ConfigError("dropout probability must lie in [0, 1]")
-    return captions.replace_entries(lambda e: {"dropped": e.dropped or bool(rng.uniform() < p)})
+    shots = range(captions.shot_count)
+    dropped = frozenset(s for s in shots if s in captions.dropped or rng.uniform() < p)
+    return replace(captions, dropped=dropped)

@@ -9,8 +9,7 @@ clean tokens.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Optional
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,35 +20,40 @@ FOURIER_DIM = 6
 
 
 @dataclass
-class CaptionEntry:
-    shot: int
-    scene_id: int
-    motion_id: int
-    id_vector: Optional[Tensor] = None  # [1, d_model] identity row
-    dropped: bool = False
+class ShotPrompt:
+    """What one shot holds: its latent frames, scene and motion."""
+
+    frames: int
+    scene: int
+    motion: int = 0
+
+    def __post_init__(self):
+        if self.frames < 1:
+            raise ConfigError(f"frame counts must be >= 1, got {self.frames}")
 
 
 @dataclass
 class CaptionBundle:
-    entries: list
+    """The captions of one sample: shot s is shots[s], a ShotPrompt.  A shot in
+    dropped captions as the null row; every kept shot's caption starts with
+    id_row, the one [1, d_model] identity row, when there is one."""
 
-    def __post_init__(self):
-        shots = sorted(e.shot for e in self.entries)
-        if shots != list(range(len(self.entries))):
-            raise ConfigError(
-                f"caption bundle must cover shots 0..S-1 exactly once, got {shots}"
-            )
+    shots: tuple
+    dropped: frozenset = frozenset()
+    id_row: Tensor | None = None
 
     @property
     def shot_count(self):
-        return len(self.entries)
+        return len(self.shots)
 
-    def by_shot(self):
-        return sorted(self.entries, key=lambda e: e.shot)
 
-    def replace_entries(self, change):
-        """A new bundle of dataclasses.replace(e, **change(e)), entry by entry in order."""
-        return CaptionBundle([replace(e, **change(e)) for e in self.entries])
+def build_layout(spec, world):
+    """The layout of a spec, a list of ShotPrompts, on the world's grid."""
+    return ShotLayout(tuple(p.frames for p in spec), world.height, world.width)
+
+
+def build_captions(spec):
+    return CaptionBundle(tuple(spec))
 
 
 @dataclass
@@ -119,22 +123,22 @@ class SyntheticWorld:
         )
 
 
-def render_sample(world, id_index, scene_ids, motion_ids, layout, noise_seed):
+def render_sample(world, id_index, spec, noise_seed):
+    """Tokens of identity id_index in the shots of spec, on the world's grid."""
     if not 0 <= id_index < world.n_ids:
         raise IndexError(f"identity index {id_index} outside pool")
-    if len(scene_ids) != layout.shot_count or len(motion_ids) != layout.shot_count:
-        raise ConfigError("per-shot id lists must have length S")
+    layout = build_layout(spec, world)
     t, h, w = layout.token_positions(j=0.0)
     n = layout.total_tokens
     factors = np.zeros((n, world.d_factor), dtype=np.float64)
     shot_of = layout.token_shot_index()
     factors[:, : world.d_id] = world.ids[id_index]
     o = world.d_id
-    for s in range(layout.shot_count):
+    for s, p in enumerate(spec):
         rows = shot_of == s
-        factors[rows, o : o + world.v_scene] = world.scene_vecs[scene_ids[s]]
+        factors[rows, o : o + world.v_scene] = world.scene_vecs[p.scene]
         factors[rows, o + world.v_scene : o + world.v_scene + world.v_mot] = (
-            world.motion_vecs[motion_ids[s]]
+            world.motion_vecs[p.motion]
         )
     factors[:, -FOURIER_DIM:] = world.fourier_features(t, h, w)
     tokens = factors @ world.render_map.T.astype(np.float64)
@@ -206,15 +210,12 @@ def make_batch(world, batch_size, shot_count_range=(1, 4), shot_len_range=(2, 6)
     out = []
     for _ in range(batch_size):
         s = sample_shot_count(rng, *shot_count_range)
-        frames = tuple(int(x) for x in rng.integers(shot_len_range[0], shot_len_range[1] + 1, s))
-        layout = ShotLayout(frames, world.height, world.width)
+        frames = rng.integers(shot_len_range[0], shot_len_range[1] + 1, s)
         id_index = int(rng.integers(world.n_ids))
-        scene_ids = tuple(int(x) for x in rng.integers(world.v_scene, size=s))
-        motion_ids = tuple(int(x) for x in rng.integers(world.v_mot, size=s))
+        scenes = rng.integers(world.v_scene, size=s)
+        motions = rng.integers(world.v_mot, size=s)
         noise_seed = int(rng.integers(2**62))
-        tokens = render_sample(world, id_index, scene_ids, motion_ids, layout, noise_seed)
-        captions = CaptionBundle(
-            [CaptionEntry(shot=i, scene_id=scene_ids[i], motion_id=motion_ids[i]) for i in range(s)]
-        )
-        out.append(Sample(tokens=tokens, captions=captions, layout=layout, id_index=id_index))
+        spec = [ShotPrompt(int(f), int(sc), int(mo)) for f, sc, mo in zip(frames, scenes, motions)]
+        tokens = render_sample(world, id_index, spec, noise_seed)
+        out.append(Sample(tokens, build_captions(spec), build_layout(spec, world), id_index))
     return out

@@ -289,6 +289,34 @@ class TestExitCodes:
         assert rc == cli.EXIT_CONFIG
 
 
+def _check_divergence_saves_nothing(tmp_path, capsys, command):
+    """A run of command with lr 1e30 exits 3, and the output directories it
+    made are removed again; a pre-existing --out is left as it was."""
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    cfg["train"]["lr"] = 1e30
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "new" / "run"
+    argv = [*command, "--config", str(config), "--out", str(out)]
+    with np.errstate(all="ignore"):
+        rc = cli.main(argv)
+    assert rc == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric error:")
+    assert not (out / "checkpoint.ecsh").exists()
+    assert not (out / "loss.csv").exists()
+    # every directory the run made is removed again
+    assert not (tmp_path / "new").exists()
+    # a pre-existing --out is left as it was
+    out.mkdir(parents=True)
+    (out / "keep.txt").write_text("kept")
+    with np.errstate(all="ignore"):
+        rc = cli.main(argv)
+    assert rc == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric error:")
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "kept"
+
+
 class TestTrainCommand:
     def test_writes_checkpoint_and_loss_csv(self, tmp_path, config_path, capsys):
         out = tmp_path / "run"
@@ -320,28 +348,7 @@ class TestTrainCommand:
         assert sidecar["train"]["seed"] == 5
 
     def test_divergence_is_numeric_error_and_saves_nothing(self, tmp_path, capsys):
-        cfg = json.loads(json.dumps(SMALL_CONFIG))
-        cfg["train"]["lr"] = 1e30
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps(cfg))
-        out = tmp_path / "new" / "run"
-        with np.errstate(all="ignore"):
-            rc = cli.main(["train", "--config", str(config), "--out", str(out)])
-        assert rc == cli.EXIT_NUMERIC
-        assert capsys.readouterr().err.startswith("numeric error:")
-        assert not (out / "checkpoint.ecsh").exists()
-        assert not (out / "loss.csv").exists()
-        # every directory the run made is removed again
-        assert not (tmp_path / "new").exists()
-        # a pre-existing --out is left as it was
-        out.mkdir(parents=True)
-        (out / "keep.txt").write_text("kept")
-        with np.errstate(all="ignore"):
-            rc = cli.main(["train", "--config", str(config), "--out", str(out)])
-        assert rc == cli.EXIT_NUMERIC
-        assert capsys.readouterr().err.startswith("numeric error:")
-        assert [p.name for p in out.iterdir()] == ["keep.txt"]
-        assert (out / "keep.txt").read_text() == "kept"
+        _check_divergence_saves_nothing(tmp_path, capsys, ["train"])
 
 
 class TestSampleCommand:
@@ -724,7 +731,7 @@ class TestEntryChecks:
 
     @pytest.mark.parametrize("flag", ["eval-samples", "eval-steps"])
     def test_ablate_counts_below_one(self, tmp_path, config_path, flag, monkeypatch, capsys):
-        monkeypatch.setenv("SHOTROPE_THREADS", "1")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(cli.engine, "train", _must_not_run)
         out = tmp_path / "ablate"
         rc = cli.main(["ablate", "--config", config_path, "--out", str(out), f"--{flag}", "0"])
@@ -925,7 +932,7 @@ def test_mutated_checkpoint_samples_or_exits_2(refattn_ckpt, tmp_path_factory, d
 
 class TestAblateCommand:
     def test_three_variant_table(self, tmp_path, config_path, monkeypatch):
-        monkeypatch.setenv("SHOTROPE_THREADS", "1")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         out = tmp_path / "ablate"
         rc = cli.main(
             [
@@ -941,6 +948,31 @@ class TestAblateCommand:
         assert variants == ["vanilla", "tcrope", "full"]
         defaults = [r[3] for r in rows[1:]]
         assert defaults == ["no", "no", "yes"]
+
+    def test_table_is_the_same_on_one_and_two_cpus(self, tmp_path, config_path, monkeypatch):
+        """One CPU runs the variants in-process, two run them in a process pool."""
+        tables = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"ablate{cpus}"
+            rc = cli.main(
+                [
+                    "ablate", "--config", config_path, "--out", str(out),
+                    "--eval-samples", "2", "--eval-steps", "2",
+                ]
+            )
+            assert rc == cli.EXIT_OK
+            tables.append((out / "ablation.csv").read_bytes())
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
+    def test_divergence_is_numeric_error_and_saves_nothing(
+        self, tmp_path, capsys, monkeypatch, cpus
+    ):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        _check_divergence_saves_nothing(
+            tmp_path, capsys, ["ablate", "--eval-samples", "1", "--eval-steps", "1"]
+        )
 
 
 class TestSelftestCommand:

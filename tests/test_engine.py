@@ -140,23 +140,26 @@ class TestPromptHelpers:
         layout = E.build_layout(spec, small_world)
         assert layout.frame_counts == (2, 3)
         captions = E.build_captions(spec)
-        assert [e.scene_id for e in captions.by_shot()] == [1, 0]
-        assert [e.motion_id for e in captions.by_shot()] == [0, 1]
+        assert [p.scene for p in captions.shots] == [1, 0]
+        assert [p.motion for p in captions.shots] == [0, 1]
 
     def test_bad_frames(self):
         with pytest.raises(ConfigError):
             E.ShotPrompt(frames=0, scene=0)
 
     def test_null_captions_drop_everything(self):
-        captions = E.build_captions([E.ShotPrompt(frames=2, scene=1)])
-        nulled = E.null_captions(captions)
-        assert all(e.dropped for e in nulled.entries)
+        captions = E.build_captions([E.ShotPrompt(frames=2, scene=1), E.ShotPrompt(2, 0)])
+        row = Tensor(np.ones((1, 24), dtype=np.float32))
+        nulled = E.null_captions(E.condition_identity(captions, row))
+        assert nulled.dropped == {0, 1} and nulled.id_row is None
+        assert nulled.shots == captions.shots
 
     def test_condition_identity_attaches_the_row_unchanged(self):
         captions = E.build_captions([E.ShotPrompt(frames=2, scene=1), E.ShotPrompt(2, 0)])
         row = Tensor(np.ones((1, 24), dtype=np.float32))
         out = E.condition_identity(captions, row)
-        assert all(e.id_vector is row for e in out.entries)
+        assert out.id_row is row
+        assert out.shots == captions.shots and not out.dropped
 
     def test_sample_rejects_an_identity_that_is_not_one_row(self, small_world):
         cfg = M.DenoiserConfig(**SMALL)
@@ -285,7 +288,7 @@ class TestMetrics:
             E.ShotPrompt(frames=2, scene=2),
         ]
         layout = E.build_layout(spec, small_world)
-        tokens = S.render_sample(small_world, 5, (0, 1, 2), (0, 0, 0), layout, noise_seed=0)
+        tokens = S.render_sample(small_world, 5, spec, noise_seed=0)
         m = E.metrics_on_field(tokens, spec, layout, small_world)
         assert m["identity_consistency"] >= 0.99
         assert m["scene_adherence"] == 1.0
@@ -294,7 +297,8 @@ class TestMetrics:
     def test_wrong_scene_lowers_adherence(self, small_world):
         spec = [E.ShotPrompt(frames=2, scene=0), E.ShotPrompt(frames=2, scene=1)]
         layout = E.build_layout(spec, small_world)
-        tokens = S.render_sample(small_world, 5, (3, 1), (0, 0), layout, noise_seed=0)
+        rendered = [E.ShotPrompt(frames=2, scene=3), E.ShotPrompt(frames=2, scene=1)]
+        tokens = S.render_sample(small_world, 5, rendered, noise_seed=0)
         m = E.metrics_on_field(tokens, spec, layout, small_world)
         assert m["scene_adherence"] == 0.5
 
@@ -302,14 +306,14 @@ class TestMetrics:
         spec = [E.ShotPrompt(frames=2, scene=0), E.ShotPrompt(frames=2, scene=0)]
         layout = E.build_layout(spec, small_world)
         # same scene on both sides of the boundary: no detectable cut
-        tokens = S.render_sample(small_world, 5, (0, 0), (0, 0), layout, noise_seed=0)
+        tokens = S.render_sample(small_world, 5, spec, noise_seed=0)
         m = E.metrics_on_field(tokens, spec, layout, small_world)
         assert m["cut_accuracy"] == 0.0
 
     def test_single_shot_identity_is_one(self, small_world):
         spec = [E.ShotPrompt(frames=2, scene=0)]
         layout = E.build_layout(spec, small_world)
-        tokens = S.render_sample(small_world, 5, (0,), (0,), layout, noise_seed=0)
+        tokens = S.render_sample(small_world, 5, spec, noise_seed=0)
         m = E.metrics_on_field(tokens, spec, layout, small_world)
         assert m["identity_consistency"] == 1.0
 

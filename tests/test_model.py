@@ -123,28 +123,14 @@ class TestForward:
         base = M.denoiser_forward(
             sample.tokens, 0.5, sample.captions, sample.layout, small_cfg, params
         ).data
-        entries = [
-            S.CaptionEntry(e.shot, (e.scene_id + 1) % small_cfg.v_scene, e.motion_id)
-            for e in sample.captions.entries
-        ]
+        shots = tuple(
+            S.ShotPrompt(p.frames, (p.scene + 1) % small_cfg.v_scene, p.motion)
+            for p in sample.captions.shots
+        )
         other = M.denoiser_forward(
-            sample.tokens, 0.5, S.CaptionBundle(entries), sample.layout, small_cfg, params
+            sample.tokens, 0.5, S.CaptionBundle(shots), sample.layout, small_cfg, params
         ).data
         assert not np.array_equal(base, other)
-
-    def test_caption_entry_order_is_irrelevant(self, small_cfg, small_world):
-        # shot binding comes from the shot-index rotation, not list position
-        sample = self._sample(small_world)
-        params = M.init_params(small_cfg, seed=0)
-        params["head/w"].data[:] = 0.01
-        base = M.denoiser_forward(
-            sample.tokens, 0.5, sample.captions, sample.layout, small_cfg, params
-        ).data
-        permuted = S.CaptionBundle(list(reversed(sample.captions.entries)))
-        out = M.denoiser_forward(
-            sample.tokens, 0.5, permuted, sample.layout, small_cfg, params
-        ).data
-        assert np.max(np.abs(out - base)) <= 1e-5
 
     @pytest.mark.parametrize("shots", [1, 3])
     @pytest.mark.parametrize("variant", M.VARIANTS)
@@ -192,7 +178,7 @@ class TestForward:
     def test_caption_shot_count_mismatch(self, small_cfg, small_world):
         sample = self._sample(small_world)
         params = M.init_params(small_cfg, seed=0)
-        captions = S.CaptionBundle([S.CaptionEntry(shot=0, scene_id=0, motion_id=0)])
+        captions = S.CaptionBundle((S.ShotPrompt(1, 0),))
         with pytest.raises(ConfigError):
             M.denoiser_forward(sample.tokens, 0.5, captions, sample.layout, small_cfg, params)
 
@@ -249,9 +235,7 @@ class TestForward:
 class TestCaptionContext:
     def test_rows_two_per_shot_without_identity(self, small_cfg):
         params = M.init_params(small_cfg, seed=0)
-        captions = S.CaptionBundle(
-            [S.CaptionEntry(shot=s, scene_id=s % 4, motion_id=0) for s in range(3)]
-        )
+        captions = S.CaptionBundle(tuple(S.ShotPrompt(1, s % 4) for s in range(3)))
         ctx = M.caption_context((captions,), small_cfg, params)
         assert ctx.embeddings.shape == (6, small_cfg.d_model)
         assert ctx.shot_index.tolist() == [0, 0, 1, 1, 2, 2]
@@ -259,9 +243,7 @@ class TestCaptionContext:
     def test_identity_token_prepended(self, small_cfg):
         params = M.init_params(small_cfg, seed=0)
         vec = np.ones(small_cfg.d_model, dtype=np.float32)
-        captions = S.CaptionBundle(
-            [S.CaptionEntry(shot=0, scene_id=0, motion_id=0, id_vector=Tensor(vec[None, :]))]
-        )
+        captions = S.CaptionBundle((S.ShotPrompt(1, 0),), id_row=Tensor(vec[None, :]))
         ctx = M.caption_context((captions,), small_cfg, params)
         assert ctx.embeddings.shape == (3, small_cfg.d_model)
         assert np.array_equal(ctx.embeddings.data[0], vec)
@@ -284,7 +266,7 @@ class TestCaptionContext:
         E.train(cfg, train_cfg, small_world, params=params)
         assert len(seen) == 2
         for bundles, ctx in seen:
-            rows = [e.id_vector for bundle in bundles for e in bundle.entries]
+            rows = [bundle.id_row for bundle in bundles]
             assert all(row is params["caption/null_id"] for row in rows)
             assert np.array_equal(ctx.embeddings.data[0], null_row)
 
@@ -298,24 +280,20 @@ class TestCaptionContext:
             row = np.ones((1, small_cfg.d_model), dtype=np.float32)
         else:
             row = Tensor(np.ones(shape, dtype=np.float32))
-        captions = S.CaptionBundle(
-            [S.CaptionEntry(shot=0, scene_id=0, motion_id=0, id_vector=row)]
-        )
+        captions = S.CaptionBundle((S.ShotPrompt(1, 0),), id_row=row)
         with pytest.raises(ShapeError):
             M.caption_context((captions,), small_cfg, params)
 
     def test_dropped_caption_becomes_single_null_row(self, small_cfg):
         params = M.init_params(small_cfg, seed=0)
-        captions = S.CaptionBundle(
-            [S.CaptionEntry(shot=0, scene_id=0, motion_id=0, dropped=True)]
-        )
+        captions = S.CaptionBundle((S.ShotPrompt(1, 0),), dropped=frozenset({0}))
         ctx = M.caption_context((captions,), small_cfg, params)
         assert ctx.embeddings.shape == (1, small_cfg.d_model)
         assert np.array_equal(ctx.embeddings.data, params["caption/null"].data)
 
     def test_out_of_vocab_rejected(self, small_cfg):
         params = M.init_params(small_cfg, seed=0)
-        captions = S.CaptionBundle([S.CaptionEntry(shot=0, scene_id=99, motion_id=0)])
+        captions = S.CaptionBundle((S.ShotPrompt(1, 99),))
         with pytest.raises(ConfigError):
             M.caption_context((captions,), small_cfg, params)
 
@@ -336,24 +314,33 @@ class TestLossAndNoise:
         assert np.allclose(M.make_noisy(z, eps, 0.5), 2.0)
 
     def test_caption_dropout_rate(self):
-        captions = S.CaptionBundle(
-            [S.CaptionEntry(shot=s, scene_id=0, motion_id=0) for s in range(4)]
-        )
+        captions = S.CaptionBundle(tuple(S.ShotPrompt(1, 0) for _ in range(4)))
         rng = np.random.default_rng(0)
         dropped = 0
         for _ in range(500):
             out = M.apply_caption_dropout(captions, 0.1, rng)
-            dropped += sum(e.dropped for e in out.entries)
+            dropped += len(out.dropped)
         assert abs(dropped / 2000 - 0.1) <= 0.02
 
     def test_caption_dropout_zero_is_identity(self):
-        captions = S.CaptionBundle(
-            [S.CaptionEntry(shot=0, scene_id=1, motion_id=1)]
-        )
+        captions = S.CaptionBundle((S.ShotPrompt(1, 1, 1),))
         out = M.apply_caption_dropout(captions, 0.0, np.random.default_rng(0))
-        assert not out.entries[0].dropped
+        assert not out.dropped
+
+    def test_caption_dropout_draws_nothing_for_a_shot_already_dropped(self):
+        """Shot 1 of 3 is already dropped: it stays dropped, and shots 0 and 2
+        draw one uniform each, in that order."""
+        captions = S.CaptionBundle(
+            tuple(S.ShotPrompt(1, s) for s in range(3)), dropped=frozenset({1})
+        )
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        u0, u2 = twin.uniform(), twin.uniform()
+        out = M.apply_caption_dropout(captions, (u0 + u2) / 2, rng)
+        assert out.dropped == ({0, 1} if u0 < u2 else {1, 2})
+        assert out.shots == captions.shots
+        assert rng.uniform() == twin.uniform()
 
     def test_caption_dropout_bad_probability(self):
-        captions = S.CaptionBundle([S.CaptionEntry(shot=0, scene_id=0, motion_id=0)])
+        captions = S.CaptionBundle((S.ShotPrompt(1, 0),))
         with pytest.raises(ConfigError):
             M.apply_caption_dropout(captions, 1.5, np.random.default_rng(0))

@@ -66,10 +66,15 @@ class TestWorldConstruction:
         assert not np.array_equal(a.render_map, b.render_map)
 
 
+def _spec(frames, scenes, motions):
+    return [S.ShotPrompt(f, sc, mo) for f, sc, mo in zip(frames, scenes, motions)]
+
+
 class TestRenderDecodeOracle:
     def test_clean_tokens_decode_exactly(self, clean_world):
-        layout = ShotLayout((2, 3), 4, 4)
-        tokens = S.render_sample(clean_world, 7, (1, 4), (0, 2), layout, noise_seed=0)
+        spec = _spec((2, 3), (1, 4), (0, 2))
+        layout = S.build_layout(spec, clean_world)
+        tokens = S.render_sample(clean_world, 7, spec, noise_seed=0)
         ids = S.decode_identity(tokens, clean_world, layout)
         for s in range(2):
             assert np.max(np.abs(ids[s] - clean_world.ids[7])) <= 1e-5
@@ -77,69 +82,42 @@ class TestRenderDecodeOracle:
         assert S.decode_motion(tokens, clean_world, layout).tolist() == [0, 2]
 
     def test_noisy_tokens_decode_to_correct_vocab_entries(self, world):
-        layout = ShotLayout((3, 3, 2), 4, 4)
-        tokens = S.render_sample(world, 100, (0, 5, 2), (3, 1, 0), layout, noise_seed=9)
+        spec = _spec((3, 3, 2), (0, 5, 2), (3, 1, 0))
+        layout = S.build_layout(spec, world)
+        tokens = S.render_sample(world, 100, spec, noise_seed=9)
         assert S.decode_scene(tokens, world, layout).tolist() == [0, 5, 2]
         assert S.decode_motion(tokens, world, layout).tolist() == [3, 1, 0]
 
     def test_frame_level_scene_decode_marks_boundaries(self, world):
-        layout = ShotLayout((2, 3), 4, 4)
-        tokens = S.render_sample(world, 3, (2, 6), (1, 1), layout, noise_seed=4)
-        frames = S.decode_scene_frames(tokens, world, layout)
+        spec = _spec((2, 3), (2, 6), (1, 1))
+        tokens = S.render_sample(world, 3, spec, noise_seed=4)
+        frames = S.decode_scene_frames(tokens, world, S.build_layout(spec, world))
         assert frames.tolist() == [2, 2, 6, 6, 6]
 
     def test_identity_shared_across_shots(self, world):
-        layout = ShotLayout((2, 2, 2), 4, 4)
-        tokens = S.render_sample(world, 42, (0, 1, 2), (0, 0, 0), layout, noise_seed=1)
-        ids = S.decode_identity(tokens, world, layout)
+        spec = _spec((2, 2, 2), (0, 1, 2), (0, 0, 0))
+        tokens = S.render_sample(world, 42, spec, noise_seed=1)
+        ids = S.decode_identity(tokens, world, S.build_layout(spec, world))
         norm = ids / np.linalg.norm(ids, axis=1, keepdims=True)
         sims = norm @ norm.T
         assert np.min(sims) >= 0.99
 
     def test_render_determinism(self, world):
-        layout = ShotLayout((2,), 4, 4)
-        a = S.render_sample(world, 0, (0,), (0,), layout, noise_seed=77)
-        b = S.render_sample(world, 0, (0,), (0,), layout, noise_seed=77)
+        spec = _spec((2,), (0,), (0,))
+        a = S.render_sample(world, 0, spec, noise_seed=77)
+        b = S.render_sample(world, 0, spec, noise_seed=77)
         assert np.array_equal(a, b)
 
+    def test_renders_on_the_world_grid(self, world):
+        spec = _spec((2, 3), (0, 1), (0, 0))
+        layout = S.build_layout(spec, world)
+        assert layout == ShotLayout((2, 3), world.height, world.width)
+        tokens = S.render_sample(world, 0, spec, noise_seed=0)
+        assert tokens.shape == (layout.total_tokens, world.d_token)
+
     def test_bad_identity_index(self, world):
-        layout = ShotLayout((2,), 4, 4)
         with pytest.raises(IndexError):
-            S.render_sample(world, world.n_ids, (0,), (0,), layout, noise_seed=0)
-
-    def test_bad_per_shot_lists(self, world):
-        layout = ShotLayout((2, 2), 4, 4)
-        with pytest.raises(ConfigError):
-            S.render_sample(world, 0, (0,), (0, 1), layout, noise_seed=0)
-
-
-class TestCaptionBundle:
-    def test_accepts_any_order_covering_all_shots(self):
-        bundle = S.CaptionBundle(
-            [
-                S.CaptionEntry(shot=1, scene_id=0, motion_id=0),
-                S.CaptionEntry(shot=0, scene_id=1, motion_id=1),
-            ]
-        )
-        assert [e.shot for e in bundle.by_shot()] == [0, 1]
-
-    def test_rejects_gap(self):
-        with pytest.raises(ConfigError):
-            S.CaptionBundle(
-                [
-                    S.CaptionEntry(shot=0, scene_id=0, motion_id=0),
-                    S.CaptionEntry(shot=2, scene_id=0, motion_id=0),
-                ]
-            )
-
-    def test_rejects_duplicate(self):
-        with pytest.raises(ConfigError):
-            S.CaptionBundle(
-                [
-                    S.CaptionEntry(shot=0, scene_id=0, motion_id=0),
-                    S.CaptionEntry(shot=0, scene_id=1, motion_id=0),
-                ]
-            )
+            S.render_sample(world, world.n_ids, _spec((2,), (0,), (0,)), noise_seed=0)
 
 
 class TestBatchSampling:
@@ -169,10 +147,24 @@ class TestBatchSampling:
             S.make_batch(world, 1, shot_count_range=(3, 2))
 
     def test_captions_match_sample_fields(self, world):
-        for sample in S.make_batch(world, 8, seed=3):
-            captions = sample.captions.by_shot()
-            assert [e.shot for e in captions] == list(range(sample.layout.shot_count))
-            scenes = S.decode_scene(sample.tokens, world, sample.layout)
-            motions = S.decode_motion(sample.tokens, world, sample.layout)
-            assert [e.scene_id for e in captions] == scenes.tolist()
-            assert [e.motion_id for e in captions] == motions.tolist()
+        """Each sample is what build_layout, build_captions and render_sample
+        make of the spec its draws describe, in make_batch's draw order."""
+        seed, lo, hi = 3, (1, 4), (2, 6)
+        rng = np.random.default_rng(seed)
+        for sample in S.make_batch(world, 8, shot_count_range=lo, shot_len_range=hi, seed=seed):
+            s = S.sample_shot_count(rng, *lo)
+            frames = rng.integers(hi[0], hi[1] + 1, s)
+            id_index = int(rng.integers(world.n_ids))
+            scenes = rng.integers(world.v_scene, size=s)
+            motions = rng.integers(world.v_mot, size=s)
+            noise_seed = int(rng.integers(2**62))
+            spec = _spec(frames.tolist(), scenes.tolist(), motions.tolist())
+            assert sample.id_index == id_index
+            assert sample.layout == S.build_layout(spec, world)
+            assert sample.captions == S.build_captions(spec)
+            assert sample.captions.shots == tuple(spec)
+            want = S.render_sample(world, id_index, spec, noise_seed)
+            assert np.array_equal(sample.tokens, want)
+            # the oracle decodes each shot's caption from its tokens
+            assert S.decode_scene(sample.tokens, world, sample.layout).tolist() == scenes.tolist()
+            assert S.decode_motion(sample.tokens, world, sample.layout).tolist() == motions.tolist()

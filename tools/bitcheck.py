@@ -1,4 +1,4 @@
-"""Print one SHA-256 over outputs that must not change bit for bit.
+"""Print two SHA-256 digests of outputs that must not change bit for bit.
 
 `fingerprint()` hashes what under a second of the program computes: the
 numerics of training, of the tape, of attention and of sampling.  `tests/conftest.py`
@@ -16,7 +16,7 @@ hashed in this order:
 - the float64 tape gradient of one batch of 2 on the default model, the
   path of the benchmark's gradient check: every parameter's gradient.
 
-It reads no file.  The digest this script prints adds to those updates
+It reads no file.  The digest this script prints first adds to those updates
 50-step samples from the fixed weights in perfbench/weights:
 
 - an `engine.sample` of `full` and `full+refattn` on full.ecsh;
@@ -34,10 +34,10 @@ field: the seeds, identity draws and arguments evaluate hands to sampling
 count as scoring too.  It reads no file either.  `tests/conftest.py`
 folds it into the keys of the cached metrics only, so a change to the
 scoring alone rescores the cached checkpoints without retraining them.
-The digest leaves it out.
+The first digest leaves it out; the script prints it on the second line.
 
-A change that claims to keep the numerics prints the same digest as its
-parent.  Run it once against each tree's sources and compare:
+A change that claims to keep the numerics prints the same two lines as
+its parent.  Run it once against each tree's sources and compare:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tools/bitcheck.py
     PYTHONPATH=/path/to/parent/src OPENBLAS_NUM_THREADS=1 python tools/bitcheck.py
@@ -154,9 +154,7 @@ def scoring_fingerprint():
     records, matches = [], []
     for i, spec in enumerate(specs):
         layout = E.build_layout(spec, world)
-        clean = S.render_sample(
-            world, i, [p.scene for p in spec], [p.motion for p in spec], layout, noise_seed=25 + i
-        )
+        clean = S.render_sample(world, i, spec, noise_seed=25 + i)
         # noise of std i: every metric takes more than one value over the records
         field = (clean + i * rng.standard_normal(clean.shape)).astype(np.float32)
         records.append(E.metrics_on_field(field, spec, layout, world))
@@ -215,6 +213,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--weights", default=WEIGHTS, help="directory of the fixed weights")
     print(digest(parser.parse_args().weights))
+    print(scoring_fingerprint())
 
 
 if __name__ == "__main__":

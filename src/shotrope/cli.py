@@ -32,9 +32,10 @@ EXIT_NUMERIC = 3
 CURVE_MAX_POINTS = 100_000
 # largest `curve --dim`; each grid point sums dim/2 complex terms
 CURVE_MAX_DIM = 4096
-# most tokens in one `sample --shots` group; peak memory grows with its square:
-# one default-model shot peaks at 331 MB with 2,048 tokens and 1.1 GB with 4,096
-SAMPLE_MAX_TOKENS = 4096
+# most tokens in one `sample --shots` group or training layout; peak memory grows
+# with its square: one default-model shot samples at 331 MB with 2,048 tokens and
+# 1.1 GB with 4,096
+LAYOUT_MAX_TOKENS = 4096
 # largest world.n_ids: a world draws its whole identity pool when it is built,
 # n_ids x d_id float64 values; 65,536 identities of d_id 16 take 8 MB
 WORLD_MAX_IDS = 65536
@@ -57,6 +58,10 @@ def load_run_config(path):
     train_cfg = engine.TrainConfig.from_dict(raw["train"])
     if "seed" not in raw["train"]:
         raise ConfigError("train.seed must be explicit")
+    frames = train_cfg.shot_count_range[1] * train_cfg.shot_len_range[1]
+    tokens = frames * world.height * world.width
+    if tokens > LAYOUT_MAX_TOKENS:
+        raise ConfigError(f"a training layout of up to {tokens} tokens exceeds {LAYOUT_MAX_TOKENS}")
     return model_cfg, train_cfg, world
 
 
@@ -207,8 +212,8 @@ def cmd_sample(args):
     v_scene, v_mot = world.v_scene, world.v_mot
     for spec in specs:
         tokens = sum(p.frames for p in spec) * world.height * world.width
-        if tokens > SAMPLE_MAX_TOKENS:
-            raise ConfigError(f"a --shots group of {tokens} tokens exceeds {SAMPLE_MAX_TOKENS}")
+        if tokens > LAYOUT_MAX_TOKENS:
+            raise ConfigError(f"a --shots group of {tokens} tokens exceeds {LAYOUT_MAX_TOKENS}")
         if not all(0 <= p.scene < v_scene and 0 <= p.motion < v_mot for p in spec):
             raise ConfigError(f"--shots ids outside the world's {v_scene} scenes, {v_mot} motions")
     id_embedding = None

@@ -121,7 +121,14 @@ def _step_rng(seed, step):
 
 
 def train(model_cfg, train_cfg, world, params=None, log_hook=None):
-    """Run the rectified-flow training loop; returns (params, loss_log)."""
+    """Run the rectified-flow training loop; returns (params, loss_log).
+
+    Each step draws every sample's timestep, noise and dropouts in sample order,
+    then runs the samples last to first, each forward and backward on a tape of
+    its own: one sample's activations are alive at a time, and each .grad takes
+    its `+=` in the order one tape over the batch would replay them, so the
+    gradients are that tape's bits.  A step that raises leaves no .grad behind.
+    """
     if params is None:
         params = M.init_params(model_cfg, train_cfg.seed)
     opt = AdamW(params, train_cfg)
@@ -137,34 +144,39 @@ def train(model_cfg, train_cfg, world, params=None, log_hook=None):
             shot_len_range=train_cfg.shot_len_range,
             seed=batch_seed,
         )
-        with GradTape() as tape:
-            losses = []
-            for sample in batch:
-                i_t = int(rng.integers(1, train_cfg.train_timesteps + 1))
-                tau = float(shift_map(i_t / train_cfg.train_timesteps, train_cfg.train_shift))
-                eps = rng.standard_normal(sample.tokens.shape).astype(np.float32)
-                z_tau = M.make_noisy(sample.tokens, eps, tau)
-                captions = M.apply_caption_dropout(
-                    sample.captions, model_cfg.caption_dropout, rng
-                )
-                if train_cfg.pmt2v:
-                    if rng.uniform() < train_cfg.id_dropout:
-                        id_row = params["caption/null_id"]
-                    else:
-                        id_row = identity_embedding(params, world, sample.id_index)
-                    captions = condition_identity(captions, id_row)
-                pred = M.denoiser_forward(
-                    z_tau, tau, captions, sample.layout, model_cfg, params
-                )
-                losses.append(M.rf_loss(pred, sample.tokens, eps))
+        draws = []
+        for sample in batch:
+            i_t = int(rng.integers(1, train_cfg.train_timesteps + 1))
+            tau = float(shift_map(i_t / train_cfg.train_timesteps, train_cfg.train_shift))
+            eps = rng.standard_normal(sample.tokens.shape).astype(np.float32)
+            captions = M.apply_caption_dropout(sample.captions, model_cfg.caption_dropout, rng)
+            null_id = train_cfg.pmt2v and rng.uniform() < train_cfg.id_dropout
+            draws.append((sample, tau, eps, captions, null_id))
+        losses = []
+        try:
+            for sample, tau, eps, captions, null_id in reversed(draws):
+                with GradTape() as tape:
+                    if train_cfg.pmt2v:
+                        id_row = (params["caption/null_id"] if null_id
+                                  else identity_embedding(params, world, sample.id_index))
+                        captions = condition_identity(captions, id_row)
+                    z_tau = M.make_noisy(sample.tokens, eps, tau)
+                    pred = M.denoiser_forward(
+                        z_tau, tau, captions, sample.layout, model_cfg, params
+                    )
+                    loss = M.rf_loss(pred, sample.tokens, eps)
+                    tape.backward(T.scale(loss, 1.0 / len(batch)))
+                losses.insert(0, loss)
             total = losses[0]
             for extra in losses[1:]:
                 total = T.add(total, extra)
-            total = T.scale(total, 1.0 / len(losses))
-            loss_val = float(total.data)
+            loss_val = float(T.scale(total, 1.0 / len(losses)).data)
             if not np.isfinite(loss_val):
                 raise NumericError(f"training diverged at step {step}: loss={loss_val}")
-            tape.backward(total)
+        except BaseException:
+            for p in params.values():
+                p.grad = None
+            raise
         opt.step(params)
         window.append(loss_val)
         if len(window) > 50:

@@ -9,7 +9,8 @@ tensor, and rotating a head-batched [heads, n, dh] tensor by one constant
 all heads at once:
 `split_heads` turns [n, d] into [heads, n, d/heads], the row ops act on
 the last two axes, `attention_core` runs softmax(c q k^T) v head by head
-as one tape node, and `merge_heads` restores [n, d].  The tape keeps
+as one tape node that rebuilds its probabilities in the backward rather
+than keep them, and `merge_heads` restores [n, d].  The tape keeps
 gradient routing, not data: gradient slots and backward closures over only
 the arrays each formula reads, so an op output is freed once the forward
 lets go of it, and `GradTape.backward` drops each node as it runs it.
@@ -279,11 +280,14 @@ def transpose(a):
 
 
 def _softmax_forward(x, out=None):
-    """Softmax over the last axis of the finite array x, into out (may be x) or a new array."""
-    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    """Softmax over the last axis of the finite array x, into out (may be x) or a
+    new array; returns it with the row max and row sum it divided by."""
+    row_max = x.max(axis=-1, keepdims=True)
+    out = np.subtract(x, row_max, out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+    row_sum = out.sum(axis=-1, keepdims=True)
+    out /= row_sum
+    return out, row_max, row_sum
 
 
 def _softmax_backward(p, g):
@@ -298,7 +302,7 @@ def softmax_rows(x):
         raise ShapeError("softmax_rows expects a tensor of at least 2 dims")
     if not np.isfinite(x.data).all():
         raise NumericError("softmax_rows: non-finite input")
-    out_data = _softmax_forward(x.data)
+    out_data = _softmax_forward(x.data)[0]
 
     def bw(g):
         return (_softmax_backward(out_data, g),)
@@ -310,22 +314,28 @@ def attention_core(q, k, v, c):
     """softmax(c * q k^T) v over the last two axes as one tape node; returns the
     output and the probability array p.  Both equal, bit for bit, the chain
     q @ transpose(k), scale, softmax_rows, @ v with numpy's batched matmul.
-    The backward keeps p, k^T and the arrays of q and v, not k."""
+    The backward keeps no [..., nq, nk] array: it keeps k^T, the arrays of q
+    and v and the softmax's row max and row sum, and rebuilds p from them
+    with the forward's own numpy calls, so p and the gradients are the same bits."""
     if q.data.ndim < 2 or not (q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
                                and q.shape[-1] == k.shape[-1] and k.shape[-2] == v.shape[-2]):
         raise ShapeError(f"attention_core: incompatible shapes {q.shape} {k.shape} {v.shape}")
-    kt = np.ascontiguousarray(_swap_last(k.data))
-    p = q.data @ kt
+    qd, kt, vd = q.data, np.ascontiguousarray(_swap_last(k.data)), v.data
+    p = qd @ kt
     c = p.dtype.type(float(c))
     p *= c
     if not np.isfinite(p).all():
         raise NumericError("attention_core: non-finite logits")
-    _softmax_forward(p, out=p)
-    qd, vd = q.data, v.data
+    _, row_max, row_sum = _softmax_forward(p, out=p)
     q_grad, k_grad, v_grad = q.requires_grad, k.requires_grad, v.requires_grad
     out_data = p @ vd
 
     def bw(g):
+        p = qd @ kt  # the forward's probabilities, rebuilt by the same calls
+        p *= c
+        p -= row_max
+        np.exp(p, out=p)
+        p /= row_sum
         gv = _swap_last(p) @ g if v_grad else None
         if not (q_grad or k_grad):
             return None, None, gv

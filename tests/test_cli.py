@@ -788,7 +788,36 @@ class TestEntryChecks:
         rc = cli.main(["sample", "--ckpt", refattn_ckpt, "--shots", shots,
                        "--steps", "1", "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
-        assert str(cli.SAMPLE_MAX_TOKENS) in capsys.readouterr().err
+        assert str(cli.LAYOUT_MAX_TOKENS) in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def _layout_config(tmp_path, shot_len_hi):
+        """SMALL_CONFIG whose largest training layout is 2 shots of shot_len_hi
+        frames on a 2 x 1 grid: 4 * shot_len_hi tokens."""
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["train"].update(shot_count_range=[1, 2], shot_len_range=[1, shot_len_hi])
+        cfg["world"].update(height=2, width=1)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    def test_training_layout_at_the_bound_loads(self, tmp_path):
+        assert cli.LAYOUT_MAX_TOKENS == 4 * 1024
+        _, train_cfg, _ = cli.load_run_config(self._layout_config(tmp_path, 1024))
+        assert train_cfg.shot_len_range == (1, 1024)
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_training_layout_above_bound(self, tmp_path, command, monkeypatch, capsys):
+        """A config whose largest layout is just over the bound exits 2 before
+        --out is made; it never trains."""
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli.engine, "train", _must_not_run)
+        out = tmp_path / "run"
+        rc = cli.main([command, "--config", self._layout_config(tmp_path, 1025),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "layout of up to 4100 tokens exceeds 4096" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "sample", "curve", "ablate"])

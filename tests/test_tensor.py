@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import weakref
 
@@ -268,7 +269,7 @@ def test_op_outputs_do_not_alias_inputs():
     assert not np.shares_memory(T.split_heads(y, 1).data, y.data)
 
 
-# -- attention core: one tape node that keeps only the probabilities ---------
+# -- attention core: one tape node that keeps no probabilities -------------
 
 def _batched_product(a, b):
     """numpy's product over the last two axes, [..., m, k] @ [..., k, n], as one tape node."""
@@ -382,24 +383,21 @@ def _tape_arrays(tape):
     return list(found.values())
 
 
-def test_denoiser_tape_keeps_one_score_array_per_attention():
-    """After one forward, the tape holds one [heads, nq, nk] array for each
-    self- and cross-attention call: the probabilities, not the logits."""
+def test_denoiser_tape_keeps_no_score_array():
+    """After one forward, the tape holds no [heads, nq, nk] array, neither
+    logits nor probabilities: each self- and cross-attention call keeps its
+    softmax's [heads, nq, 1] row max and row sum instead."""
     world = S.SyntheticWorld(**_SMALL_WORLD)
     cfg = M.DenoiserConfig(**_SMALL_MODEL)
     params = M.init_params(cfg, seed=0)
     sample = S.make_batch(world, 1, shot_count_range=(2, 2), shot_len_range=(2, 2), seed=5)[0]
     n, dh = sample.layout.total_tokens, cfg.d_model // cfg.heads
     nc = len(M.caption_context((sample.captions,), cfg, params).shot_index)
-    assert dh not in (n, nc)
+    assert dh not in (n, nc, 1)
     with GradTape() as tape:
         M.denoiser_forward(Tensor(sample.tokens), 0.5, sample.captions, sample.layout, cfg, params)
-    scores = [
-        a for a in _tape_arrays(tape)
-        if a.ndim == 3 and a.shape[:2] == (cfg.heads, n) and a.shape[2] != dh
-    ]
-    assert sorted(a.shape[2] for a in scores) == sorted([n, nc] * cfg.blocks)
-
+    head_rows = [a for a in _tape_arrays(tape) if a.ndim == 3 and a.shape[:2] == (cfg.heads, n)]
+    assert [a.shape[2] for a in head_rows if a.shape[2] != dh] == [1] * (2 * 2 * cfg.blocks)
 
 
 # -- gradient ownership: one owner per gradient, only leaves keep .grad ------
@@ -541,6 +539,131 @@ def test_train_gradients_equal_copying_backward(variant, pmt2v, monkeypatch):
         assert np.array_equal(got_params[name].data, want_params[name].data), name
 
 
+def _one_tape_train(model_cfg, train_cfg, world):
+    """engine.train as one tape over each batch and one backward of the mean
+    loss, drawing what engine.train draws in the same order; returns the
+    parameters and the logged losses."""
+    params = M.init_params(model_cfg, train_cfg.seed)
+    opt = E.AdamW(params, train_cfg)
+    log = []
+    for step in range(train_cfg.steps):
+        rng = E._step_rng(train_cfg.seed, step)
+        batch = S.make_batch(
+            world, train_cfg.batch_size, shot_count_range=train_cfg.shot_count_range,
+            shot_len_range=train_cfg.shot_len_range, seed=int(rng.integers(2**62)),
+        )
+        with GradTape() as tape:
+            losses = []
+            for sample in batch:
+                i_t = int(rng.integers(1, train_cfg.train_timesteps + 1))
+                tau = float(E.shift_map(i_t / train_cfg.train_timesteps, train_cfg.train_shift))
+                eps = rng.standard_normal(sample.tokens.shape).astype(np.float32)
+                captions = M.apply_caption_dropout(sample.captions, model_cfg.caption_dropout, rng)
+                if train_cfg.pmt2v:
+                    if rng.uniform() < train_cfg.id_dropout:
+                        id_row = params["caption/null_id"]
+                    else:
+                        id_row = E.identity_embedding(params, world, sample.id_index)
+                    captions = E.condition_identity(captions, id_row)
+                z_tau = M.make_noisy(sample.tokens, eps, tau)
+                pred = M.denoiser_forward(z_tau, tau, captions, sample.layout, model_cfg, params)
+                losses.append(M.rf_loss(pred, sample.tokens, eps))
+            total = T.scale(functools.reduce(T.add, losses), 1.0 / len(losses))
+            tape.backward(total)
+        log.append(float(total.data))
+        opt.step(params)
+    return params, log
+
+
+def _multi_shot_train_cfg(batch_size, pmt2v, steps=2):
+    """2-3 shots a sample, so each sample gathers the caption tables more than once."""
+    return E.TrainConfig(
+        steps=steps, batch_size=batch_size, seed=4, pmt2v=pmt2v, id_dropout=0.5,
+        shot_count_range=(2, 3), shot_len_range=(1, 2),
+    )
+
+
+@pytest.mark.parametrize("batch_size", [2, 3])
+@pytest.mark.parametrize("pmt2v", [False, True], ids=["plain", "pmt2v"])
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_train_gradients_equal_one_tape_step(variant, pmt2v, batch_size, monkeypatch):
+    """engine.train backwards each sample before the next sample's forward,
+    last sample first.  The gradients AdamW receives, the loss log and the
+    trained weights are those of one tape over the batch, bit for bit."""
+    seen = []
+    step = E.AdamW.step
+
+    def recording_step(self, params):
+        seen.append({n: p.grad.copy() for n, p in params.items() if p.grad is not None})
+        step(self, params)
+
+    monkeypatch.setattr(E.AdamW, "step", recording_step)
+    cfg = M.DenoiserConfig(variant=variant, **_SMALL_MODEL)
+    tcfg = _multi_shot_train_cfg(batch_size, pmt2v)
+    world = S.SyntheticWorld(**_SMALL_WORLD)
+    got_params, got_log = E.train(cfg, tcfg, world)
+    got = seen[:]
+    seen.clear()
+    want_params, want_log = _one_tape_train(cfg, tcfg, world)
+    assert [loss for _, loss, _ in got_log] == want_log
+    assert len(got) == len(seen) == 2
+    if pmt2v:  # both the null identity row and a projected identity were drawn
+        assert {"caption/null_id", "id_proj/w"} <= set().union(*seen)
+    for got_step, want_step in zip(got, seen):
+        assert got_step.keys() == want_step.keys()
+        for name in want_step:
+            assert np.array_equal(got_step[name], want_step[name]), name
+    for name in want_params:
+        assert np.array_equal(got_params[name].data, want_params[name].data), name
+
+
+@pytest.mark.parametrize("pmt2v", [False, True], ids=["plain", "pmt2v"])
+def test_train_forwards_start_on_an_empty_tape(pmt2v, monkeypatch):
+    """Inside engine.train no sample's forward sees another sample's nodes:
+    each denoiser_forward starts on an empty tape, or, in pmt2v, on the two
+    nodes that projected its own identity row."""
+    forward = M.denoiser_forward
+    seen = []
+
+    def spy(z, tau, captions, layout, cfg, params):
+        projected = captions.id_row not in (None, params["caption/null_id"])
+        seen.append((len(T._ACTIVE_TAPE._nodes), 2 if projected else 0))
+        return forward(z, tau, captions, layout, cfg, params)
+
+    monkeypatch.setattr(M, "denoiser_forward", spy)
+    cfg = M.DenoiserConfig(**_SMALL_MODEL)
+    E.train(cfg, _multi_shot_train_cfg(3, pmt2v), S.SyntheticWorld(**_SMALL_WORLD))
+    assert len(seen) == 6
+    assert all(nodes == want for nodes, want in seen), seen
+    if pmt2v:
+        assert {want for _, want in seen} == {0, 2}
+
+
+def test_train_step_that_raises_leaves_no_gradient(monkeypatch):
+    """A step whose second forward raises re-raises after the first sample's
+    backward has added gradients; it clears them and updates nothing."""
+    cfg = M.DenoiserConfig(**_SMALL_MODEL)
+    params = M.init_params(cfg, seed=0)
+    before = {name: p.data.copy() for name, p in params.items()}
+    forward = M.denoiser_forward
+    had_grads = []
+
+    def spy(*args):
+        had_grads.append(any(p.grad is not None for p in params.values()))
+        if len(had_grads) == 2:
+            raise NumericError("injected fault")
+        return forward(*args)
+
+    monkeypatch.setattr(M, "denoiser_forward", spy)
+    tcfg = _multi_shot_train_cfg(2, pmt2v=False, steps=1)
+    with pytest.raises(NumericError, match="injected fault"):
+        E.train(cfg, tcfg, S.SyntheticWorld(**_SMALL_WORLD), params=params)
+    assert had_grads == [False, True]
+    assert all(p.grad is None for p in params.values())
+    for name, p in params.items():
+        assert np.array_equal(p.data, before[name]), name
+
+
 def test_denoiser_latent_gets_no_gradient():
     world = S.SyntheticWorld(**_SMALL_WORLD)
     cfg = M.DenoiserConfig(**_SMALL_MODEL)
@@ -622,16 +745,68 @@ def test_backward_empties_the_tape_and_replays_once():
     assert np.array_equal(a.grad, grads[0]) and np.array_equal(b.grad, grads[1])
 
 
-# traced peak of one default-model step on 2 x 384 tokens: 99.7 MB when the
-# tape kept every op's output and inputs, 57.3 MB with slots and closures
-# that keep only what a backward reads (tracemalloc, numpy 2, x86-64)
-TRAIN_STEP_PEAK_MB = 70
+# traced peaks of one default-model step on 2 x 384 tokens (tracemalloc, numpy 2,
+# x86-64).  One tape over the batch: 99.7 MB when the tape kept every op's
+# output and inputs, 57.0 MB with slots and closures that keep only what a
+# backward reads, 39.8 MB once attention kept no probabilities.  engine.train,
+# which keeps one sample on a tape at a time: 35.8 MB (66.8 MB as one tape).
+TRAIN_STEP_PEAK_MB = 45
+ONE_TAPE_STEP_PEAK_MB = 48
+# what a third 192-token sample adds to the traced peak of an engine.train
+# step: 0.1 MB (11.1 MB when the whole batch shared one tape)
+PER_SAMPLE_PEAK_MB = 1
+
+
+def _traced_peak(run):
+    """Bytes run() allocates at its peak above what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _default_train_step(batch_size, shots, frames):
+    """One engine.train step of the default model on a batch of layouts of
+    shots x frames, with the parameters made beforehand; returns the step and
+    the token count of each sample it trains on."""
+    cfg = M.DenoiserConfig()
+    params = M.init_params(cfg, 0)
+    tcfg = E.TrainConfig(
+        steps=1, batch_size=batch_size, shot_count_range=(shots, shots),
+        shot_len_range=(frames, frames),
+    )
+    world = S.SyntheticWorld(seed=1)
+    return lambda: E.train(cfg, tcfg, world, params=params), shots * frames * world.height * world.width
 
 
 def test_train_step_traced_peak():
-    """One train step of a 4-shot, 6-frame pair (2 x 384 tokens) on the default
-    model: forward, backward and AdamW stay under TRAIN_STEP_PEAK_MB above
-    the memory held before the step."""
+    """One engine.train step on a 4-shot, 6-frame pair (2 x 384 tokens) of the
+    default model: draws, forwards, backwards and AdamW stay under
+    TRAIN_STEP_PEAK_MB above the memory held before the step."""
+    step, tokens = _default_train_step(2, 4, 6)
+    assert tokens == 384
+    peak = _traced_peak(step)
+    assert peak <= TRAIN_STEP_PEAK_MB * 1e6, f"{peak / 1e6:.1f} MB"
+
+
+def test_train_step_peak_does_not_grow_with_batch():
+    """A third 192-token sample (3 shots of 4 frames) adds under
+    PER_SAMPLE_PEAK_MB to a default-model step's traced peak: only one
+    sample's activations are alive at a time."""
+    peaks = []
+    for batch_size in (2, 3):
+        step, tokens = _default_train_step(batch_size, 3, 4)
+        assert tokens == 192
+        peaks.append(_traced_peak(step))
+    assert peaks[1] - peaks[0] <= PER_SAMPLE_PEAK_MB * 1e6, [f"{p / 1e6:.1f} MB" for p in peaks]
+
+
+def test_one_tape_step_traced_peak():
+    """The same step with both samples on one tape and one backward of their
+    mean stays under ONE_TAPE_STEP_PEAK_MB: no attention keeps its scores."""
     cfg = M.DenoiserConfig()
     params = M.init_params(cfg, 0)
     batch = S.make_batch(
@@ -641,9 +816,8 @@ def test_train_step_traced_peak():
     opt = E.AdamW(params, E.TrainConfig())
     rng = np.random.default_rng(6)
     noise = [rng.standard_normal(s.tokens.shape).astype(np.float32) for s in batch]
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+
+    def step():
         with GradTape() as tape:
             losses = [
                 M.rf_loss(
@@ -656,7 +830,6 @@ def test_train_step_traced_peak():
             ]
             tape.backward(T.scale(T.add(*losses), 0.5))
         opt.step(params)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= TRAIN_STEP_PEAK_MB * 1e6, f"{peak / 1e6:.1f} MB"
+
+    peak = _traced_peak(step)
+    assert peak <= ONE_TAPE_STEP_PEAK_MB * 1e6, f"{peak / 1e6:.1f} MB"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rope
-from .tensor import ConfigError, ShapeError
+from .tensor import ConfigError, ShapeError, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -94,17 +94,21 @@ def shot_block_matrix(probs, q_shots, k_shots, n_shots):
     return out
 
 
-def attention_heatmaps(params, cfg, batch, tau=0.5, noise_seed=0):
+def attention_heatmaps(params, cfg, batch, tau=0.5):
     """Block-mean self/cross attention matrices of a model on a batch.
 
     Averaged over transformer blocks, heads, and batch samples at a
-    fixed mid-trajectory denoising step.
+    fixed mid-trajectory denoising step; every sample must have the same
+    shot count.
     """
     from . import model as model_mod
 
+    counts = sorted({sample.layout.shot_count for sample in batch})
+    if len(counts) > 1:
+        raise ShapeError(f"attention_heatmaps: samples of {counts} shots cannot be averaged")
     self_mats = []
     cross_mats = []
-    rng = np.random.default_rng(noise_seed)
+    rng = seeded_rng(0)
     for sample in batch:
         layout = sample.layout
         eps = rng.standard_normal(sample.tokens.shape).astype(np.float32)

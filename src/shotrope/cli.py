@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, engine, model as M, rope, synthetic as S
 from .checkpoint import load_checkpoint, save_checkpoint, save_tensors, write_json
-from .tensor import ConfigError, NumericError, ShapeError, Tensor, check_config
+from .tensor import ConfigError, NumericError, ShapeError, Tensor, check_config, seeded_rng
 
 EXIT_OK = 0
 EXIT_TEST_FAILURE = 1
@@ -39,6 +39,13 @@ LAYOUT_MAX_TOKENS = 4096
 # largest world.n_ids: a world draws its whole identity pool when it is built,
 # n_ids x d_id float64 values; 65,536 identities of d_id 16 take 8 MB
 WORLD_MAX_IDS = 65536
+# largest world d_token, d_id, v_scene and v_mot: a world is built with a QR of
+# each vocabulary and a pseudo-inverse of its d_token x (d_id + v_scene + v_mot + 6)
+# render map; d_token 1,536 with 1,500 scenes takes 4 s and 220 MB on one core
+WORLD_MAX_SIZE = 1536
+# most weights in a run config's model; training holds each four times (weight,
+# gradient, two AdamW moments), which for 2^24 float32 weights is 270 MB
+MODEL_MAX_PARAMS = 2**24
 
 
 def load_run_config(path):
@@ -54,6 +61,12 @@ def load_run_config(path):
         if section not in raw:
             raise ConfigError(f"config missing section {section!r}")
     model_cfg = M.DenoiserConfig.from_dict(raw["model"])
+    # every block has the weights of a one-block model's block0
+    shapes = M.param_shapes(dataclasses.replace(model_cfg, blocks=1))
+    n_params = sum(math.prod(shape) * (model_cfg.blocks if name.startswith("block") else 1)
+                   for name, shape in shapes)
+    if n_params > MODEL_MAX_PARAMS:
+        raise ConfigError(f"a model of {n_params} weights exceeds {MODEL_MAX_PARAMS}")
     world = _world_for(model_cfg, raw["world"])
     train_cfg = engine.TrainConfig.from_dict(raw["train"])
     if "seed" not in raw["train"]:
@@ -76,12 +89,17 @@ def _world_for(model_cfg, raw):
         raise ConfigError("model v_scene and v_mot must be at least the world's")
     if size["n_ids"] > WORLD_MAX_IDS:
         raise ConfigError(f"world n_ids {size['n_ids']} exceeds {WORLD_MAX_IDS}")
+    for key in ("d_token", "d_id", "v_scene", "v_mot"):
+        if size[key] > WORLD_MAX_SIZE:
+            raise ConfigError(f"world {key} {size[key]} exceeds {WORLD_MAX_SIZE}")
     return S.SyntheticWorld.from_config(raw)  # requires world.seed
 
 
-def _make_dir(path):
-    """Make the output directory path; one that cannot be made is a usage error.
-    Returns the directories it made, deepest first."""
+@contextlib.contextmanager
+def _run_dir(path):
+    """Make the output directory path of a run; one that cannot be made is a
+    usage error.  A block that raises a usage or numeric error leaves no
+    directory this made behind, so a command writes its files after the block."""
     made = []
     head = os.path.abspath(path)
     while not os.path.exists(head):
@@ -91,17 +109,9 @@ def _make_dir(path):
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
-    return made
-
-
-@contextlib.contextmanager
-def _run_dir(path):
-    """Make the output directory path of a run, as _make_dir does; a run that
-    diverges inside the block leaves no directory it made behind."""
-    made = _make_dir(path)
     try:
         yield
-    except NumericError:
+    except (ConfigError, ShapeError, NumericError):
         for head in made:
             os.rmdir(head)
         raise
@@ -222,34 +232,31 @@ def cmd_sample(args):
             raise ConfigError(f"--id {args.id} outside identity pool")
         id_embedding = engine.identity_embedding(params, world, args.id)
     if args.ref_attn:
-        if not model_cfg.use_ref:
-            raise ConfigError(f"--ref-attn needs a full+refattn model, got {model_cfg.variant}")
         if any(spec[0] != specs[0][0] for spec in specs):
             raise ConfigError("--ref-attn requires every --shots group to share the first segment")
     elif len(specs) != 1:
         raise ConfigError("multiple --shots groups require --ref-attn")
-    _make_dir(args.out)
 
-    if args.ref_attn:
-        ref = specs[0][0]
-        # the root sequence: attempt a's added shots draw from spawn key (a,)
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-        n0 = ref.frames * world.height * world.width
-        ref_noise = rng.standard_normal((n0, world.d_token)).astype(np.float32)
-        fields = engine.sample_infinite(
-            params, model_cfg, world, ref, ref_noise,
-            [spec[1:] for spec in specs],
-            seed=args.seed, steps=args.steps, shift=args.shift, guidance=args.guidance,
-            id_embedding=id_embedding,
-        )
-    else:
-        fields = [
-            engine.sample(
-                params, model_cfg, world, specs[0],
-                steps=args.steps, shift=args.shift, guidance=args.guidance,
-                seed=args.seed, id_embedding=id_embedding,
+    with _run_dir(args.out):
+        if args.ref_attn:
+            ref = specs[0][0]
+            # the root sequence: attempt a's added shots draw from spawn key (a,)
+            n0 = ref.frames * world.height * world.width
+            ref_noise = seeded_rng(args.seed).standard_normal((n0, world.d_token))
+            fields = engine.sample_infinite(
+                params, model_cfg, world, ref, ref_noise,
+                [spec[1:] for spec in specs],
+                seed=args.seed, steps=args.steps, shift=args.shift, guidance=args.guidance,
+                id_embedding=id_embedding,
             )
-        ]
+        else:
+            fields = [
+                engine.sample(
+                    params, model_cfg, world, specs[0],
+                    steps=args.steps, shift=args.shift, guidance=args.guidance,
+                    seed=args.seed, id_embedding=id_embedding,
+                )
+            ]
 
     metrics = []
     for i, (tokens, spec) in enumerate(zip(fields, specs)):
@@ -282,9 +289,8 @@ def cmd_curve(args):
         )
     if os.path.isdir(args.out):
         raise ConfigError(f"--out {args.out} is a directory")
-    _make_dir(os.path.dirname(args.out) or os.curdir)
-    xs = np.arange(0.0, stop, args.step)
-    curve = analysis.delta_curve(args.dim, xs)
+    with _run_dir(os.path.dirname(args.out) or os.curdir):
+        curve = analysis.delta_curve(args.dim, np.arange(0.0, stop, args.step))
     analysis.write_curve_csv(curve, args.out)
     basis = rope.make_basis_1d(args.dim)
     for ds in range(5):

@@ -116,10 +116,6 @@ class AdamW:
             p.data -= update
 
 
-def _step_rng(seed, step):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(step,)))
-
-
 def train(model_cfg, train_cfg, world, params=None, log_hook=None):
     """Run the rectified-flow training loop; returns (params, loss_log).
 
@@ -135,7 +131,7 @@ def train(model_cfg, train_cfg, world, params=None, log_hook=None):
     log = []
     window = []
     for step in range(train_cfg.steps):
-        rng = _step_rng(train_cfg.seed, step)
+        rng = T.seeded_rng(train_cfg.seed, step)
         batch_seed = int(rng.integers(2**62))
         batch = S.make_batch(
             world,
@@ -242,8 +238,7 @@ def sample(
     """Euler integration of the guided velocity field from pure noise."""
     n_tokens = build_layout(spec, world).total_tokens
     if init_noise is None:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        z = rng.standard_normal((n_tokens, world.d_token)).astype(np.float32)
+        z = T.seeded_rng(seed).standard_normal((n_tokens, world.d_token)).astype(np.float32)
     else:
         z = np.asarray(init_noise, dtype=np.float32).copy()
         if z.shape != (n_tokens, world.d_token):
@@ -283,7 +278,7 @@ def sample_infinite(
         return []
     noise = [ref_noise]
     for a, spec in enumerate(specs):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(a,)))
+        rng = T.seeded_rng(seed, a)
         n_new = build_layout(spec, world).total_tokens - n0
         noise.append(rng.standard_normal((n_new, world.d_token)).astype(np.float32))
     z = np.concatenate(noise, axis=0)
@@ -327,14 +322,15 @@ def identity_match(tokens, world, layout, id_index):
     return int(np.argmax(world.ids @ mean_id)) == id_index
 
 
-def eval_specs(world, n_samples, seed, shot_count=3, frame_range=(2, 4)):
-    """Fixed evaluation prompts: distinct scenes across shots."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(10**6,)))
+def eval_specs(world, n_samples, seed, frame_range=(2, 4)):
+    """Fixed evaluation prompts of three shots: distinct scenes across shots."""
+    shots = 3
+    rng = T.seeded_rng(seed, 10**6)
     specs = []
     for _ in range(n_samples):
-        scenes = rng.choice(world.v_scene, size=shot_count, replace=False)
-        motions = rng.integers(world.v_mot, size=shot_count)
-        frames = rng.integers(frame_range[0], frame_range[1] + 1, size=shot_count)
+        scenes = rng.choice(world.v_scene, size=shots, replace=False)
+        motions = rng.integers(world.v_mot, size=shots)
+        frames = rng.integers(frame_range[0], frame_range[1] + 1, size=shots)
         specs.append(
             [
                 ShotPrompt(frames=int(f), scene=int(sc), motion=int(mo))
@@ -352,7 +348,7 @@ def evaluate(params, cfg, world, n_samples=32, seed=0, steps=50, use_identity=Fa
     with identity conditioning).
     """
     specs = eval_specs(world, n_samples, seed)
-    id_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(10**6 + 1,)))
+    id_rng = T.seeded_rng(seed, 10**6 + 1)
     records = []
     matches = []
     for i, spec in enumerate(specs):

@@ -106,7 +106,7 @@ def param_shapes(cfg):
 def init_params(cfg, seed):
     """Weight tensors: biases and the output head start at zero (a zero head
     keeps the velocity field null at init), the rest truncated normal."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = T.seeded_rng(seed)
     p = OrderedDict()
     for name, shape in param_shapes(cfg):
         zero = name.startswith("head/") or name.rsplit("/", 1)[1] in ("b", "b1", "b2")
@@ -116,7 +116,7 @@ def init_params(cfg, seed):
 
 
 def params_census(params):
-    return {name: tuple(t.data.shape if hasattr(t, "data") else np.shape(t)) for name, t in params.items()}
+    return {name: tuple(t.shape) for name, t in params.items()}
 
 
 def timestep_features(tau, d_model):

@@ -13,7 +13,7 @@ from .tensor import Tensor, grad_check
 
 
 def _suite_rope_algebra():
-    rng = np.random.default_rng(11)
+    rng = T.seeded_rng(11)
     basis2 = rope.make_basis_1d(2)
     # directed quarter turn pins the rotation sign
     out = rope.rope_1d(np.array([1.0, 0.0]), np.pi / 2, basis2)
@@ -45,7 +45,7 @@ def _suite_rope_algebra():
 
 
 def _suite_matched_pair():
-    rng = np.random.default_rng(12)
+    rng = T.seeded_rng(12)
     basis = rope.make_basis_1d(32)
     params = ShotRopeParams(j=4.0, k=6.0)
     from .shots import tarope
@@ -61,7 +61,7 @@ def _suite_matched_pair():
 
 
 def _suite_suppression_bound():
-    rng = np.random.default_rng(13)
+    rng = T.seeded_rng(13)
     params = ShotRopeParams(k=6.0)
     for d in (16, 64):
         basis = rope.make_basis_1d(d)
@@ -78,7 +78,7 @@ def _suite_suppression_bound():
 
 
 def _suite_refattn_isolation():
-    rng = np.random.default_rng(14)
+    rng = T.seeded_rng(14)
     layout = ShotLayout((2, 2, 3), 2, 2)
     n = layout.total_tokens
     q = rng.standard_normal((n, 16)).astype(np.float32)
@@ -101,7 +101,7 @@ def _suite_refattn_isolation():
 
 
 def _suite_grad_checks():
-    rng = np.random.default_rng(15)
+    rng = T.seeded_rng(15)
     x = Tensor(rng.standard_normal((3, 4)).astype(np.float64), dtype=np.float64)
     err = grad_check(lambda t: T.tsum(T.mul(t, t)), x, h=1e-4)
     if err > 1e-6:
@@ -130,7 +130,7 @@ def _suite_determinism():
     cfg = DenoiserConfig()
     params = init_params(cfg, seed=3)
     s = b1[0]
-    rng = np.random.default_rng(5)
+    rng = T.seeded_rng(5)
     eps = rng.standard_normal(s.tokens.shape).astype(np.float32)
     from .model import make_noisy
 

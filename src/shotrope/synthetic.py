@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .shots import ShotLayout
-from .tensor import ConfigError, NumericError, Tensor, config_from_dict
+from .tensor import ConfigError, NumericError, Tensor, config_from_dict, seeded_rng
 
 FOURIER_DIM = 6
 
@@ -82,7 +82,7 @@ class SyntheticWorld:
         sizes = (self.n_ids, self.d_id, self.v_scene, self.v_mot, self.height, self.width)
         if self.seed < 0 or min(sizes) < 1:
             raise ConfigError("world seed must be >= 0 and its sizes and grid >= 1")
-        rng = np.random.default_rng(self.seed)
+        rng = seeded_rng(self.seed)
         ids = rng.standard_normal((self.n_ids, self.d_id))
         self.ids = (ids / np.linalg.norm(ids, axis=1, keepdims=True)).astype(np.float32)
         # orthonormal vocabularies keep nearest-neighbour decoding crisp
@@ -143,8 +143,7 @@ def render_sample(world, id_index, spec, noise_seed):
     factors[:, -FOURIER_DIM:] = world.fourier_features(t, h, w)
     tokens = factors @ world.render_map.T.astype(np.float64)
     if world.sigma > 0:
-        rng = np.random.default_rng(noise_seed)
-        tokens = tokens + world.sigma * rng.standard_normal(tokens.shape)
+        tokens = tokens + world.sigma * seeded_rng(noise_seed).standard_normal(tokens.shape)
     return tokens.astype(np.float32)
 
 
@@ -206,7 +205,7 @@ def sample_shot_count(rng, lo, hi):
 def make_batch(world, batch_size, shot_count_range=(1, 4), shot_len_range=(2, 6), seed=0):
     if shot_count_range[0] > shot_count_range[1] or shot_len_range[0] > shot_len_range[1]:
         raise ConfigError("empty sampling range")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     out = []
     for _ in range(batch_size):
         s = sample_shot_count(rng, *shot_count_range)

@@ -84,6 +84,14 @@ def config_from_dict(cls, what, d):
     return cls(**d)
 
 
+def seeded_rng(seed, *key):
+    """The generator of seed's child sequence key; with no key, the stream
+    np.random.default_rng(seed) draws.  A negative seed is a ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 _ACTIVE_TAPE = None
 
 
@@ -337,8 +345,6 @@ def attention_core(q, k, v, c):
         np.exp(p, out=p)
         p /= row_sum
         gv = _swap_last(p) @ g if v_grad else None
-        if not (q_grad or k_grad):
-            return None, None, gv
         gs = _softmax_backward(p, g @ _swap_last(vd)) * c
         gq = gs @ _swap_last(kt) if q_grad else None
         gk = np.ascontiguousarray(_swap_last(_swap_last(qd) @ gs)) if k_grad else None
@@ -475,7 +481,7 @@ def merge_heads(x):
 def gather_rows(table, indices):
     """Embedding lookup; backward scatter-adds into the table."""
     idx = np.asarray(indices, dtype=np.int64)
-    out_data = table.data[idx].copy()
+    out_data = table.data[idx]
     shape, dtype = table.shape, table.dtype
 
     def bw(g):

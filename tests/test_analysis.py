@@ -214,3 +214,23 @@ def test_heatmaps_under_reference_attention_are_finite_and_isolate_shot0():
         assert abs(mat[0, 0] - 1.0) <= 1e-6
         assert not mat[0, 1:].any()
         assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-6)
+
+
+def test_heatmaps_reject_a_batch_of_mixed_shot_counts(monkeypatch):
+    """Shot-block matrices of different sizes cannot be averaged: a batch of a
+    4-shot and a 3-shot sample is a ShapeError that names both counts, raised
+    before any forward runs."""
+    from shotrope import model as M
+    from shotrope import synthetic as S
+
+    world = S.SyntheticWorld(seed=2, d_token=32, d_id=8, v_scene=4, v_mot=2, height=2, width=2)
+    cfg = M.DenoiserConfig(d_model=24, blocks=1, heads=2, ffn_mult=2, d_token=32, d_id=8,
+                           v_scene=4, v_mot=2)
+    params = M.init_params(cfg, seed=0)
+    batch = S.make_batch(world, 2, seed=4)
+    assert [s.layout.shot_count for s in batch] == [4, 3]
+    calls = []
+    monkeypatch.setattr(M, "denoiser_forward", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ShapeError, match=r"\[3, 4\] shots"):
+        analysis.attention_heatmaps(params, cfg, batch)
+    assert calls == []

@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from shotrope import cli, engine, model as M, synthetic as S, tensor as T
 from shotrope.checkpoint import load_tensors, save_tensors
@@ -716,6 +716,29 @@ class TestNumericFlags:
         assert f"--{flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,message", [("seed", "-1", "seed must be >= 0"), ("shift", "0.5", "shift")]
+    )
+    def test_sample_checked_in_the_run(self, tmp_path, refattn_ckpt, flag, value, message,
+                                       capsys):
+        """--seed and --shift are checked where the run uses them, after --out
+        is made: the command exits 2 and removes every directory it made."""
+        out = tmp_path / "new" / "s"
+        rc = cli.main(["sample", "--ckpt", refattn_ckpt, "--shots", "n=2,scene=0",
+                       "--steps", "1", f"--{flag}={value}", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_curve_negative_xmax(self, tmp_path, capsys):
+        """A negative --xmax leaves an empty grid, found after --out's directory
+        is made: the command exits 2 and removes every directory it made."""
+        out = tmp_path / "new" / "sub" / "c.csv"
+        rc = cli.main(["curve", "--dim", "4", "--xmax", "-1", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "empty grid" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
 
 class TestEntryChecks:
     """A count flag below 1, a size above its bound, or an --out that cannot
@@ -820,6 +843,58 @@ class TestEntryChecks:
         assert "layout of up to 4100 tokens exceeds 4096" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [("d_model", 131072), ("blocks", 2**30)])
+    def test_model_weights_above_bound(self, tmp_path, key, value, monkeypatch, capsys):
+        """A model of too many weights exits 2 before the world or any weight is
+        built; 2^30 blocks are counted at once, not block by block."""
+        monkeypatch.setattr(cli.engine, "train", _must_not_run)
+        monkeypatch.setattr(cli.S.SyntheticWorld, "from_config", _must_not_run)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(_with("model", key, value)))
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--config", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"weights exceeds {cli.MODEL_MAX_PARAMS}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_weights_at_the_bound_load(self, tmp_path, monkeypatch):
+        """The count is every weight of the model's shape table: a bound of
+        that many loads, one fewer exits 2."""
+        cfg = _with("model", "blocks", 3)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        model_cfg = M.DenoiserConfig.from_dict(cfg["model"])
+        n_params = sum(int(np.prod(shape)) for _, shape in M.param_shapes(model_cfg))
+        monkeypatch.setattr(cli, "MODEL_MAX_PARAMS", n_params)
+        assert cli.load_run_config(str(path))[0] == model_cfg
+        monkeypatch.setattr(cli, "MODEL_MAX_PARAMS", n_params - 1)
+        with pytest.raises(ConfigError, match=f"a model of {n_params} weights"):
+            cli.load_run_config(str(path))
+
+    @pytest.mark.parametrize("key,value", [("v_scene", 100000), ("d_token", 1537)])
+    def test_world_size_above_bound(self, tmp_path, key, value, monkeypatch, capsys):
+        """A world size above the bound, in both sections, exits 2 before the
+        world is built."""
+        monkeypatch.setattr(cli.engine, "train", _must_not_run)
+        monkeypatch.setattr(cli.S.SyntheticWorld, "from_config", _must_not_run)
+        cfg = _with("model", key, value)
+        cfg["world"][key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--config", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"world {key} {value} exceeds {cli.WORLD_MAX_SIZE}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_world_size_at_the_bound_loads(self, tmp_path):
+        assert cli.WORLD_MAX_SIZE == 1536
+        cfg = _with("model", "d_token", 1536)
+        cfg["world"]["d_token"] = 1536
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.load_run_config(str(path))[2].d_token == 1536
+
     @pytest.mark.parametrize("command", ["train", "sample", "curve", "ablate"])
     def test_out_under_a_regular_file(self, tmp_path, config_path, refattn_ckpt, command,
                                       monkeypatch, capsys):
@@ -914,6 +989,61 @@ def test_shot_specs_sample_or_exit_2(refattn_ckpt, tmp_path_factory, groups, fli
     out = tmp_path_factory.mktemp("specs")
     rc = cli.main(argv + ["--ref-attn"] * ref_attn + ["--out", str(out)])
     assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG)
+
+
+# edge values of the numeric flags of `sample` and `curve`
+_SAMPLE_FLAGS = {
+    "seed": ["-1", "0", "3", str(2**64)],
+    "steps": ["0", "1"],
+    "shift": ["0.5", "1", "5", "-1", "nan", "inf"],
+    "guidance": ["-1", "0", "5", "nan"],
+}
+_CURVE_FLAGS = {
+    "xmax": ["-1", "0", "4", "nan"],
+    "step": ["-0.5", "0", "0.25"],
+    "k": ["-3", "6", "nan"],
+    "dim": ["0", "3", "4", "5000"],
+}
+
+
+def _flag_values(choices):
+    return st.fixed_dictionaries({flag: st.sampled_from(v) for flag, v in choices.items()}).map(
+        lambda values: [f"--{flag}={value}" for flag, value in values.items()]
+    )
+
+
+def _exits_0_or_2_and_cleans_up(argv, new):
+    """cli.main(argv) exits 0 or 2; on 2, the fresh directory new that holds
+    --out is gone again."""
+    rc = cli.main(argv)
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG)
+    if rc == cli.EXIT_CONFIG:
+        assert not new.exists()
+
+
+# a usage error found only once --out's directory exists: few random draws
+# pair it with otherwise usable values, so each is also an explicit example
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(flags=_flag_values(_SAMPLE_FLAGS), ref_attn=st.booleans())
+@example(flags=["--seed=-1", "--steps=1"], ref_attn=True)
+@example(flags=["--seed=-1", "--steps=1"], ref_attn=False)
+@example(flags=["--shift=0.5", "--steps=1"], ref_attn=False)
+def test_sample_numeric_flags_sample_or_exit_2(refattn_ckpt, tmp_path_factory, flags, ref_attn):
+    """Whatever the numeric flags' values, `sample` exits 0 or 2, never raises,
+    and leaves no directory it made on a usage error."""
+    new = tmp_path_factory.mktemp("sample_flags") / "new"
+    argv = ["sample", "--ckpt", refattn_ckpt, "--shots", "n=2,scene=0;n=1,scene=1", *flags]
+    _exits_0_or_2_and_cleans_up(argv + ["--ref-attn"] * ref_attn + ["--out", str(new / "s")], new)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(flags=_flag_values(_CURVE_FLAGS))
+@example(flags=["--xmax=-1", "--step=0.25", "--k=6", "--dim=4"])
+def test_curve_numeric_flags_write_or_exit_2(tmp_path_factory, flags):
+    """Whatever the numeric flags' values, `curve` exits 0 or 2, never raises,
+    and leaves no directory it made on a usage error."""
+    new = tmp_path_factory.mktemp("curve_flags") / "new"
+    _exits_0_or_2_and_cleans_up(["curve", *flags, "--out", str(new / "sub" / "c.csv")], new)
 
 
 def _data_bytes(path):

@@ -318,7 +318,7 @@ class TestMetrics:
         assert m["identity_consistency"] == 1.0
 
     def test_eval_specs_use_distinct_scenes(self, small_world):
-        specs = E.eval_specs(small_world, 8, seed=0, shot_count=3)
+        specs = E.eval_specs(small_world, 8, seed=0)
         for spec in specs:
             scenes = [p.scene for p in spec]
             assert len(set(scenes)) == 3

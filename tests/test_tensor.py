@@ -547,7 +547,7 @@ def _one_tape_train(model_cfg, train_cfg, world):
     opt = E.AdamW(params, train_cfg)
     log = []
     for step in range(train_cfg.steps):
-        rng = E._step_rng(train_cfg.seed, step)
+        rng = T.seeded_rng(train_cfg.seed, step)
         batch = S.make_batch(
             world, train_cfg.batch_size, shot_count_range=train_cfg.shot_count_range,
             shot_len_range=train_cfg.shot_len_range, seed=int(rng.integers(2**62)),

@@ -103,6 +103,8 @@ def attention_heatmaps(params, cfg, batch, tau=0.5):
     """
     from . import model as model_mod
 
+    if not batch:
+        raise ShapeError("attention_heatmaps: empty batch")
     counts = sorted({sample.layout.shot_count for sample in batch})
     if len(counts) > 1:
         raise ShapeError(f"attention_heatmaps: samples of {counts} shots cannot be averaged")

@@ -279,6 +279,8 @@ def cmd_curve(args):
     if args.dim % 2 != 0 or not 2 <= args.dim <= CURVE_MAX_DIM:
         raise ConfigError(f"--dim must be even and in [2, {CURVE_MAX_DIM}], got {args.dim}")
     _require_finite(step=args.step, xmax=args.xmax, k=args.k)
+    if not math.isfinite(args.k * 4):
+        raise ConfigError(f"--k {args.k:g} overflows at the printed shot distance 4")
     if args.step <= 0:
         raise ConfigError(f"--step must be positive, got {args.step}")
     stop = args.xmax + 1e-9

@@ -221,11 +221,8 @@ def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None):
             use_ref=cfg.use_ref, probs_out=ca_probs,
         )
         x = T.add(x, ca)
-        h = T.layernorm(x)
-        h = T.add(T.matmul(h, params[f"block{b}/ffn/w1"]), params[f"block{b}/ffn/b1"])
-        h = T.gelu(h)
-        h = T.add(T.matmul(h, params[f"block{b}/ffn/w2"]), params[f"block{b}/ffn/b2"])
-        x = T.add(x, h)
+        ffn_w = (params[f"block{b}/ffn/{w}"] for w in ("w1", "b1", "w2", "b2"))
+        x = T.add(x, T.ffn(T.layernorm(x), *ffn_w))
         if collect is not None:
             collect.self_probs.extend(sa_probs)
             collect.cross_probs.extend((pr, context.shot_index) for pr in ca_probs)

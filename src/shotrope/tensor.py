@@ -8,9 +8,10 @@ tensor, and rotating a head-batched [heads, n, dh] tensor by one constant
 [n, dh] rotary table shared by every head (`rope_pairs`).  Attention runs
 all heads at once:
 `split_heads` turns [n, d] into [heads, n, d/heads], the row ops act on
-the last two axes, `attention_core` runs softmax(c q k^T) v head by head
-as one tape node that rebuilds its probabilities in the backward rather
-than keep them, and `merge_heads` restores [n, d].  The tape keeps
+the last two axes, `attention_core` runs softmax(c q k^T) v as one tape
+node whose backward rebuilds the probabilities one head at a time rather
+than keep them, and `merge_heads` restores [n, d].  `ffn` is likewise one
+node that rebuilds its hidden layer in the backward.  The tape keeps
 gradient routing, not data: gradient slots and backward closures over only
 the arrays each formula reads, so an op output is freed once the forward
 lets go of it, and `GradTape.backward` drops each node as it runs it.
@@ -27,6 +28,7 @@ import numpy as np
 
 # the cubic coefficient of the tanh-approximated GELU
 GELU_K = 0.044715
+_ROWS = 64  # rows per block of the GELU's elementwise work
 
 
 class ShapeError(ValueError):
@@ -298,12 +300,6 @@ def _softmax_forward(x, out=None):
     return out, row_max, row_sum
 
 
-def _softmax_backward(p, g):
-    """Gradient of a softmax's input from its output p and that output's gradient g."""
-    dot = (g * p).sum(axis=-1, keepdims=True)
-    return p * (g - dot)
-
-
 def softmax_rows(x):
     """Softmax over the last axis."""
     if x.data.ndim < 2:
@@ -313,7 +309,8 @@ def softmax_rows(x):
     out_data = _softmax_forward(x.data)[0]
 
     def bw(g):
-        return (_softmax_backward(out_data, g),)
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
+        return (out_data * (g - dot),)
 
     return _make(out_data, (x,), bw)
 
@@ -323,8 +320,9 @@ def attention_core(q, k, v, c):
     output and the probability array p.  Both equal, bit for bit, the chain
     q @ transpose(k), scale, softmax_rows, @ v with numpy's batched matmul.
     The backward keeps no [..., nq, nk] array: it keeps k^T, the arrays of q
-    and v and the softmax's row max and row sum, and rebuilds p from them
-    with the forward's own numpy calls, so p and the gradients are the same bits."""
+    and v and the softmax's row max and row sum, and rebuilds p from them one
+    head at a time with the forward's own numpy calls, so p and the gradients
+    are the same bits."""
     if q.data.ndim < 2 or not (q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
                                and q.shape[-1] == k.shape[-1] and k.shape[-2] == v.shape[-2]):
         raise ShapeError(f"attention_core: incompatible shapes {q.shape} {k.shape} {v.shape}")
@@ -339,15 +337,26 @@ def attention_core(q, k, v, c):
     out_data = p @ vd
 
     def bw(g):
-        p = qd @ kt  # the forward's probabilities, rebuilt by the same calls
-        p *= c
-        p -= row_max
-        np.exp(p, out=p)
-        p /= row_sum
-        gv = _swap_last(p) @ g if v_grad else None
-        gs = _softmax_backward(p, g @ _swap_last(vd)) * c
-        gq = gs @ _swap_last(kt) if q_grad else None
-        gk = np.ascontiguousarray(_swap_last(_swap_last(qd) @ gs)) if k_grad else None
+        gq = np.empty_like(qd, order="C") if q_grad else None
+        gk = np.empty_like(_swap_last(kt), order="C") if k_grad else None
+        gv = np.empty_like(vd, order="C") if v_grad else None
+        for i in np.ndindex(qd.shape[:-2]):  # one head's [nq, nk] arrays at a time
+            p = qd[i] @ kt[i]  # the forward's probabilities, rebuilt by the same calls
+            p *= c
+            p -= row_max[i]
+            np.exp(p, out=p)
+            p /= row_sum[i]
+            if v_grad:
+                gv[i] = p.T @ g[i]
+            gs = g[i] @ vd[i].T
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= c
+            if q_grad:
+                gq[i] = gs @ kt[i].T
+            if k_grad:
+                gk[i] = (qd[i].T @ gs).T
+            del p, gs  # before the next head's
         return gq, gk, gv
 
     return _make(out_data, (q, k, v), bw), p
@@ -371,28 +380,86 @@ def layernorm(x, eps=1e-5):
     return _make(out_data, (x,), bw)
 
 
+def _gelu_rows(x, out, slope=False):
+    """The tanh-approximated GELU of x into out (may be x); with slope, also x's
+    slope into x (out must then be another array).  Runs _ROWS rows at a time
+    in two scratch blocks, pairing operands as 0.5 x (1 + t) and 0.5 (1 + t) +
+    0.5 x (1 - t^2) c (1 + 3k x^2) read left to right, t = tanh(c (x + k x^3)),
+    so no bit depends on the block size.  Reads GELU_K on each call."""
+    c = x.dtype.type(np.sqrt(2.0 / np.pi))
+    k = x.dtype.type(GELU_K)
+    t_rows, s_rows = (np.empty((min(_ROWS, len(x)), *x.shape[1:]), x.dtype) for _ in range(2))
+    for r in range(0, len(x), _ROWS):
+        xb, ob = x[r:r + _ROWS], out[r:r + _ROWS]
+        t, s = t_rows[:len(xb)], s_rows[:len(xb)]
+        # c * (x + k * (x*x*x)) in place; x*x*x, not x**3: a float32 power call is about 200x slower
+        np.multiply(xb, xb, out=t)
+        t *= xb
+        t *= k
+        t += xb
+        t *= c
+        np.tanh(t, out=t)
+        np.multiply(xb, 0.5, out=ob)
+        if slope:
+            np.subtract(1.0, np.multiply(t, t, out=s), out=s)
+            s *= ob
+            np.square(xb, out=xb)
+            xb *= 3.0 * k
+            xb += 1.0
+            xb *= c
+            s *= xb
+        t += 1.0
+        ob *= t
+        if slope:
+            t *= 0.5
+            np.add(t, s, out=xb)
+
+
 def gelu(x):
-    """tanh-approximated GELU."""
+    """tanh-approximated GELU; the backward rebuilds its slope from x."""
     xd = x.data
-    c = xd.dtype.type(np.sqrt(2.0 / np.pi))
-    k = xd.dtype.type(GELU_K)
-    # c * (x + k * (x*x*x)) in place; x*x*x, not x**3: a float32 power call is about 200x slower
-    t = xd * xd
-    t *= xd
-    t *= k
-    t += xd
-    t *= c
-    np.tanh(t, out=t)
-    out_data = 0.5 * xd
-    out_data *= 1.0 + t
+    out_data = np.empty_like(xd)
+    _gelu_rows(xd, out_data)
 
     def bw(g):
-        sech2 = 1.0 - t * t
-        dinner = c * (1.0 + 3.0 * k * xd ** 2)
-        d = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * dinner
-        return (g * d.astype(xd.dtype),)
+        d = xd.copy()
+        _gelu_rows(d, np.empty_like(d), slope=True)
+        return (g * d,)
 
     return _make(out_data, (x,), bw)
+
+
+def ffn(x, w1, b1, w2, b2):
+    """gelu(x w1 + b1) w2 + b2 as one tape node, bit for bit the chain matmul,
+    add, gelu, matmul, add.  It keeps no [n, hidden] array: the backward
+    rebuilds them by the forward's numpy calls, at most two alive at a time."""
+    if b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]:
+        raise ShapeError(f"ffn: biases {b1.shape} {b2.shape} do not fit {w1.shape} {w2.shape}")
+    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
+    # untaped products through matmul, which the benchmark's tracer counts
+    h = matmul(Tensor(xd), Tensor(w1d)).data
+    h += b1d
+    _gelu_rows(h, h)
+    out_data = matmul(Tensor(h), Tensor(w2d)).data
+    out_data += b2.data
+    x_grad, w1_grad, b1_grad, w2_grad, b2_grad = (t.requires_grad for t in (x, w1, b1, w2, b2))
+
+    def bw(g):
+        pre = xd @ w1d
+        pre += b1d
+        act = np.empty_like(pre)
+        _gelu_rows(pre, act, slope=True)  # pre now holds the slope
+        gw2 = act.T @ g if w2_grad else None
+        del act
+        gh = g @ w2d.T
+        gh *= pre
+        del pre
+        gx = gh @ w1d.T if x_grad else None
+        gw1 = xd.T @ gh if w1_grad else None
+        gb1 = gh.sum(axis=0) if b1_grad else None
+        return gx, gw1, gb1, gw2, g.sum(axis=0) if b2_grad else None
+
+    return _make(out_data, (x, w1, b1, w2, b2), bw)
 
 
 def tsum(x):

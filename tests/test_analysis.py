@@ -234,3 +234,18 @@ def test_heatmaps_reject_a_batch_of_mixed_shot_counts(monkeypatch):
     with pytest.raises(ShapeError, match=r"\[3, 4\] shots"):
         analysis.attention_heatmaps(params, cfg, batch)
     assert calls == []
+
+
+def test_heatmaps_reject_an_empty_batch(monkeypatch):
+    """An empty batch has nothing to average: a ShapeError raised before any
+    forward runs, not a NaN mean."""
+    from shotrope import model as M
+
+    cfg = M.DenoiserConfig(d_model=24, blocks=1, heads=2, ffn_mult=2, d_token=32, d_id=8,
+                           v_scene=4, v_mot=2)
+    params = M.init_params(cfg, seed=0)
+    calls = []
+    monkeypatch.setattr(M, "denoiser_forward", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ShapeError, match="empty batch"):
+        analysis.attention_heatmaps(params, cfg, [])
+    assert calls == []

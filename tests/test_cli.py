@@ -730,6 +730,16 @@ class TestNumericFlags:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
 
+    @pytest.mark.parametrize("k", ["1e308", "-1e308", "5e307"])
+    def test_curve_k_that_overflows_at_a_printed_distance(self, tmp_path, k, capsys):
+        """A finite --k whose operating point k * ds overflows for a printed
+        shot distance ds <= 4 is a usage error: nothing is written."""
+        out = tmp_path / "new" / "c.csv"
+        rc = cli.main(["curve", f"--k={k}", "--dim", "4", "--xmax", "1", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "--k" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
     def test_curve_negative_xmax(self, tmp_path, capsys):
         """A negative --xmax leaves an empty grid, found after --out's directory
         is made: the command exits 2 and removes every directory it made."""

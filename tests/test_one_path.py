@@ -1,6 +1,7 @@
 """One path per job in shotrope, checked with `ast`: a seed becomes a numpy
-generator only inside `tensor.seeded_rng`, and `cli` makes directories only
-inside `_run_dir`, which removes them again when its command fails."""
+generator only inside `tensor.seeded_rng`, `cli` makes directories only
+inside `_run_dir`, which removes them again when its command fails, and the
+GELU formula is written only in `tensor._gelu_rows`, which `gelu` and `ffn` share."""
 
 import ast
 import glob
@@ -11,6 +12,7 @@ import pytest
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "shotrope")
 SEEDING = {"default_rng", "SeedSequence", "RandomState"}
 MAKING_DIRS = {"makedirs", "mkdir"}
+GELU_FORMULA = {"GELU_K", "tanh"}
 
 
 def _mention(node):
@@ -83,3 +85,27 @@ def test_cli_makes_directories_only_in_run_dir():
     source = _read("cli.py")
     assert named_outside(source, MAKING_DIRS, "_run_dir") == []
     assert named_outside(source, MAKING_DIRS) != []
+
+
+def test_the_check_sees_a_gelu_formula_outside_its_helper():
+    source = (
+        "import numpy as np\nGELU_K = 0.044715\n"
+        "def _gelu_rows(x):\n    return np.tanh(x + GELU_K * x)\n"
+        "def fast_gelu(x):\n    return 0.5 * x * (1.0 + np.tanh(x))\n"
+        "def cubic(T):\n    return T.GELU_K\n"
+    )
+    assert named_outside(source, GELU_FORMULA, "_gelu_rows") == [
+        (2, "GELU_K"), (6, "tanh"), (8, "GELU_K")
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(SRC, "*.py"))), ids=os.path.basename
+)
+def test_the_gelu_formula_is_written_only_in_its_helper(path):
+    """GELU_K and np.tanh are named only inside tensor._gelu_rows; outside
+    it, tensor.py names GELU_K once, where it defines it."""
+    in_tensor = os.path.basename(path) == "tensor.py"
+    with open(path) as fh:
+        found = named_outside(fh.read(), GELU_FORMULA, "_gelu_rows" if in_tensor else None)
+    assert [name for _, name in found] == (["GELU_K"] if in_tensor else [])

@@ -180,6 +180,75 @@ def test_backward_gelu():
     assert grad_check(lambda t: T.tsum(T.mul(T.gelu(t), t)), x, h=1e-5) <= 1e-6
 
 
+def _gelu_full_array(xd):
+    """The GELU and its slope as one full-size numpy expression each, in the
+    order gelu computed them before it shared a row-blocked helper."""
+    c, k = xd.dtype.type(np.sqrt(2.0 / np.pi)), xd.dtype.type(0.044715)
+    t = np.tanh(c * (xd + k * (xd * xd * xd)))
+    slope = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * (c * (1.0 + 3.0 * k * xd ** 2))
+    return 0.5 * xd * (1.0 + t), slope
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 200])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_gelu_equals_the_full_array_formula(dtype, rows):
+    """Row blocks change no bit: gelu's output and gradient are the full-size formula's."""
+    xd = (np.random.default_rng(rows).standard_normal((rows, 37)) * 4.0).astype(dtype)
+    x = Tensor(xd.copy(), requires_grad=True)
+    probe = np.random.default_rng(7).standard_normal(xd.shape).astype(dtype)
+    with GradTape() as tape:
+        out = T.gelu(x)
+        tape.backward(T.tsum(T.mul(out, Tensor(probe))))
+    want, slope = _gelu_full_array(xd)
+    assert np.array_equal(out.data, want) and np.array_equal(x.grad, probe * slope)
+    assert np.array_equal(x.data, xd)
+
+
+def _ffn_chain(x, w1, b1, w2, b2):
+    """The five-node chain ffn replaces."""
+    return T.add(T.matmul(T.gelu(T.add(T.matmul(x, w1), b1)), w2), b2)
+
+
+def _ffn_inputs(dtype, rows, x_grad, d=24, hidden=40):
+    rng = np.random.default_rng(40 + rows)
+    shapes = ((rows, d), (d, hidden), (hidden,), (hidden, d), (d,))
+    return [
+        Tensor(rng.standard_normal(s).astype(dtype), requires_grad=x_grad or i > 0)
+        for i, s in enumerate(shapes)
+    ]
+
+
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-const"])
+@pytest.mark.parametrize("rows", [1, 17, 384])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_ffn_equals_the_chain(dtype, rows, x_grad):
+    """Output and all five gradients are the chain's, bit for bit, from one
+    tape node instead of five; a constant x gets no gradient."""
+    runs = []
+    for layer in (T.ffn, _ffn_chain):
+        inputs = _ffn_inputs(dtype, rows, x_grad)
+        probe = Tensor(np.random.default_rng(41).standard_normal((rows, 24)).astype(dtype))
+        with GradTape() as tape:
+            out = layer(*inputs)
+            nodes = len(tape._nodes)
+            tape.backward(T.tsum(T.mul(out, probe)))
+        runs.append((out.data, nodes, [t.grad for t in inputs]))
+    (got, got_nodes, got_grads), (want, want_nodes, want_grads) = runs
+    assert (got_nodes, want_nodes) == (1, 5)
+    assert got.dtype == dtype and np.array_equal(got, want)
+    assert (got_grads[0] is None) == (not x_grad)
+    for g, w in zip(got_grads, want_grads):
+        assert (g is None and w is None) or np.array_equal(g, w)
+
+
+def test_ffn_rejects_biases_that_do_not_fit():
+    x, w1, b1, w2, b2 = _ffn_inputs(np.float32, 3, True)
+    with pytest.raises(ShapeError):
+        T.ffn(x, w1, b2, w2, b2)
+    with pytest.raises(ShapeError):
+        T.ffn(x, w2, b1, w1, b2)
+
+
 # -- head-batched ops on [heads, n, dh] tensors ------------------------------
 
 def _f64(rng, shape):
@@ -309,18 +378,24 @@ def _attend_and_backward(attend, dtype, lead, needs_grad=(True, True, True)):
     return out.data, probs, nodes, (q, k, v)
 
 
-@pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "heads"])
+@pytest.mark.parametrize(
+    "lead,needs",
+    [((), (True,) * 3), ((3,), (True,) * 3), ((2, 3), (True,) * 3),
+     ((3,), (True, False, True)), ((2, 3), (False, True, False))],
+    ids=["2d", "heads", "2x3", "heads-qv", "2x3-k"],
+)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-def test_attention_core_equals_the_chain(dtype, lead):
+def test_attention_core_equals_the_chain(dtype, lead, needs):
     """Output, probabilities and Q/K/V gradients are the five-node chain's,
-    bit for bit, from one tape node instead of five."""
-    got, got_p, got_nodes, got_in = _attend_and_backward(T.attention_core, dtype, lead)
-    want, want_p, want_nodes, want_in = _attend_and_backward(_attention_chain, dtype, lead)
-    assert (got_nodes, want_nodes) == (1, 5)
+    bit for bit, from one tape node; an input that takes no gradient gets none."""
+    got, got_p, got_nodes, got_in = _attend_and_backward(T.attention_core, dtype, lead, needs)
+    want, want_p, want_nodes, want_in = _attend_and_backward(_attention_chain, dtype, lead, needs)
+    assert got_nodes == 1 and (want_nodes == 5 or not all(needs))
     assert got.dtype == got_p.dtype == dtype
     assert np.array_equal(got, want) and np.array_equal(got_p, want_p)
-    for g, w in zip(got_in, want_in):
-        assert np.array_equal(g.grad, w.grad)
+    for g, w, need in zip(got_in, want_in, needs):
+        assert (g.grad is None) == (w.grad is None) == (not need)
+        assert not need or np.array_equal(g.grad, w.grad)
 
 
 @pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
@@ -386,7 +461,8 @@ def _tape_arrays(tape):
 def test_denoiser_tape_keeps_no_score_array():
     """After one forward, the tape holds no [heads, nq, nk] array, neither
     logits nor probabilities: each self- and cross-attention call keeps its
-    softmax's [heads, nq, 1] row max and row sum instead."""
+    softmax's [heads, nq, 1] row max and row sum instead.  Nor does it hold
+    an [n, hidden] array: each FFN keeps only its input and weights."""
     world = S.SyntheticWorld(**_SMALL_WORLD)
     cfg = M.DenoiserConfig(**_SMALL_MODEL)
     params = M.init_params(cfg, seed=0)
@@ -396,8 +472,12 @@ def test_denoiser_tape_keeps_no_score_array():
     assert dh not in (n, nc, 1)
     with GradTape() as tape:
         M.denoiser_forward(Tensor(sample.tokens), 0.5, sample.captions, sample.layout, cfg, params)
-    head_rows = [a for a in _tape_arrays(tape) if a.ndim == 3 and a.shape[:2] == (cfg.heads, n)]
+    arrays = _tape_arrays(tape)
+    head_rows = [a for a in arrays if a.ndim == 3 and a.shape[:2] == (cfg.heads, n)]
     assert [a.shape[2] for a in head_rows if a.shape[2] != dh] == [1] * (2 * 2 * cfg.blocks)
+    hidden = cfg.d_model * cfg.ffn_mult
+    assert hidden not in (n, cfg.d_model)
+    assert [a.shape for a in arrays if hidden in a.shape and n in a.shape] == []
 
 
 # -- gradient ownership: one owner per gradient, only leaves keep .grad ------
@@ -748,10 +828,12 @@ def test_backward_empties_the_tape_and_replays_once():
 # traced peaks of one default-model step on 2 x 384 tokens (tracemalloc, numpy 2,
 # x86-64).  One tape over the batch: 99.7 MB when the tape kept every op's
 # output and inputs, 57.0 MB with slots and closures that keep only what a
-# backward reads, 39.8 MB once attention kept no probabilities.  engine.train,
-# which keeps one sample on a tape at a time: 35.8 MB (66.8 MB as one tape).
-TRAIN_STEP_PEAK_MB = 45
-ONE_TAPE_STEP_PEAK_MB = 48
+# backward reads, 39.8 MB once attention kept no probabilities, 18.1 MB once
+# each FFN kept no [n, hidden] array and attention's backward ran one head at
+# a time.  engine.train, which keeps one sample on a tape at a time: 35.8 MB
+# (66.8 MB as one tape), then 24.7 MB with the FFN node and per-head backward.
+TRAIN_STEP_PEAK_MB = 30
+ONE_TAPE_STEP_PEAK_MB = 24
 # what a third 192-token sample adds to the traced peak of an engine.train
 # step: 0.1 MB (11.1 MB when the whole batch shared one tape)
 PER_SAMPLE_PEAK_MB = 1
@@ -833,3 +915,39 @@ def test_one_tape_step_traced_peak():
 
     peak = _traced_peak(step)
     assert peak <= ONE_TAPE_STEP_PEAK_MB * 1e6, f"{peak / 1e6:.1f} MB"
+
+
+def _backward_peak(op, *shapes):
+    """The traced peak of the backward of op on seeded float32 inputs of the
+    given shapes that all take a gradient, and the bytes that backward returns."""
+    rng = np.random.default_rng(50)
+    inputs = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True) for s in shapes]
+    with GradTape() as tape:
+        out = op(*inputs)
+    (_, _, backward_fn), = tape._nodes
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    grads = []
+    peak = _traced_peak(lambda: grads.extend(backward_fn(g)))
+    return peak, sum(a.nbytes for a in grads)
+
+
+def test_ffn_backward_keeps_two_hidden_arrays():
+    """A default-model FFN backward at 384 tokens, its returned gradients
+    included, peaks under 2.5 [n, hidden] arrays: it rebuilds the
+    pre-activation and the GELU with at most two such arrays alive."""
+    n, d, hidden = 384, 128, 512
+    peak, _ = _backward_peak(T.ffn, (n, d), (d, hidden), (hidden,), (hidden, d), (d,))
+    assert peak < 2.5 * n * hidden * 4, f"{peak / (n * hidden * 4):.2f}"
+
+
+def test_attention_core_backward_keeps_one_head_at_a_time():
+    """An attention_core backward over 4 heads rebuilds one head's [nq, nk]
+    probabilities at a time: besides its returned gradients it holds that
+    head's probabilities, their gradient and the two's elementwise product
+    (for the softmax's row dot), and no array of all heads."""
+    heads, nq, nk, dh = 4, 512, 384, 16
+    peak, returned = _backward_peak(
+        lambda q, k, v: T.attention_core(q, k, v, 0.25)[0], (heads, nq, dh), (heads, nk, dh),
+        (heads, nk, dh),
+    )
+    assert peak - returned < 3.2 * nq * nk * 4, f"{(peak - returned) / (nq * nk * 4):.2f}"

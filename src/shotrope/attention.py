@@ -9,7 +9,8 @@ suppressed by rotary distance only.  The reference mode splits the rows
 into segments so shot-0 rows depend on shot-0 inputs alone.  There is one
 packing path: a lone layout is the packing of itself, and a layout and its
 caption context give the row ends of their segments, [shot 0 | each
-layout's later shots].
+layout's later shots].  The query rows may stack one block per branch of
+a layout: row products then run once on the stack, attention per branch.
 
 All heads run at once on [heads, n, d_head] tensors.  The rotary tables
 of a layout depend only on the layout, the rotary scales and the basis,
@@ -41,27 +42,27 @@ class AttentionWeights:
 _TABLE_CACHE_SIZE = 16
 
 
-def _duplicated(tables, dtype):
-    """[n, d/2] cos/sin -> read-only [n, d] tables, each pair's entry twice."""
+def _duplicated(tables, dtype, copies=1):
+    """[n, d/2] cos/sin -> read-only [copies * n, d] tables, each pair's entry twice."""
     out = []
     for tab in tables:
-        tab = np.repeat(tab, 2, axis=1).astype(dtype)
+        tab = np.tile(np.repeat(tab, 2, axis=1).astype(dtype), (copies, 1))
         tab.flags.writeable = False
         out.append(tab)
     return tuple(out)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _token_tables(basis3d, layout, j, dtype):
-    """TcRoPE tables of every token of a layout."""
+def _token_tables(basis3d, layout, j, dtype, copies=1):
+    """TcRoPE tables of every token of a layout, for copies branches."""
     t, h, w = layout.token_positions(j=j)
-    return _duplicated(rope.phase_tables_3d(basis3d, t, h, w), dtype)
+    return _duplicated(rope.phase_tables_3d(basis3d, t, h, w), dtype, copies)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _token_shot_tables(basis1d, layout, k, dtype):
-    """TaRoPE tables of every token of a layout, by its shot index."""
-    return _duplicated(rope.phase_tables_1d(basis1d, layout.token_shot_index() * k), dtype)
+def _token_shot_tables(basis1d, layout, k, dtype, copies=1):
+    """TaRoPE tables of every token of a layout by its shot index, for copies branches."""
+    return _duplicated(rope.phase_tables_1d(basis1d, layout.token_shot_index() * k), dtype, copies)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -144,30 +145,47 @@ class ContextTokens:
             raise ShapeError("ContextTokens: shot index or segment ends do not match the rows")
 
 
-def _attention(x, x_kv, weights, heads, basis, q_tables, k_tables, q_ends, k_ends, probs_out):
-    """Project, rotate Q/K by their tables, attend over segments, merge heads."""
-    if x.shape[0] != q_ends[-1]:
-        raise ShapeError(f"token count {x.shape[0]} != layout tokens {q_ends[-1]}")
-    dh = x.shape[1] // heads
-    if basis.dim != dh:
-        raise ShapeError(f"basis dim {basis.dim} != head dim {dh}")
-    q = T.rope_pairs(T.split_heads(T.matmul(x, weights.wq), heads), *q_tables)
-    k = T.rope_pairs(T.split_heads(T.matmul(x_kv, weights.wk), heads), *k_tables)
-    v = T.split_heads(T.matmul(x_kv, weights.wv), heads)
-    out = segment_attention(q, k, v, q_ends, k_ends, probs_out=probs_out)
-    return T.matmul(T.merge_heads(out), weights.wo)
+def _branches(x, n, heads, basis):
+    """How many blocks of a layout's n rows x stacks, one per branch."""
+    if x.shape[0] % n or not x.shape[0]:
+        raise ShapeError(f"token count {x.shape[0]} is not a whole number of {n}-token layouts")
+    if basis.dim != x.shape[1] // heads:
+        raise ShapeError(f"basis dim {basis.dim} != head dim {x.shape[1] // heads}")
+    return x.shape[0] // n
+
+
+def _project(x, w, heads, tables=None):
+    h = T.split_heads(T.matmul(x, w), heads)
+    return h if tables is None else T.rope_pairs(h, *tables)
+
+
+def _block(x, b, branches):
+    """Branch b's block of the rows (axis -2) of x, which stacks branches blocks."""
+    n = x.shape[-2] // branches
+    return x if branches == 1 else T.slice_rows(x, b * n, (b + 1) * n)
+
+
+def _attend(q, keys, q_ends, wo, probs_out):
+    """Each branch's block of q attends over its (K, V, key ends) in keys; the
+    heads merge, and the output projection runs once on the stacked rows."""
+    outs = [segment_attention(_block(q, b, len(keys)), k, v, q_ends, k_ends, probs_out)
+            for b, (k, v, k_ends) in enumerate(keys)]
+    return T.matmul(T.merge_heads(outs[0] if len(outs) == 1 else T.concat_rows(outs)), wo)
 
 
 def multishot_self_attention(
     tokens, layout, params, basis3d, weights, heads=4, use_ref=False, probs_out=None
 ):
     """Full unmasked attention across all shots with TcRoPE-indexed Q/K;
-    with use_ref, over the layout's reference segments."""
-    tables = _token_tables(basis3d, layout, params.j, tokens.dtype)
+    with use_ref, over the layout's reference segments.  tokens may stack
+    branches of the layout; each attends over its own rows."""
+    branches = _branches(tokens, layout.total_tokens, heads, basis3d)
+    tables = _token_tables(basis3d, layout, params.j, tokens.dtype, branches)
     ends = layout.segment_ends if use_ref else (layout.total_tokens,)
-    return _attention(
-        tokens, tokens, weights, heads, basis3d, tables, tables, ends, ends, probs_out
-    )
+    q, k = (_project(tokens, w, heads, tables) for w in (weights.wq, weights.wk))
+    v = _project(tokens, weights.wv, heads)
+    keys = [(_block(k, b, branches), _block(v, b, branches), ends) for b in range(branches)]
+    return _attend(q, keys, ends, weights.wo, probs_out)
 
 
 def multishot_cross_attention(
@@ -185,26 +203,32 @@ def multishot_cross_attention(
 
     Queries rotate by their token's shot index times k; keys by their
     caption's shot index times k.  Values are left unrotated.  With
-    use_ref, the layout's segments attend over the context's.
+    use_ref, the layout's segments attend over the context's.  context is
+    a ContextTokens, or a tuple of one per branch that tokens stacks.
     """
-    shots_present = set(int(s) for s in context.shot_index)
-    if shots_present != set(range(layout.shot_count)):
-        raise ConfigError(
-            f"caption bundle covers shots {sorted(shots_present)}, "
-            f"layout has {layout.shot_count} shots"
+    contexts = context if isinstance(context, tuple) else (context,)
+    if _branches(tokens, layout.total_tokens, heads, basis1d) != len(contexts):
+        raise ShapeError(f"{tokens.shape[0]} token rows for {len(contexts)} caption contexts")
+    q_tables = _token_shot_tables(basis1d, layout, params.k, tokens.dtype, len(contexts))
+    q = _project(tokens, weights.wq, heads, q_tables)
+    keys = []
+    for ctx in contexts:
+        shots_present = set(int(s) for s in ctx.shot_index)
+        if shots_present != set(range(layout.shot_count)):
+            raise ConfigError(
+                f"caption bundle covers shots {sorted(shots_present)}, "
+                f"layout has {layout.shot_count} shots"
+            )
+        k_ends = ctx.segment_ends if use_ref else (len(ctx.shot_index),)
+        nk0 = k_ends[0]
+        if len(k_ends) > 1 and not (
+            np.all(ctx.shot_index[:nk0] == 0) and np.all(ctx.shot_index[nk0:] != 0)
+        ):
+            raise ConfigError("reference mode requires the shot-0 captions first")
+        k_tables = _caption_shot_tables(
+            basis1d, tuple(ctx.shot_index.tolist()), params.k, tokens.dtype
         )
+        k = _project(ctx.embeddings, weights.wk, heads, k_tables)
+        keys.append((k, _project(ctx.embeddings, weights.wv, heads), k_ends))
     q_ends = layout.segment_ends if use_ref else (layout.total_tokens,)
-    k_ends = context.segment_ends if use_ref else (len(context.shot_index),)
-    nk0 = k_ends[0]
-    if len(k_ends) > 1 and not (
-        np.all(context.shot_index[:nk0] == 0) and np.all(context.shot_index[nk0:] != 0)
-    ):
-        raise ConfigError("reference mode requires the shot-0 captions first")
-    q_tables = _token_shot_tables(basis1d, layout, params.k, tokens.dtype)
-    k_tables = _caption_shot_tables(
-        basis1d, tuple(context.shot_index.tolist()), params.k, tokens.dtype
-    )
-    return _attention(
-        tokens, context.embeddings, weights, heads, basis1d, q_tables, k_tables, q_ends, k_ends,
-        probs_out,
-    )
+    return _attend(q, keys, q_ends, weights.wo, probs_out)

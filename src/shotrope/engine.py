@@ -203,21 +203,19 @@ def null_captions(captions):
 
 def _sample_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embedding):
     """Euler integration of the guided velocity field from z at tau = 1, the
-    specs run as one field packed from their layouts; one field per spec."""
+    specs run as one field packed from their layouts, both guidance branches
+    in one forward a step; one field per spec."""
     packed = PackedLayout(tuple(build_layout(spec, world) for spec in specs))
     captions = tuple(build_captions(spec) for spec in specs)
     if id_embedding is not None:
         captions = tuple(condition_identity(c, id_embedding) for c in captions)
-    uncond = tuple(null_captions(c) for c in captions)
+    branches = (captions,) if guidance == 1.0 else (captions, tuple(map(null_captions, captions)))
     taus = shift_timesteps(steps, shift)
     for i in range(steps):
         tau = float(taus[i])
-        v_c = M.denoiser_forward(z, tau, captions, packed, cfg, params).data
-        if guidance == 1.0:
-            v = v_c
-        else:
-            v_u = M.denoiser_forward(z, tau, uncond, packed, cfg, params).data
-            v = cfg_velocity(v_c, v_u, guidance)
+        v = M.denoiser_branches(z, tau, branches, packed, cfg, params).data
+        if guidance != 1.0:
+            v = cfg_velocity(v[:len(z)], v[len(z):], guidance)
         dtau = float(taus[i + 1] - taus[i])
         z = (z + np.float32(dtau) * v.astype(np.float32)).astype(np.float32)
     return packed.unpack(z)

@@ -180,6 +180,18 @@ def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None):
     and captions holds one bundle per layout, or is the one bundle; the
     field holds every layout's sample.  Several layouts need full+refattn.
     """
+    return denoiser_branches(z_tau, tau, (captions,), layout, cfg, params, collect=collect)
+
+
+def denoiser_branches(z_tau, tau, branches, layout, cfg, params, collect=None):
+    """denoiser_forward of one z_tau and tau under each captions in branches,
+    as one forward: branch b's field is rows b*n:(b+1)*n of the result.
+
+    The ops before block 0's cross-attention read no caption and run once;
+    there the rows stack one block per branch, every row op runs once on the
+    stack and attention runs branch by branch, with the bits of each branch's
+    own forward (README, Determinism).  collect takes one branch.
+    """
     z = z_tau if isinstance(z_tau, Tensor) else Tensor(np.asarray(z_tau, dtype=np.float32))
     if z.shape != (layout.total_tokens, cfg.d_token):
         raise ShapeError(
@@ -187,19 +199,22 @@ def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None):
         )
     if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"tau must lie in [0, 1], got {tau}")
-    bundles = captions if isinstance(captions, tuple) else (captions,)
+    if not branches or (collect is not None and len(branches) > 1):
+        raise ConfigError("denoiser_branches needs a branch, and collect exactly one")
     if len(layout.layouts) > 1 and not cfg.use_ref:
         raise ConfigError("a packing of several layouts requires the full+refattn variant")
-    if len(bundles) != len(layout.layouts):
-        raise ConfigError("a packed layout needs a tuple of caption bundles, one per layout")
-    for bundle, lay in zip(bundles, layout.layouts):
-        if bundle.shot_count != lay.shot_count:
-            raise ConfigError(
-                f"caption bundle has {bundle.shot_count} shots, layout {lay.shot_count}"
-            )
+    branches = [c if isinstance(c, tuple) else (c,) for c in branches]
+    for bundles in branches:
+        if len(bundles) != len(layout.layouts):
+            raise ConfigError("a packed layout needs a tuple of caption bundles, one per layout")
+        for bundle, lay in zip(bundles, layout.layouts):
+            if bundle.shot_count != lay.shot_count:
+                raise ConfigError(
+                    f"caption bundle has {bundle.shot_count} shots, layout {lay.shot_count}"
+                )
     basis3d, basis1d = _bases(cfg.head_dim, cfg.rope_base)
     sp = ShotRopeParams(j=cfg.j_eff, k=cfg.k_eff)
-    context = caption_context(bundles, cfg, params)
+    contexts = tuple(caption_context(bundles, cfg, params) for bundles in branches)
 
     temb = T.matmul(Tensor(timestep_features(tau, cfg.d_model)), params["time_proj/w"])
     temb = T.add(temb, params["time_proj/b"])
@@ -207,25 +222,25 @@ def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None):
     x = T.add(x, temb)
 
     for b in range(cfg.blocks):
-        sa_probs = [] if collect is not None else None
         sa_w = AttentionWeights(*(params[f"block{b}/sa/{w}"] for w in ("wq", "wk", "wv", "wo")))
         sa = multishot_self_attention(
             T.layernorm(x), layout, sp, basis3d, sa_w, heads=cfg.heads,
-            use_ref=cfg.use_ref, probs_out=sa_probs,
+            use_ref=cfg.use_ref, probs_out=None if collect is None else collect.self_probs,
         )
         x = T.add(x, sa)
+        if b == 0 and len(contexts) > 1:
+            x = T.concat_rows([x] * len(contexts))
         ca_probs = [] if collect is not None else None
         ca_w = AttentionWeights(*(params[f"block{b}/ca/{w}"] for w in ("wq", "wk", "wv", "wo")))
         ca = multishot_cross_attention(
-            T.layernorm(x), context, layout, sp, basis1d, ca_w, heads=cfg.heads,
+            T.layernorm(x), contexts, layout, sp, basis1d, ca_w, heads=cfg.heads,
             use_ref=cfg.use_ref, probs_out=ca_probs,
         )
         x = T.add(x, ca)
         ffn_w = (params[f"block{b}/ffn/{w}"] for w in ("w1", "b1", "w2", "b2"))
         x = T.add(x, T.ffn(T.layernorm(x), *ffn_w))
         if collect is not None:
-            collect.self_probs.extend(sa_probs)
-            collect.cross_probs.extend((pr, context.shot_index) for pr in ca_probs)
+            collect.cross_probs.extend((pr, contexts[0].shot_index) for pr in ca_probs)
 
     out = T.matmul(T.layernorm(x), params["head/w"])
     return T.add(out, params["head/b"])

@@ -29,6 +29,8 @@ import numpy as np
 # the cubic coefficient of the tanh-approximated GELU
 GELU_K = 0.044715
 _ROWS = 64  # rows per block of the GELU's elementwise work
+# most [..., nq, nk] entries attention_core's backward rebuilds for all heads at once
+_SCORES_AT_ONCE = 1 << 16
 
 
 class ShapeError(ValueError):
@@ -320,9 +322,9 @@ def attention_core(q, k, v, c):
     output and the probability array p.  Both equal, bit for bit, the chain
     q @ transpose(k), scale, softmax_rows, @ v with numpy's batched matmul.
     The backward keeps no [..., nq, nk] array: it keeps k^T, the arrays of q
-    and v and the softmax's row max and row sum, and rebuilds p from them one
-    head at a time with the forward's own numpy calls, so p and the gradients
-    are the same bits."""
+    and v and the softmax's row max and row sum, and rebuilds p from them (one
+    head at a time when all heads' p is large) with the forward's own numpy
+    calls, so p and the gradients are the same bits."""
     if q.data.ndim < 2 or not (q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
                                and q.shape[-1] == k.shape[-1] and k.shape[-2] == v.shape[-2]):
         raise ShapeError(f"attention_core: incompatible shapes {q.shape} {k.shape} {v.shape}")
@@ -334,28 +336,29 @@ def attention_core(q, k, v, c):
         raise NumericError("attention_core: non-finite logits")
     _, row_max, row_sum = _softmax_forward(p, out=p)
     q_grad, k_grad, v_grad = q.requires_grad, k.requires_grad, v.requires_grad
+    by_head = p.size > _SCORES_AT_ONCE  # else the backward runs all heads at once
     out_data = p @ vd
 
     def bw(g):
         gq = np.empty_like(qd, order="C") if q_grad else None
         gk = np.empty_like(_swap_last(kt), order="C") if k_grad else None
         gv = np.empty_like(vd, order="C") if v_grad else None
-        for i in np.ndindex(qd.shape[:-2]):  # one head's [nq, nk] arrays at a time
+        for i in np.ndindex(qd.shape[:-2]) if by_head else [...]:
             p = qd[i] @ kt[i]  # the forward's probabilities, rebuilt by the same calls
             p *= c
             p -= row_max[i]
             np.exp(p, out=p)
             p /= row_sum[i]
             if v_grad:
-                gv[i] = p.T @ g[i]
-            gs = g[i] @ vd[i].T
+                gv[i] = _swap_last(p) @ g[i]
+            gs = g[i] @ _swap_last(vd[i])
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
             gs *= c
             if q_grad:
-                gq[i] = gs @ kt[i].T
+                gq[i] = gs @ _swap_last(kt[i])
             if k_grad:
-                gk[i] = (qd[i].T @ gs).T
+                gk[i] = _swap_last(_swap_last(qd[i]) @ gs)
             del p, gs  # before the next head's
         return gq, gk, gv
 

@@ -459,13 +459,13 @@ class TestSampleCommand:
         )
         assert rc == cli.EXIT_OK
         starts = []
-        real = engine.M.denoiser_forward
+        real = engine.M.denoiser_branches
 
-        def spy(z, *rest, **kwargs):
-            starts.append(np.array(z, copy=True))
-            return real(z, *rest, **kwargs)
+        def spy(z, tau, branches, *rest, **kwargs):
+            starts.append((np.array(z, copy=True), len(branches)))
+            return real(z, tau, branches, *rest, **kwargs)
 
-        monkeypatch.setattr(engine.M, "denoiser_forward", spy)
+        monkeypatch.setattr(engine.M, "denoiser_branches", spy)
         rc = cli.main(
             [
                 "sample", "--ckpt", str(out / "checkpoint.ecsh"),
@@ -475,9 +475,10 @@ class TestSampleCommand:
             ]
         )
         assert rc == cli.EXIT_OK
-        # one step: both guidance branches start from the one packed noise field
-        z = starts[0]
-        assert len(starts) == 2 and np.array_equal(starts[1], z)
+        # one step, one forward: both guidance branches start from the one packed noise field
+        assert len(starts) == 1
+        z, branches = starts[0]
+        assert branches == 2
         n0 = 2 * SMALL_CONFIG["world"]["height"] * SMALL_CONFIG["world"]["width"]
         reference = {row.tobytes() for row in z[:n0]}
         assert not any(row.tobytes() in reference for row in z[n0:])

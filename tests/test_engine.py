@@ -501,22 +501,23 @@ class TestPackedContinuation:
         )
         assert np.array_equal(field, want)
 
-    @pytest.mark.parametrize("guidance, per_step", [(5.0, 2), (1.0, 1)])
-    def test_two_forwards_a_step_whatever_the_attempt_count(
-        self, model, small_world, monkeypatch, guidance, per_step
+    @pytest.mark.parametrize("guidance, branches", [(5.0, 2), (1.0, 1)])
+    def test_one_forward_a_step_whatever_the_attempt_count(
+        self, model, small_world, monkeypatch, guidance, branches
     ):
         calls = []
-        forward = M.denoiser_forward
+        forward = M.denoiser_branches
 
         def counted(*args, **kwargs):
-            calls.append(args[3])
+            calls.append((len(args[2]), args[3]))
             return forward(*args, **kwargs)
 
-        monkeypatch.setattr(M, "denoiser_forward", counted)
+        monkeypatch.setattr(M, "denoiser_branches", counted)
         attempts = [[E.ShotPrompt(2, 1)], [E.ShotPrompt(3, 2)], [], [E.ShotPrompt(1, 3)]]
         self._run(model, small_world, attempts, steps=4, guidance=guidance)
-        assert len(calls) == 4 * per_step
-        assert all(isinstance(layout, PackedLayout) for layout in calls)
+        assert len(calls) == 4
+        assert all(n == branches for n, _ in calls)
+        assert all(isinstance(layout, PackedLayout) for _, layout in calls)
 
     def test_packed_forward_needs_reference_variant_and_a_bundle_per_layout(
         self, model, small_world

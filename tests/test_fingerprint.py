@@ -82,3 +82,20 @@ def test_a_scoring_change_moves_the_scoring_fingerprint(bitcheck, monkeypatch, n
     before = bitcheck["scoring_fingerprint"]()
     monkeypatch.setattr(E, name, mutate(getattr(E, name)))
     assert bitcheck["scoring_fingerprint"]() != before
+
+
+def test_bitcheck_against_a_missing_directory_exits_2(bitcheck, tmp_path, capsys):
+    """The directory is checked before anything runs."""
+    assert bitcheck["main"](["--against", str(tmp_path / "missing")]) == 2
+    assert "missing" in capsys.readouterr().err
+
+
+def test_bitcheck_compare_prints_both_trees_and_fails_on_a_difference(bitcheck):
+    compare = bitcheck["compare"]
+    report, status = compare(["aa", "bb"], ["aa", "bb"], "parent/src")
+    assert status == 0
+    assert report[:4] == ["this tree: aa", "this tree: bb", "parent/src: aa", "parent/src: bb"]
+    for theirs in (["aa", "bc"], ["aa"], []):
+        report, status = compare(["aa", "bb"], theirs, "parent/src")
+        assert status == 1
+        assert [f"parent/src: {line}" for line in theirs] == report[2:2 + len(theirs)]

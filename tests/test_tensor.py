@@ -951,3 +951,53 @@ def test_attention_core_backward_keeps_one_head_at_a_time():
         (heads, nk, dh),
     )
     assert peak - returned < 3.2 * nq * nk * 4, f"{(peak - returned) / (nq * nk * 4):.2f}"
+
+
+def _attention_core_grads(lead, nq, nk, dh=16):
+    rng = np.random.default_rng(51)
+    q, k, v = (
+        Tensor(rng.standard_normal((*lead, n, dh)).astype(np.float32), requires_grad=True)
+        for n in (nq, nk, nk)
+    )
+    with GradTape() as tape:
+        out = T.attention_core(q, k, v, 0.25)[0]
+        tape.backward(T.tsum(T.mul(out, Tensor(rng.standard_normal(out.shape).astype(np.float32)))))
+    return [t.grad for t in (q, k, v)]
+
+
+@pytest.mark.parametrize("lead, nq, nk", [((4,), 688, 8), ((2, 3), 96, 12), ((4,), 128, 128)])
+def test_attention_core_backward_batches_small_heads_with_the_same_bits(monkeypatch, lead, nq, nk):
+    """Small calls run their backward over all heads at once, with the
+    gradients of the one-head-at-a-time path, bit for bit."""
+    assert np.prod(lead) * nq * nk <= T._SCORES_AT_ONCE
+    batched = _attention_core_grads(lead, nq, nk)
+    monkeypatch.setattr(T, "_SCORES_AT_ONCE", 0)  # one head at a time
+    for got, want in zip(batched, _attention_core_grads(lead, nq, nk)):
+        assert np.array_equal(got, want)
+
+
+# the row products of the default and of a 32-dim model: input projection,
+# attention projections, FFN and head
+PRODUCT_SHAPES = sorted({
+    shape
+    for cfg in (M.DenoiserConfig(), M.DenoiserConfig(d_model=32, blocks=2))
+    for name, shape in M.param_shapes(cfg)
+    if name in ("in_proj/w", "block0/sa/wq", "block0/ffn/w1", "block0/ffn/w2", "head/w")
+})
+
+
+@pytest.mark.parametrize("k, n", PRODUCT_SHAPES, ids=[f"{k}x{n}" for k, n in PRODUCT_SHAPES])
+def test_stacked_row_blocks_multiply_as_the_blocks_do(k, n):
+    """matmul on B stacked blocks of rows equals each block's own product, bit
+    for bit, at the 16-688 rows the model's fields have: the guidance branches
+    of a sampling step run stacked (model.denoiser_branches) and packing runs
+    several layouts' rows in one product on this, so a BLAS that breaks it
+    fails here before it changes sampled bits."""
+    rng = np.random.default_rng(53)
+    w = Tensor((rng.standard_normal((k, n)) * 0.02).astype(np.float32))
+    cases = [(16, 2), (17, 3), (48, 2), (96, 2), (144, 3), (192, 2), (384, 2), (688, 2)]
+    for rows, copies in cases:
+        blocks = [rng.standard_normal((rows, k)).astype(np.float32) for _ in range(copies)]
+        stacked = T.matmul(Tensor(np.concatenate(blocks)), w).data
+        apart = [T.matmul(Tensor(b), w).data for b in blocks]
+        assert np.array_equal(stacked, np.concatenate(apart)), (rows, copies)

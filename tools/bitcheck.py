@@ -42,6 +42,12 @@ its parent.  Run it once against each tree's sources and compare:
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tools/bitcheck.py
     PYTHONPATH=/path/to/parent/src OPENBLAS_NUM_THREADS=1 python tools/bitcheck.py
 
+or let it run the second tree itself, in a subprocess with that
+PYTHONPATH and one BLAS thread; it prints both trees' lines and exits 1
+when they differ (2 when the directory is missing):
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tools/bitcheck.py --against /path/to/parent/src
+
 shotrope is imported from PYTHONPATH; the fixed weights are only read.
 """
 
@@ -51,6 +57,8 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -209,12 +217,40 @@ def digest(weights):
     return h.hexdigest()
 
 
-def main():
+def compare(ours, theirs, against):
+    """The lines that print this tree's and the other tree's digests, and the
+    exit status: 0 when they agree, 1 on any difference."""
+    report = [f"this tree: {line}" for line in ours]
+    report += [f"{against}: {line}" for line in theirs]
+    same = list(ours) == list(theirs)
+    report.append("same bits" if same else "the bits differ")
+    return report, 0 if same else 1
+
+
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--weights", default=WEIGHTS, help="directory of the fixed weights")
-    print(digest(parser.parse_args().weights))
-    print(scoring_fingerprint())
+    parser.add_argument(
+        "--against", metavar="SRC_DIR",
+        help="also run on the shotrope sources in SRC_DIR; exit 1 if the lines differ",
+    )
+    args = parser.parse_args(argv)
+    if args.against is not None and not os.path.isdir(args.against):
+        print(f"bitcheck: no directory {args.against}", file=sys.stderr)
+        return 2
+    ours = [digest(args.weights), scoring_fingerprint()]
+    if args.against is None:
+        print("\n".join(ours))
+        return 0
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(args.against), OPENBLAS_NUM_THREADS="1")
+    theirs = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--weights", args.weights],
+        env=env, stdout=subprocess.PIPE, text=True,
+    ).stdout.split()
+    report, status = compare(ours, theirs, args.against)
+    print("\n".join(report))
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -29,7 +29,9 @@ def partial_sum_magnitudes(d, x, basis=None):
     if d % 2 != 0:
         raise ShapeError(f"dim must be even, got {d}")
     if basis is None:
-        basis = rope.make_basis_1d(d)
+        basis = rope.RotaryBasis(d)
+    elif basis.dim != d:
+        raise ShapeError(f"basis dim {basis.dim} != {d}")
     theta = np.asarray(basis.angles, dtype=np.float64)
     partial = np.cumsum(np.exp(1j * float(x) * theta))
     return float(np.abs(partial).sum())
@@ -41,7 +43,7 @@ def delta_curve(d, xs):
         raise ConfigError("delta_curve: empty grid")
     if xs[0] != 0.0 or np.any(np.diff(xs) <= 0):
         raise ConfigError("delta_curve: grid must be ascending and start at 0")
-    basis = rope.make_basis_1d(d)
+    basis = rope.RotaryBasis(d)
     f = np.array([partial_sum_magnitudes(d, x, basis) for x in xs])
     return BoundCurve(dim=d, xs=xs, f=f, delta=f / f[0])
 
@@ -61,6 +63,8 @@ def suppressed_logit(q, k, s1, s2, params, basis):
     """Exact TaRoPE-modulated inner product, 64-bit."""
     x = params.k * (s1 - s2)
     h = pair_products(q, k)
+    if basis.dim != 2 * h.shape[-1]:
+        raise ShapeError(f"basis dim {basis.dim} != vector dim {2 * h.shape[-1]}")
     return float(np.real(np.sum(h * np.exp(1j * x * basis.angles))))
 
 

@@ -53,23 +53,23 @@ def _duplicated(tables, dtype, copies=1):
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _token_tables(basis3d, layout, j, dtype, copies=1):
+def _token_tables(basis, layout, j, dtype, copies=1):
     """TcRoPE tables of every token of a layout, for copies branches."""
     t, h, w = layout.token_positions(j=j)
-    return _duplicated(rope.phase_tables_3d(basis3d, t, h, w), dtype, copies)
+    return _duplicated(rope.phase_tables_3d(basis, t, h, w), dtype, copies)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _token_shot_tables(basis1d, layout, k, dtype, copies=1):
+def _token_shot_tables(basis, layout, k, dtype, copies=1):
     """TaRoPE tables of every token of a layout by its shot index, for copies branches."""
-    return _duplicated(rope.phase_tables_1d(basis1d, layout.token_shot_index() * k), dtype, copies)
+    return _duplicated(rope.phase_tables_1d(basis, layout.token_shot_index() * k), dtype, copies)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _caption_shot_tables(basis1d, shots, k, dtype):
+def _caption_shot_tables(basis, shots, k, dtype):
     """TaRoPE tables of caption rows tagged with the shot indices `shots`."""
     positions = np.asarray(shots, dtype=np.int64) * k
-    return _duplicated(rope.phase_tables_1d(basis1d, positions), dtype)
+    return _duplicated(rope.phase_tables_1d(basis, positions), dtype)
 
 
 def scaled_dot_attention(Q, K, V, probs_out=None):
@@ -174,13 +174,13 @@ def _attend(q, keys, q_ends, wo, probs_out):
 
 
 def multishot_self_attention(
-    tokens, layout, params, basis3d, weights, heads=4, use_ref=False, probs_out=None
+    tokens, layout, params, basis, weights, heads=4, use_ref=False, probs_out=None
 ):
     """Full unmasked attention across all shots with TcRoPE-indexed Q/K;
     with use_ref, over the layout's reference segments.  tokens may stack
     branches of the layout; each attends over its own rows."""
-    branches = _branches(tokens, layout.total_tokens, heads, basis3d)
-    tables = _token_tables(basis3d, layout, params.j, tokens.dtype, branches)
+    branches = _branches(tokens, layout.total_tokens, heads, basis)
+    tables = _token_tables(basis, layout, params.j, tokens.dtype, branches)
     ends = layout.segment_ends if use_ref else (layout.total_tokens,)
     q, k = (_project(tokens, w, heads, tables) for w in (weights.wq, weights.wk))
     v = _project(tokens, weights.wv, heads)
@@ -193,7 +193,7 @@ def multishot_cross_attention(
     context,
     layout,
     params,
-    basis1d,
+    basis,
     weights,
     heads=4,
     use_ref=False,
@@ -207,9 +207,9 @@ def multishot_cross_attention(
     a ContextTokens, or a tuple of one per branch that tokens stacks.
     """
     contexts = context if isinstance(context, tuple) else (context,)
-    if _branches(tokens, layout.total_tokens, heads, basis1d) != len(contexts):
+    if _branches(tokens, layout.total_tokens, heads, basis) != len(contexts):
         raise ShapeError(f"{tokens.shape[0]} token rows for {len(contexts)} caption contexts")
-    q_tables = _token_shot_tables(basis1d, layout, params.k, tokens.dtype, len(contexts))
+    q_tables = _token_shot_tables(basis, layout, params.k, tokens.dtype, len(contexts))
     q = _project(tokens, weights.wq, heads, q_tables)
     keys = []
     for ctx in contexts:
@@ -226,7 +226,7 @@ def multishot_cross_attention(
         ):
             raise ConfigError("reference mode requires the shot-0 captions first")
         k_tables = _caption_shot_tables(
-            basis1d, tuple(ctx.shot_index.tolist()), params.k, tokens.dtype
+            basis, tuple(ctx.shot_index.tolist()), params.k, tokens.dtype
         )
         k = _project(ctx.embeddings, weights.wk, heads, k_tables)
         keys.append((k, _project(ctx.embeddings, weights.wv, heads), k_ends))

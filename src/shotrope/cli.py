@@ -19,7 +19,7 @@ import typing
 
 import numpy as np
 
-from . import analysis, engine, model as M, rope, synthetic as S
+from . import analysis, engine, model as M, synthetic as S
 from .checkpoint import load_checkpoint, save_checkpoint, save_tensors, write_json
 from .tensor import ConfigError, NumericError, ShapeError, Tensor, check_config, seeded_rng
 
@@ -294,10 +294,9 @@ def cmd_curve(args):
     with _run_dir(os.path.dirname(args.out) or os.curdir):
         curve = analysis.delta_curve(args.dim, np.arange(0.0, stop, args.step))
     analysis.write_curve_csv(curve, args.out)
-    basis = rope.make_basis_1d(args.dim)
     for ds in range(5):
         x = args.k * ds
-        d = analysis.partial_sum_magnitudes(args.dim, x, basis) / curve.f[0]
+        d = analysis.partial_sum_magnitudes(args.dim, x) / curve.f[0]
         print(f"delta(k*{ds}) = delta({x:g}) = {d:.6f}")
     print(f"curve written to {args.out}")
     return EXIT_OK
@@ -319,6 +318,7 @@ def _ablate_run(task):
 def cmd_ablate(args):
     _require_count(eval_samples=args.eval_samples, eval_steps=args.eval_steps)
     model_cfg, train_cfg, world = load_run_config(args.config)
+    engine.eval_specs(world, args.eval_samples, train_cfg.seed)
     runs = [(v, dataclasses.replace(model_cfg, variant=v)) for v in ("vanilla", "tcrope", "full")]
     if args.grid:
         runs += [

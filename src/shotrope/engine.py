@@ -323,6 +323,8 @@ def identity_match(tokens, world, layout, id_index):
 def eval_specs(world, n_samples, seed, frame_range=(2, 4)):
     """Fixed evaluation prompts of three shots: distinct scenes across shots."""
     shots = 3
+    if world.v_scene < shots:
+        raise ConfigError(f"evaluation prompts need {shots} scenes, the world has {world.v_scene}")
     rng = T.seeded_rng(seed, 10**6)
     specs = []
     for _ in range(n_samples):

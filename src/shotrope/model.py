@@ -9,7 +9,6 @@ census is identical across variants.
 
 from __future__ import annotations
 
-import functools
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, replace
 
@@ -135,14 +134,6 @@ class AttentionCollector:
         self.cross_probs = []  # (probs, key shot index)
 
 
-@functools.lru_cache(maxsize=None)
-def _bases(head_dim, base):
-    return (
-        rope.make_basis_3d(head_dim, base=base),
-        rope.make_basis_1d(head_dim, base=base),
-    )
-
-
 def caption_context(bundles, cfg, params):
     """Embed caption bundles into context token rows with shot indices.
 
@@ -212,7 +203,7 @@ def denoiser_branches(z_tau, tau, branches, layout, cfg, params, collect=None):
                 raise ConfigError(
                     f"caption bundle has {bundle.shot_count} shots, layout {lay.shot_count}"
                 )
-    basis3d, basis1d = _bases(cfg.head_dim, cfg.rope_base)
+    basis = rope.RotaryBasis(cfg.head_dim, cfg.rope_base)
     sp = ShotRopeParams(j=cfg.j_eff, k=cfg.k_eff)
     contexts = tuple(caption_context(bundles, cfg, params) for bundles in branches)
 
@@ -224,7 +215,7 @@ def denoiser_branches(z_tau, tau, branches, layout, cfg, params, collect=None):
     for b in range(cfg.blocks):
         sa_w = AttentionWeights(*(params[f"block{b}/sa/{w}"] for w in ("wq", "wk", "wv", "wo")))
         sa = multishot_self_attention(
-            T.layernorm(x), layout, sp, basis3d, sa_w, heads=cfg.heads,
+            T.layernorm(x), layout, sp, basis, sa_w, heads=cfg.heads,
             use_ref=cfg.use_ref, probs_out=None if collect is None else collect.self_probs,
         )
         x = T.add(x, sa)
@@ -233,7 +224,7 @@ def denoiser_branches(z_tau, tau, branches, layout, cfg, params, collect=None):
         ca_probs = [] if collect is not None else None
         ca_w = AttentionWeights(*(params[f"block{b}/ca/{w}"] for w in ("wq", "wk", "wv", "wo")))
         ca = multishot_cross_attention(
-            T.layernorm(x), contexts, layout, sp, basis1d, ca_w, heads=cfg.heads,
+            T.layernorm(x), contexts, layout, sp, basis, ca_w, heads=cfg.heads,
             use_ref=cfg.use_ref, probs_out=ca_probs,
         )
         x = T.add(x, ca)

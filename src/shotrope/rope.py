@@ -1,12 +1,13 @@
-"""Vanilla 1D and 3D rotary position embeddings.
+"""Vanilla 1D and 3D rotary position embeddings over one angle basis.
 
-This module holds the angle bases and phase tables; `rope_1d` and
-`rope_3d` rotate with `tensor.rotate_pairs`, the kernel the model runs.
-Pure numpy functions over immutable angle bases.  A basis compares and
-hashes by its defining fields (dim, base), so it can key caches.  Positions may be
-non-integer (fractional phase shifts are used by the parameter sweeps).
-Dtype of the input vector is preserved, so callers can evaluate in
-float64 when they need tighter tolerances.
+A `RotaryBasis` holds RoFormer's per-pair angles; the 1D phase tables
+turn pair i at position m by m*theta_i, and the 3D tables read the
+(t, h, w) map off the same angles.  `rope_1d` and `rope_3d` rotate with
+`tensor.rotate_pairs`, the kernel the model runs.  A basis compares and
+hashes by its defining fields (dim, base), so it can key caches.
+Positions may be non-integer (fractional phase shifts are used by the
+parameter sweeps).  Dtype of the input vector is preserved, so callers
+can evaluate in float64 when they need tighter tolerances.
 """
 
 from __future__ import annotations
@@ -37,48 +38,6 @@ class RotaryBasis:
         )
 
 
-@dataclass(frozen=True)
-class RotaryBasis3D:
-    """Angles shared cyclically over (t, h, w) 2x2 blocks.
-
-    The trailing d - 6*(d//6) dims are left unrotated (the model's head
-    dim is 32, so its last pair is).
-    """
-
-    dim: int
-    base: float = 10000.0
-    angles: np.ndarray = field(default=None, repr=False, compare=False)
-    # per feature-pair: axis index 0=t 1=h 2=w, -1 = unrotated
-    pair_axis: np.ndarray = field(default=None, repr=False, compare=False)
-    pair_angle: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.dim % 2 != 0:
-            raise ShapeError(f"RotaryBasis3D dim must be even, got {self.dim}")
-        n_triples = self.dim // 6
-        i = np.arange(n_triples, dtype=np.float64)
-        angles = self.base ** (-2.0 * i / self.dim)
-        n_pairs = self.dim // 2
-        pair_axis = np.full(n_pairs, -1, dtype=np.int64)
-        pair_angle = np.zeros(n_pairs, dtype=np.float64)
-        for trip in range(n_triples):
-            for axis in range(3):
-                p = 3 * trip + axis
-                pair_axis[p] = axis
-                pair_angle[p] = angles[trip]
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "pair_axis", pair_axis)
-        object.__setattr__(self, "pair_angle", pair_angle)
-
-
-def make_basis_1d(d, base=10000.0):
-    return RotaryBasis(dim=d, base=base)
-
-
-def make_basis_3d(d, base=10000.0):
-    return RotaryBasis3D(dim=d, base=base)
-
-
 def phase_tables_1d(basis, positions):
     """cos/sin per (position, pair), float64."""
     pos = np.atleast_1d(np.asarray(positions, dtype=np.float64))
@@ -95,15 +54,16 @@ def rope_1d(v, m, basis):
 
 
 def phase_tables_3d(basis, t, h, w):
-    """cos/sin per (position, pair) for arrays of (t, h, w) positions."""
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    h = np.atleast_1d(np.asarray(h, dtype=np.float64))
-    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    pos = np.stack([t, h, w], axis=1)  # [n, 3]
-    n_pairs = basis.dim // 2
-    ang = np.zeros((t.shape[0], n_pairs), dtype=np.float64)
-    rotated = basis.pair_axis >= 0
-    ang[:, rotated] = pos[:, basis.pair_axis[rotated]] * basis.pair_angle[rotated]
+    """cos/sin per (position, pair) for arrays of (t, h, w) positions.
+
+    Pair p < 3*(d//6) turns with axis p % 3 (t, h, w) at angles[p // 3];
+    the pairs after the last whole triple stay unrotated (the model's
+    head dim is 32, so its last pair does).
+    """
+    pos = np.stack([np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (t, h, w)], axis=1)
+    triples = basis.dim // 6
+    ang = np.zeros((pos.shape[0], basis.dim // 2), dtype=np.float64)
+    ang[:, : 3 * triples] = np.tile(pos, triples) * np.repeat(basis.angles[:triples], 3)
     return np.cos(ang), np.sin(ang)
 
 

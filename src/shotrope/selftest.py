@@ -14,12 +14,12 @@ from .tensor import Tensor, grad_check
 
 def _suite_rope_algebra():
     rng = T.seeded_rng(11)
-    basis2 = rope.make_basis_1d(2)
+    basis2 = rope.RotaryBasis(2)
     # directed quarter turn pins the rotation sign
     out = rope.rope_1d(np.array([1.0, 0.0]), np.pi / 2, basis2)
     if not np.allclose(out, [0.0, 1.0], atol=1e-6):
         return False, f"quarter turn gave {out}"
-    basis = rope.make_basis_1d(64)
+    basis = rope.RotaryBasis(64)
     for _ in range(300):
         v = rng.standard_normal(64)
         m = rng.uniform(-512, 512)
@@ -46,7 +46,7 @@ def _suite_rope_algebra():
 
 def _suite_matched_pair():
     rng = T.seeded_rng(12)
-    basis = rope.make_basis_1d(32)
+    basis = rope.RotaryBasis(32)
     params = ShotRopeParams(j=4.0, k=6.0)
     from .shots import tarope
 
@@ -64,7 +64,7 @@ def _suite_suppression_bound():
     rng = T.seeded_rng(13)
     params = ShotRopeParams(k=6.0)
     for d in (16, 64):
-        basis = rope.make_basis_1d(d)
+        basis = rope.RotaryBasis(d)
         for _ in range(300):
             q = rng.standard_normal(d)
             k = rng.standard_normal(d)

@@ -171,18 +171,17 @@ def effective_time_index(layout, s, t_local, j):
     return layout.time_offsets[s] + t_local + s * j
 
 
-def tcrope(v, t_local, h, w, s, layout, params, basis3d):
-    """3D rotary embedding at the boundary-shifted time index."""
+def tcrope(v, t_local, h, w, s, layout, params, basis):
+    """3D rotary embedding of a video token at (t + j*s, h, w): the basis's
+    angles read at the boundary-shifted time index."""
     t_eff = effective_time_index(layout, s, t_local, params.j)
-    return rope.rope_3d(v, t_eff, h, w, basis3d)
+    return rope.rope_3d(v, t_eff, h, w, basis)
 
 
-def tarope(v, s, params, basis1d):
-    """1D rotary embedding at position s*k.
+def tarope(v, s, params, basis):
+    """1D rotary embedding at position s*k over the same basis as tcrope.
 
     Applied to visual query vectors by their shot index and to textual
     key vectors by their caption's shot index.
     """
-    if np.asarray(v).shape[-1] != basis1d.dim:
-        raise ShapeError("tarope: vector dim != basis dim")
-    return rope.rope_1d(v, s * params.k, basis1d)
+    return rope.rope_1d(v, s * params.k, basis)

@@ -16,7 +16,7 @@ def test_c01_rotary_algebra_properties():
     """Norm preservation (1e-6 rel), relative-position identity (1e-5),
     composition (1e-5); 1000 randomized cases each."""
     rng = np.random.default_rng(101)
-    basis = rope.make_basis_1d(64)
+    basis = rope.RotaryBasis(64)
     for _ in range(1000):
         v = rng.standard_normal(64)
         m = rng.uniform(-512, 512)
@@ -43,7 +43,7 @@ def test_c02_matched_shot_logits_exact():
     rng = np.random.default_rng(102)
     params = ShotRopeParams(j=4.0, k=6.0)
     for d in (16, 32, 64):
-        basis = rope.make_basis_1d(d)
+        basis = rope.RotaryBasis(d)
         for _ in range(1000):
             q = rng.standard_normal(d)
             k = rng.standard_normal(d)
@@ -59,7 +59,7 @@ def test_c03_suppression_bound_and_decay():
     rng = np.random.default_rng(103)
     params = ShotRopeParams(k=6.0)
     for d in (16, 64, 128):
-        basis = rope.make_basis_1d(d)
+        basis = rope.RotaryBasis(d)
         for _ in range(1000):
             q = rng.standard_normal(d)
             k = rng.standard_normal(d)
@@ -67,7 +67,7 @@ def test_c03_suppression_bound_and_decay():
             assert analysis.logit_bound_check(q, k, s1, s2, params, basis) >= -1e-6
 
     d = 128
-    basis = rope.make_basis_1d(d)
+    basis = rope.RotaryBasis(d)
     q = rng.standard_normal((10000, d))
     qc = q[:, 0::2] + 1j * q[:, 1::2]
     h = qc * np.conj(qc)  # matched pairs: k = q

@@ -21,7 +21,7 @@ class TestPartialSumMagnitudes:
             assert abs(analysis.partial_sum_magnitudes(2, x) - 1.0) <= 1e-12
 
     def test_d4_against_direct_complex_oracle(self):
-        basis = rope.make_basis_1d(4)
+        basis = rope.RotaryBasis(4)
         for x in (0.0, 1.0, 7.5, 30.0):
             s1 = np.exp(1j * x * basis.angles[0])
             s2 = s1 + np.exp(1j * x * basis.angles[1])
@@ -31,6 +31,10 @@ class TestPartialSumMagnitudes:
     def test_odd_dim_rejected(self):
         with pytest.raises(ShapeError):
             analysis.partial_sum_magnitudes(5, 1.0)
+
+    def test_basis_of_another_dim_rejected(self):
+        with pytest.raises(ShapeError):
+            analysis.partial_sum_magnitudes(8, 1.0, rope.RotaryBasis(16))
 
 
 class TestDeltaCurve:
@@ -98,7 +102,7 @@ class TestSuppressedLogit:
     def test_matches_rotary_inner_product_oracle(self):
         rng = np.random.default_rng(1)
         params = ShotRopeParams(k=6.0)
-        basis = rope.make_basis_1d(32)
+        basis = rope.RotaryBasis(32)
         from shotrope.shots import tarope
 
         for _ in range(100):
@@ -111,18 +115,23 @@ class TestSuppressedLogit:
 
     def test_same_shot_is_plain_dot_product(self):
         rng = np.random.default_rng(2)
-        basis = rope.make_basis_1d(16)
+        basis = rope.RotaryBasis(16)
         q = rng.standard_normal(16)
         k = rng.standard_normal(16)
         got = analysis.suppressed_logit(q, k, 3, 3, ShotRopeParams(), basis)
         assert abs(got - q @ k) <= 1e-12
+
+    def test_basis_of_another_dim_rejected(self):
+        q = k = np.ones(16)
+        with pytest.raises(ShapeError):
+            analysis.suppressed_logit(q, k, 1, 0, ShotRopeParams(), rope.RotaryBasis(32))
 
 
 class TestLogitBoundCheck:
     @pytest.mark.parametrize("d", [16, 64, 128])
     def test_bound_holds_on_random_pairs(self, d):
         rng = np.random.default_rng(3)
-        basis = rope.make_basis_1d(d)
+        basis = rope.RotaryBasis(d)
         params = ShotRopeParams(k=6.0)
         for _ in range(200):
             q = rng.standard_normal(d)
@@ -133,10 +142,15 @@ class TestLogitBoundCheck:
     def test_matched_shot_bound_uses_f_at_zero(self):
         # at s1 == s2 the bound is max|dh| * f(0); check it dominates |q.k|
         rng = np.random.default_rng(4)
-        basis = rope.make_basis_1d(16)
+        basis = rope.RotaryBasis(16)
         q = rng.standard_normal(16)
         k = rng.standard_normal(16)
         assert analysis.logit_bound_check(q, k, 2, 2, ShotRopeParams(), basis) >= 0.0
+
+    def test_basis_of_another_dim_rejected(self):
+        q = k = np.ones(16)
+        with pytest.raises(ShapeError):
+            analysis.logit_bound_check(q, k, 1, 0, ShotRopeParams(), rope.RotaryBasis(32))
 
 
 class TestShotBlockMatrix:
@@ -184,7 +198,7 @@ class TestMonteCarloDecay:
         # designed for; isotropic independent pairs are rotation-invariant
         # and show no decay by symmetry
         d = 128
-        basis = rope.make_basis_1d(d)
+        basis = rope.RotaryBasis(d)
         rng = np.random.default_rng(6)
         q = rng.standard_normal((10000, d))
         qc = q[:, 0::2] + 1j * q[:, 1::2]

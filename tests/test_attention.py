@@ -114,7 +114,7 @@ class TestSelfAttention:
         d = 24
         tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
         w = _rand_weights(rng, d)
-        basis = rope.make_basis_3d(12)
+        basis = rope.RotaryBasis(12)
         params = ShotRopeParams()
         o1 = multishot_self_attention(tokens, layout, params, basis, w, heads=2).data
         o2 = multishot_self_attention(tokens, layout, params, basis, w, heads=2).data
@@ -127,7 +127,7 @@ class TestSelfAttention:
         rng = np.random.default_rng(6)
         d = 24
         w = _rand_weights(rng, d)
-        basis = rope.make_basis_3d(12)
+        basis = rope.RotaryBasis(12)
         params = ShotRopeParams(j=0.0, k=0.0)
         merged = ShotLayout((4,), 2, 2)
         split = ShotLayout((2, 2), 2, 2)
@@ -140,7 +140,7 @@ class TestSelfAttention:
         rng = np.random.default_rng(7)
         d = 24
         w = _rand_weights(rng, d)
-        basis = rope.make_basis_3d(12)
+        basis = rope.RotaryBasis(12)
         layout = ShotLayout((2, 2), 2, 2)
         tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
         a = multishot_self_attention(tokens, layout, ShotRopeParams(j=0.0), basis, w, heads=2).data
@@ -153,7 +153,7 @@ class TestSelfAttention:
         w = _rand_weights(np.random.default_rng(8), 24)
         with pytest.raises(ShapeError):
             multishot_self_attention(
-                tokens, layout, ShotRopeParams(), rope.make_basis_3d(18), w, heads=2
+                tokens, layout, ShotRopeParams(), rope.RotaryBasis(18), w, heads=2
             )
 
     def test_ref_mode_isolates_shot0(self):
@@ -162,7 +162,7 @@ class TestSelfAttention:
         layout = ShotLayout((2, 2), 2, 2)
         n0 = layout.token_spans()[0][1]
         w = _rand_weights(rng, d)
-        basis = rope.make_basis_3d(12)
+        basis = rope.RotaryBasis(12)
         params = ShotRopeParams()
         tok = rng.standard_normal((layout.total_tokens, d)).astype(np.float32)
         base = multishot_self_attention(
@@ -192,7 +192,7 @@ class TestCrossAttention:
         layout = ShotLayout((2, 2), 2, 2)
         tokens, ctx, w = self._setup(rng, layout)
         out = multishot_cross_attention(
-            tokens, ctx, layout, ShotRopeParams(), rope.make_basis_1d(12), w, heads=2
+            tokens, ctx, layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2
         )
         assert out.shape == (layout.total_tokens, 24)
 
@@ -205,7 +205,7 @@ class TestCrossAttention:
         )
         with pytest.raises(ConfigError):
             multishot_cross_attention(
-                tokens, bad_ctx, layout, ShotRopeParams(), rope.make_basis_1d(12), w, heads=2
+                tokens, bad_ctx, layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2
             )
 
     def test_zero_suppression_rate_ignores_shot_indices(self):
@@ -215,7 +215,7 @@ class TestCrossAttention:
         layout = ShotLayout((2, 2), 2, 2)
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=1)
         params = ShotRopeParams(j=0.0, k=0.0)
-        basis = rope.make_basis_1d(12)
+        basis = rope.RotaryBasis(12)
         a = multishot_cross_attention(tokens, ctx, layout, params, basis, w, heads=2).data
         flipped = ContextTokens(ctx.embeddings, ctx.shot_index[::-1].copy(), ctx.segment_ends)
         b = multishot_cross_attention(tokens, flipped, layout, params, basis, w, heads=2).data
@@ -226,7 +226,7 @@ class TestCrossAttention:
         layout = ShotLayout((2, 2), 2, 2)
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=1)
         params = ShotRopeParams(j=0.0, k=6.0)
-        basis = rope.make_basis_1d(12)
+        basis = rope.RotaryBasis(12)
         a = multishot_cross_attention(tokens, ctx, layout, params, basis, w, heads=2).data
         flipped = ContextTokens(ctx.embeddings, ctx.shot_index[::-1].copy(), ctx.segment_ends)
         b = multishot_cross_attention(tokens, flipped, layout, params, basis, w, heads=2).data
@@ -238,7 +238,7 @@ class TestCrossAttention:
         rng = np.random.default_rng(16)
         layout = ShotLayout((2, 1, 2), 2, 2)
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=2)
-        params, basis = ShotRopeParams(), rope.make_basis_1d(12)
+        params, basis = ShotRopeParams(), rope.RotaryBasis(12)
         base = multishot_cross_attention(tokens, ctx, layout, params, basis, w, heads=2).data
         perm = rng.permutation(ctx.shot_index.size)
         assert not np.array_equal(ctx.shot_index[perm], ctx.shot_index)
@@ -255,7 +255,7 @@ class TestCrossAttention:
         unsorted = ContextTokens(ctx.embeddings, np.array([1, 0]), ctx.segment_ends)
         with pytest.raises(ConfigError):
             multishot_cross_attention(
-                tokens, unsorted, layout, ShotRopeParams(), rope.make_basis_1d(12), w,
+                tokens, unsorted, layout, ShotRopeParams(), rope.RotaryBasis(12), w,
                 heads=2, use_ref=True,
             )
 
@@ -265,7 +265,7 @@ class TestCrossAttention:
         n0 = layout.token_spans()[0][1]
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=2)
         params = ShotRopeParams()
-        basis = rope.make_basis_1d(12)
+        basis = rope.RotaryBasis(12)
         base = multishot_cross_attention(
             tokens, ctx, layout, params, basis, w, heads=2, use_ref=True
         ).data
@@ -325,7 +325,7 @@ def test_self_attention_equals_per_head_reference(heads, use_ref):
     rng = np.random.default_rng(20 + heads)
     layout = ShotLayout((2, 1, 3), 2, 2)
     d = 24 * heads // 2
-    basis = rope.make_basis_3d(d // heads)
+    basis = rope.RotaryBasis(d // heads)
     params = ShotRopeParams(j=4.0)
     w = _rand_weights(rng, d)
     tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
@@ -342,7 +342,7 @@ def test_cross_attention_equals_per_head_reference(heads, use_ref):
     rng = np.random.default_rng(30 + heads)
     layout = ShotLayout((2, 1, 3), 2, 2)
     d = 24 * heads // 2
-    basis = rope.make_basis_1d(d // heads)
+    basis = rope.RotaryBasis(d // heads)
     params = ShotRopeParams(k=6.0)
     w = _rand_weights(rng, d)
     shots = np.array([0, 0, 0, 1, 1, 2, 2])
@@ -367,7 +367,7 @@ def test_probs_out_gives_one_full_matrix_per_head(use_ref):
     tokens = Tensor(rng.standard_normal((n, 24)).astype(np.float32))
     sink = []
     multishot_self_attention(
-        tokens, layout, ShotRopeParams(), rope.make_basis_3d(12), w, heads=2,
+        tokens, layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2,
         use_ref=use_ref, probs_out=sink,
     )
     assert len(sink) == 2
@@ -401,7 +401,7 @@ def test_self_attention_rotations_are_tcrope(monkeypatch):
     rng = np.random.default_rng(41)
     layout = ShotLayout((2, 1, 3), 2, 3)
     heads, d = 2, 64
-    basis = rope.make_basis_3d(32)  # the model's head basis
+    basis = rope.RotaryBasis(32)  # the model's head basis
     params = ShotRopeParams(j=4.0)
     tokens = Tensor(rng.standard_normal((layout.total_tokens, d)), dtype=np.float64)
     w = AttentionWeights(
@@ -432,7 +432,7 @@ def test_cross_attention_rotations_are_tarope(monkeypatch):
     rng = np.random.default_rng(42)
     layout = ShotLayout((2, 1, 2), 1, 2)
     heads, d = 2, 24
-    basis = rope.make_basis_1d(12)
+    basis = rope.RotaryBasis(12)
     params = ShotRopeParams(k=6.0)
     shots = np.array([0, 0, 1, 2, 2])
     ctx = ContextTokens(Tensor(rng.standard_normal((5, d)), dtype=np.float64), shots, (2, 5))
@@ -458,7 +458,7 @@ def test_rope_sign_fault_reaches_oracles_and_model(monkeypatch):
     rng = np.random.default_rng(43)
     layout = ShotLayout((2, 1), 2, 2)
     d = 24
-    basis3d, basis1d = rope.make_basis_3d(12), rope.make_basis_1d(12)
+    basis = rope.RotaryBasis(12)
     params = ShotRopeParams(j=4.0, k=6.0)
     w = _rand_weights(rng, d)
     tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
@@ -469,9 +469,9 @@ def test_rope_sign_fault_reaches_oracles_and_model(monkeypatch):
 
     def run():
         return (
-            tarope(v, 1, params, basis1d),
-            multishot_self_attention(tokens, layout, params, basis3d, w, heads=2).data,
-            multishot_cross_attention(tokens, ctx, layout, params, basis1d, w, heads=2).data,
+            tarope(v, 1, params, basis),
+            multishot_self_attention(tokens, layout, params, basis, w, heads=2).data,
+            multishot_cross_attention(tokens, ctx, layout, params, basis, w, heads=2).data,
         )
 
     clean = run()
@@ -545,10 +545,9 @@ def test_packed_segments_equal_each_layout_alone():
 
 
 def test_packed_tables_are_each_layouts_tables():
-    basis3d = rope.make_basis_3d(8)
-    basis1d = rope.make_basis_1d(8)
+    basis = rope.RotaryBasis(8)
     packed = PackedLayout((ShotLayout((2, 1), 2, 2), ShotLayout((2, 3), 2, 2)))
-    for tables, basis in ((_token_tables, basis3d), (_token_shot_tables, basis1d)):
+    for tables in (_token_tables, _token_shot_tables):
         got = tables(basis, packed, 4.0, np.float32)
         per_layout = [tables(basis, lay, 4.0, np.float32) for lay in packed.layouts]
         for g, tabs in zip(got, zip(*per_layout)):

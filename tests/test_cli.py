@@ -773,6 +773,22 @@ class TestEntryChecks:
         assert f"--{flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ablate_world_of_two_scenes(self, tmp_path, monkeypatch, capsys):
+        """Evaluation prompts need three distinct scenes: a world of two exits 2
+        before any variant trains or --out is made."""
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli.engine, "train", _must_not_run)
+        cfg = _with("model", "v_scene", 2)
+        cfg["world"]["v_scene"] = 2
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "ablate"
+        rc = cli.main(["ablate", "--config", str(path), "--out", str(out),
+                       "--eval-samples", "1", "--eval-steps", "1"])
+        assert rc == cli.EXIT_CONFIG
+        assert "3 scenes, the world has 2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "groups,ref_attn",
         [(["n=2,scene=0", "n=2,scene=1"], False), (["n=2,scene=0", "n=2,scene=1;n=2,scene=0"], True)],

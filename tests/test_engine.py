@@ -323,6 +323,11 @@ class TestMetrics:
             scenes = [p.scene for p in spec]
             assert len(set(scenes)) == 3
 
+    def test_eval_specs_need_three_scenes(self):
+        world = S.SyntheticWorld(seed=2, d_token=32, d_id=8, v_scene=2, v_mot=2, height=2, width=2)
+        with pytest.raises(ConfigError, match="3 scenes"):
+            E.eval_specs(world, 1, seed=0)
+
     def test_eval_specs_deterministic(self, small_world):
         a = E.eval_specs(small_world, 4, seed=0)
         b = E.eval_specs(small_world, 4, seed=0)

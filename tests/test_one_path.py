@@ -1,7 +1,8 @@
 """One path per job in shotrope, checked with `ast`: a seed becomes a numpy
 generator only inside `tensor.seeded_rng`, `cli` makes directories only
-inside `_run_dir`, which removes them again when its command fails, and the
-GELU formula is written only in `tensor._gelu_rows`, which `gelu` and `ffn` share."""
+inside `_run_dir`, which removes them again when its command fails, the
+GELU formula is written only in `tensor._gelu_rows`, which `gelu` and `ffn`
+share, and a rotary basis's angles become phase tables only in `rope`."""
 
 import ast
 import glob
@@ -13,6 +14,9 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "shotrope")
 SEEDING = {"default_rng", "SeedSequence", "RandomState"}
 MAKING_DIRS = {"makedirs", "mkdir"}
 GELU_FORMULA = {"GELU_K", "tanh"}
+ANGLES = {"angles"}
+# rope turns angles into phase tables; analysis sums them for the bound
+READS_ANGLES = {"rope.py", "analysis.py"}
 
 
 def _mention(node):
@@ -109,3 +113,23 @@ def test_the_gelu_formula_is_written_only_in_its_helper(path):
     with open(path) as fh:
         found = named_outside(fh.read(), GELU_FORMULA, "_gelu_rows" if in_tensor else None)
     assert [name for _, name in found] == (["GELU_K"] if in_tensor else [])
+
+
+def test_the_check_sees_angles_read_outside_rope():
+    source = (
+        "import numpy as np\nfrom . import rope\n"
+        "def tables(basis, pos):\n    return np.cos(pos[:, None] * basis.angles)\n"
+    )
+    assert named_outside(source, ANGLES) == [(4, "angles")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(SRC, "*.py"))), ids=os.path.basename
+)
+def test_angles_become_tables_only_in_rope(path):
+    """A basis's angles are named only in rope.py (the basis, its tables and
+    rope_1d) and analysis.py (the bound), so attention and the model build
+    no second table."""
+    with open(path) as fh:
+        found = named_outside(fh.read(), ANGLES)
+    assert (found != []) == (os.path.basename(path) in READS_ANGLES)

@@ -190,7 +190,7 @@ def multishot_self_attention(
 
 def multishot_cross_attention(
     tokens,
-    context,
+    contexts,
     layout,
     params,
     basis,
@@ -203,10 +203,9 @@ def multishot_cross_attention(
 
     Queries rotate by their token's shot index times k; keys by their
     caption's shot index times k.  Values are left unrotated.  With
-    use_ref, the layout's segments attend over the context's.  context is
-    a ContextTokens, or a tuple of one per branch that tokens stacks.
+    use_ref, the layout's segments attend over the context's.  contexts
+    holds one ContextTokens per branch that tokens stacks.
     """
-    contexts = context if isinstance(context, tuple) else (context,)
     if _branches(tokens, layout.total_tokens, heads, basis) != len(contexts):
         raise ShapeError(f"{tokens.shape[0]} token rows for {len(contexts)} caption contexts")
     q_tables = _token_shot_tables(basis, layout, params.k, tokens.dtype, len(contexts))

@@ -37,6 +37,8 @@ class TrainConfig:
         betas_ok = 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1
         if self.train_timesteps < 1 or self.train_shift < 1 or not betas_ok:
             raise ConfigError("train timesteps must be >= 1, shift >= 1, and betas in [0, 1)")
+        if self.adam_eps <= 0 or self.weight_decay < 0 or not 0 <= self.id_dropout <= 1:
+            raise ConfigError("adam_eps must be > 0, weight_decay >= 0, id_dropout in [0, 1]")
         self.shot_count_range = tuple(self.shot_count_range)
         self.shot_len_range = tuple(self.shot_len_range)
         for lo_hi in (self.shot_count_range, self.shot_len_range):
@@ -63,14 +65,6 @@ def shift_timesteps(n_steps, shift):
 def shift_map(u, shift):
     """Shifted time of uniform time u: biased towards high noise for shift > 1."""
     return shift * u / (1.0 + (shift - 1.0) * u)
-
-
-def cfg_velocity(v_cond, v_uncond, g):
-    v_cond = np.asarray(v_cond)
-    v_uncond = np.asarray(v_uncond)
-    if v_cond.shape != v_uncond.shape:
-        raise ShapeError("guidance: branch shapes differ")
-    return v_uncond + g * (v_cond - v_uncond)
 
 
 class AdamW:
@@ -197,25 +191,18 @@ def condition_identity(captions, id_row):
     return replace(captions, id_row=id_row)
 
 
-def null_captions(captions):
-    return replace(captions, dropped=frozenset(range(captions.shot_count)), id_row=None)
-
-
 def _sample_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embedding):
     """Euler integration of the guided velocity field from z at tau = 1, the
-    specs run as one field packed from their layouts, both guidance branches
-    in one forward a step; one field per spec."""
+    specs run as one field packed from their layouts, one forward a step;
+    one field per spec."""
     packed = PackedLayout(tuple(build_layout(spec, world) for spec in specs))
     captions = tuple(build_captions(spec) for spec in specs)
     if id_embedding is not None:
         captions = tuple(condition_identity(c, id_embedding) for c in captions)
-    branches = (captions,) if guidance == 1.0 else (captions, tuple(map(null_captions, captions)))
     taus = shift_timesteps(steps, shift)
     for i in range(steps):
         tau = float(taus[i])
-        v = M.denoiser_branches(z, tau, branches, packed, cfg, params).data
-        if guidance != 1.0:
-            v = cfg_velocity(v[:len(z)], v[len(z):], guidance)
+        v = M.denoiser_forward(z, tau, captions, packed, cfg, params, guidance=guidance).data
         dtau = float(taus[i + 1] - taus[i])
         z = (z + np.float32(dtau) * v.astype(np.float32)).astype(np.float32)
     return packed.unpack(z)

@@ -164,45 +164,39 @@ def caption_context(bundles, cfg, params):
     return ContextTokens(T.concat_rows(rows), np.asarray(shot_idx), tuple(ends))
 
 
-def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None):
+def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None, guidance=1.0):
     """Predicted velocity field for one sample.
 
     layout packs layouts that share shot 0 (a lone ShotLayout packs itself)
     and captions holds one bundle per layout, or is the one bundle; the
     field holds every layout's sample.  Several layouts need full+refattn.
-    """
-    return denoiser_branches(z_tau, tau, (captions,), layout, cfg, params, collect=collect)
 
-
-def denoiser_branches(z_tau, tau, branches, layout, cfg, params, collect=None):
-    """denoiser_forward of one z_tau and tau under each captions in branches,
-    as one forward: branch b's field is rows b*n:(b+1)*n of the result.
-
-    The ops before block 0's cross-attention read no caption and run once;
-    there the rows stack one block per branch, every row op runs once on the
-    stack and attention runs branch by branch, with the bits of each branch's
-    own forward (README, Determinism).  collect takes one branch.
+    At guidance g != 1 the field is the guided u + g (c - u), c under the
+    captions and u under their null_captions, in one forward: the ops before
+    block 0's cross-attention read no caption and run once; there the rows
+    stack [c | u], every row op runs once on the stack and attention runs
+    branch by branch, with the bits of each branch's own forward (README,
+    Determinism).  collect needs guidance 1.
     """
     z = z_tau if isinstance(z_tau, Tensor) else Tensor(np.asarray(z_tau, dtype=np.float32))
-    if z.shape != (layout.total_tokens, cfg.d_token):
-        raise ShapeError(
-            f"latent shape {z.shape} != ({layout.total_tokens}, {cfg.d_token})"
-        )
+    n = layout.total_tokens
+    if z.shape != (n, cfg.d_token):
+        raise ShapeError(f"latent shape {z.shape} != ({n}, {cfg.d_token})")
     if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"tau must lie in [0, 1], got {tau}")
-    if not branches or (collect is not None and len(branches) > 1):
-        raise ConfigError("denoiser_branches needs a branch, and collect exactly one")
+    if collect is not None and guidance != 1.0:
+        raise ConfigError("collect needs guidance 1")
     if len(layout.layouts) > 1 and not cfg.use_ref:
         raise ConfigError("a packing of several layouts requires the full+refattn variant")
-    branches = [c if isinstance(c, tuple) else (c,) for c in branches]
-    for bundles in branches:
-        if len(bundles) != len(layout.layouts):
-            raise ConfigError("a packed layout needs a tuple of caption bundles, one per layout")
-        for bundle, lay in zip(bundles, layout.layouts):
-            if bundle.shot_count != lay.shot_count:
-                raise ConfigError(
-                    f"caption bundle has {bundle.shot_count} shots, layout {lay.shot_count}"
-                )
+    captions = captions if isinstance(captions, tuple) else (captions,)
+    if len(captions) != len(layout.layouts):
+        raise ConfigError("a packed layout needs a tuple of caption bundles, one per layout")
+    for bundle, lay in zip(captions, layout.layouts):
+        if bundle.shot_count != lay.shot_count:
+            raise ConfigError(
+                f"caption bundle has {bundle.shot_count} shots, layout {lay.shot_count}"
+            )
+    branches = (captions,) if guidance == 1.0 else (captions, tuple(map(null_captions, captions)))
     basis = rope.RotaryBasis(cfg.head_dim, cfg.rope_base)
     sp = ShotRopeParams(j=cfg.j_eff, k=cfg.k_eff)
     contexts = tuple(caption_context(bundles, cfg, params) for bundles in branches)
@@ -233,8 +227,11 @@ def denoiser_branches(z_tau, tau, branches, layout, cfg, params, collect=None):
         if collect is not None:
             collect.cross_probs.extend((pr, contexts[0].shot_index) for pr in ca_probs)
 
-    out = T.matmul(T.layernorm(x), params["head/w"])
-    return T.add(out, params["head/b"])
+    out = T.add(T.matmul(T.layernorm(x), params["head/w"]), params["head/b"])
+    if guidance == 1.0:
+        return out
+    cond, uncond = T.slice_rows(out, 0, n), T.slice_rows(out, n, 2 * n)
+    return T.add(uncond, T.scale(T.sub(cond, uncond), guidance))
 
 
 def rf_loss(pred, z, eps):
@@ -264,3 +261,9 @@ def apply_caption_dropout(captions, p, rng):
     shots = range(captions.shot_count)
     dropped = frozenset(s for s in shots if s in captions.dropped or rng.uniform() < p)
     return replace(captions, dropped=dropped)
+
+
+def null_captions(captions):
+    """The bundle with every shot's caption dropped and no identity row:
+    guidance's unconditional branch."""
+    return replace(captions, dropped=frozenset(range(captions.shot_count)), id_row=None)

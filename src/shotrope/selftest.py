@@ -101,22 +101,29 @@ def _suite_refattn_isolation():
 
 
 def _suite_grad_checks():
+    """The float64 gradients of the ops the model runs, each under tmean of a
+    fixed random weighting, against central differences."""
     rng = T.seeded_rng(15)
-    x = Tensor(rng.standard_normal((3, 4)).astype(np.float64), dtype=np.float64)
-    err = grad_check(lambda t: T.tsum(T.mul(t, t)), x, h=1e-4)
-    if err > 1e-6:
-        return False, f"quadratic grad err {err:.2e}"
-    err = grad_check(lambda t: T.tsum(t), x, h=1e-4)
-    if err > 1e-8:
-        return False, f"linear grad err {err:.2e}"
-    w = Tensor(rng.standard_normal((4, 4)).astype(np.float64), dtype=np.float64)
 
-    def f(t):
-        return T.tmean(T.mul(T.softmax_rows(T.matmul(T.layernorm(t), w)), T.matmul(t, w)))
+    def t64(*shape):
+        return Tensor(rng.standard_normal(shape), dtype=np.float64)
 
-    err = grad_check(f, x, h=1e-5)
-    if err > 1e-4:
-        return False, f"composite grad err {err:.2e}"
+    w1, b1, w2, b2 = t64(4, 8), t64(8), t64(8, 4), t64(4)
+    q, k, v = t64(2, 3, 4), t64(2, 5, 4), t64(2, 5, 4)
+    phase = np.repeat(rng.uniform(-np.pi, np.pi, (3, 2)), 2, axis=1)
+    checks = [
+        ("ffn", lambda t: T.ffn(t, w1, b1, w2, b2), t64(3, 4)),
+        ("layernorm", T.layernorm, t64(3, 4)),
+        ("rope_pairs", lambda t: T.rope_pairs(t, np.cos(phase), np.sin(phase)), t64(2, 3, 4)),
+        ("attention_core q", lambda t: T.attention_core(t, k, v, 0.5)[0], q),
+        ("attention_core k", lambda t: T.attention_core(q, t, v, 0.5)[0], k),
+        ("attention_core v", lambda t: T.attention_core(q, k, t, 0.5)[0], v),
+    ]
+    for name, op, x in checks:
+        weight = t64(*op(x).shape)
+        err = grad_check(lambda t: T.tmean(T.mul(op(t), weight)), x, h=1e-5)
+        if err > 1e-6:
+            return False, f"{name} grad err {err:.2e}"
     return True, ""
 
 

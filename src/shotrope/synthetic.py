@@ -80,8 +80,8 @@ class SyntheticWorld:
         self.seed = int(self.seed)
         self.sigma = float(self.sigma)
         sizes = (self.n_ids, self.d_id, self.v_scene, self.v_mot, self.height, self.width)
-        if self.seed < 0 or min(sizes) < 1:
-            raise ConfigError("world seed must be >= 0 and its sizes and grid >= 1")
+        if self.seed < 0 or min(sizes) < 1 or self.sigma < 0:
+            raise ConfigError("world seed and sigma must be >= 0 and its sizes and grid >= 1")
         rng = seeded_rng(self.seed)
         ids = rng.standard_normal((self.n_ids, self.d_id))
         self.ids = (ids / np.linalg.norm(ids, axis=1, keepdims=True)).astype(np.float32)

@@ -2,19 +2,20 @@
 
 Each op is one function that takes Tensors (plus plain numbers and constant
 arrays where its signature says so) and returns a fresh Tensor; Tensor has
-no operator spellings.  Shapes are explicit everywhere.  Two implicit
-broadcasts are allowed: adding a 1-D bias row to every row of a 2-D
-tensor, and rotating a head-batched [heads, n, dh] tensor by one constant
-[n, dh] rotary table shared by every head (`rope_pairs`).  Attention runs
-all heads at once:
-`split_heads` turns [n, d] into [heads, n, d/heads], the row ops act on
-the last two axes, `attention_core` runs softmax(c q k^T) v as one tape
-node whose backward rebuilds the probabilities one head at a time rather
-than keep them, and `merge_heads` restores [n, d].  `ffn` is likewise one
-node that rebuilds its hidden layer in the backward.  The tape keeps
-gradient routing, not data: gradient slots and backward closures over only
-the arrays each formula reads, so an op output is freed once the forward
-lets go of it, and `GradTape.backward` drops each node as it runs it.
+no operator spellings.  Shapes are explicit everywhere.  Three implicit
+broadcasts are allowed: adding a 1-D bias row, or a [1, d] row, to every
+row of a 2-D tensor, and rotating a head-batched [heads, n, dh] tensor by
+one constant [n, dh] rotary table shared by every head (`rope_pairs`).
+Attention runs all heads at once: `split_heads` turns [n, d] into
+[heads, n, d/heads], the row ops act on the last two axes,
+`attention_core` runs softmax(c q k^T) v as one tape node whose backward
+rebuilds the probabilities (one head at a time when they are large)
+rather than keep them, and `merge_heads` restores [n, d].  `ffn` is
+likewise one node that rebuilds its hidden layer in the backward.  The
+tape keeps gradient routing, not data: gradient slots and backward
+closures over only the arrays each formula reads, so an op output is
+freed once the forward lets go of it, and `GradTape.backward` drops each
+node as it runs it.
 Forward math is plain numpy, so two runs over identical inputs are bit-identical.
 """
 

@@ -73,6 +73,14 @@ def _scoring_fingerprint():
     return _bitcheck()["scoring_fingerprint"]()
 
 
+def pytest_collection_modifyitems(items):
+    """Mark every test that reaches the trained checkpoints, so that
+    `-m "not needs_checkpoints"` runs the rest on an empty cache untrained."""
+    for item in items:
+        if "trained_variants" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.needs_checkpoints)
+
+
 @pytest.fixture(scope="session")
 def bitcheck():
     return _bitcheck()

@@ -192,7 +192,7 @@ class TestCrossAttention:
         layout = ShotLayout((2, 2), 2, 2)
         tokens, ctx, w = self._setup(rng, layout)
         out = multishot_cross_attention(
-            tokens, ctx, layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2
+            tokens, (ctx,), layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2
         )
         assert out.shape == (layout.total_tokens, 24)
 
@@ -205,7 +205,7 @@ class TestCrossAttention:
         )
         with pytest.raises(ConfigError):
             multishot_cross_attention(
-                tokens, bad_ctx, layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2
+                tokens, (bad_ctx,), layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2
             )
 
     def test_zero_suppression_rate_ignores_shot_indices(self):
@@ -216,9 +216,9 @@ class TestCrossAttention:
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=1)
         params = ShotRopeParams(j=0.0, k=0.0)
         basis = rope.RotaryBasis(12)
-        a = multishot_cross_attention(tokens, ctx, layout, params, basis, w, heads=2).data
+        a = multishot_cross_attention(tokens, (ctx,), layout, params, basis, w, heads=2).data
         flipped = ContextTokens(ctx.embeddings, ctx.shot_index[::-1].copy(), ctx.segment_ends)
-        b = multishot_cross_attention(tokens, flipped, layout, params, basis, w, heads=2).data
+        b = multishot_cross_attention(tokens, (flipped,), layout, params, basis, w, heads=2).data
         assert np.array_equal(a, b)
 
     def test_suppression_rate_breaks_that_symmetry(self):
@@ -227,9 +227,9 @@ class TestCrossAttention:
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=1)
         params = ShotRopeParams(j=0.0, k=6.0)
         basis = rope.RotaryBasis(12)
-        a = multishot_cross_attention(tokens, ctx, layout, params, basis, w, heads=2).data
+        a = multishot_cross_attention(tokens, (ctx,), layout, params, basis, w, heads=2).data
         flipped = ContextTokens(ctx.embeddings, ctx.shot_index[::-1].copy(), ctx.segment_ends)
-        b = multishot_cross_attention(tokens, flipped, layout, params, basis, w, heads=2).data
+        b = multishot_cross_attention(tokens, (flipped,), layout, params, basis, w, heads=2).data
         assert not np.array_equal(a, b)
 
     def test_context_row_order_is_irrelevant(self):
@@ -239,13 +239,13 @@ class TestCrossAttention:
         layout = ShotLayout((2, 1, 2), 2, 2)
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=2)
         params, basis = ShotRopeParams(), rope.RotaryBasis(12)
-        base = multishot_cross_attention(tokens, ctx, layout, params, basis, w, heads=2).data
+        base = multishot_cross_attention(tokens, (ctx,), layout, params, basis, w, heads=2).data
         perm = rng.permutation(ctx.shot_index.size)
         assert not np.array_equal(ctx.shot_index[perm], ctx.shot_index)
         permuted = ContextTokens(
             Tensor(ctx.embeddings.data[perm]), ctx.shot_index[perm], ctx.segment_ends
         )
-        out = multishot_cross_attention(tokens, permuted, layout, params, basis, w, heads=2).data
+        out = multishot_cross_attention(tokens, (permuted,), layout, params, basis, w, heads=2).data
         assert np.max(np.abs(out - base)) <= 1e-5
 
     def test_ref_mode_requires_sorted_context(self):
@@ -255,7 +255,7 @@ class TestCrossAttention:
         unsorted = ContextTokens(ctx.embeddings, np.array([1, 0]), ctx.segment_ends)
         with pytest.raises(ConfigError):
             multishot_cross_attention(
-                tokens, unsorted, layout, ShotRopeParams(), rope.RotaryBasis(12), w,
+                tokens, (unsorted,), layout, ShotRopeParams(), rope.RotaryBasis(12), w,
                 heads=2, use_ref=True,
             )
 
@@ -267,13 +267,13 @@ class TestCrossAttention:
         params = ShotRopeParams()
         basis = rope.RotaryBasis(12)
         base = multishot_cross_attention(
-            tokens, ctx, layout, params, basis, w, heads=2, use_ref=True
+            tokens, (ctx,), layout, params, basis, w, heads=2, use_ref=True
         ).data
         emb = ctx.embeddings.data.copy()
         emb[2:] += 9.0  # later-shot caption rows only
         ctx2 = ContextTokens(Tensor(emb), ctx.shot_index, ctx.segment_ends)
         out = multishot_cross_attention(
-            tokens, ctx2, layout, params, basis, w, heads=2, use_ref=True
+            tokens, (ctx2,), layout, params, basis, w, heads=2, use_ref=True
         ).data
         assert np.array_equal(out[:n0], base[:n0])
 
@@ -353,7 +353,7 @@ def test_cross_attention_equals_per_head_reference(heads, use_ref):
     nq0 = layout.token_spans()[0][1] if use_ref else None
     expect = _per_head_reference(tokens, ctx.embeddings, w, heads, qtabs, ktabs, nq0, 3)
     got = multishot_cross_attention(
-        tokens, ctx, layout, params, basis, w, heads=heads, use_ref=use_ref
+        tokens, (ctx,), layout, params, basis, w, heads=heads, use_ref=use_ref
     )
     assert np.array_equal(got.data, expect)
 
@@ -441,7 +441,7 @@ def test_cross_attention_rotations_are_tarope(monkeypatch):
         *(Tensor(rng.standard_normal((d, d)) * 0.1, dtype=np.float64) for _ in range(4))
     )
     calls = _spy_rope_pairs(monkeypatch)
-    multishot_cross_attention(tokens, ctx, layout, params, basis, w, heads=heads)
+    multishot_cross_attention(tokens, (ctx,), layout, params, basis, w, heads=heads)
     assert len(calls) == 2
     for (x, out), row_shots in zip(calls, (layout.token_shot_index(), shots)):
         for h in range(heads):
@@ -471,7 +471,7 @@ def test_rope_sign_fault_reaches_oracles_and_model(monkeypatch):
         return (
             tarope(v, 1, params, basis),
             multishot_self_attention(tokens, layout, params, basis, w, heads=2).data,
-            multishot_cross_attention(tokens, ctx, layout, params, basis, w, heads=2).data,
+            multishot_cross_attention(tokens, (ctx,), layout, params, basis, w, heads=2).data,
         )
 
     clean = run()

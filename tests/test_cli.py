@@ -166,11 +166,16 @@ class TestConfigRanges:
             ("model", "j", float("nan")),
             ("world", "sigma", float("nan")),
             ("model", "rope_base", float("inf")),
+            ("train", "adam_eps", 0),
+            ("train", "weight_decay", -1),
+            ("train", "id_dropout", 5),
+            ("world", "sigma", -1),
         ],
         ids=[
             "model-heads-0", "model-j-neg", "model-d_model-neg", "model-dropout-above-1",
             "train-range-lo-0", "train-range-3-items", "train-beta1-1", "world-height-0",
-            "model-j-nan", "world-sigma-nan", "model-rope_base-inf",
+            "model-j-nan", "world-sigma-nan", "model-rope_base-inf", "train-adam_eps-0",
+            "train-weight_decay-neg", "train-id_dropout-above-1", "world-sigma-neg",
         ],
     )
     def test_train_exits_with_usage_error(self, tmp_path, section, key, value, capsys):
@@ -459,13 +464,13 @@ class TestSampleCommand:
         )
         assert rc == cli.EXIT_OK
         starts = []
-        real = engine.M.denoiser_branches
+        real = engine.M.denoiser_forward
 
-        def spy(z, tau, branches, *rest, **kwargs):
-            starts.append((np.array(z, copy=True), len(branches)))
-            return real(z, tau, branches, *rest, **kwargs)
+        def spy(z, *rest, **kwargs):
+            starts.append((np.array(z, copy=True), kwargs.get("guidance")))
+            return real(z, *rest, **kwargs)
 
-        monkeypatch.setattr(engine.M, "denoiser_branches", spy)
+        monkeypatch.setattr(engine.M, "denoiser_forward", spy)
         rc = cli.main(
             [
                 "sample", "--ckpt", str(out / "checkpoint.ecsh"),
@@ -475,10 +480,10 @@ class TestSampleCommand:
             ]
         )
         assert rc == cli.EXIT_OK
-        # one step, one forward: both guidance branches start from the one packed noise field
+        # one step, one guided forward: both branches start from the one packed noise field
         assert len(starts) == 1
-        z, branches = starts[0]
-        assert branches == 2
+        z, guidance = starts[0]
+        assert guidance == 5.0
         n0 = 2 * SMALL_CONFIG["world"]["height"] * SMALL_CONFIG["world"]["width"]
         reference = {row.tobytes() for row in z[:n0]}
         assert not any(row.tobytes() in reference for row in z[n0:])

@@ -52,22 +52,6 @@ class TestTimestepSchedule:
             E.shift_timesteps(10, 0.5)
 
 
-class TestGuidance:
-    def test_formula(self):
-        vc = np.array([2.0])
-        vu = np.array([1.0])
-        assert E.cfg_velocity(vc, vu, 5.0)[0] == pytest.approx(6.0)
-
-    def test_unit_scale_returns_conditional(self):
-        vc = np.random.default_rng(0).standard_normal(4)
-        vu = np.random.default_rng(1).standard_normal(4)
-        assert np.allclose(E.cfg_velocity(vc, vu, 1.0), vc)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            E.cfg_velocity(np.zeros(3), np.zeros(4), 2.0)
-
-
 class TestAdamW:
     def test_first_step_matches_hand_calc(self):
         cfg = E.TrainConfig(steps=1, lr=0.1, weight_decay=0.0)
@@ -150,7 +134,7 @@ class TestPromptHelpers:
     def test_null_captions_drop_everything(self):
         captions = E.build_captions([E.ShotPrompt(frames=2, scene=1), E.ShotPrompt(2, 0)])
         row = Tensor(np.ones((1, 24), dtype=np.float32))
-        nulled = E.null_captions(E.condition_identity(captions, row))
+        nulled = M.null_captions(E.condition_identity(captions, row))
         assert nulled.dropped == {0, 1} and nulled.id_row is None
         assert nulled.shots == captions.shots
 
@@ -510,19 +494,29 @@ class TestPackedContinuation:
     def test_one_forward_a_step_whatever_the_attempt_count(
         self, model, small_world, monkeypatch, guidance, branches
     ):
-        calls = []
-        forward = M.denoiser_branches
+        """Each step is one denoiser_forward call at the sampling guidance on one
+        PackedLayout, which embeds the captions of each branch it runs once."""
+        calls, contexts = [], []
+        forward, context = M.denoiser_forward, M.caption_context
 
         def counted(*args, **kwargs):
-            calls.append((len(args[2]), args[3]))
+            calls.append((kwargs.get("guidance"), args[3], len(contexts)))
             return forward(*args, **kwargs)
 
-        monkeypatch.setattr(M, "denoiser_branches", counted)
+        def embedded(*args, **kwargs):
+            contexts.append(args[0])
+            return context(*args, **kwargs)
+
+        monkeypatch.setattr(M, "denoiser_forward", counted)
+        monkeypatch.setattr(M, "caption_context", embedded)
         attempts = [[E.ShotPrompt(2, 1)], [E.ShotPrompt(3, 2)], [], [E.ShotPrompt(1, 3)]]
         self._run(model, small_world, attempts, steps=4, guidance=guidance)
         assert len(calls) == 4
-        assert all(n == branches for n, _ in calls)
-        assert all(isinstance(layout, PackedLayout) for _, layout in calls)
+        assert all(g == guidance for g, _, _ in calls)
+        assert all(isinstance(layout, PackedLayout) for _, layout, _ in calls)
+        # each call embeds the captions of its `branches` branches, and nothing else does
+        assert [n for _, _, n in calls] == [branches * i for i in range(4)]
+        assert len(contexts) == 4 * branches
 
     def test_packed_forward_needs_reference_variant_and_a_bundle_per_layout(
         self, model, small_world

@@ -1,6 +1,6 @@
-"""One forward per guided sampling step: `model.denoiser_branches` runs both
-guidance branches together, and the sampler must give the bits of the
-two-forwards-a-step loop it replaced, kept here as the reference."""
+"""One forward per guided sampling step: `model.denoiser_forward` at guidance
+g != 1 runs both guidance branches together, and the sampler must give the
+bits of the two-forwards-a-step loop it replaced, kept here as the reference."""
 
 import numpy as np
 import pytest
@@ -32,12 +32,13 @@ MODELS = {variant: _model(variant) for variant in M.VARIANTS}
 
 def reference_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embedding):
     """The guided sampler as two denoiser_forward calls a step: the
-    conditional branch, then (unless guidance is 1) the unconditional one."""
+    conditional branch, then (unless guidance is 1) the unconditional one,
+    combined as v_u + g (v_c - v_u)."""
     packed = PackedLayout(tuple(E.build_layout(spec, world) for spec in specs))
     captions = tuple(E.build_captions(spec) for spec in specs)
     if id_embedding is not None:
         captions = tuple(E.condition_identity(c, id_embedding) for c in captions)
-    uncond = tuple(E.null_captions(c) for c in captions)
+    uncond = tuple(M.null_captions(c) for c in captions)
     taus = E.shift_timesteps(steps, shift)
     for i in range(steps):
         tau = float(taus[i])
@@ -46,7 +47,7 @@ def reference_fields(params, cfg, world, specs, z, steps, shift, guidance, id_em
             v = v_c
         else:
             v_u = M.denoiser_forward(z, tau, uncond, packed, cfg, params).data
-            v = E.cfg_velocity(v_c, v_u, guidance)
+            v = v_u + guidance * (v_c - v_u)
         dtau = float(taus[i + 1] - taus[i])
         z = (z + np.float32(dtau) * v.astype(np.float32)).astype(np.float32)
     return packed.unpack(z)
@@ -103,40 +104,36 @@ def test_sample_infinite_equals_the_two_forward_sampler(guidance, identity):
 
 @pytest.mark.parametrize("variant", M.VARIANTS)
 def test_each_branch_is_its_own_forward(variant):
-    """Dropped captions, the null bundle and an identity row, as three
-    branches of one forward: each branch's rows are its denoiser_forward."""
+    """The guided forward, on captions with a dropped shot and an identity
+    row, is v_u + g (v_c - v_u) of two denoiser_forward calls, the second on
+    the captions' null_captions."""
     params, cfg = MODELS[variant]
     spec = [E.ShotPrompt(1, 0), E.ShotPrompt(2, 3, 1), E.ShotPrompt(1, 1)]
     layout = E.build_layout(spec, WORLD)
-    bundle = CaptionBundle(tuple(spec))
-    branches = (
-        CaptionBundle(tuple(spec), dropped=frozenset({1})),
-        E.null_captions(bundle),
-        E.condition_identity(CaptionBundle(tuple(spec), dropped=frozenset({0, 2})),
-                             E.identity_embedding(params, WORLD, 2)),
-    )
+    captions = E.condition_identity(CaptionBundle(tuple(spec), dropped=frozenset({1})),
+                                    E.identity_embedding(params, WORLD, 2))
     z = np.random.default_rng(10).standard_normal((layout.total_tokens, WORLD.d_token))
     z = z.astype(np.float32)
-    got = M.denoiser_branches(z, 0.7, branches, layout, cfg, params).data
-    n = layout.total_tokens
-    assert got.shape == (len(branches) * n, WORLD.d_token)
-    for b, captions in enumerate(branches):
-        want = M.denoiser_forward(z, 0.7, captions, layout, cfg, params).data
-        assert np.array_equal(got[b * n:(b + 1) * n], want)
+    v_c = M.denoiser_forward(z, 0.7, captions, layout, cfg, params).data
+    v_u = M.denoiser_forward(z, 0.7, M.null_captions(captions), layout, cfg, params).data
+    assert not np.array_equal(v_c, v_u)
+    for guidance in (0.0, 2.5, 5.0):
+        got = M.denoiser_forward(z, 0.7, captions, layout, cfg, params, guidance=guidance).data
+        assert got.shape == (layout.total_tokens, WORLD.d_token)
+        assert np.array_equal(got, v_u + guidance * (v_c - v_u)), guidance
 
 
-def test_branches_need_one_and_collect_needs_exactly_one():
+def test_collect_needs_unit_guidance():
     params, cfg = MODELS["full"]
     spec = [E.ShotPrompt(1, 0), E.ShotPrompt(1, 1)]
     layout, captions = E.build_layout(spec, WORLD), E.build_captions(spec)
     z = np.zeros((layout.total_tokens, WORLD.d_token), dtype=np.float32)
-    with pytest.raises(ConfigError):
-        M.denoiser_branches(z, 0.5, (), layout, cfg, params)
-    with pytest.raises(ConfigError):
-        M.denoiser_branches(
-            z, 0.5, (captions, E.null_captions(captions)), layout, cfg, params,
-            collect=M.AttentionCollector(),
-        )
+    for guidance in (0.0, 5.0):
+        with pytest.raises(ConfigError):
+            M.denoiser_forward(
+                z, 0.5, captions, layout, cfg, params, collect=M.AttentionCollector(),
+                guidance=guidance,
+            )
     collector = M.AttentionCollector()
-    M.denoiser_branches(z, 0.5, (captions,), layout, cfg, params, collect=collector)
+    M.denoiser_forward(z, 0.5, captions, layout, cfg, params, collect=collector)
     assert len(collector.self_probs) == cfg.blocks * cfg.heads

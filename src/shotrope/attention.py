@@ -14,8 +14,12 @@ a layout: row products then run once on the stack, attention per branch.
 
 All heads run at once on [heads, n, d_head] tensors.  The rotary tables
 of a layout depend only on the layout, the rotary scales and the basis,
-so they are built once and shared read-only by every block, head and
-forward that uses them.
+so they are built once and shared read-only by every block, head, step
+and branch that reads them: one [n, d_head] table rotates each branch's
+block of stacked rows.  Only the last layout's tables are kept, and the
+last two caption contexts' (a guided step's two branches): a sampling
+call reads one layout at every step, while training draws a new layout
+almost every forward.
 """
 
 from __future__ import annotations
@@ -37,35 +41,31 @@ class AttentionWeights:
     wo: Tensor
 
 
-# small bounded caches: sampling reuses a handful of layouts for every
-# step, while training draws a new layout almost every step
-_TABLE_CACHE_SIZE = 16
-
-
-def _duplicated(tables, dtype, copies=1):
-    """[n, d/2] cos/sin -> read-only [copies * n, d] tables, each pair's entry twice."""
+def _duplicated(tables, dtype):
+    """[n, d/2] cos/sin -> read-only [n, d] tables, each pair's entry twice."""
     out = []
     for tab in tables:
-        tab = np.tile(np.repeat(tab, 2, axis=1).astype(dtype), (copies, 1))
+        tab = np.repeat(tab, 2, axis=1).astype(dtype)
         tab.flags.writeable = False
         out.append(tab)
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _token_tables(basis, layout, j, dtype, copies=1):
-    """TcRoPE tables of every token of a layout, for copies branches."""
+@functools.lru_cache(maxsize=1)
+def _token_tables(basis, layout, j, dtype):
+    """TcRoPE tables of every token of a layout."""
     t, h, w = layout.token_positions(j=j)
-    return _duplicated(rope.phase_tables_3d(basis, t, h, w), dtype, copies)
+    return _duplicated(rope.phase_tables_3d(basis, t, h, w), dtype)
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _token_shot_tables(basis, layout, k, dtype, copies=1):
-    """TaRoPE tables of every token of a layout by its shot index, for copies branches."""
-    return _duplicated(rope.phase_tables_1d(basis, layout.token_shot_index() * k), dtype, copies)
+@functools.lru_cache(maxsize=1)
+def _token_shot_tables(basis, layout, k, dtype):
+    """TaRoPE tables of every token of a layout by its shot index."""
+    return _duplicated(rope.phase_tables_1d(basis, layout.token_shot_index() * k), dtype)
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+# one caption context per guidance branch: conditional and unconditional
+@functools.lru_cache(maxsize=2)
 def _caption_shot_tables(basis, shots, k, dtype):
     """TaRoPE tables of caption rows tagged with the shot indices `shots`."""
     positions = np.asarray(shots, dtype=np.int64) * k
@@ -180,7 +180,7 @@ def multishot_self_attention(
     with use_ref, over the layout's reference segments.  tokens may stack
     branches of the layout; each attends over its own rows."""
     branches = _branches(tokens, layout.total_tokens, heads, basis)
-    tables = _token_tables(basis, layout, params.j, tokens.dtype, branches)
+    tables = _token_tables(basis, layout, params.j, tokens.dtype)
     ends = layout.segment_ends if use_ref else (layout.total_tokens,)
     q, k = (_project(tokens, w, heads, tables) for w in (weights.wq, weights.wk))
     v = _project(tokens, weights.wv, heads)
@@ -208,7 +208,7 @@ def multishot_cross_attention(
     """
     if _branches(tokens, layout.total_tokens, heads, basis) != len(contexts):
         raise ShapeError(f"{tokens.shape[0]} token rows for {len(contexts)} caption contexts")
-    q_tables = _token_shot_tables(basis, layout, params.k, tokens.dtype, len(contexts))
+    q_tables = _token_shot_tables(basis, layout, params.k, tokens.dtype)
     q = _project(tokens, weights.wq, heads, q_tables)
     keys = []
     for ctx in contexts:

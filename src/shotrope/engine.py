@@ -118,6 +118,8 @@ def train(model_cfg, train_cfg, world, params=None, log_hook=None):
     its own: one sample's activations are alive at a time, and each .grad takes
     its `+=` in the order one tape over the batch would replay them, so the
     gradients are that tape's bits.  A step that raises leaves no .grad behind.
+    A non-finite loss raises NumericError at its step; after the last step,
+    whose update no loss reads, a non-finite parameter raises it too.
     """
     if params is None:
         params = M.init_params(model_cfg, train_cfg.seed)
@@ -175,6 +177,12 @@ def train(model_cfg, train_cfg, world, params=None, log_hook=None):
         log.append((step, loss_val, smoothed))
         if log_hook is not None:
             log_hook(step, loss_val, smoothed)
+    diverged = [name for name, p in params.items() if not np.isfinite(p.data).all()]
+    if diverged:
+        raise NumericError(
+            f"training diverged at step {train_cfg.steps - 1}: "
+            f"{len(diverged)} of {len(params)} parameters are not finite, e.g. {diverged[0]}"
+        )
     return params, log
 
 
@@ -309,6 +317,8 @@ def identity_match(tokens, world, layout, id_index):
 
 def eval_specs(world, n_samples, seed, frame_range=(2, 4)):
     """Fixed evaluation prompts of three shots: distinct scenes across shots."""
+    if n_samples < 1:
+        raise ConfigError(f"evaluation needs at least one prompt, got n_samples={n_samples}")
     shots = 3
     if world.v_scene < shots:
         raise ConfigError(f"evaluation prompts need {shots} scenes, the world has {world.v_scene}")

@@ -4,8 +4,9 @@ Each op is one function that takes Tensors (plus plain numbers and constant
 arrays where its signature says so) and returns a fresh Tensor; Tensor has
 no operator spellings.  Shapes are explicit everywhere.  Three implicit
 broadcasts are allowed: adding a 1-D bias row, or a [1, d] row, to every
-row of a 2-D tensor, and rotating a head-batched [heads, n, dh] tensor by
-one constant [n, dh] rotary table shared by every head (`rope_pairs`).
+row of a 2-D tensor, and rotating a head-batched [heads, b*n, dh] tensor
+by one constant [n, dh] rotary table shared by every head and every n-row
+block (`rope_pairs`).
 Attention runs all heads at once: `split_heads` turns [n, d] into
 [heads, n, d/heads], the row ops act on the last two axes,
 `attention_core` runs softmax(c q k^T) v as one tape node whose backward
@@ -566,20 +567,28 @@ def gather_rows(table, indices):
 def rope_pairs(x, cos, sin):
     """Rotate consecutive feature pairs of each row by fixed angles.
 
-    cos/sin are constant [n, dh] arrays with per-pair duplicated entries,
-    shaped like the last two axes of x and shared by any leading (head)
-    axes; the forward is `rotate_pairs`.
+    cos/sin are constant [n, dh] arrays with per-pair duplicated entries.
+    x is [..., b*n, dh] for a whole number b >= 1 of n-row blocks: every
+    block is rotated by the same table, which any leading (head) axes
+    share; the forward is `rotate_pairs`.
     """
     cos = np.asarray(cos, dtype=x.data.dtype)
     sin = np.asarray(sin, dtype=x.data.dtype)
-    if cos.ndim != 2 or cos.shape != x.shape[-2:] or sin.shape != cos.shape:
+    if x.data.ndim < 2 or cos.ndim != 2 or sin.shape != cos.shape or cos.shape[1] != x.shape[-1]:
         raise ShapeError("rope_pairs: angle table shape mismatch")
+    n, rows = cos.shape[0], x.shape[-2]
+    blocks, rest = divmod(rows, n) if n else (1, rows)
+    if rest or not blocks:
+        raise ShapeError(f"rope_pairs: {rows} rows are not whole blocks of the table's {n}")
     if x.shape[-1] % 2 != 0:
         raise ShapeError("rope_pairs: last dim must be even")
-    out_data = rotate_pairs(x.data, cos, sin)
+    shape = x.shape
+    by_block = shape[:-2] + (blocks, n, shape[-1])
+    out_data = rotate_pairs(x.data.reshape(by_block), cos, sin).reshape(shape)
 
     def bw(g):
-        return (g * cos - _pair_swap(g * sin),)
+        g = g.reshape(by_block)
+        return ((g * cos - _pair_swap(g * sin)).reshape(shape),)
 
     return _make(out_data, (x,), bw)
 

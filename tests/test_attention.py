@@ -1,11 +1,18 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from shotrope import engine as E
+from shotrope import model as M
 from shotrope import rope
+from shotrope import synthetic as S
 from shotrope import tensor as T
 from shotrope.attention import (
     AttentionWeights,
     ContextTokens,
+    _caption_shot_tables,
     _token_shot_tables,
     _token_tables,
     multishot_cross_attention,
@@ -554,6 +561,84 @@ def test_packed_tables_are_each_layouts_tables():
             for lay_tab, lay_rows in zip(tabs, packed.unpack(np.arange(packed.total_tokens))):
                 assert np.array_equal(g[lay_rows], lay_tab)
             assert not g.flags.writeable
+
+
+def _spy_rope_tables(monkeypatch):
+    """Record (rows rotated, cos, sin) of every rope_pairs call."""
+    calls = []
+    rope_pairs = T.rope_pairs
+
+    def spy(x, cos, sin):
+        calls.append((x.shape[-2], cos, sin))
+        return rope_pairs(x, cos, sin)
+
+    monkeypatch.setattr(T, "rope_pairs", spy)
+    return calls
+
+
+_TABLE_WORLD = S.SyntheticWorld(seed=2, d_token=32, d_id=8, v_scene=4, v_mot=2, height=2, width=2)
+_TABLE_MODEL = M.DenoiserConfig(d_model=24, blocks=2, heads=2, ffn_mult=2, d_token=32, d_id=8)
+
+
+def test_training_keeps_no_stale_layouts_tables(monkeypatch):
+    """After training on distinct layouts, each token-table cache holds one
+    entry, and of the tables the forwards read, only the last layout's and
+    at most two caption contexts' are still alive."""
+    calls = _spy_rope_tables(monkeypatch)
+    layouts = []
+    make_batch = S.make_batch
+
+    def recording_make_batch(*args, **kwargs):
+        batch = make_batch(*args, **kwargs)
+        layouts.extend(sample.layout for sample in batch)
+        return batch
+
+    monkeypatch.setattr(S, "make_batch", recording_make_batch)
+    tcfg = E.TrainConfig(steps=6, batch_size=1, seed=4, shot_count_range=(1, 4),
+                         shot_len_range=(1, 3))
+    E.train(_TABLE_MODEL, tcfg, _TABLE_WORLD)
+    assert len(set(layouts)) == 6
+    read = [weakref.ref(tab) for _, cos, sin in calls for tab in (cos, sin)]
+    del calls[:]
+    gc.collect()
+    alive = {id(tab): tab for tab in (ref() for ref in read) if tab is not None}
+    for cache in (_token_tables, _token_shot_tables):
+        assert cache.cache_info().currsize == 1
+    assert _caption_shot_tables.cache_info().currsize <= 2
+    basis = rope.RotaryBasis(_TABLE_MODEL.head_dim, _TABLE_MODEL.rope_base)
+    last = [
+        *_token_tables(basis, layouts[-1], _TABLE_MODEL.j_eff, np.dtype(np.float32)),
+        *_token_shot_tables(basis, layouts[-1], _TABLE_MODEL.k_eff, np.dtype(np.float32)),
+    ]
+    # the last layout's four token tables are the ones kept, not rebuilt
+    assert all(id(tab) in alive for tab in last)
+    assert len(alive) <= len(last) + 4
+
+
+@pytest.mark.parametrize("variant", ["full", "full+refattn"])
+def test_guided_and_unguided_forwards_read_the_same_tables(monkeypatch, variant):
+    """A guided forward rotates both stacked branches by the one [n, d_head]
+    table its unguided forward reads: the same read-only arrays."""
+    cfg = M.DenoiserConfig(**{**_TABLE_MODEL.to_dict(), "variant": variant})
+    params = M.init_params(cfg, seed=0)
+    sample = S.make_batch(_TABLE_WORLD, 1, shot_count_range=(3, 3), shot_len_range=(1, 2),
+                          seed=8)[0]
+    n = sample.layout.total_tokens
+    calls = _spy_rope_tables(monkeypatch)
+    read = []
+    for guidance in (1.0, 5.0):
+        M.denoiser_forward(sample.tokens, 0.5, sample.captions, sample.layout, cfg, params,
+                           guidance=guidance)
+        read.append(calls[:])
+        del calls[:]
+    unguided, guided = ({id(tab): tab for _, cos, sin in c for tab in (cos, sin)} for c in read)
+    assert unguided.keys() <= guided.keys()
+    assert not any(tab.flags.writeable for tab in guided.values())
+    token_tables = {key for key, tab in unguided.items() if tab.shape[0] == n}
+    assert len(token_tables) == 4
+    # from block 0's cross-attention on, the 2n stacked rows rotate by those n-row tables
+    stacked = {id(tab) for rows, cos, sin in read[1] if rows == 2 * n for tab in (cos, sin)}
+    assert stacked == token_tables
 
 
 def test_one_segment_is_plain_attention():

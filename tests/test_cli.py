@@ -294,11 +294,12 @@ class TestExitCodes:
         assert rc == cli.EXIT_CONFIG
 
 
-def _check_divergence_saves_nothing(tmp_path, capsys, command):
-    """A run of command with lr 1e30 exits 3, and the output directories it
-    made are removed again; a pre-existing --out is left as it was."""
+def _check_divergence_saves_nothing(tmp_path, capsys, command, **train):
+    """A run of command with lr 1e30 (or the train fields given) exits 3, and
+    the output directories it made are removed again; a pre-existing --out
+    is left as it was."""
     cfg = json.loads(json.dumps(SMALL_CONFIG))
-    cfg["train"]["lr"] = 1e30
+    cfg["train"].update({"lr": 1e30, **train})
     config = tmp_path / "run.json"
     config.write_text(json.dumps(cfg))
     out = tmp_path / "new" / "run"
@@ -354,6 +355,11 @@ class TestTrainCommand:
 
     def test_divergence_is_numeric_error_and_saves_nothing(self, tmp_path, capsys):
         _check_divergence_saves_nothing(tmp_path, capsys, ["train"])
+
+    def test_last_step_overflow_is_numeric_error_and_saves_nothing(self, tmp_path, capsys):
+        """A 1-step run whose one update overflows float32 (lr 1e39) has a
+        finite loss but non-finite weights: exit 3, no checkpoint."""
+        _check_divergence_saves_nothing(tmp_path, capsys, ["train"], lr=1e39, steps=1)
 
 
 class TestSampleCommand:

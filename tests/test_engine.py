@@ -5,7 +5,7 @@ from shotrope import engine as E
 from shotrope import model as M
 from shotrope import synthetic as S
 from shotrope.shots import PackedLayout
-from shotrope.tensor import ConfigError, ShapeError, Tensor
+from shotrope.tensor import ConfigError, NumericError, ShapeError, Tensor
 
 
 SMALL = dict(d_model=24, blocks=1, heads=2, ffn_mult=2, d_token=32)
@@ -198,6 +198,14 @@ class TestTraining:
         assert out is params
         assert any(not np.array_equal(before[k], params[k].data) for k in params)
 
+    def test_last_update_that_overflows_is_numeric_error(self, small_world):
+        """lr 1e39 is finite as a float but infinite once the float32 update
+        takes it: no loss reads the last step's update, so train checks the
+        parameters themselves after it."""
+        cfg = M.DenoiserConfig(**SMALL)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
+            E.train(cfg, _small_train_cfg(steps=1, lr=1e39), small_world)
+
     def test_identity_finetune_mode_runs(self, small_world):
         cfg = M.DenoiserConfig(**SMALL, d_id=8)
         tc = _small_train_cfg(pmt2v=True)
@@ -311,6 +319,14 @@ class TestMetrics:
         world = S.SyntheticWorld(seed=2, d_token=32, d_id=8, v_scene=2, v_mot=2, height=2, width=2)
         with pytest.raises(ConfigError, match="3 scenes"):
             E.eval_specs(world, 1, seed=0)
+
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_evaluation_needs_a_prompt(self, small_world, n_samples):
+        with pytest.raises(ConfigError, match="at least one prompt"):
+            E.eval_specs(small_world, n_samples, seed=0)
+        params = M.init_params(M.DenoiserConfig(**SMALL), seed=0)
+        with pytest.raises(ConfigError, match="at least one prompt"):
+            E.evaluate(params, M.DenoiserConfig(**SMALL), small_world, n_samples=n_samples)
 
     def test_eval_specs_deterministic(self, small_world):
         a = E.eval_specs(small_world, 4, seed=0)

@@ -289,6 +289,43 @@ def test_rope_pairs_broadcasts_table_over_heads():
         T.rope_pairs(Tensor(x), cos[:4], sin[:4])
 
 
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_rope_pairs_rotates_every_block_by_one_table(blocks):
+    """[heads, b*n, dh] rows on an [n, dh] table rotate as on the table tiled
+    b times, bit for bit, forward and backward."""
+    rng = np.random.default_rng(17)
+    n = 5
+    cos = np.repeat(np.cos(rng.uniform(0, 3, (n, 3))), 2, axis=1).astype(np.float32)
+    sin = np.repeat(np.sin(rng.uniform(0, 3, (n, 3))), 2, axis=1).astype(np.float32)
+    tiled = [np.tile(tab, (blocks, 1)) for tab in (cos, sin)]
+    x = rng.standard_normal((2, blocks * n, 6)).astype(np.float32)
+    probe = Tensor(rng.standard_normal(x.shape).astype(np.float32))
+    results = []
+    for tables in ((cos, sin), tiled):
+        xt = Tensor(x.copy(), requires_grad=True)
+        with GradTape() as tape:
+            out = T.rope_pairs(xt, *tables)
+            tape.backward(T.tsum(T.mul(out, probe)))
+        results.append((out.data, xt.grad))
+    (got, got_grad), (want, want_grad) = results
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, T.rotate_pairs(x, *tiled))
+    assert np.array_equal(got_grad, want_grad)
+    # no rows, a part block on either end, or no row axis
+    for bad in (x[:, :0], x[:, 1:], np.concatenate([x, x[:, :1]], axis=1), x[0, 0]):
+        with pytest.raises(ShapeError):
+            T.rope_pairs(Tensor(bad), cos, sin)
+
+
+def test_backward_rope_pairs_blocks():
+    rng = np.random.default_rng(18)
+    cosf = np.repeat(np.cos(rng.uniform(0, 3, (3, 2))), 2, axis=1)
+    sinf = np.repeat(np.sin(rng.uniform(0, 3, (3, 2))), 2, axis=1)
+    x = _f64(rng, (2, 6, 4))
+    err = grad_check(lambda t: T.tsum(T.mul(T.rope_pairs(t, cosf, sinf), t)), x, h=1e-5)
+    assert err <= 1e-5
+
+
 def test_backward_rope_pairs_3d():
     rng = np.random.default_rng(15)
     cosf = np.repeat(np.cos(rng.uniform(0, 3, (3, 2))), 2, axis=1)

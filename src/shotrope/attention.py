@@ -10,7 +10,10 @@ into segments so shot-0 rows depend on shot-0 inputs alone.  There is one
 packing path: a lone layout is the packing of itself, and a layout and its
 caption context give the row ends of their segments, [shot 0 | each
 layout's later shots].  The query rows may stack one block per branch of
-a layout: row products then run once on the stack, attention per branch.
+a layout.  Row products run once on the stack, and each attention is one
+kernel call over every branch and segment.  A caption context keeps each
+block's projected keys, so a sampling call, which builds its contexts
+once, projects them once.
 
 All heads run at once on [heads, n, d_head] tensors.  The rotary tables
 of a layout depend only on the layout, the rotary scales and the basis,
@@ -25,7 +28,7 @@ almost every forward.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +42,7 @@ class AttentionWeights:
     wk: Tensor
     wv: Tensor
     wo: Tensor
+    name: str = ""  # the block's; contexts keep projected keys only under a name
 
 
 def _duplicated(tables, dtype):
@@ -72,58 +76,54 @@ def _caption_shot_tables(basis, shots, k, dtype):
     return _duplicated(rope.phase_tables_1d(basis, positions), dtype)
 
 
-def scaled_dot_attention(Q, K, V, probs_out=None):
-    """softmax(Q K^T / sqrt(d_head)) V with deterministic reductions.
+def scaled_dot_attention(Q, K, V, probs_out=None, blocks=None):
+    """softmax(Q K^T / sqrt(d_head)) V with deterministic reductions, as one
+    attention_core call.
 
     Works on [n, d_head] tensors or on [heads, n, d_head] ones, head by
     head; probs_out receives one [nq, nk] probability array per head.
+    blocks, as attention_core takes them, say which keys each query row
+    sees; probs_out's arrays are then zero where a row may not look.
     """
-    out, probs = T.attention_core(Q, K, V, 1.0 / np.sqrt(Q.shape[-1]))
+    out, probs = T.attention_core(Q, K, V, 1.0 / np.sqrt(Q.shape[-1]), blocks)
     if probs_out is not None:
+        if blocks is not None:
+            full = np.zeros(out.shape[:-1] + K.shape[-2:-1], dtype=probs[0].dtype)
+            for (q_rows, k_rows), p in zip(blocks, probs):
+                full[..., q_rows, k_rows] = p
+            probs = full
         probs_out.extend(probs.reshape(-1, *probs.shape[-2:]))
     return out
 
 
 def segment_attention(Q, K, V, q_ends, k_ends, probs_out=None):
-    """Attention over segments of query and key rows.
+    """Attention over segments of query and key rows, as one kernel call.
 
     q_ends/k_ends are the row ends of segment 0 and of each later segment,
     one entry per segment in both, ending at the row counts.  Segment-0
     rows attend to segment-0 keys only; segment i attends to the segment-0
     keys followed by its own keys, so each segment runs the products it
     would run on its own.  One segment is plain attention: every row over
-    every key.  An empty later segment is skipped.
+    every key.  An empty later segment is skipped.  The rows may stack
+    branches: q_ends/k_ends then hold one tuple of ends per branch, each
+    counted from the branch's first row, and no row sees another branch's keys.
 
     probs_out receives each head's full [nq, nk] probability matrix, with
     zeros where a row may not look.
     """
-    if len(q_ends) != len(k_ends):
+    q_br, k_br = (q_ends, k_ends) if isinstance(q_ends[0], tuple) else ((q_ends,), (k_ends,))
+    if len(q_br) != len(k_br) or any(len(qe) != len(ke) for qe, ke in zip(q_br, k_br)):
         raise ConfigError("segment attention: query and key segments differ in number")
-    nq, nk = Q.shape[-2], K.shape[-2]
-    if q_ends[-1] != nq or k_ends[-1] != nk:
+    if sum(e[-1] for e in q_br) != Q.shape[-2] or sum(e[-1] for e in k_br) != K.shape[-2]:
         raise ShapeError("segment attention: segment ends do not match the row counts")
-    if len(q_ends) == 1:
-        return scaled_dot_attention(Q, K, V, probs_out=probs_out)
-    nq0, nk0 = q_ends[0], k_ends[0]
-    K0, V0 = T.slice_rows(K, 0, nk0), T.slice_rows(V, 0, nk0)
-    probs = [] if probs_out is not None else None
-    outs = [scaled_dot_attention(T.slice_rows(Q, 0, nq0), K0, V0, probs_out=probs)]
-    blocks = [(0, nq0, nk0, nk0)]
-    for q_lo, q_hi, k_lo, k_hi in zip(q_ends[:-1], q_ends[1:], k_ends[:-1], k_ends[1:]):
-        if q_lo == q_hi:
-            continue
-        keys = T.concat_rows([K0, T.slice_rows(K, k_lo, k_hi)])
-        values = T.concat_rows([V0, T.slice_rows(V, k_lo, k_hi)])
-        queries = T.slice_rows(Q, q_lo, q_hi)
-        outs.append(scaled_dot_attention(queries, keys, values, probs_out=probs))
-        blocks.append((q_lo, q_hi, k_lo, k_hi))
-    if probs_out is not None:
-        heads = len(probs) // len(blocks)
-        full = np.zeros((heads, nq, nk), dtype=probs[0].dtype)
-        for b, (q_lo, q_hi, k_lo, k_hi) in enumerate(blocks):
-            full[:, q_lo:q_hi][..., np.r_[0:nk0, k_lo:k_hi]] = probs[b * heads : (b + 1) * heads]
-        probs_out.extend(full)
-    return T.concat_rows(outs) if len(outs) > 1 else outs[0]
+    blocks, q_top, k_top = [], 0, 0
+    for qe, ke in zip(q_br, k_br):
+        shot0 = np.arange(k_top, k_top + ke[0])
+        blocks.append((slice(q_top, q_top + qe[0]), slice(k_top, k_top + ke[0])))
+        blocks += [(slice(q_top + q_lo, q_top + q_hi), np.r_[shot0, k_top + k_lo:k_top + k_hi])
+                   for q_lo, q_hi, k_lo, k_hi in zip(qe, qe[1:], ke, ke[1:]) if q_lo < q_hi]
+        q_top, k_top = q_top + qe[-1], k_top + ke[-1]
+    return scaled_dot_attention(Q, K, V, probs_out=probs_out, blocks=blocks)
 
 
 @dataclass
@@ -132,11 +132,14 @@ class ContextTokens:
 
     segment_ends are the row ends of the caption segments, one for each of
     the layout's segment_ends: [shot 0 | each packed layout's later shots].
+    projected keeps, by weights name, each block's keys and values of these
+    rows (stacked with the other branches' it ran with) for its lifetime.
     """
 
     embeddings: Tensor
     shot_index: np.ndarray
     segment_ends: tuple
+    projected: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.shot_index = np.asarray(self.shot_index, dtype=np.int64)
@@ -159,33 +162,35 @@ def _project(x, w, heads, tables=None):
     return h if tables is None else T.rope_pairs(h, *tables)
 
 
-def _block(x, b, branches):
-    """Branch b's block of the rows (axis -2) of x, which stacks branches blocks."""
-    n = x.shape[-2] // branches
-    return x if branches == 1 else T.slice_rows(x, b * n, (b + 1) * n)
-
-
-def _attend(q, keys, q_ends, wo, probs_out):
-    """Each branch's block of q attends over its (K, V, key ends) in keys; the
-    heads merge, and the output projection runs once on the stacked rows."""
-    outs = [segment_attention(_block(q, b, len(keys)), k, v, q_ends, k_ends, probs_out)
-            for b, (k, v, k_ends) in enumerate(keys)]
-    return T.matmul(T.merge_heads(outs[0] if len(outs) == 1 else T.concat_rows(outs)), wo)
-
-
 def multishot_self_attention(
     tokens, layout, params, basis, weights, heads=4, use_ref=False, probs_out=None
 ):
     """Full unmasked attention across all shots with TcRoPE-indexed Q/K;
     with use_ref, over the layout's reference segments.  tokens may stack
     branches of the layout; each attends over its own rows."""
-    branches = _branches(tokens, layout.total_tokens, heads, basis)
+    n = layout.total_tokens
+    ends = (layout.segment_ends if use_ref else (n,),) * _branches(tokens, n, heads, basis)
     tables = _token_tables(basis, layout, params.j, tokens.dtype)
-    ends = layout.segment_ends if use_ref else (layout.total_tokens,)
     q, k = (_project(tokens, w, heads, tables) for w in (weights.wq, weights.wk))
     v = _project(tokens, weights.wv, heads)
-    keys = [(_block(k, b, branches), _block(v, b, branches), ends) for b in range(branches)]
-    return _attend(q, keys, ends, weights.wo, probs_out)
+    out = segment_attention(q, k, v, ends, ends, probs_out)
+    return T.matmul(T.merge_heads(out), weights.wo)
+
+
+def _caption_keys(contexts, weights, basis, k, heads, dtype):
+    """The rotated keys and the values of every context's rows, stacked in
+    branch order.  Under named weights the first context keeps them, with
+    the other contexts, so a sampling call projects them once per block."""
+    key = (weights.name, *map(id, contexts[1:]))
+    if not weights.name or key not in contexts[0].projected:
+        keys, values = [], []
+        for ctx in contexts:
+            tables = _caption_shot_tables(basis, tuple(ctx.shot_index.tolist()), k, dtype)
+            keys.append(_project(ctx.embeddings, weights.wk, heads, tables))
+            values.append(_project(ctx.embeddings, weights.wv, heads))
+        stacks = [x[0] if len(x) == 1 else T.concat_rows(x) for x in (keys, values)]
+        contexts[0].projected[key] = (contexts[1:], *stacks)
+    return contexts[0].projected[key][1:]
 
 
 def multishot_cross_attention(
@@ -206,11 +211,9 @@ def multishot_cross_attention(
     use_ref, the layout's segments attend over the context's.  contexts
     holds one ContextTokens per branch that tokens stacks.
     """
-    if _branches(tokens, layout.total_tokens, heads, basis) != len(contexts):
+    n = layout.total_tokens
+    if _branches(tokens, n, heads, basis) != len(contexts):
         raise ShapeError(f"{tokens.shape[0]} token rows for {len(contexts)} caption contexts")
-    q_tables = _token_shot_tables(basis, layout, params.k, tokens.dtype)
-    q = _project(tokens, weights.wq, heads, q_tables)
-    keys = []
     for ctx in contexts:
         shots_present = set(int(s) for s in ctx.shot_index)
         if shots_present != set(range(layout.shot_count)):
@@ -218,16 +221,15 @@ def multishot_cross_attention(
                 f"caption bundle covers shots {sorted(shots_present)}, "
                 f"layout has {layout.shot_count} shots"
             )
-        k_ends = ctx.segment_ends if use_ref else (len(ctx.shot_index),)
-        nk0 = k_ends[0]
-        if len(k_ends) > 1 and not (
+        nk0 = ctx.segment_ends[0]
+        if use_ref and len(ctx.segment_ends) > 1 and not (
             np.all(ctx.shot_index[:nk0] == 0) and np.all(ctx.shot_index[nk0:] != 0)
         ):
             raise ConfigError("reference mode requires the shot-0 captions first")
-        k_tables = _caption_shot_tables(
-            basis, tuple(ctx.shot_index.tolist()), params.k, tokens.dtype
-        )
-        k = _project(ctx.embeddings, weights.wk, heads, k_tables)
-        keys.append((k, _project(ctx.embeddings, weights.wv, heads), k_ends))
-    q_ends = layout.segment_ends if use_ref else (layout.total_tokens,)
-    return _attend(q, keys, q_ends, weights.wo, probs_out)
+    q_ends = (layout.segment_ends if use_ref else (n,),) * len(contexts)
+    k_ends = tuple(ctx.segment_ends if use_ref else (len(ctx.shot_index),) for ctx in contexts)
+    q_tables = _token_shot_tables(basis, layout, params.k, tokens.dtype)
+    q = _project(tokens, weights.wq, heads, q_tables)
+    k, v = _caption_keys(contexts, weights, basis, params.k, heads, tokens.dtype)
+    out = segment_attention(q, k, v, q_ends, k_ends, probs_out)
+    return T.matmul(T.merge_heads(out), weights.wo)

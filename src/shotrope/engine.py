@@ -57,8 +57,8 @@ def shift_timesteps(n_steps, shift):
     """Descending tau schedule; fixed points at 1 and 0."""
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1")
-    if shift < 1:
-        raise ConfigError("shift must be >= 1")
+    if not 1 <= shift < np.inf:
+        raise ConfigError(f"shift must be finite and >= 1, got {shift}")
     return shift_map(np.linspace(1.0, 0.0, n_steps + 1), shift)
 
 
@@ -202,15 +202,20 @@ def condition_identity(captions, id_row):
 def _sample_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embedding):
     """Euler integration of the guided velocity field from z at tau = 1, the
     specs run as one field packed from their layouts, one forward a step;
-    one field per spec."""
+    one field per spec.  Both branches' caption contexts are built once."""
+    if not np.isfinite(guidance):
+        raise ConfigError(f"guidance must be finite, got {guidance}")
     packed = PackedLayout(tuple(build_layout(spec, world) for spec in specs))
     captions = tuple(build_captions(spec) for spec in specs)
     if id_embedding is not None:
         captions = tuple(condition_identity(c, id_embedding) for c in captions)
     taus = shift_timesteps(steps, shift)
+    contexts = M.branch_contexts(captions, cfg, params, guidance)
     for i in range(steps):
         tau = float(taus[i])
-        v = M.denoiser_forward(z, tau, captions, packed, cfg, params, guidance=guidance).data
+        v = M.denoiser_forward(
+            z, tau, captions, packed, cfg, params, guidance=guidance, contexts=contexts
+        ).data
         dtau = float(taus[i + 1] - taus[i])
         z = (z + np.float32(dtau) * v.astype(np.float32)).astype(np.float32)
     return packed.unpack(z)

@@ -164,7 +164,16 @@ def caption_context(bundles, cfg, params):
     return ContextTokens(T.concat_rows(rows), np.asarray(shot_idx), tuple(ends))
 
 
-def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None, guidance=1.0):
+def branch_contexts(captions, cfg, params, guidance):
+    """The caption contexts of a forward's branches: of the captions (one
+    bundle per packed layout) and, at guidance != 1, of their null_captions."""
+    branches = (captions,) if guidance == 1.0 else (captions, tuple(map(null_captions, captions)))
+    return tuple(caption_context(bundles, cfg, params) for bundles in branches)
+
+
+def denoiser_forward(
+    z_tau, tau, captions, layout, cfg, params, collect=None, guidance=1.0, contexts=None
+):
     """Predicted velocity field for one sample.
 
     layout packs layouts that share shot 0 (a lone ShotLayout packs itself)
@@ -174,9 +183,10 @@ def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None, gu
     At guidance g != 1 the field is the guided u + g (c - u), c under the
     captions and u under their null_captions, in one forward: the ops before
     block 0's cross-attention read no caption and run once; there the rows
-    stack [c | u], every row op runs once on the stack and attention runs
-    branch by branch, with the bits of each branch's own forward (README,
-    Determinism).  collect needs guidance 1.
+    stack [c | u], and every row op and each block's self- and cross-attention
+    run once on the stack, with the bits of each branch's own forward
+    (README, Determinism).  contexts, the captions' branch_contexts at this
+    guidance, are built when None.  collect needs guidance 1.
     """
     z = z_tau if isinstance(z_tau, Tensor) else Tensor(np.asarray(z_tau, dtype=np.float32))
     n = layout.total_tokens
@@ -196,10 +206,10 @@ def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None, gu
             raise ConfigError(
                 f"caption bundle has {bundle.shot_count} shots, layout {lay.shot_count}"
             )
-    branches = (captions,) if guidance == 1.0 else (captions, tuple(map(null_captions, captions)))
+    if contexts is None:
+        contexts = branch_contexts(captions, cfg, params, guidance)
     basis = rope.RotaryBasis(cfg.head_dim, cfg.rope_base)
     sp = ShotRopeParams(j=cfg.j_eff, k=cfg.k_eff)
-    contexts = tuple(caption_context(bundles, cfg, params) for bundles in branches)
 
     temb = T.matmul(Tensor(timestep_features(tau, cfg.d_model)), params["time_proj/w"])
     temb = T.add(temb, params["time_proj/b"])
@@ -207,7 +217,10 @@ def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None, gu
     x = T.add(x, temb)
 
     for b in range(cfg.blocks):
-        sa_w = AttentionWeights(*(params[f"block{b}/sa/{w}"] for w in ("wq", "wk", "wv", "wo")))
+        sa_w, ca_w = (
+            AttentionWeights(*(params[f"{m}/{w}"] for w in ("wq", "wk", "wv", "wo")), name=m)
+            for m in (f"block{b}/sa", f"block{b}/ca")
+        )
         sa = multishot_self_attention(
             T.layernorm(x), layout, sp, basis, sa_w, heads=cfg.heads,
             use_ref=cfg.use_ref, probs_out=None if collect is None else collect.self_probs,
@@ -216,7 +229,6 @@ def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None, gu
         if b == 0 and len(contexts) > 1:
             x = T.concat_rows([x] * len(contexts))
         ca_probs = [] if collect is not None else None
-        ca_w = AttentionWeights(*(params[f"block{b}/ca/{w}"] for w in ("wq", "wk", "wv", "wo")))
         ca = multishot_cross_attention(
             T.layernorm(x), contexts, layout, sp, basis, ca_w, heads=cfg.heads,
             use_ref=cfg.use_ref, probs_out=ca_probs,

@@ -102,7 +102,7 @@ def _suite_refattn_isolation():
 
 def _suite_grad_checks():
     """The float64 gradients of the ops the model runs, each under tmean of a
-    fixed random weighting, against central differences."""
+    fixed random weighting, against central differences; attention_core's on two blocks."""
     rng = T.seeded_rng(15)
 
     def t64(*shape):
@@ -110,14 +110,15 @@ def _suite_grad_checks():
 
     w1, b1, w2, b2 = t64(4, 8), t64(8), t64(8, 4), t64(4)
     q, k, v = t64(2, 3, 4), t64(2, 5, 4), t64(2, 5, 4)
+    seg = [(slice(0, 1), slice(0, 2)), (slice(1, 3), np.r_[0:2, 3:5])]  # key row 2 unseen
     phase = np.repeat(rng.uniform(-np.pi, np.pi, (3, 2)), 2, axis=1)
     checks = [
         ("ffn", lambda t: T.ffn(t, w1, b1, w2, b2), t64(3, 4)),
         ("layernorm", T.layernorm, t64(3, 4)),
         ("rope_pairs", lambda t: T.rope_pairs(t, np.cos(phase), np.sin(phase)), t64(2, 3, 4)),
-        ("attention_core q", lambda t: T.attention_core(t, k, v, 0.5)[0], q),
-        ("attention_core k", lambda t: T.attention_core(q, t, v, 0.5)[0], k),
-        ("attention_core v", lambda t: T.attention_core(q, k, t, 0.5)[0], v),
+        ("attention_core q", lambda t: T.attention_core(t, k, v, 0.5, seg)[0], q),
+        ("attention_core k", lambda t: T.attention_core(q, t, v, 0.5, seg)[0], k),
+        ("attention_core v", lambda t: T.attention_core(q, k, t, 0.5, seg)[0], v),
     ]
     for name, op, x in checks:
         weight = t64(*op(x).shape)

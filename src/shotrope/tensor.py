@@ -9,7 +9,8 @@ by one constant [n, dh] rotary table shared by every head and every n-row
 block (`rope_pairs`).
 Attention runs all heads at once: `split_heads` turns [n, d] into
 [heads, n, d/heads], the row ops act on the last two axes,
-`attention_core` runs softmax(c q k^T) v as one tape node whose backward
+`attention_core` runs softmax(c q k^T) v, whole or over blocks of query
+rows that each see their own key rows, as one tape node whose backward
 rebuilds the probabilities (one head at a time when they are large)
 rather than keep them, and `merge_heads` restores [n, d].  `ffn` is
 likewise one node that rebuilds its hidden layer in the backward.  The
@@ -319,52 +320,70 @@ def softmax_rows(x):
     return _make(out_data, (x,), bw)
 
 
-def attention_core(q, k, v, c):
+def attention_core(q, k, v, c, blocks=None):
     """softmax(c * q k^T) v over the last two axes as one tape node; returns the
     output and the probability array p.  Both equal, bit for bit, the chain
     q @ transpose(k), scale, softmax_rows, @ v with numpy's batched matmul.
-    The backward keeps no [..., nq, nk] array: it keeps k^T, the arrays of q
-    and v and the softmax's row max and row sum, and rebuilds p from them (one
+
+    blocks, when given, is a sequence of (q_rows, k_rows) whose q_rows, slices,
+    tile the query rows: those rows attend over the key rows k_rows, a slice
+    (a view, no copy) or an index array.  p is then a list of each block's
+    probabilities, and q, k and v get the gradients of the chain run on each
+    block's rows, summed over the blocks last to first.  The backward keeps
+    no [..., nq, nk] array: it keeps each block's k^T and values, the array
+    of q and the softmax's row max and row sum, and rebuilds p from them (one
     head at a time when all heads' p is large) with the forward's own numpy
     calls, so p and the gradients are the same bits."""
     if q.data.ndim < 2 or not (q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
                                and q.shape[-1] == k.shape[-1] and k.shape[-2] == v.shape[-2]):
         raise ShapeError(f"attention_core: incompatible shapes {q.shape} {k.shape} {v.shape}")
-    qd, kt, vd = q.data, np.ascontiguousarray(_swap_last(k.data)), v.data
-    p = qd @ kt
-    c = p.dtype.type(float(c))
-    p *= c
-    if not np.isfinite(p).all():
-        raise NumericError("attention_core: non-finite logits")
-    _, row_max, row_sum = _softmax_forward(p, out=p)
-    q_grad, k_grad, v_grad = q.requires_grad, k.requires_grad, v.requires_grad
-    by_head = p.size > _SCORES_AT_ONCE  # else the backward runs all heads at once
-    out_data = p @ vd
+    qd, kd, vd = q.data, k.data, v.data
+    c = np.result_type(qd, kd).type(float(c))
+    out_data = np.empty(qd.shape[:-1] + vd.shape[-1:], np.result_type(qd, kd, vd))
+    row_max, row_sum = (np.empty(qd.shape[:-1] + (1,), c.dtype) for _ in range(2))
+    kept, probs = [], []
+    for q_rows, k_rows in [(slice(None), slice(None))] if blocks is None else blocks:
+        kt, vb = np.ascontiguousarray(_swap_last(kd[..., k_rows, :])), vd[..., k_rows, :]
+        p = qd[..., q_rows, :] @ kt
+        p *= c
+        if not np.isfinite(p).all():
+            raise NumericError("attention_core: non-finite logits")
+        _, row_max[..., q_rows, :], row_sum[..., q_rows, :] = _softmax_forward(p, out=p)
+        np.matmul(p, vb, out=out_data[..., q_rows, :])
+        kept.append((q_rows, k_rows, kt, vb, p.size > _SCORES_AT_ONCE))
+        probs.append(p)
+    grad_shapes = [(t.shape, t.dtype) if t.requires_grad else None for t in (q, k, v)]
 
     def bw(g):
-        gq = np.empty_like(qd, order="C") if q_grad else None
-        gk = np.empty_like(_swap_last(kt), order="C") if k_grad else None
-        gv = np.empty_like(vd, order="C") if v_grad else None
-        for i in np.ndindex(qd.shape[:-2]) if by_head else [...]:
-            p = qd[i] @ kt[i]  # the forward's probabilities, rebuilt by the same calls
-            p *= c
-            p -= row_max[i]
-            np.exp(p, out=p)
-            p /= row_sum[i]
-            if v_grad:
-                gv[i] = _swap_last(p) @ g[i]
-            gs = g[i] @ _swap_last(vd[i])
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
-            gs *= p
-            gs *= c
-            if q_grad:
-                gq[i] = gs @ _swap_last(kt[i])
-            if k_grad:
-                gk[i] = _swap_last(_swap_last(qd[i]) @ gs)
-            del p, gs  # before the next head's
+        # several blocks add their gradients, as the chain's slice and concat nodes did
+        add = blocks is not None and len(blocks) > 1
+        gq, gk, gv = (np.zeros(*shape) if shape else None for shape in grad_shapes)
+
+        def put(dst, rows, grad):
+            dst[..., rows, :] = dst[..., rows, :] + grad if add else grad
+
+        for q_rows, k_rows, kt, vb, by_head in reversed(kept):
+            qb, gb, mb, sb = (x[..., q_rows, :] for x in (qd, g, row_max, row_sum))
+            for i in np.ndindex(qd.shape[:-2]) if by_head else [...]:
+                p = qb[i] @ kt[i]  # the forward's probabilities, rebuilt by the same calls
+                p *= c
+                p -= mb[i]
+                np.exp(p, out=p)
+                p /= sb[i]
+                if gv is not None:
+                    put(gv[i], k_rows, _swap_last(p) @ gb[i])
+                gs = gb[i] @ _swap_last(vb[i])
+                gs -= (gs * p).sum(axis=-1, keepdims=True)
+                gs *= p
+                gs *= c
+                if gq is not None:
+                    put(gq[i], q_rows, gs @ _swap_last(kt[i]))
+                if gk is not None:
+                    put(gk[i], k_rows, _swap_last(_swap_last(qb[i]) @ gs))
+                del p, gs  # before the next head's
         return gq, gk, gv
 
-    return _make(out_data, (q, k, v), bw), p
+    return _make(out_data, (q, k, v), bw), probs[0] if blocks is None else probs
 
 
 def layernorm(x, eps=1e-5):

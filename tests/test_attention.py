@@ -684,3 +684,97 @@ def test_segment_ends_must_end_at_row_counts():
             segment_attention(x, x, x, q_ends, k_ends)
     with pytest.raises(ConfigError):
         segment_attention(x, x, x, (2, 6), (6,))
+
+
+# -- one kernel call against the per-segment chain it replaced ----------------
+
+def _per_segment_chain(Q, K, V, q_ends, k_ends):
+    """Attention as segment_attention ran it before it was one kernel call:
+    branch by branch, one attention_core per segment, with slice_rows and
+    concat_rows around it.  q_ends/k_ends hold each branch's segment ends,
+    counted from the branch's first row.  Returns the output and each head's
+    full probability matrix, zero where a row may not look."""
+    c = 1.0 / np.sqrt(Q.shape[-1])
+    probs = np.zeros(Q.shape[:-1] + K.shape[-2:-1], dtype=Q.dtype)
+    outs, q_top, k_top = [], 0, 0
+    for qe, ke in zip(q_ends, k_ends):
+        if len(q_ends) == 1:
+            Qb, Kb, Vb = Q, K, V
+        else:
+            Qb = T.slice_rows(Q, q_top, q_top + qe[-1])
+            Kb, Vb = (T.slice_rows(X, k_top, k_top + ke[-1]) for X in (K, V))
+        later = [b for b in zip(qe, qe[1:], ke, ke[1:]) if b[0] < b[1]]
+        if not later and len(qe) == 1:
+            parts = [T.attention_core(Qb, Kb, Vb, c)]
+        else:
+            K0, V0 = T.slice_rows(Kb, 0, ke[0]), T.slice_rows(Vb, 0, ke[0])
+            parts = [T.attention_core(T.slice_rows(Qb, 0, qe[0]), K0, V0, c)]
+            for q_lo, q_hi, k_lo, k_hi in later:
+                keys, values = (T.concat_rows([X0, T.slice_rows(X, k_lo, k_hi)])
+                                for X0, X in ((K0, Kb), (V0, Vb)))
+                parts.append(T.attention_core(T.slice_rows(Qb, q_lo, q_hi), keys, values, c))
+        shot0 = np.arange(k_top, k_top + ke[0])
+        for (q_lo, q_hi, k_lo, k_hi), (_, p) in zip([(0, qe[0], 0, 0)] + later, parts):
+            probs[..., q_top + q_lo:q_top + q_hi, np.r_[shot0, k_top + k_lo:k_top + k_hi]] = p
+        outs.append(parts[0][0] if len(parts) == 1 else T.concat_rows([o for o, _ in parts]))
+        q_top, k_top = q_top + qe[-1], k_top + ke[-1]
+    return outs[0] if len(outs) == 1 else T.concat_rows(outs), probs
+
+
+# (per-branch query ends, per-branch key ends)
+KERNEL_CASES = {
+    "plain": (((9,),), ((5,),)),
+    "reference, three later segments, one empty": (((4, 7, 7, 12),), ((4, 7, 7, 12),)),
+    "two branches, cross-attention keys": (((4, 7, 7, 12),) * 2, ((3, 5, 5, 8), (1, 2, 2, 3))),
+}
+
+
+def _kernel_inputs(q_ends, k_ends, dtype):
+    rng = np.random.default_rng(60)
+    nq, nk = sum(e[-1] for e in q_ends), sum(e[-1] for e in k_ends)
+    Q, K, V = (Tensor(rng.standard_normal((2, n, 6)), dtype=dtype) for n in (nq, nk, nk))
+    return Q, K, V, Tensor(rng.standard_normal((2, nq, 6)), dtype=dtype)
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_one_kernel_call_equals_the_per_segment_chain(case):
+    """Output, per-head probabilities and the float32 gradients of Q, K and V
+    are the per-segment chain's bits, from one scaled_dot_attention call and
+    one tape node; the shared shot-0 keys sum their gradients in the
+    chain's order, last segment first."""
+    q_ends, k_ends = KERNEL_CASES[case]
+    results = []
+    for chain in (True, False):
+        Q, K, V, probe = _kernel_inputs(q_ends, k_ends, np.float32)
+        for X in (Q, K, V):
+            X.requires_grad = True
+        probs, calls = [], []
+        with T.GradTape() as tape:
+            if chain:
+                out, full = _per_segment_chain(Q, K, V, q_ends, k_ends)
+                probs = list(full)
+            else:
+                ends = (q_ends, k_ends) if len(q_ends) > 1 else (q_ends[0], k_ends[0])
+                out = segment_attention(Q, K, V, *ends, probs_out=probs)
+                nodes = len(tape._nodes)
+            tape.backward(T.tsum(T.mul(out, probe)))
+        results.append((out.data, probs, [X.grad for X in (Q, K, V)]))
+    (want, want_probs, want_grads), (got, got_probs, got_grads) = results
+    assert nodes == 1
+    assert np.array_equal(got, want)
+    assert len(got_probs) == len(want_probs) == 2
+    for g, w in zip(got_probs + got_grads, want_probs + want_grads):
+        assert g.dtype == np.float32 and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
+def test_reference_segments_gradients_match_finite_differences(which):
+    q_ends, k_ends = KERNEL_CASES["reference, three later segments, one empty"]
+    *inputs, probe = _kernel_inputs(q_ends, k_ends, np.float64)
+
+    def f(t):
+        args = list(inputs)
+        args[which] = t
+        return T.tsum(T.mul(segment_attention(*args, q_ends[0], k_ends[0]), probe))
+
+    assert T.grad_check(f, inputs[which], h=1e-5) <= 1e-5

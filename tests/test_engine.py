@@ -4,6 +4,7 @@ import pytest
 from shotrope import engine as E
 from shotrope import model as M
 from shotrope import synthetic as S
+from shotrope import tensor as T
 from shotrope.shots import PackedLayout
 from shotrope.tensor import ConfigError, NumericError, ShapeError, Tensor
 
@@ -50,6 +51,11 @@ class TestTimestepSchedule:
             E.shift_timesteps(0, 5.0)
         with pytest.raises(ConfigError):
             E.shift_timesteps(10, 0.5)
+
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_is_a_config_error(self, shift):
+        with pytest.raises(ConfigError, match="shift"):
+            E.shift_timesteps(3, shift)
 
 
 class TestAdamW:
@@ -270,6 +276,113 @@ class TestSampling:
                 params, cfg, small_world, ref,
                 np.zeros((3, small_world.d_token), dtype=np.float32), [[ref]],
             )
+
+
+class TestNonFiniteSamplingSettings:
+    """A NaN or infinite guidance or shift is refused before any step runs,
+    rather than sampled into a NaN field or a late NumericError."""
+
+    REF = E.ShotPrompt(frames=2, scene=0)
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        cfg = M.DenoiserConfig(variant="full+refattn", **SMALL)
+        return M.init_params(cfg, seed=0), cfg
+
+    def _sample(self, model, world, **kw):
+        params, cfg = model
+        return E.sample(params, cfg, world, [self.REF, E.ShotPrompt(1, 1)], steps=1, **kw)
+
+    def _continue(self, model, world, **kw):
+        params, cfg = model
+        noise = np.zeros((2 * world.height * world.width, world.d_token), dtype=np.float32)
+        attempts = [[E.ShotPrompt(1, 1)], []]
+        return E.sample_infinite(params, cfg, world, self.REF, noise, attempts, steps=1, **kw)
+
+    @pytest.mark.parametrize("run", ["_sample", "_continue"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("setting", ["guidance", "shift"])
+    def test_refused(self, model, small_world, monkeypatch, run, value, setting):
+        forwards = []
+        forward = M.denoiser_forward
+        monkeypatch.setattr(
+            M, "denoiser_forward", lambda *a, **kw: forwards.append(1) or forward(*a, **kw)
+        )
+        with pytest.raises(ConfigError, match=setting):
+            getattr(self, run)(model, small_world, **{setting: value})
+        assert forwards == []
+
+
+class TestCaptionKeysOncePerCall:
+    """A sampling call embeds each branch's captions once and projects each
+    block's caption keys and values once per branch, whatever its steps; a
+    training forward reads the weights as they are when it runs."""
+
+    REF = E.ShotPrompt(frames=2, scene=0, motion=1)
+    CFG = M.DenoiserConfig(variant="full+refattn", **{**SMALL, "blocks": 2})
+
+    def _count(self, monkeypatch, params):
+        """Spy on caption_context and on the products with each block's
+        cross-attention key and value weights."""
+        embedded, projected = [], []
+        context, matmul = M.caption_context, T.matmul
+        watched = {id(params[f"block{b}/ca/{w}"]): f"block{b}/ca/{w}"
+                   for b in range(self.CFG.blocks) for w in ("wk", "wv")}
+
+        def counted_matmul(a, b):
+            if id(b) in watched:
+                projected.append(watched[id(b)])
+            return matmul(a, b)
+
+        monkeypatch.setattr(
+            M, "caption_context", lambda *a, **k: embedded.append(1) or context(*a, **k)
+        )
+        monkeypatch.setattr(T, "matmul", counted_matmul)
+        return embedded, projected
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    @pytest.mark.parametrize("guidance, branches", [(5.0, 2), (1.0, 1)])
+    @pytest.mark.parametrize("job", ["sample", "sample_infinite"])
+    def test_sampling_call(self, small_world, monkeypatch, job, guidance, branches, steps):
+        params = M.init_params(self.CFG, seed=2)
+        embedded, projected = self._count(monkeypatch, params)
+        kw = dict(steps=steps, guidance=guidance, seed=3)
+        if job == "sample":
+            E.sample(params, self.CFG, small_world, [self.REF, E.ShotPrompt(2, 1)], **kw)
+        else:
+            noise = np.zeros((8, small_world.d_token), dtype=np.float32)
+            attempts = [[E.ShotPrompt(2, 1)], [E.ShotPrompt(1, 2), E.ShotPrompt(1, 3)]]
+            E.sample_infinite(params, self.CFG, small_world, self.REF, noise, attempts, **kw)
+        assert len(embedded) == branches
+        want = [f"block{b}/ca/{w}" for b in range(self.CFG.blocks) for w in ("wk", "wv")]
+        assert sorted(projected) == sorted(want * branches)
+
+    def test_training_forward_reads_updated_weights(self, small_world):
+        """An in-place change to block0/ca/wk between two taped forwards, as
+        AdamW makes, reaches the second forward's output and gradients."""
+        params = M.init_params(self.CFG, seed=2)
+        rng = np.random.default_rng(4)  # the head is zero at init
+        params["head/w"].data[...] = rng.standard_normal(params["head/w"].shape)
+        sample = S.make_batch(small_world, 1, shot_count_range=(2, 2), shot_len_range=(2, 2),
+                              seed=5)[0]
+
+        def forward_and_grad(p):
+            with T.GradTape() as tape:
+                out = M.denoiser_forward(Tensor(sample.tokens), 0.5, sample.captions,
+                                         sample.layout, self.CFG, p)
+                tape.backward(T.tsum(T.mul(out, out)))
+            grad, p["block0/ca/wk"].grad = p["block0/ca/wk"].grad, None
+            return out.data, grad
+
+        before = forward_and_grad(params)
+        params["block0/ca/wk"].data += 0.5
+        after = forward_and_grad(params)
+        fresh = forward_and_grad(
+            {n: Tensor(t.data.copy(), requires_grad=True) for n, t in params.items()}
+        )
+        for got, want, old in zip(after, fresh, before):
+            assert np.array_equal(got, want)
+            assert not np.array_equal(got, old)
 
 
 class TestMetrics:
@@ -511,7 +624,8 @@ class TestPackedContinuation:
         self, model, small_world, monkeypatch, guidance, branches
     ):
         """Each step is one denoiser_forward call at the sampling guidance on one
-        PackedLayout, which embeds the captions of each branch it runs once."""
+        PackedLayout; the sampling call embeds the captions of each branch it
+        runs once, before the first step, and no step embeds them again."""
         calls, contexts = [], []
         forward, context = M.denoiser_forward, M.caption_context
 
@@ -530,9 +644,8 @@ class TestPackedContinuation:
         assert len(calls) == 4
         assert all(g == guidance for g, _, _ in calls)
         assert all(isinstance(layout, PackedLayout) for _, layout, _ in calls)
-        # each call embeds the captions of its `branches` branches, and nothing else does
-        assert [n for _, _, n in calls] == [branches * i for i in range(4)]
-        assert len(contexts) == 4 * branches
+        assert [n for _, _, n in calls] == [branches] * 4
+        assert len(contexts) == branches
 
     def test_packed_forward_needs_reference_variant_and_a_bundle_per_layout(
         self, model, small_world

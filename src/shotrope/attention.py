@@ -78,22 +78,12 @@ def _caption_shot_tables(basis, shots, k, dtype):
 
 def scaled_dot_attention(Q, K, V, probs_out=None, blocks=None):
     """softmax(Q K^T / sqrt(d_head)) V with deterministic reductions, as one
-    attention_core call.
+    attention_core call, on [n, d_head] tensors or on [heads, n, d_head] ones.
 
-    Works on [n, d_head] tensors or on [heads, n, d_head] ones, head by
-    head; probs_out receives one [nq, nk] probability array per head.
-    blocks, as attention_core takes them, say which keys each query row
-    sees; probs_out's arrays are then zero where a row may not look.
+    blocks and probs_out go to attention_core: blocks say which keys each
+    query row sees, and a list probs_out gets each block's probabilities.
     """
-    out, probs = T.attention_core(Q, K, V, 1.0 / np.sqrt(Q.shape[-1]), blocks)
-    if probs_out is not None:
-        if blocks is not None:
-            full = np.zeros(out.shape[:-1] + K.shape[-2:-1], dtype=probs[0].dtype)
-            for (q_rows, k_rows), p in zip(blocks, probs):
-                full[..., q_rows, k_rows] = p
-            probs = full
-        probs_out.extend(probs.reshape(-1, *probs.shape[-2:]))
-    return out
+    return T.attention_core(Q, K, V, 1.0 / np.sqrt(Q.shape[-1]), blocks, probs_out)
 
 
 def segment_attention(Q, K, V, q_ends, k_ends, probs_out=None):
@@ -107,9 +97,7 @@ def segment_attention(Q, K, V, q_ends, k_ends, probs_out=None):
     every key.  An empty later segment is skipped.  The rows may stack
     branches: q_ends/k_ends then hold one tuple of ends per branch, each
     counted from the branch's first row, and no row sees another branch's keys.
-
-    probs_out receives each head's full [nq, nk] probability matrix, with
-    zeros where a row may not look.
+    probs_out goes to scaled_dot_attention.
     """
     q_br, k_br = (q_ends, k_ends) if isinstance(q_ends[0], tuple) else ((q_ends,), (k_ends,))
     if len(q_br) != len(k_br) or any(len(qe) != len(ke) for qe, ke in zip(q_br, k_br)):

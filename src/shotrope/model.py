@@ -127,11 +127,41 @@ def timestep_features(tau, d_model):
 
 
 class AttentionCollector:
-    """Gathers per-head attention probabilities for heatmap analysis."""
+    """Gathers a forward's attention probabilities for heatmap analysis.
+
+    Each attention call appends its kernel's (query rows, key rows,
+    probabilities) blocks to a list from sink.  From them, and nowhere else,
+    self_probs builds each self-attention head's [n, n] matrix and cross_probs
+    each cross-attention head's (matrix, key shot index), zero where a row may
+    not look, in call order.
+    """
 
     def __init__(self):
-        self.self_probs = []
-        self.cross_probs = []  # (probs, key shot index)
+        self.calls = []  # (blocks, key shot index, or None for a self-attention)
+
+    def sink(self, key_shots=None):
+        """The block list of one attention call: a cross-attention's over keys
+        of shot indices key_shots, else a self-attention's, whose keys are its queries."""
+        self.calls.append(([], key_shots))
+        return self.calls[-1][0]
+
+    def _matrices(self, cross):
+        for blocks, shots in self.calls:
+            if (shots is not None) == cross:
+                nq = sum(p.shape[-2] for _, _, p in blocks)  # the blocks tile the query rows
+                nk = nq if shots is None else len(shots)
+                full = np.zeros(blocks[0][2].shape[:-2] + (nq, nk), dtype=blocks[0][2].dtype)
+                for q_rows, k_rows, p in blocks:
+                    full[..., q_rows, k_rows] = p
+                yield from ((m, shots) for m in full.reshape(-1, nq, nk))
+
+    @property
+    def self_probs(self):
+        return [m for m, _ in self._matrices(cross=False)]
+
+    @property
+    def cross_probs(self):
+        return list(self._matrices(cross=True))
 
 
 def caption_context(bundles, cfg, params):
@@ -223,21 +253,18 @@ def denoiser_forward(
         )
         sa = multishot_self_attention(
             T.layernorm(x), layout, sp, basis, sa_w, heads=cfg.heads,
-            use_ref=cfg.use_ref, probs_out=None if collect is None else collect.self_probs,
+            use_ref=cfg.use_ref, probs_out=None if collect is None else collect.sink(),
         )
         x = T.add(x, sa)
         if b == 0 and len(contexts) > 1:
             x = T.concat_rows([x] * len(contexts))
-        ca_probs = [] if collect is not None else None
         ca = multishot_cross_attention(
-            T.layernorm(x), contexts, layout, sp, basis, ca_w, heads=cfg.heads,
-            use_ref=cfg.use_ref, probs_out=ca_probs,
+            T.layernorm(x), contexts, layout, sp, basis, ca_w, heads=cfg.heads, use_ref=cfg.use_ref,
+            probs_out=None if collect is None else collect.sink(contexts[0].shot_index),
         )
         x = T.add(x, ca)
         ffn_w = (params[f"block{b}/ffn/{w}"] for w in ("w1", "b1", "w2", "b2"))
         x = T.add(x, T.ffn(T.layernorm(x), *ffn_w))
-        if collect is not None:
-            collect.cross_probs.extend((pr, contexts[0].shot_index) for pr in ca_probs)
 
     out = T.add(T.matmul(T.layernorm(x), params["head/w"]), params["head/b"])
     if guidance == 1.0:

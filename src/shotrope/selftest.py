@@ -116,9 +116,9 @@ def _suite_grad_checks():
         ("ffn", lambda t: T.ffn(t, w1, b1, w2, b2), t64(3, 4)),
         ("layernorm", T.layernorm, t64(3, 4)),
         ("rope_pairs", lambda t: T.rope_pairs(t, np.cos(phase), np.sin(phase)), t64(2, 3, 4)),
-        ("attention_core q", lambda t: T.attention_core(t, k, v, 0.5, seg)[0], q),
-        ("attention_core k", lambda t: T.attention_core(q, t, v, 0.5, seg)[0], k),
-        ("attention_core v", lambda t: T.attention_core(q, k, t, 0.5, seg)[0], v),
+        ("attention_core q", lambda t: T.attention_core(t, k, v, 0.5, seg), q),
+        ("attention_core k", lambda t: T.attention_core(q, t, v, 0.5, seg), k),
+        ("attention_core v", lambda t: T.attention_core(q, k, t, 0.5, seg), v),
     ]
     for name, op, x in checks:
         weight = t64(*op(x).shape)

@@ -320,20 +320,20 @@ def softmax_rows(x):
     return _make(out_data, (x,), bw)
 
 
-def attention_core(q, k, v, c, blocks=None):
-    """softmax(c * q k^T) v over the last two axes as one tape node; returns the
-    output and the probability array p.  Both equal, bit for bit, the chain
-    q @ transpose(k), scale, softmax_rows, @ v with numpy's batched matmul.
+def attention_core(q, k, v, c, blocks=None, probs_out=None):
+    """softmax(c * q k^T) v over the last two axes as one tape node, equal, bit
+    for bit, to the chain q @ transpose(k), scale, softmax_rows, @ v with numpy.
 
     blocks, when given, is a sequence of (q_rows, k_rows) whose q_rows, slices,
     tile the query rows: those rows attend over the key rows k_rows, a slice
-    (a view, no copy) or an index array.  p is then a list of each block's
-    probabilities, and q, k and v get the gradients of the chain run on each
-    block's rows, summed over the blocks last to first.  The backward keeps
-    no [..., nq, nk] array: it keeps each block's k^T and values, the array
-    of q and the softmax's row max and row sum, and rebuilds p from them (one
-    head at a time when all heads' p is large) with the forward's own numpy
-    calls, so p and the gradients are the same bits."""
+    (a view, no copy) or an index array, and q, k and v get the gradients of
+    the chain run on each block's rows, summed over the blocks last to first.
+    A list given as probs_out gets each block's (q_rows, k_rows, probabilities);
+    otherwise no probability array outlives its block's product with v.  The
+    backward keeps no [..., nq, nk] array: it keeps each block's k^T and
+    values, the array of q and the softmax's row max and row sum, and rebuilds
+    the probabilities from them (one head at a time when all heads' are large)
+    with the forward's own numpy calls, so the gradients are the same bits."""
     if q.data.ndim < 2 or not (q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
                                and q.shape[-1] == k.shape[-1] and k.shape[-2] == v.shape[-2]):
         raise ShapeError(f"attention_core: incompatible shapes {q.shape} {k.shape} {v.shape}")
@@ -341,17 +341,19 @@ def attention_core(q, k, v, c, blocks=None):
     c = np.result_type(qd, kd).type(float(c))
     out_data = np.empty(qd.shape[:-1] + vd.shape[-1:], np.result_type(qd, kd, vd))
     row_max, row_sum = (np.empty(qd.shape[:-1] + (1,), c.dtype) for _ in range(2))
-    kept, probs = [], []
+    kept = []
     for q_rows, k_rows in [(slice(None), slice(None))] if blocks is None else blocks:
         kt, vb = np.ascontiguousarray(_swap_last(kd[..., k_rows, :])), vd[..., k_rows, :]
         p = qd[..., q_rows, :] @ kt
         p *= c
         if not np.isfinite(p).all():
             raise NumericError("attention_core: non-finite logits")
-        _, row_max[..., q_rows, :], row_sum[..., q_rows, :] = _softmax_forward(p, out=p)
+        row_max[..., q_rows, :], row_sum[..., q_rows, :] = _softmax_forward(p, out=p)[1:]
         np.matmul(p, vb, out=out_data[..., q_rows, :])
         kept.append((q_rows, k_rows, kt, vb, p.size > _SCORES_AT_ONCE))
-        probs.append(p)
+        if probs_out is not None:
+            probs_out.append((q_rows, k_rows, p))
+        del p  # before the next block's
     grad_shapes = [(t.shape, t.dtype) if t.requires_grad else None for t in (q, k, v)]
 
     def bw(g):
@@ -383,7 +385,7 @@ def attention_core(q, k, v, c, blocks=None):
                 del p, gs  # before the next head's
         return gq, gk, gv
 
-    return _make(out_data, (q, k, v), bw), probs[0] if blocks is None else probs
+    return _make(out_data, (q, k, v), bw)
 
 
 def layernorm(x, eps=1e-5):

@@ -24,6 +24,15 @@ from shotrope.shots import PackedLayout, ShotLayout, ShotRopeParams
 from shotrope.tensor import ConfigError, ShapeError, Tensor
 
 
+def _collected(attend, nk):
+    """attend(probs_out) under a fresh AttentionCollector's sink, its nk keys
+    taken as one shot's; returns the output and each head's [nq, nk]
+    probability matrix as the collector builds it."""
+    collector = M.AttentionCollector()
+    out = attend(collector.sink(np.zeros(nk, dtype=np.int64)))
+    return out, [probs for probs, _ in collector.cross_probs]
+
+
 def _rand_weights(rng, d):
     return AttentionWeights(
         *(Tensor(rng.standard_normal((d, d)).astype(np.float32) * 0.05) for _ in range(4))
@@ -48,11 +57,10 @@ class TestScaledDotAttention:
         q = Tensor(rng.standard_normal((4, 6)).astype(np.float32))
         k = Tensor(rng.standard_normal((3, 6)).astype(np.float32))
         v = Tensor(rng.standard_normal((3, 6)).astype(np.float32))
-        sink = []
-        scaled_dot_attention(q, k, v, probs_out=sink)
-        assert len(sink) == 1
-        assert sink[0].shape == (4, 3)
-        assert np.allclose(sink[0].sum(axis=1), 1.0, atol=1e-6)
+        _, probs = _collected(lambda sink: scaled_dot_attention(q, k, v, probs_out=sink), 3)
+        assert len(probs) == 1
+        assert probs[0].shape == (4, 3)
+        assert np.allclose(probs[0].sum(axis=1), 1.0, atol=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -372,13 +380,13 @@ def test_probs_out_gives_one_full_matrix_per_head(use_ref):
     n, n0 = layout.total_tokens, layout.token_spans()[0][1]
     w = _rand_weights(rng, 24)
     tokens = Tensor(rng.standard_normal((n, 24)).astype(np.float32))
-    sink = []
+    collector = M.AttentionCollector()
     multishot_self_attention(
         tokens, layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2,
-        use_ref=use_ref, probs_out=sink,
+        use_ref=use_ref, probs_out=collector.sink(),
     )
-    assert len(sink) == 2
-    for probs in sink:
+    assert len(collector.self_probs) == 2
+    for probs in collector.self_probs:
         assert probs.shape == (n, n)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
         if use_ref:
@@ -491,24 +499,21 @@ def test_rope_sign_fault_reaches_oracles_and_model(monkeypatch):
         assert np.array_equal(got, expect)
 
 
-def _two_part_split(Q, K, V, nq0, nk0, probs_out=None):
+def _two_part_split(Q, K, V, nq0, nk0):
     """The reference split as two blocks: rows :nq0 over keys :nk0, later
-    rows over all keys; segment_attention with one later segment."""
+    rows over all keys; segment_attention with one later segment.  Returns
+    the output and each head's full probability matrix."""
     nq, nk = Q.shape[-2], K.shape[-2]
-    p0, p_rest = [], []
-    out = scaled_dot_attention(
-        T.slice_rows(Q, 0, nq0), T.slice_rows(K, 0, nk0), T.slice_rows(V, 0, nk0), probs_out=p0
-    )
+    Q0, K0, V0 = T.slice_rows(Q, 0, nq0), T.slice_rows(K, 0, nk0), T.slice_rows(V, 0, nk0)
+    out, p0 = _collected(lambda sink: scaled_dot_attention(Q0, K0, V0, probs_out=sink), nk0)
+    full = np.zeros((len(p0), nq, nk), dtype=p0[0].dtype)
+    full[:, :nq0, :nk0] = p0
     if nq0 < nq:
-        rest = scaled_dot_attention(T.slice_rows(Q, nq0, nq), K, V, probs_out=p_rest)
+        Q1 = T.slice_rows(Q, nq0, nq)
+        rest, p1 = _collected(lambda sink: scaled_dot_attention(Q1, K, V, probs_out=sink), nk)
+        full[:, nq0:] = p1
         out = T.concat_rows([out, rest])
-    if probs_out is not None:
-        full = np.zeros((len(p0), nq, nk), dtype=p0[0].dtype)
-        full[:, :nq0, :nk0] = p0
-        if p_rest:
-            full[:, nq0:] = p_rest
-        probs_out.extend(full)
-    return out
+    return out, list(full)
 
 
 @pytest.mark.parametrize("nq0, nq, nk0, nk", [(8, 20, 3, 7), (8, 8, 3, 3), (4, 12, 4, 12)])
@@ -517,9 +522,10 @@ def test_one_segment_split_equals_two_part_split(nq0, nq, nk0, nk):
     Q, K, V = (
         Tensor(rng.standard_normal((2, n, 6)).astype(np.float32)) for n in (nq, nk, nk)
     )
-    want_probs, got_probs = [], []
-    want = _two_part_split(Q, K, V, nq0, nk0, probs_out=want_probs)
-    got = segment_attention(Q, K, V, (nq0, nq), (nk0, nk), probs_out=got_probs)
+    want, want_probs = _two_part_split(Q, K, V, nq0, nk0)
+    got, got_probs = _collected(
+        lambda sink: segment_attention(Q, K, V, (nq0, nq), (nk0, nk), probs_out=sink), nk
+    )
     assert np.array_equal(got.data, want.data)
     assert len(got_probs) == len(want_probs) == 2
     for g, w in zip(got_probs, want_probs):
@@ -535,16 +541,16 @@ def test_packed_segments_equal_each_layout_alone():
     )
     n = packed.total_tokens
     Q, K, V = (Tensor(rng.standard_normal((2, n, 6)).astype(np.float32)) for _ in range(3))
-    probs = []
     ends = packed.segment_ends
-    got = segment_attention(Q, K, V, ends, ends, probs_out=probs).data
+    got, probs = _collected(lambda sink: segment_attention(Q, K, V, ends, ends, probs_out=sink), n)
     assert ends == (8, 12, 28, 36)
     for layout, rows in zip(packed.layouts, packed.unpack(np.arange(n))):
-        alone_probs = []
         parts = [Tensor(np.ascontiguousarray(X.data[:, rows])) for X in (Q, K, V)]
         lay_ends = layout.segment_ends
-        alone = segment_attention(*parts, lay_ends, lay_ends, probs_out=alone_probs).data
-        assert np.array_equal(got[:, rows], alone)
+        alone, alone_probs = _collected(
+            lambda sink: segment_attention(*parts, lay_ends, lay_ends, probs_out=sink), len(rows)
+        )
+        assert np.array_equal(got.data[:, rows], alone.data)
         for p, a in zip(probs, alone_probs):
             assert np.array_equal(p[np.ix_(rows, rows)], a)
             # a row puts no weight on another layout's later shots
@@ -654,9 +660,8 @@ def test_one_segment_is_plain_attention():
         lambda probs: scaled_dot_attention(Q, K, V, probs_out=probs),
         lambda probs: segment_attention(Q, K, V, (9,), (5,), probs_out=probs),
     ):
-        probs = []
         with T.GradTape() as tape:
-            out = attend(probs)
+            out, probs = _collected(attend, 5)
         results.append((out.data, probs, len(tape._nodes)))
     (want, want_probs, want_nodes), (got, got_probs, got_nodes) = results
     assert np.array_equal(got, want)
@@ -669,12 +674,38 @@ def test_one_segment_is_plain_attention():
 def test_empty_later_segment_is_skipped():
     rng = np.random.default_rng(53)
     Q, K, V = (Tensor(rng.standard_normal((2, 12, 6)).astype(np.float32)) for _ in range(3))
-    want_probs, got_probs = [], []
-    want = segment_attention(Q, K, V, (4, 12), (4, 12), probs_out=want_probs).data
-    got = segment_attention(Q, K, V, (4, 4, 12, 12), (4, 4, 12, 12), probs_out=got_probs).data
-    assert np.array_equal(got, want)
+    want, want_probs = _collected(
+        lambda sink: segment_attention(Q, K, V, (4, 12), (4, 12), probs_out=sink), 12
+    )
+    ends = (4, 4, 12, 12)
+    got, got_probs = _collected(
+        lambda sink: segment_attention(Q, K, V, ends, ends, probs_out=sink), 12
+    )
+    assert np.array_equal(got.data, want.data) and len(got_probs) == 2
     for g, w in zip(got_probs, want_probs):
         assert np.array_equal(g, w)
+
+
+def test_reference_segments_keep_one_block_of_probabilities_at_a_time(monkeypatch):
+    """Without probs_out, no block's probability array outlives its product
+    with the values: when a block's softmax runs, no earlier block's array is
+    alive, and none is after the call, which returns one Tensor."""
+    rng = np.random.default_rng(54)
+    Q, K, V = (Tensor(rng.standard_normal((2, 24, 6)).astype(np.float32)) for _ in range(3))
+    ends = (6, 12, 18, 24)  # shot 0 and three later segments
+    refs, alive = [], []
+    softmax = T._softmax_forward
+
+    def spy(x, out=None):
+        alive.append(sum(ref() is not None for ref in refs))
+        refs.append(weakref.ref(x))
+        return softmax(x, out)
+
+    monkeypatch.setattr(T, "_softmax_forward", spy)
+    out = segment_attention(Q, K, V, ends, ends)
+    assert type(out) is Tensor and out.shape == (2, 24, 6)
+    assert alive == [0, 0, 0, 0]
+    assert all(ref() is None for ref in refs)
 
 
 def test_segment_ends_must_end_at_row_counts():
@@ -704,19 +735,21 @@ def _per_segment_chain(Q, K, V, q_ends, k_ends):
             Qb = T.slice_rows(Q, q_top, q_top + qe[-1])
             Kb, Vb = (T.slice_rows(X, k_top, k_top + ke[-1]) for X in (K, V))
         later = [b for b in zip(qe, qe[1:], ke, ke[1:]) if b[0] < b[1]]
+        blocks = []  # each part's one (slice(None), slice(None), probabilities)
         if not later and len(qe) == 1:
-            parts = [T.attention_core(Qb, Kb, Vb, c)]
+            parts = [T.attention_core(Qb, Kb, Vb, c, probs_out=blocks)]
         else:
             K0, V0 = T.slice_rows(Kb, 0, ke[0]), T.slice_rows(Vb, 0, ke[0])
-            parts = [T.attention_core(T.slice_rows(Qb, 0, qe[0]), K0, V0, c)]
+            parts = [T.attention_core(T.slice_rows(Qb, 0, qe[0]), K0, V0, c, probs_out=blocks)]
             for q_lo, q_hi, k_lo, k_hi in later:
                 keys, values = (T.concat_rows([X0, T.slice_rows(X, k_lo, k_hi)])
                                 for X0, X in ((K0, Kb), (V0, Vb)))
-                parts.append(T.attention_core(T.slice_rows(Qb, q_lo, q_hi), keys, values, c))
+                Qs = T.slice_rows(Qb, q_lo, q_hi)
+                parts.append(T.attention_core(Qs, keys, values, c, probs_out=blocks))
         shot0 = np.arange(k_top, k_top + ke[0])
-        for (q_lo, q_hi, k_lo, k_hi), (_, p) in zip([(0, qe[0], 0, 0)] + later, parts):
+        for (q_lo, q_hi, k_lo, k_hi), (_, _, p) in zip([(0, qe[0], 0, 0)] + later, blocks):
             probs[..., q_top + q_lo:q_top + q_hi, np.r_[shot0, k_top + k_lo:k_top + k_hi]] = p
-        outs.append(parts[0][0] if len(parts) == 1 else T.concat_rows([o for o, _ in parts]))
+        outs.append(parts[0] if len(parts) == 1 else T.concat_rows(parts))
         q_top, k_top = q_top + qe[-1], k_top + ke[-1]
     return outs[0] if len(outs) == 1 else T.concat_rows(outs), probs
 
@@ -748,14 +781,15 @@ def test_one_kernel_call_equals_the_per_segment_chain(case):
         Q, K, V, probe = _kernel_inputs(q_ends, k_ends, np.float32)
         for X in (Q, K, V):
             X.requires_grad = True
-        probs, calls = [], []
         with T.GradTape() as tape:
             if chain:
                 out, full = _per_segment_chain(Q, K, V, q_ends, k_ends)
                 probs = list(full)
             else:
                 ends = (q_ends, k_ends) if len(q_ends) > 1 else (q_ends[0], k_ends[0])
-                out = segment_attention(Q, K, V, *ends, probs_out=probs)
+                out, probs = _collected(
+                    lambda sink: segment_attention(Q, K, V, *ends, probs_out=sink), K.shape[-2]
+                )
                 nodes = len(tape._nodes)
             tape.backward(T.tsum(T.mul(out, probe)))
         results.append((out.data, probs, [X.grad for X in (Q, K, V)]))

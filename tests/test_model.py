@@ -92,6 +92,17 @@ class TestTimestepFeatures:
         b = M.timestep_features(0.7, 64)
         assert not np.allclose(a, b)
 
+    @pytest.mark.parametrize("d", [8, 24, 128])
+    def test_codes_are_cos_sin_of_1000_tau_times_the_frequencies(self, d):
+        """cos and sin of 1000 tau 10000^(-i/(d/2)), i < d/2, in float64."""
+        freqs = 10000.0 ** (-np.arange(d // 2, dtype=np.float64) / (d // 2))
+        for tau in (0.013, 0.25, 0.5, 0.97):
+            ang = 1000.0 * tau * freqs
+            want = np.concatenate([np.cos(ang), np.sin(ang)])[None, :]
+            got = M.timestep_features(tau, d)
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
 
 class TestForward:
     def _sample(self, world):
@@ -230,6 +241,46 @@ class TestForward:
             tape.backward(M.rf_loss(pred, sample.tokens, eps))
         g = params["block0/sa/wq"].grad
         assert g is not None and np.any(g)
+
+
+    def _forward(self, sample, tau, cfg, params, collect=None):
+        return M.denoiser_forward(
+            sample.tokens, tau, sample.captions, sample.layout, cfg, params, collect
+        )
+
+    def test_block0_self_attention_sees_the_time_embedding(self, small_cfg, small_world):
+        """The time embedding joins the tokens before block 0's self-attention:
+        for the same z and captions, that attention's probabilities move with tau."""
+        sample = self._sample(small_world)
+        params = M.init_params(small_cfg, seed=0)
+        probs = []
+        for tau in (0.1, 0.9):
+            collector = M.AttentionCollector()
+            self._forward(sample, tau, small_cfg, params, collector)
+            probs.append(collector.self_probs[:small_cfg.heads])  # block 0's heads
+        for early, late in zip(*probs):
+            assert np.abs(early - late).max() > 1e-5  # float32 rounding is ~1e-8 here
+
+    def test_head_normalizes_the_residual_stream(self, small_cfg, small_world):
+        """With every block's residual branches zeroed, the head reads
+        in_proj(z) + time_proj(features).  Tripling both projections leaves
+        the output within layernorm's eps of itself; unnormalized, it would triple."""
+        sample = self._sample(small_world)
+        params = M.init_params(small_cfg, seed=0)
+        rng = np.random.default_rng(3)
+        for b in range(small_cfg.blocks):
+            for name in ("sa/wo", "ca/wo", "ffn/w2", "ffn/b2"):
+                params[f"block{b}/{name}"].data[:] = 0.0
+        for name in ("in_proj/b", "time_proj/b", "head/w", "head/b"):
+            params[name].data[:] = rng.standard_normal(params[name].shape) * 0.1
+        outs = []
+        for _ in range(2):
+            outs.append(self._forward(sample, 0.5, small_cfg, params).data)
+            for name in ("in_proj/w", "in_proj/b", "time_proj/w", "time_proj/b"):
+                params[name].data *= 3.0
+        base, tripled = outs
+        assert np.abs(base).max() > 0.1
+        np.testing.assert_allclose(tripled, base, rtol=1e-2, atol=1e-2 * np.abs(base).max())
 
 
 class TestCaptionContext:

@@ -393,6 +393,15 @@ def _attention_chain(q, k, v, c):
     return _batched_product(probs, v), probs.data
 
 
+def _attention_core(q, k, v, c):
+    """attention_core and the probabilities it hands probs_out: one whole block."""
+    blocks = []
+    out = T.attention_core(q, k, v, c, probs_out=blocks)
+    (q_rows, k_rows, probs), = blocks
+    assert q_rows == k_rows == slice(None) and isinstance(out, Tensor)
+    return out, probs
+
+
 def _qkv(dtype, lead, needs_grad=(True, True, True)):
     """Fresh Q [.., 5, 6], K [.., 7, 6] and V [.., 7, 4] from a fixed seed."""
     rng = np.random.default_rng(30)
@@ -425,7 +434,7 @@ def _attend_and_backward(attend, dtype, lead, needs_grad=(True, True, True)):
 def test_attention_core_equals_the_chain(dtype, lead, needs):
     """Output, probabilities and Q/K/V gradients are the five-node chain's,
     bit for bit, from one tape node; an input that takes no gradient gets none."""
-    got, got_p, got_nodes, got_in = _attend_and_backward(T.attention_core, dtype, lead, needs)
+    got, got_p, got_nodes, got_in = _attend_and_backward(_attention_core, dtype, lead, needs)
     want, want_p, want_nodes, want_in = _attend_and_backward(_attention_chain, dtype, lead, needs)
     assert got_nodes == 1 and (want_nodes == 5 or not all(needs))
     assert got.dtype == got_p.dtype == dtype
@@ -443,7 +452,7 @@ def test_attention_core_gradients_match_finite_differences(which):
     def f(t):
         args = list(inputs)
         args[which] = t
-        return T.tsum(T.mul(T.attention_core(*args, 0.4)[0], probe))
+        return T.tsum(T.mul(T.attention_core(*args, 0.4), probe))
 
     assert grad_check(f, inputs[which], h=1e-5) <= 1e-6
 
@@ -453,7 +462,7 @@ def test_attention_core_input_without_grad_gets_none(which):
     """A constant input gets no .grad and its product is not computed; the
     other gradients are still the chain's."""
     needs = tuple(i != which for i in range(3))
-    _, _, _, got_in = _attend_and_backward(T.attention_core, np.float32, (2,), needs)
+    _, _, _, got_in = _attend_and_backward(_attention_core, np.float32, (2,), needs)
     _, _, _, want_in = _attend_and_backward(_attention_chain, np.float32, (2,), needs)
     for i, (g, w) in enumerate(zip(got_in, want_in)):
         assert (g.grad is None) == (i == which)
@@ -984,7 +993,7 @@ def test_attention_core_backward_keeps_one_head_at_a_time():
     (for the softmax's row dot), and no array of all heads."""
     heads, nq, nk, dh = 4, 512, 384, 16
     peak, returned = _backward_peak(
-        lambda q, k, v: T.attention_core(q, k, v, 0.25)[0], (heads, nq, dh), (heads, nk, dh),
+        lambda q, k, v: T.attention_core(q, k, v, 0.25), (heads, nq, dh), (heads, nk, dh),
         (heads, nk, dh),
     )
     assert peak - returned < 3.2 * nq * nk * 4, f"{(peak - returned) / (nq * nk * 4):.2f}"
@@ -997,7 +1006,7 @@ def _attention_core_grads(lead, nq, nk, dh=16):
         for n in (nq, nk, nk)
     )
     with GradTape() as tape:
-        out = T.attention_core(q, k, v, 0.25)[0]
+        out = T.attention_core(q, k, v, 0.25)
         tape.backward(T.tsum(T.mul(out, Tensor(rng.standard_normal(out.shape).astype(np.float32)))))
     return [t.grad for t in (q, k, v)]
 

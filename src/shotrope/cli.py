@@ -36,6 +36,13 @@ CURVE_MAX_DIM = 4096
 # with its square: one default-model shot samples at 331 MB with 2,048 tokens and
 # 1.1 GB with 4,096
 LAYOUT_MAX_TOKENS = 4096
+# most Euler steps of one `sample --steps` or `ablate --eval-steps` sampling call:
+# its schedule holds steps + 1 float64 times, and each step is one guided forward,
+# 15 ms for a 144-token default-model field on one 2-vCPU Xeon core (2.6 min for 10,000)
+SAMPLE_MAX_STEPS = 10_000
+# most `ablate --eval-samples`: every prompt is drawn before the first variant trains,
+# and each variant samples each once, 0.95 s at 50 steps (over an hour for 4,096)
+EVAL_MAX_SAMPLES = 4096
 # largest world.n_ids: a world draws its whole identity pool when it is built,
 # n_ids x d_id float64 values; 65,536 identities of d_id 16 take 8 MB
 WORLD_MAX_IDS = 65536
@@ -209,14 +216,15 @@ def _require_finite(**flags):
 
 
 def _require_count(**flags):
-    for flag, value in flags.items():
-        if value < 1:
-            raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+    """Each flag's value lies in [1, its bound]: flags map to (value, bound)."""
+    for flag, (value, bound) in flags.items():
+        if not 1 <= value <= bound:
+            raise ConfigError(f"--{flag.replace('_', '-')} must lie in [1, {bound}], got {value}")
 
 
 def cmd_sample(args):
     _require_finite(guidance=args.guidance, shift=args.shift)
-    _require_count(steps=args.steps)
+    _require_count(steps=(args.steps, SAMPLE_MAX_STEPS))
     params, model_cfg, world = _load_model(args.ckpt)
     specs = [parse_shot_spec(s) for s in args.shots]
     v_scene, v_mot = world.v_scene, world.v_mot
@@ -316,7 +324,8 @@ def _ablate_run(task):
 
 
 def cmd_ablate(args):
-    _require_count(eval_samples=args.eval_samples, eval_steps=args.eval_steps)
+    _require_count(eval_samples=(args.eval_samples, EVAL_MAX_SAMPLES),
+                   eval_steps=(args.eval_steps, SAMPLE_MAX_STEPS))
     model_cfg, train_cfg, world = load_run_config(args.config)
     engine.eval_specs(world, args.eval_samples, train_cfg.seed)
     runs = [(v, dataclasses.replace(model_cfg, variant=v)) for v in ("vanilla", "tcrope", "full")]

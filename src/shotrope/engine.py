@@ -202,7 +202,7 @@ def condition_identity(captions, id_row):
 def _sample_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embedding):
     """Euler integration of the guided velocity field from z at tau = 1, the
     specs run as one field packed from their layouts, one forward a step;
-    one field per spec.  Both branches' caption contexts are built once."""
+    one field per spec.  The conditioning every step reads is built once."""
     if not np.isfinite(guidance):
         raise ConfigError(f"guidance must be finite, got {guidance}")
     packed = PackedLayout(tuple(build_layout(spec, world) for spec in specs))
@@ -210,11 +210,11 @@ def _sample_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embe
     if id_embedding is not None:
         captions = tuple(condition_identity(c, id_embedding) for c in captions)
     taus = shift_timesteps(steps, shift)
-    contexts = M.branch_contexts(captions, cfg, params, guidance)
+    cond = M.conditioning(captions, packed, cfg, params, guidance)
     for i in range(steps):
         tau = float(taus[i])
         v = M.denoiser_forward(
-            z, tau, captions, packed, cfg, params, guidance=guidance, contexts=contexts
+            z, tau, captions, packed, cfg, params, guidance=guidance, cond=cond
         ).data
         dtau = float(taus[i + 1] - taus[i])
         z = (z + np.float32(dtau) * v.astype(np.float32)).astype(np.float32)

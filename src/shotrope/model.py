@@ -17,11 +17,13 @@ import numpy as np
 from . import rope, tensor as T
 from .attention import (
     AttentionWeights,
+    Conditioning,
     ContextTokens,
     multishot_cross_attention,
     multishot_self_attention,
+    pair_tables,
+    project,
 )
-from .shots import ShotRopeParams
 from .tensor import ConfigError, NumericError, ShapeError, Tensor, config_from_dict
 
 VARIANTS = ("vanilla", "tcrope", "full", "full+refattn")
@@ -194,15 +196,69 @@ def caption_context(bundles, cfg, params):
     return ContextTokens(T.concat_rows(rows), np.asarray(shot_idx), tuple(ends))
 
 
-def branch_contexts(captions, cfg, params, guidance):
-    """The caption contexts of a forward's branches: of the captions (one
-    bundle per packed layout) and, at guidance != 1, of their null_captions."""
+def conditioning(captions, layout, cfg, params, guidance=1.0):
+    """What every attention call of a forward at this guidance reads besides
+    its rows and weights: an attention.Conditioning.
+
+    captions holds one bundle per packed layout, or is the one bundle.  The
+    branches are the captions and, at guidance != 1, their null_captions.
+    Each block's caption keys and values are projected here, from the
+    weights as they are now: a sampling call builds the conditioning once
+    for all its steps, and a training forward builds its own, so none
+    outlives an AdamW update.
+    """
+    captions = captions if isinstance(captions, tuple) else (captions,)
+    if len(layout.layouts) > 1 and not cfg.use_ref:
+        raise ConfigError("a packing of several layouts requires the full+refattn variant")
+    if len(captions) != len(layout.layouts):
+        raise ConfigError("a packed layout needs a tuple of caption bundles, one per layout")
+    for bundle, lay in zip(captions, layout.layouts):
+        if bundle.shot_count != lay.shot_count:
+            raise ConfigError(
+                f"caption bundle has {bundle.shot_count} shots, layout {lay.shot_count}"
+            )
     branches = (captions,) if guidance == 1.0 else (captions, tuple(map(null_captions, captions)))
-    return tuple(caption_context(bundles, cfg, params) for bundles in branches)
+    contexts = tuple(caption_context(bundles, cfg, params) for bundles in branches)
+    for ctx in contexts:
+        shots_present = set(int(s) for s in ctx.shot_index)
+        if shots_present != set(range(layout.shot_count)):
+            raise ConfigError(
+                f"caption bundle covers shots {sorted(shots_present)}, "
+                f"layout has {layout.shot_count} shots"
+            )
+        nk0 = ctx.segment_ends[0]
+        if cfg.use_ref and len(ctx.segment_ends) > 1 and not (
+            np.all(ctx.shot_index[:nk0] == 0) and np.all(ctx.shot_index[nk0:] != 0)
+        ):
+            raise ConfigError("reference mode requires the shot-0 captions first")
+
+    basis = rope.RotaryBasis(cfg.head_dim, cfg.rope_base)
+    dtype = params["in_proj/w"].dtype
+    t, h, w = layout.token_positions(j=cfg.j_eff)
+    token_tables = pair_tables(rope.phase_tables_3d(basis, t, h, w), dtype)
+    query_tables, *key_tables = (
+        pair_tables(rope.phase_tables_1d(basis, shots * cfg.k_eff), dtype)
+        for shots in (layout.token_shot_index(), *(ctx.shot_index for ctx in contexts))
+    )
+    caption_kv = []
+    for b in range(cfg.blocks):
+        keys, values = [], []
+        for ctx, tables in zip(contexts, key_tables):
+            keys.append(project(ctx.embeddings, params[f"block{b}/ca/wk"], cfg.heads, tables))
+            values.append(project(ctx.embeddings, params[f"block{b}/ca/wv"], cfg.heads))
+        caption_kv.append(tuple(x[0] if len(x) == 1 else T.concat_rows(x) for x in (keys, values)))
+    return Conditioning(
+        contexts, layout, token_tables, query_tables,
+        token_ends=layout.segment_ends if cfg.use_ref else (layout.total_tokens,),
+        caption_ends=tuple(
+            ctx.segment_ends if cfg.use_ref else (len(ctx.shot_index),) for ctx in contexts
+        ),
+        caption_kv=tuple(caption_kv),
+    )
 
 
 def denoiser_forward(
-    z_tau, tau, captions, layout, cfg, params, collect=None, guidance=1.0, contexts=None
+    z_tau, tau, captions, layout, cfg, params, collect=None, guidance=1.0, cond=None
 ):
     """Predicted velocity field for one sample.
 
@@ -215,8 +271,10 @@ def denoiser_forward(
     block 0's cross-attention read no caption and run once; there the rows
     stack [c | u], and every row op and each block's self- and cross-attention
     run once on the stack, with the bits of each branch's own forward
-    (README, Determinism).  contexts, the captions' branch_contexts at this
-    guidance, are built when None.  collect needs guidance 1.
+    (README, Determinism).  cond, what every attention call reads, is
+    conditioning(captions, layout, cfg, params, guidance), built when None;
+    a sampling call passes the one it built for all its steps, and one of
+    another layout or branch count is refused.  collect needs guidance 1.
     """
     z = z_tau if isinstance(z_tau, Tensor) else Tensor(np.asarray(z_tau, dtype=np.float32))
     n = layout.total_tokens
@@ -226,20 +284,12 @@ def denoiser_forward(
         raise ConfigError(f"tau must lie in [0, 1], got {tau}")
     if collect is not None and guidance != 1.0:
         raise ConfigError("collect needs guidance 1")
-    if len(layout.layouts) > 1 and not cfg.use_ref:
-        raise ConfigError("a packing of several layouts requires the full+refattn variant")
-    captions = captions if isinstance(captions, tuple) else (captions,)
-    if len(captions) != len(layout.layouts):
-        raise ConfigError("a packed layout needs a tuple of caption bundles, one per layout")
-    for bundle, lay in zip(captions, layout.layouts):
-        if bundle.shot_count != lay.shot_count:
-            raise ConfigError(
-                f"caption bundle has {bundle.shot_count} shots, layout {lay.shot_count}"
-            )
-    if contexts is None:
-        contexts = branch_contexts(captions, cfg, params, guidance)
-    basis = rope.RotaryBasis(cfg.head_dim, cfg.rope_base)
-    sp = ShotRopeParams(j=cfg.j_eff, k=cfg.k_eff)
+    if cond is None:
+        cond = conditioning(captions, layout, cfg, params, guidance)
+    branches = len(cond.contexts)
+    if branches != (1 if guidance == 1.0 else 2) or cond.layout != layout:
+        raise ConfigError(f"a conditioning of {branches} branches for layout {cond.layout} "
+                          f"does not fit a forward at guidance {guidance} on {layout}")
 
     temb = T.matmul(Tensor(timestep_features(tau, cfg.d_model)), params["time_proj/w"])
     temb = T.add(temb, params["time_proj/b"])
@@ -248,19 +298,19 @@ def denoiser_forward(
 
     for b in range(cfg.blocks):
         sa_w, ca_w = (
-            AttentionWeights(*(params[f"{m}/{w}"] for w in ("wq", "wk", "wv", "wo")), name=m)
-            for m in (f"block{b}/sa", f"block{b}/ca")
+            AttentionWeights(*(params[f"block{b}/{m}/{w}"] for w in ("wq", "wk", "wv", "wo")))
+            for m in ("sa", "ca")
         )
         sa = multishot_self_attention(
-            T.layernorm(x), layout, sp, basis, sa_w, heads=cfg.heads,
-            use_ref=cfg.use_ref, probs_out=None if collect is None else collect.sink(),
+            T.layernorm(x), cond, sa_w, heads=cfg.heads,
+            probs_out=None if collect is None else collect.sink(),
         )
         x = T.add(x, sa)
-        if b == 0 and len(contexts) > 1:
-            x = T.concat_rows([x] * len(contexts))
+        if b == 0 and branches > 1:
+            x = T.concat_rows([x] * branches)
         ca = multishot_cross_attention(
-            T.layernorm(x), contexts, layout, sp, basis, ca_w, heads=cfg.heads, use_ref=cfg.use_ref,
-            probs_out=None if collect is None else collect.sink(contexts[0].shot_index),
+            T.layernorm(x), cond, b, ca_w, heads=cfg.heads,
+            probs_out=None if collect is None else collect.sink(cond.contexts[0].shot_index),
         )
         x = T.add(x, ca)
         ffn_w = (params[f"block{b}/ffn/{w}"] for w in ("w1", "b1", "w2", "b2"))
@@ -269,8 +319,8 @@ def denoiser_forward(
     out = T.add(T.matmul(T.layernorm(x), params["head/w"]), params["head/b"])
     if guidance == 1.0:
         return out
-    cond, uncond = T.slice_rows(out, 0, n), T.slice_rows(out, n, 2 * n)
-    return T.add(uncond, T.scale(T.sub(cond, uncond), guidance))
+    c, u = T.slice_rows(out, 0, n), T.slice_rows(out, n, 2 * n)
+    return T.add(u, T.scale(T.sub(c, u), guidance))
 
 
 def rf_loss(pred, z, eps):

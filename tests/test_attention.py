@@ -11,12 +11,12 @@ from shotrope import synthetic as S
 from shotrope import tensor as T
 from shotrope.attention import (
     AttentionWeights,
+    Conditioning,
     ContextTokens,
-    _caption_shot_tables,
-    _token_shot_tables,
-    _token_tables,
     multishot_cross_attention,
     multishot_self_attention,
+    pair_tables,
+    project,
     scaled_dot_attention,
     segment_attention,
 )
@@ -37,6 +37,49 @@ def _rand_weights(rng, d):
     return AttentionWeights(
         *(Tensor(rng.standard_normal((d, d)).astype(np.float32) * 0.05) for _ in range(4))
     )
+
+
+def _cond(tokens, layout, params, basis, heads=2, use_ref=False, ctx=None, weights=None):
+    """The Conditioning model.conditioning builds, at the rotary scales
+    params, for tokens' layout and one hand-made caption context whose one
+    block of keys and values weights project."""
+
+    def tables(shots):
+        return pair_tables(rope.phase_tables_1d(basis, shots * params.k), tokens.dtype)
+
+    contexts, kv = (), None
+    if ctx is not None:
+        contexts = (ctx,)
+        kv = (project(ctx.embeddings, weights.wk, heads, tables(ctx.shot_index)),
+              project(ctx.embeddings, weights.wv, heads))
+    positions = layout.token_positions(j=params.j)
+    return Conditioning(
+        contexts,
+        layout,
+        pair_tables(rope.phase_tables_3d(basis, *positions), tokens.dtype),
+        tables(layout.token_shot_index()),
+        layout.segment_ends if use_ref else (layout.total_tokens,),
+        tuple(c.segment_ends if use_ref else (len(c.shot_index),) for c in contexts),
+        (kv,),
+    )
+
+
+def _self(tokens, layout, params, basis, w, heads=2, use_ref=False, probs_out=None):
+    cond = _cond(tokens, layout, params, basis, heads, use_ref)
+    return multishot_self_attention(tokens, cond, w, heads=heads, probs_out=probs_out)
+
+
+def _cross(tokens, ctx, layout, params, basis, w, heads=2, use_ref=False):
+    cond = _cond(tokens, layout, params, basis, heads, use_ref, ctx, w)
+    return multishot_cross_attention(tokens, cond, 0, w, heads=heads)
+
+
+def _conditioning_of(monkeypatch, ctx, layout, variant):
+    """model.conditioning of a bundle for layout whose caption context is ctx."""
+    monkeypatch.setattr(M, "caption_context", lambda *args: ctx)
+    cfg = M.DenoiserConfig(**{**_TABLE_MODEL.to_dict(), "variant": variant})
+    captions = S.CaptionBundle(tuple(S.ShotPrompt(n, 0) for n in layout.frame_counts))
+    return M.conditioning(captions, layout, cfg, M.init_params(cfg, seed=0))
 
 
 class TestScaledDotAttention:
@@ -131,8 +174,8 @@ class TestSelfAttention:
         w = _rand_weights(rng, d)
         basis = rope.RotaryBasis(12)
         params = ShotRopeParams()
-        o1 = multishot_self_attention(tokens, layout, params, basis, w, heads=2).data
-        o2 = multishot_self_attention(tokens, layout, params, basis, w, heads=2).data
+        o1 = _self(tokens, layout, params, basis, w, heads=2).data
+        o2 = _self(tokens, layout, params, basis, w, heads=2).data
         assert o1.shape == (layout.total_tokens, d)
         assert np.array_equal(o1, o2)
 
@@ -147,8 +190,8 @@ class TestSelfAttention:
         merged = ShotLayout((4,), 2, 2)
         split = ShotLayout((2, 2), 2, 2)
         tokens = Tensor(rng.standard_normal((merged.total_tokens, d)).astype(np.float32))
-        a = multishot_self_attention(tokens, merged, params, basis, w, heads=2).data
-        b = multishot_self_attention(tokens, split, params, basis, w, heads=2).data
+        a = _self(tokens, merged, params, basis, w, heads=2).data
+        b = _self(tokens, split, params, basis, w, heads=2).data
         assert np.array_equal(a, b)
 
     def test_phase_jump_changes_cross_shot_interaction(self):
@@ -158,8 +201,8 @@ class TestSelfAttention:
         basis = rope.RotaryBasis(12)
         layout = ShotLayout((2, 2), 2, 2)
         tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
-        a = multishot_self_attention(tokens, layout, ShotRopeParams(j=0.0), basis, w, heads=2).data
-        b = multishot_self_attention(tokens, layout, ShotRopeParams(j=4.0), basis, w, heads=2).data
+        a = _self(tokens, layout, ShotRopeParams(j=0.0), basis, w, heads=2).data
+        b = _self(tokens, layout, ShotRopeParams(j=4.0), basis, w, heads=2).data
         assert not np.array_equal(a, b)
 
     def test_head_dim_basis_mismatch(self):
@@ -167,9 +210,7 @@ class TestSelfAttention:
         tokens = Tensor(np.zeros((4, 24), dtype=np.float32))
         w = _rand_weights(np.random.default_rng(8), 24)
         with pytest.raises(ShapeError):
-            multishot_self_attention(
-                tokens, layout, ShotRopeParams(), rope.RotaryBasis(18), w, heads=2
-            )
+            _self(tokens, layout, ShotRopeParams(), rope.RotaryBasis(18), w, heads=2)
 
     def test_ref_mode_isolates_shot0(self):
         rng = np.random.default_rng(9)
@@ -180,14 +221,10 @@ class TestSelfAttention:
         basis = rope.RotaryBasis(12)
         params = ShotRopeParams()
         tok = rng.standard_normal((layout.total_tokens, d)).astype(np.float32)
-        base = multishot_self_attention(
-            Tensor(tok), layout, params, basis, w, heads=2, use_ref=True
-        ).data
+        base = _self(Tensor(tok), layout, params, basis, w, heads=2, use_ref=True).data
         tok2 = tok.copy()
         tok2[n0:] += 7.0
-        out = multishot_self_attention(
-            Tensor(tok2), layout, params, basis, w, heads=2, use_ref=True
-        ).data
+        out = _self(Tensor(tok2), layout, params, basis, w, heads=2, use_ref=True).data
         assert np.array_equal(out[:n0], base[:n0])
 
 
@@ -206,22 +243,17 @@ class TestCrossAttention:
         rng = np.random.default_rng(10)
         layout = ShotLayout((2, 2), 2, 2)
         tokens, ctx, w = self._setup(rng, layout)
-        out = multishot_cross_attention(
-            tokens, (ctx,), layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2
-        )
+        out = _cross(tokens, ctx, layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2)
         assert out.shape == (layout.total_tokens, 24)
 
-    def test_missing_shot_in_context_rejected(self):
+    def test_missing_shot_in_context_rejected(self, monkeypatch):
         rng = np.random.default_rng(11)
         layout = ShotLayout((2, 2), 2, 2)
-        tokens, _, w = self._setup(rng, layout)
         bad_ctx = ContextTokens(
             Tensor(rng.standard_normal((2, 24)).astype(np.float32)), np.array([0, 0]), (2, 2)
         )
         with pytest.raises(ConfigError):
-            multishot_cross_attention(
-                tokens, (bad_ctx,), layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2
-            )
+            _conditioning_of(monkeypatch, bad_ctx, layout, "full")
 
     def test_zero_suppression_rate_ignores_shot_indices(self):
         # with k=0 no rotation happens, so permuting which context row is
@@ -231,9 +263,9 @@ class TestCrossAttention:
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=1)
         params = ShotRopeParams(j=0.0, k=0.0)
         basis = rope.RotaryBasis(12)
-        a = multishot_cross_attention(tokens, (ctx,), layout, params, basis, w, heads=2).data
+        a = _cross(tokens, ctx, layout, params, basis, w, heads=2).data
         flipped = ContextTokens(ctx.embeddings, ctx.shot_index[::-1].copy(), ctx.segment_ends)
-        b = multishot_cross_attention(tokens, (flipped,), layout, params, basis, w, heads=2).data
+        b = _cross(tokens, flipped, layout, params, basis, w, heads=2).data
         assert np.array_equal(a, b)
 
     def test_suppression_rate_breaks_that_symmetry(self):
@@ -242,9 +274,9 @@ class TestCrossAttention:
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=1)
         params = ShotRopeParams(j=0.0, k=6.0)
         basis = rope.RotaryBasis(12)
-        a = multishot_cross_attention(tokens, (ctx,), layout, params, basis, w, heads=2).data
+        a = _cross(tokens, ctx, layout, params, basis, w, heads=2).data
         flipped = ContextTokens(ctx.embeddings, ctx.shot_index[::-1].copy(), ctx.segment_ends)
-        b = multishot_cross_attention(tokens, (flipped,), layout, params, basis, w, heads=2).data
+        b = _cross(tokens, flipped, layout, params, basis, w, heads=2).data
         assert not np.array_equal(a, b)
 
     def test_context_row_order_is_irrelevant(self):
@@ -254,25 +286,22 @@ class TestCrossAttention:
         layout = ShotLayout((2, 1, 2), 2, 2)
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=2)
         params, basis = ShotRopeParams(), rope.RotaryBasis(12)
-        base = multishot_cross_attention(tokens, (ctx,), layout, params, basis, w, heads=2).data
+        base = _cross(tokens, ctx, layout, params, basis, w, heads=2).data
         perm = rng.permutation(ctx.shot_index.size)
         assert not np.array_equal(ctx.shot_index[perm], ctx.shot_index)
         permuted = ContextTokens(
             Tensor(ctx.embeddings.data[perm]), ctx.shot_index[perm], ctx.segment_ends
         )
-        out = multishot_cross_attention(tokens, (permuted,), layout, params, basis, w, heads=2).data
+        out = _cross(tokens, permuted, layout, params, basis, w, heads=2).data
         assert np.max(np.abs(out - base)) <= 1e-5
 
-    def test_ref_mode_requires_sorted_context(self):
+    def test_ref_mode_requires_sorted_context(self, monkeypatch):
         rng = np.random.default_rng(14)
         layout = ShotLayout((2, 2), 2, 2)
-        tokens, ctx, w = self._setup(rng, layout, rows_per_shot=1)
+        _, ctx, _ = self._setup(rng, layout, rows_per_shot=1)
         unsorted = ContextTokens(ctx.embeddings, np.array([1, 0]), ctx.segment_ends)
         with pytest.raises(ConfigError):
-            multishot_cross_attention(
-                tokens, (unsorted,), layout, ShotRopeParams(), rope.RotaryBasis(12), w,
-                heads=2, use_ref=True,
-            )
+            _conditioning_of(monkeypatch, unsorted, layout, "full+refattn")
 
     def test_ref_mode_isolates_shot0_from_later_captions(self):
         rng = np.random.default_rng(15)
@@ -281,15 +310,11 @@ class TestCrossAttention:
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=2)
         params = ShotRopeParams()
         basis = rope.RotaryBasis(12)
-        base = multishot_cross_attention(
-            tokens, (ctx,), layout, params, basis, w, heads=2, use_ref=True
-        ).data
+        base = _cross(tokens, ctx, layout, params, basis, w, heads=2, use_ref=True).data
         emb = ctx.embeddings.data.copy()
         emb[2:] += 9.0  # later-shot caption rows only
         ctx2 = ContextTokens(Tensor(emb), ctx.shot_index, ctx.segment_ends)
-        out = multishot_cross_attention(
-            tokens, (ctx2,), layout, params, basis, w, heads=2, use_ref=True
-        ).data
+        out = _cross(tokens, ctx2, layout, params, basis, w, heads=2, use_ref=True).data
         assert np.array_equal(out[:n0], base[:n0])
 
 
@@ -347,7 +372,7 @@ def test_self_attention_equals_per_head_reference(heads, use_ref):
     tabs = _pair_tables(*rope.phase_tables_3d(basis, *layout.token_positions(j=params.j)))
     n0 = layout.token_spans()[0][1] if use_ref else None
     expect = _per_head_reference(tokens, tokens, w, heads, tabs, tabs, n0, n0)
-    got = multishot_self_attention(tokens, layout, params, basis, w, heads=heads, use_ref=use_ref)
+    got = _self(tokens, layout, params, basis, w, heads=heads, use_ref=use_ref)
     assert np.array_equal(got.data, expect)
 
 
@@ -367,9 +392,7 @@ def test_cross_attention_equals_per_head_reference(heads, use_ref):
     ktabs = _pair_tables(*rope.phase_tables_1d(basis, shots * params.k))
     nq0 = layout.token_spans()[0][1] if use_ref else None
     expect = _per_head_reference(tokens, ctx.embeddings, w, heads, qtabs, ktabs, nq0, 3)
-    got = multishot_cross_attention(
-        tokens, (ctx,), layout, params, basis, w, heads=heads, use_ref=use_ref
-    )
+    got = _cross(tokens, ctx, layout, params, basis, w, heads=heads, use_ref=use_ref)
     assert np.array_equal(got.data, expect)
 
 
@@ -381,10 +404,8 @@ def test_probs_out_gives_one_full_matrix_per_head(use_ref):
     w = _rand_weights(rng, 24)
     tokens = Tensor(rng.standard_normal((n, 24)).astype(np.float32))
     collector = M.AttentionCollector()
-    multishot_self_attention(
-        tokens, layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2,
-        use_ref=use_ref, probs_out=collector.sink(),
-    )
+    _self(tokens, layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2,
+          use_ref=use_ref, probs_out=collector.sink())
     assert len(collector.self_probs) == 2
     for probs in collector.self_probs:
         assert probs.shape == (n, n)
@@ -423,7 +444,7 @@ def test_self_attention_rotations_are_tcrope(monkeypatch):
         *(Tensor(rng.standard_normal((d, d)) * 0.1, dtype=np.float64) for _ in range(4))
     )
     calls = _spy_rope_pairs(monkeypatch)
-    multishot_self_attention(tokens, layout, params, basis, w, heads=heads)
+    _self(tokens, layout, params, basis, w, heads=heads)
     assert len(calls) == 2  # Q and K, all heads at once
     coords = [
         (s, tl, hh, ww)
@@ -456,9 +477,9 @@ def test_cross_attention_rotations_are_tarope(monkeypatch):
         *(Tensor(rng.standard_normal((d, d)) * 0.1, dtype=np.float64) for _ in range(4))
     )
     calls = _spy_rope_pairs(monkeypatch)
-    multishot_cross_attention(tokens, (ctx,), layout, params, basis, w, heads=heads)
-    assert len(calls) == 2
-    for (x, out), row_shots in zip(calls, (layout.token_shot_index(), shots)):
+    _cross(tokens, ctx, layout, params, basis, w, heads=heads)
+    assert len(calls) == 2  # the keys when the conditioning is built, then the queries
+    for (x, out), row_shots in zip(calls, (shots, layout.token_shot_index())):
         for h in range(heads):
             for i, s in enumerate(row_shots):
                 oracle = tarope(x[h, i], int(s), params, basis)
@@ -485,8 +506,8 @@ def test_rope_sign_fault_reaches_oracles_and_model(monkeypatch):
     def run():
         return (
             tarope(v, 1, params, basis),
-            multishot_self_attention(tokens, layout, params, basis, w, heads=2).data,
-            multishot_cross_attention(tokens, (ctx,), layout, params, basis, w, heads=2).data,
+            _self(tokens, layout, params, basis, w, heads=2).data,
+            _cross(tokens, ctx, layout, params, basis, w, heads=2).data,
         )
 
     clean = run()
@@ -558,15 +579,21 @@ def test_packed_segments_equal_each_layout_alone():
 
 
 def test_packed_tables_are_each_layouts_tables():
-    basis = rope.RotaryBasis(8)
+    cfg = M.DenoiserConfig(**{**_TABLE_MODEL.to_dict(), "variant": "full+refattn"})
+    params = M.init_params(cfg, seed=0)
     packed = PackedLayout((ShotLayout((2, 1), 2, 2), ShotLayout((2, 3), 2, 2)))
-    for tables in (_token_tables, _token_shot_tables):
-        got = tables(basis, packed, 4.0, np.float32)
-        per_layout = [tables(basis, lay, 4.0, np.float32) for lay in packed.layouts]
-        for g, tabs in zip(got, zip(*per_layout)):
-            for lay_tab, lay_rows in zip(tabs, packed.unpack(np.arange(packed.total_tokens))):
-                assert np.array_equal(g[lay_rows], lay_tab)
-            assert not g.flags.writeable
+
+    def tables(layout):
+        captions = tuple(S.CaptionBundle(tuple(S.ShotPrompt(n, 0) for n in lay.frame_counts))
+                         for lay in layout.layouts)
+        cond = M.conditioning(captions, layout, cfg, params)
+        return cond.token_tables + cond.query_tables
+
+    per_layout = [tables(lay) for lay in packed.layouts]
+    for g, tabs in zip(tables(packed), zip(*per_layout)):
+        for lay_tab, lay_rows in zip(tabs, packed.unpack(np.arange(packed.total_tokens))):
+            assert np.array_equal(g[lay_rows], lay_tab)
+        assert not g.flags.writeable
 
 
 def _spy_rope_tables(monkeypatch):
@@ -586,45 +613,34 @@ _TABLE_WORLD = S.SyntheticWorld(seed=2, d_token=32, d_id=8, v_scene=4, v_mot=2, 
 _TABLE_MODEL = M.DenoiserConfig(d_model=24, blocks=2, heads=2, ffn_mult=2, d_token=32, d_id=8)
 
 
-def test_training_keeps_no_stale_layouts_tables(monkeypatch):
-    """After training on distinct layouts, each token-table cache holds one
-    entry, and of the tables the forwards read, only the last layout's and
-    at most two caption contexts' are still alive."""
-    calls = _spy_rope_tables(monkeypatch)
-    layouts = []
-    make_batch = S.make_batch
+def test_no_table_a_forward_read_outlives_its_call(monkeypatch):
+    """Once engine.train, and then one engine.sample, returns, no rotary
+    table that any of its forwards read is alive: each forward, or sampling
+    call, builds its own conditioning and drops it."""
+    read = []
+    rope_pairs = T.rope_pairs
 
-    def recording_make_batch(*args, **kwargs):
-        batch = make_batch(*args, **kwargs)
-        layouts.extend(sample.layout for sample in batch)
-        return batch
+    def spy(x, cos, sin):
+        read.extend(weakref.ref(tab) for tab in (cos, sin))
+        return rope_pairs(x, cos, sin)
 
-    monkeypatch.setattr(S, "make_batch", recording_make_batch)
+    monkeypatch.setattr(T, "rope_pairs", spy)
     tcfg = E.TrainConfig(steps=6, batch_size=1, seed=4, shot_count_range=(1, 4),
                          shot_len_range=(1, 3))
-    E.train(_TABLE_MODEL, tcfg, _TABLE_WORLD)
-    assert len(set(layouts)) == 6
-    read = [weakref.ref(tab) for _, cos, sin in calls for tab in (cos, sin)]
-    del calls[:]
+    params, _ = E.train(_TABLE_MODEL, tcfg, _TABLE_WORLD)
     gc.collect()
-    alive = {id(tab): tab for tab in (ref() for ref in read) if tab is not None}
-    for cache in (_token_tables, _token_shot_tables):
-        assert cache.cache_info().currsize == 1
-    assert _caption_shot_tables.cache_info().currsize <= 2
-    basis = rope.RotaryBasis(_TABLE_MODEL.head_dim, _TABLE_MODEL.rope_base)
-    last = [
-        *_token_tables(basis, layouts[-1], _TABLE_MODEL.j_eff, np.dtype(np.float32)),
-        *_token_shot_tables(basis, layouts[-1], _TABLE_MODEL.k_eff, np.dtype(np.float32)),
-    ]
-    # the last layout's four token tables are the ones kept, not rebuilt
-    assert all(id(tab) in alive for tab in last)
-    assert len(alive) <= len(last) + 4
+    assert read and all(ref() is None for ref in read)
+    del read[:]
+    E.sample(params, _TABLE_MODEL, _TABLE_WORLD, [E.ShotPrompt(1, 0), E.ShotPrompt(2, 1)], steps=2)
+    gc.collect()
+    assert read and all(ref() is None for ref in read)
 
 
 @pytest.mark.parametrize("variant", ["full", "full+refattn"])
 def test_guided_and_unguided_forwards_read_the_same_tables(monkeypatch, variant):
-    """A guided forward rotates both stacked branches by the one [n, d_head]
-    table its unguided forward reads: the same read-only arrays."""
+    """A guided forward rotates both stacked branches by the one read-only
+    [n, d_head] table each it reads for n rows, which holds the values its
+    unguided forward reads."""
     cfg = M.DenoiserConfig(**{**_TABLE_MODEL.to_dict(), "variant": variant})
     params = M.init_params(cfg, seed=0)
     sample = S.make_batch(_TABLE_WORLD, 1, shot_count_range=(3, 3), shot_len_range=(1, 2),
@@ -638,13 +654,14 @@ def test_guided_and_unguided_forwards_read_the_same_tables(monkeypatch, variant)
         read.append(calls[:])
         del calls[:]
     unguided, guided = ({id(tab): tab for _, cos, sin in c for tab in (cos, sin)} for c in read)
-    assert unguided.keys() <= guided.keys()
     assert not any(tab.flags.writeable for tab in guided.values())
-    token_tables = {key for key, tab in unguided.items() if tab.shape[0] == n}
+    token_tables = {key for key, tab in guided.items() if tab.shape[0] == n}
     assert len(token_tables) == 4
     # from block 0's cross-attention on, the 2n stacked rows rotate by those n-row tables
     stacked = {id(tab) for rows, cos, sin in read[1] if rows == 2 * n for tab in (cos, sin)}
     assert stacked == token_tables
+    values = ({tab.tobytes() for tab in c.values() if tab.shape[0] == n} for c in (unguided, guided))
+    assert next(values) == next(values)
 
 
 def test_one_segment_is_plain_attention():

@@ -784,6 +784,41 @@ class TestEntryChecks:
         assert f"--{flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("steps, error", [
+        (cli.SAMPLE_MAX_STEPS, "checkpoint not found"),
+        (cli.SAMPLE_MAX_STEPS + 1, f"--steps must lie in [1, {cli.SAMPLE_MAX_STEPS}]"),
+        (10**12, f"--steps must lie in [1, {cli.SAMPLE_MAX_STEPS}]"),
+    ], ids=["at", "past", "far-past"])
+    def test_sample_steps_bound(self, tmp_path, monkeypatch, capsys, steps, error):
+        """A step count up to the bound passes the entry checks and reaches the
+        checkpoint load, here of a missing file; one past it exits 2 first,
+        and no schedule is built."""
+        monkeypatch.setattr(cli.engine, "shift_timesteps", _must_not_run)
+        out = tmp_path / "s"
+        rc = cli.main(["sample", "--ckpt", str(tmp_path / "missing.ecsh"), "--shots",
+                       "n=2,scene=0", "--steps", str(steps), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, bound", [
+        ("eval-samples", cli.EVAL_MAX_SAMPLES), ("eval-steps", cli.SAMPLE_MAX_STEPS)
+    ])
+    @pytest.mark.parametrize("past", [0, 1, 10**12], ids=["at", "past", "far-past"])
+    def test_ablate_counts_bound(self, tmp_path, monkeypatch, capsys, flag, bound, past):
+        """An evaluation count up to its bound reaches the config load, here
+        of a missing file; one past it exits 2 before, with no prompt drawn."""
+        monkeypatch.setattr(cli.engine, "eval_specs", _must_not_run)
+        monkeypatch.setattr(cli.engine, "train", _must_not_run)
+        out = tmp_path / "ablate"
+        rc = cli.main(["ablate", "--config", str(tmp_path / "missing.json"), "--out", str(out),
+                       f"--{flag}", str(bound + past)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        want = f"--{flag} must lie in [1, {bound}]" if past else "config file not found"
+        assert want in err
+        assert not out.exists()
+
     def test_ablate_world_of_two_scenes(self, tmp_path, monkeypatch, capsys):
         """Evaluation prompts need three distinct scenes: a world of two exits 2
         before any variant trains or --out is made."""

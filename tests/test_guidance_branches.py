@@ -137,3 +137,31 @@ def test_collect_needs_unit_guidance():
     collector = M.AttentionCollector()
     M.denoiser_forward(z, 0.5, captions, layout, cfg, params, collect=collector)
     assert len(collector.self_probs) == cfg.blocks * cfg.heads
+
+
+@pytest.mark.parametrize("other", [
+    [E.ShotPrompt(1, 0), E.ShotPrompt(2, 1)], [E.ShotPrompt(1, 0), E.ShotPrompt(3, 1)]
+], ids=["more-rows", "same-rows"])
+def test_a_conditioning_of_another_forward_is_refused(other):
+    """A conditioning built for the other branch count, or for another
+    layout, even one of as many rows, raises ConfigError instead of giving a
+    field of the wrong shape or tables; the one built for the forward gives
+    the forward's own bits."""
+    params, cfg = MODELS["full"]
+    spec = [E.ShotPrompt(2, 0), E.ShotPrompt(2, 1)]
+    layout, captions = E.build_layout(spec, WORLD), E.build_captions(spec)
+    z = np.zeros((layout.total_tokens, WORLD.d_token), dtype=np.float32)
+    for guidance, other_guidance in ((1.0, 5.0), (5.0, 1.0)):
+        cond = M.conditioning(captions, layout, cfg, params, guidance)
+        want = M.denoiser_forward(z, 0.5, captions, layout, cfg, params, guidance=guidance)
+        got = M.denoiser_forward(z, 0.5, captions, layout, cfg, params, guidance=guidance,
+                                 cond=cond)
+        assert np.array_equal(got.data, want.data)
+        with pytest.raises(ConfigError):
+            M.denoiser_forward(z, 0.5, captions, layout, cfg, params, guidance=other_guidance,
+                               cond=cond)
+        wrong = M.conditioning(E.build_captions(other), E.build_layout(other, WORLD), cfg,
+                               params, guidance)
+        with pytest.raises(ConfigError):
+            M.denoiser_forward(z, 0.5, captions, layout, cfg, params, guidance=guidance,
+                               cond=wrong)

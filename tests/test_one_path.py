@@ -2,7 +2,8 @@
 generator only inside `tensor.seeded_rng`, `cli` makes directories only
 inside `_run_dir`, which removes them again when its command fails, the
 GELU formula is written only in `tensor._gelu_rows`, which `gelu` and `ffn`
-share, and a rotary basis's angles become phase tables only in `rope`."""
+share, a rotary basis's angles become phase tables only in `rope`, and no
+function keeps a functools cache: what a call may reuse is passed to it."""
 
 import ast
 import glob
@@ -17,6 +18,7 @@ GELU_FORMULA = {"GELU_K", "tanh"}
 ANGLES = {"angles"}
 # rope turns angles into phase tables; analysis sums them for the bound
 READS_ANGLES = {"rope.py", "analysis.py"}
+CACHING = {"lru_cache", "cache"}
 
 
 def _mention(node):
@@ -133,3 +135,32 @@ def test_angles_become_tables_only_in_rope(path):
     with open(path) as fh:
         found = named_outside(fh.read(), ANGLES)
     assert (found != []) == (os.path.basename(path) in READS_ANGLES)
+
+
+def cached_functions(source):
+    """(line, name) of every function in source that a functools cache decorates."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for dec in node.decorator_list
+        if _mention(dec.func if isinstance(dec, ast.Call) else dec) in CACHING
+    )
+
+
+def test_the_check_sees_a_cached_function():
+    source = (
+        "import functools\nfrom functools import cache\n"
+        "@functools.lru_cache(maxsize=1)\ndef tables(n):\n    return n\n"
+        "@cache\ndef rows(n):\n    return n\n"
+        "@staticmethod\ndef plain(n):\n    return n\n"
+    )
+    assert cached_functions(source) == [(4, "tables"), (7, "rows")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(SRC, "*.py"))), ids=os.path.basename
+)
+def test_no_function_keeps_a_functools_cache(path):
+    with open(path) as fh:
+        assert cached_functions(fh.read()) == []

@@ -23,6 +23,7 @@ from .attention import (
     multishot_self_attention,
     pair_tables,
     project,
+    segment_blocks,
 )
 from .tensor import ConfigError, NumericError, ShapeError, Tensor, config_from_dict
 
@@ -171,7 +172,10 @@ def caption_context(bundles, cfg, params):
 
     bundles holds one bundle per packed layout, and rows are grouped by shot
     as [shot 0 | bundle 1's later shots | ...], shot 0 from the first
-    bundle; the context records where each segment ends.
+    bundle; the context records where each segment ends.  Every shot, kept
+    or dropped, gives at least one row, so the shot-0 rows come first, every
+    later row carries a nonzero shot, and every shot below the largest
+    bundle's shot count appears.
     """
     groups = [(bundles[0], range(1))] + [(c, range(1, c.shot_count)) for c in bundles]
     rows, shot_idx, ends = [], [], []
@@ -201,7 +205,8 @@ def conditioning(captions, layout, cfg, params, guidance=1.0):
     its rows and weights: an attention.Conditioning.
 
     captions holds one bundle per packed layout, or is the one bundle.  The
-    branches are the captions and, at guidance != 1, their null_captions.
+    branches are the captions and, at guidance != 1, their null_captions;
+    their rows stack [c | u], and the tables and blocks cover the stack.
     Each block's caption keys and values are projected here, from the
     weights as they are now: a sampling call builds the conditioning once
     for all its steps, and a training forward builds its own, so none
@@ -219,42 +224,30 @@ def conditioning(captions, layout, cfg, params, guidance=1.0):
             )
     branches = (captions,) if guidance == 1.0 else (captions, tuple(map(null_captions, captions)))
     contexts = tuple(caption_context(bundles, cfg, params) for bundles in branches)
-    for ctx in contexts:
-        shots_present = set(int(s) for s in ctx.shot_index)
-        if shots_present != set(range(layout.shot_count)):
-            raise ConfigError(
-                f"caption bundle covers shots {sorted(shots_present)}, "
-                f"layout has {layout.shot_count} shots"
-            )
-        nk0 = ctx.segment_ends[0]
-        if cfg.use_ref and len(ctx.segment_ends) > 1 and not (
-            np.all(ctx.shot_index[:nk0] == 0) and np.all(ctx.shot_index[nk0:] != 0)
-        ):
-            raise ConfigError("reference mode requires the shot-0 captions first")
 
     basis = rope.RotaryBasis(cfg.head_dim, cfg.rope_base)
-    dtype = params["in_proj/w"].dtype
+    dtype, n, copies = params["in_proj/w"].dtype, layout.total_tokens, len(contexts)
     t, h, w = layout.token_positions(j=cfg.j_eff)
-    token_tables = pair_tables(rope.phase_tables_3d(basis, t, h, w), dtype)
+    token_tables = pair_tables(rope.phase_tables_3d(basis, t, h, w), dtype, copies)
     query_tables, *key_tables = (
-        pair_tables(rope.phase_tables_1d(basis, shots * cfg.k_eff), dtype)
-        for shots in (layout.token_shot_index(), *(ctx.shot_index for ctx in contexts))
+        pair_tables(rope.phase_tables_1d(basis, shots * cfg.k_eff), dtype, c) for shots, c in
+        [(layout.token_shot_index(), copies)] + [(ctx.shot_index, 1) for ctx in contexts]
     )
-    caption_kv = []
+    caption_kv, self_blocks, cross_blocks, k_top = [], [], [], 0
     for b in range(cfg.blocks):
         keys, values = [], []
         for ctx, tables in zip(contexts, key_tables):
             keys.append(project(ctx.embeddings, params[f"block{b}/ca/wk"], cfg.heads, tables))
             values.append(project(ctx.embeddings, params[f"block{b}/ca/wv"], cfg.heads))
         caption_kv.append(tuple(x[0] if len(x) == 1 else T.concat_rows(x) for x in (keys, values)))
-    return Conditioning(
-        contexts, layout, token_tables, query_tables,
-        token_ends=layout.segment_ends if cfg.use_ref else (layout.total_tokens,),
-        caption_ends=tuple(
-            ctx.segment_ends if cfg.use_ref else (len(ctx.shot_index),) for ctx in contexts
-        ),
-        caption_kv=tuple(caption_kv),
-    )
+    token_ends = layout.segment_ends if cfg.use_ref else (n,)
+    for i, ctx in enumerate(contexts):
+        caption_ends = ctx.segment_ends if cfg.use_ref else (len(ctx.shot_index),)
+        self_blocks += segment_blocks(token_ends, token_ends, i * n, i * n)
+        cross_blocks += segment_blocks(token_ends, caption_ends, i * n, k_top)
+        k_top += caption_ends[-1]
+    return Conditioning(captions, contexts, layout, token_tables, query_tables,
+                        tuple(self_blocks), tuple(cross_blocks), tuple(caption_kv))
 
 
 def denoiser_forward(
@@ -273,8 +266,9 @@ def denoiser_forward(
     run once on the stack, with the bits of each branch's own forward
     (README, Determinism).  cond, what every attention call reads, is
     conditioning(captions, layout, cfg, params, guidance), built when None;
-    a sampling call passes the one it built for all its steps, and one of
-    another layout or branch count is refused.  collect needs guidance 1.
+    a sampling call passes the one it built for all its steps, and one built
+    for other captions, another layout or another branch count is refused.
+    collect needs guidance 1.
     """
     z = z_tau if isinstance(z_tau, Tensor) else Tensor(np.asarray(z_tau, dtype=np.float32))
     n = layout.total_tokens
@@ -284,12 +278,13 @@ def denoiser_forward(
         raise ConfigError(f"tau must lie in [0, 1], got {tau}")
     if collect is not None and guidance != 1.0:
         raise ConfigError("collect needs guidance 1")
+    captions = captions if isinstance(captions, tuple) else (captions,)
     if cond is None:
         cond = conditioning(captions, layout, cfg, params, guidance)
     branches = len(cond.contexts)
-    if branches != (1 if guidance == 1.0 else 2) or cond.layout != layout:
-        raise ConfigError(f"a conditioning of {branches} branches for layout {cond.layout} "
-                          f"does not fit a forward at guidance {guidance} on {layout}")
+    if (branches, cond.layout, cond.captions) != (1 if guidance == 1.0 else 2, layout, captions):
+        raise ConfigError(f"a conditioning of {branches} branches for layout {cond.layout} does "
+                          f"not fit a forward at guidance {guidance} on {layout} or these captions")
 
     temb = T.matmul(Tensor(timestep_features(tau, cfg.d_model)), params["time_proj/w"])
     temb = T.add(temb, params["time_proj/b"])

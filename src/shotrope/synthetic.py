@@ -36,7 +36,8 @@ class ShotPrompt:
 class CaptionBundle:
     """The captions of one sample: shot s is shots[s], a ShotPrompt.  A shot in
     dropped captions as the null row; every kept shot's caption starts with
-    id_row, the one [1, d_model] identity row, when there is one."""
+    id_row, the one [1, d_model] identity row, when there is one.  Bundles
+    compare id_row by identity, as Tensor defines no equality."""
 
     shots: tuple
     dropped: frozenset = frozenset()

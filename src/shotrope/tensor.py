@@ -2,11 +2,10 @@
 
 Each op is one function that takes Tensors (plus plain numbers and constant
 arrays where its signature says so) and returns a fresh Tensor; Tensor has
-no operator spellings.  Shapes are explicit everywhere.  Three implicit
-broadcasts are allowed: adding a 1-D bias row, or a [1, d] row, to every
-row of a 2-D tensor, and rotating a head-batched [heads, b*n, dh] tensor
-by one constant [n, dh] rotary table shared by every head and every n-row
-block (`rope_pairs`).
+no operator spellings.  Shapes are explicit everywhere.  Two implicit
+broadcasts are allowed, adding a 1-D bias row, or a [1, d] row, to every
+row of a 2-D tensor; besides them, `rope_pairs` rotates a head-batched
+[heads, n, dh] tensor by one constant [n, dh] rotary table every head shares.
 Attention runs all heads at once: `split_heads` turns [n, d] into
 [heads, n, d/heads], the row ops act on the last two axes,
 `attention_core` runs softmax(c q k^T) v, whole or over blocks of query
@@ -325,7 +324,8 @@ def attention_core(q, k, v, c, blocks=None, probs_out=None):
     for bit, to the chain q @ transpose(k), scale, softmax_rows, @ v with numpy.
 
     blocks, when given, is a sequence of (q_rows, k_rows) whose q_rows, slices,
-    tile the query rows: those rows attend over the key rows k_rows, a slice
+    tile the query rows in order, each starting where the one before ended (a
+    ShapeError otherwise): those rows attend over the key rows k_rows, a slice
     (a view, no copy) or an index array, and q, k and v get the gradients of
     the chain run on each block's rows, summed over the blocks last to first.
     A list given as probs_out gets each block's (q_rows, k_rows, probabilities);
@@ -337,6 +337,14 @@ def attention_core(q, k, v, c, blocks=None, probs_out=None):
     if q.data.ndim < 2 or not (q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
                                and q.shape[-1] == k.shape[-1] and k.shape[-2] == v.shape[-2]):
         raise ShapeError(f"attention_core: incompatible shapes {q.shape} {k.shape} {v.shape}")
+    top = 0
+    for q_rows, _ in blocks or ():
+        if not (isinstance(q_rows, slice) and q_rows.step is None
+                and top == q_rows.start <= q_rows.stop):
+            raise ShapeError(f"attention_core: query rows {q_rows} do not start at row {top}")
+        top = q_rows.stop
+    if blocks is not None and top != q.shape[-2]:
+        raise ShapeError(f"attention_core: the blocks' query rows end at {top}, not {q.shape[-2]}")
     qd, kd, vd = q.data, k.data, v.data
     c = np.result_type(qd, kd).type(float(c))
     out_data = np.empty(qd.shape[:-1] + vd.shape[-1:], np.result_type(qd, kd, vd))
@@ -588,28 +596,20 @@ def gather_rows(table, indices):
 def rope_pairs(x, cos, sin):
     """Rotate consecutive feature pairs of each row by fixed angles.
 
-    cos/sin are constant [n, dh] arrays with per-pair duplicated entries.
-    x is [..., b*n, dh] for a whole number b >= 1 of n-row blocks: every
-    block is rotated by the same table, which any leading (head) axes
-    share; the forward is `rotate_pairs`.
+    cos/sin are constant [n, dh] arrays with per-pair duplicated entries,
+    one row for each of the n rows of x, [..., n, dh]; any leading (head)
+    axes share the table.  The forward is `rotate_pairs`.
     """
     cos = np.asarray(cos, dtype=x.data.dtype)
     sin = np.asarray(sin, dtype=x.data.dtype)
-    if x.data.ndim < 2 or cos.ndim != 2 or sin.shape != cos.shape or cos.shape[1] != x.shape[-1]:
-        raise ShapeError("rope_pairs: angle table shape mismatch")
-    n, rows = cos.shape[0], x.shape[-2]
-    blocks, rest = divmod(rows, n) if n else (1, rows)
-    if rest or not blocks:
-        raise ShapeError(f"rope_pairs: {rows} rows are not whole blocks of the table's {n}")
+    if x.data.ndim < 2 or sin.shape != cos.shape or cos.shape != x.shape[-2:]:
+        raise ShapeError(f"rope_pairs: a {cos.shape} table does not fit rows {x.shape}")
     if x.shape[-1] % 2 != 0:
         raise ShapeError("rope_pairs: last dim must be even")
-    shape = x.shape
-    by_block = shape[:-2] + (blocks, n, shape[-1])
-    out_data = rotate_pairs(x.data.reshape(by_block), cos, sin).reshape(shape)
+    out_data = rotate_pairs(x.data, cos, sin)
 
     def bw(g):
-        g = g.reshape(by_block)
-        return ((g * cos - _pair_swap(g * sin)).reshape(shape),)
+        return (g * cos - _pair_swap(g * sin),)
 
     return _make(out_data, (x,), bw)
 

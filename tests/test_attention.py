@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shotrope import engine as E
 from shotrope import model as M
@@ -19,6 +20,7 @@ from shotrope.attention import (
     project,
     scaled_dot_attention,
     segment_attention,
+    segment_blocks,
 )
 from shotrope.shots import PackedLayout, ShotLayout, ShotRopeParams
 from shotrope.tensor import ConfigError, ShapeError, Tensor
@@ -47,19 +49,23 @@ def _cond(tokens, layout, params, basis, heads=2, use_ref=False, ctx=None, weigh
     def tables(shots):
         return pair_tables(rope.phase_tables_1d(basis, shots * params.k), tokens.dtype)
 
-    contexts, kv = (), None
+    token_ends = layout.segment_ends if use_ref else (layout.total_tokens,)
+    contexts, kv, cross_blocks = (), None, ()
     if ctx is not None:
         contexts = (ctx,)
         kv = (project(ctx.embeddings, weights.wk, heads, tables(ctx.shot_index)),
               project(ctx.embeddings, weights.wv, heads))
+        caption_ends = ctx.segment_ends if use_ref else (len(ctx.shot_index),)
+        cross_blocks = tuple(segment_blocks(token_ends, caption_ends))
     positions = layout.token_positions(j=params.j)
     return Conditioning(
+        (),
         contexts,
         layout,
         pair_tables(rope.phase_tables_3d(basis, *positions), tokens.dtype),
         tables(layout.token_shot_index()),
-        layout.segment_ends if use_ref else (layout.total_tokens,),
-        tuple(c.segment_ends if use_ref else (len(c.shot_index),) for c in contexts),
+        tuple(segment_blocks(token_ends, token_ends)),
+        cross_blocks,
         (kv,),
     )
 
@@ -72,14 +78,6 @@ def _self(tokens, layout, params, basis, w, heads=2, use_ref=False, probs_out=No
 def _cross(tokens, ctx, layout, params, basis, w, heads=2, use_ref=False):
     cond = _cond(tokens, layout, params, basis, heads, use_ref, ctx, w)
     return multishot_cross_attention(tokens, cond, 0, w, heads=heads)
-
-
-def _conditioning_of(monkeypatch, ctx, layout, variant):
-    """model.conditioning of a bundle for layout whose caption context is ctx."""
-    monkeypatch.setattr(M, "caption_context", lambda *args: ctx)
-    cfg = M.DenoiserConfig(**{**_TABLE_MODEL.to_dict(), "variant": variant})
-    captions = S.CaptionBundle(tuple(S.ShotPrompt(n, 0) for n in layout.frame_counts))
-    return M.conditioning(captions, layout, cfg, M.init_params(cfg, seed=0))
 
 
 class TestScaledDotAttention:
@@ -246,15 +244,6 @@ class TestCrossAttention:
         out = _cross(tokens, ctx, layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2)
         assert out.shape == (layout.total_tokens, 24)
 
-    def test_missing_shot_in_context_rejected(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        layout = ShotLayout((2, 2), 2, 2)
-        bad_ctx = ContextTokens(
-            Tensor(rng.standard_normal((2, 24)).astype(np.float32)), np.array([0, 0]), (2, 2)
-        )
-        with pytest.raises(ConfigError):
-            _conditioning_of(monkeypatch, bad_ctx, layout, "full")
-
     def test_zero_suppression_rate_ignores_shot_indices(self):
         # with k=0 no rotation happens, so permuting which context row is
         # tagged with which shot cannot change the output
@@ -294,14 +283,6 @@ class TestCrossAttention:
         )
         out = _cross(tokens, permuted, layout, params, basis, w, heads=2).data
         assert np.max(np.abs(out - base)) <= 1e-5
-
-    def test_ref_mode_requires_sorted_context(self, monkeypatch):
-        rng = np.random.default_rng(14)
-        layout = ShotLayout((2, 2), 2, 2)
-        _, ctx, _ = self._setup(rng, layout, rows_per_shot=1)
-        unsorted = ContextTokens(ctx.embeddings, np.array([1, 0]), ctx.segment_ends)
-        with pytest.raises(ConfigError):
-            _conditioning_of(monkeypatch, unsorted, layout, "full+refattn")
 
     def test_ref_mode_isolates_shot0_from_later_captions(self):
         rng = np.random.default_rng(15)
@@ -596,19 +577,6 @@ def test_packed_tables_are_each_layouts_tables():
         assert not g.flags.writeable
 
 
-def _spy_rope_tables(monkeypatch):
-    """Record (rows rotated, cos, sin) of every rope_pairs call."""
-    calls = []
-    rope_pairs = T.rope_pairs
-
-    def spy(x, cos, sin):
-        calls.append((x.shape[-2], cos, sin))
-        return rope_pairs(x, cos, sin)
-
-    monkeypatch.setattr(T, "rope_pairs", spy)
-    return calls
-
-
 _TABLE_WORLD = S.SyntheticWorld(seed=2, d_token=32, d_id=8, v_scene=4, v_mot=2, height=2, width=2)
 _TABLE_MODEL = M.DenoiserConfig(d_model=24, blocks=2, heads=2, ffn_mult=2, d_token=32, d_id=8)
 
@@ -637,31 +605,23 @@ def test_no_table_a_forward_read_outlives_its_call(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", ["full", "full+refattn"])
-def test_guided_and_unguided_forwards_read_the_same_tables(monkeypatch, variant):
-    """A guided forward rotates both stacked branches by the one read-only
-    [n, d_head] table each it reads for n rows, which holds the values its
-    unguided forward reads."""
+def test_guided_and_unguided_forwards_read_the_same_tables(variant):
+    """A guided conditioning's read-only tables have one row for each of the
+    2n stacked rows, and each branch's half holds the unguided table."""
     cfg = M.DenoiserConfig(**{**_TABLE_MODEL.to_dict(), "variant": variant})
     params = M.init_params(cfg, seed=0)
     sample = S.make_batch(_TABLE_WORLD, 1, shot_count_range=(3, 3), shot_len_range=(1, 2),
                           seed=8)[0]
     n = sample.layout.total_tokens
-    calls = _spy_rope_tables(monkeypatch)
-    read = []
-    for guidance in (1.0, 5.0):
-        M.denoiser_forward(sample.tokens, 0.5, sample.captions, sample.layout, cfg, params,
-                           guidance=guidance)
-        read.append(calls[:])
-        del calls[:]
-    unguided, guided = ({id(tab): tab for _, cos, sin in c for tab in (cos, sin)} for c in read)
-    assert not any(tab.flags.writeable for tab in guided.values())
-    token_tables = {key for key, tab in guided.items() if tab.shape[0] == n}
-    assert len(token_tables) == 4
-    # from block 0's cross-attention on, the 2n stacked rows rotate by those n-row tables
-    stacked = {id(tab) for rows, cos, sin in read[1] if rows == 2 * n for tab in (cos, sin)}
-    assert stacked == token_tables
-    values = ({tab.tobytes() for tab in c.values() if tab.shape[0] == n} for c in (unguided, guided))
-    assert next(values) == next(values)
+    unguided, guided = (
+        M.conditioning(sample.captions, sample.layout, cfg, params, guidance)
+        for guidance in (1.0, 5.0)
+    )
+    for one, both in zip(unguided.token_tables + unguided.query_tables,
+                         guided.token_tables + guided.query_tables):
+        assert one.shape[0] == n and both.shape[0] == 2 * n
+        assert not one.flags.writeable and not both.flags.writeable
+        assert np.array_equal(both[:n], one) and np.array_equal(both[n:], one)
 
 
 def test_one_segment_is_plain_attention():
@@ -771,6 +731,16 @@ def _per_segment_chain(Q, K, V, q_ends, k_ends):
     return outs[0] if len(outs) == 1 else T.concat_rows(outs), probs
 
 
+def _stacked_blocks(q_ends, k_ends):
+    """The segment_blocks of branches stacked row after row: q_ends/k_ends
+    hold each branch's segment ends, counted from the branch's first row."""
+    blocks, q_top, k_top = [], 0, 0
+    for qe, ke in zip(q_ends, k_ends):
+        blocks += segment_blocks(qe, ke, q_top, k_top)
+        q_top, k_top = q_top + qe[-1], k_top + ke[-1]
+    return blocks
+
+
 # (per-branch query ends, per-branch key ends)
 KERNEL_CASES = {
     "plain": (((9,),), ((5,),)),
@@ -789,8 +759,8 @@ def _kernel_inputs(q_ends, k_ends, dtype):
 @pytest.mark.parametrize("case", KERNEL_CASES)
 def test_one_kernel_call_equals_the_per_segment_chain(case):
     """Output, per-head probabilities and the float32 gradients of Q, K and V
-    are the per-segment chain's bits, from one scaled_dot_attention call and
-    one tape node; the shared shot-0 keys sum their gradients in the
+    are the per-segment chain's bits, from one scaled_dot_attention call over
+    the stacked segment_blocks and one tape node; the shared shot-0 keys sum their gradients in the
     chain's order, last segment first."""
     q_ends, k_ends = KERNEL_CASES[case]
     results = []
@@ -803,9 +773,9 @@ def test_one_kernel_call_equals_the_per_segment_chain(case):
                 out, full = _per_segment_chain(Q, K, V, q_ends, k_ends)
                 probs = list(full)
             else:
-                ends = (q_ends, k_ends) if len(q_ends) > 1 else (q_ends[0], k_ends[0])
+                blocks = _stacked_blocks(q_ends, k_ends)
                 out, probs = _collected(
-                    lambda sink: segment_attention(Q, K, V, *ends, probs_out=sink), K.shape[-2]
+                    lambda sink: scaled_dot_attention(Q, K, V, sink, blocks), K.shape[-2]
                 )
                 nodes = len(tape._nodes)
             tape.backward(T.tsum(T.mul(out, probe)))
@@ -829,3 +799,40 @@ def test_reference_segments_gradients_match_finite_differences(which):
         return T.tsum(T.mul(segment_attention(*args, q_ends[0], k_ends[0]), probe))
 
     assert T.grad_check(f, inputs[which], h=1e-5) <= 1e-5
+
+
+@st.composite
+def _branch_ends(draw):
+    """Segment ends of one branch's query and key rows: shot 0 of at least
+    one row each, then 0-3 later segments, any of them empty."""
+    later = draw(st.integers(0, 3))
+    q_sizes = [draw(st.integers(1, 4))] + [draw(st.integers(0, 4)) for _ in range(later)]
+    k_sizes = [draw(st.integers(1, 4))] + [draw(st.integers(0, 4)) for _ in range(later)]
+    return tuple(np.cumsum(q_sizes).tolist()), tuple(np.cumsum(k_sizes).tolist())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(branches=st.lists(_branch_ends(), min_size=1, max_size=3), seed=st.integers(0, 2**16))
+def test_segment_blocks_equal_a_masked_dense_softmax(branches, seed):
+    """float64 attention_core over the stacked segment_blocks of 1-3 branches,
+    each with its own key count, equals a dense softmax whose entries are -inf
+    where a row may not look: a segment's rows see their branch's shot-0 keys
+    and their own segment's keys, and no other branch's."""
+    q_ends, k_ends = zip(*branches)
+    nq, nk = sum(e[-1] for e in q_ends), sum(e[-1] for e in k_ends)
+    rng = np.random.default_rng(seed)
+    Q, K, V = (rng.standard_normal((2, n, 4)) for n in (nq, nk, nk))
+    seen = np.zeros((nq, nk), dtype=bool)
+    q_top = k_top = 0
+    for qe, ke in zip(q_ends, k_ends):
+        for q_lo, q_hi, k_lo, k_hi in zip((0,) + qe, qe, (0,) + ke, ke):
+            rows = slice(q_top + q_lo, q_top + q_hi)
+            seen[rows, k_top:k_top + ke[0]] = True
+            seen[rows, k_top + k_lo:k_top + k_hi] = True
+        q_top, k_top = q_top + qe[-1], k_top + ke[-1]
+    logits = np.where(seen, 0.5 * Q @ np.swapaxes(K, -1, -2), -np.inf)
+    weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    want = weights / weights.sum(axis=-1, keepdims=True) @ V
+    got = T.attention_core(*(Tensor(X, dtype=np.float64) for X in (Q, K, V)), 0.5,
+                           _stacked_blocks(q_ends, k_ends))
+    assert np.allclose(got.data, want, rtol=0, atol=1e-12)

@@ -165,3 +165,28 @@ def test_a_conditioning_of_another_forward_is_refused(other):
         with pytest.raises(ConfigError):
             M.denoiser_forward(z, 0.5, captions, layout, cfg, params, guidance=guidance,
                                cond=wrong)
+
+
+def test_a_conditioning_of_other_captions_is_refused():
+    """A conditioning built for other captions of the same layout, or for
+    the same captions with another identity row Tensor, raises ConfigError
+    instead of giving a field conditioned on the captions it was built for;
+    the one bundle and the tuple of it are the same captions."""
+    params, cfg = MODELS["full"]
+    spec = [E.ShotPrompt(2, 0), E.ShotPrompt(2, 1)]
+    layout, captions = E.build_layout(spec, WORLD), E.build_captions(spec)
+    z = np.zeros((layout.total_tokens, WORLD.d_token), dtype=np.float32)
+    row = T.Tensor(np.ones((1, cfg.d_model), dtype=np.float32))
+    with_id, copied_id = (E.condition_identity(captions, r) for r in (row, T.Tensor(row.data)))
+    assert with_id == E.condition_identity(captions, row) and with_id != copied_id
+    others = (E.build_captions([E.ShotPrompt(2, 2), E.ShotPrompt(2, 3)]), with_id)
+    for guidance in (1.0, 5.0):
+        for built, run in ((others[0], captions), (with_id, copied_id), (captions, with_id)):
+            cond = M.conditioning(built, layout, cfg, params, guidance)
+            with pytest.raises(ConfigError):
+                M.denoiser_forward(z, 0.5, run, layout, cfg, params, guidance=guidance, cond=cond)
+        cond = M.conditioning(captions, layout, cfg, params, guidance)
+        want = M.denoiser_forward(z, 0.5, captions, layout, cfg, params, guidance=guidance)
+        got = M.denoiser_forward(z, 0.5, (captions,), layout, cfg, params, guidance=guidance,
+                                 cond=cond)
+        assert np.array_equal(got.data, want.data)

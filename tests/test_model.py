@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shotrope import engine as E
 from shotrope import model as M
@@ -281,6 +282,37 @@ class TestForward:
         base, tripled = outs
         assert np.abs(base).max() > 0.1
         np.testing.assert_allclose(tripled, base, rtol=1e-2, atol=1e-2 * np.abs(base).max())
+
+
+@st.composite
+def _bundles_sharing_shot_0(draw):
+    """1-3 caption bundles of 1-4 shots that share shot 0, each with any set
+    of dropped shots and with or without an identity row."""
+    first = S.ShotPrompt(draw(st.integers(1, 2)), draw(st.integers(0, 3)))
+    bundles = []
+    for _ in range(draw(st.integers(1, 3))):
+        later = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1)), max_size=3))
+        shots = (first,) + tuple(S.ShotPrompt(1, scene, motion) for scene, motion in later)
+        dropped = draw(st.sets(st.integers(0, len(shots) - 1)))
+        id_row = Tensor(np.ones((1, SMALL["d_model"]), dtype=np.float32))
+        id_row = draw(st.sampled_from([id_row, None]))
+        bundles.append(S.CaptionBundle(shots, frozenset(dropped), id_row))
+    return tuple(bundles)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(bundles=_bundles_sharing_shot_0())
+def test_caption_context_puts_shot_0_first_and_covers_every_shot(bundles):
+    """The invariant the attention blocks rely on: the shot-0 rows come
+    first, every later row carries a nonzero shot, and every shot of the
+    packing appears, whatever is dropped and whichever bundles carry an
+    identity row."""
+    cfg = M.DenoiserConfig(**SMALL)
+    ctx = M.caption_context(bundles, cfg, M.init_params(cfg, seed=0))
+    shots, nk0 = ctx.shot_index, ctx.segment_ends[0]
+    assert len(ctx.segment_ends) == 1 + len(bundles)
+    assert nk0 >= 1 and not shots[:nk0].any() and shots[nk0:].all()
+    assert set(shots.tolist()) == set(range(max(b.shot_count for b in bundles)))
 
 
 class TestCaptionContext:

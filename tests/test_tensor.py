@@ -290,40 +290,21 @@ def test_rope_pairs_broadcasts_table_over_heads():
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 3])
-def test_rope_pairs_rotates_every_block_by_one_table(blocks):
-    """[heads, b*n, dh] rows on an [n, dh] table rotate as on the table tiled
-    b times, bit for bit, forward and backward."""
+def test_rope_pairs_needs_one_table_row_per_row(blocks):
+    """[heads, b*n, dh] rows rotate by a [b*n, dh] table, as rotate_pairs
+    does; a table of any other row count, the n-row table of one block too,
+    is refused, as are rows without a row axis."""
     rng = np.random.default_rng(17)
-    n = 5
-    cos = np.repeat(np.cos(rng.uniform(0, 3, (n, 3))), 2, axis=1).astype(np.float32)
-    sin = np.repeat(np.sin(rng.uniform(0, 3, (n, 3))), 2, axis=1).astype(np.float32)
-    tiled = [np.tile(tab, (blocks, 1)) for tab in (cos, sin)]
-    x = rng.standard_normal((2, blocks * n, 6)).astype(np.float32)
-    probe = Tensor(rng.standard_normal(x.shape).astype(np.float32))
-    results = []
-    for tables in ((cos, sin), tiled):
-        xt = Tensor(x.copy(), requires_grad=True)
-        with GradTape() as tape:
-            out = T.rope_pairs(xt, *tables)
-            tape.backward(T.tsum(T.mul(out, probe)))
-        results.append((out.data, xt.grad))
-    (got, got_grad), (want, want_grad) = results
-    assert np.array_equal(got, want)
-    assert np.array_equal(got, T.rotate_pairs(x, *tiled))
-    assert np.array_equal(got_grad, want_grad)
-    # no rows, a part block on either end, or no row axis
-    for bad in (x[:, :0], x[:, 1:], np.concatenate([x, x[:, :1]], axis=1), x[0, 0]):
+    rows = blocks * 5
+    cos = np.repeat(np.cos(rng.uniform(0, 3, (rows, 3))), 2, axis=1).astype(np.float32)
+    sin = np.repeat(np.sin(rng.uniform(0, 3, (rows, 3))), 2, axis=1).astype(np.float32)
+    x = rng.standard_normal((2, rows, 6)).astype(np.float32)
+    assert np.array_equal(T.rope_pairs(Tensor(x), cos, sin).data, T.rotate_pairs(x, cos, sin))
+    for other in sorted({0, 5, rows - 1, rows + 1} - {rows}):
         with pytest.raises(ShapeError):
-            T.rope_pairs(Tensor(bad), cos, sin)
-
-
-def test_backward_rope_pairs_blocks():
-    rng = np.random.default_rng(18)
-    cosf = np.repeat(np.cos(rng.uniform(0, 3, (3, 2))), 2, axis=1)
-    sinf = np.repeat(np.sin(rng.uniform(0, 3, (3, 2))), 2, axis=1)
-    x = _f64(rng, (2, 6, 4))
-    err = grad_check(lambda t: T.tsum(T.mul(T.rope_pairs(t, cosf, sinf), t)), x, h=1e-5)
-    assert err <= 1e-5
+            T.rope_pairs(Tensor(x), *(np.resize(tab, (other, 6)) for tab in (cos, sin)))
+    with pytest.raises(ShapeError):
+        T.rope_pairs(Tensor(x[0, 0]), cos, sin)
 
 
 def test_backward_rope_pairs_3d():
@@ -474,6 +455,22 @@ def test_attention_core_input_without_grad_gets_none(which):
     (_, _, backward_fn), = tape._nodes
     grads = backward_fn(np.ones((2, 5, 4), dtype=np.float32))
     assert [g is None for g in grads] == [i == which for i in range(3)]
+
+
+def test_attention_core_refuses_blocks_that_do_not_tile_the_query_rows():
+    """Blocks whose query slices leave rows out, overlap, skip rows, run out
+    of order or are index arrays raise ShapeError: a row no block covers
+    would read uninitialized memory."""
+    rng = np.random.default_rng(33)
+    q, k, v = (Tensor(rng.standard_normal((2, 6, 4)).astype(np.float32)) for _ in range(3))
+    keys = slice(0, 6)
+    for q_slices in ([slice(0, 2)], [], [slice(0, 4), slice(2, 6)], [slice(0, 6, 2)],
+                     [slice(2, 6), slice(0, 2)], [np.arange(6)], [slice(0, 2), slice(3, 6)]):
+        with pytest.raises(ShapeError):
+            T.attention_core(q, k, v, 0.4, [(rows, keys) for rows in q_slices])
+    whole = T.attention_core(q, k, v, 0.4).data
+    tiled = T.attention_core(q, k, v, 0.4, [(slice(0, 2), keys), (slice(2, 6), keys)]).data
+    assert np.allclose(tiled, whole, rtol=0, atol=1e-6)
 
 
 def test_attention_core_rejects_nonfinite_logits_and_bad_shapes():

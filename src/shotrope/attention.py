@@ -139,9 +139,9 @@ def project(x, w, heads, tables=None):
 
 
 def multishot_self_attention(tokens, cond, weights, heads=4, probs_out=None):
-    """Full unmasked attention across all shots with TcRoPE-indexed Q/K,
-    over cond's self blocks.  tokens are the first rows of cond's stack,
-    one branch's or every branch's."""
+    """TcRoPE-indexed self-attention over cond's self blocks: all shots, or
+    under full+refattn shot 0 alone and later shots with shot 0.  tokens
+    are the first rows of cond's stack, one branch's or every branch's."""
     rows = tokens.shape[0]
     tables = [tab[:rows] for tab in cond.token_tables]
     q, k = (project(tokens, w, heads, tables) for w in (weights.wq, weights.wk))

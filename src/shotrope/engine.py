@@ -125,7 +125,6 @@ def train(model_cfg, train_cfg, world, params=None, log_hook=None):
         params = M.init_params(model_cfg, train_cfg.seed)
     opt = AdamW(params, train_cfg)
     log = []
-    window = []
     for step in range(train_cfg.steps):
         rng = T.seeded_rng(train_cfg.seed, step)
         batch_seed = int(rng.integers(2**62))
@@ -170,10 +169,7 @@ def train(model_cfg, train_cfg, world, params=None, log_hook=None):
                 p.grad = None
             raise
         opt.step(params)
-        window.append(loss_val)
-        if len(window) > 50:
-            window.pop(0)
-        smoothed = float(np.mean(window))
+        smoothed = float(np.mean([row[1] for row in log[-49:]] + [loss_val]))  # last 50 losses
         log.append((step, loss_val, smoothed))
         if log_hook is not None:
             log_hook(step, loss_val, smoothed)
@@ -202,9 +198,10 @@ def condition_identity(captions, id_row):
 def _sample_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embedding):
     """Euler integration of the guided velocity field from z at tau = 1, the
     specs run as one field packed from their layouts, one forward a step;
-    one field per spec.  The conditioning every step reads is built once."""
-    if not np.isfinite(guidance):
-        raise ConfigError(f"guidance must be finite, got {guidance}")
+    one field per spec.  The conditioning every step reads is built once.
+    A step that leaves a non-finite field raises NumericError."""
+    if not abs(guidance) <= float(np.finfo(np.float32).max):  # also refuses NaN
+        raise ConfigError(f"guidance must be finite in float32, got {guidance}")
     packed = PackedLayout(tuple(build_layout(spec, world) for spec in specs))
     captions = tuple(build_captions(spec) for spec in specs)
     if id_embedding is not None:
@@ -218,6 +215,8 @@ def _sample_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embe
         ).data
         dtau = float(taus[i + 1] - taus[i])
         z = (z + np.float32(dtau) * v.astype(np.float32)).astype(np.float32)
+        if not np.isfinite(z).all():
+            raise NumericError(f"sampling step {i} of {steps} left a non-finite field")
     return packed.unpack(z)
 
 

@@ -4,7 +4,7 @@ A `RotaryBasis` holds RoFormer's per-pair angles; the 1D phase tables
 turn pair i at position m by m*theta_i, and the 3D tables read the
 (t, h, w) map off the same angles.  `rope_1d` and `rope_3d` rotate with
 `tensor.rotate_pairs`, the kernel the model runs.  A basis compares and
-hashes by its defining fields (dim, base), so it can key caches.
+hashes by its defining fields (dim, base); its angles follow from them.
 Positions may be non-integer (fractional phase shifts are used by the
 parameter sweeps).  Dtype of the input vector is preserved, so callers
 can evaluate in float64 when they need tighter tolerances.

@@ -114,10 +114,6 @@ class PackedLayout:
         ):
             raise ShapeError("packed layouts must share shot 0 and the spatial grid")
 
-    @property
-    def shot_count(self):
-        return max(lay.shot_count for lay in self.layouts)
-
     @functools.cached_property
     def segment_ends(self):
         """Row ends of shot 0 and of each layout's later shots."""

@@ -496,16 +496,6 @@ def ffn(x, w1, b1, w2, b2):
     return _make(out_data, (x, w1, b1, w2, b2), bw)
 
 
-def tsum(x):
-    out_data = np.asarray(x.data.sum(), dtype=x.data.dtype)
-    shape, dtype = x.shape, x.dtype
-
-    def bw(g):
-        return (np.full(shape, g, dtype=dtype),)
-
-    return _make(out_data, (x,), bw)
-
-
 def tmean(x):
     out_data = np.asarray(x.data.mean(), dtype=x.data.dtype)
     shape, dtype, size = x.shape, x.dtype, x.data.size

@@ -409,6 +409,16 @@ class TestSampleCommand:
         assert "checkpoint not found" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_guidance_beyond_float32_is_usage_error(self, tmp_path, ckpt, capsys):
+        """A guidance that is finite as a float but not in float32 samples no
+        inf field: exit 2, and no --out left behind."""
+        out = tmp_path / "samples"
+        rc = cli.main(["sample", "--ckpt", ckpt, "--shots", "n=2,scene=1;n=2,scene=2",
+                       "--guidance", "1e39", "--steps", "1", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "guidance must be finite in float32" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_identity_flag_conditions_on_that_identity(self, tmp_path, full_ckpt):
         out = tmp_path / "s"
         rc = cli.main(["sample", "--ckpt", full_ckpt, "--shots", "n=2,scene=0;n=2,scene=1",

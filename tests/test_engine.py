@@ -190,6 +190,16 @@ class TestTraining:
         late = np.mean([l[1] for l in log[-10:]])
         assert late < early
 
+    def test_smoothed_loss_is_the_mean_of_the_last_50(self, small_world):
+        """Past step 50 the window slides: each row's smoothed loss is, bit for
+        bit, np.mean of the losses of its own step and the 49 before it."""
+        cfg = M.DenoiserConfig(variant="full", d_model=16, blocks=1, heads=2, d_token=32)
+        _, log = E.train(cfg, _small_train_cfg(steps=55), small_world)
+        losses = [loss for _, loss, _ in log]
+        assert [step for step, _, _ in log] == list(range(55))
+        for step, _, smoothed in log:
+            assert smoothed == float(np.mean(losses[max(0, step - 49):step + 1]))
+
     def test_log_hook_called_per_step(self, small_world):
         cfg = M.DenoiserConfig(**SMALL)
         seen = []
@@ -259,6 +269,15 @@ class TestSampling:
                 init_noise=np.zeros((3, small_world.d_token), dtype=np.float32),
             )
 
+    def test_a_step_that_leaves_a_non_finite_field_is_numeric_error(self, small_world):
+        """A head so large that the velocity overflows float32: the one step's
+        field is not finite, and the sampler raises rather than return it."""
+        cfg = M.DenoiserConfig(**SMALL)
+        params = M.init_params(cfg, seed=0)
+        params["head/w"].data[:] = 1e38
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="step 0 of 1"):
+            E.sample(params, cfg, small_world, self._spec(), steps=1, seed=3)
+
     def test_infinite_mode_requires_reference_variant(self, small_world):
         cfg = M.DenoiserConfig(**SMALL)
         params = M.init_params(cfg, seed=0)
@@ -279,8 +298,9 @@ class TestSampling:
 
 
 class TestNonFiniteSamplingSettings:
-    """A NaN or infinite guidance or shift is refused before any step runs,
-    rather than sampled into a NaN field or a late NumericError."""
+    """A NaN or infinite guidance or shift, or a guidance that float32 cannot
+    hold, is refused before any step runs, rather than sampled into a NaN
+    field or a late NumericError."""
 
     REF = E.ShotPrompt(frames=2, scene=0)
 
@@ -311,6 +331,13 @@ class TestNonFiniteSamplingSettings:
         with pytest.raises(ConfigError, match=setting):
             getattr(self, run)(model, small_world, **{setting: value})
         assert forwards == []
+
+    @pytest.mark.parametrize("run", ["_sample", "_continue"])
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_guidance_beyond_float32_refused(self, model, small_world, run, value):
+        """1e39 is a finite float, but the forward's float32 takes it as inf."""
+        with pytest.raises(ConfigError, match="guidance must be finite in float32"):
+            getattr(self, run)(model, small_world, guidance=value)
 
 
 class TestCaptionKeysOncePerCall:
@@ -370,7 +397,7 @@ class TestCaptionKeysOncePerCall:
             with T.GradTape() as tape:
                 out = M.denoiser_forward(Tensor(sample.tokens), 0.5, sample.captions,
                                          sample.layout, self.CFG, p)
-                tape.backward(T.tsum(T.mul(out, out)))
+                tape.backward(T.tmean(T.mul(out, out)))
             grad, p["block0/ca/wk"].grad = p["block0/ca/wk"].grad, None
             return out.data, grad
 

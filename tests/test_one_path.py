@@ -2,8 +2,10 @@
 generator only inside `tensor.seeded_rng`, `cli` makes directories only
 inside `_run_dir`, which removes them again when its command fails, the
 GELU formula is written only in `tensor._gelu_rows`, which `gelu` and `ffn`
-share, a rotary basis's angles become phase tables only in `rope`, and no
-function keeps a functools cache: what a call may reuse is passed to it."""
+share, a rotary basis's angles become phase tables only in `rope`, no
+function keeps a functools cache: what a call may reuse is passed to it, and
+every public function and class of shotrope has a caller in `src/`,
+`perfbench/` or `tools/`, but for the references listed in UNCALLED."""
 
 import ast
 import glob
@@ -19,6 +21,20 @@ ANGLES = {"angles"}
 # rope turns angles into phase tables; analysis sums them for the bound
 READS_ANGLES = {"rope.py", "analysis.py"}
 CACHING = {"lru_cache", "cache"}
+ROOT = os.path.join(SRC, os.pardir, os.pardir)
+# the scripts that call into shotrope besides shotrope itself; perfbench/tests
+# are tests, and perfbench/spans.py names what it traces as strings, which
+# call nothing
+CALLERS = ("perfbench/*.py", "tools/*.py")
+# the public names that no caller runs, each kept for its reason
+UNCALLED = {
+    "tensor.transpose": "in the unfused chain that attention_core is tested against",
+    "tensor.softmax_rows": "in the unfused chain that attention_core is tested against",
+    "tensor.gelu": "in the unfused chain that ffn is tested against",
+    "synthetic.decode_motion": "the oracle motion decode that motion adherence will score with",
+    "analysis.attention_heatmaps": "the shot-block heatmaps acceptance tests c08 and c10 read",
+}
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _mention(node):
@@ -164,3 +180,93 @@ def test_the_check_sees_a_cached_function():
 def test_no_function_keeps_a_functools_cache(path):
     with open(path) as fh:
         assert cached_functions(fh.read()) == []
+
+
+def _imported_module(node):
+    """The dotted shotrope module an import-from reads, or None."""
+    if node.level:
+        return "shotrope" + (f".{node.module}" if node.module else "")
+    if (node.module or "").split(".")[0] == "shotrope":
+        return node.module
+    return None
+
+
+def shotrope_reads(source, module=None):
+    """Every dotted shotrope name that source reads: the names it imports and
+    the names and attribute chains bound to them.  For the source of
+    `shotrope.<module>`, its own top-level names are bound too, but a name
+    read only inside its own definition is not read."""
+    tree = ast.parse(source)
+    bound, reads = {}, set()
+    if module is not None:
+        bound = {n.name: f"shotrope.{module}.{n.name}" for n in tree.body if isinstance(n, DEFS)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "shotrope":
+                    bound[alias.asname or "shotrope"] = alias.name if alias.asname else "shotrope"
+        elif isinstance(node, ast.ImportFrom) and (base := _imported_module(node)):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{base}.{alias.name}"
+                reads.add(f"{base}.{alias.name}")
+    for stmt in tree.body:
+        own = bound.get(stmt.name) if isinstance(stmt, DEFS) else None
+        for node in ast.walk(stmt):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in bound:
+                name = ".".join([bound[node.id], *reversed(chain)])
+                if name != own:
+                    reads.add(name)
+    return reads
+
+
+def unreferenced(modules, callers):
+    """The public top-level functions and classes of modules ({name: source}
+    of shotrope's modules) that neither modules nor callers (sources) read."""
+    reads = set()
+    for module, source in modules.items():
+        reads |= shotrope_reads(source, module)
+    for source in callers:
+        reads |= shotrope_reads(source)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, source in modules.items()
+        for node in ast.parse(source).body
+        if isinstance(node, DEFS) and not node.name.startswith("_")
+        and f"shotrope.{module}.{node.name}" not in reads
+    )
+
+
+def test_the_check_sees_an_unreferenced_function():
+    """A name read only by itself, in a string or off a value that is not
+    shotrope's (numpy's .transpose is not tensor.transpose) is not read."""
+    modules = {
+        "ops": (
+            "import numpy as np\ndef used(x):\n    return x\n"
+            "def unused(x):\n    return unused(x)\n"
+            "def _private(x):\n    return x\nclass Exported:\n    pass\n"
+        ),
+        "model": (
+            "from . import ops as O\n"
+            "def forward(x):\n    return O.used(x).unused() + np.unused(x)\n"
+        ),
+        "__init__": "from .ops import Exported\n",
+    }
+    callers = ["from shotrope import model\nmodel.forward(1)\nNAMES = ['ops.unused']\n"]
+    assert unreferenced(modules, callers) == ["ops.unused"]
+    assert unreferenced(modules, []) == ["model.forward", "ops.unused"]
+
+
+def test_every_public_name_of_shotrope_has_a_caller():
+    names = sorted(os.path.basename(path) for path in glob.glob(os.path.join(SRC, "*.py")))
+    modules = {name[:-3]: _read(name) for name in names}
+    callers = []
+    for pattern in CALLERS:
+        for path in sorted(glob.glob(os.path.join(ROOT, pattern))):
+            with open(path) as fh:
+                callers.append(fh.read())
+    assert len(callers) >= 4
+    assert unreferenced(modules, callers) == sorted(UNCALLED)

@@ -91,15 +91,15 @@ def test_layernorm_recompute_moments():
 
 def test_grad_check_quadratic():
     x = Tensor(np.random.default_rng(3).standard_normal((2, 3)))
-    err = grad_check(lambda t: T.tsum(T.mul(t, t)), x, h=1e-3)
+    err = grad_check(lambda t: T.tmean(T.mul(t, t)), x, h=1e-3)
     assert err <= 1e-4
-    assert np.allclose(x.grad, 2 * x.data, atol=1e-5)
+    assert np.allclose(x.grad, 2 * x.data / x.data.size, atol=1e-5)
 
 
 def test_grad_check_linear_exact():
     x = Tensor(np.random.default_rng(4).standard_normal((3, 3)))
-    grad_check(lambda t: T.tsum(t), x, h=1e-3)
-    assert np.array_equal(x.grad, np.ones_like(x.data))
+    grad_check(lambda t: T.tmean(t), x, h=1e-3)
+    assert np.array_equal(x.grad, np.full_like(x.data, 1.0 / x.data.size))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -122,7 +122,7 @@ def test_backward_rope_pairs():
     cosf = np.repeat(cos, 2, axis=1)
     sinf = np.repeat(sin, 2, axis=1)
     x = Tensor(rng.standard_normal((2, 8)), dtype=np.float64)
-    err = grad_check(lambda t: T.tsum(T.mul(T.rope_pairs(t, cosf, sinf), t)), x, h=1e-5)
+    err = grad_check(lambda t: T.tmean(T.mul(T.rope_pairs(t, cosf, sinf), t)), x, h=1e-5)
     assert err <= 1e-5
 
 
@@ -130,10 +130,11 @@ def test_backward_gather_rows_scatter_adds():
     table = Tensor(np.arange(12, dtype=np.float32).reshape(4, 3), requires_grad=True)
     with GradTape() as tape:
         out = T.gather_rows(table, [1, 1, 3])
-        tape.backward(T.tsum(out))
+        tape.backward(T.tmean(out))
+    unit = np.float32(1) / out.data.size  # each read row's share of the mean
     expect = np.zeros((4, 3), dtype=np.float32)
-    expect[1] = 2.0
-    expect[3] = 1.0
+    expect[1] = 2 * unit
+    expect[3] = unit
     assert np.array_equal(table.grad, expect)
 
 
@@ -152,9 +153,10 @@ def test_concat_slice_roundtrip_gradients():
     with GradTape() as tape:
         cat = T.concat_rows([a, b])
         sliced = T.slice_rows(cat, 1, 3)
-        tape.backward(T.tsum(sliced))
-    assert np.array_equal(a.grad, np.array([[0, 0, 0], [1, 1, 1]], dtype=np.float32))
-    assert np.array_equal(b.grad, np.ones((1, 3), dtype=np.float32))
+        tape.backward(T.tmean(sliced))
+    unit = np.float32(1) / sliced.data.size
+    assert np.array_equal(a.grad, np.array([[0, 0, 0], [unit] * 3], dtype=np.float32))
+    assert np.array_equal(b.grad, np.full((1, 3), unit, dtype=np.float32))
 
 
 def _tanh_gelu_f64(x):
@@ -177,7 +179,7 @@ def test_gelu_float64_is_the_tanh_formula():
 
 def test_backward_gelu():
     x = Tensor(np.random.default_rng(9).standard_normal((3, 4)) * 2.0, dtype=np.float64)
-    assert grad_check(lambda t: T.tsum(T.mul(T.gelu(t), t)), x, h=1e-5) <= 1e-6
+    assert grad_check(lambda t: T.tmean(T.mul(T.gelu(t), t)), x, h=1e-5) <= 1e-6
 
 
 def _gelu_full_array(xd):
@@ -198,9 +200,10 @@ def test_gelu_equals_the_full_array_formula(dtype, rows):
     probe = np.random.default_rng(7).standard_normal(xd.shape).astype(dtype)
     with GradTape() as tape:
         out = T.gelu(x)
-        tape.backward(T.tsum(T.mul(out, Tensor(probe))))
+        tape.backward(T.tmean(T.mul(out, Tensor(probe))))
     want, slope = _gelu_full_array(xd)
-    assert np.array_equal(out.data, want) and np.array_equal(x.grad, probe * slope)
+    unit = dtype(1) / xd.size  # the mean's gradient on each entry
+    assert np.array_equal(out.data, want) and np.array_equal(x.grad, unit * probe * slope)
     assert np.array_equal(x.data, xd)
 
 
@@ -231,7 +234,7 @@ def test_ffn_equals_the_chain(dtype, rows, x_grad):
         with GradTape() as tape:
             out = layer(*inputs)
             nodes = len(tape._nodes)
-            tape.backward(T.tsum(T.mul(out, probe)))
+            tape.backward(T.tmean(T.mul(out, probe)))
         runs.append((out.data, nodes, [t.grad for t in inputs]))
     (got, got_nodes, got_grads), (want, want_nodes, want_grads) = runs
     assert (got_nodes, want_nodes) == (1, 5)
@@ -266,7 +269,7 @@ def test_backward_transpose_and_softmax_3d():
     rng = np.random.default_rng(12)
     probe = _f64(rng, (2, 4, 3))
     x = _f64(rng, (2, 3, 4))
-    err = grad_check(lambda t: T.tsum(T.mul(T.softmax_rows(T.transpose(t)), probe)), x, h=1e-5)
+    err = grad_check(lambda t: T.tmean(T.mul(T.softmax_rows(T.transpose(t)), probe)), x, h=1e-5)
     assert err <= 1e-5
 
 
@@ -312,7 +315,7 @@ def test_backward_rope_pairs_3d():
     cosf = np.repeat(np.cos(rng.uniform(0, 3, (3, 2))), 2, axis=1)
     sinf = np.repeat(np.sin(rng.uniform(0, 3, (3, 2))), 2, axis=1)
     x = _f64(rng, (2, 3, 4))
-    err = grad_check(lambda t: T.tsum(T.mul(T.rope_pairs(t, cosf, sinf), t)), x, h=1e-5)
+    err = grad_check(lambda t: T.tmean(T.mul(T.rope_pairs(t, cosf, sinf), t)), x, h=1e-5)
     assert err <= 1e-5
 
 
@@ -323,7 +326,7 @@ def test_backward_slice_and_concat_rows_3d():
 
     def f(t):
         cat = T.concat_rows([T.slice_rows(t, 1, 4), other])
-        return T.tsum(T.mul(T.mul(cat, cat), probe))
+        return T.tmean(T.mul(T.mul(cat, cat), probe))
 
     x = _f64(rng, (2, 4, 3))
     assert grad_check(f, x, h=1e-5) <= 1e-6
@@ -340,10 +343,10 @@ def test_split_merge_heads_roundtrip_and_gradients():
     assert np.array_equal(T.merge_heads(T.split_heads(Tensor(x), 3)).data, x)
     probe = _f64(rng, (3, 5, 4))
     xt = _f64(rng, (5, 12))
-    assert grad_check(lambda t: T.tsum(T.mul(T.split_heads(t, 3), probe)), xt, h=1e-5) <= 1e-6
+    assert grad_check(lambda t: T.tmean(T.mul(T.split_heads(t, 3), probe)), xt, h=1e-5) <= 1e-6
     probe2 = _f64(rng, (5, 12))
     yt = _f64(rng, (3, 5, 4))
-    assert grad_check(lambda t: T.tsum(T.mul(T.merge_heads(t), probe2)), yt, h=1e-5) <= 1e-6
+    assert grad_check(lambda t: T.tmean(T.mul(T.merge_heads(t), probe2)), yt, h=1e-5) <= 1e-6
     with pytest.raises(ShapeError):
         T.split_heads(Tensor(x), 5)
 
@@ -401,7 +404,7 @@ def _attend_and_backward(attend, dtype, lead, needs_grad=(True, True, True)):
     with GradTape() as tape:
         out, probs = attend(q, k, v, 0.4)
         nodes = len(tape._nodes)
-        tape.backward(T.tsum(T.mul(out, probe)))
+        tape.backward(T.tmean(T.mul(out, probe)))
     return out.data, probs, nodes, (q, k, v)
 
 
@@ -433,7 +436,7 @@ def test_attention_core_gradients_match_finite_differences(which):
     def f(t):
         args = list(inputs)
         args[which] = t
-        return T.tsum(T.mul(T.attention_core(*args, 0.4), probe))
+        return T.tmean(T.mul(T.attention_core(*args, 0.4), probe))
 
     assert grad_check(f, inputs[which], h=1e-5) <= 1e-6
 
@@ -548,24 +551,24 @@ def _leaves(rng, *shapes):
 
 def _graph_add(rng):
     a, b = _leaves(rng, (3, 4), (3, 4))
-    return T.tsum(T.add(a, b)), [a, b]
+    return T.tmean(T.add(a, b)), [a, b]
 
 
 def _graph_sub(rng):
     a, b = _leaves(rng, (3, 4), (3, 4))
-    return T.tsum(T.mul(T.sub(a, b), T.sub(b, a))), [a, b]
+    return T.tmean(T.mul(T.sub(a, b), T.sub(b, a))), [a, b]
 
 
 def _graph_concat_slice(rng):
     a, b, c = _leaves(rng, (2, 2, 3), (2, 3, 3), (2, 1, 3))
     cat = T.concat_rows([a, b, c])
-    return T.tsum(T.mul(T.slice_rows(cat, 1, 5), T.slice_rows(cat, 2, 6))), [a, b, c]
+    return T.tmean(T.mul(T.slice_rows(cat, 1, 5), T.slice_rows(cat, 2, 6))), [a, b, c]
 
 
 def _graph_square(rng):
     a, b = _leaves(rng, (3, 4), (3, 4))
     t = T.add(a, b)
-    return T.tsum(T.mul(t, t)), [a, b]
+    return T.tmean(T.mul(t, t)), [a, b]
 
 
 def _graph_heads(rng):
@@ -573,13 +576,13 @@ def _graph_heads(rng):
     probe = Tensor(rng.standard_normal((5, 8)).astype(np.float32))
     split = T.split_heads(T.add(a, b), 2)
     merged = T.merge_heads(T.add(split, split))
-    return T.tsum(T.mul(T.add(merged, a), probe)), [a, b]
+    return T.tmean(T.mul(T.add(merged, a), probe)), [a, b]
 
 
 def _graph_self_add(rng):
     (a,) = _leaves(rng, (3, 4))
     probe = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
-    return T.tsum(T.mul(T.add(a, a), probe)), [a]
+    return T.tmean(T.mul(T.add(a, a), probe)), [a]
 
 
 _GRAPHS = [
@@ -614,7 +617,7 @@ def test_input_without_grad_gets_none():
     w, b, c = _leaves(rng, (4, 2), (2,), (3, 4))
     with GradTape() as tape:
         h = T.add(T.matmul(z, w), b)
-        loss = T.add(T.tsum(T.mul(h, h)), T.tsum(T.mul(z, c)))
+        loss = T.add(T.tmean(T.mul(h, h)), T.tmean(T.mul(z, c)))
         nodes = list(tape._nodes)
         tape.backward(loss)
     assert z.grad is None
@@ -851,7 +854,7 @@ def test_tape_lets_an_intermediate_output_die():
         h = T.add(m, b)
         del m
         assert product() is None
-        tape.backward(T.tsum(T.mul(h, h)))
+        tape.backward(T.tmean(T.mul(h, h)))
     assert w.grad is not None and b.grad is not None
 
 
@@ -859,7 +862,7 @@ def test_backward_empties_the_tape_and_replays_once():
     rng = np.random.default_rng(24)
     a, b = _leaves(rng, (3, 4), (3, 4))
     with GradTape() as tape:
-        loss = T.tsum(T.mul(a, b))
+        loss = T.tmean(T.mul(a, b))
         tape.backward(loss)
         assert tape._nodes == []
         grads = a.grad.copy(), b.grad.copy()
@@ -1004,7 +1007,7 @@ def _attention_core_grads(lead, nq, nk, dh=16):
     )
     with GradTape() as tape:
         out = T.attention_core(q, k, v, 0.25)
-        tape.backward(T.tsum(T.mul(out, Tensor(rng.standard_normal(out.shape).astype(np.float32)))))
+        tape.backward(T.tmean(T.mul(out, Tensor(rng.standard_normal(out.shape).astype(np.float32)))))
     return [t.grad for t in (q, k, v)]
 
 

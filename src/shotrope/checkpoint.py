@@ -61,6 +61,17 @@ def _write_tensors(fh, named):
         fh.write(data.tobytes())
 
 
+def open_input(path, what, mode="r"):
+    """path, a file named what, opened to read; a path that is missing or that
+    cannot be opened (a directory, say) raises ConfigError."""
+    try:
+        return open(path, mode)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from exc
+
+
 def _read(fh, n, path):
     """The next n bytes; a file with fewer left is truncated, however large n is."""
     if n > os.fstat(fh.fileno()).st_size - fh.tell():
@@ -69,9 +80,9 @@ def _read(fh, n, path):
 
 
 def load_tensors(path):
-    """Read a tensor file; a malformed file raises ConfigError."""
+    """Read a tensor file; a missing, unreadable or malformed file raises ConfigError."""
     out = OrderedDict()
-    with open(path, "rb") as fh:
+    with open_input(path, "tensor file", "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ConfigError(f"{path}: not an ECSH tensor file")
         version, count = struct.unpack("<II", _read(fh, 8, path))
@@ -109,10 +120,8 @@ def load_checkpoint(path):
     tensors = load_tensors(path)
     sidecar = sidecar_path(path)
     try:
-        with open(sidecar) as fh:
+        with open_input(sidecar, "checkpoint sidecar") as fh:
             config = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"checkpoint sidecar not found: {sidecar}") from exc
     except ValueError as exc:  # malformed JSON or not UTF-8
         raise ConfigError(f"checkpoint sidecar {sidecar} is not valid JSON: {exc}") from exc
     return tensors, config

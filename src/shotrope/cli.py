@@ -1,7 +1,8 @@
-"""Command-line surface: train, sample, curve export, ablation, selftest.
+"""Command-line surface: train, sample, curve export, ablation.
 
-Exit codes: 0 success, 1 test failure, 2 usage/config error,
-3 numeric divergence.
+Exit codes: 0 success, 2 usage/config error, 3 numeric divergence.  No
+command returns 1: exit 1 is Python's for an uncaught exception, which is
+a bug.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ import typing
 import numpy as np
 
 from . import analysis, engine, model as M, synthetic as S
-from .checkpoint import load_checkpoint, save_checkpoint, save_tensors, write_json
+from .checkpoint import load_checkpoint, open_input, save_checkpoint, save_tensors, write_json
 from .tensor import ConfigError, NumericError, ShapeError, Tensor, check_config, seeded_rng
 
 EXIT_OK = 0
-EXIT_TEST_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
@@ -56,9 +56,7 @@ MODEL_MAX_PARAMS = 2**24
 
 
 def load_run_config(path):
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
+    with open_input(path, "config file") as fh:
         try:
             raw = json.load(fh)
         except ValueError as exc:  # malformed JSON or not UTF-8
@@ -367,20 +365,6 @@ def cmd_ablate(args):
     return EXIT_OK
 
 
-def cmd_selftest(args):
-    from . import selftest
-
-    ok = True
-    for name, passed, detail in selftest.run_all():
-        status = "PASS" if passed else "FAIL"
-        line = f"{status} {name}"
-        if detail and not passed:
-            line += f" ({detail})"
-        print(line)
-        ok = ok and passed
-    return EXIT_OK if ok else EXIT_TEST_FAILURE
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="shotrope")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -419,9 +403,6 @@ def build_parser():
     p.add_argument("--eval-samples", type=int, default=32)
     p.add_argument("--eval-steps", type=int, default=50)
     p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("selftest", help="run the property suites")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from shotrope import cli, engine, model as M, synthetic as S, tensor as T
+from shotrope import cli, engine, model as M, synthetic as S
 from shotrope.checkpoint import load_tensors, save_tensors
 from shotrope.engine import ShotPrompt
 from shotrope.tensor import ConfigError
@@ -292,6 +292,29 @@ class TestExitCodes:
             ]
         )
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("case", ["train-config", "ablate-config", "sample-ckpt",
+                                      "sample-sidecar"])
+    def test_a_directory_for_an_input_file_is_usage_error(self, tmp_path, refattn_ckpt, case,
+                                                          capsys):
+        """A directory where a config, checkpoint or sidecar file is expected
+        exits 2, not with a traceback, and leaves no --out."""
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        ckpt = tmp_path / "x.ecsh"
+        shutil.copy(refattn_ckpt, ckpt)
+        (tmp_path / "x.ecsh.json").mkdir()
+        args = {
+            "train-config": ["train", "--config", str(folder)],
+            "ablate-config": ["ablate", "--config", str(folder)],
+            "sample-ckpt": ["sample", "--ckpt", str(folder), "--shots", "n=2,scene=0"],
+            "sample-sidecar": ["sample", "--ckpt", str(ckpt), "--shots", "n=2,scene=0"],
+        }[case]
+        out = tmp_path / "out"
+        rc = cli.main(args + ["--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "Is a directory" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _check_divergence_saves_nothing(tmp_path, capsys, command, **train):
@@ -1216,21 +1239,3 @@ class TestAblateCommand:
             tmp_path, capsys, ["ablate", "--eval-samples", "1", "--eval-steps", "1"]
         )
 
-
-class TestSelftestCommand:
-    def test_clean_run_passes(self, capsys):
-        rc = cli.main(["selftest"])
-        out = capsys.readouterr().out
-        assert rc == cli.EXIT_OK
-        assert "FAIL" not in out
-        assert out.count("PASS") == 6
-
-    def test_sabotage_is_caught(self, capsys, monkeypatch):
-        """Negative control: a sign fault in the pair swap, so that the rotation
-        kernel computes a*cos - swap(a)*sin, fails the selftest."""
-        swap = T._pair_swap
-        monkeypatch.setattr(T, "_pair_swap", lambda a: -swap(a))
-        rc = cli.main(["selftest"])
-        out = capsys.readouterr().out
-        assert rc == cli.EXIT_TEST_FAILURE
-        assert "FAIL rope_algebra" in out

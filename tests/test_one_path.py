@@ -33,6 +33,11 @@ UNCALLED = {
     "tensor.gelu": "in the unfused chain that ffn is tested against",
     "synthetic.decode_motion": "the oracle motion decode that motion adherence will score with",
     "analysis.attention_heatmaps": "the shot-block heatmaps acceptance tests c08 and c10 read",
+    "tensor.grad_check": "the finite-difference oracle every gradient test compares with",
+    "analysis.logit_bound_check": "the suppression-bound oracle that c03 and "
+                                  "TestLogitBoundCheck assert on",
+    "attention.segment_attention": "the one-branch segmented attention, with its ends-vs-rows "
+                                   "refusal, that the kernel tests and c05 drive",
 }
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

@@ -441,6 +441,34 @@ def test_attention_core_gradients_match_finite_differences(which):
     assert grad_check(f, inputs[which], h=1e-5) <= 1e-6
 
 
+def _model_op_cases():
+    """The ops the model runs, each as (op, float64 input): attention_core on
+    two blocks, the second of which reads a fancy key index that skips key row 2."""
+    rng = np.random.default_rng(15)
+    w1, b1, w2, b2 = (_f64(rng, shape) for shape in ((4, 8), (8,), (8, 4), (4,)))
+    q, k, v = _f64(rng, (2, 3, 4)), _f64(rng, (2, 5, 4)), _f64(rng, (2, 5, 4))
+    blocks = [(slice(0, 1), slice(0, 2)), (slice(1, 3), np.r_[0:2, 3:5])]
+    phase = np.repeat(rng.uniform(-np.pi, np.pi, (3, 2)), 2, axis=1)
+    cos, sin = np.cos(phase), np.sin(phase)
+    return {
+        "ffn": (lambda t: T.ffn(t, w1, b1, w2, b2), _f64(rng, (3, 4))),
+        "layernorm": (T.layernorm, _f64(rng, (3, 4))),
+        "rope_pairs": (lambda t: T.rope_pairs(t, cos, sin), _f64(rng, (2, 3, 4))),
+        "attention_core_q": (lambda t: T.attention_core(t, k, v, 0.5, blocks), q),
+        "attention_core_k": (lambda t: T.attention_core(q, t, v, 0.5, blocks), k),
+        "attention_core_v": (lambda t: T.attention_core(q, k, t, 0.5, blocks), v),
+    }
+
+
+@pytest.mark.parametrize("case", list(_model_op_cases()))
+def test_model_op_gradients_match_central_differences(case):
+    """Each float64 gradient, under tmean of a fixed random weighting, is
+    within 1e-6 of central differences at h = 1e-5."""
+    op, x = _model_op_cases()[case]
+    weight = _f64(np.random.default_rng(16), op(x).shape)
+    assert grad_check(lambda t: T.tmean(T.mul(op(t), weight)), x, h=1e-5) <= 1e-6
+
+
 @pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
 def test_attention_core_input_without_grad_gets_none(which):
     """A constant input gets no .grad and its product is not computed; the

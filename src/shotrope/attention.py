@@ -16,7 +16,13 @@ on the layout and the captions, the rotary tables, each attention's blocks
 and each block's rotated caption keys and values, is built once per forward,
 or once per sampling call, into a Conditioning (model.conditioning), which
 also stacks the guidance branches' rows: each kernel reads its row-aligned
-tables and blocks, makes one kernel call, keeps no state and counts no branch.
+tables and blocks, keeps no state and counts no branch.  Self-attention and
+taped cross-attention make one attention_core call.  With no tape recording,
+the caption keys and values are fixed for the call and each shot's queries
+turn by one angle, so the conditioning folds W_q, that rotation and the keys
+into one matrix per run of one shot's rows, and the values and W_o into one
+per block (fold_cross_attention): cross-attention is then two thin products
+and a softmax per run.
 """
 
 from __future__ import annotations
@@ -116,10 +122,16 @@ class Conditioning:
     context: token_tables and query_tables, the read-only (cos, sin) TcRoPE
     and TaRoPE tables, have one row per stacked row, and self_blocks and
     cross_blocks are the attention_core blocks of each attention, branch by
-    branch.  caption_kv holds each block's rotated caption keys and values,
-    stacked over the branches.  An attention over the first `rows` stacked
-    rows only (block 0's self-attention, before the branches stack) reads
-    the tables' first `rows` rows and the self blocks ending by `rows`.
+    branch.  An attention over the first `rows` stacked rows only (block 0's
+    self-attention, before the branches stack) reads the tables' first
+    `rows` rows and the self blocks ending by `rows`.
+
+    Cross-attention reads one of two fields, the other being None.  Built
+    under a GradTape, caption_kv holds each block's rotated caption keys and
+    values, stacked over the branches, for the taped kernel.  Built with no
+    tape recording, cross_folds holds each block's fold_cross_attention runs
+    instead: the keys, values, query rotations and W_q and W_o folded into
+    two matrices per run, which carry no gradient.
     """
 
     captions: tuple
@@ -129,7 +141,8 @@ class Conditioning:
     query_tables: tuple
     self_blocks: tuple
     cross_blocks: tuple
-    caption_kv: tuple
+    caption_kv: tuple | None
+    cross_folds: tuple | None
 
 
 def project(x, w, heads, tables=None):
@@ -151,16 +164,74 @@ def multishot_self_attention(tokens, cond, weights, heads=4, probs_out=None):
     return T.matmul(T.merge_heads(out), weights.wo)
 
 
+def fold_cross_attention(kv, wq, wo, query_tables, blocks):
+    """One block's cross-attention folded into two matrices per run, for
+    forwards that keep no gradient.
+
+    kv are the block's rotated caption keys and values, [heads, nk, dh]
+    Tensors; blocks are the cross blocks.  A run is a stretch of a block's
+    query rows whose query_tables rows are equal, one shot's rows (a whole
+    block when k is 0).  Its rotation R turns x W_q,h, so with K_h and V_h
+    head h's keys and values of the block's key rows, the run's logits are
+    x A and its output after W_o is P VWo, P the probabilities side by side:
+    A = [R(W_q,h) K_h^T]_h / sqrt(dh), [d, heads * nk'], and
+    VWo = [V_h W_o,h]_h, [heads * nk', d].  Returns the runs' (query rows,
+    key rows, A, VWo), in row order; a block's runs share its VWo.
+    """
+    k, v = (t.data for t in kv)
+    heads, _, dh = k.shape
+    d = wq.shape[0]
+    wq_heads = np.ascontiguousarray(wq.reshape(d, heads, dh).transpose(1, 0, 2))
+    wo_heads = wo.reshape(heads, dh, d)
+    cos, sin = query_tables
+    turns = np.flatnonzero((cos[1:] != cos[:-1]).any(axis=1) | (sin[1:] != sin[:-1]).any(axis=1))
+    turns += 1
+    scale = k.dtype.type(1.0 / np.sqrt(dh))
+    runs = []
+    for q_rows, k_rows in blocks:
+        kt = np.ascontiguousarray(np.swapaxes(k[:, k_rows], 1, 2))  # [heads, dh, nk']
+        nk = kt.shape[-1]
+        out_w = (np.ascontiguousarray(v[:, k_rows]) @ wo_heads).reshape(heads * nk, d)
+        inner = turns[(turns > q_rows.start) & (turns < q_rows.stop)]
+        cuts = [q_rows.start, *inner.tolist(), q_rows.stop]
+        for lo, hi in zip(cuts, cuts[1:]):
+            a = T.rotate_pairs(wq_heads, cos[lo], sin[lo]) @ kt  # [heads, d, nk']
+            a *= scale
+            logit_w = np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(d, heads * nk)
+            runs.append((slice(lo, hi), k_rows, logit_w, out_w))
+    return tuple(runs)
+
+
 def multishot_cross_attention(tokens, cond, block, weights, heads=4, probs_out=None):
     """Visual queries over concatenated per-shot caption tokens.
 
-    Queries rotate by their token's shot index times k; the keys, block
-    `block` of cond.caption_kv, by their caption's shot index times k.
-    Values are left unrotated.  tokens are cond's stacked rows, and each
-    branch's segments attend over its context's by cond.cross_blocks.  Of
-    weights, wq and wo are read here; wk and wv made the keys.
+    Queries rotate by their token's shot index times k; the keys by their
+    caption's shot index times k.  Values are left unrotated.  tokens are
+    cond's stacked rows, and each branch's segments attend over its
+    context's by cond.cross_blocks.
+
+    Under a tape (cond.caption_kv set) the queries are projected by
+    weights.wq and rotated, attend over block `block` of cond.caption_kv
+    in one attention_core call, and the heads' outputs are projected by
+    weights.wo.  Otherwise each run of cond.cross_folds[block] is three
+    steps: logits x A, a softmax over each head's keys, and P VWo; no Q or
+    O projection runs, and weights are not read.  A folded cond under a
+    recording tape is refused, as it would drop W_q's and W_o's gradients.
+    probs_out gets (query rows, key rows, [heads, rows, keys]) blocks either way.
     """
-    q = project(tokens, weights.wq, heads, cond.query_tables)
-    k, v = cond.caption_kv[block]
-    out = scaled_dot_attention(q, k, v, probs_out, cond.cross_blocks)
-    return T.matmul(T.merge_heads(out), weights.wo)
+    if cond.cross_folds is None:
+        q = project(tokens, weights.wq, heads, cond.query_tables)
+        k, v = cond.caption_kv[block]
+        out = scaled_dot_attention(q, k, v, probs_out, cond.cross_blocks)
+        return T.matmul(T.merge_heads(out), weights.wo)
+    if T.recording():
+        raise ConfigError("a folded conditioning keeps no gradient: build it under the tape")
+    x, runs = tokens.data, cond.cross_folds[block]
+    out = np.empty(x.shape, np.result_type(x, *runs[0][2:]))
+    for q_rows, k_rows, logit_w, out_w in runs:
+        logits = T.matmul(Tensor(x[q_rows]), Tensor(logit_w)).data
+        probs = T.softmax_rows(Tensor(logits.reshape(len(logits), heads, -1))).data
+        out[q_rows] = T.matmul(Tensor(probs.reshape(len(logits), -1)), Tensor(out_w)).data
+        if probs_out is not None:
+            probs_out.append((q_rows, k_rows, probs.transpose(1, 0, 2)))
+    return Tensor(out)

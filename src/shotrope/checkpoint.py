@@ -3,12 +3,13 @@
 Layout: magic `ECSH`, u32 version, u32 tensor count, then per tensor:
 u16 name length, UTF-8 name, u8 rank, u32 per-dim extents, raw
 little-endian float32 data.  A JSON sidecar carries the config.  Both
-files are written to a temporary name and renamed into place, so a crash
-never leaves a partial file under the final name.
+files, and the CSV tables, are written to a temporary name and renamed
+into place, so a crash never leaves a partial file under the final name.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -23,12 +24,16 @@ MAGIC = b"ECSH"
 VERSION = 1
 
 
-def _write_atomic(path, mode, write):
+def _write_atomic(path, mode, write, newline=None):
+    """write(fh) to a temporary file renamed to path; a file that cannot be
+    written or renamed into place (path is a directory, say) raises ConfigError."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             write(fh)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -37,6 +42,11 @@ def _write_atomic(path, mode, write):
 def write_json(path, obj, **dump_kwargs):
     """Write obj as JSON atomically."""
     _write_atomic(path, "w", lambda fh: json.dump(obj, fh, **dump_kwargs))
+
+
+def write_csv(path, rows):
+    """Write rows, lists of cells, as CSV atomically."""
+    _write_atomic(path, "w", lambda fh: csv.writer(fh).writerows(rows), newline="")
 
 
 def save_tensors(path, named):

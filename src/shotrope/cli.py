@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import itertools
 import json
@@ -21,7 +20,15 @@ import typing
 import numpy as np
 
 from . import analysis, engine, model as M, synthetic as S
-from .checkpoint import load_checkpoint, open_input, save_checkpoint, save_tensors, write_json
+from .checkpoint import (
+    load_checkpoint,
+    open_input,
+    save_checkpoint,
+    save_tensors,
+    sidecar_path,
+    write_csv,
+    write_json,
+)
 from .tensor import ConfigError, NumericError, ShapeError, Tensor, check_config, seeded_rng
 
 EXIT_OK = 0
@@ -38,7 +45,7 @@ CURVE_MAX_DIM = 4096
 LAYOUT_MAX_TOKENS = 4096
 # most Euler steps of one `sample --steps` or `ablate --eval-steps` sampling call:
 # its schedule holds steps + 1 float64 times, and each step is one guided forward,
-# 15 ms for a 144-token default-model field on one 2-vCPU Xeon core (2.6 min for 10,000)
+# 10 ms for a 144-token default-model field on one 2-vCPU Xeon core (1.7 min for 10,000)
 SAMPLE_MAX_STEPS = 10_000
 # most `ablate --eval-samples`: every prompt is drawn before the first variant trains,
 # and each variant samples each once, 0.95 s at 50 steps (over an hour for 4,096)
@@ -122,12 +129,12 @@ def _run_dir(path):
         raise
 
 
-def write_loss_csv(path, log):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss", "smoothed"])
-        for step, loss, smoothed in log:
-            writer.writerow([step, repr(loss), repr(smoothed)])
+def _refuse_directories(*paths):
+    """Refuse output file paths that are existing directories, before the
+    command's work: its writes after the work could not replace them."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise ConfigError(f"output {path} is a directory")
 
 
 def run_config_dict(model_cfg, train_cfg, world):
@@ -144,11 +151,13 @@ def cmd_train(args):
         model_cfg = dataclasses.replace(model_cfg, variant=args.variant)
     if args.seed is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
+    ckpt_path, loss_path = (os.path.join(args.out, f) for f in ("checkpoint.ecsh", "loss.csv"))
+    _refuse_directories(ckpt_path, sidecar_path(ckpt_path), loss_path)
     with _run_dir(args.out):
         params, log = engine.train(model_cfg, train_cfg, world)
-    ckpt_path = os.path.join(args.out, "checkpoint.ecsh")
     save_checkpoint(ckpt_path, params, run_config_dict(model_cfg, train_cfg, world))
-    write_loss_csv(os.path.join(args.out, "loss.csv"), log)
+    rows = [[step, repr(loss), repr(smoothed)] for step, loss, smoothed in log]
+    write_csv(loss_path, [["step", "loss", "smoothed"], *rows])
     print(f"checkpoint: {ckpt_path}")
     print(f"final loss: {log[-1][1]:.6f} (smoothed {log[-1][2]:.6f})")
     return EXIT_OK
@@ -242,6 +251,9 @@ def cmd_sample(args):
             raise ConfigError("--ref-attn requires every --shots group to share the first segment")
     elif len(specs) != 1:
         raise ConfigError("multiple --shots groups require --ref-attn")
+    field_paths = [os.path.join(args.out, f"sample{i:04d}.ecsh") for i in range(len(specs))]
+    metrics_path = os.path.join(args.out, "metrics.json")
+    _refuse_directories(*field_paths, metrics_path)
 
     with _run_dir(args.out):
         if args.ref_attn:
@@ -265,8 +277,7 @@ def cmd_sample(args):
             ]
 
     metrics = []
-    for i, (tokens, spec) in enumerate(zip(fields, specs)):
-        path = os.path.join(args.out, f"sample{i:04d}.ecsh")
+    for path, tokens, spec in zip(field_paths, fields, specs):
         save_tensors(path, {"tokens": tokens})
         layout = engine.build_layout(spec, world)
         rec = engine.metrics_on_field(tokens, spec, layout, world)
@@ -276,7 +287,7 @@ def cmd_sample(args):
     summary["n_samples"] = len(metrics)
     summary["seed"] = args.seed
     summary["samples"] = metrics
-    write_json(os.path.join(args.out, "metrics.json"), summary, indent=2)
+    write_json(metrics_path, summary, indent=2)
     print(json.dumps({k: summary[k] for k in engine.METRIC_KEYS}))
     return EXIT_OK
 
@@ -295,8 +306,7 @@ def cmd_curve(args):
             f"--xmax {args.xmax:g} at --step {args.step:g} is more than "
             f"{CURVE_MAX_POINTS} grid points"
         )
-    if os.path.isdir(args.out):
-        raise ConfigError(f"--out {args.out} is a directory")
+    _refuse_directories(args.out)
     with _run_dir(os.path.dirname(args.out) or os.curdir):
         curve = analysis.delta_curve(args.dim, np.arange(0.0, stop, args.step))
     analysis.write_curve_csv(curve, args.out)
@@ -337,6 +347,8 @@ def cmd_ablate(args):
     eval_cfg = {"n_samples": args.eval_samples, "seed": train_cfg.seed, "steps": args.eval_steps}
     tasks = [(cfg, train_cfg, world, eval_cfg) for _, cfg in runs]
     workers = min(_usable_cpus(), len(tasks))
+    out_csv = os.path.join(args.out, "ablation.csv")
+    _refuse_directories(out_csv)
     with _run_dir(args.out):
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
@@ -346,16 +358,12 @@ def cmd_ablate(args):
         else:
             results = [_ablate_run(t) for t in tasks]
 
-    out_csv = os.path.join(args.out, "ablation.csv")
-    with open(out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "j", "k", "default", *engine.METRIC_KEYS])
-        for (name, cfg), metrics in zip(runs, results):
-            is_default = cfg.variant == "full" and cfg.j == 4.0 and cfg.k == 6.0
-            writer.writerow(
-                [name, cfg.j, cfg.k, "yes" if is_default else "no"]
-                + [repr(metrics[key]) for key in engine.METRIC_KEYS]
-            )
+    rows = [["variant", "j", "k", "default", *engine.METRIC_KEYS]]
+    for (name, cfg), metrics in zip(runs, results):
+        is_default = cfg.variant == "full" and cfg.j == 4.0 and cfg.k == 6.0
+        rows.append([name, cfg.j, cfg.k, "yes" if is_default else "no"]
+                    + [repr(metrics[key]) for key in engine.METRIC_KEYS])
+    write_csv(out_csv, rows)
     for (name, _), metrics in zip(runs, results):
         print(
             f"{name}: scene_adherence={metrics['scene_adherence']:.3f} "

@@ -19,6 +19,7 @@ from .attention import (
     AttentionWeights,
     Conditioning,
     ContextTokens,
+    fold_cross_attention,
     multishot_cross_attention,
     multishot_self_attention,
     pair_tables,
@@ -210,7 +211,10 @@ def conditioning(captions, layout, cfg, params, guidance=1.0):
     Each block's caption keys and values are projected here, from the
     weights as they are now: a sampling call builds the conditioning once
     for all its steps, and a training forward builds its own, so none
-    outlives an AdamW update.
+    outlives an AdamW update.  Built with no GradTape recording, the
+    conditioning folds each block's cross-attention (fold_cross_attention)
+    and keeps the folds instead of the keys and values; a forward that
+    keeps gradients builds it under its tape.
     """
     captions = captions if isinstance(captions, tuple) else (captions,)
     if len(layout.layouts) > 1 and not cfg.use_ref:
@@ -246,8 +250,16 @@ def conditioning(captions, layout, cfg, params, guidance=1.0):
         self_blocks += segment_blocks(token_ends, token_ends, i * n, i * n)
         cross_blocks += segment_blocks(token_ends, caption_ends, i * n, k_top)
         k_top += caption_ends[-1]
-    return Conditioning(captions, contexts, layout, token_tables, query_tables,
-                        tuple(self_blocks), tuple(cross_blocks), tuple(caption_kv))
+    shared = (captions, contexts, layout, token_tables, query_tables, tuple(self_blocks),
+              tuple(cross_blocks))
+    if T.recording():
+        return Conditioning(*shared, tuple(caption_kv), None)
+    folds = tuple(
+        fold_cross_attention(kv, params[f"block{b}/ca/wq"].data, params[f"block{b}/ca/wo"].data,
+                             query_tables, cross_blocks)
+        for b, kv in enumerate(caption_kv)
+    )
+    return Conditioning(*shared, None, folds)
 
 
 def denoiser_forward(
@@ -265,7 +277,9 @@ def denoiser_forward(
     stack [c | u], and every row op and each block's self- and cross-attention
     run once on the stack, with the bits of each branch's own forward
     (README, Determinism).  cond, what every attention call reads, is
-    conditioning(captions, layout, cfg, params, guidance), built when None;
+    conditioning(captions, layout, cfg, params, guidance), built when None
+    (its cross-attention folded unless a GradTape records, and a folded one
+    refused under a recording tape);
     a sampling call passes the one it built for all its steps, and one built
     for other captions, another layout or another branch count is refused.
     collect needs guidance 1.

@@ -154,6 +154,12 @@ class GradTape:
                     inp.grad += g
 
 
+def recording():
+    """Whether a GradTape is recording: an op on a Tensor that needs a
+    gradient goes on it."""
+    return _ACTIVE_TAPE is not None
+
+
 class _Slot:
     """What the tape keeps of a Tensor: its gradient, whether it takes one, its dtype."""
 

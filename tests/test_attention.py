@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import weakref
 
@@ -42,9 +43,9 @@ def _rand_weights(rng, d):
 
 
 def _cond(tokens, layout, params, basis, heads=2, use_ref=False, ctx=None, weights=None):
-    """The Conditioning model.conditioning builds, at the rotary scales
-    params, for tokens' layout and one hand-made caption context whose one
-    block of keys and values weights project."""
+    """The Conditioning model.conditioning builds under a tape, at the
+    rotary scales params, for tokens' layout and one hand-made caption
+    context whose one block of keys and values weights project."""
 
     def tables(shots):
         return pair_tables(rope.phase_tables_1d(basis, shots * params.k), tokens.dtype)
@@ -67,6 +68,7 @@ def _cond(tokens, layout, params, basis, heads=2, use_ref=False, ctx=None, weigh
         tuple(segment_blocks(token_ends, token_ends)),
         cross_blocks,
         (kv,),
+        None,
     )
 
 
@@ -583,25 +585,117 @@ _TABLE_MODEL = M.DenoiserConfig(d_model=24, blocks=2, heads=2, ffn_mult=2, d_tok
 
 def test_no_table_a_forward_read_outlives_its_call(monkeypatch):
     """Once engine.train, and then one engine.sample, returns, no rotary
-    table that any of its forwards read is alive: each forward, or sampling
-    call, builds its own conditioning and drops it."""
-    read = []
-    rope_pairs = T.rope_pairs
+    table that any of its forwards read and no folded cross-attention
+    matrix is alive: each forward, or sampling call, builds its own
+    conditioning and drops it."""
+    read, folded = [], []
+    rope_pairs, conditioning = T.rope_pairs, M.conditioning
 
     def spy(x, cos, sin):
         read.extend(weakref.ref(tab) for tab in (cos, sin))
         return rope_pairs(x, cos, sin)
 
+    def spy_conditioning(*args, **kwargs):
+        cond = conditioning(*args, **kwargs)
+        read.extend(weakref.ref(tab) for tab in cond.token_tables + cond.query_tables)
+        for runs in cond.cross_folds or ():
+            folded.extend(weakref.ref(m) for run in runs for m in run[2:])
+        return cond
+
     monkeypatch.setattr(T, "rope_pairs", spy)
+    monkeypatch.setattr(M, "conditioning", spy_conditioning)
     tcfg = E.TrainConfig(steps=6, batch_size=1, seed=4, shot_count_range=(1, 4),
                          shot_len_range=(1, 3))
     params, _ = E.train(_TABLE_MODEL, tcfg, _TABLE_WORLD)
     gc.collect()
     assert read and all(ref() is None for ref in read)
+    assert folded == []  # training forwards keep gradients: none is folded
     del read[:]
     E.sample(params, _TABLE_MODEL, _TABLE_WORLD, [E.ShotPrompt(1, 0), E.ShotPrompt(2, 1)], steps=2)
     gc.collect()
     assert read and all(ref() is None for ref in read)
+    assert folded and all(ref() is None for ref in folded)
+
+
+_FOLD_WORLD = S.SyntheticWorld(seed=3, d_token=32, d_id=4, v_scene=5, v_mot=2)
+_FOLD_SPECS = {  # shots, dropped captions
+    "1-shot": ([E.ShotPrompt(1, 0)], ()),
+    "2-shots-dropped": ([E.ShotPrompt(2, 1, 1), E.ShotPrompt(1, 2)], (1,)),
+    "3-shots": ([E.ShotPrompt(1, 3), E.ShotPrompt(3, 0, 1), E.ShotPrompt(2, 2)], ()),
+    "4-shots-dropped": ([E.ShotPrompt(1, 0), E.ShotPrompt(2, 1), E.ShotPrompt(1, 4, 1),
+                         E.ShotPrompt(2, 3)], (0, 2)),
+    "packing-of-3": ([E.ShotPrompt(2, 4)],
+                     ([E.ShotPrompt(1, 0)], [], [E.ShotPrompt(2, 1), E.ShotPrompt(1, 3, 1)])),
+}
+
+
+def _fold_inputs(variant, dtype, case, identity):
+    """A model of seeded normal weights in dtype, and the captions and
+    layout of one _FOLD_SPECS case: a lone layout, or for the packing its
+    reference shot and three attempts, each bundle with the identity row
+    when identity is set."""
+    cfg = M.DenoiserConfig(d_model=32, blocks=2, heads=4, d_token=32, d_id=4, v_scene=5,
+                           v_mot=2, variant=variant)
+    rng = np.random.default_rng(31)
+    params = {name: Tensor(rng.standard_normal(p.shape) * 0.3, dtype=dtype)
+              for name, p in M.init_params(cfg, seed=0).items()}
+    spec, extra = _FOLD_SPECS[case]
+    specs, dropped = ([spec + more for more in extra], ()) if case == "packing-of-3" else (
+        [spec], extra)
+    id_row = E.identity_embedding(params, _FOLD_WORLD, 1) if identity else None
+    captions = tuple(S.CaptionBundle(tuple(s), frozenset(dropped), id_row) for s in specs)
+    layout = PackedLayout(tuple(E.build_layout(s, _FOLD_WORLD) for s in specs))
+    return cfg, params, captions, layout
+
+
+@pytest.mark.parametrize("guidance", [1.0, 5.0])
+@pytest.mark.parametrize("identity", [False, True], ids=["plain", "identity"])
+@pytest.mark.parametrize("variant, case", [
+    (variant, case) for variant in M.VARIANTS for case in _FOLD_SPECS
+    if case != "packing-of-3" or variant == "full+refattn"  # the one variant that packs
+])
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                         ids=["float64", "float32"])
+def test_folded_cross_attention_equals_the_taped_kernel(dtype, tol, variant, case, identity,
+                                                        guidance):
+    """Every block's folded cross-attention, built and run with no tape,
+    gives the taped kernel's output and collected probabilities to within
+    tol of their largest magnitude."""
+    cfg, params, captions, layout = _fold_inputs(variant, dtype, case, identity)
+    copies = 1 if guidance == 1.0 else 2
+    x = np.random.default_rng(32).standard_normal((copies * layout.total_tokens, cfg.d_model))
+    results = []
+    for taped in (True, False):
+        with T.GradTape() if taped else contextlib.nullcontext():
+            cond = M.conditioning(captions, layout, cfg, params, guidance)
+            assert (cond.cross_folds is None, cond.caption_kv is None) == (taped, not taped)
+            nk = sum(len(ctx.shot_index) for ctx in cond.contexts)
+            for b in range(cfg.blocks):
+                weights = AttentionWeights(*(params[f"block{b}/ca/{w}"]
+                                             for w in ("wq", "wk", "wv", "wo")))
+                collector = M.AttentionCollector()
+                out = multishot_cross_attention(Tensor(x, dtype=dtype), cond, b, weights,
+                                                cfg.heads, collector.sink(np.zeros(nk)))
+                results.append((out.data, [p for p, _ in collector.cross_probs]))
+    assert len(results) == 2 * cfg.blocks
+    for (want, want_probs), (got, got_probs) in zip(results, results[cfg.blocks:]):
+        assert got.dtype == want.dtype == dtype
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        assert len(got_probs) == len(want_probs) == cfg.heads
+        for p, q in zip(got_probs, want_probs):
+            assert np.abs(p - q).max() <= tol * np.abs(q).max()
+
+
+def test_folded_conditioning_is_refused_under_a_tape():
+    """A conditioning built with no tape recording folds W_q and W_o away,
+    so a forward that keeps gradients refuses it."""
+    cfg, params, captions, layout = _fold_inputs("full", np.float32, "2-shots-dropped", False)
+    cond = M.conditioning(captions, layout, cfg, params, 5.0)
+    assert cond.cross_folds is not None
+    z = np.zeros((layout.total_tokens, cfg.d_token), dtype=np.float32)
+    M.denoiser_forward(z, 0.5, captions, layout, cfg, params, guidance=5.0, cond=cond)
+    with T.GradTape(), pytest.raises(ConfigError, match="folded conditioning"):
+        M.denoiser_forward(z, 0.5, captions, layout, cfg, params, guidance=5.0, cond=cond)
 
 
 @pytest.mark.parametrize("variant", ["full", "full+refattn"])

@@ -62,8 +62,9 @@ def _span_counts(run):
 @pytest.mark.parametrize("job", ["sample", "sample_infinite"])
 def test_model_forward_span_sees_every_sampling_step(job, guidance):
     """Each sampling step is one traced model.forward, which runs each
-    block's self- and cross-attention once, whatever the guidance, and each
-    of them as one attention kernel call over every branch and segment."""
+    block's self- and cross-attention once, whatever the guidance: the
+    self-attention as one attention kernel call over every branch and
+    segment, the folded cross-attention with none."""
     ref = E.ShotPrompt(1, 0)
     if job == "sample":
         def run():
@@ -79,4 +80,4 @@ def test_model_forward_span_sees_every_sampling_step(job, guidance):
     counts = _span_counts(run)
     assert counts["model.forward"] == STEPS
     assert counts["attention.self"] == counts["attention.cross"] == CFG.blocks * STEPS
-    assert counts["attention.scaled_dot"] == 2 * CFG.blocks * STEPS
+    assert counts["attention.scaled_dot"] == CFG.blocks * STEPS

@@ -1025,6 +1025,49 @@ class TestEntryChecks:
         assert rc == cli.EXIT_CONFIG
         assert "is a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name", [
+        ("train", "checkpoint.ecsh"),
+        ("train", "checkpoint.ecsh.json"),
+        ("train", "loss.csv"),
+        ("sample", "sample0000.ecsh"),
+        ("sample", "metrics.json"),
+        ("ablate", "ablation.csv"),
+    ])
+    def test_output_file_name_is_a_directory(self, tmp_path, config_path, refattn_ckpt,
+                                             command, name, monkeypatch, capsys):
+        """An output file name that is an existing directory under --out is
+        refused before the command's work, which could not then be saved."""
+        for work in ("train", "sample", "sample_infinite"):
+            monkeypatch.setattr(cli.engine, work, _must_not_run)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        args = {
+            "train": ["train", "--config", config_path],
+            "sample": ["sample", "--ckpt", refattn_ckpt, "--shots", "n=2,scene=0", "--steps", "1"],
+            "ablate": ["ablate", "--config", config_path],
+        }[command]
+        assert cli.main(args + ["--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"{out / name} is a directory" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == [name]
+
+    def test_a_write_that_fails_after_the_work_is_usage_error(self, tmp_path, config_path,
+                                                              monkeypatch, capsys):
+        """A file that cannot be written once the work is done (here a
+        directory made under its name during training) exits 2, not with a
+        traceback."""
+        out = tmp_path / "out"
+        train = cli.engine.train
+
+        def train_then_block(*args, **kwargs):
+            (out / "checkpoint.ecsh").mkdir()
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli.engine, "train", train_then_block)
+        rc = cli.main(["train", "--config", config_path, "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"cannot write {out / 'checkpoint.ecsh'}" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["checkpoint.ecsh"]
+
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("ran past the command-entry checks")

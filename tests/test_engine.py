@@ -384,6 +384,39 @@ class TestCaptionKeysOncePerCall:
         want = [f"block{b}/ca/{w}" for b in range(self.CFG.blocks) for w in ("wk", "wv")]
         assert sorted(projected) == sorted(want * branches)
 
+    @pytest.mark.parametrize("job", ["sample", "sample_infinite"])
+    def test_sampling_steps_fold_the_cross_attention(self, small_world, monkeypatch, job):
+        """The conditioning a guided sampling call builds is folded, and no
+        step projects the cross-attention's queries or outputs: no product
+        reads a block's ca/wq or ca/wo, while the self-attention's run."""
+        params = M.init_params(self.CFG, seed=2)
+        conds, operands = [], set()
+        conditioning, matmul = M.conditioning, T.matmul
+        names = {id(p): name for name, p in params.items()}
+
+        def built(*args, **kwargs):
+            conds.append(conditioning(*args, **kwargs))
+            return conds[-1]
+
+        def spied(a, b):
+            operands.add(names.get(id(b)))
+            return matmul(a, b)
+
+        monkeypatch.setattr(M, "conditioning", built)
+        monkeypatch.setattr(T, "matmul", spied)
+        kw = dict(steps=2, guidance=5.0, seed=3)
+        if job == "sample":
+            E.sample(params, self.CFG, small_world, [self.REF, E.ShotPrompt(2, 1)], **kw)
+        else:
+            noise = np.zeros((8, small_world.d_token), dtype=np.float32)
+            attempts = [[E.ShotPrompt(2, 1)], [E.ShotPrompt(1, 2), E.ShotPrompt(1, 3)]]
+            E.sample_infinite(params, self.CFG, small_world, self.REF, noise, attempts, **kw)
+        assert len(conds) == 1
+        assert conds[0].caption_kv is None and len(conds[0].cross_folds) == self.CFG.blocks
+        for b in range(self.CFG.blocks):
+            assert {f"block{b}/sa/wq", f"block{b}/sa/wo"} <= operands
+            assert not {f"block{b}/ca/wq", f"block{b}/ca/wo"} & operands
+
     def test_training_forward_reads_updated_weights(self, small_world):
         """An in-place change to block0/ca/wk between two taped forwards, as
         AdamW makes, reaches the second forward's output and gradients."""

@@ -29,7 +29,6 @@ CALLERS = ("perfbench/*.py", "tools/*.py")
 # the public names that no caller runs, each kept for its reason
 UNCALLED = {
     "tensor.transpose": "in the unfused chain that attention_core is tested against",
-    "tensor.softmax_rows": "in the unfused chain that attention_core is tested against",
     "tensor.gelu": "in the unfused chain that ffn is tested against",
     "synthetic.decode_motion": "the oracle motion decode that motion adherence will score with",
     "analysis.attention_heatmaps": "the shot-block heatmaps acceptance tests c08 and c10 read",

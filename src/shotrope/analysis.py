@@ -7,12 +7,12 @@ per-instance logit bound check, and shot-block attention heatmaps.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rope
-from .checkpoint import write_csv
 from .tensor import ConfigError, ShapeError, seeded_rng
 
 
@@ -136,6 +136,8 @@ def attention_heatmaps(params, cfg, batch, tau=0.5):
 
 
 def write_curve_csv(curve, path):
-    rows = [[repr(float(x)), repr(float(f)), repr(float(d))]
-            for x, f, d in zip(curve.xs, curve.f, curve.delta)]
-    write_csv(path, [["x", "f", "delta"], *rows])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "f", "delta"])
+        for x, f, d in zip(curve.xs, curve.f, curve.delta):
+            writer.writerow([repr(float(x)), repr(float(f)), repr(float(d))])

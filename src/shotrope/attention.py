@@ -19,10 +19,12 @@ also stacks the guidance branches' rows: each kernel reads its row-aligned
 tables and blocks, keeps no state and counts no branch.  Self-attention and
 taped cross-attention make one attention_core call.  With no tape recording,
 the caption keys and values are fixed for the call and each shot's queries
-turn by one angle, so the conditioning folds W_q, that rotation and the keys
-into one matrix per run of one shot's rows, and the values and W_o into one
-per block (fold_cross_attention): cross-attention is then two thin products
-and a softmax per run.
+turn by one angle, so the conditioning folds, in each block with few caption
+keys (heads * keys <= d_model), W_q, that rotation and the keys into one
+matrix per run of one shot's rows, and the values and W_o into one per block
+(fold_cross_attention): such a block's cross-attention is then two thin
+products and a softmax per run, and a block with more keys runs the kernel
+on its own rows.
 """
 
 from __future__ import annotations
@@ -126,12 +128,12 @@ class Conditioning:
     self-attention, before the branches stack) reads the tables' first
     `rows` rows and the self blocks ending by `rows`.
 
-    Cross-attention reads one of two fields, the other being None.  Built
-    under a GradTape, caption_kv holds each block's rotated caption keys and
-    values, stacked over the branches, for the taped kernel.  Built with no
-    tape recording, cross_folds holds each block's fold_cross_attention runs
-    instead: the keys, values, query rotations and W_q and W_o folded into
-    two matrices per run, which carry no gradient.
+    caption_kv holds each block's rotated caption keys and values, stacked
+    over the branches.  Built with no tape recording, cross_folds holds each
+    block's fold_cross_attention runs: in the attention blocks with few
+    caption keys, the keys, values, query rotations and W_q and W_o folded
+    into two matrices per run, which carry no gradient.  Built under a
+    GradTape, cross_folds is None and cross-attention runs the taped kernel.
     """
 
     captions: tuple
@@ -141,7 +143,7 @@ class Conditioning:
     query_tables: tuple
     self_blocks: tuple
     cross_blocks: tuple
-    caption_kv: tuple | None
+    caption_kv: tuple
     cross_folds: tuple | None
 
 
@@ -177,6 +179,13 @@ def fold_cross_attention(kv, wq, wo, query_tables, blocks):
     A = [R(W_q,h) K_h^T]_h / sqrt(dh), [d, heads * nk'], and
     VWo = [V_h W_o,h]_h, [heads * nk', d].  Returns the runs' (query rows,
     key rows, A, VWo), in row order; a block's runs share its VWo.
+
+    Only a block with heads * nk' <= d folds.  Its A and VWo are then no
+    larger than W_q, and a row's two products cost no more than the Q and
+    O projections they replace; a block with more keys (many shots in one
+    block) would hold a d x heads * nk' matrix per shot and run slower, so
+    it is returned as one run (query rows, key rows, None, None) for the
+    kernel.
     """
     k, v = (t.data for t in kv)
     heads, _, dh = k.shape
@@ -189,8 +198,12 @@ def fold_cross_attention(kv, wq, wo, query_tables, blocks):
     scale = k.dtype.type(1.0 / np.sqrt(dh))
     runs = []
     for q_rows, k_rows in blocks:
-        kt = np.ascontiguousarray(np.swapaxes(k[:, k_rows], 1, 2))  # [heads, dh, nk']
-        nk = kt.shape[-1]
+        keys = k[:, k_rows]
+        nk = keys.shape[1]
+        if heads * nk > d:
+            runs.append((q_rows, k_rows, None, None))
+            continue
+        kt = np.ascontiguousarray(np.swapaxes(keys, 1, 2))  # [heads, dh, nk']
         out_w = (np.ascontiguousarray(v[:, k_rows]) @ wo_heads).reshape(heads * nk, d)
         inner = turns[(turns > q_rows.start) & (turns < q_rows.stop)]
         cuts = [q_rows.start, *inner.tolist(), q_rows.stop]
@@ -210,28 +223,39 @@ def multishot_cross_attention(tokens, cond, block, weights, heads=4, probs_out=N
     cond's stacked rows, and each branch's segments attend over its
     context's by cond.cross_blocks.
 
-    Under a tape (cond.caption_kv set) the queries are projected by
+    Under a tape (cond.cross_folds None) the queries are projected by
     weights.wq and rotated, attend over block `block` of cond.caption_kv
     in one attention_core call, and the heads' outputs are projected by
-    weights.wo.  Otherwise each run of cond.cross_folds[block] is three
-    steps: logits x A, a softmax over each head's keys, and P VWo; no Q or
-    O projection runs, and weights are not read.  A folded cond under a
-    recording tape is refused, as it would drop W_q's and W_o's gradients.
-    probs_out gets (query rows, key rows, [heads, rows, keys]) blocks either way.
+    weights.wo.  Otherwise each run of cond.cross_folds[block] that folds
+    is three steps: logits x A, a softmax over each head's keys, and P VWo,
+    with no Q or O projection; a run that does not, a whole attention
+    block, runs those projections and the kernel on its own rows.  A folded
+    cond under a recording tape is refused, as it would drop W_q's and
+    W_o's gradients.  probs_out gets (query rows, key rows, [heads, rows,
+    keys]) blocks either way.
     """
+    k, v = cond.caption_kv[block]
     if cond.cross_folds is None:
         q = project(tokens, weights.wq, heads, cond.query_tables)
-        k, v = cond.caption_kv[block]
         out = scaled_dot_attention(q, k, v, probs_out, cond.cross_blocks)
         return T.matmul(T.merge_heads(out), weights.wo)
     if T.recording():
         raise ConfigError("a folded conditioning keeps no gradient: build it under the tape")
-    x, runs = tokens.data, cond.cross_folds[block]
-    out = np.empty(x.shape, np.result_type(x, *runs[0][2:]))
-    for q_rows, k_rows, logit_w, out_w in runs:
-        logits = T.matmul(Tensor(x[q_rows]), Tensor(logit_w)).data
-        probs = T.softmax_rows(Tensor(logits.reshape(len(logits), heads, -1))).data
-        out[q_rows] = T.matmul(Tensor(probs.reshape(len(logits), -1)), Tensor(out_w)).data
+    x = tokens.data
+    out = np.empty(x.shape, np.result_type(x, weights.wq.data, weights.wo.data, k.data, v.data))
+    for q_rows, k_rows, logit_w, out_w in cond.cross_folds[block]:
+        rows = Tensor(x[q_rows])
+        if logit_w is None:
+            part = None if probs_out is None else []
+            q = project(rows, weights.wq, heads, [tab[q_rows] for tab in cond.query_tables])
+            o = scaled_dot_attention(q, k, v, part, [(slice(0, rows.shape[0]), k_rows)])
+            out[q_rows] = T.matmul(T.merge_heads(o), weights.wo).data
+            probs = None if part is None else part[0][2]
+        else:
+            logits = T.matmul(rows, Tensor(logit_w)).data
+            probs = T.softmax_rows(Tensor(logits.reshape(len(logits), heads, -1))).data
+            out[q_rows] = T.matmul(Tensor(probs.reshape(len(logits), -1)), Tensor(out_w)).data
+            probs = probs.transpose(1, 0, 2)
         if probs_out is not None:
-            probs_out.append((q_rows, k_rows, probs.transpose(1, 0, 2)))
+            probs_out.append((q_rows, k_rows, probs))
     return Tensor(out)

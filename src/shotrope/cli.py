@@ -14,7 +14,9 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import typing
 
 import numpy as np
@@ -108,30 +110,53 @@ def _world_for(model_cfg, raw):
 
 
 @contextlib.contextmanager
-def _run_dir(path):
-    """Make the output directory path of a run; one that cannot be made is a
-    usage error.  A block that raises a usage or numeric error leaves no
-    directory this made behind, so a command writes its files after the block."""
+def _run_dir(path, *names):
+    """Make the output directory path of a run (the current one when path is
+    empty) and yield a staging directory in it: the block writes the run's
+    files, named names, there, and they are renamed into path when it
+    returns.  An output name that is an existing directory, or a path that
+    cannot be made, is a usage error before the block runs.  A block that
+    raises a usage or numeric error, a failed write among them, saves no
+    file (unless a rename into place fails after another succeeded) and
+    leaves no directory this made behind."""
+    targets = [os.path.join(path, name) for name in names]
+    _refuse_directories(targets)
     made = []
     head = os.path.abspath(path)
     while not os.path.exists(head):
         made.append(head)
         head = os.path.dirname(head)
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(path or os.curdir, exist_ok=True)
+        stage = tempfile.mkdtemp(prefix=".stage-", dir=path or os.curdir)
     except OSError as exc:
+        _remove_empty(made)
         raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
     try:
-        yield
+        yield stage
+        _refuse_directories(targets)  # one made during the work
+        for name, target in zip(names, targets):
+            try:
+                os.replace(os.path.join(stage, name), target)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from exc
     except (ConfigError, ShapeError, NumericError):
-        for head in made:
-            os.rmdir(head)
+        shutil.rmtree(stage)
+        _remove_empty(made)
         raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
-def _refuse_directories(*paths):
-    """Refuse output file paths that are existing directories, before the
-    command's work: its writes after the work could not replace them."""
+def _remove_empty(dirs):
+    """Remove dirs, deepest first, but any that is missing or that something
+    else has written into."""
+    for path in dirs:
+        with contextlib.suppress(OSError):
+            os.rmdir(path)
+
+
+def _refuse_directories(paths):
     for path in paths:
         if os.path.isdir(path):
             raise ConfigError(f"output {path} is a directory")
@@ -151,14 +176,14 @@ def cmd_train(args):
         model_cfg = dataclasses.replace(model_cfg, variant=args.variant)
     if args.seed is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
-    ckpt_path, loss_path = (os.path.join(args.out, f) for f in ("checkpoint.ecsh", "loss.csv"))
-    _refuse_directories(ckpt_path, sidecar_path(ckpt_path), loss_path)
-    with _run_dir(args.out):
+    names = ("checkpoint.ecsh", sidecar_path("checkpoint.ecsh"), "loss.csv")
+    with _run_dir(args.out, *names) as stage:
         params, log = engine.train(model_cfg, train_cfg, world)
-    save_checkpoint(ckpt_path, params, run_config_dict(model_cfg, train_cfg, world))
-    rows = [[step, repr(loss), repr(smoothed)] for step, loss, smoothed in log]
-    write_csv(loss_path, [["step", "loss", "smoothed"], *rows])
-    print(f"checkpoint: {ckpt_path}")
+        save_checkpoint(os.path.join(stage, names[0]), params,
+                        run_config_dict(model_cfg, train_cfg, world))
+        rows = [[step, repr(loss), repr(smoothed)] for step, loss, smoothed in log]
+        write_csv(os.path.join(stage, names[2]), [["step", "loss", "smoothed"], *rows])
+    print(f"checkpoint: {os.path.join(args.out, names[0])}")
     print(f"final loss: {log[-1][1]:.6f} (smoothed {log[-1][2]:.6f})")
     return EXIT_OK
 
@@ -251,11 +276,9 @@ def cmd_sample(args):
             raise ConfigError("--ref-attn requires every --shots group to share the first segment")
     elif len(specs) != 1:
         raise ConfigError("multiple --shots groups require --ref-attn")
-    field_paths = [os.path.join(args.out, f"sample{i:04d}.ecsh") for i in range(len(specs))]
-    metrics_path = os.path.join(args.out, "metrics.json")
-    _refuse_directories(*field_paths, metrics_path)
+    field_names = [f"sample{i:04d}.ecsh" for i in range(len(specs))]
 
-    with _run_dir(args.out):
+    with _run_dir(args.out, *field_names, "metrics.json") as stage:
         if args.ref_attn:
             ref = specs[0][0]
             # the root sequence: attempt a's added shots draw from spawn key (a,)
@@ -276,18 +299,18 @@ def cmd_sample(args):
                 )
             ]
 
-    metrics = []
-    for path, tokens, spec in zip(field_paths, fields, specs):
-        save_tensors(path, {"tokens": tokens})
-        layout = engine.build_layout(spec, world)
-        rec = engine.metrics_on_field(tokens, spec, layout, world)
-        rec["file"] = os.path.basename(path)
-        metrics.append(rec)
-    summary = engine.mean_metrics(metrics)
-    summary["n_samples"] = len(metrics)
-    summary["seed"] = args.seed
-    summary["samples"] = metrics
-    write_json(metrics_path, summary, indent=2)
+        metrics = []
+        for name, tokens, spec in zip(field_names, fields, specs):
+            save_tensors(os.path.join(stage, name), {"tokens": tokens})
+            layout = engine.build_layout(spec, world)
+            rec = engine.metrics_on_field(tokens, spec, layout, world)
+            rec["file"] = name
+            metrics.append(rec)
+        summary = engine.mean_metrics(metrics)
+        summary["n_samples"] = len(metrics)
+        summary["seed"] = args.seed
+        summary["samples"] = metrics
+        write_json(os.path.join(stage, "metrics.json"), summary, indent=2)
     print(json.dumps({k: summary[k] for k in engine.METRIC_KEYS}))
     return EXIT_OK
 
@@ -306,10 +329,13 @@ def cmd_curve(args):
             f"--xmax {args.xmax:g} at --step {args.step:g} is more than "
             f"{CURVE_MAX_POINTS} grid points"
         )
-    _refuse_directories(args.out)
-    with _run_dir(os.path.dirname(args.out) or os.curdir):
+    name = os.path.basename(args.out)
+    with _run_dir(os.path.dirname(args.out), name) as stage:
         curve = analysis.delta_curve(args.dim, np.arange(0.0, stop, args.step))
-    analysis.write_curve_csv(curve, args.out)
+        try:
+            analysis.write_curve_csv(curve, os.path.join(stage, name))
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     for ds in range(5):
         x = args.k * ds
         d = analysis.partial_sum_magnitudes(args.dim, x) / curve.f[0]
@@ -347,9 +373,7 @@ def cmd_ablate(args):
     eval_cfg = {"n_samples": args.eval_samples, "seed": train_cfg.seed, "steps": args.eval_steps}
     tasks = [(cfg, train_cfg, world, eval_cfg) for _, cfg in runs]
     workers = min(_usable_cpus(), len(tasks))
-    out_csv = os.path.join(args.out, "ablation.csv")
-    _refuse_directories(out_csv)
-    with _run_dir(args.out):
+    with _run_dir(args.out, "ablation.csv") as stage:
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -358,18 +382,18 @@ def cmd_ablate(args):
         else:
             results = [_ablate_run(t) for t in tasks]
 
-    rows = [["variant", "j", "k", "default", *engine.METRIC_KEYS]]
-    for (name, cfg), metrics in zip(runs, results):
-        is_default = cfg.variant == "full" and cfg.j == 4.0 and cfg.k == 6.0
-        rows.append([name, cfg.j, cfg.k, "yes" if is_default else "no"]
-                    + [repr(metrics[key]) for key in engine.METRIC_KEYS])
-    write_csv(out_csv, rows)
+        rows = [["variant", "j", "k", "default", *engine.METRIC_KEYS]]
+        for (name, cfg), metrics in zip(runs, results):
+            is_default = cfg.variant == "full" and cfg.j == 4.0 and cfg.k == 6.0
+            rows.append([name, cfg.j, cfg.k, "yes" if is_default else "no"]
+                        + [repr(metrics[key]) for key in engine.METRIC_KEYS])
+        write_csv(os.path.join(stage, "ablation.csv"), rows)
     for (name, _), metrics in zip(runs, results):
         print(
             f"{name}: scene_adherence={metrics['scene_adherence']:.3f} "
             f"identity={metrics['identity_consistency']:.3f} cut={metrics['cut_accuracy']:.3f}"
         )
-    print(f"table written to {out_csv}")
+    print(f"table written to {os.path.join(args.out, 'ablation.csv')}")
     return EXIT_OK
 
 

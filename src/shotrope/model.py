@@ -212,9 +212,9 @@ def conditioning(captions, layout, cfg, params, guidance=1.0):
     weights as they are now: a sampling call builds the conditioning once
     for all its steps, and a training forward builds its own, so none
     outlives an AdamW update.  Built with no GradTape recording, the
-    conditioning folds each block's cross-attention (fold_cross_attention)
-    and keeps the folds instead of the keys and values; a forward that
-    keeps gradients builds it under its tape.
+    conditioning also folds each block's cross-attention where it has few
+    caption keys (fold_cross_attention); a forward that keeps gradients
+    builds it under its tape.
     """
     captions = captions if isinstance(captions, tuple) else (captions,)
     if len(layout.layouts) > 1 and not cfg.use_ref:
@@ -259,7 +259,7 @@ def conditioning(captions, layout, cfg, params, guidance=1.0):
                              query_tables, cross_blocks)
         for b, kv in enumerate(caption_kv)
     )
-    return Conditioning(*shared, None, folds)
+    return Conditioning(*shared, tuple(caption_kv), folds)
 
 
 def denoiser_forward(
@@ -278,8 +278,8 @@ def denoiser_forward(
     run once on the stack, with the bits of each branch's own forward
     (README, Determinism).  cond, what every attention call reads, is
     conditioning(captions, layout, cfg, params, guidance), built when None
-    (its cross-attention folded unless a GradTape records, and a folded one
-    refused under a recording tape);
+    (its cross-attention folded where a block has few caption keys, unless
+    a GradTape records, and a folded one refused under a recording tape);
     a sampling call passes the one it built for all its steps, and one built
     for other captions, another layout or another branch count is refused.
     collect needs guidance 1.

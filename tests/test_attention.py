@@ -599,7 +599,7 @@ def test_no_table_a_forward_read_outlives_its_call(monkeypatch):
         cond = conditioning(*args, **kwargs)
         read.extend(weakref.ref(tab) for tab in cond.token_tables + cond.query_tables)
         for runs in cond.cross_folds or ():
-            folded.extend(weakref.ref(m) for run in runs for m in run[2:])
+            folded.extend(weakref.ref(m) for run in runs for m in run[2:] if m is not None)
         return cond
 
     monkeypatch.setattr(T, "rope_pairs", spy)
@@ -626,6 +626,7 @@ _FOLD_SPECS = {  # shots, dropped captions
                          E.ShotPrompt(2, 3)], (0, 2)),
     "packing-of-3": ([E.ShotPrompt(2, 4)],
                      ([E.ShotPrompt(1, 0)], [], [E.ShotPrompt(2, 1), E.ShotPrompt(1, 3, 1)])),
+    "5-shots": ([E.ShotPrompt(1, s % 5, s % 2) for s in range(5)], ()),
 }
 
 
@@ -658,9 +659,10 @@ def _fold_inputs(variant, dtype, case, identity):
                          ids=["float64", "float32"])
 def test_folded_cross_attention_equals_the_taped_kernel(dtype, tol, variant, case, identity,
                                                         guidance):
-    """Every block's folded cross-attention, built and run with no tape,
-    gives the taped kernel's output and collected probabilities to within
-    tol of their largest magnitude."""
+    """Every block's cross-attention built and run with no tape, folded
+    where an attention block has heads * keys <= d_model and the kernel on
+    its own rows elsewhere, gives the taped kernel's output and collected
+    probabilities to within tol of their largest magnitude."""
     cfg, params, captions, layout = _fold_inputs(variant, dtype, case, identity)
     copies = 1 if guidance == 1.0 else 2
     x = np.random.default_rng(32).standard_normal((copies * layout.total_tokens, cfg.d_model))
@@ -668,8 +670,11 @@ def test_folded_cross_attention_equals_the_taped_kernel(dtype, tol, variant, cas
     for taped in (True, False):
         with T.GradTape() if taped else contextlib.nullcontext():
             cond = M.conditioning(captions, layout, cfg, params, guidance)
-            assert (cond.cross_folds is None, cond.caption_kv is None) == (taped, not taped)
+            assert (cond.cross_folds is None) == taped
             nk = sum(len(ctx.shot_index) for ctx in cond.contexts)
+            for runs in cond.cross_folds or ():
+                for _, k_rows, logit_w, _ in runs:
+                    assert (logit_w is None) == (cfg.heads * np.arange(nk)[k_rows].size > cfg.d_model)
             for b in range(cfg.blocks):
                 weights = AttentionWeights(*(params[f"block{b}/ca/{w}"]
                                              for w in ("wq", "wk", "wv", "wo")))
@@ -684,6 +689,20 @@ def test_folded_cross_attention_equals_the_taped_kernel(dtype, tol, variant, cas
         assert len(got_probs) == len(want_probs) == cfg.heads
         for p, q in zip(got_probs, want_probs):
             assert np.abs(p - q).max() <= tol * np.abs(q).max()
+
+
+def test_only_attention_blocks_with_few_caption_keys_fold():
+    """An attention block folds when heads * its keys <= d_model, so no
+    folded matrix is larger than W_q: under full+refattn at guidance 5, of
+    five shots with their identity rows, the conditional branch's shot-0
+    block (3 keys) folds and its later shots' block (15 keys) does not,
+    while the unconditional branch's null captions (1 and 5 keys) fold."""
+    cfg, params, captions, layout = _fold_inputs("full+refattn", np.float32, "5-shots", True)
+    cond = M.conditioning(captions, layout, cfg, params, 5.0)
+    for runs in cond.cross_folds:
+        assert [(r[0].stop - r[0].start, r[2] is None) for r in runs] == [
+            (16, False), (64, True), (16, False)] + [(16, False)] * 4
+        assert all(m.size <= cfg.d_model ** 2 for r in runs if r[2] is not None for m in r[2:])
 
 
 def test_folded_conditioning_is_refused_under_a_tape():

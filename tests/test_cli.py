@@ -1050,23 +1050,53 @@ class TestEntryChecks:
         assert f"{out / name} is a directory" in capsys.readouterr().err
         assert sorted(os.listdir(out)) == [name]
 
-    def test_a_write_that_fails_after_the_work_is_usage_error(self, tmp_path, config_path,
-                                                              monkeypatch, capsys):
-        """A file that cannot be written once the work is done (here a
-        directory made under its name during training) exits 2, not with a
-        traceback."""
+    @pytest.mark.parametrize("earlier", [False, True], ids=["new-out", "earlier-out"])
+    @pytest.mark.parametrize("command, writer", [("train", "write_csv"), ("sample", "write_json")])
+    def test_a_write_that_fails_after_the_work_is_usage_error(
+            self, tmp_path, config_path, refattn_ckpt, command, writer, earlier, monkeypatch,
+            capsys):
+        """A file that cannot be written once the work is done (the last one,
+        train's loss.csv or sample's metrics.json, here sent under a missing
+        directory) exits 2, not with a traceback, and saves nothing: the files
+        written before it are dropped, an --out the command made is removed,
+        and an earlier run's files are left as they were."""
+        out = tmp_path / "out"
+        if earlier:
+            out.mkdir()
+            for name in ("checkpoint.ecsh", "sample0000.ecsh"):
+                (out / name).write_bytes(b"earlier")
+        write = getattr(cli, writer)
+        monkeypatch.setattr(cli, writer, lambda path, *a, **kw: write(
+            os.path.join(path, "missing", "file"), *a, **kw))
+        args = {
+            "train": ["train", "--config", config_path],
+            "sample": ["sample", "--ckpt", refattn_ckpt, "--shots", "n=2,scene=0", "--steps", "1"],
+        }[command]
+        assert cli.main(args + ["--out", str(out)]) == cli.EXIT_CONFIG
+        assert "cannot write " in capsys.readouterr().err
+        if earlier:
+            assert sorted(os.listdir(out)) == ["checkpoint.ecsh", "sample0000.ecsh"]
+            assert all((out / name).read_bytes() == b"earlier" for name in os.listdir(out))
+        else:
+            assert not out.exists()
+
+    def test_an_output_made_a_directory_during_the_work_is_usage_error(self, tmp_path,
+                                                                       config_path, monkeypatch,
+                                                                       capsys):
+        """An output name made a directory while train runs (here loss.csv,
+        the last) exits 2 and saves no file, the checkpoint included."""
         out = tmp_path / "out"
         train = cli.engine.train
 
         def train_then_block(*args, **kwargs):
-            (out / "checkpoint.ecsh").mkdir()
+            (out / "loss.csv").mkdir()
             return train(*args, **kwargs)
 
         monkeypatch.setattr(cli.engine, "train", train_then_block)
         rc = cli.main(["train", "--config", config_path, "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
-        assert f"cannot write {out / 'checkpoint.ecsh'}" in capsys.readouterr().err
-        assert sorted(os.listdir(out)) == ["checkpoint.ecsh"]
+        assert f"output {out / 'loss.csv'} is a directory" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["loss.csv"]
 
 
 def _must_not_run(*args, **kwargs):

@@ -376,6 +376,9 @@ class TestCaptionKeysOncePerCall:
         kw = dict(steps=steps, guidance=guidance, seed=3)
         if job == "sample":
             E.sample(params, self.CFG, small_world, [self.REF, E.ShotPrompt(2, 1)], **kw)
+        elif job == "sample-many-shots":
+            shots = [E.ShotPrompt(1, s % 3, s % 2) for s in range(6)]
+            E.sample(params, self.CFG, small_world, [self.REF, *shots], **kw)
         else:
             noise = np.zeros((8, small_world.d_token), dtype=np.float32)
             attempts = [[E.ShotPrompt(2, 1)], [E.ShotPrompt(1, 2), E.ShotPrompt(1, 3)]]
@@ -384,11 +387,13 @@ class TestCaptionKeysOncePerCall:
         want = [f"block{b}/ca/{w}" for b in range(self.CFG.blocks) for w in ("wk", "wv")]
         assert sorted(projected) == sorted(want * branches)
 
-    @pytest.mark.parametrize("job", ["sample", "sample_infinite"])
+    @pytest.mark.parametrize("job", ["sample", "sample_infinite", "sample-many-shots"])
     def test_sampling_steps_fold_the_cross_attention(self, small_world, monkeypatch, job):
         """The conditioning a guided sampling call builds is folded, and no
         step projects the cross-attention's queries or outputs: no product
-        reads a block's ca/wq or ca/wo, while the self-attention's run."""
+        reads a block's ca/wq or ca/wo, while the self-attention's run.  Seven
+        shots give the conditional branch's later shots 14 caption keys, more
+        than d_model / heads = 12: that block runs the projections."""
         params = M.init_params(self.CFG, seed=2)
         conds, operands = [], set()
         conditioning, matmul = M.conditioning, T.matmul
@@ -407,15 +412,19 @@ class TestCaptionKeysOncePerCall:
         kw = dict(steps=2, guidance=5.0, seed=3)
         if job == "sample":
             E.sample(params, self.CFG, small_world, [self.REF, E.ShotPrompt(2, 1)], **kw)
+        elif job == "sample-many-shots":
+            shots = [E.ShotPrompt(1, s % 3, s % 2) for s in range(6)]
+            E.sample(params, self.CFG, small_world, [self.REF, *shots], **kw)
         else:
             noise = np.zeros((8, small_world.d_token), dtype=np.float32)
             attempts = [[E.ShotPrompt(2, 1)], [E.ShotPrompt(1, 2), E.ShotPrompt(1, 3)]]
             E.sample_infinite(params, self.CFG, small_world, self.REF, noise, attempts, **kw)
-        assert len(conds) == 1
-        assert conds[0].caption_kv is None and len(conds[0].cross_folds) == self.CFG.blocks
-        for b in range(self.CFG.blocks):
+        assert len(conds) == 1 and len(conds[0].cross_folds) == self.CFG.blocks
+        many = job == "sample-many-shots"
+        for b, runs in enumerate(conds[0].cross_folds):
+            assert sum(run[2] is None for run in runs) == many
             assert {f"block{b}/sa/wq", f"block{b}/sa/wo"} <= operands
-            assert not {f"block{b}/ca/wq", f"block{b}/ca/wo"} & operands
+            assert bool({f"block{b}/ca/wq", f"block{b}/ca/wo"} & operands) == many
 
     def test_training_forward_reads_updated_weights(self, small_world):
         """An in-place change to block0/ca/wk between two taped forwards, as

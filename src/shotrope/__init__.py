@@ -1,7 +1,7 @@
 """Shot-aware rotary attention mechanisms in a toy multi-shot diffusion
 transformer, plus the numerical analysis tooling around them."""
 
-from .shots import ShotLayout, ShotRopeParams, effective_time_index, tarope, tcrope
+from .shots import ShotLayout, effective_time_index, tarope, tcrope
 from .rope import RotaryBasis, rope_1d, rope_3d
 from .tensor import ConfigError, GradTape, NumericError, ShapeError, Tensor
 
@@ -12,7 +12,6 @@ __all__ = [
     "RotaryBasis",
     "ShapeError",
     "ShotLayout",
-    "ShotRopeParams",
     "Tensor",
     "effective_time_index",
     "rope_1d",

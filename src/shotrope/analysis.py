@@ -3,11 +3,11 @@
 Everything here runs in 64-bit complex arithmetic: the partial-sum
 magnitude curve f(x), its normalized form delta(x) = f(x)/f(0), the
 per-instance logit bound check, and shot-block attention heatmaps.
+It reads and writes no file: `cli` writes the curve.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,27 +59,30 @@ def pair_products(q, k):
     return qc * np.conj(kc)
 
 
-def suppressed_logit(q, k, s1, s2, params, basis):
-    """Exact TaRoPE-modulated inner product, 64-bit."""
-    x = params.k * (s1 - s2)
-    h = pair_products(q, k)
+def suppressed_logit(q, key, s1, s2, k, basis):
+    """Exact TaRoPE-modulated inner product of query q in shot s1 and key
+    in shot s2, at rotation k per shot, 64-bit."""
+    x = k * (s1 - s2)
+    h = pair_products(q, key)
     if basis.dim != 2 * h.shape[-1]:
         raise ShapeError(f"basis dim {basis.dim} != vector dim {2 * h.shape[-1]}")
     return float(np.real(np.sum(h * np.exp(1j * x * basis.angles))))
 
 
-def logit_bound_check(q, k, s1, s2, params, basis):
-    """bound - |logit|; non-negative means the inequality holds here."""
+def logit_bound_check(q, key, s1, s2, k, basis):
+    """bound - |logit| for query q in shot s1 and key in shot s2 at rotation
+    k per shot, the bound being max|h_i - h_(i+1)| * f(k*|s1 - s2|);
+    non-negative means the inequality holds here."""
     q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    if q.shape != k.shape:
+    key = np.asarray(key, dtype=np.float64)
+    if q.shape != key.shape:
         raise ShapeError("logit_bound_check: dim mismatch")
-    h = pair_products(q, k)
+    h = pair_products(q, key)
     h_ext = np.concatenate([h, [0.0 + 0.0j]])  # h_{d/2} = 0
     max_dh = float(np.abs(np.diff(h_ext)).max())
-    x = abs(params.k * (s1 - s2))
+    x = abs(k * (s1 - s2))
     bound = max_dh * partial_sum_magnitudes(q.shape[-1], x, basis)
-    logit = suppressed_logit(q, k, s1, s2, params, basis)
+    logit = suppressed_logit(q, key, s1, s2, k, basis)
     return bound - abs(logit)
 
 
@@ -133,11 +136,3 @@ def attention_heatmaps(params, cfg, batch, tau=0.5):
                 shot_block_matrix(probs, q_shots, k_shots, layout.shot_count)
             )
     return np.mean(self_mats, axis=0), np.mean(cross_mats, axis=0)
-
-
-def write_curve_csv(curve, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "f", "delta"])
-        for x, f, d in zip(curve.xs, curve.f, curve.delta):
-            writer.writerow([repr(float(x)), repr(float(f)), repr(float(d))])

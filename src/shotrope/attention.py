@@ -2,14 +2,14 @@
 
 Self-attention modulates Q/K with the boundary-shifted 3D rotary
 embedding; cross-attention aligns visual queries with per-shot caption
-keys via the 1D shot-index rotation.  Both run one body, and segment
-blocks decide which keys a row sees.  The plain multi-shot mode is the
-one-segment case: nothing is masked, and inter-shot interaction is
-suppressed by rotary distance only.  The reference mode splits the rows
-into segments so shot-0 rows depend on shot-0 inputs alone.  There is one
-packing path: a lone layout is the packing of itself, and a layout and its
-caption context give the row ends of their segments, [shot 0 | each
-layout's later shots], which `segment_blocks` turns into blocks.
+keys via the 1D shot-index rotation.  In both, segment blocks decide
+which keys a row sees.  The plain multi-shot mode is the one-segment
+case: nothing is masked, and inter-shot interaction is suppressed by
+rotary distance only.  The reference mode splits the rows into segments
+so shot-0 rows depend on shot-0 inputs alone.  There is one packing path:
+a lone layout is the packing of itself, and a layout and its caption
+context give the row ends of their segments, [shot 0 | each layout's
+later shots], which `segment_blocks` turns into blocks.
 
 All heads run at once on [heads, n, d_head] tensors.  What depends only
 on the layout and the captions, the rotary tables, each attention's blocks

@@ -260,10 +260,11 @@ def cmd_sample(args):
     params, model_cfg, world = _load_model(args.ckpt)
     specs = [parse_shot_spec(s) for s in args.shots]
     v_scene, v_mot = world.v_scene, world.v_mot
-    for spec in specs:
-        tokens = sum(p.frames for p in spec) * world.height * world.width
-        if tokens > LAYOUT_MAX_TOKENS:
-            raise ConfigError(f"a --shots group of {tokens} tokens exceeds {LAYOUT_MAX_TOKENS}")
+    layouts = [engine.build_layout(spec, world) for spec in specs]
+    for spec, layout in zip(specs, layouts):
+        if layout.total_tokens > LAYOUT_MAX_TOKENS:
+            raise ConfigError(f"a --shots group of {layout.total_tokens} tokens "
+                              f"exceeds {LAYOUT_MAX_TOKENS}")
         if not all(0 <= p.scene < v_scene and 0 <= p.motion < v_mot for p in spec):
             raise ConfigError(f"--shots ids outside the world's {v_scene} scenes, {v_mot} motions")
     id_embedding = None
@@ -282,7 +283,7 @@ def cmd_sample(args):
         if args.ref_attn:
             ref = specs[0][0]
             # the root sequence: attempt a's added shots draw from spawn key (a,)
-            n0 = ref.frames * world.height * world.width
+            n0 = engine.build_layout([ref], world).total_tokens
             ref_noise = seeded_rng(args.seed).standard_normal((n0, world.d_token))
             fields = engine.sample_infinite(
                 params, model_cfg, world, ref, ref_noise,
@@ -300,9 +301,8 @@ def cmd_sample(args):
             ]
 
         metrics = []
-        for name, tokens, spec in zip(field_names, fields, specs):
+        for name, tokens, spec, layout in zip(field_names, fields, specs, layouts):
             save_tensors(os.path.join(stage, name), {"tokens": tokens})
-            layout = engine.build_layout(spec, world)
             rec = engine.metrics_on_field(tokens, spec, layout, world)
             rec["file"] = name
             metrics.append(rec)
@@ -332,10 +332,8 @@ def cmd_curve(args):
     name = os.path.basename(args.out)
     with _run_dir(os.path.dirname(args.out), name) as stage:
         curve = analysis.delta_curve(args.dim, np.arange(0.0, stop, args.step))
-        try:
-            analysis.write_curve_csv(curve, os.path.join(stage, name))
-        except OSError as exc:
-            raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+        rows = [[repr(float(v)) for v in row] for row in zip(curve.xs, curve.f, curve.delta)]
+        write_csv(os.path.join(stage, name), [["x", "f", "delta"], *rows])
     for ds in range(5):
         x = args.k * ds
         d = analysis.partial_sum_magnitudes(args.dim, x) / curve.f[0]
@@ -382,9 +380,10 @@ def cmd_ablate(args):
         else:
             results = [_ablate_run(t) for t in tasks]
 
+        default = M.DenoiserConfig()
         rows = [["variant", "j", "k", "default", *engine.METRIC_KEYS]]
         for (name, cfg), metrics in zip(runs, results):
-            is_default = cfg.variant == "full" and cfg.j == 4.0 and cfg.k == 6.0
+            is_default = cfg.variant == "full" and (cfg.j, cfg.k) == (default.j, default.k)
             rows.append([name, cfg.j, cfg.k, "yes" if is_default else "no"]
                         + [repr(metrics[key]) for key in engine.METRIC_KEYS])
         write_csv(os.path.join(stage, "ablation.csv"), rows)
@@ -422,7 +421,7 @@ def build_parser():
 
     p = sub.add_parser("curve", help="export the suppression bound curve")
     p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--k", type=float, default=6.0)
+    p.add_argument("--k", type=float, default=M.DenoiserConfig().k)
     p.add_argument("--xmax", type=float, default=50.0)
     p.add_argument("--step", type=float, default=0.5)
     p.add_argument("--out", required=True)

@@ -35,8 +35,10 @@ class TrainConfig:
         if self.steps < 1 or self.batch_size < 1 or self.lr <= 0 or self.seed < 0:
             raise ConfigError("steps, batch size and learning rate must be positive, seed >= 0")
         betas_ok = 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1
-        if self.train_timesteps < 1 or self.train_shift < 1 or not betas_ok:
-            raise ConfigError("train timesteps must be >= 1, shift >= 1, and betas in [0, 1)")
+        # train draws a timestep as an int64 in [1, train_timesteps]
+        if not 1 <= self.train_timesteps <= 2**63 - 1 or self.train_shift < 1 or not betas_ok:
+            raise ConfigError(f"train timesteps must lie in [1, {2**63 - 1}] (int64), "
+                              "shift >= 1, and betas in [0, 1)")
         if self.adam_eps <= 0 or self.weight_decay < 0 or not 0 <= self.id_dropout <= 1:
             raise ConfigError("adam_eps must be > 0, weight_decay >= 0, id_dropout in [0, 1]")
         self.shot_count_range = tuple(self.shot_count_range)
@@ -267,7 +269,7 @@ def sample_infinite(
     if not cfg.use_ref:
         raise ConfigError("sample_infinite requires the full+refattn variant")
     ref_noise = np.asarray(ref_noise, dtype=np.float32)
-    n0 = ref_prompt.frames * world.height * world.width
+    n0 = build_layout([ref_prompt], world).total_tokens
     if ref_noise.shape != (n0, world.d_token):
         raise ShapeError("reference noise shape does not match reference prompt")
     specs = [[ref_prompt] + list(extra) for extra in new_specs]

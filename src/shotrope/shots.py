@@ -146,18 +146,6 @@ class PackedLayout:
         ]
 
 
-@dataclass(frozen=True)
-class ShotRopeParams:
-    """Default scales: phase shift 4 per boundary, mismatch suppression 6."""
-
-    j: float = 4.0
-    k: float = 6.0
-
-    def __post_init__(self):
-        if self.j < 0 or self.k < 0:
-            raise ConfigError("j and k must be non-negative")
-
-
 def effective_time_index(layout, s, t_local, j):
     """Global cumulative frame index plus the per-boundary phase jump."""
     if not 0 <= s < layout.shot_count:
@@ -167,17 +155,19 @@ def effective_time_index(layout, s, t_local, j):
     return layout.time_offsets[s] + t_local + s * j
 
 
-def tcrope(v, t_local, h, w, s, layout, params, basis):
-    """3D rotary embedding of a video token at (t + j*s, h, w): the basis's
-    angles read at the boundary-shifted time index."""
-    t_eff = effective_time_index(layout, s, t_local, params.j)
+def tcrope(v, t_local, h, w, s, layout, j, basis):
+    """3D rotary embedding of a video token at (t + j*s, h, w), j being the
+    phase jump per shot boundary (`DenoiserConfig.j`): the basis's angles
+    read at the boundary-shifted time index."""
+    t_eff = effective_time_index(layout, s, t_local, j)
     return rope.rope_3d(v, t_eff, h, w, basis)
 
 
-def tarope(v, s, params, basis):
-    """1D rotary embedding at position s*k over the same basis as tcrope.
+def tarope(v, s, k, basis):
+    """1D rotary embedding at position s*k over the same basis as tcrope,
+    k being the rotation per shot (`DenoiserConfig.k`).
 
     Applied to visual query vectors by their shot index and to textual
     key vectors by their caption's shot index.
     """
-    return rope.rope_1d(v, s * params.k, basis)
+    return rope.rope_1d(v, s * k, basis)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from shotrope import analysis, checkpoint, engine as E, model as M, rope, synthetic as S
-from shotrope.shots import ShotRopeParams, tarope
+from shotrope.shots import tarope
 from shotrope.tensor import Tensor, grad_check
 
 
@@ -41,14 +41,13 @@ def test_c02_matched_shot_logits_exact():
     """Cross-attention logits for equal shot indices match the unrotated
     dot product within 1e-6 absolute."""
     rng = np.random.default_rng(102)
-    params = ShotRopeParams(j=4.0, k=6.0)
     for d in (16, 32, 64):
         basis = rope.RotaryBasis(d)
         for _ in range(1000):
             q = rng.standard_normal(d)
             k = rng.standard_normal(d)
             s = int(rng.integers(0, 8))
-            got = tarope(q, s, params, basis) @ tarope(k, s, params, basis)
+            got = tarope(q, s, 6.0, basis) @ tarope(k, s, 6.0, basis)
             assert abs(got - q @ k) <= 1e-6
 
 
@@ -57,14 +56,13 @@ def test_c03_suppression_bound_and_decay():
     per dimension; mean |logit| over 10^4 matched-content pairs is
     non-increasing in shot distance 0..4 at k = 6."""
     rng = np.random.default_rng(103)
-    params = ShotRopeParams(k=6.0)
     for d in (16, 64, 128):
         basis = rope.RotaryBasis(d)
         for _ in range(1000):
             q = rng.standard_normal(d)
             k = rng.standard_normal(d)
             s1, s2 = (int(x) for x in rng.integers(0, 5, 2))
-            assert analysis.logit_bound_check(q, k, s1, s2, params, basis) >= -1e-6
+            assert analysis.logit_bound_check(q, k, s1, s2, 6.0, basis) >= -1e-6
 
     d = 128
     basis = rope.RotaryBasis(d)
@@ -94,7 +92,7 @@ def test_c04_bound_curve_monotone_within_ripple():
     TaRoPE rotates by k * shot-distance.  The program works with shot
     distances 0..4: `shotrope curve` prints delta at k * (0..4), c03
     draws shot indices from 0..4, and training layouts have at most 4
-    shots (x <= 18).  So the grid ends at ShotRopeParams().k * 4 = 24.
+    shots (x <= 18).  So the grid ends at DenoiserConfig().k * 4 = 24.
     There the largest rise between adjacent points is 0.0013.
 
     delta is the RoFormer long-term-decay bound, which decays with
@@ -104,7 +102,7 @@ def test_c04_bound_curve_monotone_within_ripple():
     x = 43 and by 0.0163 near x = 49.5; that is a property of the curve,
     not of its evaluation."""
     max_shot_distance = 4
-    x_max = ShotRopeParams().k * max_shot_distance
+    x_max = M.DenoiserConfig().k * max_shot_distance
     curve = analysis.delta_curve(128, np.arange(0.0, x_max + 1e-9, 0.5))
     rises = np.diff(curve.delta)
     worst = float(rises.max())

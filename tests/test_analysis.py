@@ -1,11 +1,9 @@
-import csv
-
 import mpmath
 import numpy as np
 import pytest
 
 from shotrope import analysis, rope
-from shotrope.shots import ShotRopeParams
+from shotrope.model import DenoiserConfig
 from shotrope.tensor import ConfigError, ShapeError
 
 
@@ -101,30 +99,30 @@ class TestPairProducts:
 class TestSuppressedLogit:
     def test_matches_rotary_inner_product_oracle(self):
         rng = np.random.default_rng(1)
-        params = ShotRopeParams(k=6.0)
+        k = 6.0
         basis = rope.RotaryBasis(32)
         from shotrope.shots import tarope
 
         for _ in range(100):
             q = rng.standard_normal(32)
-            k = rng.standard_normal(32)
+            key = rng.standard_normal(32)
             s1, s2 = (int(x) for x in rng.integers(0, 5, 2))
-            got = analysis.suppressed_logit(q, k, s1, s2, params, basis)
-            oracle = tarope(q, s1, params, basis) @ tarope(k, s2, params, basis)
+            got = analysis.suppressed_logit(q, key, s1, s2, k, basis)
+            oracle = tarope(q, s1, k, basis) @ tarope(key, s2, k, basis)
             assert abs(got - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
     def test_same_shot_is_plain_dot_product(self):
         rng = np.random.default_rng(2)
         basis = rope.RotaryBasis(16)
         q = rng.standard_normal(16)
-        k = rng.standard_normal(16)
-        got = analysis.suppressed_logit(q, k, 3, 3, ShotRopeParams(), basis)
-        assert abs(got - q @ k) <= 1e-12
+        key = rng.standard_normal(16)
+        got = analysis.suppressed_logit(q, key, 3, 3, DenoiserConfig().k, basis)
+        assert abs(got - q @ key) <= 1e-12
 
     def test_basis_of_another_dim_rejected(self):
-        q = k = np.ones(16)
+        q = key = np.ones(16)
         with pytest.raises(ShapeError):
-            analysis.suppressed_logit(q, k, 1, 0, ShotRopeParams(), rope.RotaryBasis(32))
+            analysis.suppressed_logit(q, key, 1, 0, DenoiserConfig().k, rope.RotaryBasis(32))
 
 
 class TestLogitBoundCheck:
@@ -132,25 +130,24 @@ class TestLogitBoundCheck:
     def test_bound_holds_on_random_pairs(self, d):
         rng = np.random.default_rng(3)
         basis = rope.RotaryBasis(d)
-        params = ShotRopeParams(k=6.0)
         for _ in range(200):
             q = rng.standard_normal(d)
-            k = rng.standard_normal(d)
+            key = rng.standard_normal(d)
             s1, s2 = (int(x) for x in rng.integers(0, 5, 2))
-            assert analysis.logit_bound_check(q, k, s1, s2, params, basis) >= -1e-6
+            assert analysis.logit_bound_check(q, key, s1, s2, 6.0, basis) >= -1e-6
 
     def test_matched_shot_bound_uses_f_at_zero(self):
         # at s1 == s2 the bound is max|dh| * f(0); check it dominates |q.k|
         rng = np.random.default_rng(4)
         basis = rope.RotaryBasis(16)
         q = rng.standard_normal(16)
-        k = rng.standard_normal(16)
-        assert analysis.logit_bound_check(q, k, 2, 2, ShotRopeParams(), basis) >= 0.0
+        key = rng.standard_normal(16)
+        assert analysis.logit_bound_check(q, key, 2, 2, DenoiserConfig().k, basis) >= 0.0
 
     def test_basis_of_another_dim_rejected(self):
-        q = k = np.ones(16)
+        q = key = np.ones(16)
         with pytest.raises(ShapeError):
-            analysis.logit_bound_check(q, k, 1, 0, ShotRopeParams(), rope.RotaryBasis(32))
+            analysis.logit_bound_check(q, key, 1, 0, DenoiserConfig().k, rope.RotaryBasis(32))
 
 
 class TestShotBlockMatrix:
@@ -176,20 +173,6 @@ class TestShotBlockMatrix:
         k_shots = np.array([0, 1])
         mat = analysis.shot_block_matrix(probs, q_shots, k_shots, 2)
         assert np.allclose(mat, 0.5)
-
-
-class TestCsvWriters:
-    def test_curve_roundtrip(self, tmp_path):
-        curve = analysis.delta_curve(4, np.linspace(0.0, 10.0, 11))
-        path = tmp_path / "curve.csv"
-        analysis.write_curve_csv(curve, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["x", "f", "delta"]
-        xs = np.array([float(r[0]) for r in rows[1:]])
-        deltas = np.array([float(r[2]) for r in rows[1:]])
-        assert np.array_equal(xs, curve.xs)
-        assert np.array_equal(deltas, curve.delta)
 
 
 class TestMonteCarloDecay:

@@ -23,7 +23,7 @@ from shotrope.attention import (
     segment_attention,
     segment_blocks,
 )
-from shotrope.shots import PackedLayout, ShotLayout, ShotRopeParams
+from shotrope.shots import PackedLayout, ShotLayout
 from shotrope.tensor import ConfigError, ShapeError, Tensor
 
 
@@ -42,13 +42,14 @@ def _rand_weights(rng, d):
     )
 
 
-def _cond(tokens, layout, params, basis, heads=2, use_ref=False, ctx=None, weights=None):
+def _cond(tokens, layout, scales, basis, heads=2, use_ref=False, ctx=None, weights=None):
     """The Conditioning model.conditioning builds under a tape, at the
-    rotary scales params, for tokens' layout and one hand-made caption
-    context whose one block of keys and values weights project."""
+    rotary scales j and k of scales (a DenoiserConfig), for tokens' layout
+    and one hand-made caption context whose one block of keys and values
+    weights project."""
 
     def tables(shots):
-        return pair_tables(rope.phase_tables_1d(basis, shots * params.k), tokens.dtype)
+        return pair_tables(rope.phase_tables_1d(basis, shots * scales.k), tokens.dtype)
 
     token_ends = layout.segment_ends if use_ref else (layout.total_tokens,)
     contexts, kv, cross_blocks = (), None, ()
@@ -58,7 +59,7 @@ def _cond(tokens, layout, params, basis, heads=2, use_ref=False, ctx=None, weigh
               project(ctx.embeddings, weights.wv, heads))
         caption_ends = ctx.segment_ends if use_ref else (len(ctx.shot_index),)
         cross_blocks = tuple(segment_blocks(token_ends, caption_ends))
-    positions = layout.token_positions(j=params.j)
+    positions = layout.token_positions(j=scales.j)
     return Conditioning(
         (),
         contexts,
@@ -72,13 +73,13 @@ def _cond(tokens, layout, params, basis, heads=2, use_ref=False, ctx=None, weigh
     )
 
 
-def _self(tokens, layout, params, basis, w, heads=2, use_ref=False, probs_out=None):
-    cond = _cond(tokens, layout, params, basis, heads, use_ref)
+def _self(tokens, layout, scales, basis, w, heads=2, use_ref=False, probs_out=None):
+    cond = _cond(tokens, layout, scales, basis, heads, use_ref)
     return multishot_self_attention(tokens, cond, w, heads=heads, probs_out=probs_out)
 
 
-def _cross(tokens, ctx, layout, params, basis, w, heads=2, use_ref=False):
-    cond = _cond(tokens, layout, params, basis, heads, use_ref, ctx, w)
+def _cross(tokens, ctx, layout, scales, basis, w, heads=2, use_ref=False):
+    cond = _cond(tokens, layout, scales, basis, heads, use_ref, ctx, w)
     return multishot_cross_attention(tokens, cond, 0, w, heads=heads)
 
 
@@ -173,9 +174,9 @@ class TestSelfAttention:
         tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
         w = _rand_weights(rng, d)
         basis = rope.RotaryBasis(12)
-        params = ShotRopeParams()
-        o1 = _self(tokens, layout, params, basis, w, heads=2).data
-        o2 = _self(tokens, layout, params, basis, w, heads=2).data
+        scales = M.DenoiserConfig()
+        o1 = _self(tokens, layout, scales, basis, w, heads=2).data
+        o2 = _self(tokens, layout, scales, basis, w, heads=2).data
         assert o1.shape == (layout.total_tokens, d)
         assert np.array_equal(o1, o2)
 
@@ -186,12 +187,12 @@ class TestSelfAttention:
         d = 24
         w = _rand_weights(rng, d)
         basis = rope.RotaryBasis(12)
-        params = ShotRopeParams(j=0.0, k=0.0)
+        scales = M.DenoiserConfig(j=0.0, k=0.0)
         merged = ShotLayout((4,), 2, 2)
         split = ShotLayout((2, 2), 2, 2)
         tokens = Tensor(rng.standard_normal((merged.total_tokens, d)).astype(np.float32))
-        a = _self(tokens, merged, params, basis, w, heads=2).data
-        b = _self(tokens, split, params, basis, w, heads=2).data
+        a = _self(tokens, merged, scales, basis, w, heads=2).data
+        b = _self(tokens, split, scales, basis, w, heads=2).data
         assert np.array_equal(a, b)
 
     def test_phase_jump_changes_cross_shot_interaction(self):
@@ -201,8 +202,8 @@ class TestSelfAttention:
         basis = rope.RotaryBasis(12)
         layout = ShotLayout((2, 2), 2, 2)
         tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
-        a = _self(tokens, layout, ShotRopeParams(j=0.0), basis, w, heads=2).data
-        b = _self(tokens, layout, ShotRopeParams(j=4.0), basis, w, heads=2).data
+        a = _self(tokens, layout, M.DenoiserConfig(j=0.0), basis, w, heads=2).data
+        b = _self(tokens, layout, M.DenoiserConfig(j=4.0), basis, w, heads=2).data
         assert not np.array_equal(a, b)
 
     def test_head_dim_basis_mismatch(self):
@@ -210,7 +211,7 @@ class TestSelfAttention:
         tokens = Tensor(np.zeros((4, 24), dtype=np.float32))
         w = _rand_weights(np.random.default_rng(8), 24)
         with pytest.raises(ShapeError):
-            _self(tokens, layout, ShotRopeParams(), rope.RotaryBasis(18), w, heads=2)
+            _self(tokens, layout, M.DenoiserConfig(), rope.RotaryBasis(18), w, heads=2)
 
     def test_ref_mode_isolates_shot0(self):
         rng = np.random.default_rng(9)
@@ -219,12 +220,12 @@ class TestSelfAttention:
         n0 = layout.token_spans()[0][1]
         w = _rand_weights(rng, d)
         basis = rope.RotaryBasis(12)
-        params = ShotRopeParams()
+        scales = M.DenoiserConfig()
         tok = rng.standard_normal((layout.total_tokens, d)).astype(np.float32)
-        base = _self(Tensor(tok), layout, params, basis, w, heads=2, use_ref=True).data
+        base = _self(Tensor(tok), layout, scales, basis, w, heads=2, use_ref=True).data
         tok2 = tok.copy()
         tok2[n0:] += 7.0
-        out = _self(Tensor(tok2), layout, params, basis, w, heads=2, use_ref=True).data
+        out = _self(Tensor(tok2), layout, scales, basis, w, heads=2, use_ref=True).data
         assert np.array_equal(out[:n0], base[:n0])
 
 
@@ -243,7 +244,7 @@ class TestCrossAttention:
         rng = np.random.default_rng(10)
         layout = ShotLayout((2, 2), 2, 2)
         tokens, ctx, w = self._setup(rng, layout)
-        out = _cross(tokens, ctx, layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2)
+        out = _cross(tokens, ctx, layout, M.DenoiserConfig(), rope.RotaryBasis(12), w, heads=2)
         assert out.shape == (layout.total_tokens, 24)
 
     def test_zero_suppression_rate_ignores_shot_indices(self):
@@ -252,22 +253,22 @@ class TestCrossAttention:
         rng = np.random.default_rng(12)
         layout = ShotLayout((2, 2), 2, 2)
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=1)
-        params = ShotRopeParams(j=0.0, k=0.0)
+        scales = M.DenoiserConfig(j=0.0, k=0.0)
         basis = rope.RotaryBasis(12)
-        a = _cross(tokens, ctx, layout, params, basis, w, heads=2).data
+        a = _cross(tokens, ctx, layout, scales, basis, w, heads=2).data
         flipped = ContextTokens(ctx.embeddings, ctx.shot_index[::-1].copy(), ctx.segment_ends)
-        b = _cross(tokens, flipped, layout, params, basis, w, heads=2).data
+        b = _cross(tokens, flipped, layout, scales, basis, w, heads=2).data
         assert np.array_equal(a, b)
 
     def test_suppression_rate_breaks_that_symmetry(self):
         rng = np.random.default_rng(13)
         layout = ShotLayout((2, 2), 2, 2)
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=1)
-        params = ShotRopeParams(j=0.0, k=6.0)
+        scales = M.DenoiserConfig(j=0.0, k=6.0)
         basis = rope.RotaryBasis(12)
-        a = _cross(tokens, ctx, layout, params, basis, w, heads=2).data
+        a = _cross(tokens, ctx, layout, scales, basis, w, heads=2).data
         flipped = ContextTokens(ctx.embeddings, ctx.shot_index[::-1].copy(), ctx.segment_ends)
-        b = _cross(tokens, flipped, layout, params, basis, w, heads=2).data
+        b = _cross(tokens, flipped, layout, scales, basis, w, heads=2).data
         assert not np.array_equal(a, b)
 
     def test_context_row_order_is_irrelevant(self):
@@ -276,14 +277,14 @@ class TestCrossAttention:
         rng = np.random.default_rng(16)
         layout = ShotLayout((2, 1, 2), 2, 2)
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=2)
-        params, basis = ShotRopeParams(), rope.RotaryBasis(12)
-        base = _cross(tokens, ctx, layout, params, basis, w, heads=2).data
+        scales, basis = M.DenoiserConfig(), rope.RotaryBasis(12)
+        base = _cross(tokens, ctx, layout, scales, basis, w, heads=2).data
         perm = rng.permutation(ctx.shot_index.size)
         assert not np.array_equal(ctx.shot_index[perm], ctx.shot_index)
         permuted = ContextTokens(
             Tensor(ctx.embeddings.data[perm]), ctx.shot_index[perm], ctx.segment_ends
         )
-        out = _cross(tokens, permuted, layout, params, basis, w, heads=2).data
+        out = _cross(tokens, permuted, layout, scales, basis, w, heads=2).data
         assert np.max(np.abs(out - base)) <= 1e-5
 
     def test_ref_mode_isolates_shot0_from_later_captions(self):
@@ -291,13 +292,13 @@ class TestCrossAttention:
         layout = ShotLayout((2, 2), 2, 2)
         n0 = layout.token_spans()[0][1]
         tokens, ctx, w = self._setup(rng, layout, rows_per_shot=2)
-        params = ShotRopeParams()
+        scales = M.DenoiserConfig()
         basis = rope.RotaryBasis(12)
-        base = _cross(tokens, ctx, layout, params, basis, w, heads=2, use_ref=True).data
+        base = _cross(tokens, ctx, layout, scales, basis, w, heads=2, use_ref=True).data
         emb = ctx.embeddings.data.copy()
         emb[2:] += 9.0  # later-shot caption rows only
         ctx2 = ContextTokens(Tensor(emb), ctx.shot_index, ctx.segment_ends)
-        out = _cross(tokens, ctx2, layout, params, basis, w, heads=2, use_ref=True).data
+        out = _cross(tokens, ctx2, layout, scales, basis, w, heads=2, use_ref=True).data
         assert np.array_equal(out[:n0], base[:n0])
 
 
@@ -349,13 +350,13 @@ def test_self_attention_equals_per_head_reference(heads, use_ref):
     layout = ShotLayout((2, 1, 3), 2, 2)
     d = 24 * heads // 2
     basis = rope.RotaryBasis(d // heads)
-    params = ShotRopeParams(j=4.0)
+    scales = M.DenoiserConfig(j=4.0)
     w = _rand_weights(rng, d)
     tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
-    tabs = _pair_tables(*rope.phase_tables_3d(basis, *layout.token_positions(j=params.j)))
+    tabs = _pair_tables(*rope.phase_tables_3d(basis, *layout.token_positions(j=scales.j)))
     n0 = layout.token_spans()[0][1] if use_ref else None
     expect = _per_head_reference(tokens, tokens, w, heads, tabs, tabs, n0, n0)
-    got = _self(tokens, layout, params, basis, w, heads=heads, use_ref=use_ref)
+    got = _self(tokens, layout, scales, basis, w, heads=heads, use_ref=use_ref)
     assert np.array_equal(got.data, expect)
 
 
@@ -366,16 +367,16 @@ def test_cross_attention_equals_per_head_reference(heads, use_ref):
     layout = ShotLayout((2, 1, 3), 2, 2)
     d = 24 * heads // 2
     basis = rope.RotaryBasis(d // heads)
-    params = ShotRopeParams(k=6.0)
+    scales = M.DenoiserConfig(k=6.0)
     w = _rand_weights(rng, d)
     shots = np.array([0, 0, 0, 1, 1, 2, 2])
     ctx = ContextTokens(Tensor(rng.standard_normal((7, d)).astype(np.float32)), shots, (3, 7))
     tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
-    qtabs = _pair_tables(*rope.phase_tables_1d(basis, layout.token_shot_index() * params.k))
-    ktabs = _pair_tables(*rope.phase_tables_1d(basis, shots * params.k))
+    qtabs = _pair_tables(*rope.phase_tables_1d(basis, layout.token_shot_index() * scales.k))
+    ktabs = _pair_tables(*rope.phase_tables_1d(basis, shots * scales.k))
     nq0 = layout.token_spans()[0][1] if use_ref else None
     expect = _per_head_reference(tokens, ctx.embeddings, w, heads, qtabs, ktabs, nq0, 3)
-    got = _cross(tokens, ctx, layout, params, basis, w, heads=heads, use_ref=use_ref)
+    got = _cross(tokens, ctx, layout, scales, basis, w, heads=heads, use_ref=use_ref)
     assert np.array_equal(got.data, expect)
 
 
@@ -387,7 +388,7 @@ def test_probs_out_gives_one_full_matrix_per_head(use_ref):
     w = _rand_weights(rng, 24)
     tokens = Tensor(rng.standard_normal((n, 24)).astype(np.float32))
     collector = M.AttentionCollector()
-    _self(tokens, layout, ShotRopeParams(), rope.RotaryBasis(12), w, heads=2,
+    _self(tokens, layout, M.DenoiserConfig(), rope.RotaryBasis(12), w, heads=2,
           use_ref=use_ref, probs_out=collector.sink())
     assert len(collector.self_probs) == 2
     for probs in collector.self_probs:
@@ -421,13 +422,13 @@ def test_self_attention_rotations_are_tcrope(monkeypatch):
     layout = ShotLayout((2, 1, 3), 2, 3)
     heads, d = 2, 64
     basis = rope.RotaryBasis(32)  # the model's head basis
-    params = ShotRopeParams(j=4.0)
+    scales = M.DenoiserConfig(j=4.0)
     tokens = Tensor(rng.standard_normal((layout.total_tokens, d)), dtype=np.float64)
     w = AttentionWeights(
         *(Tensor(rng.standard_normal((d, d)) * 0.1, dtype=np.float64) for _ in range(4))
     )
     calls = _spy_rope_pairs(monkeypatch)
-    _self(tokens, layout, params, basis, w, heads=heads)
+    _self(tokens, layout, scales, basis, w, heads=heads)
     assert len(calls) == 2  # Q and K, all heads at once
     coords = [
         (s, tl, hh, ww)
@@ -439,7 +440,7 @@ def test_self_attention_rotations_are_tcrope(monkeypatch):
     for x, out in calls:
         for h in range(heads):
             for i, (s, tl, hh, ww) in enumerate(coords):
-                oracle = tcrope(x[h, i], tl, hh, ww, s, layout, params, basis)
+                oracle = tcrope(x[h, i], tl, hh, ww, s, layout, scales.j, basis)
                 assert np.array_equal(out[h, i], oracle)
 
 
@@ -452,7 +453,7 @@ def test_cross_attention_rotations_are_tarope(monkeypatch):
     layout = ShotLayout((2, 1, 2), 1, 2)
     heads, d = 2, 24
     basis = rope.RotaryBasis(12)
-    params = ShotRopeParams(k=6.0)
+    scales = M.DenoiserConfig(k=6.0)
     shots = np.array([0, 0, 1, 2, 2])
     ctx = ContextTokens(Tensor(rng.standard_normal((5, d)), dtype=np.float64), shots, (2, 5))
     tokens = Tensor(rng.standard_normal((layout.total_tokens, d)), dtype=np.float64)
@@ -460,12 +461,12 @@ def test_cross_attention_rotations_are_tarope(monkeypatch):
         *(Tensor(rng.standard_normal((d, d)) * 0.1, dtype=np.float64) for _ in range(4))
     )
     calls = _spy_rope_pairs(monkeypatch)
-    _cross(tokens, ctx, layout, params, basis, w, heads=heads)
+    _cross(tokens, ctx, layout, scales, basis, w, heads=heads)
     assert len(calls) == 2  # the keys when the conditioning is built, then the queries
     for (x, out), row_shots in zip(calls, (shots, layout.token_shot_index())):
         for h in range(heads):
             for i, s in enumerate(row_shots):
-                oracle = tarope(x[h, i], int(s), params, basis)
+                oracle = tarope(x[h, i], int(s), scales.k, basis)
                 assert np.array_equal(out[h, i], oracle)
 
 
@@ -478,7 +479,7 @@ def test_rope_sign_fault_reaches_oracles_and_model(monkeypatch):
     layout = ShotLayout((2, 1), 2, 2)
     d = 24
     basis = rope.RotaryBasis(12)
-    params = ShotRopeParams(j=4.0, k=6.0)
+    scales = M.DenoiserConfig(j=4.0, k=6.0)
     w = _rand_weights(rng, d)
     tokens = Tensor(rng.standard_normal((layout.total_tokens, d)).astype(np.float32))
     ctx = ContextTokens(
@@ -488,9 +489,9 @@ def test_rope_sign_fault_reaches_oracles_and_model(monkeypatch):
 
     def run():
         return (
-            tarope(v, 1, params, basis),
-            _self(tokens, layout, params, basis, w, heads=2).data,
-            _cross(tokens, ctx, layout, params, basis, w, heads=2).data,
+            tarope(v, 1, scales.k, basis),
+            _self(tokens, layout, scales, basis, w, heads=2).data,
+            _cross(tokens, ctx, layout, scales, basis, w, heads=2).data,
         )
 
     clean = run()

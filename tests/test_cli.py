@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from shotrope import cli, engine, model as M, synthetic as S
+from shotrope import analysis, cli, engine, model as M, synthetic as S
 from shotrope.checkpoint import load_tensors, save_tensors
 from shotrope.engine import ShotPrompt
 from shotrope.tensor import ConfigError
@@ -265,6 +265,7 @@ def _mutated(mutations):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+@example(mutations=[("set", ("train", "train_timesteps"), 2**63)])
 def test_mutated_run_config_trains_or_exits_2(tmp_path, mutations):
     """Whatever is wrong with a run config, `train` exits 0 or 2 and never raises."""
     path = tmp_path / "run.json"
@@ -719,6 +720,34 @@ class TestCurveCommand:
         printed = capsys.readouterr().out
         assert "delta(k*0) = delta(0) = 1.000000" in printed
 
+    def test_csv_columns_parse_back_to_delta_curve(self, tmp_path, capsys):
+        """x and delta are written as repr of each float64: both parse back
+        to the curve's arrays bit for bit."""
+        out = tmp_path / "curve.csv"
+        rc = cli.main(["curve", "--dim", "4", "--xmax", "10", "--step", "1", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["x", "f", "delta"]
+        xs = np.array([float(r[0]) for r in rows[1:]])
+        deltas = np.array([float(r[2]) for r in rows[1:]])
+        assert np.array_equal(xs, np.arange(11.0))
+        assert np.array_equal(deltas, analysis.delta_curve(4, xs).delta)
+
+    def test_k_defaults_to_the_model_rotation(self, tmp_path, capsys):
+        """Without --k, delta is printed at the shot distances times
+        DenoiserConfig's default k."""
+        rc = cli.main(["curve", "--dim", "8", "--xmax", "1", "--out", str(tmp_path / "c.csv")])
+        assert rc == cli.EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        k = M.DenoiserConfig().k
+        f0 = analysis.partial_sum_magnitudes(8, 0.0)
+        assert printed[:5] == [
+            f"delta(k*{ds}) = delta({k * ds:g}) = "
+            f"{analysis.partial_sum_magnitudes(8, k * ds) / f0:.6f}"
+            for ds in range(5)
+        ]
+
     def test_odd_dim_rejected(self, tmp_path, capsys):
         rc = cli.main(["curve", "--dim", "5", "--out", str(tmp_path / "c.csv")])
         assert rc == cli.EXIT_CONFIG
@@ -948,6 +977,28 @@ class TestEntryChecks:
         assert rc == cli.EXIT_CONFIG
         assert "layout of up to 4100 tokens exceeds 4096" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_train_timesteps_above_int64(self, tmp_path, command, monkeypatch, capsys):
+        """Training draws a timestep as an int64 in [1, train_timesteps]: 2**63
+        exits 2 before --out is made, naming the bound; it never trains."""
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli.engine, "train", _must_not_run)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(_with("train", "train_timesteps", 2**63)))
+        out = tmp_path / "run"
+        rc = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert str(2**63 - 1) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_timesteps_at_int64_max_trains(self, tmp_path):
+        cfg = _with("train", "train_timesteps", 2**63 - 1)
+        cfg["train"]["steps"] = 1
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == cli.EXIT_OK
 
     @pytest.mark.parametrize("key,value", [("d_model", 131072), ("blocks", 2**30)])
     def test_model_weights_above_bound(self, tmp_path, key, value, monkeypatch, capsys):

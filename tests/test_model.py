@@ -33,6 +33,11 @@ class TestConfig:
         r = M.DenoiserConfig(variant="full+refattn")
         assert (r.j_eff, r.k_eff, r.use_ref) == (4.0, 6.0, True)
 
+    @pytest.mark.parametrize("scale", ["j", "k"])
+    def test_rejects_negative_shot_scales(self, scale):
+        with pytest.raises(ConfigError, match="j and k >= 0"):
+            M.DenoiserConfig(**{scale: -1.0})
+
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             M.DenoiserConfig(variant="nope")

@@ -2,10 +2,12 @@
 generator only inside `tensor.seeded_rng`, `cli` makes directories only
 inside `_run_dir`, which removes them again when its command fails, the
 GELU formula is written only in `tensor._gelu_rows`, which `gelu` and `ffn`
-share, a rotary basis's angles become phase tables only in `rope`, no
-function keeps a functools cache: what a call may reuse is passed to it, and
-every public function and class of shotrope has a caller in `src/`,
-`perfbench/` or `tools/`, but for the references listed in UNCALLED."""
+share, a rotary basis's angles become phase tables only in `rope`, a file is
+opened only in `checkpoint`, whose atomic writers and `open_input` every
+read and write goes through, no function keeps a functools cache: what a
+call may reuse is passed to it, and every public function and class of
+shotrope has a caller in `src/`, `perfbench/` or `tools/`, but for the
+references listed in UNCALLED."""
 
 import ast
 import glob
@@ -20,6 +22,7 @@ GELU_FORMULA = {"GELU_K", "tanh"}
 ANGLES = {"angles"}
 # rope turns angles into phase tables; analysis sums them for the bound
 READS_ANGLES = {"rope.py", "analysis.py"}
+OPENING = {"open"}
 CACHING = {"lru_cache", "cache"}
 ROOT = os.path.join(SRC, os.pardir, os.pardir)
 # the scripts that call into shotrope besides shotrope itself; perfbench/tests
@@ -155,6 +158,27 @@ def test_angles_become_tables_only_in_rope(path):
     with open(path) as fh:
         found = named_outside(fh.read(), ANGLES)
     assert (found != []) == (os.path.basename(path) in READS_ANGLES)
+
+
+def test_the_check_sees_a_file_opened_outside_checkpoint():
+    source = (
+        "import io\ndef write_curve(rows, path):\n"
+        "    with open(path, 'w') as fh:\n        fh.writelines(rows)\n"
+        "def read(path, open_input):\n    return io.open(path).read() + open_input(path)\n"
+    )
+    assert named_outside(source, OPENING) == [(3, "open"), (6, "open")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(SRC, "*.py"))), ids=os.path.basename
+)
+def test_files_are_opened_only_in_checkpoint(path):
+    """open is named only in checkpoint.py, so every file shotrope reads or
+    writes goes through one module: no second writer, no write that is not
+    atomic."""
+    with open(path) as fh:
+        found = named_outside(fh.read(), OPENING)
+    assert (found != []) == (os.path.basename(path) == "checkpoint.py")
 
 
 def cached_functions(source):

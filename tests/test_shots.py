@@ -4,7 +4,6 @@ import pytest
 from shotrope import rope
 from shotrope.shots import (
     ShotLayout,
-    ShotRopeParams,
     effective_time_index,
     tarope,
     tcrope,
@@ -93,34 +92,21 @@ class TestEffectiveTimeIndex:
             effective_time_index(layout, 0, 2, j=1.0)
 
 
-class TestShotRopeParams:
-    def test_defaults(self):
-        p = ShotRopeParams()
-        assert p.j == 4.0
-        assert p.k == 6.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ShotRopeParams(j=-1.0)
-
-
 class TestTcrope:
     def test_equals_shifted_3d_rotation(self):
         layout = ShotLayout((2, 3), 2, 2)
-        params = ShotRopeParams(j=4.0)
         basis = rope.RotaryBasis(12)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(12)
-        got = tcrope(v, t_local=1, h=1.0, w=0.0, s=1, layout=layout, params=params, basis=basis)
+        got = tcrope(v, t_local=1, h=1.0, w=0.0, s=1, layout=layout, j=4.0, basis=basis)
         expect = rope.rope_3d(v, 2 + 1 + 4, 1.0, 0.0, basis)
         assert np.array_equal(got, expect)
 
     def test_zero_jump_reduces_to_plain_global_time(self):
         layout = ShotLayout((2, 2), 1, 1)
-        params = ShotRopeParams(j=0.0)
         basis = rope.RotaryBasis(12)
         v = np.arange(12.0)
-        got = tcrope(v, 0, 0.0, 0.0, 1, layout, params, basis)
+        got = tcrope(v, 0, 0.0, 0.0, 1, layout, 0.0, basis)
         assert np.array_equal(got, rope.rope_3d(v, 2.0, 0.0, 0.0, basis))
 
 
@@ -128,28 +114,27 @@ class TestTarope:
     def test_shot_zero_is_identity(self):
         basis = rope.RotaryBasis(16)
         v = np.arange(16.0)
-        assert np.array_equal(tarope(v, 0, ShotRopeParams(), basis), v)
+        assert np.array_equal(tarope(v, 0, 6.0, basis), v)
 
     def test_rotation_position_is_shot_times_k(self):
         basis = rope.RotaryBasis(16)
         rng = np.random.default_rng(1)
         v = rng.standard_normal(16)
-        got = tarope(v, 3, ShotRopeParams(k=6.0), basis)
+        got = tarope(v, 3, 6.0, basis)
         assert np.array_equal(got, rope.rope_1d(v, 18.0, basis))
 
     def test_matched_shots_leave_inner_product_unchanged(self):
         basis = rope.RotaryBasis(32)
-        params = ShotRopeParams()
         rng = np.random.default_rng(2)
         for _ in range(200):
             q = rng.standard_normal(32)
             k = rng.standard_normal(32)
             s = int(rng.integers(0, 6))
-            got = tarope(q, s, params, basis) @ tarope(k, s, params, basis)
+            got = tarope(q, s, 6.0, basis) @ tarope(k, s, 6.0, basis)
             assert abs(got - q @ k) <= 1e-6
 
     def test_dim_mismatch_rejected(self):
         from shotrope.tensor import ShapeError
 
         with pytest.raises(ShapeError):
-            tarope(np.zeros(8), 1, ShotRopeParams(), rope.RotaryBasis(16))
+            tarope(np.zeros(8), 1, 6.0, rope.RotaryBasis(16))

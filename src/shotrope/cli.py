@@ -45,6 +45,14 @@ CURVE_MAX_DIM = 4096
 # with its square: one default-model shot samples at 331 MB with 2,048 tokens and
 # 1.1 GB with 4,096
 LAYOUT_MAX_TOKENS = 4096
+# most tokens in one training batch, batch_size times the largest training layout:
+# engine.train renders the whole batch and draws its noise before the first forward,
+# 16 default-world layouts of 4,096 tokens at 106 MB (857 MB at d_token 1,536)
+BATCH_MAX_TOKENS = 65536
+# most tokens in the packed field of a multi-group `sample`: shot 0 once and each
+# group's later shots; a guided step of a default model peaks at 474 MB for 32,272
+# tokens in 1,024-token groups and 768 MB for 32,656 in 4,096-token groups
+PACKED_MAX_TOKENS = 32768
 # most Euler steps of one `sample --steps` or `ablate --eval-steps` sampling call:
 # its schedule holds steps + 1 float64 times, and each step is one guided forward,
 # 10 ms for a 144-token default-model field on one 2-vCPU Xeon core (1.7 min for 10,000)
@@ -89,6 +97,9 @@ def load_run_config(path):
     tokens = frames * world.height * world.width
     if tokens > LAYOUT_MAX_TOKENS:
         raise ConfigError(f"a training layout of up to {tokens} tokens exceeds {LAYOUT_MAX_TOKENS}")
+    if train_cfg.batch_size * tokens > BATCH_MAX_TOKENS:
+        raise ConfigError(f"a training batch of up to {train_cfg.batch_size * tokens} tokens "
+                          f"exceeds {BATCH_MAX_TOKENS}")
     return model_cfg, train_cfg, world
 
 
@@ -172,10 +183,6 @@ def run_config_dict(model_cfg, train_cfg, world):
 
 def cmd_train(args):
     model_cfg, train_cfg, world = load_run_config(args.config)
-    if args.variant is not None:
-        model_cfg = dataclasses.replace(model_cfg, variant=args.variant)
-    if args.seed is not None:
-        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
     names = ("checkpoint.ecsh", sidecar_path("checkpoint.ecsh"), "loss.csv")
     with _run_dir(args.out, *names) as stage:
         params, log = engine.train(model_cfg, train_cfg, world)
@@ -272,15 +279,15 @@ def cmd_sample(args):
         if not 0 <= args.id < world.n_ids:
             raise ConfigError(f"--id {args.id} outside identity pool")
         id_embedding = engine.identity_embedding(params, world, args.id)
-    if args.ref_attn:
-        if any(spec[0] != specs[0][0] for spec in specs):
-            raise ConfigError("--ref-attn requires every --shots group to share the first segment")
-    elif len(specs) != 1:
-        raise ConfigError("multiple --shots groups require --ref-attn")
+    if any(spec[0] != specs[0][0] for spec in specs):
+        raise ConfigError("every --shots group must share the first segment")
+    packed = engine.PackedLayout(tuple(layouts)).total_tokens
+    if packed > PACKED_MAX_TOKENS:
+        raise ConfigError(f"--shots groups of {packed} packed tokens exceed {PACKED_MAX_TOKENS}")
     field_names = [f"sample{i:04d}.ecsh" for i in range(len(specs))]
 
     with _run_dir(args.out, *field_names, "metrics.json") as stage:
-        if args.ref_attn:
+        if len(specs) > 1:  # continue the first group's reference shot
             ref = specs[0][0]
             # the root sequence: attempt a's added shots draw from spawn key (a,)
             n0 = engine.build_layout([ref], world).total_tokens
@@ -403,8 +410,6 @@ def build_parser():
     p = sub.add_parser("train", help="train a denoiser on the synthetic world")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=M.VARIANTS)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", help="generate token fields from a checkpoint")
@@ -414,7 +419,6 @@ def build_parser():
     p.add_argument("--shift", type=float, default=5.0)
     p.add_argument("--guidance", type=float, default=5.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ref-attn", action="store_true")
     p.add_argument("--id", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)

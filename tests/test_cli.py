@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import os
+import re
+import shlex
 import shutil
 import struct
 
@@ -12,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from shotrope import analysis, cli, engine, model as M, synthetic as S
 from shotrope.checkpoint import load_tensors, save_tensors
 from shotrope.engine import ShotPrompt
-from shotrope.tensor import ConfigError
+from shotrope.tensor import ConfigError, seeded_rng
 
 
 SMALL_CONFIG = {
@@ -266,6 +268,7 @@ def _mutated(mutations):
 )
 @given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
 @example(mutations=[("set", ("train", "train_timesteps"), 2**63)])
+@example(mutations=[("set", ("train", "batch_size"), 10**9)])
 def test_mutated_run_config_trains_or_exits_2(tmp_path, mutations):
     """Whatever is wrong with a run config, `train` exits 0 or 2 and never raises."""
     path = tmp_path / "run.json"
@@ -359,23 +362,11 @@ class TestTrainCommand:
         assert rows[0] == ["step", "loss", "smoothed"]
         assert len(rows) == 1 + SMALL_CONFIG["train"]["steps"]
         assert "final loss:" in capsys.readouterr().out
-
-    def test_variant_override_recorded_in_sidecar(self, tmp_path, config_path):
-        out = tmp_path / "run"
-        rc = cli.main(
-            ["train", "--config", config_path, "--out", str(out), "--variant", "vanilla"]
-        )
-        assert rc == cli.EXIT_OK
+        # the sidecar records the run config, its variant and seed among it
         sidecar = json.loads((out / "checkpoint.ecsh.json").read_text())
-        assert sidecar["model"]["variant"] == "vanilla"
         assert sorted(sidecar) == ["model", "train", "world"]  # no numerics version
-
-    def test_seed_override_recorded_in_sidecar(self, tmp_path, config_path):
-        out = tmp_path / "run"
-        rc = cli.main(["train", "--config", config_path, "--out", str(out), "--seed", "5"])
-        assert rc == cli.EXIT_OK
-        sidecar = json.loads((out / "checkpoint.ecsh.json").read_text())
-        assert sidecar["train"]["seed"] == 5
+        run_config = cli.run_config_dict(*cli.load_run_config(config_path))
+        assert sidecar == json.loads(json.dumps(run_config))
 
     def test_divergence_is_numeric_error_and_saves_nothing(self, tmp_path, capsys):
         _check_divergence_saves_nothing(tmp_path, capsys, ["train"])
@@ -464,45 +455,21 @@ class TestSampleCommand:
         )
         assert rc == cli.EXIT_CONFIG
 
-    def test_multiple_groups_need_ref_mode(self, tmp_path, ckpt):
+    def test_ref_mode_needs_shared_first_segment(self, tmp_path, refattn_ckpt):
         rc = cli.main(
             [
-                "sample", "--ckpt", ckpt,
-                "--shots", "n=2,scene=0",
-                "--shots", "n=2,scene=1",
+                "sample", "--ckpt", refattn_ckpt,
+                "--shots", "n=2,scene=0;n=2,scene=1",
+                "--shots", "n=3,scene=0;n=2,scene=2",
                 "--steps", "2", "--out", str(tmp_path / "s"),
             ]
         )
         assert rc == cli.EXIT_CONFIG
 
-    def test_ref_mode_needs_shared_first_segment(self, tmp_path, config_path):
-        out = tmp_path / "refrun"
-        rc = cli.main(
-            [
-                "train", "--config", config_path, "--out", str(out),
-                "--variant", "full+refattn",
-            ]
-        )
-        assert rc == cli.EXIT_OK
-        rc = cli.main(
-            [
-                "sample", "--ckpt", str(out / "checkpoint.ecsh"),
-                "--shots", "n=2,scene=0;n=2,scene=1",
-                "--shots", "n=3,scene=0;n=2,scene=2",
-                "--ref-attn", "--steps", "2", "--out", str(tmp_path / "s"),
-            ]
-        )
-        assert rc == cli.EXIT_CONFIG
-
     def test_ref_mode_later_shots_do_not_copy_reference_noise(
-        self, tmp_path, config_path, monkeypatch
+        self, tmp_path, refattn_ckpt, monkeypatch
     ):
         """No attempt's added shots start from the reference shot's noise."""
-        out = tmp_path / "refrun"
-        rc = cli.main(
-            ["train", "--config", config_path, "--out", str(out), "--variant", "full+refattn"]
-        )
-        assert rc == cli.EXIT_OK
         starts = []
         real = engine.M.denoiser_forward
 
@@ -513,10 +480,10 @@ class TestSampleCommand:
         monkeypatch.setattr(engine.M, "denoiser_forward", spy)
         rc = cli.main(
             [
-                "sample", "--ckpt", str(out / "checkpoint.ecsh"),
+                "sample", "--ckpt", refattn_ckpt,
                 "--shots", "n=2,scene=0;n=2,scene=1",
                 "--shots", "n=2,scene=0;n=3,scene=2",
-                "--ref-attn", "--steps", "1", "--out", str(tmp_path / "s"),
+                "--steps", "1", "--out", str(tmp_path / "s"),
             ]
         )
         assert rc == cli.EXIT_OK
@@ -528,29 +495,42 @@ class TestSampleCommand:
         reference = {row.tobytes() for row in z[:n0]}
         assert not any(row.tobytes() in reference for row in z[n0:])
 
-    def test_ref_mode_generates_each_group(self, tmp_path, config_path):
-        out = tmp_path / "refrun"
-        assert (
-            cli.main(
-                [
-                    "train", "--config", config_path, "--out", str(out),
-                    "--variant", "full+refattn",
-                ]
-            )
-            == cli.EXIT_OK
-        )
+    def test_ref_mode_generates_each_group(self, tmp_path, refattn_ckpt):
+        """Two --shots groups continue the first one's reference shot: the
+        fields engine.sample_infinite returns with reference noise drawn from
+        the root stream of --seed."""
         sdir = tmp_path / "s"
         rc = cli.main(
             [
-                "sample", "--ckpt", str(out / "checkpoint.ecsh"),
+                "sample", "--ckpt", refattn_ckpt,
                 "--shots", "n=2,scene=0;n=2,scene=1",
                 "--shots", "n=2,scene=0;n=2,scene=2",
-                "--ref-attn", "--steps", "2", "--out", str(sdir),
+                "--steps", "2", "--seed", "4", "--out", str(sdir),
             ]
         )
         assert rc == cli.EXIT_OK
-        assert (sdir / "sample0000.ecsh").exists()
-        assert (sdir / "sample0001.ecsh").exists()
+        params, model_cfg, world = cli._load_model(refattn_ckpt)
+        ref = ShotPrompt(2, 0)
+        n0 = engine.build_layout([ref], world).total_tokens
+        ref_noise = seeded_rng(4).standard_normal((n0, world.d_token))
+        want = engine.sample_infinite(params, model_cfg, world, ref, ref_noise,
+                                      [[ShotPrompt(2, 1)], [ShotPrompt(2, 2)]], seed=4, steps=2)
+        got = [load_tensors(str(sdir / f"sample{i:04d}.ecsh"))["tokens"] for i in range(2)]
+        assert len(want) == 2
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_one_group_on_a_refattn_checkpoint_samples_one_field(self, tmp_path, refattn_ckpt):
+        """One --shots group is no continuation, whatever the checkpoint's
+        variant: it writes engine.sample's field."""
+        out = tmp_path / "s"
+        rc = cli.main(["sample", "--ckpt", refattn_ckpt, "--shots", "n=2,scene=0;n=2,scene=1",
+                       "--steps", "2", "--seed", "4", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        params, model_cfg, world = cli._load_model(refattn_ckpt)
+        want = engine.sample(params, model_cfg, world, [ShotPrompt(2, 0), ShotPrompt(2, 1)],
+                             steps=2, seed=4)
+        assert np.array_equal(load_tensors(str(out / "sample0000.ecsh"))["tokens"], want)
+        assert sorted(os.listdir(out)) == ["metrics.json", "sample0000.ecsh"]
 
 
 def _drop_tensor(path):
@@ -898,25 +878,44 @@ class TestEntryChecks:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "groups,ref_attn",
-        [(["n=2,scene=0", "n=2,scene=1"], False), (["n=2,scene=0", "n=2,scene=1;n=2,scene=0"], True)],
-        ids=["groups-without-ref-attn", "ref-attn-first-segments-differ"],
+        "groups",
+        [["n=2,scene=0", "n=2,scene=1"], ["n=2,scene=0", "n=2,scene=1;n=2,scene=0"]],
+        ids=["one-shot-groups-differ", "first-segments-differ"],
     )
-    def test_sample_group_misuse(self, tmp_path, refattn_ckpt, groups, ref_attn, capsys):
+    def test_sample_group_misuse(self, tmp_path, refattn_ckpt, groups, capsys):
         out = tmp_path / "s"
         shots = [arg for g in groups for arg in ("--shots", g)]
-        rc = cli.main(["sample", "--ckpt", refattn_ckpt, *shots, "--steps", "1", "--out", str(out)]
-                      + ["--ref-attn"] * ref_attn)
+        rc = cli.main(["sample", "--ckpt", refattn_ckpt, *shots, "--steps", "1", "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
-        assert "--ref-attn" in capsys.readouterr().err
+        assert "every --shots group must share the first segment" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_sample_ref_attn_on_another_variant(self, tmp_path, full_ckpt, capsys):
-        out = tmp_path / "s"
+    def test_sample_continuation_on_another_variant(self, tmp_path, full_ckpt, capsys):
+        """Two groups continue a reference shot, which needs a full+refattn
+        checkpoint: on a full one the run exits 2 and removes its --out."""
+        out = tmp_path / "new" / "s"
         rc = cli.main(["sample", "--ckpt", full_ckpt, "--shots", "n=2,scene=0;n=2,scene=1",
-                       "--steps", "1", "--ref-attn", "--out", str(out)])
+                       "--shots", "n=2,scene=0", "--steps", "1", "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
         assert "full+refattn" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", ["--variant", "vanilla"]), ("train", ["--seed", "5"]), ("sample", ["--ref-attn"]),
+    ], ids=["train-variant", "train-seed", "sample-ref-attn"])
+    def test_flags_that_restate_a_run_input_are_unrecognized(
+            self, tmp_path, config_path, refattn_ckpt, command, flag, monkeypatch, capsys):
+        """The run config alone sets the variant and the seed a run trains
+        with, and the --shots group count alone decides a continuation."""
+        for work in ("train", "sample", "sample_infinite"):
+            monkeypatch.setattr(cli.engine, work, _must_not_run)
+        source = {"train": ["--config", config_path],
+                  "sample": ["--ckpt", refattn_ckpt, "--shots", "n=2,scene=0"]}[command]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *source, *flag, "--out", str(out)])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -949,6 +948,29 @@ class TestEntryChecks:
         assert str(cli.LAYOUT_MAX_TOKENS) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+    def test_sample_packed_tokens_bound(self, tmp_path, refattn_ckpt, past, monkeypatch, capsys):
+        """Groups that each fit LAYOUT_MAX_TOKENS pack shot 0 once and every
+        group's later shots into one field: a field of PACKED_MAX_TOKENS
+        passes the entry checks, one more token's worth exits 2 before --out
+        is made, and nothing samples."""
+        for work in ("sample", "sample_infinite"):
+            monkeypatch.setattr(cli.engine, work, _must_not_run)
+        # 4 tokens a frame: 8 groups add 1,023 frames each to a 1-frame shot 0
+        assert cli.PACKED_MAX_TOKENS == 4 + 8 * 4 * 1023 + 4 * 7
+        groups = ["n=1,scene=0;n=1023,scene=1"] * 8 + [f"n=1,scene=0;n={7 + past},scene=2"]
+        argv = ["sample", "--ckpt", refattn_ckpt, *[a for g in groups for a in ("--shots", g)],
+                "--steps", "1"]
+        out = tmp_path / "s"
+        if not past:
+            with pytest.raises(AssertionError, match="ran past the command-entry checks"):
+                cli.main(argv + ["--out", str(out)])
+            return
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        assert (f"--shots groups of {cli.PACKED_MAX_TOKENS + 4} packed tokens exceed "
+                f"{cli.PACKED_MAX_TOKENS}") in capsys.readouterr().err
+        assert not out.exists()
+
     @staticmethod
     def _layout_config(tmp_path, shot_len_hi):
         """SMALL_CONFIG whose largest training layout is 2 shots of shot_len_hi
@@ -976,6 +998,31 @@ class TestEntryChecks:
                        "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
         assert "layout of up to 4100 tokens exceeds 4096" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_training_batch_at_the_bound_loads(self, tmp_path):
+        """SMALL_CONFIG's largest layout is 2 shots of 2 frames on a 2 x 2
+        grid, 16 tokens: a batch of BATCH_MAX_TOKENS / 16 loads."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(_with("train", "batch_size", cli.BATCH_MAX_TOKENS // 16)))
+        assert cli.load_run_config(str(path))[1].batch_size == 4096
+
+    @pytest.mark.parametrize("batch_size", [4097, 10**9])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_training_batch_above_bound(self, tmp_path, command, batch_size, monkeypatch,
+                                        capsys):
+        """Training renders a whole batch before its first forward: a batch
+        of more than BATCH_MAX_TOKENS tokens exits 2 before --out is made; it
+        never trains."""
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli.engine, "train", _must_not_run)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(_with("train", "batch_size", batch_size)))
+        out = tmp_path / "run"
+        rc = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert (f"a training batch of up to {16 * batch_size} tokens exceeds "
+                f"{cli.BATCH_MAX_TOKENS}") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -1157,8 +1204,8 @@ def _must_not_run(*args, **kwargs):
 def _small_ckpt(tmp_path_factory, variant):
     out = tmp_path_factory.mktemp(variant.replace("+", "_"))
     config = out / "run.json"
-    config.write_text(json.dumps(SMALL_CONFIG))
-    args = ["train", "--config", str(config), "--out", str(out), "--variant", variant]
+    config.write_text(json.dumps(_with("model", "variant", variant)))
+    args = ["train", "--config", str(config), "--out", str(out)]
     assert cli.main(args) == cli.EXIT_OK
     return str(out / "checkpoint.ecsh")
 
@@ -1198,7 +1245,7 @@ _SEGMENT = st.one_of(
 @st.composite
 def _shot_groups(draw):
     """One to three --shots strings; a later one mostly starts with the
-    first one's first segment, as --ref-attn requires."""
+    first one's first segment, as a continuation requires."""
     first = draw(st.lists(_SEGMENT, min_size=1, max_size=3))
     groups = [first]
     for _ in range(draw(st.integers(0, 2))):
@@ -1209,15 +1256,14 @@ def _shot_groups(draw):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(groups=_shot_groups(), flip_ref_attn=st.booleans())
-def test_shot_specs_sample_or_exit_2(refattn_ckpt, tmp_path_factory, groups, flip_ref_attn):
+@given(groups=_shot_groups())
+def test_shot_specs_sample_or_exit_2(refattn_ckpt, tmp_path_factory, groups):
     """Whatever the --shots strings, `sample` exits 0 or 2 and never raises."""
-    ref_attn = (len(groups) > 1) != flip_ref_attn
     argv = ["sample", "--ckpt", refattn_ckpt, "--steps", "1"]
     for spec in groups:
         argv += ["--shots", spec]
     out = tmp_path_factory.mktemp("specs")
-    rc = cli.main(argv + ["--ref-attn"] * ref_attn + ["--out", str(out)])
+    rc = cli.main(argv + ["--out", str(out)])
     assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG)
 
 
@@ -1254,16 +1300,18 @@ def _exits_0_or_2_and_cleans_up(argv, new):
 # a usage error found only once --out's directory exists: few random draws
 # pair it with otherwise usable values, so each is also an explicit example
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(flags=_flag_values(_SAMPLE_FLAGS), ref_attn=st.booleans())
-@example(flags=["--seed=-1", "--steps=1"], ref_attn=True)
-@example(flags=["--seed=-1", "--steps=1"], ref_attn=False)
-@example(flags=["--shift=0.5", "--steps=1"], ref_attn=False)
-def test_sample_numeric_flags_sample_or_exit_2(refattn_ckpt, tmp_path_factory, flags, ref_attn):
+@given(flags=_flag_values(_SAMPLE_FLAGS), groups=st.integers(1, 2))
+@example(flags=["--seed=-1", "--steps=1"], groups=2)
+@example(flags=["--seed=-1", "--steps=1"], groups=1)
+@example(flags=["--shift=0.5", "--steps=1"], groups=1)
+def test_sample_numeric_flags_sample_or_exit_2(refattn_ckpt, tmp_path_factory, flags, groups):
     """Whatever the numeric flags' values, `sample` exits 0 or 2, never raises,
-    and leaves no directory it made on a usage error."""
+    and leaves no directory it made on a usage error, for one --shots group and
+    for a continuation of two."""
     new = tmp_path_factory.mktemp("sample_flags") / "new"
-    argv = ["sample", "--ckpt", refattn_ckpt, "--shots", "n=2,scene=0;n=1,scene=1", *flags]
-    _exits_0_or_2_and_cleans_up(argv + ["--ref-attn"] * ref_attn + ["--out", str(new / "s")], new)
+    argv = ["sample", "--ckpt", refattn_ckpt, *flags]
+    argv += ["--shots", "n=2,scene=0;n=1,scene=1", "--shots", "n=2,scene=0"][: 2 * groups]
+    _exits_0_or_2_and_cleans_up(argv + ["--out", str(new / "s")], new)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -1363,3 +1411,43 @@ class TestAblateCommand:
             tmp_path, capsys, ["ablate", "--eval-samples", "1", "--eval-steps", "1"]
         )
 
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+class TestReadmeAgreesWithParser:
+    @staticmethod
+    def _readme():
+        with open(README, encoding="utf-8") as fh:
+            return fh.read()
+
+    def test_every_readme_command_parses(self):
+        """Each `shotrope ...` line of README's sh blocks, with its backslash
+        continuations joined, is a command line the parser accepts."""
+        commands = [
+            shlex.split(line, comments=True)[1:]
+            for block in re.findall(r"```sh\n(.*?)```", self._readme(), re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("shotrope ")
+        ]
+        assert {argv[0] for argv in commands} == {"train", "sample", "curve", "ablate"}
+        parser = cli.build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: shotrope {shlex.join(argv)}")
+
+    def test_every_option_is_named(self):
+        readme = self._readme()
+        (subcommands,) = [a.choices for a in cli.build_parser()._actions if a.choices]
+        unnamed = [
+            f"{command} {option}"
+            for command, sub in subcommands.items()
+            for action in sub._actions
+            for option in action.option_strings
+            if option != "--help" and option.startswith("--")
+            and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)
+        ]
+        assert unnamed == []

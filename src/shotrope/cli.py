@@ -127,9 +127,9 @@ def _run_dir(path, *names):
     files, named names, there, and they are renamed into path when it
     returns.  An output name that is an existing directory, or a path that
     cannot be made, is a usage error before the block runs.  A block that
-    raises a usage or numeric error, a failed write among them, saves no
-    file (unless a rename into place fails after another succeeded) and
-    leaves no directory this made behind."""
+    raises, a failed write or a Ctrl-C among them, saves no file (unless a
+    rename into place fails after another succeeded) and leaves no directory
+    this made behind; the exception goes on unchanged."""
     targets = [os.path.join(path, name) for name in names]
     _refuse_directories(targets)
     made = []
@@ -151,8 +151,8 @@ def _run_dir(path, *names):
                 os.replace(os.path.join(stage, name), target)
             except OSError as exc:
                 raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from exc
-    except (ConfigError, ShapeError, NumericError):
-        shutil.rmtree(stage)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
         _remove_empty(made)
         raise
     finally:
@@ -349,13 +349,6 @@ def cmd_curve(args):
     return EXIT_OK
 
 
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _ablate_run(task):
     model_cfg, train_cfg, world, eval_cfg = task
     params, _ = engine.train(model_cfg, train_cfg, world)
@@ -377,7 +370,7 @@ def cmd_ablate(args):
 
     eval_cfg = {"n_samples": args.eval_samples, "seed": train_cfg.seed, "steps": args.eval_steps}
     tasks = [(cfg, train_cfg, world, eval_cfg) for _, cfg in runs]
-    workers = min(_usable_cpus(), len(tasks))
+    workers = min(engine.usable_cpus(), len(tasks))
     with _run_dir(args.out, "ablation.csv") as stage:
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -197,11 +199,140 @@ def condition_identity(captions, id_row):
     return replace(captions, id_row=id_row)
 
 
+# fewest rows x steps of a guided sampling call that runs its unconditional
+# branch in a forked worker.  With the worker pinned off the caller's CPU, a
+# 50-step call took 0.98x the stacked path's time at 16 rows, where a step is
+# mostly Python overhead, 0.78x at 32 and 0.62-0.71x at 48-192 rows; a
+# 144-row call took 0.87x at 2 steps and 0.65x at 8 (ROADMAP, "What the
+# second CPU adds")
+BRANCH_WORKER_MIN_ROW_STEPS = 1024
+
+
+def usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _one_blas_thread():
+    """Whether the environment gives BLAS one thread: OpenBLAS takes its thread
+    count from the first of these variables set to a positive number, and
+    runs a thread per CPU when none is."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value) == 1
+    return False
+
+
+def _forks_branch_worker(rows, steps, guidance):
+    """Whether a guided sampling call of steps steps on a field of rows rows runs
+    its unconditional branch in a forked worker: at guidance != 1 above the
+    gate, on a second CPU that nothing else of this process uses, so with one
+    BLAS thread (a threaded BLAS in both processes made calls 6-22x slower)
+    and not inside a multiprocessing worker, whose pool has the other CPUs;
+    and only where a fork is safe, in a process of one Python thread."""
+    if (guidance == 1.0 or rows * steps < BRANCH_WORKER_MIN_ROW_STEPS or usable_cpus() < 2
+            or not _one_blas_thread() or not hasattr(os, "fork")):
+        return False
+    import multiprocessing  # here: importing it with the engine would add to set-up time
+    import threading
+
+    return multiprocessing.parent_process() is None and threading.active_count() == 1
+
+
+def _other_cpus():
+    """The CPUs this process may run on but the one it runs on now, or None
+    when the platform cannot say."""
+    import ctypes
+
+    here = getattr(ctypes.CDLL(None), "sched_getcpu", None)
+    if here is None or not hasattr(os, "sched_setaffinity"):
+        return None
+    here.argtypes, here.restype = [], ctypes.c_int
+    return (os.sched_getaffinity(0) - {here()}) or None
+
+
+def _unconditional_branch(conn, callers_end, cpus, params, cfg, captions, packed):
+    """The forked worker: pinned to cpus, for each (tau, z) conn receives, send
+    back the unconditional branch's guidance-1 velocity array, until the
+    caller closes its end; on an error, send the exception and stop."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
+    callers_end.close()  # so that the caller's exit closes the pipe
+    if cpus is not None:
+        with contextlib.suppress(OSError):  # unpinned, it still runs
+            os.sched_setaffinity(0, cpus)
+    try:
+        uncond = tuple(map(M.null_captions, captions))
+        cond = M.conditioning(uncond, packed, cfg, params)
+        while True:
+            try:
+                tau, z = conn.recv()
+            except EOFError:
+                return
+            conn.send(M.denoiser_forward(z, tau, uncond, packed, cfg, params, cond=cond).data)
+    except Exception as exc:  # a pickle keeps its class and message
+        conn.send(exc)
+
+
+@contextlib.contextmanager
+def _branch_worker(params, cfg, captions, packed):
+    """Fork a worker for the unconditional branch of captions on packed, pinned
+    off the caller's CPU, and yield unconditional(tau, z): it hands the step to
+    the worker and returns a function that waits for the branch's velocity
+    Tensor.  An exception the worker sends is raised in the caller, and a
+    worker that dies raises ChildProcessError.  The worker is joined before
+    this returns or raises."""
+    import multiprocessing  # here: importing it with the engine would add to set-up time
+
+    fork = multiprocessing.get_context("fork")
+    ours, theirs = fork.Pipe()
+    worker = fork.Process(target=_unconditional_branch, daemon=True,
+                          args=(theirs, ours, _other_cpus(), params, cfg, captions, packed))
+    worker.start()
+    theirs.close()
+
+    def died():
+        worker.join()
+        return ChildProcessError(f"the unconditional-branch worker of a sampling call died "
+                                 f"with exit code {worker.exitcode}")
+
+    def unconditional(tau, z):
+        try:
+            ours.send((tau, z))
+        except OSError as exc:
+            raise died() from exc
+
+        def velocity():
+            try:
+                got = ours.recv()
+            except (EOFError, OSError) as exc:
+                raise died() from exc
+            if isinstance(got, Exception):
+                raise got
+            return Tensor(got)
+
+        return velocity
+
+    try:
+        yield unconditional
+    finally:
+        ours.close()
+        worker.terminate()  # idle after the last step, or mid-step after an error
+        worker.join()
+
+
 def _sample_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embedding):
     """Euler integration of the guided velocity field from z at tau = 1, the
-    specs run as one field packed from their layouts, one forward a step;
-    one field per spec.  The conditioning every step reads is built once.
-    A step that leaves a non-finite field raises NumericError."""
+    specs run as one field packed from their layouts; one field per spec.
+    Each step is one forward at the sampling guidance, or, when
+    _forks_branch_worker says so, one guidance-1 forward of the conditional
+    branch here while a forked worker runs the unconditional one, with the
+    same bits (README, Determinism).  The conditioning every step reads is
+    built once.  A step that leaves a non-finite field raises NumericError."""
     if not abs(guidance) <= float(np.finfo(np.float32).max):  # also refuses NaN
         raise ConfigError(f"guidance must be finite in float32, got {guidance}")
     packed = PackedLayout(tuple(build_layout(spec, world) for spec in specs))
@@ -209,16 +340,30 @@ def _sample_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embe
     if id_embedding is not None:
         captions = tuple(condition_identity(c, id_embedding) for c in captions)
     taus = shift_timesteps(steps, shift)
-    cond = M.conditioning(captions, packed, cfg, params, guidance)
-    for i in range(steps):
-        tau = float(taus[i])
-        v = M.denoiser_forward(
-            z, tau, captions, packed, cfg, params, guidance=guidance, cond=cond
-        ).data
-        dtau = float(taus[i + 1] - taus[i])
-        z = (z + np.float32(dtau) * v.astype(np.float32)).astype(np.float32)
-        if not np.isfinite(z).all():
-            raise NumericError(f"sampling step {i} of {steps} left a non-finite field")
+    with contextlib.ExitStack() as stack:
+        if _forks_branch_worker(packed.total_tokens, steps, guidance):
+            unconditional = stack.enter_context(_branch_worker(params, cfg, captions, packed))
+            cond = M.conditioning(captions, packed, cfg, params)
+
+            def velocity(z, tau):
+                u = unconditional(tau, z)
+                c = M.denoiser_forward(z, tau, captions, packed, cfg, params, cond=cond)
+                return M.guided(c, u(), guidance)
+        else:
+            cond = M.conditioning(captions, packed, cfg, params, guidance)
+
+            def velocity(z, tau):
+                return M.denoiser_forward(
+                    z, tau, captions, packed, cfg, params, guidance=guidance, cond=cond
+                )
+
+        for i in range(steps):
+            tau = float(taus[i])
+            v = velocity(z, tau).data
+            dtau = float(taus[i + 1] - taus[i])
+            z = (z + np.float32(dtau) * v.astype(np.float32)).astype(np.float32)
+            if not np.isfinite(z).all():
+                raise NumericError(f"sampling step {i} of {steps} left a non-finite field")
     return packed.unpack(z)
 
 

@@ -328,7 +328,12 @@ def denoiser_forward(
     out = T.add(T.matmul(T.layernorm(x), params["head/w"]), params["head/b"])
     if guidance == 1.0:
         return out
-    c, u = T.slice_rows(out, 0, n), T.slice_rows(out, n, 2 * n)
+    return guided(T.slice_rows(out, 0, n), T.slice_rows(out, n, 2 * n), guidance)
+
+
+def guided(c, u, guidance):
+    """The guided velocity u + guidance (c - u) of the conditional branch c
+    and the unconditional branch u, in their dtype."""
     return T.add(u, T.scale(T.sub(c, u), guidance))
 
 

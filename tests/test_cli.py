@@ -803,6 +803,19 @@ class TestNumericFlags:
         assert "empty grid" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
 
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError, RuntimeError])
+    def test_any_exception_in_the_run_removes_what_it_made(self, tmp_path, error):
+        """A Ctrl-C, a MemoryError or any other exception in the block leaves
+        no directory _run_dir made and goes on as it was raised."""
+        raised = error("in the run")
+        with pytest.raises(error) as caught:
+            with cli._run_dir(str(tmp_path / "new" / "run"), "x") as stage:
+                with open(os.path.join(stage, "x"), "w") as fh:
+                    fh.write("half")
+                raise raised
+        assert caught.value is raised
+        assert os.listdir(tmp_path) == []
+
 
 class TestEntryChecks:
     """A count flag below 1, a size above its bound, or an --out that cannot
@@ -818,7 +831,7 @@ class TestEntryChecks:
 
     @pytest.mark.parametrize("flag", ["eval-samples", "eval-steps"])
     def test_ablate_counts_below_one(self, tmp_path, config_path, flag, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli.engine, "usable_cpus", lambda: 1)
         monkeypatch.setattr(cli.engine, "train", _must_not_run)
         out = tmp_path / "ablate"
         rc = cli.main(["ablate", "--config", config_path, "--out", str(out), f"--{flag}", "0"])
@@ -864,7 +877,7 @@ class TestEntryChecks:
     def test_ablate_world_of_two_scenes(self, tmp_path, monkeypatch, capsys):
         """Evaluation prompts need three distinct scenes: a world of two exits 2
         before any variant trains or --out is made."""
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli.engine, "usable_cpus", lambda: 1)
         monkeypatch.setattr(cli.engine, "train", _must_not_run)
         cfg = _with("model", "v_scene", 2)
         cfg["world"]["v_scene"] = 2
@@ -991,7 +1004,7 @@ class TestEntryChecks:
     def test_training_layout_above_bound(self, tmp_path, command, monkeypatch, capsys):
         """A config whose largest layout is just over the bound exits 2 before
         --out is made; it never trains."""
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli.engine, "usable_cpus", lambda: 1)
         monkeypatch.setattr(cli.engine, "train", _must_not_run)
         out = tmp_path / "run"
         rc = cli.main([command, "--config", self._layout_config(tmp_path, 1025),
@@ -1014,7 +1027,7 @@ class TestEntryChecks:
         """Training renders a whole batch before its first forward: a batch
         of more than BATCH_MAX_TOKENS tokens exits 2 before --out is made; it
         never trains."""
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli.engine, "usable_cpus", lambda: 1)
         monkeypatch.setattr(cli.engine, "train", _must_not_run)
         path = tmp_path / "run.json"
         path.write_text(json.dumps(_with("train", "batch_size", batch_size)))
@@ -1029,7 +1042,7 @@ class TestEntryChecks:
     def test_train_timesteps_above_int64(self, tmp_path, command, monkeypatch, capsys):
         """Training draws a timestep as an int64 in [1, train_timesteps]: 2**63
         exits 2 before --out is made, naming the bound; it never trains."""
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli.engine, "usable_cpus", lambda: 1)
         monkeypatch.setattr(cli.engine, "train", _must_not_run)
         path = tmp_path / "run.json"
         path.write_text(json.dumps(_with("train", "train_timesteps", 2**63)))
@@ -1369,7 +1382,7 @@ def test_mutated_checkpoint_samples_or_exits_2(refattn_ckpt, tmp_path_factory, d
 
 class TestAblateCommand:
     def test_three_variant_table(self, tmp_path, config_path, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli.engine, "usable_cpus", lambda: 1)
         out = tmp_path / "ablate"
         rc = cli.main(
             [
@@ -1390,7 +1403,7 @@ class TestAblateCommand:
         """One CPU runs the variants in-process, two run them in a process pool."""
         tables = []
         for cpus in (1, 2):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(cli.engine, "usable_cpus", lambda: cpus)
             out = tmp_path / f"ablate{cpus}"
             rc = cli.main(
                 [
@@ -1406,7 +1419,7 @@ class TestAblateCommand:
     def test_divergence_is_numeric_error_and_saves_nothing(
         self, tmp_path, capsys, monkeypatch, cpus
     ):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli.engine, "usable_cpus", lambda: cpus)
         _check_divergence_saves_nothing(
             tmp_path, capsys, ["ablate", "--eval-samples", "1", "--eval-steps", "1"]
         )

@@ -2,6 +2,12 @@
 g != 1 runs both guidance branches together, and the sampler must give the
 bits of the two-forwards-a-step loop it replaced, kept here as the reference."""
 
+import contextlib
+import multiprocessing
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 
@@ -190,3 +196,229 @@ def test_a_conditioning_of_other_captions_is_refused():
         got = M.denoiser_forward(z, 0.5, (captions,), layout, cfg, params, guidance=guidance,
                                  cond=cond)
         assert np.array_equal(got.data, want.data)
+
+
+# The branch worker: a guided sampling call at or above the gate, in a
+# process with a second CPU and one BLAS thread, runs its unconditional
+# branch in a forked worker.  Every worker-path field below is at or above the
+# gate: 96 rows (6 frames) or more, WORKER_STEPS steps.
+WORKER_STEPS = -(-E.BRANCH_WORKER_MIN_ROW_STEPS // 96)
+WORKER_SPEC = SPECS["3-shots"]
+WORKER_REF = E.ShotPrompt(1, 0, 1)
+WORKER_ATTEMPTS = [[E.ShotPrompt(2, 1)], [], [E.ShotPrompt(1, 3), E.ShotPrompt(3, 2, 1)]]
+
+
+@pytest.fixture
+def gate_open(monkeypatch):
+    """The gate as in a process with two CPUs and one BLAS thread; yields the
+    list each forked worker appends to; no worker is left afterwards."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(E, "usable_cpus", lambda: 2)
+    started = _count_workers(monkeypatch)
+    yield started
+    assert multiprocessing.active_children() == []
+
+
+def _count_workers(monkeypatch):
+    started, real = [], E._branch_worker
+
+    def counted(*args):
+        started.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(E, "_branch_worker", counted)
+    return started
+
+
+def _in_process(monkeypatch, run):
+    """run() on the in-process stacked path."""
+    with monkeypatch.context() as m:
+        m.setattr(E, "_forks_branch_worker", lambda *a: False)
+        return run()
+
+
+def _sample_worker_field(variant, identity=False):
+    params, cfg = MODELS[variant]
+    emb = E.identity_embedding(params, WORLD, 3) if identity else None
+    return E.sample(params, cfg, WORLD, WORKER_SPEC, steps=WORKER_STEPS, guidance=5.0, seed=9,
+                    id_embedding=emb)
+
+
+@pytest.mark.parametrize("variant", ["vanilla", "tcrope", "full"])
+def test_the_worker_path_has_the_stacked_bits(gate_open, monkeypatch, variant):
+    want = _in_process(monkeypatch, lambda: _sample_worker_field(variant))
+    assert gate_open == []
+    got = _sample_worker_field(variant)
+    assert gate_open == [1]
+    assert np.array_equal(got, want)
+
+
+def test_a_worker_path_continuation_has_the_stacked_bits(gate_open, monkeypatch):
+    """A packing of attempts, one of them empty, with an identity row."""
+    params, cfg = MODELS["full+refattn"]
+    emb = E.identity_embedding(params, WORLD, 1)
+    ref_noise = np.random.default_rng(6).standard_normal((16, WORLD.d_token)).astype(np.float32)
+
+    def run():
+        return E.sample_infinite(params, cfg, WORLD, WORKER_REF, ref_noise, WORKER_ATTEMPTS,
+                                 seed=8, steps=WORKER_STEPS, guidance=5.0, id_embedding=emb)
+
+    want = _in_process(monkeypatch, run)
+    got = run()
+    assert gate_open == [1]
+    assert len(got) == len(want) == 3
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_the_caller_runs_one_conditional_forward_a_step(gate_open, monkeypatch):
+    """The caller embeds the captions once and makes one guidance-1 forward a
+    step; the worker's forwards, in its own process, are not counted here."""
+    calls, contexts = [], []
+    forward, context = M.denoiser_forward, M.caption_context
+    caller = os.getpid()
+
+    def counted(*args, **kwargs):
+        if os.getpid() == caller:
+            calls.append(kwargs.get("guidance", 1.0))
+        return forward(*args, **kwargs)
+
+    def embedded(*args, **kwargs):
+        if os.getpid() == caller:
+            contexts.append(args[0])
+        return context(*args, **kwargs)
+
+    monkeypatch.setattr(M, "denoiser_forward", counted)
+    monkeypatch.setattr(M, "caption_context", embedded)
+    _sample_worker_field("full")
+    assert gate_open == [1]
+    assert calls == [1.0] * WORKER_STEPS
+    assert contexts == [(E.build_captions(WORKER_SPEC),)]
+
+
+def _fail_in(process, error, at_call=1):
+    """A denoiser_forward that raises error at its at_call-th call in the
+    caller or in the worker, forked after it is patched in."""
+    forward, caller, calls = M.denoiser_forward, os.getpid(), []
+
+    def failing(*args, **kwargs):
+        if (os.getpid() == caller) == (process == "caller"):
+            calls.append(1)
+            if len(calls) == at_call:
+                error()
+        return forward(*args, **kwargs)
+
+    return failing
+
+
+def _raise(cls, message):
+    def error():
+        raise cls(message)
+
+    return error
+
+
+@pytest.mark.parametrize("cls", [ConfigError, T.ShapeError, T.NumericError])
+def test_an_error_in_the_worker_comes_back_with_its_class_and_message(gate_open, monkeypatch,
+                                                                      cls):
+    monkeypatch.setattr(M, "denoiser_forward", _fail_in("worker", _raise(cls, "in the worker"), 3))
+    with pytest.raises(cls, match="^in the worker$"):
+        _sample_worker_field("full")
+    assert gate_open == [1]
+
+
+def test_an_error_in_the_caller_leaves_no_worker(gate_open, monkeypatch):
+    workers = []
+
+    def error():
+        workers.extend(multiprocessing.active_children())
+        raise T.NumericError("in the caller")
+
+    monkeypatch.setattr(M, "denoiser_forward", _fail_in("caller", error, 3))
+    with pytest.raises(T.NumericError, match="in the caller"):
+        _sample_worker_field("full")
+    assert len(workers) == 1 and workers[0].exitcode is not None
+    with pytest.raises(ProcessLookupError):  # joined, so not even a zombie
+        os.kill(workers[0].pid, 0)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block runs past seconds."""
+    def expired(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _kill_the_worker():
+    (worker,) = multiprocessing.active_children()
+    os.kill(worker.pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("death, code", [
+    (lambda: _fail_in("worker", lambda: os._exit(3), 2), 3),
+    (lambda: _fail_in("caller", _kill_the_worker, 2), -signal.SIGKILL),
+], ids=["exits", "killed"])
+def test_a_worker_that_dies_does_not_hang_the_caller(gate_open, monkeypatch, death, code):
+    monkeypatch.setattr(M, "denoiser_forward", death())
+    with _deadline(60), pytest.raises(ChildProcessError, match=f"exit code {code}$"):
+        _sample_worker_field("full")
+    assert gate_open == [1]
+
+
+@pytest.mark.parametrize(
+    "change", ["one-cpu", "blas-threads", "guidance-1", "below-gate", "another-thread"]
+)
+def test_no_worker_without_a_free_cpu_or_below_the_gate(gate_open, monkeypatch, change):
+    """One usable CPU, a BLAS of two threads, guidance 1, a call below the
+    gate or a second Python thread, in which a fork is unsafe, runs the
+    stacked path in-process."""
+    params, cfg = MODELS["full"]
+    steps, guidance = WORKER_STEPS, 5.0
+    if change == "one-cpu":
+        monkeypatch.setattr(E, "usable_cpus", lambda: 1)
+    elif change == "blas-threads":
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    elif change == "guidance-1":
+        guidance = 1.0
+    elif change == "below-gate":
+        steps -= 1
+    assert 96 * (steps + 1) >= E.BRANCH_WORKER_MIN_ROW_STEPS
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    if change == "another-thread":
+        other.start()
+    try:
+        E.sample(params, cfg, WORLD, WORKER_SPEC, steps=steps, guidance=guidance, seed=9)
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join(60)
+    assert gate_open == []
+
+
+def test_no_worker_inside_a_multiprocessing_worker(gate_open):
+    """A sampling call in a process that multiprocessing started, such as one of
+    ablate's pool workers, runs the stacked path there."""
+    fork = multiprocessing.get_context("fork")
+    ours, theirs = fork.Pipe()
+
+    def child():
+        field = _sample_worker_field("full")
+        theirs.send((len(gate_open), field))
+
+    worker = fork.Process(target=child)
+    worker.start()
+    assert ours.poll(60)
+    started, field = ours.recv()
+    worker.join(60)
+    assert worker.exitcode == 0
+    assert started == 0
+    assert np.array_equal(field, _sample_worker_field("full"))
+    assert gate_open == [1]

@@ -4,6 +4,8 @@ module's own code, or re-exported through its `__all__`."""
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -52,3 +54,11 @@ def test_the_check_sees_an_unused_import():
 def test_every_top_level_import_is_used(path):
     with open(path) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_the_engine_imports_no_multiprocessing():
+    """multiprocessing loads only when a sampling call forks its branch worker,
+    so importing the engine costs no more than before it had one."""
+    code = "import sys, shotrope.engine; sys.exit('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.join(SRC, os.pardir)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

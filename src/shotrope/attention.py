@@ -14,9 +14,9 @@ later shots], which `segment_blocks` turns into blocks.
 All heads run at once on [heads, n, d_head] tensors.  What depends only
 on the layout and the captions, the rotary tables, each attention's blocks
 and each block's rotated caption keys and values, is built once per forward,
-or once per sampling call, into a Conditioning (model.conditioning), which
-also stacks the guidance branches' rows: each kernel reads its row-aligned
-tables and blocks, keeps no state and counts no branch.  Self-attention and
+or once per sampling call and guidance branch, into a Conditioning
+(model.conditioning): each kernel reads its row-aligned tables and blocks
+and keeps no state.  Self-attention and
 taped cross-attention make one attention_core call.  With no tape recording,
 the caption keys and values are fixed for the call and each shot's queries
 turn by one angle, so the conditioning folds, in each block with few caption
@@ -45,13 +45,11 @@ class AttentionWeights:
     wo: Tensor
 
 
-def pair_tables(tables, dtype, copies=1):
-    """[n, d/2] cos/sin -> read-only [copies * n, d] tables: each pair's
-    entry twice, the n rows once per copy."""
+def pair_tables(tables, dtype):
+    """[n, d/2] cos/sin -> read-only [n, d] tables: each pair's entry twice."""
     out = []
     for tab in tables:
         tab = np.repeat(tab, 2, axis=1).astype(dtype)
-        tab = np.concatenate([tab] * copies) if copies > 1 else tab
         tab.flags.writeable = False
         out.append(tab)
     return tuple(out)
@@ -67,21 +65,21 @@ def scaled_dot_attention(Q, K, V, probs_out=None, blocks=None):
     return T.attention_core(Q, K, V, 1.0 / np.sqrt(Q.shape[-1]), blocks, probs_out)
 
 
-def segment_blocks(q_ends, k_ends, q_top=0, k_top=0):
+def segment_blocks(q_ends, k_ends):
     """The attention_core (query rows, key rows) blocks of segmented rows.
 
     q_ends/k_ends are the row ends of segment 0 and of each later segment,
-    one entry per segment in both, counted from rows q_top and k_top.
-    Segment-0 rows attend to segment-0 keys only; segment i attends to the
-    segment-0 keys followed by its own keys, so each segment runs the
-    products it would run on its own.  One segment is plain attention: every
-    row over every key.  An empty later segment gets no block.
+    one entry per segment in both.  Segment-0 rows attend to segment-0 keys
+    only; segment i attends to the segment-0 keys followed by its own keys,
+    so each segment runs the products it would run on its own.  One segment
+    is plain attention: every row over every key.  An empty later segment
+    gets no block.
     """
     if len(q_ends) != len(k_ends):
         raise ConfigError("segment attention: query and key segments differ in number")
-    shot0 = np.arange(k_top, k_top + k_ends[0])
-    return [(slice(q_top, q_top + q_ends[0]), slice(k_top, k_top + k_ends[0]))] + [
-        (slice(q_top + q_lo, q_top + q_hi), np.r_[shot0, k_top + k_lo:k_top + k_hi])
+    shot0 = np.arange(k_ends[0])
+    return [(slice(0, q_ends[0]), slice(0, k_ends[0]))] + [
+        (slice(q_lo, q_hi), np.r_[shot0, k_lo:k_hi])
         for q_lo, q_hi, k_lo, k_hi in zip(q_ends, q_ends[1:], k_ends, k_ends[1:]) if q_lo < q_hi
     ]
 
@@ -118,18 +116,14 @@ class Conditioning:
     """What the attention calls of one forward read besides their rows and
     weights, built by model.conditioning from the bundles in captions.
 
-    contexts holds each guidance branch's ContextTokens, [conditional |
-    unconditional]; the first one's shot index tags the cross-attention keys
-    an AttentionCollector reads.  The rows stack layout's n tokens once per
-    context: token_tables and query_tables, the read-only (cos, sin) TcRoPE
-    and TaRoPE tables, have one row per stacked row, and self_blocks and
-    cross_blocks are the attention_core blocks of each attention, branch by
-    branch.  An attention over the first `rows` stacked rows only (block 0's
-    self-attention, before the branches stack) reads the tables' first
-    `rows` rows and the self blocks ending by `rows`.
+    context holds the captions' ContextTokens; its shot index tags the
+    cross-attention keys an AttentionCollector reads.  token_tables and
+    query_tables, the read-only (cos, sin) TcRoPE and TaRoPE tables, have
+    one row per token of layout, and self_blocks and cross_blocks are the
+    attention_core blocks of each attention.
 
-    caption_kv holds each block's rotated caption keys and values, stacked
-    over the branches.  Built with no tape recording, cross_folds holds each
+    caption_kv holds each block's rotated caption keys and values.  Built
+    with no tape recording, cross_folds holds each
     block's fold_cross_attention runs: in the attention blocks with few
     caption keys, the keys, values, query rotations and W_q and W_o folded
     into two matrices per run, which carry no gradient.  Built under a
@@ -137,7 +131,7 @@ class Conditioning:
     """
 
     captions: tuple
-    contexts: tuple
+    context: ContextTokens
     layout: object
     token_tables: tuple
     query_tables: tuple
@@ -155,14 +149,10 @@ def project(x, w, heads, tables=None):
 
 def multishot_self_attention(tokens, cond, weights, heads=4, probs_out=None):
     """TcRoPE-indexed self-attention over cond's self blocks: all shots, or
-    under full+refattn shot 0 alone and later shots with shot 0.  tokens
-    are the first rows of cond's stack, one branch's or every branch's."""
-    rows = tokens.shape[0]
-    tables = [tab[:rows] for tab in cond.token_tables]
-    q, k = (project(tokens, w, heads, tables) for w in (weights.wq, weights.wk))
+    under full+refattn shot 0 alone and later shots with shot 0."""
+    q, k = (project(tokens, w, heads, cond.token_tables) for w in (weights.wq, weights.wk))
     v = project(tokens, weights.wv, heads)
-    blocks = [b for b in cond.self_blocks if b[0].stop <= rows]
-    out = scaled_dot_attention(q, k, v, probs_out, blocks)
+    out = scaled_dot_attention(q, k, v, probs_out, cond.self_blocks)
     return T.matmul(T.merge_heads(out), weights.wo)
 
 
@@ -219,9 +209,8 @@ def multishot_cross_attention(tokens, cond, block, weights, heads=4, probs_out=N
     """Visual queries over concatenated per-shot caption tokens.
 
     Queries rotate by their token's shot index times k; the keys by their
-    caption's shot index times k.  Values are left unrotated.  tokens are
-    cond's stacked rows, and each branch's segments attend over its
-    context's by cond.cross_blocks.
+    caption's shot index times k.  Values are left unrotated.  The token
+    segments attend over the context's by cond.cross_blocks.
 
     Under a tape (cond.cross_folds None) the queries are projected by
     weights.wq and rotated, attend over block `block` of cond.caption_kv

@@ -436,7 +436,13 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command with BLAS on one thread, and give the caller its own
+    count back when it returns.  One thread trained a default model faster
+    than one a CPU, lets a guided sampling call run its unconditional branch
+    on a second CPU, and is what ablate's forked pool workers inherit."""
     parser = build_parser()
+    threads = engine.blas_threads()
+    engine.blas_threads(1)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -446,6 +452,8 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        engine.blas_threads(threads)
 
 
 if __name__ == "__main__":

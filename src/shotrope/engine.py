@@ -201,10 +201,10 @@ def condition_identity(captions, id_row):
 
 # fewest rows x steps of a guided sampling call that runs its unconditional
 # branch in a forked worker.  With the worker pinned off the caller's CPU, a
-# 50-step call took 0.98x the stacked path's time at 16 rows, where a step is
-# mostly Python overhead, 0.78x at 32 and 0.62-0.71x at 48-192 rows; a
-# 144-row call took 0.87x at 2 steps and 0.65x at 8 (ROADMAP, "What the
-# second CPU adds")
+# 50-step call took 0.98x the time of an in-process call that ran both branches
+# in one stacked forward a step at 16 rows, where a step is mostly Python
+# overhead, 0.78x at 32 and 0.62-0.71x at 48-192 rows; a 144-row call took
+# 0.87x at 2 steps and 0.65x at 8 (ROADMAP, "What the second CPU adds")
 BRANCH_WORKER_MIN_ROW_STEPS = 1024
 
 
@@ -215,26 +215,40 @@ def usable_cpus():
     return os.cpu_count() or 1
 
 
-def _one_blas_thread():
-    """Whether the environment gives BLAS one thread: OpenBLAS takes its thread
-    count from the first of these variables set to a positive number, and
-    runs a thread per CPU when none is."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value) == 1
-    return False
+def blas_threads(count=None):
+    """The number of threads BLAS runs, after setting it to count when count
+    is given.  It is read from, and set in, the loaded OpenBLAS where numpy's
+    bundled one exports its thread calls.  Elsewhere count is not set, and
+    the number is the environment's, which OpenBLAS reads only when it
+    loads: the first of its variables set to a positive number, or None
+    when none is and OpenBLAS runs a thread per CPU."""
+    import ctypes  # here: importing it with the engine would add to set-up time
+
+    try:  # dlsym on numpy's core extension searches the libraries it loaded
+        core = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = core.scipy_openblas_get_num_threads64_, core.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            value = os.environ.get(name, "").strip()
+            if value.isdigit() and int(value) > 0:
+                return int(value)
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    if count is not None:
+        set_(count)
+    return get()
 
 
-def _forks_branch_worker(rows, steps, guidance):
+def _forks_branch_worker(rows, steps):
     """Whether a guided sampling call of steps steps on a field of rows rows runs
-    its unconditional branch in a forked worker: at guidance != 1 above the
-    gate, on a second CPU that nothing else of this process uses, so with one
-    BLAS thread (a threaded BLAS in both processes made calls 6-22x slower)
-    and not inside a multiprocessing worker, whose pool has the other CPUs;
-    and only where a fork is safe, in a process of one Python thread."""
-    if (guidance == 1.0 or rows * steps < BRANCH_WORKER_MIN_ROW_STEPS or usable_cpus() < 2
-            or not _one_blas_thread() or not hasattr(os, "fork")):
+    its unconditional branch in a forked worker: above the gate, on a second
+    CPU that nothing else of this process uses, so with one BLAS thread (a
+    threaded BLAS in both processes made calls 6-22x slower) and not inside a
+    multiprocessing worker, whose pool has the other CPUs; and only where a
+    fork is safe, in a process of one Python thread."""
+    if (rows * steps < BRANCH_WORKER_MIN_ROW_STEPS or usable_cpus() < 2
+            or blas_threads() != 1 or not hasattr(os, "fork")):
         return False
     import multiprocessing  # here: importing it with the engine would add to set-up time
     import threading
@@ -254,10 +268,19 @@ def _other_cpus():
     return (os.sched_getaffinity(0) - {here()}) or None
 
 
-def _unconditional_branch(conn, callers_end, cpus, params, cfg, captions, packed):
+def _unconditional_branch(params, cfg, captions, packed):
+    """The unconditional branch of a guided sampling call of captions on
+    packed: a function of (tau, z) that returns the guidance-1 velocity
+    Tensor under their null_captions, whose conditioning is built here, once."""
+    uncond = tuple(map(M.null_captions, captions))
+    cond = M.conditioning(uncond, packed, cfg, params)
+    return lambda tau, z: M.denoiser_forward(z, tau, uncond, packed, cfg, params, cond=cond)
+
+
+def _worker_loop(conn, callers_end, cpus, params, cfg, captions, packed):
     """The forked worker: pinned to cpus, for each (tau, z) conn receives, send
-    back the unconditional branch's guidance-1 velocity array, until the
-    caller closes its end; on an error, send the exception and stop."""
+    back the unconditional branch's velocity array, until the caller closes
+    its end; on an error, send the exception and stop."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
@@ -266,14 +289,13 @@ def _unconditional_branch(conn, callers_end, cpus, params, cfg, captions, packed
         with contextlib.suppress(OSError):  # unpinned, it still runs
             os.sched_setaffinity(0, cpus)
     try:
-        uncond = tuple(map(M.null_captions, captions))
-        cond = M.conditioning(uncond, packed, cfg, params)
+        branch = _unconditional_branch(params, cfg, captions, packed)
         while True:
             try:
                 tau, z = conn.recv()
             except EOFError:
                 return
-            conn.send(M.denoiser_forward(z, tau, uncond, packed, cfg, params, cond=cond).data)
+            conn.send(branch(tau, z).data)
     except Exception as exc:  # a pickle keeps its class and message
         conn.send(exc)
 
@@ -290,7 +312,7 @@ def _branch_worker(params, cfg, captions, packed):
 
     fork = multiprocessing.get_context("fork")
     ours, theirs = fork.Pipe()
-    worker = fork.Process(target=_unconditional_branch, daemon=True,
+    worker = fork.Process(target=_worker_loop, daemon=True,
                           args=(theirs, ours, _other_cpus(), params, cfg, captions, packed))
     worker.start()
     theirs.close()
@@ -328,11 +350,12 @@ def _branch_worker(params, cfg, captions, packed):
 def _sample_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embedding):
     """Euler integration of the guided velocity field from z at tau = 1, the
     specs run as one field packed from their layouts; one field per spec.
-    Each step is one forward at the sampling guidance, or, when
-    _forks_branch_worker says so, one guidance-1 forward of the conditional
-    branch here while a forked worker runs the unconditional one, with the
-    same bits (README, Determinism).  The conditioning every step reads is
-    built once.  A step that leaves a non-finite field raises NumericError."""
+    Each step is one guidance-1 forward of the conditional branch c and, at
+    guidance g != 1, one of the unconditional branch u, combined as
+    u + g (c - u) (model.guided).  u runs in a forked worker when
+    _forks_branch_worker says so, and here after c otherwise, with the same
+    bits (README, Determinism).  Each branch's conditioning is built once.
+    A step that leaves a non-finite field raises NumericError."""
     if not abs(guidance) <= float(np.finfo(np.float32).max):  # also refuses NaN
         raise ConfigError(f"guidance must be finite in float32, got {guidance}")
     packed = PackedLayout(tuple(build_layout(spec, world) for spec in specs))
@@ -340,26 +363,23 @@ def _sample_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embe
     if id_embedding is not None:
         captions = tuple(condition_identity(c, id_embedding) for c in captions)
     taus = shift_timesteps(steps, shift)
+    cond = M.conditioning(captions, packed, cfg, params)
     with contextlib.ExitStack() as stack:
-        if _forks_branch_worker(packed.total_tokens, steps, guidance):
+        if guidance == 1.0:
+            unconditional = None
+        elif _forks_branch_worker(packed.total_tokens, steps):
             unconditional = stack.enter_context(_branch_worker(params, cfg, captions, packed))
-            cond = M.conditioning(captions, packed, cfg, params)
-
-            def velocity(z, tau):
-                u = unconditional(tau, z)
-                c = M.denoiser_forward(z, tau, captions, packed, cfg, params, cond=cond)
-                return M.guided(c, u(), guidance)
         else:
-            cond = M.conditioning(captions, packed, cfg, params, guidance)
+            branch = _unconditional_branch(params, cfg, captions, packed)
 
-            def velocity(z, tau):
-                return M.denoiser_forward(
-                    z, tau, captions, packed, cfg, params, guidance=guidance, cond=cond
-                )
+            def unconditional(tau, z):  # the branch runs when the step asks, after c
+                return lambda: branch(tau, z)
 
         for i in range(steps):
             tau = float(taus[i])
-            v = velocity(z, tau).data
+            u = None if unconditional is None else unconditional(tau, z)
+            v = M.denoiser_forward(z, tau, captions, packed, cfg, params, cond=cond)
+            v = (v if u is None else M.guided(v, u(), guidance)).data
             dtau = float(taus[i + 1] - taus[i])
             z = (z + np.float32(dtau) * v.astype(np.float32)).astype(np.float32)
             if not np.isfinite(z).all():

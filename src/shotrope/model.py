@@ -201,20 +201,18 @@ def caption_context(bundles, cfg, params):
     return ContextTokens(T.concat_rows(rows), np.asarray(shot_idx), tuple(ends))
 
 
-def conditioning(captions, layout, cfg, params, guidance=1.0):
-    """What every attention call of a forward at this guidance reads besides
-    its rows and weights: an attention.Conditioning.
+def conditioning(captions, layout, cfg, params):
+    """What every attention call of a forward reads besides its rows and
+    weights: an attention.Conditioning.
 
-    captions holds one bundle per packed layout, or is the one bundle.  The
-    branches are the captions and, at guidance != 1, their null_captions;
-    their rows stack [c | u], and the tables and blocks cover the stack.
+    captions holds one bundle per packed layout, or is the one bundle.
     Each block's caption keys and values are projected here, from the
-    weights as they are now: a sampling call builds the conditioning once
-    for all its steps, and a training forward builds its own, so none
-    outlives an AdamW update.  Built with no GradTape recording, the
-    conditioning also folds each block's cross-attention where it has few
-    caption keys (fold_cross_attention); a forward that keeps gradients
-    builds it under its tape.
+    weights as they are now: a sampling call builds the conditioning of
+    each guidance branch once for all its steps, and a training forward
+    builds its own, so none outlives an AdamW update.  Built with no
+    GradTape recording, the conditioning also folds each block's
+    cross-attention where it has few caption keys (fold_cross_attention); a
+    forward that keeps gradients builds it under its tape.
     """
     captions = captions if isinstance(captions, tuple) else (captions,)
     if len(layout.layouts) > 1 and not cfg.use_ref:
@@ -226,63 +224,47 @@ def conditioning(captions, layout, cfg, params, guidance=1.0):
             raise ConfigError(
                 f"caption bundle has {bundle.shot_count} shots, layout {lay.shot_count}"
             )
-    branches = (captions,) if guidance == 1.0 else (captions, tuple(map(null_captions, captions)))
-    contexts = tuple(caption_context(bundles, cfg, params) for bundles in branches)
+    context = caption_context(captions, cfg, params)
 
     basis = rope.RotaryBasis(cfg.head_dim, cfg.rope_base)
-    dtype, n, copies = params["in_proj/w"].dtype, layout.total_tokens, len(contexts)
+    dtype = params["in_proj/w"].dtype
     t, h, w = layout.token_positions(j=cfg.j_eff)
-    token_tables = pair_tables(rope.phase_tables_3d(basis, t, h, w), dtype, copies)
-    query_tables, *key_tables = (
-        pair_tables(rope.phase_tables_1d(basis, shots * cfg.k_eff), dtype, c) for shots, c in
-        [(layout.token_shot_index(), copies)] + [(ctx.shot_index, 1) for ctx in contexts]
+    token_tables = pair_tables(rope.phase_tables_3d(basis, t, h, w), dtype)
+    query_tables, key_tables = (
+        pair_tables(rope.phase_tables_1d(basis, shots * cfg.k_eff), dtype)
+        for shots in (layout.token_shot_index(), context.shot_index)
     )
-    caption_kv, self_blocks, cross_blocks, k_top = [], [], [], 0
-    for b in range(cfg.blocks):
-        keys, values = [], []
-        for ctx, tables in zip(contexts, key_tables):
-            keys.append(project(ctx.embeddings, params[f"block{b}/ca/wk"], cfg.heads, tables))
-            values.append(project(ctx.embeddings, params[f"block{b}/ca/wv"], cfg.heads))
-        caption_kv.append(tuple(x[0] if len(x) == 1 else T.concat_rows(x) for x in (keys, values)))
-    token_ends = layout.segment_ends if cfg.use_ref else (n,)
-    for i, ctx in enumerate(contexts):
-        caption_ends = ctx.segment_ends if cfg.use_ref else (len(ctx.shot_index),)
-        self_blocks += segment_blocks(token_ends, token_ends, i * n, i * n)
-        cross_blocks += segment_blocks(token_ends, caption_ends, i * n, k_top)
-        k_top += caption_ends[-1]
-    shared = (captions, contexts, layout, token_tables, query_tables, tuple(self_blocks),
-              tuple(cross_blocks))
-    if T.recording():
-        return Conditioning(*shared, tuple(caption_kv), None)
-    folds = tuple(
+    caption_kv = tuple(
+        (project(context.embeddings, params[f"block{b}/ca/wk"], cfg.heads, key_tables),
+         project(context.embeddings, params[f"block{b}/ca/wv"], cfg.heads))
+        for b in range(cfg.blocks)
+    )
+    token_ends = layout.segment_ends if cfg.use_ref else (layout.total_tokens,)
+    caption_ends = context.segment_ends if cfg.use_ref else (len(context.shot_index),)
+    cross_blocks = tuple(segment_blocks(token_ends, caption_ends))
+    folds = None if T.recording() else tuple(
         fold_cross_attention(kv, params[f"block{b}/ca/wq"].data, params[f"block{b}/ca/wo"].data,
                              query_tables, cross_blocks)
         for b, kv in enumerate(caption_kv)
     )
-    return Conditioning(*shared, tuple(caption_kv), folds)
+    return Conditioning(captions, context, layout, token_tables, query_tables,
+                        tuple(segment_blocks(token_ends, token_ends)), cross_blocks, caption_kv,
+                        folds)
 
 
-def denoiser_forward(
-    z_tau, tau, captions, layout, cfg, params, collect=None, guidance=1.0, cond=None
-):
+def denoiser_forward(z_tau, tau, captions, layout, cfg, params, collect=None, cond=None):
     """Predicted velocity field for one sample.
 
     layout packs layouts that share shot 0 (a lone ShotLayout packs itself)
     and captions holds one bundle per layout, or is the one bundle; the
     field holds every layout's sample.  Several layouts need full+refattn.
 
-    At guidance g != 1 the field is the guided u + g (c - u), c under the
-    captions and u under their null_captions, in one forward: the ops before
-    block 0's cross-attention read no caption and run once; there the rows
-    stack [c | u], and every row op and each block's self- and cross-attention
-    run once on the stack, with the bits of each branch's own forward
-    (README, Determinism).  cond, what every attention call reads, is
-    conditioning(captions, layout, cfg, params, guidance), built when None
-    (its cross-attention folded where a block has few caption keys, unless
-    a GradTape records, and a folded one refused under a recording tape);
-    a sampling call passes the one it built for all its steps, and one built
-    for other captions, another layout or another branch count is refused.
-    collect needs guidance 1.
+    cond, what every attention call reads, is conditioning(captions,
+    layout, cfg, params), built when None (its cross-attention folded where
+    a block has few caption keys, unless a GradTape records, and a folded
+    one refused under a recording tape); a sampling call passes the one it
+    built for all its steps, and one built for other captions or another
+    layout is refused.  Guidance combines two such forwards (guided).
     """
     z = z_tau if isinstance(z_tau, Tensor) else Tensor(np.asarray(z_tau, dtype=np.float32))
     n = layout.total_tokens
@@ -290,15 +272,12 @@ def denoiser_forward(
         raise ShapeError(f"latent shape {z.shape} != ({n}, {cfg.d_token})")
     if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"tau must lie in [0, 1], got {tau}")
-    if collect is not None and guidance != 1.0:
-        raise ConfigError("collect needs guidance 1")
     captions = captions if isinstance(captions, tuple) else (captions,)
     if cond is None:
-        cond = conditioning(captions, layout, cfg, params, guidance)
-    branches = len(cond.contexts)
-    if (branches, cond.layout, cond.captions) != (1 if guidance == 1.0 else 2, layout, captions):
-        raise ConfigError(f"a conditioning of {branches} branches for layout {cond.layout} does "
-                          f"not fit a forward at guidance {guidance} on {layout} or these captions")
+        cond = conditioning(captions, layout, cfg, params)
+    if (cond.layout, cond.captions) != (layout, captions):
+        raise ConfigError(f"a conditioning for layout {cond.layout} does not fit a forward "
+                          f"on {layout} or these captions")
 
     temb = T.matmul(Tensor(timestep_features(tau, cfg.d_model)), params["time_proj/w"])
     temb = T.add(temb, params["time_proj/b"])
@@ -315,26 +294,21 @@ def denoiser_forward(
             probs_out=None if collect is None else collect.sink(),
         )
         x = T.add(x, sa)
-        if b == 0 and branches > 1:
-            x = T.concat_rows([x] * branches)
         ca = multishot_cross_attention(
             T.layernorm(x), cond, b, ca_w, heads=cfg.heads,
-            probs_out=None if collect is None else collect.sink(cond.contexts[0].shot_index),
+            probs_out=None if collect is None else collect.sink(cond.context.shot_index),
         )
         x = T.add(x, ca)
         ffn_w = (params[f"block{b}/ffn/{w}"] for w in ("w1", "b1", "w2", "b2"))
         x = T.add(x, T.ffn(T.layernorm(x), *ffn_w))
 
-    out = T.add(T.matmul(T.layernorm(x), params["head/w"]), params["head/b"])
-    if guidance == 1.0:
-        return out
-    return guided(T.slice_rows(out, 0, n), T.slice_rows(out, n, 2 * n), guidance)
+    return T.add(T.matmul(T.layernorm(x), params["head/w"]), params["head/b"])
 
 
-def guided(c, u, guidance):
-    """The guided velocity u + guidance (c - u) of the conditional branch c
-    and the unconditional branch u, in their dtype."""
-    return T.add(u, T.scale(T.sub(c, u), guidance))
+def guided(c, u, g):
+    """The guided velocity u + g (c - u) at guidance scale g of the
+    conditional branch's forward c and the unconditional one's u, in their dtype."""
+    return T.add(u, T.scale(T.sub(c, u), g))
 
 
 def rf_loss(pred, z, eps):

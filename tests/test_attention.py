@@ -52,9 +52,8 @@ def _cond(tokens, layout, scales, basis, heads=2, use_ref=False, ctx=None, weigh
         return pair_tables(rope.phase_tables_1d(basis, shots * scales.k), tokens.dtype)
 
     token_ends = layout.segment_ends if use_ref else (layout.total_tokens,)
-    contexts, kv, cross_blocks = (), None, ()
+    kv, cross_blocks = None, ()
     if ctx is not None:
-        contexts = (ctx,)
         kv = (project(ctx.embeddings, weights.wk, heads, tables(ctx.shot_index)),
               project(ctx.embeddings, weights.wv, heads))
         caption_ends = ctx.segment_ends if use_ref else (len(ctx.shot_index),)
@@ -62,7 +61,7 @@ def _cond(tokens, layout, scales, basis, heads=2, use_ref=False, ctx=None, weigh
     positions = layout.token_positions(j=scales.j)
     return Conditioning(
         (),
-        contexts,
+        ctx,
         layout,
         pair_tables(rope.phase_tables_3d(basis, *positions), tokens.dtype),
         tables(layout.token_shot_index()),
@@ -650,7 +649,7 @@ def _fold_inputs(variant, dtype, case, identity):
     return cfg, params, captions, layout
 
 
-@pytest.mark.parametrize("guidance", [1.0, 5.0])
+@pytest.mark.parametrize("branch", ["captions", "null_captions"])
 @pytest.mark.parametrize("identity", [False, True], ids=["plain", "identity"])
 @pytest.mark.parametrize("variant, case", [
     (variant, case) for variant in M.VARIANTS for case in _FOLD_SPECS
@@ -659,20 +658,22 @@ def _fold_inputs(variant, dtype, case, identity):
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
                          ids=["float64", "float32"])
 def test_folded_cross_attention_equals_the_taped_kernel(dtype, tol, variant, case, identity,
-                                                        guidance):
+                                                        branch):
     """Every block's cross-attention built and run with no tape, folded
     where an attention block has heads * keys <= d_model and the kernel on
     its own rows elsewhere, gives the taped kernel's output and collected
-    probabilities to within tol of their largest magnitude."""
+    probabilities to within tol of their largest magnitude, under the
+    captions and under their null_captions, guidance's two branches."""
     cfg, params, captions, layout = _fold_inputs(variant, dtype, case, identity)
-    copies = 1 if guidance == 1.0 else 2
-    x = np.random.default_rng(32).standard_normal((copies * layout.total_tokens, cfg.d_model))
+    if branch == "null_captions":
+        captions = tuple(map(M.null_captions, captions))
+    x = np.random.default_rng(32).standard_normal((layout.total_tokens, cfg.d_model))
     results = []
     for taped in (True, False):
         with T.GradTape() if taped else contextlib.nullcontext():
-            cond = M.conditioning(captions, layout, cfg, params, guidance)
+            cond = M.conditioning(captions, layout, cfg, params)
             assert (cond.cross_folds is None) == taped
-            nk = sum(len(ctx.shot_index) for ctx in cond.contexts)
+            nk = len(cond.context.shot_index)
             for runs in cond.cross_folds or ():
                 for _, k_rows, logit_w, _ in runs:
                     assert (logit_w is None) == (cfg.heads * np.arange(nk)[k_rows].size > cfg.d_model)
@@ -694,48 +695,48 @@ def test_folded_cross_attention_equals_the_taped_kernel(dtype, tol, variant, cas
 
 def test_only_attention_blocks_with_few_caption_keys_fold():
     """An attention block folds when heads * its keys <= d_model, so no
-    folded matrix is larger than W_q: under full+refattn at guidance 5, of
-    five shots with their identity rows, the conditional branch's shot-0
-    block (3 keys) folds and its later shots' block (15 keys) does not,
-    while the unconditional branch's null captions (1 and 5 keys) fold."""
+    folded matrix is larger than W_q: under full+refattn, of five shots
+    with their identity rows, the captions' shot-0 block (3 keys) folds and
+    their later shots' block (15 keys) does not, while the blocks of their
+    null captions, the unconditional branch's (1 and 5 keys), fold."""
     cfg, params, captions, layout = _fold_inputs("full+refattn", np.float32, "5-shots", True)
-    cond = M.conditioning(captions, layout, cfg, params, 5.0)
-    for runs in cond.cross_folds:
-        assert [(r[0].stop - r[0].start, r[2] is None) for r in runs] == [
-            (16, False), (64, True), (16, False)] + [(16, False)] * 4
-        assert all(m.size <= cfg.d_model ** 2 for r in runs if r[2] is not None for m in r[2:])
+    for bundles, want in ((captions, [(16, False), (64, True)]),
+                          (tuple(map(M.null_captions, captions)), [(16, False)] * 5)):
+        for runs in M.conditioning(bundles, layout, cfg, params).cross_folds:
+            assert [(r[0].stop - r[0].start, r[2] is None) for r in runs] == want
+            assert all(m.size <= cfg.d_model ** 2
+                       for r in runs if r[2] is not None for m in r[2:])
 
 
 def test_folded_conditioning_is_refused_under_a_tape():
     """A conditioning built with no tape recording folds W_q and W_o away,
     so a forward that keeps gradients refuses it."""
     cfg, params, captions, layout = _fold_inputs("full", np.float32, "2-shots-dropped", False)
-    cond = M.conditioning(captions, layout, cfg, params, 5.0)
+    cond = M.conditioning(captions, layout, cfg, params)
     assert cond.cross_folds is not None
     z = np.zeros((layout.total_tokens, cfg.d_token), dtype=np.float32)
-    M.denoiser_forward(z, 0.5, captions, layout, cfg, params, guidance=5.0, cond=cond)
+    M.denoiser_forward(z, 0.5, captions, layout, cfg, params, cond=cond)
     with T.GradTape(), pytest.raises(ConfigError, match="folded conditioning"):
-        M.denoiser_forward(z, 0.5, captions, layout, cfg, params, guidance=5.0, cond=cond)
+        M.denoiser_forward(z, 0.5, captions, layout, cfg, params, cond=cond)
 
 
 @pytest.mark.parametrize("variant", ["full", "full+refattn"])
-def test_guided_and_unguided_forwards_read_the_same_tables(variant):
-    """A guided conditioning's read-only tables have one row for each of the
-    2n stacked rows, and each branch's half holds the unguided table."""
+def test_both_guidance_branches_read_the_same_tables(variant):
+    """The conditionings of the captions and of their null_captions have
+    read-only tables of one row per token, and the same ones: the tables
+    depend on the layout alone."""
     cfg = M.DenoiserConfig(**{**_TABLE_MODEL.to_dict(), "variant": variant})
     params = M.init_params(cfg, seed=0)
     sample = S.make_batch(_TABLE_WORLD, 1, shot_count_range=(3, 3), shot_len_range=(1, 2),
                           seed=8)[0]
     n = sample.layout.total_tokens
-    unguided, guided = (
-        M.conditioning(sample.captions, sample.layout, cfg, params, guidance)
-        for guidance in (1.0, 5.0)
-    )
-    for one, both in zip(unguided.token_tables + unguided.query_tables,
-                         guided.token_tables + guided.query_tables):
-        assert one.shape[0] == n and both.shape[0] == 2 * n
-        assert not one.flags.writeable and not both.flags.writeable
-        assert np.array_equal(both[:n], one) and np.array_equal(both[n:], one)
+    cond, uncond = (M.conditioning(captions, sample.layout, cfg, params)
+                    for captions in (sample.captions, M.null_captions(sample.captions)))
+    for c, u in zip(cond.token_tables + cond.query_tables,
+                    uncond.token_tables + uncond.query_tables):
+        assert c.shape[0] == u.shape[0] == n
+        assert not c.flags.writeable and not u.flags.writeable
+        assert np.array_equal(c, u)
 
 
 def test_one_segment_is_plain_attention():
@@ -812,60 +813,40 @@ def test_segment_ends_must_end_at_row_counts():
 
 def _per_segment_chain(Q, K, V, q_ends, k_ends):
     """Attention as segment_attention ran it before it was one kernel call:
-    branch by branch, one attention_core per segment, with slice_rows and
-    concat_rows around it.  q_ends/k_ends hold each branch's segment ends,
-    counted from the branch's first row.  Returns the output and each head's
-    full probability matrix, zero where a row may not look."""
+    one attention_core per segment, with slice_rows and concat_rows around
+    it.  Returns the output and each head's full probability matrix, zero
+    where a row may not look."""
     c = 1.0 / np.sqrt(Q.shape[-1])
     probs = np.zeros(Q.shape[:-1] + K.shape[-2:-1], dtype=Q.dtype)
-    outs, q_top, k_top = [], 0, 0
-    for qe, ke in zip(q_ends, k_ends):
-        if len(q_ends) == 1:
-            Qb, Kb, Vb = Q, K, V
-        else:
-            Qb = T.slice_rows(Q, q_top, q_top + qe[-1])
-            Kb, Vb = (T.slice_rows(X, k_top, k_top + ke[-1]) for X in (K, V))
-        later = [b for b in zip(qe, qe[1:], ke, ke[1:]) if b[0] < b[1]]
-        blocks = []  # each part's one (slice(None), slice(None), probabilities)
-        if not later and len(qe) == 1:
-            parts = [T.attention_core(Qb, Kb, Vb, c, probs_out=blocks)]
-        else:
-            K0, V0 = T.slice_rows(Kb, 0, ke[0]), T.slice_rows(Vb, 0, ke[0])
-            parts = [T.attention_core(T.slice_rows(Qb, 0, qe[0]), K0, V0, c, probs_out=blocks)]
-            for q_lo, q_hi, k_lo, k_hi in later:
-                keys, values = (T.concat_rows([X0, T.slice_rows(X, k_lo, k_hi)])
-                                for X0, X in ((K0, Kb), (V0, Vb)))
-                Qs = T.slice_rows(Qb, q_lo, q_hi)
-                parts.append(T.attention_core(Qs, keys, values, c, probs_out=blocks))
-        shot0 = np.arange(k_top, k_top + ke[0])
-        for (q_lo, q_hi, k_lo, k_hi), (_, _, p) in zip([(0, qe[0], 0, 0)] + later, blocks):
-            probs[..., q_top + q_lo:q_top + q_hi, np.r_[shot0, k_top + k_lo:k_top + k_hi]] = p
-        outs.append(parts[0] if len(parts) == 1 else T.concat_rows(parts))
-        q_top, k_top = q_top + qe[-1], k_top + ke[-1]
-    return outs[0] if len(outs) == 1 else T.concat_rows(outs), probs
+    later = [b for b in zip(q_ends, q_ends[1:], k_ends, k_ends[1:]) if b[0] < b[1]]
+    blocks = []  # each part's one (slice(None), slice(None), probabilities)
+    if not later and len(q_ends) == 1:
+        parts = [T.attention_core(Q, K, V, c, probs_out=blocks)]
+    else:
+        K0, V0 = T.slice_rows(K, 0, k_ends[0]), T.slice_rows(V, 0, k_ends[0])
+        parts = [T.attention_core(T.slice_rows(Q, 0, q_ends[0]), K0, V0, c, probs_out=blocks)]
+        for q_lo, q_hi, k_lo, k_hi in later:
+            keys, values = (T.concat_rows([X0, T.slice_rows(X, k_lo, k_hi)])
+                            for X0, X in ((K0, K), (V0, V)))
+            parts.append(T.attention_core(T.slice_rows(Q, q_lo, q_hi), keys, values, c,
+                                          probs_out=blocks))
+    shot0 = np.arange(k_ends[0])
+    for (q_lo, q_hi, k_lo, k_hi), (_, _, p) in zip([(0, q_ends[0], 0, 0)] + later, blocks):
+        probs[..., q_lo:q_hi, np.r_[shot0, k_lo:k_hi]] = p
+    return parts[0] if len(parts) == 1 else T.concat_rows(parts), probs
 
 
-def _stacked_blocks(q_ends, k_ends):
-    """The segment_blocks of branches stacked row after row: q_ends/k_ends
-    hold each branch's segment ends, counted from the branch's first row."""
-    blocks, q_top, k_top = [], 0, 0
-    for qe, ke in zip(q_ends, k_ends):
-        blocks += segment_blocks(qe, ke, q_top, k_top)
-        q_top, k_top = q_top + qe[-1], k_top + ke[-1]
-    return blocks
-
-
-# (per-branch query ends, per-branch key ends)
+# (query ends, key ends)
 KERNEL_CASES = {
-    "plain": (((9,),), ((5,),)),
-    "reference, three later segments, one empty": (((4, 7, 7, 12),), ((4, 7, 7, 12),)),
-    "two branches, cross-attention keys": (((4, 7, 7, 12),) * 2, ((3, 5, 5, 8), (1, 2, 2, 3))),
+    "plain": ((9,), (5,)),
+    "reference, three later segments, one empty": ((4, 7, 7, 12), (4, 7, 7, 12)),
+    "cross-attention keys": ((4, 7, 7, 12), (3, 5, 5, 8)),
 }
 
 
 def _kernel_inputs(q_ends, k_ends, dtype):
     rng = np.random.default_rng(60)
-    nq, nk = sum(e[-1] for e in q_ends), sum(e[-1] for e in k_ends)
+    nq, nk = q_ends[-1], k_ends[-1]
     Q, K, V = (Tensor(rng.standard_normal((2, n, 6)), dtype=dtype) for n in (nq, nk, nk))
     return Q, K, V, Tensor(rng.standard_normal((2, nq, 6)), dtype=dtype)
 
@@ -874,8 +855,8 @@ def _kernel_inputs(q_ends, k_ends, dtype):
 def test_one_kernel_call_equals_the_per_segment_chain(case):
     """Output, per-head probabilities and the float32 gradients of Q, K and V
     are the per-segment chain's bits, from one scaled_dot_attention call over
-    the stacked segment_blocks and one tape node; the shared shot-0 keys sum their gradients in the
-    chain's order, last segment first."""
+    the segment_blocks and one tape node; the shared shot-0 keys sum their
+    gradients in the chain's order, last segment first."""
     q_ends, k_ends = KERNEL_CASES[case]
     results = []
     for chain in (True, False):
@@ -887,7 +868,7 @@ def test_one_kernel_call_equals_the_per_segment_chain(case):
                 out, full = _per_segment_chain(Q, K, V, q_ends, k_ends)
                 probs = list(full)
             else:
-                blocks = _stacked_blocks(q_ends, k_ends)
+                blocks = segment_blocks(q_ends, k_ends)
                 out, probs = _collected(
                     lambda sink: scaled_dot_attention(Q, K, V, sink, blocks), K.shape[-2]
                 )
@@ -910,15 +891,15 @@ def test_reference_segments_gradients_match_finite_differences(which):
     def f(t):
         args = list(inputs)
         args[which] = t
-        return T.tmean(T.mul(segment_attention(*args, q_ends[0], k_ends[0]), probe))
+        return T.tmean(T.mul(segment_attention(*args, q_ends, k_ends), probe))
 
     assert T.grad_check(f, inputs[which], h=1e-5) <= 1e-5
 
 
 @st.composite
-def _branch_ends(draw):
-    """Segment ends of one branch's query and key rows: shot 0 of at least
-    one row each, then 0-3 later segments, any of them empty."""
+def _segment_ends(draw):
+    """Segment ends of query and key rows: shot 0 of at least one row each,
+    then 0-3 later segments, any of them empty."""
     later = draw(st.integers(0, 3))
     q_sizes = [draw(st.integers(1, 4))] + [draw(st.integers(0, 4)) for _ in range(later)]
     k_sizes = [draw(st.integers(1, 4))] + [draw(st.integers(0, 4)) for _ in range(later)]
@@ -926,27 +907,21 @@ def _branch_ends(draw):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(branches=st.lists(_branch_ends(), min_size=1, max_size=3), seed=st.integers(0, 2**16))
-def test_segment_blocks_equal_a_masked_dense_softmax(branches, seed):
-    """float64 attention_core over the stacked segment_blocks of 1-3 branches,
-    each with its own key count, equals a dense softmax whose entries are -inf
-    where a row may not look: a segment's rows see their branch's shot-0 keys
-    and their own segment's keys, and no other branch's."""
-    q_ends, k_ends = zip(*branches)
-    nq, nk = sum(e[-1] for e in q_ends), sum(e[-1] for e in k_ends)
+@given(ends=_segment_ends(), seed=st.integers(0, 2**16))
+def test_segment_blocks_equal_a_masked_dense_softmax(ends, seed):
+    """float64 attention_core over the segment_blocks equals a dense softmax
+    whose entries are -inf where a row may not look: a segment's rows see
+    the shot-0 keys and their own segment's keys."""
+    qe, ke = ends
     rng = np.random.default_rng(seed)
-    Q, K, V = (rng.standard_normal((2, n, 4)) for n in (nq, nk, nk))
-    seen = np.zeros((nq, nk), dtype=bool)
-    q_top = k_top = 0
-    for qe, ke in zip(q_ends, k_ends):
-        for q_lo, q_hi, k_lo, k_hi in zip((0,) + qe, qe, (0,) + ke, ke):
-            rows = slice(q_top + q_lo, q_top + q_hi)
-            seen[rows, k_top:k_top + ke[0]] = True
-            seen[rows, k_top + k_lo:k_top + k_hi] = True
-        q_top, k_top = q_top + qe[-1], k_top + ke[-1]
+    Q, K, V = (rng.standard_normal((2, n, 4)) for n in (qe[-1], ke[-1], ke[-1]))
+    seen = np.zeros((qe[-1], ke[-1]), dtype=bool)
+    for q_lo, q_hi, k_lo, k_hi in zip((0,) + qe, qe, (0,) + ke, ke):
+        seen[q_lo:q_hi, :ke[0]] = True
+        seen[q_lo:q_hi, k_lo:k_hi] = True
     logits = np.where(seen, 0.5 * Q @ np.swapaxes(K, -1, -2), -np.inf)
     weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
     want = weights / weights.sum(axis=-1, keepdims=True) @ V
     got = T.attention_core(*(Tensor(X, dtype=np.float64) for X in (Q, K, V)), 0.5,
-                           _stacked_blocks(q_ends, k_ends))
+                           segment_blocks(qe, ke))
     assert np.allclose(got.data, want, rtol=0, atol=1e-12)

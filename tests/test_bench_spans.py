@@ -61,10 +61,10 @@ def _span_counts(run):
 @pytest.mark.parametrize("guidance", [1.0, 5.0])
 @pytest.mark.parametrize("job", ["sample", "sample_infinite"])
 def test_model_forward_span_sees_every_sampling_step(job, guidance):
-    """Each sampling step is one traced model.forward, which runs each
-    block's self- and cross-attention once, whatever the guidance: the
-    self-attention as one attention kernel call over every branch and
-    segment, the folded cross-attention with none."""
+    """Each sampling step is one traced model.forward a guidance branch, two
+    at guidance 5 and one at guidance 1, and each forward runs each block's
+    self- and cross-attention once: the self-attention as one attention
+    kernel call over every segment, the folded cross-attention with none."""
     ref = E.ShotPrompt(1, 0)
     if job == "sample":
         def run():
@@ -78,6 +78,7 @@ def test_model_forward_span_sees_every_sampling_step(job, guidance):
             E.sample_infinite(PARAMS, CFG, WORLD, ref, noise, attempts, steps=STEPS,
                               guidance=guidance, seed=3)
     counts = _span_counts(run)
-    assert counts["model.forward"] == STEPS
-    assert counts["attention.self"] == counts["attention.cross"] == CFG.blocks * STEPS
-    assert counts["attention.scaled_dot"] == CFG.blocks * STEPS
+    forwards = STEPS * (1 if guidance == 1.0 else 2)
+    assert counts["model.forward"] == forwards
+    assert counts["attention.self"] == counts["attention.cross"] == CFG.blocks * forwards
+    assert counts["attention.scaled_dot"] == CFG.blocks * forwards

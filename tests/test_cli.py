@@ -321,6 +321,27 @@ class TestExitCodes:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, rc", [
+    (["curve", "--dim", "8", "--xmax", "1"], cli.EXIT_OK),
+    (["curve", "--dim", "8", "--xmax", "1", "--k", "nan"], cli.EXIT_CONFIG),
+], ids=["ok", "usage-error"])
+def test_a_command_runs_on_one_blas_thread(tmp_path, monkeypatch, argv, rc):
+    """Inside a command BLAS runs one thread, and main gives the caller its
+    own count back when it returns, whatever the exit code."""
+    threads = engine.blas_threads()
+    if engine.blas_threads(2) != 2:
+        pytest.skip("the loaded BLAS does not say or set its thread count")
+    seen, check = [], cli._require_finite
+    monkeypatch.setattr(cli, "_require_finite",
+                        lambda **flags: seen.append(engine.blas_threads()) or check(**flags))
+    try:
+        assert cli.main(argv + ["--out", str(tmp_path / "c.csv")]) == rc
+        assert seen == [1]
+        assert engine.blas_threads() == 2
+    finally:
+        engine.blas_threads(threads)
+
+
 def _check_divergence_saves_nothing(tmp_path, capsys, command, **train):
     """A run of command with lr 1e30 (or the train fields given) exits 3, and
     the output directories it made are removed again; a pre-existing --out
@@ -473,9 +494,9 @@ class TestSampleCommand:
         starts = []
         real = engine.M.denoiser_forward
 
-        def spy(z, *rest, **kwargs):
-            starts.append((np.array(z, copy=True), kwargs.get("guidance")))
-            return real(z, *rest, **kwargs)
+        def spy(z, tau, captions, *rest, **kwargs):
+            starts.append((np.array(z, copy=True), captions))
+            return real(z, tau, captions, *rest, **kwargs)
 
         monkeypatch.setattr(engine.M, "denoiser_forward", spy)
         rc = cli.main(
@@ -487,10 +508,10 @@ class TestSampleCommand:
             ]
         )
         assert rc == cli.EXIT_OK
-        # one step, one guided forward: both branches start from the one packed noise field
-        assert len(starts) == 1
-        z, guidance = starts[0]
-        assert guidance == 5.0
+        # one step, one forward a guidance branch, each from the one packed noise field
+        assert len(starts) == 2
+        (z, captions), (z_u, null) = starts
+        assert np.array_equal(z, z_u) and null == tuple(map(engine.M.null_captions, captions))
         n0 = 2 * SMALL_CONFIG["world"]["height"] * SMALL_CONFIG["world"]["width"]
         reference = {row.tobytes() for row in z[:n0]}
         assert not any(row.tobytes() in reference for row in z[n0:])
@@ -1415,6 +1436,28 @@ class TestAblateCommand:
             tables.append((out / "ablation.csv").read_bytes())
         assert tables[0] == tables[1]
 
+    def test_pool_workers_run_on_one_blas_thread(self, tmp_path, config_path, monkeypatch):
+        """ablate's forked pool workers inherit the command's one BLAS thread."""
+        threads = engine.blas_threads()
+        if engine.blas_threads(2) != 2:
+            pytest.skip("the loaded BLAS does not say or set its thread count")
+        monkeypatch.setattr(cli.engine, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_ablate_run", _blas_threads_as_metrics)
+        out = tmp_path / "ablate"
+        try:
+            rc = cli.main(["ablate", "--config", config_path, "--out", str(out),
+                           "--eval-samples", "1", "--eval-steps", "1"])
+            assert engine.blas_threads() == 2
+        finally:
+            engine.blas_threads(threads)
+        assert rc == cli.EXIT_OK
+        with open(out / "ablation.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 3
+        for row in rows:
+            pid, threads_seen, _ = map(float, row[4:])
+            assert pid != os.getpid() and threads_seen == 1.0
+
     @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
     def test_divergence_is_numeric_error_and_saves_nothing(
         self, tmp_path, capsys, monkeypatch, cpus
@@ -1424,6 +1467,12 @@ class TestAblateCommand:
             tmp_path, capsys, ["ablate", "--eval-samples", "1", "--eval-steps", "1"]
         )
 
+
+
+def _blas_threads_as_metrics(task):
+    """An ablate run that reports, in place of its metrics, the process it ran
+    in and the BLAS thread count there."""
+    return dict(zip(engine.METRIC_KEYS, (float(os.getpid()), float(engine.blas_threads()), 0.0)))
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

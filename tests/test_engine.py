@@ -389,11 +389,12 @@ class TestCaptionKeysOncePerCall:
 
     @pytest.mark.parametrize("job", ["sample", "sample_infinite", "sample-many-shots"])
     def test_sampling_steps_fold_the_cross_attention(self, small_world, monkeypatch, job):
-        """The conditioning a guided sampling call builds is folded, and no
-        step projects the cross-attention's queries or outputs: no product
-        reads a block's ca/wq or ca/wo, while the self-attention's run.  Seven
-        shots give the conditional branch's later shots 14 caption keys, more
-        than d_model / heads = 12: that block runs the projections."""
+        """The conditionings a guided sampling call builds, one a branch, are
+        folded, and no step projects the cross-attention's queries or
+        outputs: no product reads a block's ca/wq or ca/wo, while the
+        self-attention's run.  Seven shots give the conditional branch's later
+        shots 14 caption keys, more than d_model / heads = 12: that block runs
+        the projections, and the unconditional branch's 7 null keys fold."""
         params = M.init_params(self.CFG, seed=2)
         conds, operands = [], set()
         conditioning, matmul = M.conditioning, T.matmul
@@ -419,10 +420,14 @@ class TestCaptionKeysOncePerCall:
             noise = np.zeros((8, small_world.d_token), dtype=np.float32)
             attempts = [[E.ShotPrompt(2, 1)], [E.ShotPrompt(1, 2), E.ShotPrompt(1, 3)]]
             E.sample_infinite(params, self.CFG, small_world, self.REF, noise, attempts, **kw)
-        assert len(conds) == 1 and len(conds[0].cross_folds) == self.CFG.blocks
+        (cond,) = [c for c in conds if not c.captions[0].dropped]
+        (uncond,) = [c for c in conds if c is not cond]
+        assert uncond.captions == tuple(map(M.null_captions, cond.captions))
+        assert len(cond.cross_folds) == len(uncond.cross_folds) == self.CFG.blocks
         many = job == "sample-many-shots"
-        for b, runs in enumerate(conds[0].cross_folds):
+        for b, (runs, null_runs) in enumerate(zip(cond.cross_folds, uncond.cross_folds)):
             assert sum(run[2] is None for run in runs) == many
+            assert all(run[2] is not None for run in null_runs)
             assert {f"block{b}/sa/wq", f"block{b}/sa/wo"} <= operands
             assert bool({f"block{b}/ca/wq", f"block{b}/ca/wo"} & operands) == many
 
@@ -689,17 +694,18 @@ class TestPackedContinuation:
         assert np.array_equal(field, want)
 
     @pytest.mark.parametrize("guidance, branches", [(5.0, 2), (1.0, 1)])
-    def test_one_forward_a_step_whatever_the_attempt_count(
+    def test_one_forward_a_branch_a_step_whatever_the_attempt_count(
         self, model, small_world, monkeypatch, guidance, branches
     ):
-        """Each step is one denoiser_forward call at the sampling guidance on one
-        PackedLayout; the sampling call embeds the captions of each branch it
-        runs once, before the first step, and no step embeds them again."""
+        """Each step is one denoiser_forward call a guidance branch on one
+        PackedLayout, the conditional branch's first; the sampling call
+        embeds the captions of each branch it runs once, before the first
+        step, and no step embeds them again."""
         calls, contexts = [], []
         forward, context = M.denoiser_forward, M.caption_context
 
         def counted(*args, **kwargs):
-            calls.append((kwargs.get("guidance"), args[3], len(contexts)))
+            calls.append((args[2], args[3], len(contexts)))
             return forward(*args, **kwargs)
 
         def embedded(*args, **kwargs):
@@ -710,10 +716,11 @@ class TestPackedContinuation:
         monkeypatch.setattr(M, "caption_context", embedded)
         attempts = [[E.ShotPrompt(2, 1)], [E.ShotPrompt(3, 2)], [], [E.ShotPrompt(1, 3)]]
         self._run(model, small_world, attempts, steps=4, guidance=guidance)
-        assert len(calls) == 4
-        assert all(g == guidance for g, _, _ in calls)
+        assert len(calls) == 4 * branches
+        assert [captions for captions, _, _ in calls] == contexts * 4
+        assert not contexts[0][0].dropped
         assert all(isinstance(layout, PackedLayout) for _, layout, _ in calls)
-        assert [n for _, _, n in calls] == [branches] * 4
+        assert [n for _, _, n in calls] == [branches] * 4 * branches
         assert len(contexts) == branches
 
     def test_packed_forward_needs_reference_variant_and_a_bundle_per_layout(

@@ -1,6 +1,7 @@
-"""One forward per guided sampling step: `model.denoiser_forward` at guidance
-g != 1 runs both guidance branches together, and the sampler must give the
-bits of the two-forwards-a-step loop it replaced, kept here as the reference."""
+"""A guided sampling step is two guidance-1 `model.denoiser_forward` calls,
+one a branch, combined by `model.guided` in `engine`: in-process, or with the
+unconditional branch in a forked worker.  Either way the sampler must give the
+bits of the two-forwards-a-step loop kept here as the reference."""
 
 import contextlib
 import multiprocessing
@@ -16,7 +17,6 @@ from shotrope import model as M
 from shotrope import synthetic as S
 from shotrope import tensor as T
 from shotrope.shots import PackedLayout
-from shotrope.synthetic import CaptionBundle
 from shotrope.tensor import ConfigError
 
 # a 4x4 grid: a 1-frame shot is a 16-row field, the smallest the sampler makes
@@ -108,76 +108,32 @@ def test_sample_infinite_equals_the_two_forward_sampler(guidance, identity):
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-@pytest.mark.parametrize("variant", M.VARIANTS)
-def test_each_branch_is_its_own_forward(variant):
-    """The guided forward, on captions with a dropped shot and an identity
-    row, is v_u + g (v_c - v_u) of two denoiser_forward calls, the second on
-    the captions' null_captions."""
-    params, cfg = MODELS[variant]
-    spec = [E.ShotPrompt(1, 0), E.ShotPrompt(2, 3, 1), E.ShotPrompt(1, 1)]
-    layout = E.build_layout(spec, WORLD)
-    captions = E.condition_identity(CaptionBundle(tuple(spec), dropped=frozenset({1})),
-                                    E.identity_embedding(params, WORLD, 2))
-    z = np.random.default_rng(10).standard_normal((layout.total_tokens, WORLD.d_token))
-    z = z.astype(np.float32)
-    v_c = M.denoiser_forward(z, 0.7, captions, layout, cfg, params).data
-    v_u = M.denoiser_forward(z, 0.7, M.null_captions(captions), layout, cfg, params).data
-    assert not np.array_equal(v_c, v_u)
-    for guidance in (0.0, 2.5, 5.0):
-        got = M.denoiser_forward(z, 0.7, captions, layout, cfg, params, guidance=guidance).data
-        assert got.shape == (layout.total_tokens, WORLD.d_token)
-        assert np.array_equal(got, v_u + guidance * (v_c - v_u)), guidance
-
-
-def test_collect_needs_unit_guidance():
-    params, cfg = MODELS["full"]
-    spec = [E.ShotPrompt(1, 0), E.ShotPrompt(1, 1)]
-    layout, captions = E.build_layout(spec, WORLD), E.build_captions(spec)
-    z = np.zeros((layout.total_tokens, WORLD.d_token), dtype=np.float32)
-    for guidance in (0.0, 5.0):
-        with pytest.raises(ConfigError):
-            M.denoiser_forward(
-                z, 0.5, captions, layout, cfg, params, collect=M.AttentionCollector(),
-                guidance=guidance,
-            )
-    collector = M.AttentionCollector()
-    M.denoiser_forward(z, 0.5, captions, layout, cfg, params, collect=collector)
-    assert len(collector.self_probs) == cfg.blocks * cfg.heads
-
-
 @pytest.mark.parametrize("other", [
     [E.ShotPrompt(1, 0), E.ShotPrompt(2, 1)], [E.ShotPrompt(1, 0), E.ShotPrompt(3, 1)]
 ], ids=["more-rows", "same-rows"])
 def test_a_conditioning_of_another_forward_is_refused(other):
-    """A conditioning built for the other branch count, or for another
-    layout, even one of as many rows, raises ConfigError instead of giving a
-    field of the wrong shape or tables; the one built for the forward gives
-    the forward's own bits."""
+    """A conditioning built for another layout, even one of as many rows,
+    raises ConfigError instead of giving a field of the wrong shape or
+    tables; the one built for the forward gives the forward's own bits."""
     params, cfg = MODELS["full"]
     spec = [E.ShotPrompt(2, 0), E.ShotPrompt(2, 1)]
     layout, captions = E.build_layout(spec, WORLD), E.build_captions(spec)
     z = np.zeros((layout.total_tokens, WORLD.d_token), dtype=np.float32)
-    for guidance, other_guidance in ((1.0, 5.0), (5.0, 1.0)):
-        cond = M.conditioning(captions, layout, cfg, params, guidance)
-        want = M.denoiser_forward(z, 0.5, captions, layout, cfg, params, guidance=guidance)
-        got = M.denoiser_forward(z, 0.5, captions, layout, cfg, params, guidance=guidance,
-                                 cond=cond)
-        assert np.array_equal(got.data, want.data)
-        with pytest.raises(ConfigError):
-            M.denoiser_forward(z, 0.5, captions, layout, cfg, params, guidance=other_guidance,
-                               cond=cond)
-        wrong = M.conditioning(E.build_captions(other), E.build_layout(other, WORLD), cfg,
-                               params, guidance)
-        with pytest.raises(ConfigError):
-            M.denoiser_forward(z, 0.5, captions, layout, cfg, params, guidance=guidance,
-                               cond=wrong)
+    cond = M.conditioning(captions, layout, cfg, params)
+    want = M.denoiser_forward(z, 0.5, captions, layout, cfg, params)
+    got = M.denoiser_forward(z, 0.5, captions, layout, cfg, params, cond=cond)
+    assert np.array_equal(got.data, want.data)
+    wrong = M.conditioning(E.build_captions(other), E.build_layout(other, WORLD), cfg, params)
+    with pytest.raises(ConfigError):
+        M.denoiser_forward(z, 0.5, captions, layout, cfg, params, cond=wrong)
 
 
 def test_a_conditioning_of_other_captions_is_refused():
     """A conditioning built for other captions of the same layout, or for
     the same captions with another identity row Tensor, raises ConfigError
-    instead of giving a field conditioned on the captions it was built for;
-    the one bundle and the tuple of it are the same captions."""
+    instead of giving a field conditioned on the captions it was built for,
+    and so does the conditional branch's for the unconditional one; the one
+    bundle and the tuple of it are the same captions."""
     params, cfg = MODELS["full"]
     spec = [E.ShotPrompt(2, 0), E.ShotPrompt(2, 1)]
     layout, captions = E.build_layout(spec, WORLD), E.build_captions(spec)
@@ -185,17 +141,16 @@ def test_a_conditioning_of_other_captions_is_refused():
     row = T.Tensor(np.ones((1, cfg.d_model), dtype=np.float32))
     with_id, copied_id = (E.condition_identity(captions, r) for r in (row, T.Tensor(row.data)))
     assert with_id == E.condition_identity(captions, row) and with_id != copied_id
-    others = (E.build_captions([E.ShotPrompt(2, 2), E.ShotPrompt(2, 3)]), with_id)
-    for guidance in (1.0, 5.0):
-        for built, run in ((others[0], captions), (with_id, copied_id), (captions, with_id)):
-            cond = M.conditioning(built, layout, cfg, params, guidance)
-            with pytest.raises(ConfigError):
-                M.denoiser_forward(z, 0.5, run, layout, cfg, params, guidance=guidance, cond=cond)
-        cond = M.conditioning(captions, layout, cfg, params, guidance)
-        want = M.denoiser_forward(z, 0.5, captions, layout, cfg, params, guidance=guidance)
-        got = M.denoiser_forward(z, 0.5, (captions,), layout, cfg, params, guidance=guidance,
-                                 cond=cond)
-        assert np.array_equal(got.data, want.data)
+    other = E.build_captions([E.ShotPrompt(2, 2), E.ShotPrompt(2, 3)])
+    for built, run in ((other, captions), (with_id, copied_id), (captions, with_id),
+                       (captions, M.null_captions(captions))):
+        cond = M.conditioning(built, layout, cfg, params)
+        with pytest.raises(ConfigError):
+            M.denoiser_forward(z, 0.5, run, layout, cfg, params, cond=cond)
+    cond = M.conditioning(captions, layout, cfg, params)
+    want = M.denoiser_forward(z, 0.5, captions, layout, cfg, params)
+    got = M.denoiser_forward(z, 0.5, (captions,), layout, cfg, params, cond=cond)
+    assert np.array_equal(got.data, want.data)
 
 
 # The branch worker: a guided sampling call at or above the gate, in a
@@ -212,7 +167,7 @@ WORKER_ATTEMPTS = [[E.ShotPrompt(2, 1)], [], [E.ShotPrompt(1, 3), E.ShotPrompt(3
 def gate_open(monkeypatch):
     """The gate as in a process with two CPUs and one BLAS thread; yields the
     list each forked worker appends to; no worker is left afterwards."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(E, "blas_threads", lambda: 1)
     monkeypatch.setattr(E, "usable_cpus", lambda: 2)
     started = _count_workers(monkeypatch)
     yield started
@@ -231,7 +186,7 @@ def _count_workers(monkeypatch):
 
 
 def _in_process(monkeypatch, run):
-    """run() on the in-process stacked path."""
+    """run() with both branches in-process."""
     with monkeypatch.context() as m:
         m.setattr(E, "_forks_branch_worker", lambda *a: False)
         return run()
@@ -245,7 +200,7 @@ def _sample_worker_field(variant, identity=False):
 
 
 @pytest.mark.parametrize("variant", ["vanilla", "tcrope", "full"])
-def test_the_worker_path_has_the_stacked_bits(gate_open, monkeypatch, variant):
+def test_the_worker_path_has_the_in_process_bits(gate_open, monkeypatch, variant):
     want = _in_process(monkeypatch, lambda: _sample_worker_field(variant))
     assert gate_open == []
     got = _sample_worker_field(variant)
@@ -253,7 +208,7 @@ def test_the_worker_path_has_the_stacked_bits(gate_open, monkeypatch, variant):
     assert np.array_equal(got, want)
 
 
-def test_a_worker_path_continuation_has_the_stacked_bits(gate_open, monkeypatch):
+def test_a_worker_path_continuation_has_the_in_process_bits(gate_open, monkeypatch):
     """A packing of attempts, one of them empty, with an identity row."""
     params, cfg = MODELS["full+refattn"]
     emb = E.identity_embedding(params, WORLD, 1)
@@ -271,15 +226,16 @@ def test_a_worker_path_continuation_has_the_stacked_bits(gate_open, monkeypatch)
 
 
 def test_the_caller_runs_one_conditional_forward_a_step(gate_open, monkeypatch):
-    """The caller embeds the captions once and makes one guidance-1 forward a
-    step; the worker's forwards, in its own process, are not counted here."""
+    """The caller embeds the captions once and makes one forward a step, of
+    the conditional branch; the worker's forwards, of the unconditional one
+    in its own process, are not counted here."""
     calls, contexts = [], []
     forward, context = M.denoiser_forward, M.caption_context
     caller = os.getpid()
 
     def counted(*args, **kwargs):
         if os.getpid() == caller:
-            calls.append(kwargs.get("guidance", 1.0))
+            calls.append(args[2])
         return forward(*args, **kwargs)
 
     def embedded(*args, **kwargs):
@@ -291,7 +247,7 @@ def test_the_caller_runs_one_conditional_forward_a_step(gate_open, monkeypatch):
     monkeypatch.setattr(M, "caption_context", embedded)
     _sample_worker_field("full")
     assert gate_open == [1]
-    assert calls == [1.0] * WORKER_STEPS
+    assert calls == [(E.build_captions(WORKER_SPEC),)] * WORKER_STEPS
     assert contexts == [(E.build_captions(WORKER_SPEC),)]
 
 
@@ -377,14 +333,14 @@ def test_a_worker_that_dies_does_not_hang_the_caller(gate_open, monkeypatch, dea
 )
 def test_no_worker_without_a_free_cpu_or_below_the_gate(gate_open, monkeypatch, change):
     """One usable CPU, a BLAS of two threads, guidance 1, a call below the
-    gate or a second Python thread, in which a fork is unsafe, runs the
-    stacked path in-process."""
+    gate or a second Python thread, in which a fork is unsafe, runs both
+    branches in-process."""
     params, cfg = MODELS["full"]
     steps, guidance = WORKER_STEPS, 5.0
     if change == "one-cpu":
         monkeypatch.setattr(E, "usable_cpus", lambda: 1)
     elif change == "blas-threads":
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setattr(E, "blas_threads", lambda: 2)
     elif change == "guidance-1":
         guidance = 1.0
     elif change == "below-gate":
@@ -403,9 +359,26 @@ def test_no_worker_without_a_free_cpu_or_below_the_gate(gate_open, monkeypatch, 
     assert gate_open == []
 
 
+def test_no_worker_when_the_loaded_blas_runs_two_threads(monkeypatch):
+    """The gate asks the loaded BLAS for its thread count: an environment
+    that says one thread, set after OpenBLAS read it at load, opens no
+    worker while BLAS runs two."""
+    threads = E.blas_threads()
+    if E.blas_threads(2) != 2:
+        pytest.skip("the loaded BLAS does not say or set its thread count")
+    try:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(E, "usable_cpus", lambda: 2)
+        started = _count_workers(monkeypatch)
+        _sample_worker_field("full")
+        assert started == []
+    finally:
+        E.blas_threads(threads)
+
+
 def test_no_worker_inside_a_multiprocessing_worker(gate_open):
     """A sampling call in a process that multiprocessing started, such as one of
-    ablate's pool workers, runs the stacked path there."""
+    ablate's pool workers, runs both branches there."""
     fork = multiprocessing.get_context("fork")
     ours, theirs = fork.Pipe()
 

@@ -5,9 +5,11 @@ GELU formula is written only in `tensor._gelu_rows`, which `gelu` and `ffn`
 share, a rotary basis's angles become phase tables only in `rope`, a file is
 opened only in `checkpoint`, whose atomic writers and `open_input` every
 read and write goes through, no function keeps a functools cache: what a
-call may reuse is passed to it, and every public function and class of
-shotrope has a caller in `src/`, `perfbench/` or `tools/`, but for the
-references listed in UNCALLED."""
+call may reuse is passed to it, guidance is `engine`'s alone: no function of
+`model` or `attention` takes it and only `engine` combines the branches with
+`model.guided`, and every public function and class of shotrope has a caller
+in `src/`, `perfbench/` or `tools/`, but for the references listed in
+UNCALLED."""
 
 import ast
 import glob
@@ -33,6 +35,8 @@ CALLERS = ("perfbench/*.py", "tools/*.py")
 UNCALLED = {
     "tensor.transpose": "in the unfused chain that attention_core is tested against",
     "tensor.gelu": "in the unfused chain that ffn is tested against",
+    "tensor.slice_rows": "a span of perfbench's table, and in the per-segment chain that "
+                         "attention_core is tested against",
     "synthetic.decode_motion": "the oracle motion decode that motion adherence will score with",
     "analysis.attention_heatmaps": "the shot-block heatmaps acceptance tests c08 and c10 read",
     "tensor.grad_check": "the finite-difference oracle every gradient test compares with",
@@ -208,6 +212,39 @@ def test_the_check_sees_a_cached_function():
 def test_no_function_keeps_a_functools_cache(path):
     with open(path) as fh:
         assert cached_functions(fh.read()) == []
+
+
+def taking(source, parameter):
+    """The names of the functions in source that take parameter."""
+    return sorted(
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in ast.walk(node.args)
+        if isinstance(arg, ast.arg) and arg.arg == parameter
+    )
+
+
+def test_the_check_sees_a_function_that_takes_guidance():
+    source = (
+        "def forward(z, guidance=1.0):\n    return z\n"
+        "def guided(c, u, *, guidance):\n    return c\n"
+        "def step(z, scale):\n    return forward(z, guidance=scale)\n"
+    )
+    assert taking(source, "guidance") == ["forward", "guided"]
+
+
+@pytest.mark.parametrize("name", ["model.py", "attention.py"])
+def test_no_model_or_attention_function_takes_guidance(name):
+    """A forward is one guidance branch: guidance combines two forwards in
+    engine, so model and attention never see it."""
+    assert taking(_read(name), "guidance") == []
+
+
+def test_only_the_engine_combines_the_guidance_branches():
+    readers = [name for name in sorted(os.listdir(SRC)) if name.endswith(".py")
+               and "shotrope.model.guided" in shotrope_reads(_read(name), name[:-3])]
+    assert readers == ["engine.py"]
 
 
 def _imported_module(node):

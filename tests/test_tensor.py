@@ -1063,10 +1063,9 @@ PRODUCT_SHAPES = sorted({
 @pytest.mark.parametrize("k, n", PRODUCT_SHAPES, ids=[f"{k}x{n}" for k, n in PRODUCT_SHAPES])
 def test_stacked_row_blocks_multiply_as_the_blocks_do(k, n):
     """matmul on B stacked blocks of rows equals each block's own product, bit
-    for bit, at the 16-688 rows the model's fields have: the two branches of
-    a guided denoiser_forward run stacked and packing runs several layouts'
-    rows in one product on this, so a BLAS that breaks it fails here before
-    it changes sampled bits."""
+    for bit, at the 16-688 rows the model's fields have: packing runs
+    several layouts' rows in one product on this, so a BLAS that breaks it
+    fails here before it changes sampled bits."""
     rng = np.random.default_rng(53)
     w = Tensor((rng.standard_normal((k, n)) * 0.02).astype(np.float32))
     cases = [(16, 2), (17, 3), (48, 2), (96, 2), (144, 3), (192, 2), (384, 2), (688, 2)]

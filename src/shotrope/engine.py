@@ -117,66 +117,50 @@ class AdamW:
 def train(model_cfg, train_cfg, world, params=None, log_hook=None):
     """Run the rectified-flow training loop; returns (params, loss_log).
 
-    Each step draws every sample's timestep, noise and dropouts in sample order,
-    then runs the samples last to first, each forward and backward on a tape of
-    its own: one sample's activations are alive at a time, and each .grad takes
-    its `+=` in the order one tape over the batch would replay them, so the
-    gradients are that tape's bits.  A step that raises leaves no .grad behind.
-    A non-finite loss raises NumericError at its step; after the last step,
-    whose update no loss reads, a non-finite parameter raises it too.
+    Each step draws every sample's timestep, noise and dropouts in sample order
+    and runs each sample's forward and backward on a tape of its own, so one
+    sample's activations are alive at a time.  A parameter's gradient is its
+    contributions from the samples' tapes, sample B-1's first, each tape's in
+    replay order, added by tensor.accumulate as one tape over the batch would
+    add them: the first is the .grad and the rest go on with +=.  A call of
+    at least TRAIN_WORKER_MIN_STEPS steps at batch 2 or more, where
+    _may_fork_worker says a second CPU is free, forks a worker that runs each
+    step's largest sample there and hands back its contributions, which this
+    process adds in that same order, and the same AdamW step, so the bits are
+    the in-process loop's (README, Determinism).  A step that raises leaves no
+    .grad behind, and no worker outlives the call.  A non-finite loss raises
+    NumericError at its step; after the last step, whose update no loss
+    reads, a non-finite parameter raises it too.
     """
     if params is None:
         params = M.init_params(model_cfg, train_cfg.seed)
     opt = AdamW(params, train_cfg)
     log = []
-    for step in range(train_cfg.steps):
-        rng = T.seeded_rng(train_cfg.seed, step)
-        batch_seed = int(rng.integers(2**62))
-        batch = S.make_batch(
-            world,
-            train_cfg.batch_size,
-            shot_count_range=train_cfg.shot_count_range,
-            shot_len_range=train_cfg.shot_len_range,
-            seed=batch_seed,
-        )
-        draws = []
-        for sample in batch:
-            i_t = int(rng.integers(1, train_cfg.train_timesteps + 1))
-            tau = float(shift_map(i_t / train_cfg.train_timesteps, train_cfg.train_shift))
-            eps = rng.standard_normal(sample.tokens.shape).astype(np.float32)
-            captions = M.apply_caption_dropout(sample.captions, model_cfg.caption_dropout, rng)
-            null_id = train_cfg.pmt2v and rng.uniform() < train_cfg.id_dropout
-            draws.append((sample, tau, eps, captions, null_id))
-        losses = []
-        try:
-            for sample, tau, eps, captions, null_id in reversed(draws):
-                with GradTape() as tape:
-                    if train_cfg.pmt2v:
-                        id_row = (params["caption/null_id"] if null_id
-                                  else identity_embedding(params, world, sample.id_index))
-                        captions = condition_identity(captions, id_row)
-                    z_tau = M.make_noisy(sample.tokens, eps, tau)
-                    pred = M.denoiser_forward(
-                        z_tau, tau, captions, sample.layout, model_cfg, params
-                    )
-                    loss = M.rf_loss(pred, sample.tokens, eps)
-                    tape.backward(T.scale(loss, 1.0 / len(batch)))
-                losses.insert(0, loss)
-            total = losses[0]
-            for extra in losses[1:]:
-                total = T.add(total, extra)
-            loss_val = float(T.scale(total, 1.0 / len(losses)).data)
-            if not np.isfinite(loss_val):
-                raise NumericError(f"training diverged at step {step}: loss={loss_val}")
-        except BaseException:
-            for p in params.values():
-                p.grad = None
-            raise
-        opt.step(params)
-        smoothed = float(np.mean([row[1] for row in log[-49:]] + [loss_val]))  # last 50 losses
-        log.append((step, loss_val, smoothed))
-        if log_hook is not None:
-            log_hook(step, loss_val, smoothed)
+    with contextlib.ExitStack() as stack:
+        worker = None
+        if _forks_train_worker(train_cfg):
+            worker = stack.enter_context(_train_worker(params, opt, model_cfg, train_cfg, world))
+        for step in range(train_cfg.steps):
+            draws = _step_draws(model_cfg, train_cfg, world, step)
+            try:
+                losses = _step_gradients(params, model_cfg, train_cfg, world, draws, worker)
+                total = losses[0]
+                for extra in losses[1:]:
+                    total = T.add(total, extra)
+                loss_val = float(T.scale(total, 1.0 / len(losses)).data)
+                if not np.isfinite(loss_val):
+                    raise NumericError(f"training diverged at step {step}: loss={loss_val}")
+                if worker is not None:
+                    worker.share(params)
+            except BaseException:
+                for p in params.values():
+                    p.grad = None
+                raise
+            opt.step(params)
+            smoothed = float(np.mean([row[1] for row in log[-49:]] + [loss_val]))  # last 50 losses
+            log.append((step, loss_val, smoothed))
+            if log_hook is not None:
+                log_hook(step, loss_val, smoothed)
     diverged = [name for name, p in params.items() if not np.isfinite(p.data).all()]
     if diverged:
         raise NumericError(
@@ -184,6 +168,76 @@ def train(model_cfg, train_cfg, world, params=None, log_hook=None):
             f"{len(diverged)} of {len(params)} parameters are not finite, e.g. {diverged[0]}"
         )
     return params, log
+
+
+def _step_draws(model_cfg, train_cfg, world, step):
+    """Step step's batch, drawn from T.seeded_rng(train_cfg.seed, step), and
+    each sample's (sample, tau, eps, captions, null_id) in sample order."""
+    rng = T.seeded_rng(train_cfg.seed, step)
+    batch_seed = int(rng.integers(2**62))
+    batch = S.make_batch(
+        world,
+        train_cfg.batch_size,
+        shot_count_range=train_cfg.shot_count_range,
+        shot_len_range=train_cfg.shot_len_range,
+        seed=batch_seed,
+    )
+    draws = []
+    for sample in batch:
+        i_t = int(rng.integers(1, train_cfg.train_timesteps + 1))
+        tau = float(shift_map(i_t / train_cfg.train_timesteps, train_cfg.train_shift))
+        eps = rng.standard_normal(sample.tokens.shape).astype(np.float32)
+        captions = M.apply_caption_dropout(sample.captions, model_cfg.caption_dropout, rng)
+        null_id = train_cfg.pmt2v and rng.uniform() < train_cfg.id_dropout
+        draws.append((sample, tau, eps, captions, null_id))
+    return draws
+
+
+def _sample_backward(params, model_cfg, train_cfg, world, draw, batch_size, hold):
+    """One sample's forward and backward on a tape of its own; returns its
+    loss and, when hold, its contributions to params in replay order, which
+    otherwise go to each .grad as they come."""
+    sample, tau, eps, captions, null_id = draw
+    with GradTape() as tape:
+        if train_cfg.pmt2v:
+            id_row = (params["caption/null_id"] if null_id
+                      else identity_embedding(params, world, sample.id_index))
+            captions = condition_identity(captions, id_row)
+        z_tau = M.make_noisy(sample.tokens, eps, tau)
+        pred = M.denoiser_forward(z_tau, tau, captions, sample.layout, model_cfg, params)
+        loss = M.rf_loss(pred, sample.tokens, eps)
+        scaled = T.scale(loss, 1.0 / batch_size)
+        if hold:
+            return loss, tape.backward(scaled, leaves=params)
+        tape.backward(scaled)
+    return loss, []
+
+
+def _worker_sample(draws):
+    """The sample the train worker runs: the one of most tokens, the first of
+    a tie, so that the caller, which also adds and applies the gradients,
+    runs the smaller share."""
+    return max(range(len(draws)), key=lambda s: draws[s][0].layout.total_tokens)
+
+
+def _step_gradients(params, model_cfg, train_cfg, world, draws, worker):
+    """The step's gradients, in params' .grad; returns the samples' losses in
+    sample order.  This process runs its samples last to first: a sample that
+    the worker's precedes in the order of addition holds its contributions
+    until the worker's are added, and every other adds them as they come."""
+    theirs = None if worker is None else _worker_sample(draws)
+    losses, held = [None] * len(draws), {}
+    for s in reversed(range(len(draws))):
+        if s != theirs:
+            hold = theirs is not None and theirs > s
+            losses[s], held[s] = _sample_backward(params, model_cfg, train_cfg, world, draws[s],
+                                                  len(draws), hold)
+    if theirs is not None:
+        losses[theirs] = worker.add_to(params)
+    for s in sorted(held, reverse=True):
+        for name, g in held[s]:
+            T.accumulate(params[name], g)
+    return losses
 
 
 def identity_embedding(params, world, id_index):
@@ -198,6 +252,15 @@ def condition_identity(captions, id_row):
     identity row Tensor; caption_context checks its shape."""
     return replace(captions, id_row=id_row)
 
+
+# fewest steps of a training call that runs each step's largest sample in a
+# forked worker.  Default-model trainings at batch 2, one BLAS thread, 5
+# alternating runs a point, took worker/in-process median wall time 1.07 at
+# 1 step, where the fork costs more than the step saves, 0.91 at 2, 0.82 at
+# 3, 0.91 at 5 (worst run 1.00), 0.74 at 8 (worst 0.85), 0.57 at 12 and 0.65
+# at 20; so a warm-up of a step or two and the tests' few-step calls stay
+# in-process (ROADMAP item 20)
+TRAIN_WORKER_MIN_STEPS = 8
 
 # fewest rows x steps of a guided sampling call that runs its unconditional
 # branch in a forked worker.  With the worker pinned off the caller's CPU, a
@@ -240,20 +303,32 @@ def blas_threads(count=None):
     return get()
 
 
-def _forks_branch_worker(rows, steps):
-    """Whether a guided sampling call of steps steps on a field of rows rows runs
-    its unconditional branch in a forked worker: above the gate, on a second
-    CPU that nothing else of this process uses, so with one BLAS thread (a
-    threaded BLAS in both processes made calls 6-22x slower) and not inside a
-    multiprocessing worker, whose pool has the other CPUs; and only where a
-    fork is safe, in a process of one Python thread."""
-    if (rows * steps < BRANCH_WORKER_MIN_ROW_STEPS or usable_cpus() < 2
-            or blas_threads() != 1 or not hasattr(os, "fork")):
+def _may_fork_worker():
+    """Whether a forked worker may run on a second CPU that nothing else of this
+    process uses: one exists, BLAS runs one thread (a threaded BLAS in both
+    processes made guided sampling calls 6-22x slower), this process is not a
+    multiprocessing worker, whose pool has the other CPUs, and a fork is safe
+    here, in a process of one Python thread."""
+    if usable_cpus() < 2 or blas_threads() != 1 or not hasattr(os, "fork"):
         return False
     import multiprocessing  # here: importing it with the engine would add to set-up time
     import threading
 
     return multiprocessing.parent_process() is None and threading.active_count() == 1
+
+
+def _forks_branch_worker(rows, steps):
+    """Whether a guided sampling call of steps steps on a field of rows rows runs
+    its unconditional branch in a forked worker: above the gate, where
+    _may_fork_worker says so."""
+    return rows * steps >= BRANCH_WORKER_MIN_ROW_STEPS and _may_fork_worker()
+
+
+def _forks_train_worker(train_cfg):
+    """Whether a training call runs each step's largest sample in a forked
+    worker: above the gate, at batch 2 or more, where _may_fork_worker says so."""
+    return (train_cfg.steps >= TRAIN_WORKER_MIN_STEPS and train_cfg.batch_size >= 2
+            and _may_fork_worker())
 
 
 def _other_cpus():
@@ -268,6 +343,67 @@ def _other_cpus():
     return (os.sched_getaffinity(0) - {here()}) or None
 
 
+def _worker_main(target, conn, callers_end, cpus, args):
+    """A forked worker: pinned to cpus, run target(conn, *args) until it returns
+    or the caller closes its end; an exception target raises is sent back."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
+    callers_end.close()  # so that the caller's exit closes the pipe
+    if cpus is not None:
+        with contextlib.suppress(OSError):  # unpinned, it still runs
+            os.sched_setaffinity(0, cpus)
+    try:
+        target(conn, *args)
+    except EOFError:  # the caller is done
+        return
+    except Exception as exc:  # a pickle keeps its class and message
+        conn.send(exc)
+
+
+@contextlib.contextmanager
+def _forked_worker(what, target, *args):
+    """Fork a worker that runs target(conn, *args), pinned off the caller's CPU,
+    and yield (send, recv), the caller's end of conn.  recv raises an
+    exception the worker sends, and either raises ChildProcessError once the
+    worker, named what, has died.  The worker is joined before this returns
+    or raises."""
+    import multiprocessing  # here: importing it with the engine would add to set-up time
+
+    fork = multiprocessing.get_context("fork")
+    ours, theirs = fork.Pipe()
+    worker = fork.Process(target=_worker_main, daemon=True,
+                          args=(target, theirs, ours, _other_cpus(), args))
+    worker.start()
+    theirs.close()
+
+    def died():
+        worker.join()
+        return ChildProcessError(f"{what} died with exit code {worker.exitcode}")
+
+    def send(message):
+        try:
+            ours.send(message)
+        except OSError as exc:
+            raise died() from exc
+
+    def recv():
+        try:
+            got = ours.recv()
+        except (EOFError, OSError) as exc:
+            raise died() from exc
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    try:
+        yield send, recv
+    finally:
+        ours.close()
+        worker.terminate()  # idle, or mid-step after an error in the caller
+        worker.join()
+
+
 def _unconditional_branch(params, cfg, captions, packed):
     """The unconditional branch of a guided sampling call of captions on
     packed: a function of (tau, z) that returns the guidance-1 velocity
@@ -277,74 +413,106 @@ def _unconditional_branch(params, cfg, captions, packed):
     return lambda tau, z: M.denoiser_forward(z, tau, uncond, packed, cfg, params, cond=cond)
 
 
-def _worker_loop(conn, callers_end, cpus, params, cfg, captions, packed):
-    """The forked worker: pinned to cpus, for each (tau, z) conn receives, send
-    back the unconditional branch's velocity array, until the caller closes
-    its end; on an error, send the exception and stop."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
-    callers_end.close()  # so that the caller's exit closes the pipe
-    if cpus is not None:
-        with contextlib.suppress(OSError):  # unpinned, it still runs
-            os.sched_setaffinity(0, cpus)
-    try:
-        branch = _unconditional_branch(params, cfg, captions, packed)
-        while True:
-            try:
-                tau, z = conn.recv()
-            except EOFError:
-                return
-            conn.send(branch(tau, z).data)
-    except Exception as exc:  # a pickle keeps its class and message
-        conn.send(exc)
+def _branch_loop(conn, params, cfg, captions, packed):
+    """The branch worker's work: for each (tau, z) conn receives, send back the
+    unconditional branch's velocity array."""
+    branch = _unconditional_branch(params, cfg, captions, packed)
+    while True:
+        tau, z = conn.recv()
+        conn.send(branch(tau, z).data)
 
 
 @contextlib.contextmanager
 def _branch_worker(params, cfg, captions, packed):
-    """Fork a worker for the unconditional branch of captions on packed, pinned
-    off the caller's CPU, and yield unconditional(tau, z): it hands the step to
-    the worker and returns a function that waits for the branch's velocity
-    Tensor.  An exception the worker sends is raised in the caller, and a
-    worker that dies raises ChildProcessError.  The worker is joined before
-    this returns or raises."""
-    import multiprocessing  # here: importing it with the engine would add to set-up time
+    """Fork a worker for the unconditional branch of captions on packed, and
+    yield unconditional(tau, z): it hands the step to the worker and returns
+    a function that waits for the branch's velocity Tensor (_forked_worker)."""
+    with _forked_worker("the unconditional-branch worker of a sampling call", _branch_loop,
+                        params, cfg, captions, packed) as (send, recv):
 
-    fork = multiprocessing.get_context("fork")
-    ours, theirs = fork.Pipe()
-    worker = fork.Process(target=_worker_loop, daemon=True,
-                          args=(theirs, ours, _other_cpus(), params, cfg, captions, packed))
-    worker.start()
-    theirs.close()
+        def unconditional(tau, z):
+            send((tau, z))
+            return lambda: Tensor(recv())
 
-    def died():
-        worker.join()
-        return ChildProcessError(f"the unconditional-branch worker of a sampling call died "
-                                 f"with exit code {worker.exitcode}")
-
-    def unconditional(tau, z):
-        try:
-            ours.send((tau, z))
-        except OSError as exc:
-            raise died() from exc
-
-        def velocity():
-            try:
-                got = ours.recv()
-            except (EOFError, OSError) as exc:
-                raise died() from exc
-            if isinstance(got, Exception):
-                raise got
-            return Tensor(got)
-
-        return velocity
-
-    try:
         yield unconditional
-    finally:
-        ours.close()
-        worker.terminate()  # idle after the last step, or mid-step after an error
-        worker.join()
+
+
+def _arena(params):
+    """A slot of each parameter's shape and dtype, all in one anonymous shared
+    mmap, so that a process forked after this sees what the other writes."""
+    import mmap  # here: importing it with the engine would add to set-up time
+
+    sizes = [-(-p.data.nbytes // 64) * 64 for p in params.values()]  # 64-byte aligned
+    buf = mmap.mmap(-1, sum(sizes))
+    slots, offset = {}, 0
+    for (name, p), size in zip(params.items(), sizes):
+        slots[name] = np.frombuffer(buf, p.dtype, p.data.size, offset).reshape(p.shape)
+        offset += size
+    return slots
+
+
+def _train_loop(conn, arena, params, opt, model_cfg, train_cfg, world):
+    """The train worker's work, a step at a time: run the step's largest sample
+    and send its loss and its contributions in replay order, the first to
+    each parameter put in that parameter's arena slot; draw the next step
+    while the caller adds up the gradients; then run the AdamW step on the
+    gradients the caller wrote into the arena for the names it sends."""
+    draws = _step_draws(model_cfg, train_cfg, world, 0)
+    for step in range(1, train_cfg.steps + 1):
+        draw = draws[_worker_sample(draws)]
+        loss, contributions = _sample_backward(params, model_cfg, train_cfg, world, draw,
+                                               len(draws), hold=True)
+        entries, filled = [], set()
+        for name, g in contributions:
+            slot = arena[name]
+            if name in filled or g.shape != slot.shape or g.dtype != slot.dtype:
+                entries.append((name, g))  # a later one, or one the slot cannot hold
+            else:
+                slot[...] = g
+                filled.add(name)
+                entries.append((name, None))
+        del contributions
+        conn.send((loss.data, entries))
+        if step < train_cfg.steps:
+            draws = _step_draws(model_cfg, train_cfg, world, step)
+        for name in conn.recv():
+            params[name].grad = arena[name]
+        opt.step(params)
+
+
+class _TrainWorker:
+    """The caller's side of the train worker: add_to adds the worker's sample's
+    contributions to the parameters' .grad, and share hands it the step's
+    gradients for its AdamW step."""
+
+    def __init__(self, send, recv, arena):
+        self.send, self.recv, self.arena = send, recv, arena
+
+    def add_to(self, params):
+        """Add the worker's contributions of this step in its tape's replay
+        order; returns its sample's loss Tensor."""
+        loss, entries = self.recv()
+        for name, g in entries:
+            if g is None:  # a first one becomes a .grad: copy it out of the arena
+                g = self.arena[name] if params[name].grad is not None else self.arena[name].copy()
+            T.accumulate(params[name], g)
+        return Tensor(loss)
+
+    def share(self, params):
+        names = [name for name, p in params.items() if p.grad is not None]
+        for name in names:
+            self.arena[name][...] = params[name].grad
+        self.send(names)
+
+
+@contextlib.contextmanager
+def _train_worker(params, opt, model_cfg, train_cfg, world):
+    """Fork the train worker of a training call, with copies of params and opt,
+    and yield its _TrainWorker (_forked_worker)."""
+    arena = _arena(params)
+    with _forked_worker("the train worker", _train_loop,
+                        arena, params, opt, model_cfg, train_cfg, world) as (send, recv):
+        yield _TrainWorker(send, recv, arena)
 
 
 def _sample_fields(params, cfg, world, specs, z, steps, shift, guidance, id_embedding):

@@ -131,13 +131,19 @@ class GradTape:
     def record(self, out, inputs, backward_fn):
         self._nodes.append((out._slot, tuple(i._slot for i in inputs), backward_fn))
 
-    def backward(self, loss):
+    def backward(self, loss, leaves=None):
+        """Replay the tape from loss.  Each gradient contribution to an input
+        becomes its .grad or is added to it by accumulate, but one to a
+        Tensor of leaves, a mapping key -> Tensor, which is returned instead:
+        the list of (key, contribution), in replay order."""
         if not self._nodes:
             raise RuntimeError("backward on an empty tape: nothing recorded, or already replayed")
         if loss.data.ndim != 0:
             raise ShapeError("backward requires a scalar loss")
         if not np.isfinite(loss.data):
             raise NumericError("non-finite loss")
+        held = {} if leaves is None else {t._slot: key for key, t in leaves.items()}
+        contributions = []
         loss.grad = np.ones((), dtype=loss.data.dtype)
         while self._nodes:
             out, inputs, backward_fn = self._nodes.pop()
@@ -148,10 +154,22 @@ class GradTape:
             for inp, g in zip(inputs, backward_fn(g_out)):
                 if g is None or not inp.requires_grad:
                     continue
-                if inp.grad is None:
-                    inp.grad = np.asarray(g, dtype=inp.dtype)
+                key = held.get(inp)
+                if key is None:
+                    accumulate(inp, g)
                 else:
-                    inp.grad += g
+                    contributions.append((key, g))
+        return contributions
+
+
+def accumulate(t, g):
+    """Add the gradient contribution g to t.grad, t a Tensor or its slot: the
+    first becomes t.grad, without a copy where g has t's dtype, and each
+    later one is added with +=."""
+    if t.grad is None:
+        t.grad = np.asarray(g, dtype=t.dtype)
+    else:
+        t.grad += g
 
 
 def recording():

@@ -3,7 +3,6 @@ one a branch, combined by `model.guided` in `engine`: in-process, or with the
 unconditional branch in a forked worker.  Either way the sampler must give the
 bits of the two-forwards-a-step loop kept here as the reference."""
 
-import contextlib
 import multiprocessing
 import os
 import signal
@@ -12,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+from forking import deadline, fail_in, kill_the_worker, raising
 from shotrope import engine as E
 from shotrope import model as M
 from shotrope import synthetic as S
@@ -251,32 +251,10 @@ def test_the_caller_runs_one_conditional_forward_a_step(gate_open, monkeypatch):
     assert contexts == [(E.build_captions(WORKER_SPEC),)]
 
 
-def _fail_in(process, error, at_call=1):
-    """A denoiser_forward that raises error at its at_call-th call in the
-    caller or in the worker, forked after it is patched in."""
-    forward, caller, calls = M.denoiser_forward, os.getpid(), []
-
-    def failing(*args, **kwargs):
-        if (os.getpid() == caller) == (process == "caller"):
-            calls.append(1)
-            if len(calls) == at_call:
-                error()
-        return forward(*args, **kwargs)
-
-    return failing
-
-
-def _raise(cls, message):
-    def error():
-        raise cls(message)
-
-    return error
-
-
 @pytest.mark.parametrize("cls", [ConfigError, T.ShapeError, T.NumericError])
 def test_an_error_in_the_worker_comes_back_with_its_class_and_message(gate_open, monkeypatch,
                                                                       cls):
-    monkeypatch.setattr(M, "denoiser_forward", _fail_in("worker", _raise(cls, "in the worker"), 3))
+    monkeypatch.setattr(M, "denoiser_forward", fail_in("worker", raising(cls, "in the worker"), 3))
     with pytest.raises(cls, match="^in the worker$"):
         _sample_worker_field("full")
     assert gate_open == [1]
@@ -289,7 +267,7 @@ def test_an_error_in_the_caller_leaves_no_worker(gate_open, monkeypatch):
         workers.extend(multiprocessing.active_children())
         raise T.NumericError("in the caller")
 
-    monkeypatch.setattr(M, "denoiser_forward", _fail_in("caller", error, 3))
+    monkeypatch.setattr(M, "denoiser_forward", fail_in("caller", error, 3))
     with pytest.raises(T.NumericError, match="in the caller"):
         _sample_worker_field("full")
     assert len(workers) == 1 and workers[0].exitcode is not None
@@ -297,33 +275,13 @@ def test_an_error_in_the_caller_leaves_no_worker(gate_open, monkeypatch):
         os.kill(workers[0].pid, 0)
 
 
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError in this process if the block runs past seconds."""
-    def expired(*_):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _kill_the_worker():
-    (worker,) = multiprocessing.active_children()
-    os.kill(worker.pid, signal.SIGKILL)
-
-
 @pytest.mark.parametrize("death, code", [
-    (lambda: _fail_in("worker", lambda: os._exit(3), 2), 3),
-    (lambda: _fail_in("caller", _kill_the_worker, 2), -signal.SIGKILL),
+    (lambda: fail_in("worker", lambda: os._exit(3), 2), 3),
+    (lambda: fail_in("caller", kill_the_worker, 2), -signal.SIGKILL),
 ], ids=["exits", "killed"])
 def test_a_worker_that_dies_does_not_hang_the_caller(gate_open, monkeypatch, death, code):
     monkeypatch.setattr(M, "denoiser_forward", death())
-    with _deadline(60), pytest.raises(ChildProcessError, match=f"exit code {code}$"):
+    with deadline(60), pytest.raises(ChildProcessError, match=f"exit code {code}$"):
         _sample_worker_field("full")
     assert gate_open == [1]
 

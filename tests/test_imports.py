@@ -57,8 +57,10 @@ def test_every_top_level_import_is_used(path):
 
 
 def test_the_engine_imports_no_multiprocessing():
-    """multiprocessing loads only when a sampling call forks its branch worker,
-    so importing the engine costs no more than before it had one."""
-    code = "import sys, shotrope.engine; sys.exit('multiprocessing' in sys.modules)"
+    """multiprocessing loads only when a sampling or training call forks a
+    worker, and mmap only when a training call makes the worker's shared
+    arena, so importing the engine costs no more than before it had them."""
+    code = ("import sys, shotrope.engine; "
+            "sys.exit(bool({'multiprocessing', 'mmap'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": os.path.join(SRC, os.pardir)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

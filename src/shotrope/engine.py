@@ -81,37 +81,39 @@ class AdamW:
         self.t = 0
 
     def step(self, params):
-        """Update every parameter that has a gradient, in place.
-
-        The step consumes p.grad: it uses the array as scratch and sets
-        p.grad to None.
-        """
-        c = self.cfg
+        """Count a step and update every parameter that has a gradient."""
         self.t += 1
+        for name, p in params.items():
+            self.update(name, p)
+
+    def update(self, name, p):
+        """Update parameter name, p, in place by its gradient, if it has one,
+        at the step count t.  The update consumes p.grad: it uses the array
+        as scratch and sets p.grad to None."""
+        g = p.grad
+        if g is None:
+            return
+        p.grad = None
+        c = self.cfg
         b1c = 1.0 - c.beta1 ** self.t
         b2c = 1.0 - c.beta2 ** self.t
-        for name, p in params.items():
-            g = p.grad
-            if g is None:
-                continue
-            p.grad = None
-            m = self.m[name]
-            v = self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            g *= g
-            g *= 1.0 - c.beta2
-            v *= c.beta2
-            v += g
-            # update = (m / b1c) / (sqrt(v / b2c) + eps) + wd * p, times lr
-            update = m / b1c
-            denom = v / b2c
-            np.sqrt(denom, out=denom)
-            denom += c.adam_eps
-            update /= denom
-            update += c.weight_decay * p.data
-            update *= c.lr
-            p.data -= update
+        m = self.m[name]
+        v = self.v[name]
+        m *= c.beta1
+        m += (1.0 - c.beta1) * g
+        g *= g
+        g *= 1.0 - c.beta2
+        v *= c.beta2
+        v += g
+        # update = (m / b1c) / (sqrt(v / b2c) + eps) + wd * p, times lr
+        update = m / b1c
+        denom = v / b2c
+        np.sqrt(denom, out=denom)
+        denom += c.adam_eps
+        update /= denom
+        update += c.weight_decay * p.data
+        update *= c.lr
+        p.data -= update
 
 
 def train(model_cfg, train_cfg, world, params=None, log_hook=None):
@@ -125,38 +127,48 @@ def train(model_cfg, train_cfg, world, params=None, log_hook=None):
     add them: the first is the .grad and the rest go on with +=.  A call of
     at least TRAIN_WORKER_MIN_STEPS steps at batch 2 or more, where
     _may_fork_worker says a second CPU is free, forks a worker that runs each
-    step's largest sample there and hands back its contributions, which this
-    process adds in that same order, and the same AdamW step, so the bits are
-    the in-process loop's (README, Determinism).  A step that raises leaves no
-    .grad behind, and no worker outlives the call.  A non-finite loss raises
-    NumericError at its step; after the last step, whose update no loss
-    reads, a non-finite parameter raises it too.
+    step's largest sample there on weights both processes share.  This
+    process adds each parameter's contributions in that same order as soon as
+    the worker's backward has made its last one, and runs its AdamW update
+    while the rest of that backward runs, so the bits are the in-process
+    loop's (README, Determinism).  No update runs before both processes'
+    losses are known to be finite.  A step that raises leaves no .grad
+    behind, and no worker outlives the call; one that raises while the
+    worker's gradients are being applied leaves the step partly applied.
+    A non-finite loss raises NumericError at its step; after the last
+    step, whose update no loss reads, a non-finite parameter raises it too.
     """
     if params is None:
         params = M.init_params(model_cfg, train_cfg.seed)
-    opt = AdamW(params, train_cfg)
     log = []
     with contextlib.ExitStack() as stack:
         worker = None
         if _forks_train_worker(train_cfg):
-            worker = stack.enter_context(_train_worker(params, opt, model_cfg, train_cfg, world))
+            worker = stack.enter_context(_train_worker(params, model_cfg, train_cfg, world))
+        opt = AdamW(params, train_cfg)  # made after the fork: the worker holds no moments
+        draws = _step_draws(model_cfg, train_cfg, world, 0)
         for step in range(train_cfg.steps):
-            draws = _step_draws(model_cfg, train_cfg, world, step)
+            theirs = None if worker is None else _worker_sample(draws)
             try:
-                losses = _step_gradients(params, model_cfg, train_cfg, world, draws, worker)
+                losses, held = _own_gradients(params, model_cfg, train_cfg, world, draws, theirs)
+                if worker is not None:
+                    losses[theirs] = Tensor(worker.recv())
                 total = losses[0]
                 for extra in losses[1:]:
                     total = T.add(total, extra)
                 loss_val = float(T.scale(total, 1.0 / len(losses)).data)
                 if not np.isfinite(loss_val):
                     raise NumericError(f"training diverged at step {step}: loss={loss_val}")
-                if worker is not None:
-                    worker.share(params)
+                draws = (_step_draws(model_cfg, train_cfg, world, step + 1)
+                         if step + 1 < train_cfg.steps else None)
+                if worker is None:
+                    opt.step(params)
+                else:
+                    worker.apply(params, opt, held, draws)
             except BaseException:
                 for p in params.values():
                     p.grad = None
                 raise
-            opt.step(params)
             smoothed = float(np.mean([row[1] for row in log[-49:]] + [loss_val]))  # last 50 losses
             log.append((step, loss_val, smoothed))
             if log_hook is not None:
@@ -193,10 +205,10 @@ def _step_draws(model_cfg, train_cfg, world, step):
     return draws
 
 
-def _sample_backward(params, model_cfg, train_cfg, world, draw, batch_size, hold):
-    """One sample's forward and backward on a tape of its own; returns its
-    loss and, when hold, its contributions to params in replay order, which
-    otherwise go to each .grad as they come."""
+def _sample_loss(params, model_cfg, train_cfg, world, draw, batch_size):
+    """One sample's forward on a tape of its own; returns the tape, the
+    sample's loss Tensor and its share of the batch's loss, which the
+    tape's backward starts from."""
     sample, tau, eps, captions, null_id = draw
     with GradTape() as tape:
         if train_cfg.pmt2v:
@@ -206,11 +218,7 @@ def _sample_backward(params, model_cfg, train_cfg, world, draw, batch_size, hold
         z_tau = M.make_noisy(sample.tokens, eps, tau)
         pred = M.denoiser_forward(z_tau, tau, captions, sample.layout, model_cfg, params)
         loss = M.rf_loss(pred, sample.tokens, eps)
-        scaled = T.scale(loss, 1.0 / batch_size)
-        if hold:
-            return loss, tape.backward(scaled, leaves=params)
-        tape.backward(scaled)
-    return loss, []
+        return tape, loss, T.scale(loss, 1.0 / batch_size)
 
 
 def _worker_sample(draws):
@@ -220,24 +228,23 @@ def _worker_sample(draws):
     return max(range(len(draws)), key=lambda s: draws[s][0].layout.total_tokens)
 
 
-def _step_gradients(params, model_cfg, train_cfg, world, draws, worker):
-    """The step's gradients, in params' .grad; returns the samples' losses in
-    sample order.  This process runs its samples last to first: a sample that
-    the worker's precedes in the order of addition holds its contributions
-    until the worker's are added, and every other adds them as they come."""
-    theirs = None if worker is None else _worker_sample(draws)
+def _own_gradients(params, model_cfg, train_cfg, world, draws, theirs):
+    """Run every sample of draws but theirs, the worker's, last to first;
+    returns their losses in sample order, None in theirs' place, and what
+    they hold back.  A sample that theirs precedes in the order of addition
+    holds its contributions, name -> list in that order; every other adds
+    them to params' .grad as they come."""
     losses, held = [None] * len(draws), {}
     for s in reversed(range(len(draws))):
         if s != theirs:
-            hold = theirs is not None and theirs > s
-            losses[s], held[s] = _sample_backward(params, model_cfg, train_cfg, world, draws[s],
-                                                  len(draws), hold)
-    if theirs is not None:
-        losses[theirs] = worker.add_to(params)
-    for s in sorted(held, reverse=True):
-        for name, g in held[s]:
-            T.accumulate(params[name], g)
-    return losses
+            tape, losses[s], scaled = _sample_loss(params, model_cfg, train_cfg, world, draws[s],
+                                                   len(draws))
+            if theirs is not None and theirs > s:
+                for name, g in tape.backward(scaled, leaves=params):
+                    held.setdefault(name, []).append(g)
+            else:
+                tape.backward(scaled)
+    return losses, held
 
 
 def identity_embedding(params, world, id_index):
@@ -255,11 +262,11 @@ def condition_identity(captions, id_row):
 
 # fewest steps of a training call that runs each step's largest sample in a
 # forked worker.  Default-model trainings at batch 2, one BLAS thread, 5
-# alternating runs a point, took worker/in-process median wall time 1.07 at
-# 1 step, where the fork costs more than the step saves, 0.91 at 2, 0.82 at
-# 3, 0.91 at 5 (worst run 1.00), 0.74 at 8 (worst 0.85), 0.57 at 12 and 0.65
-# at 20; so a warm-up of a step or two and the tests' few-step calls stay
-# in-process (ROADMAP item 20)
+# alternating runs a point, took worker/in-process median wall time 0.97 at
+# 1 step (worst run 1.13), where the fork costs about what the step saves,
+# 0.69 at 2, 0.86 at 3 (worst 1.06), 0.82 at 5, 0.77 at 8 (worst 0.82), 0.77
+# at 12 and 0.69 at 20; so a warm-up of a step or two and the tests' few-step
+# calls stay in-process (ROADMAP item 20)
 TRAIN_WORKER_MIN_STEPS = 8
 
 # fewest rows x steps of a guided sampling call that runs its unconditional
@@ -451,67 +458,84 @@ def _arena(params):
     return slots
 
 
-def _train_loop(conn, arena, params, opt, model_cfg, train_cfg, world):
-    """The train worker's work, a step at a time: run the step's largest sample
-    and send its loss and its contributions in replay order, the first to
-    each parameter put in that parameter's arena slot; draw the next step
-    while the caller adds up the gradients; then run the AdamW step on the
-    gradients the caller wrote into the arena for the names it sends."""
+def _train_loop(conn, arena, params, model_cfg, train_cfg, world):
+    """The train worker's work, a step at a time: run the step's largest
+    sample and send its loss; then, as its backward makes parameters'
+    gradients final, send their names in batches of about an eighth of the
+    weights' bytes, each with its contributions in replay order, the first
+    put in its arena slot and None in its place, and pick up the next
+    step's draw when the caller has sent it; then wait for the caller's word
+    that it has updated the weights."""
     draws = _step_draws(model_cfg, train_cfg, world, 0)
-    for step in range(1, train_cfg.steps + 1):
-        draw = draws[_worker_sample(draws)]
-        loss, contributions = _sample_backward(params, model_cfg, train_cfg, world, draw,
-                                               len(draws), hold=True)
-        entries, filled = [], set()
-        for name, g in contributions:
-            slot = arena[name]
-            if name in filled or g.shape != slot.shape or g.dtype != slot.dtype:
-                entries.append((name, g))  # a later one, or one the slot cannot hold
-            else:
+    draw = draws[_worker_sample(draws)]
+    batch_bytes = sum(p.data.nbytes for p in params.values()) / 8
+    while True:
+        tape, loss, scaled = _sample_loss(params, model_cfg, train_cfg, world, draw,
+                                          train_cfg.batch_size)
+        conn.send(loss.data)
+        batch, size, entries, upcoming = [], 0, {}, None
+        for name, g in tape.replay(scaled, params):
+            if g is None:
+                batch.append((name, entries.pop(name, [])))
+                size += params[name].data.nbytes
+                if size >= batch_bytes:
+                    conn.send(batch)
+                    batch, size = [], 0
+                    if upcoming is None and conn.poll():  # so that its send does not wait
+                        upcoming = conn.recv()
+                continue
+            mine, slot = entries.setdefault(name, []), arena[name]
+            first = not mine and g.shape == slot.shape and g.dtype == slot.dtype
+            if first:
                 slot[...] = g
-                filled.add(name)
-                entries.append((name, None))
-        del contributions
-        conn.send((loss.data, entries))
-        if step < train_cfg.steps:
-            draws = _step_draws(model_cfg, train_cfg, world, step)
-        for name in conn.recv():
-            params[name].grad = arena[name]
-        opt.step(params)
+            mine.append(None if first else g)
+        if batch:  # the caller reads no more once every name has come
+            conn.send(batch)
+        draw = conn.recv() if upcoming is None else upcoming
+        conn.recv()  # the weights are updated
 
 
 class _TrainWorker:
-    """The caller's side of the train worker: add_to adds the worker's sample's
-    contributions to the parameters' .grad, and share hands it the step's
-    gradients for its AdamW step."""
+    """The caller's side of the train worker: recv returns its next message,
+    and apply steps the optimizer over the gradients as the worker's
+    contributions come."""
 
     def __init__(self, send, recv, arena):
         self.send, self.recv, self.arena = send, recv, arena
 
-    def add_to(self, params):
-        """Add the worker's contributions of this step in its tape's replay
-        order; returns its sample's loss Tensor."""
-        loss, entries = self.recv()
-        for name, g in entries:
-            if g is None:  # a first one becomes a .grad: copy it out of the arena
-                g = self.arena[name] if params[name].grad is not None else self.arena[name].copy()
-            T.accumulate(params[name], g)
-        return Tensor(loss)
-
-    def share(self, params):
-        names = [name for name, p in params.items() if p.grad is not None]
-        for name in names:
-            self.arena[name][...] = params[name].grad
-        self.send(names)
+    def apply(self, params, opt, held, draws):
+        """Send the worker its sample of draws, the next step's, unless draws
+        is None; count an AdamW step and update each parameter once the
+        worker names it: add its contributions of the worker's sample, in
+        replay order, then those held, from _own_gradients; then tell the
+        worker that the weights are updated."""
+        if draws is not None:
+            self.send(draws[_worker_sample(draws)])
+        opt.t += 1
+        left = len(params)
+        while left:
+            for name, entries in self.recv():
+                p = params[name]
+                for g in entries:  # None: the first, in the arena
+                    T.accumulate(p, self.arena[name] if g is None else g)
+                for g in held.get(name, ()):
+                    T.accumulate(p, g)
+                opt.update(name, p)
+                left -= 1
+        if draws is not None:
+            self.send(None)
 
 
 @contextlib.contextmanager
-def _train_worker(params, opt, model_cfg, train_cfg, world):
-    """Fork the train worker of a training call, with copies of params and opt,
-    and yield its _TrainWorker (_forked_worker)."""
+def _train_worker(params, model_cfg, train_cfg, world):
+    """Move params' data into shared memory, fork the train worker of a
+    training call on them, and yield its _TrainWorker (_forked_worker)."""
+    for p, slot in zip(params.values(), _arena(params).values()):
+        slot[...] = p.data
+        p.data = slot
     arena = _arena(params)
     with _forked_worker("the train worker", _train_loop,
-                        arena, params, opt, model_cfg, train_cfg, world) as (send, recv):
+                        arena, params, model_cfg, train_cfg, world) as (send, recv):
         yield _TrainWorker(send, recv, arena)
 
 

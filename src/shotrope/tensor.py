@@ -136,30 +136,48 @@ class GradTape:
         becomes its .grad or is added to it by accumulate, but one to a
         Tensor of leaves, a mapping key -> Tensor, which is returned instead:
         the list of (key, contribution), in replay order."""
+        return [c for c in self.replay(loss, leaves or {}) if c[1] is not None]
+
+    def replay(self, loss, leaves):
+        """backward(loss, leaves) as a stream: yields each (key, contribution)
+        in replay order and (key, None) once key's gradient is final, when the
+        replay has passed the first node that read its Tensor, or at the start
+        for a Tensor no node read.  No node run after that reads its data."""
         if not self._nodes:
             raise RuntimeError("backward on an empty tape: nothing recorded, or already replayed")
         if loss.data.ndim != 0:
             raise ShapeError("backward requires a scalar loss")
         if not np.isfinite(loss.data):
             raise NumericError("non-finite loss")
-        held = {} if leaves is None else {t._slot: key for key, t in leaves.items()}
-        contributions = []
+        held = {t._slot: key for key, t in leaves.items()}
+        final_after = {}  # node index -> the keys final once it has run
+        if held:
+            first = {}
+            for i, (_, inputs, _) in enumerate(self._nodes):
+                for inp in inputs:
+                    if inp in held:
+                        first.setdefault(inp, i)
+            for slot, key in held.items():
+                if slot in first:
+                    final_after.setdefault(first[slot], []).append(key)
+                else:
+                    yield key, None
         loss.grad = np.ones((), dtype=loss.data.dtype)
-        while self._nodes:
+        for i in range(len(self._nodes) - 1, -1, -1):
             out, inputs, backward_fn = self._nodes.pop()
             g_out = out.grad
-            if g_out is None:
-                continue
-            out.grad = None
-            for inp, g in zip(inputs, backward_fn(g_out)):
-                if g is None or not inp.requires_grad:
-                    continue
-                key = held.get(inp)
-                if key is None:
-                    accumulate(inp, g)
-                else:
-                    contributions.append((key, g))
-        return contributions
+            if g_out is not None:
+                out.grad = None
+                for inp, g in zip(inputs, backward_fn(g_out)):
+                    if g is None or not inp.requires_grad:
+                        continue
+                    key = held.get(inp)
+                    if key is None:
+                        accumulate(inp, g)
+                    else:
+                        yield key, g
+            for key in final_after.pop(i, ()):
+                yield key, None
 
 
 def accumulate(t, g):

@@ -33,8 +33,10 @@ def raising(cls, message):
 
 
 def kill_the_worker():
+    """SIGKILL the one worker and wait until it has died, its pipe closed."""
     (worker,) = multiprocessing.active_children()
     os.kill(worker.pid, signal.SIGKILL)
+    worker.join(60)
 
 
 @contextlib.contextmanager

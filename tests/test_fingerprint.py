@@ -1,7 +1,11 @@
 """The numerics fingerprint that keys the trained-checkpoint and metrics
 cache: it must move with any change to the bits training computes.  The
 scoring fingerprint, folded into the metrics keys only, must move with any
-change to the evaluation prompts, the metric code or `engine.evaluate`."""
+change to the evaluation prompts, the metric code or `engine.evaluate`.
+The fingerprint also refuses a worker path that no longer has the
+in-process bits, which its own short runs do not take."""
+
+import os
 
 import numpy as np
 import pytest
@@ -31,6 +35,31 @@ def test_fingerprint_pmt2v_runs_draw_both_identity_rows(bitcheck, monkeypatch):
     monkeypatch.setattr(E, "condition_identity", spy)
     E.train(cfg, train_cfg, S.SyntheticWorld(seed=1), params=params)
     assert True in drawn and False in drawn
+
+
+def test_the_worker_path_check_refuses_a_worker_of_other_bits(bitcheck, monkeypatch):
+    """A train worker whose sample's tau is off makes the check raise."""
+    monkeypatch.setattr(E, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(E, "blas_threads", lambda count=None: 1)
+    sample_loss, caller = E._sample_loss, os.getpid()
+
+    def off_in_the_worker(params, model_cfg, train_cfg, world, draw, batch_size):
+        if os.getpid() != caller:
+            sample, tau, *rest = draw
+            draw = (sample, tau / 2, *rest)
+        return sample_loss(params, model_cfg, train_cfg, world, draw, batch_size)
+
+    monkeypatch.setattr(E, "_sample_loss", off_in_the_worker)
+    with pytest.raises(RuntimeError, match="in-process bits"):
+        bitcheck["_check_worker_paths"](S.SyntheticWorld(seed=1))
+
+
+def test_the_worker_path_check_says_it_skipped_where_no_worker_can_start(bitcheck, monkeypatch,
+                                                                         capsys):
+    monkeypatch.setattr(E, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(E, "train", None)  # nothing is run
+    bitcheck["_check_worker_paths"](S.SyntheticWorld(seed=1))
+    assert "skipped the worker-path check" in capsys.readouterr().err
 
 
 def _median_metrics(records):

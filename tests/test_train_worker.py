@@ -1,9 +1,11 @@
 """A training step adds each parameter's gradient contributions from the
 samples' tapes in one order: sample B-1's first, each tape's in replay order.
 `engine.train` does so in-process, or with each step's largest sample run in a
-forked worker whose contributions the caller adds in their place.  Either way
-the weights and the loss log must have the in-process bits."""
+forked worker on weights both processes share, whose contributions the caller
+adds in their place and applies as the worker's backward makes them final.
+Either way the weights and the loss log must have the in-process bits."""
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -82,6 +84,8 @@ CASES = {
     "caption-dropout": ("full", dict(caption_dropout=0.5), {}),
     "batch-3": ("full", {}, dict(batch_size=3)),
     "batch-4": ("full", {}, dict(batch_size=4)),
+    # per-sample sums once kept the bits for 20 steps and lost them by step 60
+    "steps-40": ("full", {}, dict(steps=40)),
 }
 
 
@@ -152,7 +156,9 @@ def _nan_in(process, at_call):
 @pytest.mark.parametrize("process", ["caller", "worker"])
 def test_a_non_finite_loss_raises_numeric_error_at_its_step(gate_open, monkeypatch, process):
     """Each process runs one sample a step, so the third forward of either
-    is in step 2: steps 0 and 1 complete, and no .grad is left."""
+    is in step 2: steps 0 and 1 complete, no .grad is left, and no update
+    of step 2 runs, since none may before both losses are known finite."""
+    forward = M.denoiser_forward
     monkeypatch.setattr(M, "denoiser_forward", _nan_in(process, 3))
     steps, params = [], M.init_params(_model_cfg(), 6)
     with pytest.raises(NumericError, match="non-finite loss"):
@@ -160,6 +166,103 @@ def test_a_non_finite_loss_raises_numeric_error_at_its_step(gate_open, monkeypat
     assert gate_open == [1]
     assert steps == [0, 1]
     assert all(p.grad is None for p in params.values())
+    monkeypatch.setattr(M, "denoiser_forward", forward)
+    want, _ = _in_process(monkeypatch, lambda: _train(_model_cfg(), _train_cfg(steps=2)))
+    for name in want:
+        assert np.array_equal(params[name].data, want[name].data), name
+
+
+def test_a_worker_killed_after_a_steps_first_update_does_not_hang_the_caller(gate_open,
+                                                                             monkeypatch):
+    """The worker dies once the caller has applied the first of step 2's
+    gradients: the call raises ChildProcessError in time and leaves no .grad
+    and no worker; the step is partly applied (README, Determinism)."""
+    update, killed = E.AdamW.update, []
+
+    def killing(opt, name, p):
+        if opt.t == 3 and not killed:
+            killed.append(name)
+            kill_the_worker()
+        update(opt, name, p)
+
+    monkeypatch.setattr(E.AdamW, "update", killing)
+    steps, params = [], M.init_params(_model_cfg(), 6)
+    with deadline(60), pytest.raises(ChildProcessError, match=f"exit code {-signal.SIGKILL}$"):
+        _train(_model_cfg(), _train_cfg(), lambda step, *_: steps.append(step), params)
+    assert gate_open == [1]
+    assert len(killed) == 1 and steps == [0, 1]
+    assert multiprocessing.active_children() == []
+    assert all(p.grad is None for p in params.values())
+
+
+def test_the_worker_runs_no_adamw_and_holds_no_moments(gate_open, monkeypatch):
+    """AdamW runs in the caller alone, and is made after the fork, so that
+    no optimizer, and no moment array, is in the worker's memory."""
+    caller = os.getpid()
+    before = [o for o in gc.get_objects() if isinstance(o, E.AdamW)]
+
+    def caller_only(method):
+        def checked(opt, *args):
+            if os.getpid() != caller:
+                raise RuntimeError(f"AdamW.{method.__name__} ran in the train worker")
+            return method(opt, *args)
+        return checked
+
+    for name in ("__init__", "step", "update"):
+        monkeypatch.setattr(E.AdamW, name, caller_only(getattr(E.AdamW, name)))
+    loop = E._train_loop
+
+    def checked_loop(*args):
+        if any(isinstance(o, E.AdamW) and all(o is not b for b in before)
+               for o in gc.get_objects()):
+            raise RuntimeError("the train worker holds an optimizer")
+        return loop(*args)
+
+    monkeypatch.setattr(E, "_train_loop", checked_loop)
+    got = _train(_model_cfg(), _train_cfg())
+    assert gate_open == [1]
+    _same(got, _in_process(monkeypatch, lambda: _train(_model_cfg(), _train_cfg())))
+
+
+FINALITY = [(variant, pmt2v) for variant in M.VARIANTS for pmt2v in (False, True)]
+
+
+@pytest.mark.parametrize("variant, pmt2v", FINALITY,
+                         ids=[f"{v}{'-pmt2v' if p else ''}" for v, p in FINALITY])
+def test_a_leaf_is_reported_final_once_after_its_last_read(variant, pmt2v):
+    """GradTape.replay, the stream the train worker sends as it goes, on the
+    samples of two steps: each parameter is reported once, no contribution
+    to it comes after, the contributions are backward's list in order and
+    bit for bit, and they stay so when each parameter's data turns to NaN
+    the moment it is reported, as the caller may update it from then on."""
+    model_cfg, train_cfg = _model_cfg(variant), _train_cfg(pmt2v=pmt2v, id_dropout=0.5)
+    draws = [d for step in range(2) for d in E._step_draws(model_cfg, train_cfg, WORLD, step)]
+    if pmt2v:  # both the null identity row and a projected identity are drawn
+        assert {d[4] for d in draws} == {False, True}
+
+    def sample_tape(draw):
+        params = M.init_params(model_cfg, 6)
+        return params, *E._sample_loss(params, model_cfg, train_cfg, WORLD, draw,
+                                       train_cfg.batch_size)
+
+    for draw in draws:
+        params, tape, _, scaled = sample_tape(draw)
+        want = tape.backward(scaled, leaves=params)
+        for poison in (False, True):
+            params, tape, _, scaled = sample_tape(draw)
+            got, reported = [], []
+            for name, g in tape.replay(scaled, params):
+                assert name not in reported, f"{name} after it was reported final"
+                if g is not None:
+                    got.append((name, g))
+                    continue
+                reported.append(name)
+                if poison:
+                    params[name].data[...] = np.nan
+            assert sorted(reported) == sorted(params)
+            assert [name for name, _ in got] == [name for name, _ in want]
+            for (name, g), (_, w) in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
 @pytest.mark.parametrize("cls", [ConfigError, ShapeError, NumericError])

@@ -16,6 +16,16 @@ hashed in this order:
 - the float64 tape gradient of one batch of 2 on the default model, the
   path of the benchmark's gradient check: every parameter's gradient.
 
+Those trainings and samples are too short for engine's forked workers, so
+it also runs, at one BLAS thread as `cli.main` sets it, a pmt2v training of
+`TRAIN_WORKER_MIN_STEPS` steps and a guided sample of
+`BRANCH_WORKER_MIN_ROW_STEPS` rows x steps on the worker paths, and raises
+unless each equals its in-process twin bit for bit.  Those runs add nothing
+to the digest, so a cached result is vouched for only by code whose worker
+paths reproduce the in-process bits.  Where no worker can start (one CPU,
+no fork, a second thread), it says on standard error that it skipped
+this check.
+
 It reads no file.  The digest this script prints first adds to those updates
 50-step samples from the fixed weights in perfbench/weights:
 
@@ -145,6 +155,46 @@ def _fingerprint_updates(h):
         field = E.sample(pmt2v, cfg, world, spec, steps=3, seed=22, id_embedding=emb)
         _update(h, f"small/{variant}/sample", field)
     _gradient(h, world)
+    _check_worker_paths(world)
+
+
+def _check_worker_paths(world):
+    """Raise unless a training and a guided sample on engine's forked-worker
+    paths equal their in-process twins bit for bit; at one BLAS thread,
+    restored afterwards, and skipped, with a note, where no worker can start."""
+    threads = E.blas_threads()
+    E.blas_threads(1)
+    try:
+        if not E._may_fork_worker():
+            print("bitcheck: engine starts no worker here (engine._may_fork_worker: one CPU, "
+                  "no fork or a second thread): skipped the worker-path check", file=sys.stderr)
+            return
+        cfg = M.DenoiserConfig(d_model=32, blocks=2)
+        train_cfg = E.TrainConfig(**{**FINGERPRINT_TRAIN, "steps": E.TRAIN_WORKER_MIN_STEPS},
+                                  pmt2v=True)
+        spec = E.eval_specs(world, 1, seed=21)[0]
+        rows = E.build_layout(spec, world).total_tokens
+        steps = -(-E.BRANCH_WORKER_MIN_ROW_STEPS // rows)
+        if not (E._forks_train_worker(train_cfg) and E._forks_branch_worker(rows, steps)):
+            raise RuntimeError("the worker-path check's runs stay below a worker gate")
+
+        def run():
+            params, log = E.train(cfg, train_cfg, world)
+            emb = E.identity_embedding(params, world, 0)
+            field = E.sample(params, cfg, world, spec, steps=steps, seed=22, id_embedding=emb)
+            return [p.data for p in params.values()] + [np.asarray(log), field]
+
+        got = run()
+        gates = E._forks_train_worker, E._forks_branch_worker
+        E._forks_train_worker = E._forks_branch_worker = lambda *args: False
+        try:
+            want = run()
+        finally:
+            E._forks_train_worker, E._forks_branch_worker = gates
+        if not all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)):
+            raise RuntimeError("a worker path of engine no longer has the in-process bits")
+    finally:
+        E.blas_threads(threads)
 
 
 def fingerprint():

@@ -119,15 +119,17 @@ class Conditioning:
     context holds the captions' ContextTokens; its shot index tags the
     cross-attention keys an AttentionCollector reads.  token_tables and
     query_tables, the read-only (cos, sin) TcRoPE and TaRoPE tables, have
-    one row per token of layout, and self_blocks and cross_blocks are the
-    attention_core blocks of each attention.
+    one row per token of layout, key_tables one per context row, and
+    self_blocks and cross_blocks are the attention_core blocks of each
+    attention.
 
-    caption_kv holds each block's rotated caption keys and values.  Built
-    with no tape recording, cross_folds holds each
-    block's fold_cross_attention runs: in the attention blocks with few
-    caption keys, the keys, values, query rotations and W_q and W_o folded
-    into two matrices per run, which carry no gradient.  Built under a
-    GradTape, cross_folds is None and cross-attention runs the taped kernel.
+    Built with no tape recording, caption_kv holds each block's rotated
+    caption keys and values, and cross_folds each block's
+    fold_cross_attention runs: in the attention blocks with few caption
+    keys, the keys, values, query rotations and W_q and W_o folded into two
+    matrices per run, which carry no gradient.  Built under a GradTape, both
+    are None, and cross-attention projects its keys and values and runs the
+    taped kernel.
     """
 
     captions: tuple
@@ -135,9 +137,10 @@ class Conditioning:
     layout: object
     token_tables: tuple
     query_tables: tuple
+    key_tables: tuple
     self_blocks: tuple
     cross_blocks: tuple
-    caption_kv: tuple
+    caption_kv: tuple | None
     cross_folds: tuple | None
 
 
@@ -213,9 +216,11 @@ def multishot_cross_attention(tokens, cond, block, weights, heads=4, probs_out=N
     segments attend over the context's by cond.cross_blocks.
 
     Under a tape (cond.cross_folds None) the queries are projected by
-    weights.wq and rotated, attend over block `block` of cond.caption_kv
-    in one attention_core call, and the heads' outputs are projected by
-    weights.wo.  Otherwise each run of cond.cross_folds[block] that folds
+    weights.wq and rotated, attend over the context's rows projected by
+    weights.wk, rotated, and by weights.wv in one attention_core call, and
+    the heads' outputs are projected by weights.wo.  Otherwise block
+    `block` of cond.caption_kv holds the keys and values, and each run of
+    cond.cross_folds[block] that folds
     is three steps: logits x A, a softmax over each head's keys, and P VWo,
     with no Q or O projection; a run that does not, a whole attention
     block, runs those projections and the kernel on its own rows.  A folded
@@ -223,13 +228,15 @@ def multishot_cross_attention(tokens, cond, block, weights, heads=4, probs_out=N
     W_o's gradients.  probs_out gets (query rows, key rows, [heads, rows,
     keys]) blocks either way.
     """
-    k, v = cond.caption_kv[block]
     if cond.cross_folds is None:
+        k = project(cond.context.embeddings, weights.wk, heads, cond.key_tables)
+        v = project(cond.context.embeddings, weights.wv, heads)
         q = project(tokens, weights.wq, heads, cond.query_tables)
         out = scaled_dot_attention(q, k, v, probs_out, cond.cross_blocks)
         return T.matmul(T.merge_heads(out), weights.wo)
     if T.recording():
         raise ConfigError("a folded conditioning keeps no gradient: build it under the tape")
+    k, v = cond.caption_kv[block]
     x = tokens.data
     out = np.empty(x.shape, np.result_type(x, weights.wq.data, weights.wo.data, k.data, v.data))
     for q_rows, k_rows, logit_w, out_w in cond.cross_folds[block]:

@@ -81,9 +81,11 @@ class AdamW:
         self.t = 0
 
     def step(self, params):
-        """Count a step and update every parameter that has a gradient."""
+        """Count a step and update each parameter of params that has a
+        gradient: params maps names to Tensors, or yields (name, Tensor)
+        pairs, each once its gradient is complete."""
         self.t += 1
-        for name, p in params.items():
+        for name, p in params.items() if isinstance(params, dict) else params:
             self.update(name, p)
 
     def update(self, name, p):
@@ -131,10 +133,11 @@ def train(model_cfg, train_cfg, world, params=None, log_hook=None):
     process adds each parameter's contributions in that same order as soon as
     the worker's backward has made its last one, and runs its AdamW update
     while the rest of that backward runs, so the bits are the in-process
-    loop's (README, Determinism).  No update runs before both processes'
-    losses are known to be finite.  A step that raises leaves no .grad
-    behind, and no worker outlives the call; one that raises while the
-    worker's gradients are being applied leaves the step partly applied.
+    loop's (README, Determinism); once all are updated, it sends the
+    worker its sample of the next step.  No update runs before both
+    processes' losses are known to be finite.  A step that raises leaves
+    no .grad behind, and no worker outlives the call; one that raises while
+    the worker's gradients are being applied leaves the step partly applied.
     A non-finite loss raises NumericError at its step; after the last
     step, whose update no loss reads, a non-finite parameter raises it too.
     """
@@ -161,10 +164,9 @@ def train(model_cfg, train_cfg, world, params=None, log_hook=None):
                     raise NumericError(f"training diverged at step {step}: loss={loss_val}")
                 draws = (_step_draws(model_cfg, train_cfg, world, step + 1)
                          if step + 1 < train_cfg.steps else None)
-                if worker is None:
-                    opt.step(params)
-                else:
-                    worker.apply(params, opt, held, draws)
+                opt.step(params if worker is None else worker.gradients(params, held))
+                if worker is not None and draws is not None:
+                    worker.send(draws[_worker_sample(draws)])  # the weights are updated
             except BaseException:
                 for p in params.values():
                     p.grad = None
@@ -262,10 +264,10 @@ def condition_identity(captions, id_row):
 
 # fewest steps of a training call that runs each step's largest sample in a
 # forked worker.  Default-model trainings at batch 2, one BLAS thread, 5
-# alternating runs a point, took worker/in-process median wall time 0.97 at
-# 1 step (worst run 1.13), where the fork costs about what the step saves,
-# 0.69 at 2, 0.86 at 3 (worst 1.06), 0.82 at 5, 0.77 at 8 (worst 0.82), 0.77
-# at 12 and 0.69 at 20; so a warm-up of a step or two and the tests' few-step
+# alternating runs a point, took worker/in-process median wall time 0.89 at
+# 1 step (worst run 1.04), where the fork costs about what the step saves,
+# 0.68 at 2, 0.75 at 3 (worst 1.07), 0.66 at 5, 0.63 at 8 (worst 0.67), 0.67
+# at 12 and 0.55 at 20; so a warm-up of a step or two and the tests' few-step
 # calls stay in-process (ROADMAP item 20)
 TRAIN_WORKER_MIN_STEPS = 8
 
@@ -391,13 +393,13 @@ def _forked_worker(what, target, *args):
     def send(message):
         try:
             ours.send(message)
-        except OSError as exc:
+        except ConnectionError as exc:
             raise died() from exc
 
     def recv():
         try:
             got = ours.recv()
-        except (EOFError, OSError) as exc:
+        except (EOFError, ConnectionError) as exc:
             raise died() from exc
         if isinstance(got, Exception):
             raise got
@@ -461,57 +463,53 @@ def _arena(params):
 def _train_loop(conn, arena, params, model_cfg, train_cfg, world):
     """The train worker's work, a step at a time: run the step's largest
     sample and send its loss; then, as its backward makes parameters'
-    gradients final, send their names in batches of about an eighth of the
-    weights' bytes, each with its contributions in replay order, the first
-    put in its arena slot and None in its place, and pick up the next
-    step's draw when the caller has sent it; then wait for the caller's word
-    that it has updated the weights."""
+    gradients final, send their names in batches, each with its
+    contributions in replay order, the first put in its arena slot and None
+    in its place.  A batch goes once it holds an eighth of the weights'
+    bytes, or as many bytes as are not yet final, so that the last ones,
+    which the caller updates after the backward, are small.  Then wait for
+    the next step's sample, which the caller sends once it has updated the
+    weights.
+    Only one process sends at a time: the caller reads until every name has
+    come, and then this process reads."""
     draws = _step_draws(model_cfg, train_cfg, world, 0)
     draw = draws[_worker_sample(draws)]
-    batch_bytes = sum(p.data.nbytes for p in params.values()) / 8
+    total = sum(p.data.nbytes for p in params.values())
     while True:
         tape, loss, scaled = _sample_loss(params, model_cfg, train_cfg, world, draw,
                                           train_cfg.batch_size)
         conn.send(loss.data)
-        batch, size, entries, upcoming = [], 0, {}, None
+        batch, size, left, entries = [], 0, total, {}
         for name, g in tape.replay(scaled, params):
             if g is None:
                 batch.append((name, entries.pop(name, [])))
-                size += params[name].data.nbytes
-                if size >= batch_bytes:
+                nbytes = params[name].data.nbytes
+                size, left = size + nbytes, left - nbytes
+                if size >= min(total / 8, left):  # the last batch at left 0
                     conn.send(batch)
                     batch, size = [], 0
-                    if upcoming is None and conn.poll():  # so that its send does not wait
-                        upcoming = conn.recv()
                 continue
             mine, slot = entries.setdefault(name, []), arena[name]
             first = not mine and g.shape == slot.shape and g.dtype == slot.dtype
             if first:
                 slot[...] = g
             mine.append(None if first else g)
-        if batch:  # the caller reads no more once every name has come
-            conn.send(batch)
-        draw = conn.recv() if upcoming is None else upcoming
-        conn.recv()  # the weights are updated
+        draw = conn.recv()
 
 
 class _TrainWorker:
     """The caller's side of the train worker: recv returns its next message,
-    and apply steps the optimizer over the gradients as the worker's
-    contributions come."""
+    send sends it the next step's sample, its word that the weights are
+    updated, and gradients yields the step's gradients as they come."""
 
     def __init__(self, send, recv, arena):
         self.send, self.recv, self.arena = send, recv, arena
 
-    def apply(self, params, opt, held, draws):
-        """Send the worker its sample of draws, the next step's, unless draws
-        is None; count an AdamW step and update each parameter once the
-        worker names it: add its contributions of the worker's sample, in
-        replay order, then those held, from _own_gradients; then tell the
-        worker that the weights are updated."""
-        if draws is not None:
-            self.send(draws[_worker_sample(draws)])
-        opt.t += 1
+    def gradients(self, params, held):
+        """Yield each (name, p) of params once the worker names it, p.grad
+        then its step's gradient: its contributions of the worker's sample,
+        in replay order, added to .grad, then those held, from
+        _own_gradients."""
         left = len(params)
         while left:
             for name, entries in self.recv():
@@ -520,10 +518,8 @@ class _TrainWorker:
                     T.accumulate(p, self.arena[name] if g is None else g)
                 for g in held.get(name, ()):
                     T.accumulate(p, g)
-                opt.update(name, p)
                 left -= 1
-        if draws is not None:
-            self.send(None)
+                yield name, p
 
 
 @contextlib.contextmanager

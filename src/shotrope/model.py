@@ -212,7 +212,10 @@ def conditioning(captions, layout, cfg, params):
     builds its own, so none outlives an AdamW update.  Built with no
     GradTape recording, the conditioning also folds each block's
     cross-attention where it has few caption keys (fold_cross_attention); a
-    forward that keeps gradients builds it under its tape.
+    forward that keeps gradients builds it under its tape, where it projects
+    no keys or values: each block's cross-attention projects its own, so
+    that a backward has made W_k's and W_v's gradients final once it has
+    passed that block.
     """
     captions = captions if isinstance(captions, tuple) else (captions,)
     if len(layout.layouts) > 1 and not cfg.use_ref:
@@ -234,20 +237,22 @@ def conditioning(captions, layout, cfg, params):
         pair_tables(rope.phase_tables_1d(basis, shots * cfg.k_eff), dtype)
         for shots in (layout.token_shot_index(), context.shot_index)
     )
-    caption_kv = tuple(
-        (project(context.embeddings, params[f"block{b}/ca/wk"], cfg.heads, key_tables),
-         project(context.embeddings, params[f"block{b}/ca/wv"], cfg.heads))
-        for b in range(cfg.blocks)
-    )
     token_ends = layout.segment_ends if cfg.use_ref else (layout.total_tokens,)
     caption_ends = context.segment_ends if cfg.use_ref else (len(context.shot_index),)
     cross_blocks = tuple(segment_blocks(token_ends, caption_ends))
-    folds = None if T.recording() else tuple(
-        fold_cross_attention(kv, params[f"block{b}/ca/wq"].data, params[f"block{b}/ca/wo"].data,
-                             query_tables, cross_blocks)
-        for b, kv in enumerate(caption_kv)
-    )
-    return Conditioning(captions, context, layout, token_tables, query_tables,
+    caption_kv = folds = None
+    if not T.recording():
+        caption_kv = tuple(
+            (project(context.embeddings, params[f"block{b}/ca/wk"], cfg.heads, key_tables),
+             project(context.embeddings, params[f"block{b}/ca/wv"], cfg.heads))
+            for b in range(cfg.blocks)
+        )
+        folds = tuple(
+            fold_cross_attention(kv, params[f"block{b}/ca/wq"].data,
+                                 params[f"block{b}/ca/wo"].data, query_tables, cross_blocks)
+            for b, kv in enumerate(caption_kv)
+        )
+    return Conditioning(captions, context, layout, token_tables, query_tables, key_tables,
                         tuple(segment_blocks(token_ends, token_ends)), cross_blocks, caption_kv,
                         folds)
 

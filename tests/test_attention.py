@@ -18,7 +18,6 @@ from shotrope.attention import (
     multishot_cross_attention,
     multishot_self_attention,
     pair_tables,
-    project,
     scaled_dot_attention,
     segment_attention,
     segment_blocks,
@@ -42,20 +41,18 @@ def _rand_weights(rng, d):
     )
 
 
-def _cond(tokens, layout, scales, basis, heads=2, use_ref=False, ctx=None, weights=None):
+def _cond(tokens, layout, scales, basis, heads=2, use_ref=False, ctx=None):
     """The Conditioning model.conditioning builds under a tape, at the
     rotary scales j and k of scales (a DenoiserConfig), for tokens' layout
-    and one hand-made caption context whose one block of keys and values
-    weights project."""
+    and one hand-made caption context."""
 
     def tables(shots):
         return pair_tables(rope.phase_tables_1d(basis, shots * scales.k), tokens.dtype)
 
     token_ends = layout.segment_ends if use_ref else (layout.total_tokens,)
-    kv, cross_blocks = None, ()
+    key_tables, cross_blocks = None, ()
     if ctx is not None:
-        kv = (project(ctx.embeddings, weights.wk, heads, tables(ctx.shot_index)),
-              project(ctx.embeddings, weights.wv, heads))
+        key_tables = tables(ctx.shot_index)
         caption_ends = ctx.segment_ends if use_ref else (len(ctx.shot_index),)
         cross_blocks = tuple(segment_blocks(token_ends, caption_ends))
     positions = layout.token_positions(j=scales.j)
@@ -65,9 +62,10 @@ def _cond(tokens, layout, scales, basis, heads=2, use_ref=False, ctx=None, weigh
         layout,
         pair_tables(rope.phase_tables_3d(basis, *positions), tokens.dtype),
         tables(layout.token_shot_index()),
+        key_tables,
         tuple(segment_blocks(token_ends, token_ends)),
         cross_blocks,
-        (kv,),
+        None,
         None,
     )
 
@@ -78,7 +76,7 @@ def _self(tokens, layout, scales, basis, w, heads=2, use_ref=False, probs_out=No
 
 
 def _cross(tokens, ctx, layout, scales, basis, w, heads=2, use_ref=False):
-    cond = _cond(tokens, layout, scales, basis, heads, use_ref, ctx, w)
+    cond = _cond(tokens, layout, scales, basis, heads, use_ref, ctx)
     return multishot_cross_attention(tokens, cond, 0, w, heads=heads)
 
 

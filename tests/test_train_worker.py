@@ -100,6 +100,31 @@ def test_the_worker_path_has_the_in_process_bits(gate_open, monkeypatch, variant
     _same(got, want)
 
 
+def test_messages_that_outgrow_the_pipe_both_ways_do_not_hang_a_step(gate_open, monkeypatch):
+    """Samples of equal size, so that the caller, which also draws and
+    updates, is the longer path; each step's draw, tokens and noise, and
+    the worker's caption-table contributions, 64 x 256 floats a repeated
+    shot, each come to more than the 208 KiB of a Linux socket's default
+    buffer.  The call ends in time with the in-process bits."""
+    world = S.SyntheticWorld(seed=2, d_token=512, d_id=8, v_scene=64, v_mot=64,
+                             height=4, width=4)
+    model_cfg = M.DenoiserConfig(variant="full", d_model=256, blocks=1, heads=2, ffn_mult=1,
+                                 d_token=512, d_id=8, v_scene=64, v_mot=64)
+    train_cfg = _train_cfg(shot_count_range=(3, 3), shot_len_range=(2, 2))
+
+    def run():
+        params = M.init_params(model_cfg, 6)
+        return params, E.train(model_cfg, train_cfg, world, params=params)[1]
+
+    want = _in_process(monkeypatch, run)
+    draw = E._step_draws(model_cfg, train_cfg, world, 1)[0]
+    assert draw[0].tokens.nbytes + draw[2].nbytes > 2**18
+    with deadline(60):
+        got = run()
+    assert gate_open == [1]
+    _same(got, want)
+
+
 def test_the_worker_takes_either_place_in_the_order_of_addition():
     """Over the bit tests' batch-2 steps the worker's sample is sample 1,
     whose contributions come first, and sample 0, whose come last; at batch

@@ -516,7 +516,7 @@ class _TrainWorker:
                 p = params[name]
                 for g in entries:  # None: the first, in the arena
                     T.accumulate(p, self.arena[name] if g is None else g)
-                for g in held.get(name, ()):
+                for g in held.pop(name, ()):
                     T.accumulate(p, g)
                 left -= 1
                 yield name, p
@@ -526,9 +526,14 @@ class _TrainWorker:
 def _train_worker(params, model_cfg, train_cfg, world):
     """Move params' data into shared memory, fork the train worker of a
     training call on them, and yield its _TrainWorker (_forked_worker)."""
+    import ctypes
+
     for p, slot in zip(params.values(), _arena(params).values()):
         slot[...] = p.data
         p.data = slot
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:  # glibc: hand the private copies' pages back, or they stay resident
+        trim(0)
     arena = _arena(params)
     with _forked_worker("the train worker", _train_loop,
                         arena, params, model_cfg, train_cfg, world) as (send, recv):

@@ -220,6 +220,25 @@ def test_a_worker_killed_after_a_steps_first_update_does_not_hang_the_caller(gat
     assert all(p.grad is None for p in params.values())
 
 
+def test_the_caller_drops_each_held_contribution_once_it_is_applied(gate_open, monkeypatch):
+    """The contributions the caller holds back for after the worker's are
+    dropped as each parameter is updated, so none outlives its step: they
+    come to a gradient's worth, and kept to the next step they raised the
+    caller's peak memory by as much."""
+    own, helds = E._own_gradients, []
+
+    def recording(*args):
+        losses, held = own(*args)
+        helds.append((held, len(held)))
+        return losses, held
+
+    monkeypatch.setattr(E, "_own_gradients", recording)
+    _train(_model_cfg(), _train_cfg())
+    assert gate_open == [1]
+    assert any(count for _, count in helds)
+    assert all(held == {} for held, _ in helds)
+
+
 def test_the_worker_runs_no_adamw_and_holds_no_moments(gate_open, monkeypatch):
     """AdamW runs in the caller alone, and is made after the fork, so that
     no optimizer, and no moment array, is in the worker's memory."""
